@@ -82,7 +82,10 @@ def moment_report(samples: np.ndarray, target: float, name: str) -> EstimateRepo
     n = samples.size
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(n))
-    z = abs(mean - target) / se if se > 0.0 else math.inf * (mean != target)
+    if se > 0.0:
+        z = abs(mean - target) / se
+    else:  # zero spread: an exact match or an infinitely sure miss
+        z = 0.0 if mean == target else math.inf
     return EstimateReport(
         name, float(z), 3.0, {"mean": mean, "target": target, "stderr": se, "n": n}
     )

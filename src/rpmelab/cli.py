@@ -4,9 +4,11 @@ with content digests).
 
 Exit codes: 0 all hard-bound reports passed, 1 at least one failed, 2 missing
 input file, 3 config schema violation (the offending key is named), 4
-numerical abort (non-finite state).  Outputs are staged in a scratch
-directory next to the target and renamed into place only on completion, so a
-failed run never leaves partial artifacts.
+numerical abort (non-finite state, or floating-point overflow such as a
+growth bound too large to represent), 5 unexpected internal error (the
+traceback is printed).  Outputs are staged in a scratch directory next to the
+target and renamed into place only on completion, so a failed run never
+leaves partial artifacts.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import os
 import shutil
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,7 +51,13 @@ from .model import (
     regularize_beta,
 )
 from .pathfile import DerivativePair, PathRecord, write_record
-from .simulate import SimConfig, interior_v_mass, simulate_ensemble, simulate_path
+from .simulate import (
+    SimConfig,
+    interior_v_mass,
+    prepare_initial,
+    simulate_ensemble,
+    simulate_path,
+)
 from .transform import build_transform_pair, degeneracy_weight
 
 
@@ -427,15 +436,16 @@ def _require_finite(*arrays) -> None:
             raise NumericalAbort("non-finite state encountered")
 
 
-def _c0_max(config: SimConfig, c0_fn) -> float:
-    return float(np.max(c0_fn(config.grid.node_points())))
+def _growth_radius(config: SimConfig, c0_fn, y0: float) -> tuple[float, float]:
+    """Sup of the boundary-applied initial concentration, the state the
+    library steps from, and the growth bound r2 over the horizon."""
+    c, _ = prepare_initial(config, c0_fn, y0)
+    c0_max = float(np.max(c))
+    return c0_max, r2_bound(config.t_final, c0_max, config.coeffs.beta_family)
 
 
-def _mass_report(traj, config: SimConfig, cfg: RunConfig) -> EstimateReport:
-    masses = [
-        interior_v_mass(traj.c[k], config.grid, config.coeffs)
-        for k in range(len(traj.times))
-    ]
+def _mass_report(c_frames, config: SimConfig, cfg: RunConfig) -> EstimateReport:
+    masses = [interior_v_mass(c, config.grid, config.coeffs) for c in c_frames]
     drift = max(abs(m - masses[0]) for m in masses) / max(abs(masses[0]), 1e-300)
     conserved = cfg.bc == "neumann" and cfg.f_name == "zero"
     return EstimateReport(
@@ -455,31 +465,37 @@ Sections = dict[str, list[EstimateReport]]
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     c0_fn = _initial(cfg)
-    c0_max = _c0_max(config, c0_fn)
-    r2 = r2_bound(cfg.t_final, c0_max, config.coeffs.beta_family)
+    c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
     _, n0 = config.resolve_steps(c0_max)
     stride = cfg.snapshot_stride or max(1, n0 // 256)
     n_snap = max(1, n0 // stride)
 
     (staging / "paths").mkdir()
     reports: list[EstimateReport] = []
-    dt = None
-    for pid in range(cfg.n_paths):
-        traj = simulate_path(
-            config, c0_fn, cfg.y0, seed=cfg.seed, path_id=pid, n_snapshots=n_snap
-        )
-        _require_finite(traj.c, traj.y)
-        dt = traj.dt
-        write_record(
-            staging / "paths" / f"path_{pid:04d}.rpme1",
-            PathRecord(config.grid, cfg.seed, pid, traj.dt, traj.times, traj.c, traj.y, ()),
-        )
-        reports.append(linf_check(float(np.max(traj.c)), r2, f"path_{pid:04d}_sup"))
-        reports.append(_replace_name(_mass_report(traj, config, cfg), f"path_{pid:04d}_mass_drift"))
-        reports.append(EstimateReport(f"path_{pid:04d}_clamped_mass", traj.clamp_mass, None))
+
+    def write_chunk(chunk) -> None:
+        frames = chunk.frames
+        _require_finite(frames.c, frames.y)
+        for j, pid in enumerate(int(p) for p in chunk.path_ids):
+            tag = f"path_{pid:04d}"
+            c, y = frames.c[:, j], frames.y[:, j]
+            write_record(
+                staging / "paths" / f"{tag}.rpme1",
+                PathRecord(config.grid, cfg.seed, pid, frames.dt, frames.times, c, y, ()),
+            )
+            reports.append(linf_check(float(np.max(c)), r2, f"{tag}_sup"))
+            reports.append(replace(_mass_report(c, config, cfg), name=f"{tag}_mass_drift"))
+            reports.append(EstimateReport(f"{tag}_clamped_mass", float(frames.clamp_mass[j]), None))
 
     ens = simulate_ensemble(
-        config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers
+        config,
+        c0_fn,
+        cfg.y0,
+        n_paths=cfg.n_paths,
+        seed=cfg.seed,
+        n_workers=cfg.workers,
+        n_snapshots=n_snap,
+        on_chunk=write_chunk,
     )
     _require_finite(ens.c_final, ens.y_final)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup"))
@@ -487,22 +503,17 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     reports.append(
         EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None)
     )
-    return {"simulate": reports}, {"dt": dt, "r2_bound": r2}
-
-
-def _replace_name(report: EstimateReport, name: str) -> EstimateReport:
-    return EstimateReport(name, report.measured, report.bound, report.detail)
+    return {"simulate": reports}, {"dt": ens.dt, "r2_bound": r2}
 
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     c0_fn = _initial(cfg)
-    c0_max = _c0_max(config, c0_fn)
-    r2 = r2_bound(cfg.t_final, c0_max, config.coeffs.beta_family)
+    _, r2 = _growth_radius(config, c0_fn, cfg.y0)
 
     traj = simulate_path(config, c0_fn, cfg.y0, seed=cfg.seed, path_id=0, store_dense=True)
     _require_finite(traj.c, traj.y)
-    reports = [linf_check(float(np.max(traj.c)), r2), _mass_report(traj, config, cfg)]
+    reports = [linf_check(float(np.max(traj.c)), r2), _mass_report(traj.c, config, cfg)]
     reports.extend(energy_report(traj, config.coeffs, cfg.theta))
 
     rng = np.random.default_rng(cfg.seed)
@@ -559,7 +570,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         pairs.append(DerivativePair(r_index * traj.dt, sl.t, sl.drc, sl.dry))
         stride = max(1, (n - r_index) // 8)
         for rep in malliavin_report(traj, config.coeffs, r_index, stride):
-            reports.append(_replace_name(rep, f"r{r_index}_{rep.name}"))
+            reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
         if cfg.a_name == "linear" and cfg.b_name == "zero":
             # autonomous linear state derivative: the propagated value must
             # reproduce sigma * y(T) node for node
@@ -754,10 +765,15 @@ def run_command(command: str, cfg: RunConfig) -> int:
         shutil.rmtree(staging)
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalAbort as exc:
+    except (NumericalAbort, OverflowError) as exc:
         shutil.rmtree(staging)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: numerical abort: {exc}", file=sys.stderr)
         return 4
+    except Exception:
+        shutil.rmtree(staging, ignore_errors=True)
+        traceback.print_exc()
+        print("error: internal failure (exit 5)", file=sys.stderr)
+        return 5
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

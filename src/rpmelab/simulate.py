@@ -19,6 +19,7 @@ per-path arithmetic.
 """
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import math
 from dataclasses import dataclass, field as dc_field
@@ -31,6 +32,8 @@ from .model import CoefficientSet, r2_bound
 
 # paths per processing chunk; fixed so reductions do not depend on worker count
 _CHUNK = 128
+# cap on the recorded frames (c and y) of one chunk; a chunk shrinks to fit
+_FRAME_BYTES = 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +81,13 @@ def _philox_stream(seed: int, path_id: int) -> np.random.Generator:
 def gen_wiener(n_steps: int, dt: float, seed: int, path_id: int = 0) -> WienerPath:
     """Counter-based stream keyed by (seed, path_id); identical arguments
     reproduce identical increments regardless of call order."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    gen = _philox_stream(seed, path_id)
-    return WienerPath(dt, gen.standard_normal(n_steps) * math.sqrt(dt))
+    return WienerPath(dt, gen_wiener_batch(n_steps, dt, seed, [path_id]).increments[0])
 
 
 def gen_wiener_batch(n_steps: int, dt: float, seed: int, path_ids: Sequence[int]) -> WienerPath:
+    """One ``gen_wiener`` stream per path id, paths on the leading axis."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     inc = np.empty((len(path_ids), n_steps))
     for j, pid in enumerate(path_ids):
         inc[j] = _philox_stream(seed, int(pid)).standard_normal(n_steps)
@@ -227,7 +230,7 @@ def step(
 
 
 # ---------------------------------------------------------------------------
-# single-path driver
+# result types
 
 
 @dataclass
@@ -259,6 +262,46 @@ class Trajectory:
         return Field(self.grid, self.y[k])
 
 
+@dataclass
+class BatchFrames:
+    """Snapshot stack of a path batch: ``c`` and ``y`` have shape
+    (frames, paths, *grid.shape), frames uniformly spaced in steps."""
+
+    grid: GridSpec
+    dt: float
+    times: np.ndarray
+    c: np.ndarray
+    y: np.ndarray
+    clamp_mass: np.ndarray
+
+
+@dataclass
+class EnsembleResult:
+    """Per-path terminal data and running statistics, path axis first.
+
+    ``y_probe`` is the probe-node value of y at every stored time when a
+    probe was requested (shape (paths, frames)).  ``frames`` is set only on
+    the chunks handed to an ``on_chunk`` callback.
+    """
+
+    grid: GridSpec
+    dt: float
+    n_steps: int
+    path_ids: np.ndarray
+    c_final: np.ndarray
+    y_final: np.ndarray
+    c_sup: np.ndarray | None
+    c_min: np.ndarray | None
+    clamp_mass: np.ndarray
+    probe_times: np.ndarray | None = None
+    y_probe: np.ndarray | None = None
+    frames: BatchFrames | None = None
+
+
+# ---------------------------------------------------------------------------
+# initial data
+
+
 def _coerce_values(grid: GridSpec, data, name: str) -> np.ndarray:
     if isinstance(data, Field):
         if data.grid != grid:
@@ -284,133 +327,67 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
     return c, y
 
 
-def simulate_path(
-    config: SimConfig,
-    c0,
-    y0,
-    *,
-    seed: int = 0,
-    path_id: int = 0,
-    wiener: WienerPath | None = None,
-    n_snapshots: int | None = None,
-    store_dense: bool = False,
-) -> Trajectory:
-    """Run one path.  Frames kept: every step when ``store_dense``, otherwise
-    ``n_snapshots + 1`` uniformly spaced frames (default: first and last).
-    Passing ``wiener`` overrides generation and pins dt and the step count."""
-    c, y = prepare_initial(config, c0, y0)
-    if wiener is not None:
-        if wiener.increments.ndim != 1:
-            raise ValueError("simulate_path needs a single-path wiener")
-        dt, n_steps = wiener.dt, wiener.n_steps
-        if abs(dt * n_steps - config.t_final) > 1e-9 * config.t_final:
-            raise ValueError("wiener horizon does not match t_final")
-    else:
-        keep = n_snapshots if n_snapshots else 1
-        dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=keep)
-        wiener = gen_wiener(n_steps, dt, seed, path_id)
-
-    if store_dense:
-        stored = np.arange(n_steps + 1)
-    else:
-        keep = n_snapshots if n_snapshots else 1
-        if n_steps % keep:
-            raise ValueError("snapshot count must divide the step count")
-        stored = np.arange(0, n_steps + 1, n_steps // keep)
-
-    cs = np.empty((len(stored),) + config.grid.shape)
-    ys = np.empty_like(cs)
-    pos = 0
-    if stored[0] == 0:
-        cs[0], ys[0] = c, y
-        pos = 1
-    clamp_total = 0.0
-    inc = wiener.increments
-    for n in range(n_steps):
-        res = step(c, y, config.grid, config.coeffs, config.bc, dt, inc[n])
-        c, y = res.c, res.y
-        clamp_total += float(res.clamp_mass)
-        if pos < len(stored) and stored[pos] == n + 1:
-            cs[pos], ys[pos] = c, y
-            pos += 1
-    return Trajectory(
-        grid=config.grid,
-        bc=config.bc,
-        dt=dt,
-        times=stored * dt,
-        step_indices=stored,
-        c=cs,
-        y=ys,
-        clamp_mass=clamp_total,
-        wiener=wiener,
-    )
-
-
 # ---------------------------------------------------------------------------
-# ensemble driver
+# the stepping loop
 
 
-@dataclass
-class EnsembleResult:
-    """Per-path terminal data and running statistics, path axis first.
-
-    ``y_probe`` is the probe-node value of y at every stored time when a
-    probe was requested (shape (paths, frames)).
-    """
-
-    grid: GridSpec
-    dt: float
-    n_steps: int
-    path_ids: np.ndarray
-    c_final: np.ndarray
-    y_final: np.ndarray
-    c_sup: np.ndarray
-    c_min: np.ndarray
-    clamp_mass: np.ndarray
-    probe_times: np.ndarray | None = None
-    y_probe: np.ndarray | None = None
-
-
-def _run_chunk(
+def _run_paths(
     config: SimConfig,
     c0,
     y0,
-    dt: float,
-    n_steps: int,
-    seed: int,
+    wiener: WienerPath,
     path_ids: np.ndarray,
-    probe_flat: int | None,
-    probe_stride: int,
+    *,
+    stride: int = 0,
+    extrema: bool = False,
+    probe_flat: int | None = None,
+    probe_stride: int = 1,
 ) -> EnsembleResult:
-    grid = config.grid
-    p = len(path_ids)
+    """Advance one path per row of ``wiener.increments`` from the initial
+    data ``c0``, ``y0`` to the end of the increments.
+
+    Besides the terminal state and the clamp mass it records only what is
+    asked for: frames every ``stride`` steps (0: none), the running per-path
+    sup/min of c, and y at the flat probe node every ``probe_stride`` steps.
+    Every operation is elementwise per path and every reduction per path, so
+    how paths are batched never changes a bit.
+    """
+    grid, dt, inc = config.grid, wiener.dt, wiener.increments
+    p, n_steps = inc.shape
     c1, y1 = prepare_initial(config, c0, y0)
     c = np.broadcast_to(c1, (p,) + grid.shape).copy()
     y = np.broadcast_to(y1, (p,) + grid.shape).copy()
-    wiener = gen_wiener_batch(n_steps, dt, seed, path_ids)
-    inc = wiener.increments
 
-    c_sup = np.max(c.reshape(p, -1), axis=1)
-    c_min = np.min(c.reshape(p, -1), axis=1)
+    def nodes(a):
+        return a.reshape(p, -1)
+
     clamp = np.zeros(p)
+    c_sup = np.max(nodes(c), axis=1) if extrema else None
+    c_min = np.min(nodes(c), axis=1) if extrema else None
+    frames = None
+    if stride:
+        stored = np.arange(0, n_steps + 1, stride)
+        cs = np.empty((len(stored),) + c.shape)
+        ys = np.empty_like(cs)
+        cs[0], ys[0] = c, y
+        frames = BatchFrames(grid, dt, stored * dt, cs, ys, clamp)
+    probe_times = y_probe = None
     if probe_flat is not None:
-        n_frames = n_steps // probe_stride + 1
-        probe_times = np.arange(n_frames) * (dt * probe_stride)
-        y_probe = np.empty((p, n_frames))
-        y_probe[:, 0] = y.reshape(p, -1)[:, probe_flat]
-    else:
-        probe_times = None
-        y_probe = None
+        probe_times = np.arange(n_steps // probe_stride + 1) * (dt * probe_stride)
+        y_probe = np.empty((p, len(probe_times)))
+        y_probe[:, 0] = nodes(y)[:, probe_flat]
 
-    for n in range(n_steps):
-        res = step(c, y, grid, config.coeffs, config.bc, dt, inc[:, n])
+    for n in range(1, n_steps + 1):
+        res = step(c, y, grid, config.coeffs, config.bc, dt, inc[:, n - 1])
         c, y = res.c, res.y
         clamp += res.clamp_mass
-        flat_c = c.reshape(p, -1)
-        np.maximum(c_sup, np.max(flat_c, axis=1), out=c_sup)
-        np.minimum(c_min, np.min(flat_c, axis=1), out=c_min)
-        if y_probe is not None and (n + 1) % probe_stride == 0:
-            y_probe[:, (n + 1) // probe_stride] = y.reshape(p, -1)[:, probe_flat]
+        if extrema:
+            np.maximum(c_sup, np.max(nodes(c), axis=1), out=c_sup)
+            np.minimum(c_min, np.min(nodes(c), axis=1), out=c_min)
+        if stride and n % stride == 0:
+            cs[n // stride], ys[n // stride] = c, y
+        if y_probe is not None and n % probe_stride == 0:
+            y_probe[:, n // probe_stride] = nodes(y)[:, probe_flat]
 
     return EnsembleResult(
         grid=grid,
@@ -424,7 +401,73 @@ def _run_chunk(
         clamp_mass=clamp,
         probe_times=probe_times,
         y_probe=y_probe,
+        frames=frames,
     )
+
+
+# ---------------------------------------------------------------------------
+# drivers
+
+
+def simulate_path(
+    config: SimConfig,
+    c0,
+    y0,
+    *,
+    seed: int = 0,
+    path_id: int = 0,
+    wiener: WienerPath | None = None,
+    n_snapshots: int | None = None,
+    store_dense: bool = False,
+) -> Trajectory:
+    """Run one path, as a batch of one.  Frames kept: every step when
+    ``store_dense``, otherwise ``n_snapshots + 1`` uniformly spaced frames
+    (default: first and last).  Passing ``wiener`` overrides generation and
+    pins dt and the step count."""
+    keep = n_snapshots if n_snapshots else 1
+    if wiener is not None:
+        if wiener.increments.ndim != 1:
+            raise ValueError("simulate_path needs a single-path wiener")
+        if abs(wiener.t_final - config.t_final) > 1e-9 * config.t_final:
+            raise ValueError("wiener horizon does not match t_final")
+    else:
+        c, _ = prepare_initial(config, c0, y0)
+        dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=keep)
+        wiener = gen_wiener(n_steps, dt, seed, path_id)
+    n_steps = wiener.n_steps
+    if not store_dense and n_steps % keep:
+        raise ValueError("snapshot count must divide the step count")
+    stride = 1 if store_dense else n_steps // keep
+
+    batch = WienerPath(wiener.dt, wiener.increments[None])
+    run = _run_paths(config, c0, y0, batch, [path_id], stride=stride)
+    return Trajectory(
+        grid=config.grid,
+        bc=config.bc,
+        dt=wiener.dt,
+        times=run.frames.times,
+        step_indices=np.arange(0, n_steps + 1, stride),
+        c=run.frames.c[:, 0],
+        y=run.frames.y[:, 0],
+        clamp_mass=float(run.clamp_mass[0]),
+        wiener=wiener,
+    )
+
+
+def _in_path_order(run, chunks: list, n_workers: int):
+    """Yield ``run(chunk)`` for every chunk in order, computing up to
+    ``n_workers`` chunks concurrently; at most ``n_workers`` results are
+    alive at a time, the one being consumed included."""
+    if n_workers <= 1 or len(chunks) <= 1:
+        yield from map(run, chunks)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending = collections.deque(pool.submit(run, ids) for ids in chunks[:n_workers])
+        for ids in chunks[n_workers:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(run, ids))
+        while pending:
+            yield pending.popleft().result()
 
 
 def simulate_ensemble(
@@ -438,41 +481,59 @@ def simulate_ensemble(
     n_workers: int = 1,
     probe_index: tuple[int, ...] | None = None,
     probe_stride: int = 1,
+    n_snapshots: int | None = None,
+    on_chunk: Callable[[EnsembleResult], None] | None = None,
 ) -> EnsembleResult:
     """Monte Carlo over independent paths, path_id = first_path_id + k.
 
-    Paths are processed in fixed chunks; ``n_workers`` only controls how many
-    chunks run concurrently, so every reduction sees the same operands in the
-    same order and results are bitwise independent of the worker count.
+    The step grid is resolved once, with a step count that is a multiple of
+    ``n_snapshots`` when given: the grid ``simulate_path`` uses for the same
+    snapshot count, so path k here is bitwise the single path k.
+
+    Paths are processed in chunks of at most ``_CHUNK``; ``n_workers`` only
+    controls how many chunks run concurrently, so every reduction sees the
+    same operands in the same order and results are bitwise independent of
+    the worker count.  With ``n_snapshots`` every chunk also records
+    ``n_snapshots + 1`` frames (its ``frames`` field) and is passed to
+    ``on_chunk`` in path order; chunks then shrink so their frames fit
+    ``_FRAME_BYTES``, and the frames are dropped once ``on_chunk`` returns.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     grid = config.grid
     c_init, _ = prepare_initial(config, c0, y0)
-    dt, n_steps = config.resolve_steps(float(np.max(c_init)))
+    dt, n_steps = config.resolve_steps(float(np.max(c_init)), multiple_of=n_snapshots or 1)
     if probe_index is not None:
         probe_flat = int(np.ravel_multi_index(probe_index, grid.shape))
         if n_steps % probe_stride:
             raise ValueError("probe_stride must divide the step count")
     else:
         probe_flat = None
+    chunk, stride = _CHUNK, 0
+    if n_snapshots:
+        stride = n_steps // n_snapshots
+        per_path = (n_snapshots + 1) * grid.n_nodes * 16  # c and y frames in float64
+        chunk = max(1, min(_CHUNK, _FRAME_BYTES // per_path))
 
     all_ids = np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64)
-    chunks = [all_ids[i : i + _CHUNK] for i in range(0, n_paths, _CHUNK)]
+    chunks = [all_ids[i : i + chunk] for i in range(0, n_paths, chunk)]
 
     def run(ids):
-        return _run_chunk(config, c0, y0, dt, n_steps, seed, ids, probe_flat, probe_stride)
+        return _run_paths(
+            config, c0, y0, gen_wiener_batch(n_steps, dt, seed, ids), ids,
+            stride=stride, extrema=True, probe_flat=probe_flat, probe_stride=probe_stride,
+        )
 
-    if n_workers > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(ids) for ids in chunks]
+    parts = []
+    for part in _in_path_order(run, chunks, n_workers):
+        if on_chunk is not None:
+            on_chunk(part)
+        part.frames = None
+        parts.append(part)
 
     def cat(attr):
         return np.concatenate([getattr(p, attr) for p in parts], axis=0)
 
-    first = parts[0]
     return EnsembleResult(
         grid=grid,
         dt=dt,
@@ -483,22 +544,9 @@ def simulate_ensemble(
         c_sup=cat("c_sup"),
         c_min=cat("c_min"),
         clamp_mass=cat("clamp_mass"),
-        probe_times=first.probe_times,
+        probe_times=parts[0].probe_times,
         y_probe=cat("y_probe") if probe_flat is not None else None,
     )
-
-
-@dataclass
-class BatchFrames:
-    """Snapshot stack of a batch run driven by externally supplied noise:
-    ``c`` and ``y`` have shape (frames, paths, *grid.shape)."""
-
-    grid: GridSpec
-    dt: float
-    times: np.ndarray
-    c: np.ndarray
-    y: np.ndarray
-    clamp_mass: np.ndarray
 
 
 def simulate_batch(
@@ -517,32 +565,12 @@ def simulate_batch(
     if wiener.increments.ndim != 2:
         raise ValueError("simulate_batch needs batched increments (paths, steps)")
     n_steps = wiener.n_steps
-    if abs(wiener.dt * n_steps - config.t_final) > 1e-9 * config.t_final:
+    if abs(wiener.t_final - config.t_final) > 1e-9 * config.t_final:
         raise ValueError("wiener horizon does not match t_final")
     if n_snapshots < 1 or n_steps % n_snapshots:
         raise ValueError("snapshot count must divide the step count")
-    grid = config.grid
-    p = wiener.increments.shape[0]
-    c1, y1 = prepare_initial(config, c0, y0)
-    c = np.broadcast_to(c1, (p,) + grid.shape).copy()
-    y = np.broadcast_to(y1, (p,) + grid.shape).copy()
-
-    stride = n_steps // n_snapshots
-    frames = n_snapshots + 1
-    cs = np.empty((frames, p) + grid.shape)
-    ys = np.empty_like(cs)
-    cs[0], ys[0] = c, y
-    clamp = np.zeros(p)
-    inc = wiener.increments
-    for n in range(n_steps):
-        res = step(c, y, grid, config.coeffs, config.bc, wiener.dt, inc[:, n])
-        c, y = res.c, res.y
-        clamp += res.clamp_mass
-        if (n + 1) % stride == 0:
-            k = (n + 1) // stride
-            cs[k], ys[k] = c, y
-    times = np.arange(frames) * (stride * wiener.dt)
-    return BatchFrames(grid=grid, dt=wiener.dt, times=times, c=cs, y=ys, clamp_mass=clamp)
+    ids = np.arange(wiener.increments.shape[0])
+    return _run_paths(config, c0, y0, wiener, ids, stride=n_steps // n_snapshots).frames
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import BetaFamily
 
@@ -154,6 +153,22 @@ class TabulatedTransform:
         return self.k_grid[1:-1], self.d_grid[1:-1], mixed
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Cumulative trapezoid integral of ``y`` over the 1-D abscissae ``x``
+    along ``axis``, starting from 0; the same operations in the same order as
+    ``scipy.integrate.cumulative_trapezoid(y, x, axis=axis, initial=0)``."""
+    y = np.asarray(y, dtype=np.float64)
+    axis = axis % y.ndim
+    shape = [1] * y.ndim
+    shape[axis] = -1
+    d = np.diff(x).reshape(shape)
+    upper = (slice(None),) * axis + (slice(1, None),)
+    lower = (slice(None),) * axis + (slice(None, -1),)
+    res = np.cumsum(d * (y[upper] + y[lower]) / 2.0, axis=axis)
+    start = np.zeros(res.shape[:axis] + (1,) + res.shape[axis + 1 :])
+    return np.concatenate((start, res), axis=axis)
+
+
 def _fine_axis(lo: float, hi: float, n: int, refine: int) -> np.ndarray:
     return np.linspace(lo, hi, (n - 1) * refine + 1)
 
@@ -177,15 +192,15 @@ def build_transform_pair(
     s1 = ks[:, None]
     z1 = ds[None, :]
     inner = (s1 / 2.0) * phi(s1 / 2.0, z1) ** 2
-    g = cumulative_trapezoid(inner, ks, axis=0, initial=0.0)
-    g = cumulative_trapezoid(g, ds, axis=1, initial=0.0)
-    big_phi_fine = cumulative_trapezoid(g, ks, axis=0, initial=0.0)
-    big_phi_fine = cumulative_trapezoid(big_phi_fine, ds, axis=1, initial=0.0)
+    g = cumulative_trapezoid(inner, ks, axis=0)
+    g = cumulative_trapezoid(g, ds, axis=1)
+    big_phi_fine = cumulative_trapezoid(g, ks, axis=0)
+    big_phi_fine = cumulative_trapezoid(big_phi_fine, ds, axis=1)
 
     bp = beta_family.beta_prime(ks)
     # Phi vanishes cubically at k = 0, beating any integrable beta' blow-up
     weight = np.where(ks > 0.0, bp, 0.0)
-    psi_fine = cumulative_trapezoid(big_phi_fine * weight[:, None], ks, axis=0, initial=0.0)
+    psi_fine = cumulative_trapezoid(big_phi_fine * weight[:, None], ks, axis=0)
 
     sub = (slice(None, None, quad_refine), slice(None, None, quad_refine))
     k_tab = ks[:: quad_refine]

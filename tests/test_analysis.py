@@ -95,6 +95,13 @@ def test_moment_report_accepts_true_mean_rejects_wrong_one():
     assert good.detail["n"] == 20_000
 
 
+def test_moment_report_zero_spread():
+    exact = moment_report(np.full(10, 2.0), 2.0, "exact")
+    assert exact.measured == 0.0 and exact.passed
+    miss = moment_report(np.full(10, 2.0), 2.5, "miss")
+    assert miss.measured == math.inf and not miss.passed
+
+
 def test_holder_exponent_of_brownian_paths_is_half():
     dt = 1e-3
     rng = np.random.default_rng(7)

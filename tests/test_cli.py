@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,85 @@ def test_numerical_abort_leaves_no_outputs(tmp_path):
     assert code == 4
     assert not out.exists()
     assert list(tmp_path.glob(".*staging*")) == []
+
+
+def test_growth_bound_overflow_exits_4(tmp_path, capsys):
+    text = "cells = 8\nt_final = 100\ninitial.c = constant\ninitial.c.value = 20\n"
+    code, out = run_cli("simulate", tmp_path, text, "overflow")
+    assert code == 4
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+    assert "numerical abort" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
+    from rpmelab import cli
+
+    def broken_runner(cfg, staging):
+        (staging / "half_written.txt").write_text("x")
+        raise KeyError("internal bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", broken_runner)
+    code, out = run_cli("simulate", tmp_path, SMALL_SIM, "broken")
+    assert code == 5
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal bug" in err
+
+
+def test_import_leaves_scipy_integrate_out():
+    probe = "import sys, rpmelab.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):
+    # 2D frames of 20 paths exceed one chunk's frame budget
+    from rpmelab import cli
+    from rpmelab.simulate import _FRAME_BYTES, simulate_path
+
+    text = (
+        "dim = 2\ncells = 16\nt_final = 0.02\nn_paths = 20\nseed = 3\nworkers = 2\n"
+        "initial.c = cosine\ninitial.c.amplitude = 0.5\ninitial.y = 1.0\n"
+        "coeff.f = logistic\ncoeff.a = linear\ncoeff.a.sigma = 0.3\ncoeff.b = coupling\n"
+    )
+    chunk_ids = []
+    real = cli.simulate_ensemble
+
+    def spy(*args, on_chunk, **kwargs):
+        def record(chunk):
+            assert chunk.frames.c.nbytes + chunk.frames.y.nbytes <= _FRAME_BYTES
+            chunk_ids.append([int(p) for p in chunk.path_ids])
+            on_chunk(chunk)
+
+        return real(*args, on_chunk=record, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", spy)
+    code, out = run_cli("simulate", tmp_path, text, "chunks")
+    assert code == 0
+    assert len(chunk_ids) > 1
+    assert [p for ids in chunk_ids for p in ids] == list(range(20))
+
+    cfg = load_config(tmp_path / "chunks.cfg")
+    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for pid in range(20):
+        rec = read_record(out / "paths" / f"path_{pid:04d}.rpme1")
+        traj = simulate_path(
+            config, c0, cfg.y0, seed=3, path_id=pid, n_snapshots=len(rec.times) - 1
+        )
+        assert rec.dt == traj.dt == manifest["dt"]
+        assert np.array_equal(rec.times, traj.times)
+        assert np.array_equal(rec.c, traj.c) and np.array_equal(rec.y, traj.y)
 
 
 def test_failed_hard_report_exits_1(tmp_path, monkeypatch):

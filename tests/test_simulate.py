@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from rpmelab.grid import BoundaryKind, Field, build_grid, normal_diff
-from rpmelab.model import SourceTerm, make_coefficients, pme_beta, preset_coefficients, r2_bound
+from rpmelab.model import (
+    SourceTerm,
+    make_coefficients,
+    pme_beta,
+    preset_coefficients,
+    r2_bound,
+)
 from rpmelab.pathfile import DerivativePair, FormatError, PathRecord, read_record, write_record
 from rpmelab.simulate import (
     SimConfig,
@@ -15,6 +21,7 @@ from rpmelab.simulate import (
     gen_wiener,
     gen_wiener_batch,
     interior_v_mass,
+    prepare_initial,
     simulate_ensemble,
     simulate_path,
     step,
@@ -244,6 +251,52 @@ def test_ensemble_probe_series():
     traj = simulate_path(config, c0_sine, 1.0, seed=21, path_id=1, store_dense=True)
     assert np.array_equal(ens.y_probe[1], traj.y[:, 2])
     assert np.allclose(ens.probe_times, traj.times, rtol=0, atol=1e-15)
+
+
+def _readme_config(cells=16):
+    coeffs = make_coefficients(
+        pme_beta(2.0),
+        f=preset_coefficients("logistic_f", {"lambda": 0.5}),
+        a=preset_coefficients("linear_a", {"sigma": 0.3}),
+        b=preset_coefficients("coupling_b", {}),
+    )
+    return SimConfig(build_grid(1, cells), coeffs, BoundaryKind.NEUMANN, t_final=0.1)
+
+
+def c0_cosine(x):
+    return 1.0 + 0.5 * np.cos(np.pi * x[..., 0])
+
+
+def test_ensemble_snapshots_use_the_single_path_grid():
+    config = _readme_config()
+    k = 7  # does not divide the unrounded step count
+    chunks = []
+    ens = simulate_ensemble(
+        config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
+        n_snapshots=k, on_chunk=chunks.append,
+    )
+    c_init, _ = prepare_initial(config, c0_cosine, 1.0)
+    assert config.resolve_steps(float(np.max(c_init)))[1] % k != 0
+    assert ens.n_steps % k == 0
+    assert [int(p) for c in chunks for p in c.path_ids] == [2, 3, 4, 5]
+    assert all(c.frames is None for c in chunks)  # dropped after the callback
+    chunks = []
+
+    def keep_frames(chunk):
+        chunks.append((chunk.path_ids, chunk.frames))
+
+    simulate_ensemble(
+        config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
+        n_snapshots=k, on_chunk=keep_frames,
+    )
+    for ids, frames in chunks:
+        for j, pid in enumerate(ids):
+            traj = simulate_path(config, c0_cosine, 1.0, seed=5, path_id=int(pid), n_snapshots=k)
+            assert (traj.dt, traj.n_steps) == (ens.dt, ens.n_steps)
+            assert np.array_equal(frames.times, traj.times)
+            assert np.array_equal(frames.c[:, j], traj.c)
+            assert np.array_equal(frames.y[:, j], traj.y)
+            assert frames.clamp_mass[j] == traj.clamp_mass
 
 
 def test_sde_drift_only_matches_exponential_decay():

@@ -11,6 +11,7 @@ from rpmelab.transform import (
     boundary_distance,
     build_transform_pair,
     constant_weight,
+    cumulative_trapezoid,
     degeneracy_weight,
     gamma_weight,
     holder_power_transform,
@@ -174,3 +175,18 @@ def test_degeneracy_weight_cap_and_origin():
     assert out[2] == 1.0 and out[3] == 1.0
     uncapped = degeneracy_weight(fam)
     assert uncapped(np.array([4.0]), np.array([0.0]))[0] == pytest.approx(4.0, rel=1e-14)
+
+
+def test_cumulative_trapezoid_matches_scipy_bitwise():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    family = pme_beta(2.0)
+    ks = np.linspace(0.0, 2.0, 4 * 49 + 1)
+    ds = np.linspace(0.0, 1.5, 4 * 31 + 1)
+    phi = degeneracy_weight(family, cap=1.0)
+    surface = (ks[:, None] / 2.0) * phi(ks[:, None] / 2.0, ds[None, :]) ** 2
+    surface = surface * (1.0 + np.sin(3.0 * ds))[None, :]
+    for axis, x in ((0, ks), (1, ds)):
+        ours = cumulative_trapezoid(surface, x, axis=axis)
+        ref = scipy_integrate.cumulative_trapezoid(surface, x, axis=axis, initial=0.0)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref), axis
