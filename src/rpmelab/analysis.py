@@ -26,7 +26,7 @@ from .grid import (
     lp_norm,
 )
 from .interp import cell_measures, pc_l2_inner
-from .malliavin import propagate
+from .malliavin import MalliavinSlice
 from .model import (
     BetaFamily,
     CoefficientSet,
@@ -42,6 +42,7 @@ from .simulate import (
     Trajectory,
     coarsen_wiener,
     gen_wiener_batch,
+    prepare_initial,
     simulate_batch,
     simulate_path,
 )
@@ -355,9 +356,8 @@ def cauchy_refinement(
     configs = [SimConfig(g, coeffs, bc, t_final=t_final, theta=theta) for g in grids]
     h_fine = grids[-1].spacing
 
-    c0_vals = c0_fn(grids[-1].node_points())
-    c0_max = float(np.max(c0_vals))
-    dt_f, n_f = configs[-1].resolve_steps(c0_max)
+    c0_fine, _ = prepare_initial(configs[-1], c0_fn, y0)
+    dt_f, n_f = configs[-1].resolve_steps(float(np.max(c0_fine)))
     factors = []
     for g in grids:
         ratio = (g.spacing / h_fine) ** 2
@@ -434,7 +434,7 @@ def epsilon_sweep(
         SimConfig(grid, make_coefficients(fam, f=f, a=a, b=b), bc, t_final=t_final)
         for fam in families
     ]
-    c0_max = float(np.max(c0_fn(grid.node_points())))
+    c0_max = float(np.max(prepare_initial(configs[0], c0_fn, y0)[0]))
     # stiffest family dictates the shared step
     dt = min(config.resolve_steps(c0_max)[0] for config in configs)
     n = math.ceil(t_final / dt - 1e-12)
@@ -516,25 +516,29 @@ def barenblatt_error(
 # derivative-pair diagnostics
 
 
+def malliavin_report_steps(n_steps: int, r_index: int, stride: int) -> list[int]:
+    """Steps at which :func:`malliavin_report` reads a derivative pair seeded
+    at ``r_index``: every ``stride`` steps after the seed, ending at
+    ``n_steps``."""
+    idx = list(range(r_index + stride, n_steps + 1, stride))
+    if idx and idx[-1] != n_steps:
+        idx.append(n_steps)
+    return idx
+
+
 def malliavin_report(
-    traj: Trajectory,
-    coeffs: CoefficientSet,
+    slices: Sequence[MalliavinSlice],
+    grid: GridSpec,
     r_index: int,
     stride: int,
 ) -> list[EstimateReport]:
-    """Propagate one derivative pair and measure its size and time
-    regularity: L2 norms of the recovered concentration derivative, the SDE
-    derivative, and the negative-order norm of the discrete time slope of z."""
-    n = traj.n_steps
-    idx = list(range(r_index + stride, n + 1, stride))
-    if idx and idx[-1] != n:
-        idx.append(n)
-    slices = propagate(traj, coeffs, r_index, t_indices=idx)
-    grid = traj.grid
+    """Size and time regularity of one derivative pair from its slices at
+    :func:`malliavin_report_steps`: L2 norms of the recovered concentration
+    derivative, the SDE derivative, and the negative-order norm of the
+    discrete time slope of z."""
     sup_drc = max(lp_norm(Field(grid, s.drc), 2.0, "interior") for s in slices)
     sup_dry = max(lp_norm(Field(grid, s.dry), 2.0, "full") for s in slices)
     sup_z = max(lp_norm(Field(grid, s.z), 2.0, "interior") for s in slices)
-    core = (slice(1, -1),) * grid.dim
     slope = 0.0
     for s0, s1 in zip(slices, slices[1:]):
         gap = s1.t - s0.t

@@ -37,11 +37,12 @@ from .analysis import (
     holder_report,
     linf_check,
     malliavin_report,
+    malliavin_report_steps,
     transform_report,
     weak_residual,
 )
 from .grid import BoundaryKind, build_grid, free_node_count
-from .malliavin import propagate
+from .malliavin import propagate_seeds, seed_index
 from .model import (
     initial_preset,
     make_coefficients,
@@ -483,7 +484,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
                 staging / "paths" / f"{tag}.rpme1",
                 PathRecord(config.grid, cfg.seed, pid, frames.dt, frames.times, c, y, ()),
             )
-            reports.append(linf_check(float(np.max(c)), r2, f"{tag}_sup"))
+            reports.append(linf_check(float(chunk.c_sup[j]), r2, f"{tag}_sup"))
             reports.append(replace(_mass_report(c, config, cfg), name=f"{tag}_mass_drift"))
             reports.append(EstimateReport(f"{tag}_clamped_mass", float(frames.clamp_mass[j]), None))
 
@@ -561,21 +562,28 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     _require_finite(traj.c, traj.y)
     n = traj.n_steps
 
+    # one sweep carries every seed; each seed's report steps end at n, so its
+    # last slice is the terminal pair for the record
+    r_indices = [seed_index(frac, n) for frac in cfg.malliavin_fractions]
+    strides = [max(1, (n - r) // 8) for r in r_indices]
+    steps = [malliavin_report_steps(n, r, st) for r, st in zip(r_indices, strides)]
+    seeds = propagate_seeds(traj, config.coeffs, r_indices, steps)
+
+    # autonomous linear state derivative: the propagated value must
+    # reproduce a(y(T)) = sigma * y(T) node for node
+    closed = None
+    if cfg.a_name == "linear" and cfg.b_name == "zero":
+        closed = config.coeffs.a(traj.y[-1])
+
     reports: list[EstimateReport] = []
     pairs = []
-    for frac in cfg.malliavin_fractions:
-        r_index = min(n - 1, max(0, int(round(frac * n))))
-        sl = propagate(traj, config.coeffs, r_index)[-1]
+    for r_index, stride, slices in zip(r_indices, strides, seeds):
+        sl = slices[-1]
         _require_finite(sl.z, sl.dry)
         pairs.append(DerivativePair(r_index * traj.dt, sl.t, sl.drc, sl.dry))
-        stride = max(1, (n - r_index) // 8)
-        for rep in malliavin_report(traj, config.coeffs, r_index, stride):
+        for rep in malliavin_report(slices, traj.grid, r_index, stride):
             reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
-        if cfg.a_name == "linear" and cfg.b_name == "zero":
-            # autonomous linear state derivative: the propagated value must
-            # reproduce sigma * y(T) node for node
-            sigma = dict(cfg.a_params).get("sigma", 0.5)  # preset default
-            closed = sigma * traj.y[-1]
+        if closed is not None:
             rel = float(
                 np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300)
             )

@@ -23,12 +23,13 @@ a.e. derivative), so the quotient of a clamped perturbed run still matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .grid import BoundaryKind, GridSpec, laplacian_core
 from .model import CoefficientSet
-from .simulate import SimConfig, Trajectory, WienerPath, apply_bc, simulate_path
+from .simulate import SimConfig, Trajectory, WienerPath, apply_bc, simulate_batch, simulate_path
 
 
 @dataclass
@@ -66,17 +67,19 @@ def step_malliavin(
     coeffs: CoefficientSet,
     bc: BoundaryKind,
     dt: float,
-    dW: float,
+    dW,
 ) -> MalliavinState:
     """Advance the derivative pair across one primal step (c, y) -> next.
 
-    ``c`` and ``y`` are the primal states at the step start; the primal
-    pre-clamp values are recomputed to gate the derivative where the clamp
-    was active.
+    ``mstate`` may carry leading seed axes; ``c`` and ``y``, the primal
+    states at the step start, broadcast against them, and so does ``dW``
+    against the leading axes.  The primal pre-clamp values that gate the
+    derivative where the clamp was active depend only on the primal states,
+    so seeds sharing one path share one evaluation of them.
     """
     dim = grid.dim
     h = grid.spacing
-    core = (slice(1, -1),) * dim
+    core = (Ellipsis,) + (slice(1, -1),) * dim
 
     z, dry = mstate.z, mstate.dry
     drc = recover_drc(z, c, coeffs)
@@ -95,10 +98,12 @@ def step_malliavin(
     z_new[core] = z_new_int
     z_new = apply_bc(z_new, grid, bc)
 
-    dry_new = dry + coeffs.a_prime(y) * dry * dW + (
+    dw = np.asarray(dW, dtype=np.float64)
+    dw = dw.reshape(dw.shape + (1,) * dim)
+    dry_new = dry + coeffs.a_prime(y) * dry * dw + (
         coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry
     ) * dt
-    y_pre = y + coeffs.a(y) * dW + coeffs.b(c, y) * dt
+    y_pre = y + coeffs.a(y) * dw + coeffs.b(c, y) * dt
     dry_new = np.where(y_pre < 0.0, 0.0, dry_new)
     return MalliavinState(z=z_new, dry=dry_new)
 
@@ -108,6 +113,74 @@ def _require_dense(traj: Trajectory) -> None:
         raise ValueError("derivative propagation needs a densely stored trajectory")
 
 
+def seed_index(fraction: float, n_steps: int) -> int:
+    """Seed step for a fraction of the horizon, clipped to [0, n_steps)."""
+    return min(n_steps - 1, max(0, int(round(fraction * n_steps))))
+
+
+def propagate_seeds(
+    traj: Trajectory,
+    coeffs: CoefficientSet,
+    r_indices: Sequence[int],
+    t_indices: Sequence[Sequence[int]] | None = None,
+) -> list[list[MalliavinSlice]]:
+    """Propagate one derivative pair per seed step in ``r_indices`` in a
+    single sweep over the stored path; returns, per seed, its slices at its
+    own ``t_indices`` (default: the final step only).
+
+    The sweep starts at the earliest seed.  Seed j joins the batch at its
+    step r_j, with z = 0 and dry = a(y(r_j)), and from then on advances with
+    the seeds already running.  Every operation is elementwise per seed, so
+    a seed's slices are bitwise those of a sweep carrying it alone.  Only
+    increments at steps >= min(r_indices) are read: the derivative is local
+    in the differentiation time.
+    """
+    _require_dense(traj)
+    n = traj.n_steps
+    r_list = [int(r) for r in r_indices]
+    if t_indices is None:
+        t_indices = [[n]] * len(r_list)
+    if len(t_indices) != len(r_list):
+        raise ValueError("need one list of evaluation indices per seed")
+    emit: dict[int, list[int]] = {}  # step index -> seeds wanting a slice there
+    joins = []  # (seed step, seed) of every seed that wants a slice
+    for j, (r, ts) in enumerate(zip(r_list, t_indices)):
+        if not 0 <= r < n:
+            raise ValueError(f"r_index {r} outside [0, {n})")
+        wanted = sorted(set(int(k) for k in ts))
+        if wanted and (wanted[0] <= r or wanted[-1] > n):
+            raise ValueError("evaluation indices must lie in (r_index, n_steps]")
+        if wanted:
+            joins.append((r, j))
+        for k in wanted:
+            emit.setdefault(k, []).append(j)
+
+    out: list[list[MalliavinSlice]] = [[] for _ in r_list]
+    if not joins:
+        return out
+    joins.sort()
+    inc = traj.wiener.increments
+    row: dict[int, int] = {}  # seed -> its row in the batched state
+    state = MalliavinState(np.empty((0,) + traj.grid.shape), np.empty((0,) + traj.grid.shape))
+    for k in range(joins[0][0], max(emit)):
+        while joins and joins[0][0] == k:
+            seed = init_malliavin(traj.y[k], coeffs)
+            row[joins.pop(0)[1]] = len(state.z)
+            state = MalliavinState(
+                np.concatenate([state.z, seed.z[None]]),
+                np.concatenate([state.dry, seed.dry[None]]),
+            )
+        state = step_malliavin(
+            state, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt, inc[k]
+        )
+        for j in emit.get(k + 1, ()):
+            z, dry = state.z[row[j]], state.dry[row[j]]
+            drc = recover_drc(z, traj.c[k + 1], coeffs)
+            t = float(traj.times[k + 1])
+            out[j].append(MalliavinSlice(k + 1, t, z.copy(), drc, dry.copy()))
+    return out
+
+
 def propagate(
     traj: Trajectory,
     coeffs: CoefficientSet,
@@ -115,38 +188,10 @@ def propagate(
     t_indices=None,
 ) -> list[MalliavinSlice]:
     """Seed at step ``r_index`` and advance to the end of the trajectory,
-    returning slices at ``t_indices`` (default: the final step only).
-
-    Only increments at steps >= r_index are read: the derivative is local in
-    the differentiation time.
-    """
-    _require_dense(traj)
-    n = traj.n_steps
-    if not 0 <= r_index < n:
-        raise ValueError(f"r_index {r_index} outside [0, {n})")
-    if t_indices is None:
-        t_indices = [n]
-    wanted = sorted(set(int(k) for k in t_indices))
-    if wanted and (wanted[0] <= r_index or wanted[-1] > n):
-        raise ValueError("evaluation indices must lie in (r_index, n_steps]")
-
-    state = init_malliavin(traj.y[r_index], coeffs)
-    inc = traj.wiener.increments
-    out: list[MalliavinSlice] = []
-    pos = 0
-    for k in range(r_index, n):
-        state = step_malliavin(
-            state, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt, inc[k]
-        )
-        if pos < len(wanted) and wanted[pos] == k + 1:
-            drc = recover_drc(state.z, traj.c[k + 1], coeffs)
-            out.append(
-                MalliavinSlice(k + 1, float(traj.times[k + 1]), state.z.copy(), drc, state.dry.copy())
-            )
-            pos += 1
-        if pos == len(wanted):
-            break
-    return out
+    returning slices at ``t_indices`` (default: the final step only); a
+    sweep of one seed."""
+    ts = None if t_indices is None else [t_indices]
+    return propagate_seeds(traj, coeffs, [r_index], ts)[0]
 
 
 def perturbation_oracle(
@@ -165,17 +210,19 @@ def perturbation_oracle(
         ((c_eps - c) / (eps * delta), (y_eps - y) / (eps * delta)),
 
     delta = window_steps * dt.  As eps -> 0 and delta -> 0 these approach the
-    terminal (drc, dry) seeded at r.
+    terminal (drc, dry) seeded at r.  Base and bumped paths run as one
+    batch of two.
     """
     if window_steps < 1 or r_index + window_steps > wiener.n_steps:
         raise ValueError("perturbation window must fit inside the path")
-    base = simulate_path(config, c0, y0, wiener=wiener)
     shifted = np.array(wiener.increments, copy=True)
     shifted[r_index : r_index + window_steps] += eps * wiener.dt
-    bumped = simulate_path(config, c0, y0, wiener=WienerPath(wiener.dt, shifted))
+    pair = WienerPath(wiener.dt, np.stack([wiener.increments, shifted]))
+    final = simulate_batch(config, c0, y0, pair, n_snapshots=1)
+    (base_c, bumped_c), (base_y, bumped_y) = final.c[-1], final.y[-1]
     delta = window_steps * wiener.dt
-    dq_c = (bumped.c[-1] - base.c[-1]) / (eps * delta)
-    dq_y = (bumped.y[-1] - base.y[-1]) / (eps * delta)
+    dq_c = (bumped_c - base_c) / (eps * delta)
+    dq_y = (bumped_y - base_y) / (eps * delta)
     return dq_c, dq_y
 
 
@@ -191,8 +238,6 @@ def derivative_run(
     """Dense primal run plus terminal derivative slices seeded at the given
     fractions of the horizon."""
     traj = simulate_path(config, c0, y0, seed=seed, path_id=path_id, store_dense=True)
-    slices = []
-    for frac in r_fractions:
-        r_index = min(traj.n_steps - 1, max(0, int(round(frac * traj.n_steps))))
-        slices.extend(propagate(traj, config.coeffs, r_index))
-    return traj, slices
+    r_indices = [seed_index(frac, traj.n_steps) for frac in r_fractions]
+    seeds = propagate_seeds(traj, config.coeffs, r_indices)
+    return traj, [sl for slices in seeds for sl in slices]

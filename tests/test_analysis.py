@@ -12,6 +12,7 @@ from rpmelab.analysis import (
     epsilon_sweep,
     holder_report,
     malliavin_report,
+    malliavin_report_steps,
     moment_report,
     overlap_matrix,
     pc_cross_distance_sq,
@@ -22,8 +23,15 @@ from rpmelab.analysis import (
 )
 from rpmelab.grid import BoundaryKind, Field, build_grid, free_node_count, sample_nodal
 from rpmelab.interp import pc_eval, pc_l2_inner, pc_spline
-from rpmelab.model import initial_preset, make_coefficients, pme_beta, preset_coefficients
-from rpmelab.simulate import SimConfig, gen_wiener, simulate_path
+from rpmelab.malliavin import propagate, propagate_seeds
+from rpmelab.model import (
+    initial_preset,
+    make_coefficients,
+    pme_beta,
+    preset_coefficients,
+    regularize_beta,
+)
+from rpmelab.simulate import SimConfig, gen_wiener, prepare_initial, simulate_path
 from rpmelab.transform import build_transform_pair, degeneracy_weight, holder_power_transform
 
 
@@ -296,7 +304,8 @@ def test_malliavin_report_smoke():
     config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.02)
     c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
     traj = simulate_path(config, c0, 1.0, seed=4, store_dense=True)
-    reports = malliavin_report(traj, coeffs, r_index=2, stride=5)
+    slices = propagate(traj, coeffs, 2, malliavin_report_steps(traj.n_steps, 2, 5))
+    reports = malliavin_report(slices, grid, r_index=2, stride=5)
     names = [r.name for r in reports]
     assert "derivative_dry_sup_l2" in names and "derivative_z_time_slope_hm2" in names
     by_name = {r.name: r for r in reports}
@@ -304,6 +313,77 @@ def test_malliavin_report_smoke():
     assert by_name["derivative_drc_sup_l2"].measured > 0.0  # noise reaches c
     for r in reports:
         assert r.bound is None and math.isfinite(r.measured) and r.measured >= 0.0
+
+
+def test_malliavin_report_is_the_same_from_one_sweep_or_one_seed_each():
+    grid = build_grid(1, 8)
+    coeffs = make_coefficients(
+        pme_beta(2.0),
+        f=preset_coefficients("logistic_f", {"lambda": 1.0, "K": 10.0, "mu_y": 0.5}),
+        a=preset_coefficients("linear_a", {"sigma": 0.4}),
+        b=preset_coefficients("coupling_b", {"kappa": 1.0, "rho": 0.5}),
+    )
+    config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.02)
+    c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
+    traj = simulate_path(config, c0, 1.0, seed=4, store_dense=True)
+    n = traj.n_steps
+    r_indices = [n // 2, 2, n - 1]
+    strides = [max(1, (n - r) // 8) for r in r_indices]
+    steps = [malliavin_report_steps(n, r, st) for r, st in zip(r_indices, strides)]
+    assert all(idx[-1] == n for idx in steps)
+    swept = propagate_seeds(traj, coeffs, r_indices, steps)
+    for r, st, idx, slices in zip(r_indices, strides, steps, swept):
+        alone = propagate(traj, coeffs, r, idx)
+        assert malliavin_report(slices, grid, r, st) == malliavin_report(alone, grid, r, st)
+
+
+def test_malliavin_report_steps_end_at_the_horizon():
+    assert malliavin_report_steps(40, 8, 4) == list(range(12, 41, 4))
+    assert malliavin_report_steps(41, 8, 4) == list(range(12, 41, 4)) + [41]
+    assert malliavin_report_steps(10, 9, 1) == [10]
+
+
+def _ramp(x):
+    # raw maximum 1.5 sits on the boundary node x = 1
+    return 0.5 + x[..., 0]
+
+
+def test_refinement_resolves_steps_from_the_boundary_applied_state():
+    t_final, n_snapshots = 0.05, 2
+    out = cauchy_refinement(
+        pme_beta(2.0), _ramp, 0.0, levels=(4, 8), t_final=t_final, n_paths=2,
+        n_snapshots=n_snapshots, bc=BoundaryKind.DIRICHLET,
+    )
+    coeffs = make_coefficients(pme_beta(2.0))
+    fine = SimConfig(build_grid(1, 8), coeffs, BoundaryKind.DIRICHLET, t_final)
+    c, _ = prepare_initial(fine, _ramp, 0.0)
+    block = n_snapshots * out.levels[0].coarsen_factor  # the coarse level has the largest factor
+    expected = block * math.ceil(fine.resolve_steps(float(np.max(c)))[1] / block)
+    raw = block * math.ceil(fine.resolve_steps(1.5)[1] / block)
+    assert expected != raw  # the two maxima resolve different grids here
+    assert out.levels[-1].n_steps == expected
+    assert out.levels[-1].dt == t_final / expected
+
+
+def test_epsilon_sweep_resolves_steps_from_the_boundary_applied_state():
+    t_final, eps_values = 0.05, (0.1, 0.05)
+    out = epsilon_sweep(
+        2.0, eps_values, _ramp, 0.0, cells=8, t_final=t_final, n_paths=2,
+        bc=BoundaryKind.DIRICHLET,
+    )
+    grid = build_grid(1, 8)
+    configs = [
+        SimConfig(grid, make_coefficients(regularize_beta(2.0, e)), BoundaryKind.DIRICHLET, t_final)
+        for e in eps_values
+    ]
+    c, _ = prepare_initial(configs[0], _ramp, 0.0)
+
+    def shared_dt(c0_max):
+        dt = min(cf.resolve_steps(c0_max)[0] for cf in configs)
+        return t_final / math.ceil(t_final / dt - 1e-12)
+
+    assert shared_dt(float(np.max(c))) != shared_dt(1.5)
+    assert out.dt == shared_dt(float(np.max(c)))
 
 
 def test_transform_report_green_for_degenerate_weight():

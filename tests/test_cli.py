@@ -317,6 +317,84 @@ def test_malliavin_subcommand_closed_form(tmp_path):
     assert len(closed) == 2 and all(manifest["reports"][k] for k in closed)
 
 
+@pytest.mark.parametrize("sigma_line, sigma", [("", 0.5), ("coeff.a.sigma = 0.7\n", 0.7)])
+def test_malliavin_closed_form_reads_sigma_from_the_model(tmp_path, sigma_line, sigma):
+    text = (
+        "cells = 8\nt_final = 0.02\ninitial.c = cosine\ninitial.y = 1.0\n"
+        "coeff.f = logistic\ncoeff.a = linear\n" + sigma_line
+        + "malliavin.fractions = 0.25,0.5\n"
+    )
+    code, out = run_cli("malliavin", tmp_path, text, "sigma")
+    assert code == 0
+    rec = read_record(out / "paths" / "malliavin_path.rpme1")
+    for pair in rec.pairs:
+        assert np.max(np.abs(pair.dry - sigma * rec.y[-1])) <= 1e-13 * np.max(rec.y[-1])
+    with open(out / "reports" / "malliavin.csv", newline="") as fh:
+        closed = [r for r in csv.DictReader(fh) if r["name"].endswith("closed_form_rel_error")]
+    assert len(closed) == 2
+    assert all(float(r["measured"]) <= 1e-13 for r in closed)
+
+
+def test_malliavin_propagates_every_seed_in_one_sweep(tmp_path, monkeypatch):
+    from rpmelab import malliavin
+    from rpmelab.malliavin import seed_index
+
+    seeds_per_call = []
+    real = malliavin.step_malliavin
+
+    def counting(mstate, *args):
+        seeds_per_call.append(mstate.z.shape[0])
+        return real(mstate, *args)
+
+    monkeypatch.setattr(malliavin, "step_malliavin", counting)
+    fractions = (0.5, 0.1, 0.75, 0.1)
+    text = (
+        "cells = 8\nt_final = 0.02\ninitial.c = cosine\ninitial.y = 1.0\n"
+        "coeff.f = logistic\ncoeff.a = linear\ncoeff.b = coupling\n"
+        "malliavin.fractions = 0.5,0.1,0.75,0.1\n"
+    )
+    code, out = run_cli("malliavin", tmp_path, text, "sweep")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    n = round(0.02 / manifest["dt"])
+    r_indices = [seed_index(f, n) for f in fractions]
+    # one call per step from the earliest seed, each seed stepped once
+    assert len(seeds_per_call) == n - min(r_indices)
+    assert sum(seeds_per_call) == sum(n - r for r in r_indices)
+    assert max(seeds_per_call) == len(fractions)
+    assert len(read_record(out / "paths" / "malliavin_path.rpme1").pairs) == len(fractions)
+
+
+def test_simulate_path_sup_covers_every_step(tmp_path):
+    # Dirichlet data under logistic growth: the sup rises for a few steps and
+    # then decays, so with a stride above 1 it peaks between stored frames
+    from rpmelab import cli
+    from rpmelab.simulate import gen_wiener, simulate_path
+
+    text = (
+        "cells = 8\nt_final = 0.2\nbc = dirichlet\nn_paths = 3\nseed = 2\n"
+        "snapshot_stride = 4\ninitial.c = constant\ninitial.c.value = 0.5\n"
+        "initial.y = 1.0\ncoeff.f = logistic\ncoeff.f.lambda = 5\ncoeff.a = linear\n"
+    )
+    code, out = run_cli("simulate", tmp_path, text, "sup")
+    assert code == 0
+    with open(out / "reports" / "simulate.csv", newline="") as fh:
+        measured = {r["name"]: float(r["measured"]) for r in csv.DictReader(fh)}
+    cfg = load_config(tmp_path / "sup.cfg")
+    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
+    between_frames = 0
+    for pid in range(3):
+        rec = read_record(out / "paths" / f"path_{pid:04d}.rpme1")
+        n_steps = round(float(rec.times[-1]) / rec.dt)
+        assert n_steps > len(rec.times) - 1  # frames skip steps
+        wiener = gen_wiener(n_steps, rec.dt, 2, pid)
+        dense = simulate_path(config, c0, cfg.y0, wiener=wiener, store_dense=True)
+        assert measured[f"path_{pid:04d}_sup"] == float(np.max(dense.c))
+        between_frames += float(np.max(dense.c)) > float(np.max(rec.c))
+    assert between_frames
+    assert measured["ensemble_sup"] == max(measured[f"path_{p:04d}_sup"] for p in range(3))
+
+
 def test_converge_rejects_non_doubling_levels(tmp_path):
     text = "converge.levels = 16,24\n"
     code, out = run_cli("converge", tmp_path, text, "badlevels")

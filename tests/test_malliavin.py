@@ -7,14 +7,17 @@ import pytest
 from rpmelab.grid import BoundaryKind, build_grid
 from rpmelab.malliavin import (
     MalliavinState,
+    derivative_run,
     init_malliavin,
     perturbation_oracle,
     propagate,
+    propagate_seeds,
     recover_drc,
+    seed_index,
     step_malliavin,
 )
 from rpmelab.model import make_coefficients, pme_beta, preset_coefficients
-from rpmelab.simulate import SimConfig, gen_wiener, simulate_path
+from rpmelab.simulate import SimConfig, WienerPath, gen_wiener, simulate_path
 
 
 def test_recover_drc_chain_rule():
@@ -170,3 +173,114 @@ def test_intermediate_slices_are_consistent():
     seeded = init_malliavin(traj.y[10], config.coeffs)
     assert np.max(np.abs(seeded.z)) == 0.0
     assert np.allclose(seeded.dry, 0.3 * traj.y[10], rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one sweep for many seeds
+
+
+def _seed_alone(traj, coeffs, r_index, t_indices):
+    """Reference: the unbatched per-seed recursion, slices as (k, z, drc, dry)."""
+    state = init_malliavin(traj.y[r_index], coeffs)
+    out = []
+    for k in range(r_index, max(t_indices)):
+        state = step_malliavin(
+            state, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt,
+            traj.wiener.increments[k],
+        )
+        if k + 1 in t_indices:
+            out.append((k + 1, state.z, recover_drc(state.z, traj.c[k + 1], coeffs), state.dry))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_is_bitwise_the_per_seed_recursion(dim):
+    grid = build_grid(dim, 8 if dim == 1 else 6)
+    coeffs = full_coupling_config().coeffs
+    config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.05, dt=1e-3)
+    traj = simulate_path(config, c0_sine, 1.0, seed=21, store_dense=True)
+    n = traj.n_steps
+    # unsorted, duplicated, first and last admissible seed steps
+    r_indices = [n // 2, 0, n - 1, 7, n // 2]
+    t_indices = [[n], [3, n // 3, n], [n], [8, 20, 40], [n // 2 + 1, n]]
+    seeds = propagate_seeds(traj, config.coeffs, r_indices, t_indices)
+    assert len(seeds) == len(r_indices)
+    for r, ts, slices in zip(r_indices, t_indices, seeds):
+        ref = _seed_alone(traj, config.coeffs, r, ts)
+        assert [s.step_index for s in slices] == [k for k, *_ in ref] == sorted(ts)
+        for sl, (k, z, drc, dry) in zip(slices, ref):
+            assert sl.t == float(traj.times[k])
+            assert np.array_equal(sl.z, z) and np.array_equal(sl.drc, drc)
+            assert np.array_equal(sl.dry, dry)
+
+
+def test_step_malliavin_batches_seeds_bitwise():
+    config = full_coupling_config()
+    grid, coeffs, bc = config.grid, config.coeffs, BoundaryKind.NEUMANN
+    rng = np.random.default_rng(8)
+    c = np.abs(np.sin(np.pi * grid.node_points()[..., 0])) * 0.5 + 0.1
+    y = rng.random(grid.shape) + 0.5
+    z = rng.standard_normal((3,) + grid.shape)
+    dry = rng.standard_normal((3,) + grid.shape)
+    dws = np.array([0.02, -0.03, 0.01])
+    # one increment shared by every seed, and one increment per seed
+    shared = step_malliavin(MalliavinState(z, dry), c, y, grid, coeffs, bc, 1e-3, 0.02)
+    per_seed = step_malliavin(MalliavinState(z, dry), c, y, grid, coeffs, bc, 1e-3, dws)
+    for j in range(3):
+        for batch, dw in ((shared, 0.02), (per_seed, dws[j])):
+            one = step_malliavin(MalliavinState(z[j], dry[j]), c, y, grid, coeffs, bc, 1e-3, dw)
+            assert np.array_equal(batch.z[j], one.z) and np.array_equal(batch.dry[j], one.dry)
+
+
+def test_sweep_reads_increments_from_the_earliest_seed_once_per_step():
+    config = geometric_config()
+    traj = simulate_path(config, c0_sine, y0_affine, seed=5, store_dense=True)
+    rec = _Recorder(traj.wiener.increments)
+    object.__setattr__(traj.wiener, "increments", rec)
+    propagate_seeds(traj, config.coeffs, [30, 12, 40])
+    assert rec.accessed == list(range(12, traj.n_steps))
+
+
+def test_propagate_seeds_validates_inputs():
+    config = geometric_config()
+    traj = simulate_path(config, c0_sine, 1.0, seed=5, store_dense=True)
+    with pytest.raises(ValueError):
+        propagate_seeds(traj, config.coeffs, [3, traj.n_steps])
+    with pytest.raises(ValueError):
+        propagate_seeds(traj, config.coeffs, [3, 5], [[10]])
+    with pytest.raises(ValueError):
+        propagate_seeds(traj, config.coeffs, [3, 5], [[10], [5]])
+    assert propagate_seeds(traj, config.coeffs, [3, 5], [[], []]) == [[], []]
+    assert propagate_seeds(traj, config.coeffs, []) == []
+
+
+def test_derivative_run_terminal_slices_follow_the_fractions():
+    config = full_coupling_config()
+    fractions = (0.5, 0.25, 0.5)
+    traj, slices = derivative_run(config, c0_sine, 1.0, seed=4, r_fractions=fractions)
+    assert len(slices) == len(fractions)
+    for frac, sl in zip(fractions, slices):
+        (alone,) = propagate(traj, config.coeffs, seed_index(frac, traj.n_steps))
+        assert sl.step_index == traj.n_steps
+        assert np.array_equal(sl.z, alone.z) and np.array_equal(sl.dry, alone.dry)
+
+
+def test_seed_index_clips_to_the_step_range():
+    assert seed_index(0.25, 100) == 25
+    assert seed_index(1e-6, 100) == 0
+    assert seed_index(0.9999, 100) == 99
+
+
+def test_perturbation_oracle_batch_matches_two_single_runs():
+    config = full_coupling_config()
+    wiener = gen_wiener(100, 1e-3, seed=31)
+    r_index, window, eps = 20, 4, 1e-3
+    dq_c, dq_y = perturbation_oracle(config, c0_sine, 1.0, wiener, r_index, window, eps)
+
+    base = simulate_path(config, c0_sine, 1.0, wiener=wiener)
+    shifted = np.array(wiener.increments, copy=True)
+    shifted[r_index : r_index + window] += eps * wiener.dt
+    bumped = simulate_path(config, c0_sine, 1.0, wiener=WienerPath(wiener.dt, shifted))
+    delta = window * wiener.dt
+    assert np.array_equal(dq_c, (bumped.c[-1] - base.c[-1]) / (eps * delta))
+    assert np.array_equal(dq_y, (bumped.y[-1] - base.y[-1]) / (eps * delta))
