@@ -9,7 +9,7 @@ and always pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .grid import (
 from .interp import cell_measures, pc_l2_inner
 from .malliavin import MalliavinSlice
 from .model import (
-    BetaFamily,
     CoefficientSet,
     barenblatt_profile,
     barenblatt_support_radius,
@@ -279,11 +278,7 @@ def pc_cross_inner(u: Field, w: Field) -> float:
     living on different (same-dimension) grids."""
     if u.grid.dim != w.grid.dim:
         raise ValueError("cross inner product needs equal dimensions")
-    o = overlap_matrix(u.grid, w.grid)
-    t = u.values
-    for axis in range(u.grid.dim):
-        t = np.moveaxis(np.tensordot(t, o, axes=([axis], [0])), -1, axis)
-    return float(np.sum(t * w.values))
+    return float(_batched_cross(u.values, u.grid, w.values, w.grid))
 
 
 def pc_cross_distance_sq(u: Field, w: Field) -> float:
@@ -328,53 +323,43 @@ class RefinementResult:
 
 
 def cauchy_refinement(
-    beta_family: BetaFamily,
+    config: SimConfig,
     c0_fn,
     y0,
     *,
-    dim: int = 1,
     levels: Sequence[int] = (16, 32, 64),
-    t_final: float = 0.1,
     n_paths: int = 100,
     seed: int = 0,
     n_snapshots: int = 5,
-    bc: BoundaryKind = BoundaryKind.NEUMANN,
-    f=None,
-    a=None,
-    b=None,
-    theta: float = 0.5,
 ) -> RefinementResult:
     """Run the same noise through a ladder of grids and measure adjacent-level
     solution distances in the exact piecewise-constant cross-grid metric.
 
-    Every level steps with a power-of-two multiple of the finest step, so all
-    levels see the same Brownian path at their own resolution and share the
-    snapshot times.
+    Each level is ``config`` on a grid of the given cells per axis.  Every
+    level steps with a power-of-two multiple of the finest step, which the
+    finest level resolves, so all levels see the same Brownian path at their
+    own resolution and share the snapshot times.
     """
-    coeffs = make_coefficients(beta_family, f=f, a=a, b=b)
-    grids = [build_grid(dim, m) for m in levels]
-    configs = [SimConfig(g, coeffs, bc, t_final=t_final, theta=theta) for g in grids]
+    grids = [build_grid(config.grid.dim, m) for m in levels]
+    configs = [replace(config, grid=g) for g in grids]
     h_fine = grids[-1].spacing
 
-    c0_fine, _ = prepare_initial(configs[-1], c0_fn, y0)
-    dt_f, n_f = configs[-1].resolve_steps(float(np.max(c0_fine)))
     factors = []
     for g in grids:
         ratio = (g.spacing / h_fine) ** 2
         factors.append(2 ** int(math.floor(math.log2(ratio))) if ratio >= 2.0 else 1)
-    block = n_snapshots * max(factors)
-    n_f = block * math.ceil(n_f / block)
-    dt_f = t_final / n_f
+    c0_fine, _ = prepare_initial(configs[-1], c0_fn, y0)
+    dt_f, n_f = configs[-1].resolve_steps(
+        float(np.max(c0_fine)), multiple_of=n_snapshots * max(factors)
+    )
 
     wiener = gen_wiener_batch(n_f, dt_f, seed, list(range(n_paths)))
     frames = []
     level_meta = []
-    for config, factor in zip(configs, factors):
+    for cf, factor in zip(configs, factors):
         w = coarsen_wiener(wiener, factor)
-        frames.append(simulate_batch(config, c0_fn, y0, w, n_snapshots))
-        level_meta.append(
-            RefinementLevel(config.grid.cells_per_axis, w.dt, w.n_steps, factor)
-        )
+        frames.append(simulate_batch(cf, c0_fn, y0, w, n_snapshots))
+        level_meta.append(RefinementLevel(cf.grid.cells_per_axis, w.dt, w.n_steps, factor))
 
     times = frames[0].times
     tw = np.full(len(times), times[1] - times[0])
@@ -410,43 +395,37 @@ class SweepResult:
 
 
 def epsilon_sweep(
-    m: float,
+    config: SimConfig,
     eps_values: Sequence[float],
     c0_fn,
     y0,
     *,
-    dim: int = 1,
-    cells: int = 16,
-    t_final: float = 0.05,
     n_paths: int = 20,
     seed: int = 0,
-    bc: BoundaryKind = BoundaryKind.NEUMANN,
-    f=None,
-    a=None,
-    b=None,
 ) -> SweepResult:
     """Rerun the same data and noise under shrinking regularization and
-    measure how fast successive solutions approach each other."""
+    measure how fast successive solutions approach each other.
+
+    Each run is ``config`` with its nonlinearity replaced by the
+    regularization of exponent ``config.coeffs.beta_family.m`` at one eps.
+    """
     eps_values = tuple(sorted(eps_values, reverse=True))
-    grid = build_grid(dim, cells)
+    grid = config.grid
+    m = config.coeffs.beta_family.m
     families = [regularize_beta(m, e) for e in eps_values]
-    configs = [
-        SimConfig(grid, make_coefficients(fam, f=f, a=a, b=b), bc, t_final=t_final)
-        for fam in families
-    ]
+    configs = [replace(config, coeffs=config.coeffs.with_beta(fam)) for fam in families]
     c0_max = float(np.max(prepare_initial(configs[0], c0_fn, y0)[0]))
     # stiffest family dictates the shared step
-    dt = min(config.resolve_steps(c0_max)[0] for config in configs)
-    n = math.ceil(t_final / dt - 1e-12)
-    dt = t_final / n
+    n = max(cf.resolve_steps(c0_max)[1] for cf in configs)
+    dt = config.t_final / n
     wiener = gen_wiener_batch(n, dt, seed, list(range(n_paths)))
 
     finals = []
     gaps = []
     hw = grid.spacing**grid.dim
-    core = (slice(None), slice(1, -1)) + (slice(1, -1),) * (dim - 1)
-    for config, fam in zip(configs, families):
-        out = simulate_batch(config, c0_fn, y0, wiener, n_snapshots=1)
+    core = (slice(None),) + (slice(1, -1),) * grid.dim
+    for cf, fam in zip(configs, families):
+        out = simulate_batch(cf, c0_fn, y0, wiener, n_snapshots=1)
         finals.append(out.c[-1])
         gaps.append(beta_gap(fam, max(2.0 * c0_max, 1.0)))
     dists = []

@@ -101,7 +101,6 @@ class RunConfig:
     beta_kind: str = "pme"
     beta_m: float = 2.0
     beta_eps: float | None = None
-    q: float = 4.0
     f_name: str = "zero"
     f_params: Params = ()
     a_name: str = "zero"
@@ -217,7 +216,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     put_float("t_final", "t_final", lambda v: v > 0.0)
     put_float("theta", "theta", lambda v: 0.0 < v <= 1.0)
     put_float("dt", "dt", lambda v: v > 0.0)
-    put_float("q", "q", lambda v: v > 2.0)
     put_float("initial.y", "y0", lambda v: v >= 0.0)
     put_float("transform.k_max", "k_max", lambda v: v > 0.0)
     put_float("transform.d_max", "d_max", lambda v: v > 0.0)
@@ -293,23 +291,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 def _validate_builds(cfg: RunConfig) -> None:
     """Construct every referenced preset once so bad parameters surface at
     load time with the namespace that carried them."""
-    for ns, name, table, pars in (
-        ("coeff.f", cfg.f_name, _F_PRESETS, cfg.f_params),
-        ("coeff.a", cfg.a_name, _A_PRESETS, cfg.a_params),
-        ("coeff.b", cfg.b_name, _B_PRESETS, cfg.b_params),
-    ):
-        if table[name] is None:
-            if pars:
-                raise SchemaError(f"{ns}.{pars[0][0]}", "zero preset takes no parameters")
-            continue
-        try:
-            preset_coefficients(table[name], dict(pars))
-        except ValueError as exc:
-            raise SchemaError(ns, str(exc)) from None
-    try:
-        initial_preset(cfg.initial_name, cfg.dim, dict(cfg.initial_params))
-    except ValueError as exc:
-        raise SchemaError("initial.c", str(exc)) from None
+    _coefficients(cfg)
+    _initial(cfg)
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -361,7 +344,6 @@ def config_echo(cfg: RunConfig) -> dict[str, str]:
         "t_final": repr(cfg.t_final),
         "theta": repr(cfg.theta),
         "bc": cfg.bc,
-        "q": repr(cfg.q),
         "coeff.f": cfg.f_name,
         "coeff.a": cfg.a_name,
         "coeff.b": cfg.b_name,
@@ -410,25 +392,39 @@ def _beta_family(cfg: RunConfig):
 
 
 def _coefficients(cfg: RunConfig):
-    def build(table, name, pars):
-        return None if table[name] is None else preset_coefficients(table[name], dict(pars))
+    """The coefficient set of a config; a bad preset raises a SchemaError
+    naming its namespace."""
+
+    def build(ns, table, name, pars):
+        if table[name] is None:
+            if pars:
+                raise SchemaError(f"{ns}.{pars[0][0]}", "zero preset takes no parameters")
+            return None
+        try:
+            return preset_coefficients(table[name], dict(pars))
+        except ValueError as exc:
+            raise SchemaError(ns, str(exc)) from None
 
     return make_coefficients(
         _beta_family(cfg),
-        f=build(_F_PRESETS, cfg.f_name, cfg.f_params),
-        a=build(_A_PRESETS, cfg.a_name, cfg.a_params),
-        b=build(_B_PRESETS, cfg.b_name, cfg.b_params),
+        f=build("coeff.f", _F_PRESETS, cfg.f_name, cfg.f_params),
+        a=build("coeff.a", _A_PRESETS, cfg.a_name, cfg.a_params),
+        b=build("coeff.b", _B_PRESETS, cfg.b_name, cfg.b_params),
     )
 
 
 def _initial(cfg: RunConfig):
-    return initial_preset(cfg.initial_name, cfg.dim, dict(cfg.initial_params))
+    try:
+        return initial_preset(cfg.initial_name, cfg.dim, dict(cfg.initial_params))
+    except ValueError as exc:
+        raise SchemaError("initial.c", str(exc)) from None
 
 
 def _sim_config(cfg: RunConfig) -> SimConfig:
     grid = build_grid(cfg.dim, cfg.cells)
-    bc = BoundaryKind.DIRICHLET if cfg.bc == "dirichlet" else BoundaryKind.NEUMANN
-    return SimConfig(grid, _coefficients(cfg), bc, cfg.t_final, theta=cfg.theta, dt=cfg.dt)
+    return SimConfig(
+        grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt
+    )
 
 
 def _require_finite(*arrays) -> None:
@@ -603,27 +599,14 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     levels = cfg.levels
     if len(levels) < 2 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
         raise SchemaError("converge.levels", "levels must double at every step")
-    coeffs = _coefficients(cfg)
-    bc = BoundaryKind.DIRICHLET if cfg.bc == "dirichlet" else BoundaryKind.NEUMANN
-
-    def preset_or_none(table, name, pars):
-        return None if table[name] is None else preset_coefficients(table[name], dict(pars))
-
     out = cauchy_refinement(
-        coeffs.beta_family,
+        _sim_config(cfg),
         _initial(cfg),
         cfg.y0,
-        dim=cfg.dim,
         levels=levels,
-        t_final=cfg.t_final,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
         n_snapshots=5,
-        bc=bc,
-        f=preset_or_none(_F_PRESETS, cfg.f_name, cfg.f_params),
-        a=preset_or_none(_A_PRESETS, cfg.a_name, cfg.a_params),
-        b=preset_or_none(_B_PRESETS, cfg.b_name, cfg.b_params),
-        theta=cfg.theta,
     )
     _require_finite(np.asarray(out.c_distances), np.asarray(out.y_distances))
     reports: list[EstimateReport] = []
@@ -642,23 +625,8 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_sweep_eps(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    def preset_or_none(table, name, pars):
-        return None if table[name] is None else preset_coefficients(table[name], dict(pars))
-
     out = epsilon_sweep(
-        cfg.beta_m,
-        cfg.eps_values,
-        _initial(cfg),
-        cfg.y0,
-        dim=cfg.dim,
-        cells=cfg.cells,
-        t_final=cfg.t_final,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        bc=BoundaryKind.DIRICHLET if cfg.bc == "dirichlet" else BoundaryKind.NEUMANN,
-        f=preset_or_none(_F_PRESETS, cfg.f_name, cfg.f_params),
-        a=preset_or_none(_A_PRESETS, cfg.a_name, cfg.a_params),
-        b=preset_or_none(_B_PRESETS, cfg.b_name, cfg.b_params),
+        _sim_config(cfg), cfg.eps_values, _initial(cfg), cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed
     )
     _require_finite(np.asarray(out.c_distances), np.asarray(out.gaps))
     reports: list[EstimateReport] = []

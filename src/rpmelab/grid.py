@@ -18,15 +18,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-
-# Dense adjoint solves for the negative-order norm below this per-axis size,
-# conjugate-gradient iteration on the normal equations above it.
-_DENSE_LIMIT = 32
-_CG_TOL = 1e-10
-_CG_MAXITER = 10_000
 
 
 class BoundaryKind(Enum):
@@ -377,7 +370,8 @@ class Hminus2Solver:
         sup_v (u, v)_h / ||lap_h v||_h
 
     over the free space; it is evaluated by one symmetric positive definite
-    solve with the Gram matrix of the Laplacian images.
+    solve with the Gram matrix of the Laplacian images, whose sparse LU
+    factorization is computed once per grid.
     """
 
     def __init__(self, grid: GridSpec):
@@ -387,19 +381,12 @@ class Hminus2Solver:
         self._free_flat = np.flatnonzero(free.reshape(-1))
         self._interior_flat = np.flatnonzero(interior.reshape(-1))
         self.n_free = self._free_flat.size
-        if self.n_free == 0:
-            self._dense = None
-            self._a_op = None
-            return
-        a_mat = _laplacian_matrix(grid)[:, self._free_flat].tocsc()
-        if grid.cells_per_axis <= _DENSE_LIMIT:
-            dense = a_mat.toarray()
-            gram = dense.T @ dense
-            self._dense = scipy.linalg.cho_factor(gram)
-            self._a_op = None
-        else:
-            self._dense = None
-            self._a_op = a_mat
+        self._lu = None
+        if self.n_free:
+            a_mat = _laplacian_matrix(grid)[:, self._free_flat]
+            gram = (a_mat.T @ a_mat).tocsc()
+            # the Gram matrix is symmetric: order on its own pattern
+            self._lu = scipy.sparse.linalg.splu(gram, permc_spec="MMD_AT_PLUS_A")
 
     @property
     def is_empty(self) -> bool:
@@ -419,23 +406,7 @@ class Hminus2Solver:
         else:
             raise ValueError("interior_values has neither interior nor full size")
         u_free = full[self._free_flat]
-        if self._dense is not None:
-            z = scipy.linalg.cho_solve(self._dense, u_free)
-        else:
-            a = self._a_op
-
-            def matvec(x):
-                return a.T @ (a @ x)
-
-            op = scipy.sparse.linalg.LinearOperator(
-                (self.n_free, self.n_free), matvec=matvec
-            )
-            z, info = scipy.sparse.linalg.cg(
-                op, u_free, rtol=_CG_TOL, maxiter=_CG_MAXITER
-            )
-            if info != 0:
-                raise RuntimeError(f"normal-equation CG did not converge (info={info})")
-        val = float(u_free @ z)
+        val = float(u_free @ self._lu.solve(u_free))
         return float(np.sqrt(g.spacing**g.dim * max(val, 0.0)))
 
 
@@ -487,17 +458,18 @@ def hminus2_norm(u: Field) -> float:
 
 def h02_embed(grid: GridSpec, free_values: np.ndarray) -> Field:
     """Field in the doubly vanishing test space with the given free-node values."""
-    solver = _hm2_solver(grid)
+    free = grid.free_mask()
     vals = np.asarray(free_values, dtype=np.float64).reshape(-1)
-    if vals.size != solver.n_free:
-        raise ValueError(f"expected {solver.n_free} free values, got {vals.size}")
-    full = np.zeros(grid.n_nodes)
-    full[solver._free_flat] = vals
-    return Field(grid, full.reshape(grid.shape))
+    n_free = free_node_count(grid)
+    if vals.size != n_free:
+        raise ValueError(f"expected {n_free} free values, got {vals.size}")
+    full = np.zeros(grid.shape)
+    full[free] = vals
+    return Field(grid, full)
 
 
 def free_node_count(grid: GridSpec) -> int:
-    return _hm2_solver(grid).n_free
+    return int(np.count_nonzero(grid.free_mask()))
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,6 @@ def build_transform_pair(
     )
 
 
-def build_big_phi(phi, beta_family, k_max, d_max, n_k=200, n_d=200, quad_refine=4):
-    return build_transform_pair(phi, beta_family, k_max, d_max, n_k, n_d, quad_refine)[0]
-
-
 def invert_psi(psi: TabulatedTransform, values, d: float) -> np.ndarray:
     """Solve Psi(k, d) = value for k at fixed d by exact piecewise-linear
     inversion of the tabulated column (clipped to the table range).

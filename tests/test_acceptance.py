@@ -534,18 +534,20 @@ def test_criterion_10_refinement_and_regularization_contraction():
     ladder = {}
     ok = True
     for tag, family in (("degenerate", pme_beta(2.0)), ("smoothed", regularize_beta(2.0, 0.1))):
-        res = cauchy_refinement(
-            family, c0, 1.0, levels=(16, 32, 64), t_final=0.1,
-            n_paths=100, seed=0, f=f, a=a, b=b,
+        config = SimConfig(
+            build_grid(1, 16), make_coefficients(family, f=f, a=a, b=b),
+            BoundaryKind.NEUMANN, t_final=0.1,
         )
+        res = cauchy_refinement(config, c0, 1.0, levels=(16, 32, 64), n_paths=100, seed=0)
         ok = ok and bool(np.all(np.diff(res.c_distances) < 0.0))
         ok = ok and bool(np.all(np.diff(res.y_distances) < 0.0))
         ladder[tag] = (res.c_distances, res.y_distances)
 
-    sweep = epsilon_sweep(
-        2.0, (1e-1, 2.5e-2, 6.25e-3), c0, 1.0, cells=16, t_final=0.05,
-        n_paths=100, seed=0, f=f, a=a, b=b,
+    config = SimConfig(
+        build_grid(1, 16), make_coefficients(pme_beta(2.0), f=f, a=a, b=b),
+        BoundaryKind.NEUMANN, t_final=0.05,
     )
+    sweep = epsilon_sweep(config, (1e-1, 2.5e-2, 6.25e-3), c0, 1.0, n_paths=100, seed=0)
     ok = ok and bool(np.all(np.diff(sweep.gaps) < 0.0))
     ok = ok and bool(np.all(np.diff(sweep.c_distances) < 0.0))
 

@@ -247,18 +247,20 @@ def test_barenblatt_rejects_escaping_support():
 
 
 def test_cauchy_refinement_smoke():
-    out = cauchy_refinement(
+    coeffs = make_coefficients(
         pme_beta(2.0),
-        initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5}),
-        1.0,
-        levels=(4, 8),
-        t_final=0.02,
-        n_paths=4,
-        n_snapshots=2,
-        seed=3,
         f=preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0, "mu_y": 0.2}),
         a=preset_coefficients("linear_a", {"sigma": 0.3}),
         b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    )
+    out = cauchy_refinement(
+        SimConfig(build_grid(1, 4), coeffs, BoundaryKind.NEUMANN, t_final=0.02),
+        initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5}),
+        1.0,
+        levels=(4, 8),
+        n_paths=4,
+        n_snapshots=2,
+        seed=3,
     )
     assert len(out.c_distances) == 1 and len(out.y_distances) == 1
     assert out.c_distances[0] > 0.0 and math.isfinite(out.c_distances[0])
@@ -271,17 +273,18 @@ def test_cauchy_refinement_smoke():
 
 
 def test_epsilon_sweep_smoke():
+    coeffs = make_coefficients(
+        pme_beta(2.0),
+        a=preset_coefficients("linear_a", {"sigma": 0.3}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    )
     out = epsilon_sweep(
-        2.0,
+        SimConfig(build_grid(1, 8), coeffs, BoundaryKind.NEUMANN, t_final=0.02),
         (1e-1, 2.5e-2),
         initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5}),
         1.0,
-        cells=8,
-        t_final=0.02,
         n_paths=4,
         seed=1,
-        a=preset_coefficients("linear_a", {"sigma": 0.3}),
-        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
     )
     assert out.eps == (1e-1, 2.5e-2)  # sorted largest first
     assert out.gaps[0] > out.gaps[1] > 0.0  # regularization gap shrinks with eps
@@ -350,11 +353,11 @@ def _ramp(x):
 
 def test_refinement_resolves_steps_from_the_boundary_applied_state():
     t_final, n_snapshots = 0.05, 2
-    out = cauchy_refinement(
-        pme_beta(2.0), _ramp, 0.0, levels=(4, 8), t_final=t_final, n_paths=2,
-        n_snapshots=n_snapshots, bc=BoundaryKind.DIRICHLET,
-    )
     coeffs = make_coefficients(pme_beta(2.0))
+    out = cauchy_refinement(
+        SimConfig(build_grid(1, 4), coeffs, BoundaryKind.DIRICHLET, t_final),
+        _ramp, 0.0, levels=(4, 8), n_paths=2, n_snapshots=n_snapshots,
+    )
     fine = SimConfig(build_grid(1, 8), coeffs, BoundaryKind.DIRICHLET, t_final)
     c, _ = prepare_initial(fine, _ramp, 0.0)
     block = n_snapshots * out.levels[0].coarsen_factor  # the coarse level has the largest factor
@@ -367,11 +370,11 @@ def test_refinement_resolves_steps_from_the_boundary_applied_state():
 
 def test_epsilon_sweep_resolves_steps_from_the_boundary_applied_state():
     t_final, eps_values = 0.05, (0.1, 0.05)
-    out = epsilon_sweep(
-        2.0, eps_values, _ramp, 0.0, cells=8, t_final=t_final, n_paths=2,
-        bc=BoundaryKind.DIRICHLET,
-    )
     grid = build_grid(1, 8)
+    out = epsilon_sweep(
+        SimConfig(grid, make_coefficients(pme_beta(2.0)), BoundaryKind.DIRICHLET, t_final),
+        eps_values, _ramp, 0.0, n_paths=2,
+    )
     configs = [
         SimConfig(grid, make_coefficients(regularize_beta(2.0, e)), BoundaryKind.DIRICHLET, t_final)
         for e in eps_values

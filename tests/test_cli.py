@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,7 +98,7 @@ def test_schema_violations_name_the_key(tmp_path, line, key):
 def test_echo_round_trips_to_equal_config(tmp_path):
     text = (
         "dim=1\ncells=12\nt_final=0.03\ntheta=0.75\ndt=1e-4\nbc=dirichlet\n"
-        "beta=regularized:2.5:0.125\nq=3.5\ncoeff.f=logistic\ncoeff.f.lambda=0.7\n"
+        "beta=regularized:2.5:0.125\ncoeff.f=logistic\ncoeff.f.lambda=0.7\n"
         "coeff.a=saturating\ncoeff.a.sigma=0.2\ncoeff.b=coupling\ncoeff.b.kappa=0.3\n"
         "initial.c=bump\ninitial.y=0.5\nn_paths=3\nseed=11\nworkers=2\n"
         "malliavin.fractions=0.1,0.9\nstats.lags=2,4,8\nconverge.levels=8,16\n"
@@ -424,6 +425,27 @@ def test_sweep_eps_subcommand(tmp_path):
     assert code == 0, manifest["reports"]
     gaps = [k for k in manifest["reports"] if k.startswith("sweep_eps/beta_gap_contraction")]
     assert len(gaps) == 2
+
+
+STEP_RUN = "cells = 8\nt_final = 0.02\nn_paths = 2\nconverge.levels = 4,8\n"
+
+
+def test_sweep_eps_honours_theta(tmp_path):
+    dts = {}
+    for theta in ("0.5", "0.25"):
+        text = STEP_RUN + f"theta = {theta}\n"
+        code, out = run_cli("sweep-eps", tmp_path, text, f"sweep_theta_{theta}")
+        assert code == 0
+        dts[theta] = json.loads((out / "manifest.json").read_text())["dt"]
+    assert dts["0.25"] < dts["0.5"]
+
+
+@pytest.mark.parametrize("command", ["converge", "sweep-eps"])
+def test_step_override_reaches_ladders(tmp_path, command):
+    code, out = run_cli(command, tmp_path, STEP_RUN + "dt = 1e-4\n", "override")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dt"] == 0.02 / math.ceil(0.02 / 1e-4)
 
 
 def test_transform_demo_tables(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from rpmelab.grid import (
     Field,
@@ -296,19 +297,33 @@ def test_hminus2_homogeneity_and_triangle():
 
 
 def test_hminus2_cg_matches_dense():
-    # above the dense cutoff the iterative path must agree with a direct solve
-    g = build_grid(1, 40)
+    # the sparse factorization agrees with a dense solve of the Gram matrix
     rng = np.random.default_rng(17)
-    vals = rng.normal(size=g.n_interior)
-    solver = Hminus2Solver(g)
-    assert solver._dense is None
-    a = _dense_lap_columns(g)
-    gram = a.T @ a
-    full = np.zeros(g.shape)
-    full[g.interior_mask()] = vals
-    u_free = full[g.free_mask()]
-    ref = np.sqrt(g.spacing * (u_free @ np.linalg.solve(gram, u_free)))
-    assert solver.norm(vals) == pytest.approx(ref, rel=1e-7)
+    for dim, m in ((1, 40), (2, 33)):
+        g = build_grid(dim, m)
+        vals = rng.normal(size=g.n_interior)
+        a = _dense_lap_columns(g)
+        gram = a.T @ a
+        full = np.zeros(g.shape)
+        full[g.interior_mask()] = vals
+        u_free = full[g.free_mask()]
+        ref = np.sqrt(g.spacing**dim * (u_free @ np.linalg.solve(gram, u_free)))
+        assert Hminus2Solver(g).norm(vals) == pytest.approx(ref, rel=1e-10)
+
+
+def test_free_space_helpers_need_no_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("factorization requested")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    g = build_grid(3, 6)
+    with pytest.raises(RuntimeError):
+        Hminus2Solver(g)
+    n = free_node_count(g)
+    assert n == 4**3
+    v = h02_embed(g, np.arange(1.0, n + 1.0))
+    assert np.array_equal(v.values[g.free_mask()], np.arange(1.0, n + 1.0))
+    assert np.all(v.values[~g.free_mask()] == 0.0)
 
 
 def test_chain_rule_exact_for_cubic():
