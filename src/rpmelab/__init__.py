@@ -3,164 +3,62 @@ pointwise Ito SDE: finite-difference operators and mesh norms, interpolation
 splines, sample-path simulation, Malliavin-derivative propagation,
 regularizing transforms, and an estimate-measurement harness."""
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .analysis import (
-    BenchmarkResult,
-    EstimateReport,
-    RefinementLevel,
-    RefinementResult,
-    SweepResult,
-    barenblatt_error,
-    bump_time_profile,
-    cauchy_refinement,
-    convex_energy,
-    energy_report,
-    epsilon_sweep,
-    holder_report,
-    linf_check,
-    malliavin_report,
-    malliavin_report_steps,
-    moment_report,
-    overlap_matrix,
-    pc_cross_distance_sq,
-    pc_cross_inner,
-    transform_report,
-    transform_trajectory_report,
-    weak_residual,
-)
-from .grid import (
-    BoundaryKind,
-    Field,
-    GridSpec,
-    backward_diff,
-    build_grid,
-    chain_rule_residual,
-    forward_diff,
-    free_node_count,
-    grad_h1_seminorm,
-    h02_embed,
-    h1_seminorm,
-    hminus2_norm,
-    l2_inner,
-    laplacian,
-    lp_norm,
-    normal_diff,
-    sample_nodal,
-)
-from .interp import (
-    CellFunction,
-    cell_measures,
-    interp_gap,
-    pa_eval,
-    pa_grad_l2_norm,
-    pa_lp_norm,
-    pa_spline,
-    pc_eval,
-    pc_gap_to_function,
-    pc_l2_inner,
-    pc_lp_norm,
-    pc_spline,
-    project,
-)
-from .malliavin import (
-    MalliavinSlice,
-    MalliavinState,
-    derivative_run,
-    init_malliavin,
-    perturbation_oracle,
-    propagate,
-    propagate_seeds,
-    recover_drc,
-    seed_index,
-    step_malliavin,
-)
-from .model import (
-    AssumptionProfile,
-    AssumptionReport,
-    BetaFamily,
-    CoefficientSet,
-    barenblatt_profile,
-    barenblatt_support_radius,
-    beta_gap,
-    initial_preset,
-    make_coefficients,
-    pme_beta,
-    pme_profile,
-    preset_coefficients,
-    r2_bound,
-    regularize_beta,
-    validate_assumptions,
-)
-from .pathfile import DerivativePair, FormatError, PathRecord, read_record, write_record
-from .simulate import (
-    BatchFrames,
-    EnsembleResult,
-    SimConfig,
-    Trajectory,
-    WienerPath,
-    apply_bc,
-    cfl_dt,
-    coarsen_wiener,
-    gen_wiener,
-    gen_wiener_batch,
-    interior_v_mass,
-    prepare_initial,
-    simulate_batch,
-    simulate_ensemble,
-    simulate_path,
-    step,
-)
-from .transform import (
-    PowerTransform,
-    TabulatedTransform,
-    boundary_distance,
-    build_transform_pair,
-    constant_weight,
-    degeneracy_weight,
-    gamma_weight,
-    holder_power_transform,
-    invert_psi,
-    second_difference_quotient,
-)
+# public names, by submodule
+_EXPORTS = {
+    "analysis": """
+        BenchmarkResult EstimateReport RefinementLevel RefinementResult
+        SweepResult barenblatt_error bump_time_profile cauchy_refinement
+        convex_energy energy_report epsilon_sweep holder_report linf_check
+        malliavin_report malliavin_report_steps moment_report overlap_matrix
+        pc_cross_distance_sq pc_cross_inner transform_report
+        transform_trajectory_report weak_residual
+    """,
+    "grid": """
+        BoundaryKind Field GridSpec backward_diff build_grid
+        chain_rule_residual forward_diff free_node_count grad_h1_seminorm
+        h02_embed h1_seminorm hminus2_norm l2_inner laplacian lp_norm
+        normal_diff sample_nodal
+    """,
+    "interp": """
+        CellFunction cell_measures interp_gap pa_eval pa_grad_l2_norm
+        pa_lp_norm pa_spline pc_eval pc_gap_to_function pc_l2_inner pc_lp_norm
+        pc_spline project
+    """,
+    "malliavin": """
+        MalliavinSlice MalliavinState derivative_run init_malliavin
+        perturbation_oracle propagate propagate_seeds recover_drc seed_index
+        step_malliavin
+    """,
+    "model": """
+        AssumptionProfile AssumptionReport BetaFamily CoefficientSet
+        barenblatt_profile barenblatt_support_radius beta_gap initial_preset
+        make_coefficients pme_beta pme_profile preset_coefficients r2_bound
+        regularize_beta validate_assumptions
+    """,
+    "pathfile": """
+        DerivativePair FormatError PathRecord read_record write_record
+    """,
+    "simulate": """
+        BatchFrames EnsembleResult SimConfig Trajectory WienerPath apply_bc
+        cfl_dt coarsen_wiener gen_wiener gen_wiener_batch interior_v_mass
+        prepare_initial simulate_batch simulate_ensemble simulate_path step
+        NumericalAbort StepBuffers
+    """,
+    "transform": """
+        PowerTransform TabulatedTransform boundary_distance
+        build_transform_pair constant_weight degeneracy_weight gamma_weight
+        holder_power_transform invert_psi second_difference_quotient
+    """,
+}
 
-__all__ = [
-    "__version__",
-    # grid
-    "BoundaryKind", "Field", "GridSpec", "build_grid", "sample_nodal",
-    "forward_diff", "backward_diff", "laplacian", "normal_diff",
-    "l2_inner", "lp_norm", "h1_seminorm", "grad_h1_seminorm", "hminus2_norm",
-    "h02_embed", "free_node_count", "chain_rule_residual",
-    # interp
-    "CellFunction", "pc_spline", "pa_spline", "pc_eval", "pa_eval", "project",
-    "cell_measures", "pc_l2_inner", "pc_lp_norm", "pa_lp_norm",
-    "pa_grad_l2_norm", "interp_gap", "pc_gap_to_function",
-    # model
-    "BetaFamily", "pme_beta", "regularize_beta", "beta_gap", "CoefficientSet",
-    "make_coefficients", "preset_coefficients", "r2_bound", "initial_preset",
-    "barenblatt_profile", "barenblatt_support_radius", "AssumptionProfile",
-    "AssumptionReport", "pme_profile", "validate_assumptions",
-    # simulate
-    "WienerPath", "gen_wiener", "gen_wiener_batch", "coarsen_wiener", "cfl_dt",
-    "SimConfig", "Trajectory", "EnsembleResult", "BatchFrames", "step",
-    "apply_bc", "prepare_initial", "simulate_path", "simulate_ensemble",
-    "simulate_batch", "interior_v_mass",
-    # malliavin
-    "MalliavinState", "MalliavinSlice", "init_malliavin", "step_malliavin",
-    "propagate", "propagate_seeds", "seed_index", "recover_drc",
-    "perturbation_oracle", "derivative_run",
-    # transform
-    "PowerTransform", "holder_power_transform", "second_difference_quotient",
-    "TabulatedTransform", "build_transform_pair", "invert_psi",
-    "constant_weight", "degeneracy_weight", "gamma_weight", "boundary_distance",
-    # analysis
-    "EstimateReport", "linf_check", "moment_report", "holder_report",
-    "convex_energy", "energy_report", "bump_time_profile", "weak_residual",
-    "overlap_matrix", "pc_cross_inner", "pc_cross_distance_sq",
-    "RefinementLevel", "RefinementResult", "cauchy_refinement",
-    "SweepResult", "epsilon_sweep", "BenchmarkResult", "barenblatt_error",
-    "malliavin_report", "malliavin_report_steps", "transform_report",
-    "transform_trajectory_report",
-    # pathfile
-    "PathRecord", "DerivativePair", "FormatError", "write_record", "read_record",
-]
+__all__ = ["__version__"]
+for _module, _names in _EXPORTS.items():
+    _mod = importlib.import_module(f".{_module}", __name__)
+    for _name in _names.split():
+        globals()[_name] = getattr(_mod, _name)
+        __all__.append(_name)
+del _module, _names, _mod, _name

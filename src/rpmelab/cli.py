@@ -53,6 +53,7 @@ from .model import (
 )
 from .pathfile import DerivativePair, PathRecord, write_record
 from .simulate import (
+    NumericalAbort,
     SimConfig,
     interior_v_mass,
     prepare_initial,
@@ -68,10 +69,6 @@ class SchemaError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
         self.key = key
-
-
-class NumericalAbort(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------

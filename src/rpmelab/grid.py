@@ -246,23 +246,31 @@ def backward_diff(u: Field, axis: int) -> Field:
     return Field(g, out, mask)
 
 
-def laplacian_core(values: np.ndarray, h: float, dim: int) -> np.ndarray:
+def laplacian_core(values: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Second-difference Laplacian of trailing-dim shaped values, interior block.
 
-    ``values`` may carry leading batch axes; the result has the interior
-    shape along the trailing axes.
+    ``values`` may carry leading batch axes; the result is the interior block
+    along the trailing axes, a view of ``out`` (C-contiguous, shaped like
+    ``values``; a new array when None).  The stencil runs over one flat band
+    of ``values``, from the first interior node of the first leading index to
+    the last interior node of the last one, so every inner loop is long; the
+    band of ``out`` then holds the stencil at every node, scratch where it
+    wraps around the boundary layer.
     """
-    lead = values.ndim - dim
-    core = (slice(None),) * lead + (slice(1, -1),) * dim
-    acc = (-2.0 * dim) * values[core]
+    if out is None:
+        out = np.empty(values.shape)
+    n = values.shape[-1]
+    flat = values.reshape(-1)
+    first = (n**dim - 1) // (n - 1)  # flat index of node (1, ..., 1)
+    end = flat.size - first
+    acc = out.reshape(-1)[first:end]
+    np.multiply(flat[first:end], -2.0 * dim, out=acc)
     for k in range(dim):
-        sl_p = [slice(1, -1)] * dim
-        sl_m = [slice(1, -1)] * dim
-        sl_p[k] = slice(2, None)
-        sl_m[k] = slice(0, -2)
-        acc = acc + values[(slice(None),) * lead + tuple(sl_p)]
-        acc = acc + values[(slice(None),) * lead + tuple(sl_m)]
-    return acc / (h * h)
+        s = n ** (dim - 1 - k)  # flat offset of one node along axis k
+        np.add(acc, flat[first + s : end + s], out=acc)
+        np.add(acc, flat[first - s : end - s], out=acc)
+    np.divide(acc, h * h, out=acc)
+    return out[(Ellipsis,) + (slice(1, -1),) * dim]
 
 
 def laplacian(u: Field) -> Field:

@@ -8,13 +8,71 @@ vanishes there, which is the degeneracy everything else has to live with.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
+
+# Every coefficient callable below takes ``out=None``.  Given ``out`` (a
+# float64 array of the arguments' broadcast shape, sharing no memory with
+# them) it writes its value there with the same ufuncs in the same order as
+# without, so both results agree bit for bit, and returns ``out``.  Scalar
+# arguments without ``out`` keep numpy scalar arithmetic and return scalars.
+
+
+def _coefficient(core):
+    """Wrap ``core(*args, out)``, a chain of in-place ufunc steps that sees
+    either an ``out`` array or arguments of one shape with ``out=None`` (its
+    first step then allocates the result, or makes a numpy scalar)."""
+
+    @functools.wraps(core)
+    def fn(*args, out=None):
+        if out is None:
+            if len(args) == 1 or np.shape(args[0]) == np.shape(args[1]):
+                return core(*args, out=None)
+            out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in args)))
+        elif out.ndim == 0:
+            # numpy scalar and array powers can differ in the last bit
+            out[()] = core(*args, out=None)
+            return out
+        return core(*args, out=out)
+
+    return fn
+
+
+def _inplace(x):
+    """``out=`` for a ufunc that overwrites ``x``: ``x`` itself when it is an
+    array, None when it is a numpy scalar."""
+    return x if isinstance(x, np.ndarray) else None
+
+
+_LOCAL = threading.local()
+
+
+def _scratch(out):
+    """Scratch shaped like ``out``; None without ``out``, so that the ufunc
+    allocates.  One buffer per thread, kept for the thread's lifetime and
+    grown to the largest size asked for, so a stepping loop allocates it
+    once."""
+    if out is None:
+        return None
+    buf = getattr(_LOCAL, "scratch", None)
+    if buf is None or buf.size < out.size:
+        buf = _LOCAL.scratch = np.empty(out.size)
+    return buf[: out.size].reshape(out.shape)
+
+
+def _full(x, value, out):
+    """The constant ``value`` shaped like ``x``, in ``out`` when given."""
+    if out is None:
+        return np.full_like(np.asarray(x, dtype=np.float64), value)
+    out[...] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,20 +101,34 @@ def pme_beta(m: float) -> BetaFamily:
         raise ValueError(f"exponent m must exceed 1, got {m}")
     inv_m = 1.0 / m
 
-    def beta(c):
-        return np.maximum(np.asarray(c, dtype=np.float64), 0.0) ** inv_m
+    @_coefficient
+    def beta(c, out):
+        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+        r **= inv_m
+        return r
 
-    def beta_prime(c):
+    @_coefficient
+    def beta_prime(c, out):
         c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
         with np.errstate(divide="ignore"):
-            return np.where(c > 0.0, inv_m * c ** (inv_m - 1.0), np.inf)
+            r = np.where(c > 0.0, inv_m * c ** (inv_m - 1.0), np.inf)
+        if out is None:
+            return r
+        out[...] = r
+        return out
 
-    def beta_inv(v):
-        return np.maximum(np.asarray(v, dtype=np.float64), 0.0) ** m
+    @_coefficient
+    def beta_inv(v, out):
+        r = np.maximum(np.asarray(v, dtype=np.float64), 0.0, out=out)
+        r **= m
+        return r
 
-    def recip(c):
-        c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
-        return m * c ** (1.0 - inv_m)
+    @_coefficient
+    def recip(c, out):
+        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+        r **= 1.0 - inv_m
+        r *= m
+        return r
 
     return BetaFamily(
         label=f"pme:{m:g}",
@@ -83,21 +155,37 @@ def regularize_beta(m: float, eps: float) -> BetaFamily:
     inv_m = 1.0 / m
     shift = eps**inv_m
 
-    def beta(c):
-        c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
-        return (c + eps) ** inv_m - shift
+    @_coefficient
+    def beta(c, out):
+        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+        r += eps
+        r **= inv_m
+        r -= shift
+        return r
 
-    def beta_prime(c):
-        c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
-        return inv_m * (c + eps) ** (inv_m - 1.0)
+    @_coefficient
+    def beta_prime(c, out):
+        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+        r += eps
+        r **= inv_m - 1.0
+        r *= inv_m
+        return r
 
-    def beta_inv(v):
-        v = np.maximum(np.asarray(v, dtype=np.float64), 0.0)
-        return (v + shift) ** m - eps
+    @_coefficient
+    def beta_inv(v, out):
+        r = np.maximum(np.asarray(v, dtype=np.float64), 0.0, out=out)
+        r += shift
+        r **= m
+        r -= eps
+        return r
 
-    def recip(c):
-        c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
-        return m * (c + eps) ** (1.0 - inv_m)
+    @_coefficient
+    def recip(c, out):
+        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+        r += eps
+        r **= 1.0 - inv_m
+        r *= m
+        return r
 
     return BetaFamily(
         label=f"regularized:{m:g}:{eps:g}",
@@ -154,12 +242,12 @@ class DriftTerm:
     d_y: Callable[[Array, Array], Array]
 
 
-def _zeros2(c, y):
-    return np.zeros_like(np.asarray(c, dtype=np.float64))
+def _zeros2(c, y, out=None):
+    return _full(c, 0.0, out)
 
 
-def _zeros1(y):
-    return np.zeros_like(np.asarray(y, dtype=np.float64))
+def _zeros1(y, out=None):
+    return _full(y, 0.0, out)
 
 
 _ZERO_SOURCE = SourceTerm("zero", _zeros2, _zeros2, _zeros2)
@@ -192,14 +280,33 @@ def preset_coefficients(name: str, params: dict | None = None):
         if lam < 0.0 or cap <= 0.0 or mu_y < 0.0:
             raise ValueError("logistic_f needs lambda >= 0, K > 0, mu_y >= 0")
 
-        def fn(c, y):
-            return lam * c * (1.0 - c / cap) * np.exp(-mu_y * y)
+        def times_decay(r, y, out):
+            # the factor exp(-mu_y * y) is exactly 1.0 when mu_y == 0
+            if mu_y != 0.0:
+                e = np.multiply(-mu_y, y, out=_scratch(out))
+                r *= np.exp(e, out=_inplace(e))
+            return r
 
-        def d_c(c, y):
-            return lam * (1.0 - 2.0 * c / cap) * np.exp(-mu_y * y)
+        @_coefficient
+        def fn(c, y, out):
+            r = np.multiply(lam, c, out=out)
+            t = np.divide(c, cap, out=_scratch(out))
+            r *= np.subtract(1.0, t, out=_inplace(t))
+            return times_decay(r, y, out)
 
-        def d_y(c, y):
-            return -mu_y * fn(c, y)
+        @_coefficient
+        def d_c(c, y, out):
+            r = np.multiply(2.0, c, out=out)
+            r /= cap
+            r = np.subtract(1.0, r, out=_inplace(r))
+            r *= lam
+            return times_decay(r, y, out)
+
+        @_coefficient
+        def d_y(c, y, out):
+            r = fn(c, y, out=out)
+            r *= -mu_y
+            return r
 
         return SourceTerm(f"logistic_f(lambda={lam:g},K={cap:g},mu_y={mu_y:g})", fn, d_c, d_y)
     if name == "linear_a":
@@ -207,11 +314,12 @@ def preset_coefficients(name: str, params: dict | None = None):
         if params:
             raise ValueError(f"unknown linear_a parameters {sorted(params)}")
 
-        def a(y):
-            return sigma * np.asarray(y, dtype=np.float64)
+        @_coefficient
+        def a(y, out):
+            return np.multiply(sigma, np.asarray(y, dtype=np.float64), out=out)
 
-        def da(y):
-            return np.full_like(np.asarray(y, dtype=np.float64), sigma)
+        def da(y, out=None):
+            return _full(y, sigma, out)
 
         return NoiseTerm(f"linear_a(sigma={sigma:g})", a, da)
     if name == "saturating_a":
@@ -219,13 +327,18 @@ def preset_coefficients(name: str, params: dict | None = None):
         if params:
             raise ValueError(f"unknown saturating_a parameters {sorted(params)}")
 
-        def a(y):
+        @_coefficient
+        def a(y, out):
             y = np.asarray(y, dtype=np.float64)
-            return sigma * y / (1.0 + y)
+            r = np.multiply(sigma, y, out=out)
+            r /= np.add(1.0, y, out=_scratch(out))
+            return r
 
-        def da(y):
-            y = np.asarray(y, dtype=np.float64)
-            return sigma / (1.0 + y) ** 2
+        @_coefficient
+        def da(y, out):
+            r = np.add(1.0, np.asarray(y, dtype=np.float64), out=out)
+            r **= 2
+            return np.divide(sigma, r, out=_inplace(r))
 
         return NoiseTerm(f"saturating_a(sigma={sigma:g})", a, da)
     if name == "coupling_b":
@@ -236,16 +349,17 @@ def preset_coefficients(name: str, params: dict | None = None):
         if kappa < 0.0 or rho < 0.0:
             raise ValueError("coupling_b needs kappa >= 0 and rho >= 0")
 
-        def b(c, y):
-            return kappa * np.asarray(c, dtype=np.float64) - rho * np.asarray(
-                y, dtype=np.float64
-            )
+        @_coefficient
+        def b(c, y, out):
+            r = np.multiply(kappa, np.asarray(c, dtype=np.float64), out=out)
+            r -= np.multiply(rho, np.asarray(y, dtype=np.float64), out=_scratch(out))
+            return r
 
-        def db_c(c, y):
-            return np.full_like(np.asarray(c, dtype=np.float64), kappa)
+        def db_c(c, y, out=None):
+            return _full(c, kappa, out)
 
-        def db_y(c, y):
-            return np.full_like(np.asarray(y, dtype=np.float64), -rho)
+        def db_y(c, y, out=None):
+            return _full(y, -rho, out)
 
         return DriftTerm(f"coupling_b(kappa={kappa:g},rho={rho:g})", b, db_c, db_y)
     raise ValueError(f"unknown coefficient preset {name!r}")

@@ -22,7 +22,8 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,10 +31,17 @@ import numpy as np
 from .grid import BoundaryKind, Field, GridSpec, laplacian_core
 from .model import CoefficientSet, r2_bound
 
-# paths per processing chunk; fixed so reductions do not depend on worker count
+# most paths per processing chunk; chunk sizes never depend on the worker count
 _CHUNK = 128
 # cap on the recorded frames (c and y) of one chunk; a chunk shrinks to fit
 _FRAME_BYTES = 8 * 2**20
+# cap on the live step state of one chunk (see _state_bytes); a chunk shrinks
+# to fit: at most 70 paths of a 2D 32^2 grid
+_STATE_BYTES = 5 * 2**20
+
+
+class NumericalAbort(RuntimeError):
+    """The state stopped being finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +179,58 @@ class SimConfig:
 def apply_bc(values: np.ndarray, grid: GridSpec, bc: BoundaryKind) -> np.ndarray:
     """Reimpose the boundary rule on the trailing grid axes (leading axes
     pass through).  Returns a new array."""
-    lead = values.shape[: values.ndim - grid.dim]
-    flat = np.array(values, dtype=np.float64, copy=True).reshape(lead + (-1,))
-    bidx = _boundary_flat(grid)
-    if bc is BoundaryKind.DIRICHLET:
-        flat[..., bidx] = 0.0
-    else:
-        flat[..., bidx] = flat[..., grid.reflect_flat().ravel()[bidx]]
-    return flat.reshape(values.shape)
+    out = np.array(values, dtype=np.float64, copy=True)
+    _impose_bc(out, grid.dim, bc, np.empty(out.shape[:-1]))
+    return out
 
 
-def _boundary_flat(grid: GridSpec) -> np.ndarray:
-    return np.flatnonzero(grid.boundary_mask().ravel())
+@lru_cache(maxsize=None)
+def _faces(dim: int) -> tuple:
+    """(face, inner neighbour layer) index pairs of the trailing ``dim``
+    axes, axis by axis."""
+    pairs = []
+    for k in range(dim):
+        rest = (slice(None),) * (dim - 1 - k)
+        pairs += [((Ellipsis, 0) + rest, (Ellipsis, 1) + rest),
+                  ((Ellipsis, -1) + rest, (Ellipsis, -2) + rest)]
+    return tuple(pairs)
+
+
+def _impose_bc(values: np.ndarray, dim: int, bc: BoundaryKind, face_buf: np.ndarray) -> None:
+    """Boundary rule in place: zero faces for Dirichlet; for no-flux each face
+    copies its inner neighbour layer in axis order, so a later axis carries
+    the edges an earlier one set and every boundary node ends up with its
+    reflected interior partner.  The copies go through ``face_buf`` (shaped
+    like one face), where a copy within ``values`` would allocate one."""
+    for face, inner in _faces(dim):
+        if bc is BoundaryKind.DIRICHLET:
+            values[face] = 0.0
+        else:
+            np.copyto(face_buf, values[inner])
+            np.copyto(values[face], face_buf)
+
+
+class StepBuffers:
+    """Workspace for repeated steps of one C-contiguous state shape: c and y
+    in two copies each (a step reads one and writes the other) and three
+    scratch arrays (the Laplacian, reused for the noise and drift terms, and
+    two for the update of v), all shaped like the state, plus one boundary
+    face and the clamp mass per leading index.  A step with a workspace
+    returns views of these arrays, valid until the next step with it."""
+
+    def __init__(self, grid: GridSpec, lead: tuple[int, ...] = ()):
+        shape = tuple(lead) + grid.shape
+        self.c = (np.empty(shape), np.empty(shape))
+        self.y = (np.empty(shape), np.empty(shape))
+        self.lap, self.v, self.u = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.face = np.empty(shape[:-1])
+        self.mass = np.empty(tuple(lead))
+
+
+def _state_bytes(grid: GridSpec) -> int:
+    """Bytes of live step state per path: the seven workspace arrays and one
+    coefficient scratch over all nodes."""
+    return 8 * 8 * grid.n_nodes
 
 
 @dataclass
@@ -200,33 +248,63 @@ def step(
     bc: BoundaryKind,
     dt: float,
     dW,
+    work: StepBuffers | None = None,
 ) -> StepResult:
     """One explicit step.  ``c`` and ``y`` have trailing grid shape (leading
     axes are independent paths) and ``c`` already satisfies the boundary
-    rule; ``dW`` broadcasts against the leading axes."""
+    rule; ``dW`` broadcasts against the leading axes.
+
+    Every intermediate goes into ``work`` (a fresh workspace when None) and
+    the new state into the copies of c and y in ``work`` that do not hold the
+    input, so a loop that passes each result back in allocates nothing.  The
+    update of v runs on the flat band of ``laplacian_core`` (boundary nodes
+    inside it get scratch values that the boundary rule then replaces); per
+    node the operations and their order are those of the formulas in the
+    module docstring.
+    """
     dim = grid.dim
     h = grid.spacing
     lead = c.shape[: c.ndim - dim]
-    core = (slice(None),) * len(lead) + (slice(1, -1),) * dim
+    if work is None:
+        work = StepBuffers(grid, lead)
+    c_new = work.c[1] if c is work.c[0] else work.c[0]
+    y_new = work.y[1] if y is work.y[0] else work.y[0]
+    first = (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
+    band = slice(first, c.size - first)
+    c_b, y_b = c.reshape(-1)[band], y.reshape(-1)[band]
+    v, u = work.v.reshape(-1)[band], work.u.reshape(-1)[band]
 
-    c_int = c[core]
-    y_int = y[core]
-    v_new = coeffs.beta(c_int) + dt * (
-        laplacian_core(c, h, dim) + coeffs.f(c_int, y_int)
-    )
-    clamped = np.minimum(v_new, 0.0)
-    clamp_mass = -(h**dim) * clamped.reshape(lead + (-1,)).sum(axis=-1)
-    c_new_int = coeffs.beta_inv(np.maximum(v_new, 0.0))
+    # v+ = beta(c) + dt * (lap_h c + f(c, y)), clamped at zero
+    laplacian_core(c, h, dim, out=work.lap)
+    np.add(work.lap.reshape(-1)[band], coeffs.f(c_b, y_b, out=v), out=v)
+    v *= dt
+    np.add(coeffs.beta(c_b, out=u), v, out=v)
+    # the clamp mass sums the interior per path, contiguous as in the formula
+    v_int = work.v[(Ellipsis,) + (slice(1, -1),) * dim]
+    clamped = work.u.reshape(-1)[: v_int.size].reshape(v_int.shape)
+    np.copyto(clamped, v_int)  # a ufunc on the strided view would buffer
+    np.minimum(clamped, 0.0, out=clamped)
+    np.add.reduce(clamped.reshape(lead + (-1,)), axis=-1, out=work.mass)
+    work.mass *= -(h**dim)
+    np.maximum(v, 0.0, out=v)
+    c_new_b = c_new.reshape(-1)[band]
+    res = coeffs.beta_inv(v, out=c_new_b)
+    if res is not c_new_b:
+        c_new_b[...] = res
+    _impose_bc(c_new, dim, bc, work.face)
 
+    # y+ = max(y + a(y) dW + b(c, y) dt, 0)
     dw = np.asarray(dW, dtype=np.float64)
     if lead:
         dw = dw.reshape(dw.shape + (1,) * dim)
-    y_new = np.maximum(y + coeffs.a(y) * dw + coeffs.b(c, y) * dt, 0.0)
-
-    c_new = np.array(c, copy=True)
-    c_new[core] = c_new_int
-    c_new = apply_bc(c_new, grid, bc)
-    return StepResult(c_new, y_new, clamp_mass)
+    scratch = work.lap  # the Laplacian is used up
+    np.copyto(scratch, dw)  # a ufunc broadcasting dw would buffer
+    np.multiply(coeffs.a(y, out=y_new), scratch, out=y_new)
+    np.add(y, y_new, out=y_new)
+    np.multiply(coeffs.b(c, y, out=scratch), dt, out=scratch)
+    np.add(y_new, scratch, out=y_new)
+    np.maximum(y_new, 0.0, out=y_new)
+    return StepResult(c_new, y_new, work.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +427,17 @@ def _run_paths(
     Besides the terminal state and the clamp mass it records only what is
     asked for: frames every ``stride`` steps (0: none), the running per-path
     sup/min of c, and y at the flat probe node every ``probe_stride`` steps.
-    Every operation is elementwise per path and every reduction per path, so
-    how paths are batched never changes a bit.
+    With the extrema it raises ``NumericalAbort`` at the first step whose sup
+    is not finite.  Every operation is elementwise per path and every
+    reduction per path, so how paths are batched never changes a bit.  All
+    steps share one workspace.
     """
     grid, dt, inc = config.grid, wiener.dt, wiener.increments
     p, n_steps = inc.shape
     c1, y1 = prepare_initial(config, c0, y0)
-    c = np.broadcast_to(c1, (p,) + grid.shape).copy()
-    y = np.broadcast_to(y1, (p,) + grid.shape).copy()
+    work = StepBuffers(grid, (p,))
+    c, y = work.c[0], work.y[0]
+    c[...], y[...] = c1, y1
 
     def nodes(a):
         return a.reshape(p, -1)
@@ -378,12 +459,15 @@ def _run_paths(
         y_probe[:, 0] = nodes(y)[:, probe_flat]
 
     for n in range(1, n_steps + 1):
-        res = step(c, y, grid, config.coeffs, config.bc, dt, inc[:, n - 1])
+        res = step(c, y, grid, config.coeffs, config.bc, dt, inc[:, n - 1], work=work)
         c, y = res.c, res.y
         clamp += res.clamp_mass
         if extrema:
             np.maximum(c_sup, np.max(nodes(c), axis=1), out=c_sup)
             np.minimum(c_min, np.min(nodes(c), axis=1), out=c_min)
+            if not np.all(np.isfinite(c_sup)):
+                bad = int(path_ids[int(np.argmin(np.isfinite(c_sup)))])
+                raise NumericalAbort(f"non-finite c at step {n} of {n_steps} (path {bad})")
         if stride and n % stride == 0:
             cs[n // stride], ys[n // stride] = c, y
         if y_probe is not None and n % probe_stride == 0:
@@ -490,13 +574,16 @@ def simulate_ensemble(
     ``n_snapshots`` when given: the grid ``simulate_path`` uses for the same
     snapshot count, so path k here is bitwise the single path k.
 
-    Paths are processed in chunks of at most ``_CHUNK``; ``n_workers`` only
-    controls how many chunks run concurrently, so every reduction sees the
-    same operands in the same order and results are bitwise independent of
-    the worker count.  With ``n_snapshots`` every chunk also records
-    ``n_snapshots + 1`` frames (its ``frames`` field) and is passed to
-    ``on_chunk`` in path order; chunks then shrink so their frames fit
+    Paths are processed in chunks of at most ``_CHUNK``, shrunk so their
+    live step state fits ``_STATE_BYTES``, and made as even as that many
+    chunks allow; ``n_workers`` only controls how many chunks run
+    concurrently.  Every operation is elementwise per path and every
+    reduction per path, so results are bitwise independent of the chunk size
+    and the worker count.  With ``n_snapshots`` every chunk also
+    records ``n_snapshots + 1`` frames (its ``frames`` field) and is passed to
+    ``on_chunk`` in path order; chunks then also shrink so their frames fit
     ``_FRAME_BYTES``, and the frames are dropped once ``on_chunk`` returns.
+    A path whose c stops being finite raises ``NumericalAbort`` at that step.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -509,11 +596,13 @@ def simulate_ensemble(
             raise ValueError("probe_stride must divide the step count")
     else:
         probe_flat = None
-    chunk, stride = _CHUNK, 0
+    chunk, stride = min(_CHUNK, _STATE_BYTES // _state_bytes(grid)), 0
     if n_snapshots:
         stride = n_steps // n_snapshots
         per_path = (n_snapshots + 1) * grid.n_nodes * 16  # c and y frames in float64
-        chunk = max(1, min(_CHUNK, _FRAME_BYTES // per_path))
+        chunk = min(chunk, _FRAME_BYTES // per_path)
+    n_chunks = -(-n_paths // max(1, chunk))
+    chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
 
     all_ids = np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64)
     chunks = [all_ids[i : i + chunk] for i in range(0, n_paths, chunk)]

@@ -135,7 +135,7 @@ def test_clamp_ledger_counts_forced_negativity():
     grid = build_grid(1, 8)
     neg = SourceTerm(
         "sink",
-        lambda c, y: np.full_like(np.asarray(c, dtype=np.float64), -5.0),
+        lambda c, y, out=None: np.full_like(np.asarray(c, dtype=np.float64), -5.0),
         lambda c, y: np.zeros_like(np.asarray(c, dtype=np.float64)),
         lambda c, y: np.zeros_like(np.asarray(c, dtype=np.float64)),
     )

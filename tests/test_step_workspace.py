@@ -1,0 +1,350 @@
+"""The workspace step: bitwise equal to the step formulas written as plain
+numpy expressions, free of allocations once warm, and the coefficient `out=`
+contract it relies on; plus chunking invariance and the non-finite abort of
+the ensemble driver."""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from rpmelab import simulate
+from rpmelab.cli import main
+from rpmelab.grid import BoundaryKind, build_grid, laplacian_core
+from rpmelab.model import (
+    NoiseTerm,
+    SourceTerm,
+    make_coefficients,
+    pme_beta,
+    preset_coefficients,
+    regularize_beta,
+)
+from rpmelab.simulate import (
+    NumericalAbort,
+    SimConfig,
+    StepBuffers,
+    apply_bc,
+    cfl_dt,
+    interior_v_mass,
+    simulate_ensemble,
+    step,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def readme_terms():
+    return dict(
+        f=preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0}),
+        a=preset_coefficients("linear_a", {"sigma": 0.3}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    )
+
+
+COEFFS = {
+    "readme": make_coefficients(pme_beta(2.0), **readme_terms()),
+    "regularized": make_coefficients(regularize_beta(2.0, 1e-3), **readme_terms()),
+    "decaying": make_coefficients(
+        pme_beta(3.0),
+        f=preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.7}),
+        a=preset_coefficients("saturating_a", {"sigma": 0.4}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.2, "rho": 1.1}),
+    ),
+    "zero": make_coefficients(pme_beta(2.0)),
+}
+
+
+def reference_laplacian(values, h, dim):
+    """Interior Laplacian summed axis by axis over strided slices."""
+    core = (Ellipsis,) + (slice(1, -1),) * dim
+    acc = (-2.0 * dim) * values[core]
+    for k in range(dim):
+        for sl in (slice(2, None), slice(0, -2)):
+            idx = [slice(1, -1)] * dim
+            idx[k] = sl
+            acc = acc + values[(Ellipsis,) + tuple(idx)]
+    return acc / (h * h)
+
+
+def reference_step(c, y, grid, coeffs, bc, dt, dW):
+    """The step formulas with fresh arrays and a fancy-index boundary rule."""
+    dim, h = grid.dim, grid.spacing
+    lead = c.shape[: c.ndim - dim]
+    core = (Ellipsis,) + (slice(1, -1),) * dim
+    c_int, y_int = c[core], y[core]
+    v_new = coeffs.beta(c_int) + dt * (reference_laplacian(c, h, dim) + coeffs.f(c_int, y_int))
+    clamp = -(h**dim) * np.minimum(v_new, 0.0).reshape(lead + (-1,)).sum(axis=-1)
+    c_new = np.array(c, copy=True)
+    c_new[core] = coeffs.beta_inv(np.maximum(v_new, 0.0))
+    flat = c_new.reshape(lead + (-1,))
+    bidx = np.flatnonzero(grid.boundary_mask())
+    if bc is BoundaryKind.DIRICHLET:
+        flat[..., bidx] = 0.0
+    else:
+        flat[..., bidx] = flat[..., grid.reflect_flat().ravel()[bidx]]
+    dw = np.asarray(dW, dtype=np.float64)
+    dw = dw.reshape(dw.shape + (1,) * dim)
+    y_new = np.maximum(y + coeffs.a(y) * dw + coeffs.b(c, y) * dt, 0.0)
+    return c_new, y_new, clamp
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+CELLS = {1: 12, 2: 7, 3: 4}
+
+
+@st.composite
+def states(draw):
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, CELLS[dim])))
+    paths = draw(st.integers(1, 5))
+    bc = draw(st.sampled_from(list(BoundaryKind)))
+    coeffs = COEFFS[draw(st.sampled_from(sorted(COEFFS)))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (paths,) + grid.shape
+    c = apply_bc(rng.uniform(0.0, 2.0, shape), grid, bc)
+    y = rng.uniform(0.0, 2.0, shape)
+    return grid, bc, coeffs, c, y, rng
+
+
+@SETTINGS
+@given(states())
+def test_band_laplacian_matches_the_strided_sum_bitwise(state):
+    grid, _, _, c, _, _ = state
+    ref = reference_laplacian(c, grid.spacing, grid.dim)
+    assert same_bits(laplacian_core(c, grid.spacing, grid.dim), ref)
+    out = np.full(c.shape, np.nan)
+    got = laplacian_core(c[0], grid.spacing, grid.dim, out=out[0])
+    assert got.base is not None and same_bits(got, ref[0])
+
+
+@SETTINGS
+@given(states(), st.floats(1e-6, 1e-2), st.integers(1, 4))
+def test_workspace_step_matches_the_formulas_bitwise(state, dt, n_steps):
+    grid, bc, coeffs, c, y, rng = state
+    work = StepBuffers(grid, c.shape[:1])
+    cw, yw = c, y
+    with np.errstate(all="ignore"):
+        for _ in range(n_steps):
+            dw = rng.standard_normal(c.shape[0]) * np.sqrt(dt)
+            c_ref, y_ref, clamp_ref = reference_step(c, y, grid, coeffs, bc, dt, dw)
+            fresh = step(c, y, grid, coeffs, bc, dt, dw)
+            res = step(cw, yw, grid, coeffs, bc, dt, dw, work=work)
+            for got in (fresh, res):
+                assert same_bits(got.c, c_ref)
+                assert same_bits(got.y, y_ref)
+                assert same_bits(got.clamp_mass, clamp_ref)
+            c, y, cw, yw = c_ref, y_ref, res.c, res.y
+
+
+@SETTINGS
+@given(states(), st.floats(0.05, 1.0), st.integers(1, 5))
+def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, theta, n_steps):
+    grid, _, coeffs, c, y, rng = state
+    c = apply_bc(c, grid, BoundaryKind.NEUMANN)
+    zero_f = make_coefficients(coeffs.beta_family, a=coeffs.noise, b=coeffs.drift)
+    dt = cfl_dt(grid, zero_f, float(np.max(c)), theta)
+    work = StepBuffers(grid, c.shape[:1])
+    mass0 = [interior_v_mass(cp, grid, zero_f) for cp in c]
+    for _ in range(n_steps):
+        res = step(c, y, grid, zero_f, BoundaryKind.NEUMANN, dt,
+                   rng.standard_normal(c.shape[0]) * np.sqrt(dt), work=work)
+        c, y = res.c, res.y
+        assert np.min(c) >= 0.0 and np.min(y) >= 0.0
+        assume(np.all(res.clamp_mass == 0.0))
+    for cp, m0 in zip(c, mass0):
+        assert abs(interior_v_mass(cp, grid, zero_f) - m0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the coefficient out= contract
+
+
+def preset_callables():
+    fams = [pme_beta(2.0), pme_beta(3.0), regularize_beta(2.0, 1e-3), regularize_beta(1.5, 0.3)]
+    for fam in fams:
+        for name in ("beta", "beta_prime", "beta_inv", "recip_beta_prime"):
+            yield f"{fam.label}.{name}", getattr(fam, name), 1
+    terms = [
+        preset_coefficients("zero"),
+        preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0}),
+        preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.7}),
+        preset_coefficients("linear_a", {"sigma": 0.3}),
+        preset_coefficients("saturating_a", {"sigma": 0.4}),
+        preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    ]
+    for term in terms:
+        arity = 1 if isinstance(term, NoiseTerm) else 2
+        for name in ("fn", "d_c", "d_y", "deriv"):
+            if hasattr(term, name):
+                yield f"{term.label}.{name}", getattr(term, name), arity
+
+
+PRESETS = list(preset_callables())
+
+
+@pytest.mark.parametrize("label,fn,arity", PRESETS, ids=[p[0] for p in PRESETS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_preset_out_matches_fresh_result_bitwise(label, fn, arity, data):
+    shape = data.draw(st.sampled_from([(), (1,), (7,), (3, 4), (2, 3, 5)]))
+    values = st.floats(0.0, 50.0) | st.sampled_from([0.0, 1.0, 1e-300])
+    args = [np.asarray(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                          max_size=int(np.prod(shape))))).reshape(shape)
+            for _ in range(arity)]
+    if not shape:
+        args = [float(a) for a in args]
+    with np.errstate(all="ignore"):
+        fresh = fn(*args)
+        buf = np.full(shape, 123.0)
+        got = fn(*args, out=buf)
+    assert got is buf
+    assert same_bits(buf, fresh)
+    assert np.ndim(fresh) == len(shape)
+    if not shape:
+        assert not isinstance(fresh, np.ndarray) or fresh.ndim == 0
+
+
+def formula_cases():
+    """Presets next to their formulas written as plain numpy expressions."""
+    lam, cap, mu, sig, kap, rho, m, eps = 1.3, 1.5, 0.7, 0.4, 0.2, 1.1, 3.0, 0.3
+    log = preset_coefficients("logistic_f", {"lambda": lam, "K": cap, "mu_y": mu})
+    sat = preset_coefficients("saturating_a", {"sigma": sig})
+    cpl = preset_coefficients("coupling_b", {"kappa": kap, "rho": rho})
+    pme, reg = pme_beta(m), regularize_beta(m, eps)
+    return [
+        (log.fn, lambda c, y: lam * c * (1.0 - c / cap) * np.exp(-mu * y)),
+        (log.d_c, lambda c, y: lam * (1.0 - 2.0 * c / cap) * np.exp(-mu * y)),
+        (log.d_y, lambda c, y: -mu * (lam * c * (1.0 - c / cap) * np.exp(-mu * y))),
+        (cpl.fn, lambda c, y: kap * c - rho * y),
+        (sat.fn, lambda y: sig * y / (1.0 + y)),
+        (sat.deriv, lambda y: sig / (1.0 + y) ** 2),
+        (pme.beta, lambda c: c ** (1.0 / m)),
+        (pme.beta_inv, lambda c: c**m),
+        (pme.recip_beta_prime, lambda c: m * c ** (1.0 - 1.0 / m)),
+        (reg.beta, lambda c: (c + eps) ** (1.0 / m) - eps ** (1.0 / m)),
+        (reg.beta_inv, lambda c: (c + eps ** (1.0 / m)) ** m - eps),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(formula_cases())))
+def test_presets_keep_the_operand_order_of_their_formulas(case):
+    fn, formula = formula_cases()[case]
+    args = np.random.default_rng(case).uniform(0.0, 3.0, (formula.__code__.co_argcount, 500))
+    buf = np.empty(500)
+    assert same_bits(fn(*args, out=buf), formula(*args))
+
+
+# ---------------------------------------------------------------------------
+# allocation guard
+
+
+@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
+def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, bc, coeffs):
+    grid = build_grid(dim, cells)
+    coeffs = COEFFS[coeffs]
+    rng = np.random.default_rng(0)
+    work = StepBuffers(grid, (paths,))
+    c, y = work.c[0], work.y[0]
+    c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
+    y[...] = rng.uniform(0.5, 1.5, y.shape)
+    dt = cfl_dt(grid, coeffs, 2.0)
+    dws = rng.standard_normal((21, paths)) * np.sqrt(dt)
+    res = step(c, y, grid, coeffs, bc, dt, dws[0], work=work)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for dw in dws[1:]:
+            res = step(res.c, res.y, grid, coeffs, bc, dt, dw, work=work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < res.c.nbytes
+
+
+# ---------------------------------------------------------------------------
+# ensemble driver
+
+
+def small_config(coeffs=COEFFS["readme"], t_final=0.004):
+    return SimConfig(build_grid(2, 6), coeffs, BoundaryKind.NEUMANN, t_final=t_final)
+
+
+def cosine(x):
+    return 1.0 + 0.5 * np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunking_never_changes_a_bit(monkeypatch, workers):
+    # the source grows c at a rate set by each path's y, so the sups differ
+    config = small_config(COEFFS["decaying"], t_final=0.02)
+    per_path = simulate._state_bytes(config.grid)
+    kw = dict(n_paths=7, seed=11, probe_index=(3, 2), n_snapshots=4)
+
+    def run(budget, n_workers):
+        monkeypatch.setattr(simulate, "_STATE_BYTES", budget)
+        chunks, frames = [], {}
+
+        def keep(part):
+            chunks.append(len(part.path_ids))
+            for j, pid in enumerate(part.path_ids):
+                frames[int(pid)] = (part.frames.c[:, j].copy(), part.frames.y[:, j].copy())
+
+        res = simulate_ensemble(config, 0.2, 1.0, n_workers=n_workers, on_chunk=keep, **kw)
+        return res, frames, chunks
+
+    default = simulate._STATE_BYTES
+    ref, ref_frames, ref_chunks = run(default, 1)
+    assert ref_chunks == [7]
+    assert len(set(ref.c_sup)) == 7
+    for budget, sizes in ((per_path, [1] * 7), (3 * per_path, [3, 3, 1]), (default, [7])):
+        res, frames, chunks = run(budget, workers)
+        assert chunks == sizes
+        for attr in ("path_ids", "c_final", "y_final", "c_sup", "c_min", "clamp_mass",
+                     "probe_times", "y_probe"):
+            assert same_bits(getattr(res, attr), getattr(ref, attr)), attr
+        for pid, (c, y) in ref_frames.items():
+            assert same_bits(frames[pid][0], c) and same_bits(frames[pid][1], y)
+
+
+def nan_source(k, calls):
+    """Zero reaction until call k, NaN from call k on; counts its calls."""
+
+    def fn(c, y, out=None):
+        calls.append(1)
+        return np.full(np.shape(c), np.nan if len(calls) >= k else 0.0)
+
+    zero = preset_coefficients("zero")
+    return SourceTerm("nan", fn, zero.d_c, zero.d_y)
+
+
+def test_non_finite_state_aborts_at_its_step():
+    calls = []
+    config = small_config(make_coefficients(pme_beta(2.0), f=nan_source(5, calls)), t_final=0.02)
+    assert config.resolve_steps(1.5)[1] > 10
+    with pytest.raises(NumericalAbort, match=r"step 5 of \d+ \(path 0\)"):
+        simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0)
+    assert len(calls) == 5
+
+
+def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
+    from rpmelab import cli
+
+    calls = []
+    monkeypatch.setattr(
+        cli, "_coefficients",
+        lambda cfg: make_coefficients(pme_beta(2.0), f=nan_source(3, calls)),
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cells = 8\nt_final = 0.02\nn_paths = 2\ninitial.c = sine\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 4
+    assert len(calls) == 3
+    assert "step 3 of" in capsys.readouterr().err
+    assert not out.exists()
