@@ -43,9 +43,9 @@ _EXPORTS = {
         DerivativePair FormatError PathRecord read_record write_record
     """,
     "simulate": """
-        BatchFrames EnsembleResult SimConfig Trajectory WienerPath apply_bc
-        cfl_dt coarsen_wiener gen_wiener gen_wiener_batch interior_v_mass
-        prepare_initial simulate_batch simulate_ensemble simulate_path step
+        EnsembleResult SimConfig Trajectory WienerPath apply_bc cfl_dt
+        coarsen_wiener gen_wiener gen_wiener_batch interior_v_mass
+        prepare_initial simulate_ensemble simulate_path step
         NumericalAbort StepBuffers
     """,
     "transform": """

@@ -42,7 +42,7 @@ from .simulate import (
     coarsen_wiener,
     gen_wiener_batch,
     prepare_initial,
-    simulate_batch,
+    simulate_ensemble,
     simulate_path,
 )
 from .transform import TabulatedTransform, invert_psi
@@ -331,6 +331,7 @@ def cauchy_refinement(
     n_paths: int = 100,
     seed: int = 0,
     n_snapshots: int = 5,
+    n_workers: int = 1,
 ) -> RefinementResult:
     """Run the same noise through a ladder of grids and measure adjacent-level
     solution distances in the exact piecewise-constant cross-grid metric.
@@ -358,7 +359,9 @@ def cauchy_refinement(
     level_meta = []
     for cf, factor in zip(configs, factors):
         w = coarsen_wiener(wiener, factor)
-        frames.append(simulate_batch(cf, c0_fn, y0, w, n_snapshots))
+        frames.append(
+            simulate_ensemble(cf, c0_fn, y0, wiener=w, n_snapshots=n_snapshots, n_workers=n_workers)
+        )
         level_meta.append(RefinementLevel(cf.grid.cells_per_axis, w.dt, w.n_steps, factor))
 
     times = frames[0].times
@@ -402,6 +405,7 @@ def epsilon_sweep(
     *,
     n_paths: int = 20,
     seed: int = 0,
+    n_workers: int = 1,
 ) -> SweepResult:
     """Rerun the same data and noise under shrinking regularization and
     measure how fast successive solutions approach each other.
@@ -420,14 +424,11 @@ def epsilon_sweep(
     dt = config.t_final / n
     wiener = gen_wiener_batch(n, dt, seed, list(range(n_paths)))
 
-    finals = []
-    gaps = []
+    finals = [simulate_ensemble(cf, c0_fn, y0, wiener=wiener, n_workers=n_workers).c_final
+              for cf in configs]
+    gaps = [beta_gap(fam, max(2.0 * c0_max, 1.0)) for fam in families]
     hw = grid.spacing**grid.dim
     core = (slice(None),) + (slice(1, -1),) * grid.dim
-    for cf, fam in zip(configs, families):
-        out = simulate_batch(cf, c0_fn, y0, wiener, n_snapshots=1)
-        finals.append(out.c[-1])
-        gaps.append(beta_gap(fam, max(2.0 * c0_max, 1.0)))
     dists = []
     for i in range(len(finals) - 1):
         diff = finals[i] - finals[i + 1]

@@ -55,6 +55,7 @@ from .pathfile import DerivativePair, PathRecord, write_record
 from .simulate import (
     NumericalAbort,
     SimConfig,
+    _state_bytes,
     interior_v_mass,
     prepare_initial,
     simulate_ensemble,
@@ -417,8 +418,19 @@ def _initial(cfg: RunConfig):
         raise SchemaError("initial.c", str(exc)) from None
 
 
-def _sim_config(cfg: RunConfig) -> SimConfig:
-    grid = build_grid(cfg.dim, cfg.cells)
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
+    """The run description on the grid of ``cells``, or of the finest
+    ``converge.levels`` entry.  A grid whose step state for one path does
+    not fit in physical memory is rejected, naming that key, before any
+    array is allocated."""
+    grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
+    need = _state_bytes(grid)
+    if need > _physical_memory():
+        raise SchemaError(key, f"one path's step state ({need} bytes) exceeds physical memory")
     return SimConfig(
         grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt
     )
@@ -439,14 +451,15 @@ def _growth_radius(config: SimConfig, c0_fn, y0: float) -> tuple[float, float]:
 
 
 def _mass_report(c_frames, config: SimConfig, cfg: RunConfig) -> EstimateReport:
-    masses = [interior_v_mass(c, config.grid, config.coeffs) for c in c_frames]
-    drift = max(abs(m - masses[0]) for m in masses) / max(abs(masses[0]), 1e-300)
+    masses = interior_v_mass(c_frames, config.grid, config.coeffs)
+    m0 = float(masses[0])
+    drift = float(np.max(np.abs(masses - m0))) / max(abs(m0), 1e-300)
     conserved = cfg.bc == "neumann" and cfg.f_name == "zero"
     return EstimateReport(
         "mass_drift",
         drift,
         1e-12 if conserved else None,
-        {"initial_mass": masses[0], "final_mass": masses[-1]},
+        {"initial_mass": m0, "final_mass": float(masses[-1])},
     )
 
 
@@ -468,18 +481,17 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     reports: list[EstimateReport] = []
 
     def write_chunk(chunk) -> None:
-        frames = chunk.frames
-        _require_finite(frames.c, frames.y)
+        _require_finite(chunk.c, chunk.y)
         for j, pid in enumerate(int(p) for p in chunk.path_ids):
             tag = f"path_{pid:04d}"
-            c, y = frames.c[:, j], frames.y[:, j]
+            c, y = chunk.c[:, j], chunk.y[:, j]
             write_record(
                 staging / "paths" / f"{tag}.rpme1",
-                PathRecord(config.grid, cfg.seed, pid, frames.dt, frames.times, c, y, ()),
+                PathRecord(config.grid, cfg.seed, pid, chunk.dt, chunk.times, c, y, ()),
             )
             reports.append(linf_check(float(chunk.c_sup[j]), r2, f"{tag}_sup"))
             reports.append(replace(_mass_report(c, config, cfg), name=f"{tag}_mass_drift"))
-            reports.append(EstimateReport(f"{tag}_clamped_mass", float(frames.clamp_mass[j]), None))
+            reports.append(EstimateReport(f"{tag}_clamped_mass", float(chunk.clamp_mass[j]), None))
 
     ens = simulate_ensemble(
         config,
@@ -491,7 +503,6 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         n_snapshots=n_snap,
         on_chunk=write_chunk,
     )
-    _require_finite(ens.c_final, ens.y_final)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup"))
     reports.append(EstimateReport("ensemble_min", float(np.min(ens.c_min)), None))
     reports.append(
@@ -535,11 +546,10 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         n_paths=cfg.n_paths,
         seed=cfg.seed,
         n_workers=cfg.workers,
-        probe_index=center,
     )
     _require_finite(ens.c_final, ens.y_final)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
-    y_term = ens.y_probe[:, -1]
+    y_term = ens.y_final[(slice(None),) + center]
     reports.append(
         EstimateReport(
             "terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}
@@ -597,13 +607,14 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(levels) < 2 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
         raise SchemaError("converge.levels", "levels must double at every step")
     out = cauchy_refinement(
-        _sim_config(cfg),
+        _sim_config(cfg, "converge.levels"),
         _initial(cfg),
         cfg.y0,
         levels=levels,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
         n_snapshots=5,
+        n_workers=cfg.workers,
     )
     _require_finite(np.asarray(out.c_distances), np.asarray(out.y_distances))
     reports: list[EstimateReport] = []
@@ -623,7 +634,8 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 def _run_sweep_eps(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     out = epsilon_sweep(
-        _sim_config(cfg), cfg.eps_values, _initial(cfg), cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed
+        _sim_config(cfg), cfg.eps_values, _initial(cfg), cfg.y0,
+        n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
     )
     _require_finite(np.asarray(out.c_distances), np.asarray(out.gaps))
     reports: list[EstimateReport] = []

@@ -29,7 +29,7 @@ import numpy as np
 
 from .grid import BoundaryKind, GridSpec, laplacian_core
 from .model import CoefficientSet
-from .simulate import SimConfig, Trajectory, WienerPath, apply_bc, simulate_batch, simulate_path
+from .simulate import SimConfig, Trajectory, WienerPath, apply_bc, simulate_ensemble, simulate_path
 
 
 @dataclass
@@ -218,8 +218,8 @@ def perturbation_oracle(
     shifted = np.array(wiener.increments, copy=True)
     shifted[r_index : r_index + window_steps] += eps * wiener.dt
     pair = WienerPath(wiener.dt, np.stack([wiener.increments, shifted]))
-    final = simulate_batch(config, c0, y0, pair, n_snapshots=1)
-    (base_c, bumped_c), (base_y, bumped_y) = final.c[-1], final.y[-1]
+    final = simulate_ensemble(config, c0, y0, wiener=pair)
+    (base_c, bumped_c), (base_y, bumped_y) = final.c_final, final.y_final
     delta = window_steps * wiener.dt
     dq_c = (bumped_c - base_c) / (eps * delta)
     dq_y = (bumped_y - base_y) / (eps * delta)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -38,6 +38,9 @@ _FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see _state_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
+# steps of seeded noise drawn at a time; a Philox stream gives the same bits
+# in any blocking, so this bounds the noise buffer and changes no result
+_NOISE_BLOCK = 512
 
 
 class NumericalAbort(RuntimeError):
@@ -81,11 +84,6 @@ class WienerPath:
         return out
 
 
-def _philox_stream(seed: int, path_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     path_id & 0xFFFFFFFFFFFFFFFF]))
-
-
 def gen_wiener(n_steps: int, dt: float, seed: int, path_id: int = 0) -> WienerPath:
     """Counter-based stream keyed by (seed, path_id); identical arguments
     reproduce identical increments regardless of call order."""
@@ -96,10 +94,26 @@ def gen_wiener_batch(n_steps: int, dt: float, seed: int, path_ids: Sequence[int]
     """One ``gen_wiener`` stream per path id, paths on the leading axis."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    inc = np.empty((len(path_ids), n_steps))
-    for j, pid in enumerate(path_ids):
-        inc[j] = _philox_stream(seed, int(pid)).standard_normal(n_steps)
-    return WienerPath(dt, inc * math.sqrt(dt))
+    (inc,) = _philox_blocks(seed, path_ids, dt, n_steps, n_steps)
+    return WienerPath(dt, inc)
+
+
+def _philox_blocks(seed: int, path_ids, dt: float, n_steps: int, block: int):
+    """The increments of the Philox stream keyed by (seed, path_id) of each
+    path, ``block`` steps at a time, as (paths, steps) arrays.  Every block
+    is written into the same buffer, so a block is valid until the next one
+    is drawn."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    streams = [np.random.Generator(np.random.Philox(key=[seed & mask, int(pid) & mask]))
+               for pid in path_ids]
+    buf = np.empty((len(streams), min(block, n_steps)))
+    scale = math.sqrt(dt)
+    for start in range(0, n_steps, buf.shape[1]):
+        out = buf[:, : min(buf.shape[1], n_steps - start)]
+        for gen, row in zip(streams, out):
+            gen.standard_normal(out=row)
+        out *= scale
+        yield out
 
 
 def coarsen_wiener(wiener: WienerPath, factor: int) -> WienerPath:
@@ -330,36 +344,15 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.wiener.n_steps
 
-    def frame(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-        return float(self.times[k]), self.c[k], self.y[k]
-
-    def c_field(self, k: int) -> Field:
-        return Field(self.grid, self.c[k])
-
-    def y_field(self, k: int) -> Field:
-        return Field(self.grid, self.y[k])
-
-
-@dataclass
-class BatchFrames:
-    """Snapshot stack of a path batch: ``c`` and ``y`` have shape
-    (frames, paths, *grid.shape), frames uniformly spaced in steps."""
-
-    grid: GridSpec
-    dt: float
-    times: np.ndarray
-    c: np.ndarray
-    y: np.ndarray
-    clamp_mass: np.ndarray
-
 
 @dataclass
 class EnsembleResult:
     """Per-path terminal data and running statistics, path axis first.
 
-    ``y_probe`` is the probe-node value of y at every stored time when a
-    probe was requested (shape (paths, frames)).  ``frames`` is set only on
-    the chunks handed to an ``on_chunk`` callback.
+    ``c_sup`` and ``c_min`` are recorded by seeded runs only.  With
+    snapshots, ``times`` holds the stored times and ``c`` and ``y`` the
+    frames, shaped (frames, paths, *grid.shape); the frames stay None when
+    they went to an ``on_chunk`` callback instead.
     """
 
     grid: GridSpec
@@ -371,9 +364,22 @@ class EnsembleResult:
     c_sup: np.ndarray | None
     c_min: np.ndarray | None
     clamp_mass: np.ndarray
-    probe_times: np.ndarray | None = None
-    y_probe: np.ndarray | None = None
-    frames: BatchFrames | None = None
+    times: np.ndarray | None = None
+    c: np.ndarray | None = None
+    y: np.ndarray | None = None
+
+    def _paths(self, rows: slice) -> EnsembleResult:
+        """View of the paths in ``rows``; writing into it fills this result."""
+
+        def cut(a, lead=()):
+            return None if a is None else a[lead + (rows,)]
+
+        return replace(
+            self, path_ids=self.path_ids[rows], c_final=self.c_final[rows],
+            y_final=self.y_final[rows], c_sup=cut(self.c_sup), c_min=cut(self.c_min),
+            clamp_mass=self.clamp_mass[rows], c=cut(self.c, (slice(None),)),
+            y=cut(self.y, (slice(None),)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,133 +415,53 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 # the stepping loop
 
 
-def _run_paths(
-    config: SimConfig,
-    c0,
-    y0,
-    wiener: WienerPath,
-    path_ids: np.ndarray,
-    *,
-    stride: int = 0,
-    extrema: bool = False,
-    probe_flat: int | None = None,
-    probe_stride: int = 1,
-) -> EnsembleResult:
-    """Advance one path per row of ``wiener.increments`` from the initial
-    data ``c0``, ``y0`` to the end of the increments.
-
-    Besides the terminal state and the clamp mass it records only what is
-    asked for: frames every ``stride`` steps (0: none), the running per-path
-    sup/min of c, and y at the flat probe node every ``probe_stride`` steps.
-    With the extrema it raises ``NumericalAbort`` at the first step whose sup
-    is not finite.  Every operation is elementwise per path and every
-    reduction per path, so how paths are batched never changes a bit.  All
-    steps share one workspace.
+def _run_paths(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int) -> None:
+    """Advance the paths of ``part`` from ``c_init``, ``y_init`` under the
+    increments that ``noise`` yields in (paths, steps) blocks, filling the
+    arrays of ``part``: the terminal state, the clamp mass, the frames every
+    ``stride`` steps when ``part.c`` is set, and the running per-path sup/min
+    of c when ``part.c_sup`` is set, which raises ``NumericalAbort`` at the
+    first step whose sup is not finite.  Every operation and reduction is per
+    path, so how paths are batched never changes a bit.  All steps share one
+    workspace.
     """
-    grid, dt, inc = config.grid, wiener.dt, wiener.increments
-    p, n_steps = inc.shape
-    c1, y1 = prepare_initial(config, c0, y0)
+    grid, dt, n_steps = config.grid, part.dt, part.n_steps
+    p = len(part.path_ids)
     work = StepBuffers(grid, (p,))
     c, y = work.c[0], work.y[0]
-    c[...], y[...] = c1, y1
+    c[...], y[...] = c_init, y_init
 
     def nodes(a):
         return a.reshape(p, -1)
 
-    clamp = np.zeros(p)
-    c_sup = np.max(nodes(c), axis=1) if extrema else None
-    c_min = np.min(nodes(c), axis=1) if extrema else None
-    frames = None
-    if stride:
-        stored = np.arange(0, n_steps + 1, stride)
-        cs = np.empty((len(stored),) + c.shape)
-        ys = np.empty_like(cs)
-        cs[0], ys[0] = c, y
-        frames = BatchFrames(grid, dt, stored * dt, cs, ys, clamp)
-    probe_times = y_probe = None
-    if probe_flat is not None:
-        probe_times = np.arange(n_steps // probe_stride + 1) * (dt * probe_stride)
-        y_probe = np.empty((p, len(probe_times)))
-        y_probe[:, 0] = nodes(y)[:, probe_flat]
+    clamp, c_sup, c_min = part.clamp_mass, part.c_sup, part.c_min
+    clamp[...] = 0.0
+    if c_sup is not None:
+        np.max(nodes(c), axis=1, out=c_sup)
+        np.min(nodes(c), axis=1, out=c_min)
+    if part.c is not None:
+        part.c[0], part.y[0] = c, y
 
-    for n in range(1, n_steps + 1):
-        res = step(c, y, grid, config.coeffs, config.bc, dt, inc[:, n - 1], work=work)
-        c, y = res.c, res.y
-        clamp += res.clamp_mass
-        if extrema:
-            np.maximum(c_sup, np.max(nodes(c), axis=1), out=c_sup)
-            np.minimum(c_min, np.min(nodes(c), axis=1), out=c_min)
-            if not np.all(np.isfinite(c_sup)):
-                bad = int(path_ids[int(np.argmin(np.isfinite(c_sup)))])
-                raise NumericalAbort(f"non-finite c at step {n} of {n_steps} (path {bad})")
-        if stride and n % stride == 0:
-            cs[n // stride], ys[n // stride] = c, y
-        if y_probe is not None and n % probe_stride == 0:
-            y_probe[:, n // probe_stride] = nodes(y)[:, probe_flat]
-
-    return EnsembleResult(
-        grid=grid,
-        dt=dt,
-        n_steps=n_steps,
-        path_ids=np.array(path_ids),
-        c_final=c,
-        y_final=y,
-        c_sup=c_sup,
-        c_min=c_min,
-        clamp_mass=clamp,
-        probe_times=probe_times,
-        y_probe=y_probe,
-        frames=frames,
-    )
+    n = 0
+    for block in noise:
+        for dw in block.T:
+            n += 1
+            res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
+            c, y = res.c, res.y
+            clamp += res.clamp_mass
+            if c_sup is not None:
+                np.maximum(c_sup, np.max(nodes(c), axis=1), out=c_sup)
+                np.minimum(c_min, np.min(nodes(c), axis=1), out=c_min)
+                if not np.all(np.isfinite(c_sup)):
+                    bad = int(part.path_ids[int(np.argmin(np.isfinite(c_sup)))])
+                    raise NumericalAbort(f"non-finite c at step {n} of {n_steps} (path {bad})")
+            if part.c is not None and n % stride == 0:
+                part.c[n // stride], part.y[n // stride] = c, y
+    part.c_final[...], part.y_final[...] = c, y
 
 
 # ---------------------------------------------------------------------------
 # drivers
-
-
-def simulate_path(
-    config: SimConfig,
-    c0,
-    y0,
-    *,
-    seed: int = 0,
-    path_id: int = 0,
-    wiener: WienerPath | None = None,
-    n_snapshots: int | None = None,
-    store_dense: bool = False,
-) -> Trajectory:
-    """Run one path, as a batch of one.  Frames kept: every step when
-    ``store_dense``, otherwise ``n_snapshots + 1`` uniformly spaced frames
-    (default: first and last).  Passing ``wiener`` overrides generation and
-    pins dt and the step count."""
-    keep = n_snapshots if n_snapshots else 1
-    if wiener is not None:
-        if wiener.increments.ndim != 1:
-            raise ValueError("simulate_path needs a single-path wiener")
-        if abs(wiener.t_final - config.t_final) > 1e-9 * config.t_final:
-            raise ValueError("wiener horizon does not match t_final")
-    else:
-        c, _ = prepare_initial(config, c0, y0)
-        dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=keep)
-        wiener = gen_wiener(n_steps, dt, seed, path_id)
-    n_steps = wiener.n_steps
-    if not store_dense and n_steps % keep:
-        raise ValueError("snapshot count must divide the step count")
-    stride = 1 if store_dense else n_steps // keep
-
-    batch = WienerPath(wiener.dt, wiener.increments[None])
-    run = _run_paths(config, c0, y0, batch, [path_id], stride=stride)
-    return Trajectory(
-        grid=config.grid,
-        bc=config.bc,
-        dt=wiener.dt,
-        times=run.frames.times,
-        step_indices=np.arange(0, n_steps + 1, stride),
-        c=run.frames.c[:, 0],
-        y=run.frames.y[:, 0],
-        clamp_mass=float(run.clamp_mass[0]),
-        wiener=wiener,
-    )
 
 
 def _in_path_order(run, chunks: list, n_workers: int):
@@ -559,43 +485,50 @@ def simulate_ensemble(
     c0,
     y0,
     *,
-    n_paths: int,
+    n_paths: int | None = None,
+    wiener: WienerPath | None = None,
     seed: int = 0,
     first_path_id: int = 0,
     n_workers: int = 1,
-    probe_index: tuple[int, ...] | None = None,
-    probe_stride: int = 1,
     n_snapshots: int | None = None,
     on_chunk: Callable[[EnsembleResult], None] | None = None,
 ) -> EnsembleResult:
-    """Monte Carlo over independent paths, path_id = first_path_id + k.
+    """Independent paths from one initial state, path_id = first_path_id + k.
 
-    The step grid is resolved once, with a step count that is a multiple of
-    ``n_snapshots`` when given: the grid ``simulate_path`` uses for the same
-    snapshot count, so path k here is bitwise the single path k.
+    The noise is either ``n_paths`` seeded streams (those of ``gen_wiener``,
+    drawn ``_NOISE_BLOCK`` steps at a time) or the explicit increments
+    ``wiener``, one path per row, which pin dt and the step count.  A seeded
+    run resolves the step grid ``simulate_path`` uses for the same
+    ``n_snapshots``, so path k is bitwise the single path k; it also records
+    the per-path sup and min of c and raises ``NumericalAbort`` at the first
+    step where a path's c is not finite.
 
-    Paths are processed in chunks of at most ``_CHUNK``, shrunk so their
-    live step state fits ``_STATE_BYTES``, and made as even as that many
-    chunks allow; ``n_workers`` only controls how many chunks run
-    concurrently.  Every operation is elementwise per path and every
-    reduction per path, so results are bitwise independent of the chunk size
-    and the worker count.  With ``n_snapshots`` every chunk also
-    records ``n_snapshots + 1`` frames (its ``frames`` field) and is passed to
-    ``on_chunk`` in path order; chunks then also shrink so their frames fit
-    ``_FRAME_BYTES``, and the frames are dropped once ``on_chunk`` returns.
-    A path whose c stops being finite raises ``NumericalAbort`` at that step.
+    Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
+    fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out;
+    ``n_workers`` chunks run concurrently.  Results are bitwise independent
+    of the chunking and the worker count.  With ``n_snapshots`` every chunk
+    records ``n_snapshots + 1`` uniformly spaced frames: into its paths of
+    the result's frame stacks, or, given ``on_chunk``, into frames of its
+    own that are passed to ``on_chunk`` in path order (at most ``n_workers``
+    chunks alive) and dropped once it returns.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     grid = config.grid
-    c_init, _ = prepare_initial(config, c0, y0)
-    dt, n_steps = config.resolve_steps(float(np.max(c_init)), multiple_of=n_snapshots or 1)
-    if probe_index is not None:
-        probe_flat = int(np.ravel_multi_index(probe_index, grid.shape))
-        if n_steps % probe_stride:
-            raise ValueError("probe_stride must divide the step count")
+    c_init, y_init = prepare_initial(config, c0, y0)
+    if wiener is None:
+        if n_paths is None or n_paths < 1:
+            raise ValueError("n_paths must be positive")
+        dt, n_steps = config.resolve_steps(float(np.max(c_init)), multiple_of=n_snapshots or 1)
     else:
-        probe_flat = None
+        if n_paths is not None:
+            raise ValueError("pass either n_paths or wiener")
+        dt, n_steps = wiener.dt, wiener.n_steps
+        inc = wiener.increments.reshape(-1, n_steps)
+        n_paths = inc.shape[0]
+        if abs(wiener.t_final - config.t_final) > 1e-9 * config.t_final:
+            raise ValueError("wiener horizon does not match t_final")
+        if n_snapshots and n_steps % n_snapshots:
+            raise ValueError("snapshot count must divide the step count")
+
     chunk, stride = min(_CHUNK, _STATE_BYTES // _state_bytes(grid)), 0
     if n_snapshots:
         stride = n_steps // n_snapshots
@@ -604,69 +537,93 @@ def simulate_ensemble(
     n_chunks = -(-n_paths // max(1, chunk))
     chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
 
-    all_ids = np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64)
-    chunks = [all_ids[i : i + chunk] for i in range(0, n_paths, chunk)]
+    def frames(k):
+        return np.empty((n_snapshots + 1, k) + grid.shape) if n_snapshots else None
 
-    def run(ids):
-        return _run_paths(
-            config, c0, y0, gen_wiener_batch(n_steps, dt, seed, ids), ids,
-            stride=stride, extrema=True, probe_flat=probe_flat, probe_stride=probe_stride,
-        )
-
-    parts = []
-    for part in _in_path_order(run, chunks, n_workers):
-        if on_chunk is not None:
-            on_chunk(part)
-        part.frames = None
-        parts.append(part)
-
-    def cat(attr):
-        return np.concatenate([getattr(p, attr) for p in parts], axis=0)
-
-    return EnsembleResult(
+    keep = on_chunk is None
+    c_frames, y_frames = (frames(n_paths), frames(n_paths)) if keep else (None, None)
+    shape = (n_paths,) + grid.shape
+    seeded = wiener is None
+    result = EnsembleResult(
         grid=grid,
         dt=dt,
         n_steps=n_steps,
-        path_ids=cat("path_ids"),
-        c_final=cat("c_final"),
-        y_final=cat("y_final"),
-        c_sup=cat("c_sup"),
-        c_min=cat("c_min"),
-        clamp_mass=cat("clamp_mass"),
-        probe_times=parts[0].probe_times,
-        y_probe=cat("y_probe") if probe_flat is not None else None,
+        path_ids=np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64),
+        # the last kept frame is the terminal state
+        c_final=np.empty(shape) if c_frames is None else c_frames[-1],
+        y_final=np.empty(shape) if y_frames is None else y_frames[-1],
+        c_sup=np.empty(n_paths) if seeded else None,
+        c_min=np.empty(n_paths) if seeded else None,
+        clamp_mass=np.empty(n_paths),
+        times=np.arange(0, n_steps + 1, stride) * dt if n_snapshots else None,
+        c=c_frames,
+        y=y_frames,
     )
 
+    def run(rows):
+        part = result._paths(rows)
+        if not keep:
+            part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
+        noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
+        _run_paths(config, c_init, y_init, noise, part, stride)
+        return part
 
-def simulate_batch(
+    chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
+    for part in _in_path_order(run, chunks, n_workers):
+        if on_chunk is not None:
+            on_chunk(part)
+            part.c = part.y = None
+    return result
+
+
+def simulate_path(
     config: SimConfig,
     c0,
     y0,
-    wiener: WienerPath,
-    n_snapshots: int,
-) -> BatchFrames:
-    """Advance a whole path batch under the given increments (paths on the
-    leading axis), keeping ``n_snapshots + 1`` uniformly spaced frames.
-
-    The caller owns the step size: ``wiener.dt`` is used as is and must match
-    the horizon; the snapshot count must divide the step count.
-    """
-    if wiener.increments.ndim != 2:
-        raise ValueError("simulate_batch needs batched increments (paths, steps)")
+    *,
+    seed: int = 0,
+    path_id: int = 0,
+    wiener: WienerPath | None = None,
+    n_snapshots: int | None = None,
+    store_dense: bool = False,
+) -> Trajectory:
+    """One path: ``simulate_ensemble`` under the increments ``wiener``,
+    which pin dt and the step count, or else under ``gen_wiener(..., seed,
+    path_id)`` on the step grid a seeded ensemble resolves for
+    ``n_snapshots``.  Frames kept: every step when ``store_dense``,
+    otherwise ``n_snapshots + 1`` uniformly spaced frames (default: first
+    and last)."""
+    if wiener is None:
+        c, _ = prepare_initial(config, c0, y0)
+        dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=n_snapshots or 1)
+        wiener = gen_wiener(n_steps, dt, seed, path_id)
+    elif wiener.increments.ndim != 1:
+        raise ValueError("simulate_path needs a single-path wiener")
     n_steps = wiener.n_steps
-    if abs(wiener.t_final - config.t_final) > 1e-9 * config.t_final:
-        raise ValueError("wiener horizon does not match t_final")
-    if n_snapshots < 1 or n_steps % n_snapshots:
-        raise ValueError("snapshot count must divide the step count")
-    ids = np.arange(wiener.increments.shape[0])
-    return _run_paths(config, c0, y0, wiener, ids, stride=n_steps // n_snapshots).frames
+    keep = n_steps if store_dense else n_snapshots or 1
+    run = simulate_ensemble(config, c0, y0, wiener=wiener, first_path_id=path_id, n_snapshots=keep)
+    return Trajectory(
+        grid=config.grid,
+        bc=config.bc,
+        dt=wiener.dt,
+        times=run.times,
+        step_indices=np.arange(0, n_steps + 1, n_steps // keep),
+        c=run.c[:, 0],
+        y=run.y[:, 0],
+        clamp_mass=float(run.clamp_mass[0]),
+        wiener=wiener,
+    )
 
 
 # ---------------------------------------------------------------------------
 # conserved quantity
 
 
-def interior_v_mass(c: np.ndarray, grid: GridSpec, coeffs: CoefficientSet) -> float:
-    """h**dim-weighted interior sum of the conserved variable beta(c)."""
-    core = (slice(1, -1),) * grid.dim
-    return float(grid.spacing**grid.dim * np.sum(coeffs.beta(c[core])))
+def interior_v_mass(c: np.ndarray, grid: GridSpec, coeffs: CoefficientSet):
+    """h**dim-weighted interior sum of the conserved variable beta(c): a
+    float for one state, an array over the leading axes of a stack of
+    states, each summed in the order ``np.sum`` sums a single state."""
+    lead = c.shape[: c.ndim - grid.dim]
+    core = (Ellipsis,) + (slice(1, -1),) * grid.dim
+    mass = grid.spacing**grid.dim * coeffs.beta(c[core]).reshape(lead + (-1,)).sum(axis=-1)
+    return mass if lead else float(mass)

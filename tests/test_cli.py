@@ -261,7 +261,7 @@ def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):
 
     def spy(*args, on_chunk, **kwargs):
         def record(chunk):
-            assert chunk.frames.c.nbytes + chunk.frames.y.nbytes <= _FRAME_BYTES
+            assert chunk.c.nbytes + chunk.y.nbytes <= _FRAME_BYTES
             chunk_ids.append([int(p) for p in chunk.path_ids])
             on_chunk(chunk)
 
@@ -499,3 +499,60 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     assert m1["digests"] == m3["digests"]  # worker count is invisible in artifacts
     assert m1["reports"] == m3["reports"]
     assert _file_bytes(out1) == _file_bytes(out3)
+
+
+LADDER = (
+    "cells = 8\nt_final = 0.01\nn_paths = 130\nseed = 5\nconverge.levels = 4,8\n"
+    "sweep.eps = 1e-1,2.5e-2\ninitial.c = cosine\ninitial.y = 1.0\n"
+    "coeff.f = logistic\ncoeff.a = linear\ncoeff.b = coupling\n"
+)
+
+
+@pytest.mark.parametrize("command", ["converge", "sweep-eps"])
+def test_ladders_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, command):
+    from rpmelab import analysis
+
+    workers = []
+    real = analysis.simulate_ensemble
+
+    def spy(*args, n_workers, **kwargs):
+        workers.append(n_workers)
+        return real(*args, n_workers=n_workers, **kwargs)
+
+    monkeypatch.setattr(analysis, "simulate_ensemble", spy)
+    # 130 paths run as two chunks
+    code1, out1 = run_cli(command, tmp_path, LADDER, "w1")
+    code3, out3 = run_cli(command, tmp_path, LADDER + "workers = 3\n", "w3")
+    assert code1 == code3 == 0
+    assert set(workers) == {1, 3}
+    assert _normalized_manifest(out1)["digests"] == _normalized_manifest(out3)["digests"]
+    assert _file_bytes(out1) == _file_bytes(out3)
+
+
+@pytest.mark.parametrize(
+    "command,text,cells,key",
+    [
+        ("simulate", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
+        ("malliavin", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
+        ("sweep-eps", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
+        # cells is not converge's grid: only its finest level counts
+        ("converge", "dim = 2\ncells = 64\nt_final = 0.001\nconverge.levels = 4,8\n", 8,
+         "converge.levels"),
+    ],
+)
+def test_step_state_beyond_physical_memory_exits_3(
+    tmp_path, monkeypatch, capsys, command, text, cells, key
+):
+    from rpmelab import cli
+    from rpmelab.grid import build_grid
+    from rpmelab.simulate import _state_bytes
+
+    need = _state_bytes(build_grid(2, cells))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    code, out = run_cli(command, tmp_path, text, "over")
+    assert code == 3
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run_cli(command, tmp_path, text, "fits")[0] == 0
+

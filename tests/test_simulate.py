@@ -53,6 +53,17 @@ def test_single_step_matches_hand_update():
     assert float(res.clamp_mass) == 0.0
 
 
+@pytest.mark.parametrize("dim,cells", [(1, 32), (1, 1024), (2, 32), (3, 12)])
+def test_stacked_interior_mass_matches_one_state_at_a_time(dim, cells):
+    grid = build_grid(dim, cells)
+    coeffs = make_coefficients(pme_beta(3.0))
+    frames = np.random.default_rng(dim * cells).uniform(0.0, 2.0, (17,) + grid.shape)
+    core = (slice(1, -1),) * dim
+    loop = [float(grid.spacing**dim * np.sum(coeffs.beta(c[core]))) for c in frames]
+    assert np.array_equal(interior_v_mass(frames, grid, coeffs), loop)
+    assert [interior_v_mass(c, grid, coeffs) for c in frames] == loop
+
+
 def test_neumann_mass_conservation_exact():
     grid = build_grid(1, 16)
     coeffs = make_coefficients(pme_beta(2.0))
@@ -243,16 +254,6 @@ def test_ensemble_worker_count_is_invisible():
         assert np.array_equal(getattr(base, attr), getattr(quad, attr)), attr
 
 
-def test_ensemble_probe_series():
-    config = _rich_config()
-    ens = simulate_ensemble(
-        config, c0_sine, 1.0, n_paths=3, seed=21, probe_index=(2,), probe_stride=1
-    )
-    traj = simulate_path(config, c0_sine, 1.0, seed=21, path_id=1, store_dense=True)
-    assert np.array_equal(ens.y_probe[1], traj.y[:, 2])
-    assert np.allclose(ens.probe_times, traj.times, rtol=0, atol=1e-15)
-
-
 def _readme_config(cells=16):
     coeffs = make_coefficients(
         pme_beta(2.0),
@@ -279,24 +280,24 @@ def test_ensemble_snapshots_use_the_single_path_grid():
     assert config.resolve_steps(float(np.max(c_init)))[1] % k != 0
     assert ens.n_steps % k == 0
     assert [int(p) for c in chunks for p in c.path_ids] == [2, 3, 4, 5]
-    assert all(c.frames is None for c in chunks)  # dropped after the callback
+    assert all(c.c is None and c.y is None for c in chunks)  # dropped after the callback
     chunks = []
 
     def keep_frames(chunk):
-        chunks.append((chunk.path_ids, chunk.frames))
+        chunks.append((chunk.path_ids, chunk.times, chunk.c, chunk.y, chunk.clamp_mass))
 
     simulate_ensemble(
         config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
         n_snapshots=k, on_chunk=keep_frames,
     )
-    for ids, frames in chunks:
+    for ids, times, c, y, clamp_mass in chunks:
         for j, pid in enumerate(ids):
             traj = simulate_path(config, c0_cosine, 1.0, seed=5, path_id=int(pid), n_snapshots=k)
             assert (traj.dt, traj.n_steps) == (ens.dt, ens.n_steps)
-            assert np.array_equal(frames.times, traj.times)
-            assert np.array_equal(frames.c[:, j], traj.c)
-            assert np.array_equal(frames.y[:, j], traj.y)
-            assert frames.clamp_mass[j] == traj.clamp_mass
+            assert np.array_equal(times, traj.times)
+            assert np.array_equal(c[:, j], traj.c)
+            assert np.array_equal(y[:, j], traj.y)
+            assert clamp_mass[j] == traj.clamp_mass
 
 
 def test_sde_drift_only_matches_exponential_decay():

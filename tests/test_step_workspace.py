@@ -2,6 +2,7 @@
 numpy expressions, free of allocations once warm, and the coefficient `out=`
 contract it relies on; plus chunking invariance and the non-finite abort of
 the ensemble driver."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rpmelab import simulate
+from rpmelab.analysis import cauchy_refinement, epsilon_sweep
 from rpmelab.cli import main
 from rpmelab.grid import BoundaryKind, build_grid, laplacian_core
 from rpmelab.model import (
@@ -19,14 +21,17 @@ from rpmelab.model import (
     preset_coefficients,
     regularize_beta,
 )
+from rpmelab.malliavin import perturbation_oracle
 from rpmelab.simulate import (
     NumericalAbort,
     SimConfig,
     StepBuffers,
     apply_bc,
     cfl_dt,
+    gen_wiener,
     interior_v_mass,
     simulate_ensemble,
+    simulate_path,
     step,
 )
 
@@ -280,37 +285,90 @@ def cosine(x):
     return 1.0 + 0.5 * np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_chunking_never_changes_a_bit(monkeypatch, workers):
+RESULT_FIELDS = (
+    "path_ids", "c_final", "y_final", "c_sup", "c_min", "clamp_mass", "times", "c", "y"
+)
+
+
+def every_caller(n_workers):
+    """What each caller of ``simulate_ensemble`` returns on one small
+    problem, as named arrays, plus the chunk sizes of a streamed ensemble."""
     # the source grows c at a rate set by each path's y, so the sups differ
     config = small_config(COEFFS["decaying"], t_final=0.02)
-    per_path = simulate._state_bytes(config.grid)
-    kw = dict(n_paths=7, seed=11, probe_index=(3, 2), n_snapshots=4)
+    kw = dict(n_paths=7, seed=11, n_workers=n_workers, n_snapshots=4)
+    chunks, frames = [], []
 
-    def run(budget, n_workers):
-        monkeypatch.setattr(simulate, "_STATE_BYTES", budget)
-        chunks, frames = [], {}
+    def keep(part):
+        chunks.append(len(part.path_ids))
+        frames.extend((part.c[:, j].copy(), part.y[:, j].copy()) for j in range(chunks[-1]))
 
-        def keep(part):
-            chunks.append(len(part.path_ids))
-            for j, pid in enumerate(part.path_ids):
-                frames[int(pid)] = (part.frames.c[:, j].copy(), part.frames.y[:, j].copy())
+    streamed = simulate_ensemble(config, 0.2, 1.0, on_chunk=keep, **kw)
+    kept = simulate_ensemble(config, 0.2, 1.0, **kw)
+    traj = simulate_path(config, cosine, 1.0, seed=11, path_id=3, n_snapshots=4)
+    refine = cauchy_refinement(
+        config, cosine, 1.0, levels=(4, 8), n_paths=7, seed=11, n_snapshots=2, n_workers=n_workers
+    )
+    sweep = epsilon_sweep(config, (0.1, 0.01), cosine, 1.0, n_paths=7, seed=11, n_workers=n_workers)
+    wiener = gen_wiener(traj.n_steps, traj.dt, seed=11)
+    oracle = perturbation_oracle(config, cosine, 1.0, wiener, 2, 3, 1e-3)
 
-        res = simulate_ensemble(config, 0.2, 1.0, n_workers=n_workers, on_chunk=keep, **kw)
-        return res, frames, chunks
+    out = {f"streamed.{a}": getattr(streamed, a) for a in RESULT_FIELDS}
+    out.update({f"kept.{a}": getattr(kept, a) for a in RESULT_FIELDS})
+    out["streamed.frames"] = np.array(frames)
+    path_fields = ("times", "step_indices", "c", "y", "clamp_mass")
+    out.update({f"path.{a}": getattr(traj, a) for a in path_fields})
+    out.update({f"refine.{a}": getattr(refine, a) for a in ("times", "c_distances", "y_distances")})
+    out.update({f"sweep.{a}": getattr(sweep, a) for a in ("dt", "gaps", "c_distances")})
+    out["oracle"] = np.array(oracle)
+    return out, chunks
 
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunking_never_changes_a_bit(monkeypatch, workers):
+    per_path = simulate._state_bytes(small_config().grid)
     default = simulate._STATE_BYTES
-    ref, ref_frames, ref_chunks = run(default, 1)
+    ref, ref_chunks = every_caller(1)
     assert ref_chunks == [7]
-    assert len(set(ref.c_sup)) == 7
-    for budget, sizes in ((per_path, [1] * 7), (3 * per_path, [3, 3, 1]), (default, [7])):
-        res, frames, chunks = run(budget, workers)
-        assert chunks == sizes
-        for attr in ("path_ids", "c_final", "y_final", "c_sup", "c_min", "clamp_mass",
-                     "probe_times", "y_probe"):
-            assert same_bits(getattr(res, attr), getattr(ref, attr)), attr
-        for pid, (c, y) in ref_frames.items():
-            assert same_bits(frames[pid][0], c) and same_bits(frames[pid][1], y)
+    assert len(set(ref["kept.c_sup"])) == 7
+    assert same_bits(ref["kept.c"][-1], ref["kept.c_final"])
+    assert same_bits(ref["streamed.frames"][:, 0], np.moveaxis(ref["kept.c"], 1, 0))
+    # chunks on worker threads write into one shared result: switch often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for budget, sizes in ((per_path, [1] * 7), (3 * per_path, [3, 3, 1]), (default, [7])):
+            monkeypatch.setattr(simulate, "_STATE_BYTES", budget)
+            res, chunks = every_caller(workers)
+            assert chunks == sizes
+            assert res.keys() == ref.keys()
+            for name, value in ref.items():
+                assert same_bits(res[name], value), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_noise_block_never_changes_a_bit(monkeypatch, block):
+    ref, _ = every_caller(2)
+    monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+    res, _ = every_caller(2)
+    for name, value in ref.items():
+        assert same_bits(res[name], value), name
+
+
+def test_seeded_noise_is_drawn_in_blocks():
+    # the whole run's increments would take 128 paths x 10,240 steps = 10 MiB
+    config = SimConfig(
+        build_grid(1, 2), COEFFS["readme"], BoundaryKind.NEUMANN, t_final=1.0, dt=1.0 / 10_240
+    )
+    tracemalloc.start()
+    try:
+        simulate_ensemble(config, 0.5, 1.0, n_paths=128, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 128 * 10_240 * 8 >= 10 * 2**20
+    assert peak < 2 * 2**20
 
 
 def nan_source(k, calls):
