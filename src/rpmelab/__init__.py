@@ -29,9 +29,9 @@ _EXPORTS = {
         pc_spline project
     """,
     "malliavin": """
-        MalliavinSlice MalliavinState derivative_run init_malliavin
-        perturbation_oracle propagate propagate_seeds recover_drc seed_index
-        step_malliavin
+        MalliavinSlice MalliavinState TangentBuffers derivative_run
+        init_malliavin perturbation_oracle propagate propagate_path
+        propagate_seeds recover_drc seed_index step_malliavin
     """,
     "model": """
         AssumptionProfile AssumptionReport BetaFamily CoefficientSet
@@ -40,7 +40,7 @@ _EXPORTS = {
         regularize_beta validate_assumptions
     """,
     "pathfile": """
-        DerivativePair FormatError PathRecord read_record write_record
+        DerivativePair FormatError PathRecord RecordWriter read_record write_record
     """,
     "simulate": """
         EnsembleResult SimConfig Trajectory WienerPath apply_bc cfl_dt

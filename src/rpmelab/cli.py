@@ -42,7 +42,7 @@ from .analysis import (
     weak_residual,
 )
 from .grid import BoundaryKind, build_grid, free_node_count
-from .malliavin import propagate_seeds, seed_index
+from .malliavin import propagate_path, seed_index
 from .model import (
     initial_preset,
     make_coefficients,
@@ -51,11 +51,12 @@ from .model import (
     r2_bound,
     regularize_beta,
 )
-from .pathfile import DerivativePair, PathRecord, write_record
+from .pathfile import DerivativePair, PathRecord, RecordWriter, write_record
 from .simulate import (
     NumericalAbort,
     SimConfig,
     _state_bytes,
+    gen_wiener,
     interior_v_mass,
     prepare_initial,
     simulate_ensemble,
@@ -438,7 +439,7 @@ def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
 
 def _require_finite(*arrays) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalAbort("non-finite state encountered")
 
 
@@ -561,45 +562,48 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     c0_fn = _initial(cfg)
-    traj = simulate_path(config, c0_fn, cfg.y0, seed=cfg.seed, path_id=0, store_dense=True)
-    _require_finite(traj.c, traj.y)
-    n = traj.n_steps
+    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
+    dt, n = config.resolve_steps(float(np.max(c_init)))
 
-    # one sweep carries every seed; each seed's report steps end at n, so its
+    # one run carries every seed; each seed's report steps end at n, so its
     # last slice is the terminal pair for the record
     r_indices = [seed_index(frac, n) for frac in cfg.malliavin_fractions]
     strides = [max(1, (n - r) // 8) for r in r_indices]
     steps = [malliavin_report_steps(n, r, st) for r, st in zip(r_indices, strides)]
-    seeds = propagate_seeds(traj, config.coeffs, r_indices, steps)
-
-    # autonomous linear state derivative: the propagated value must
-    # reproduce a(y(T)) = sigma * y(T) node for node
-    closed = None
-    if cfg.a_name == "linear" and cfg.b_name == "zero":
-        closed = config.coeffs.a(traj.y[-1])
-
-    reports: list[EstimateReport] = []
-    pairs = []
-    for r_index, stride, slices in zip(r_indices, strides, seeds):
-        sl = slices[-1]
-        _require_finite(sl.z, sl.dry)
-        pairs.append(DerivativePair(r_index * traj.dt, sl.t, sl.drc, sl.dry))
-        for rep in malliavin_report(slices, traj.grid, r_index, stride):
-            reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
-        if closed is not None:
-            rel = float(
-                np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300)
-            )
-            reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
 
     (staging / "paths").mkdir()
-    write_record(
-        staging / "paths" / "malliavin_path.rpme1",
-        PathRecord(
-            config.grid, cfg.seed, 0, traj.dt, traj.times, traj.c, traj.y, tuple(pairs)
-        ),
-    )
-    return {"malliavin": reports}, {"dt": traj.dt, "r2_bound": None}
+    path = staging / "paths" / "malliavin_path.rpme1"
+    with RecordWriter(path, config.grid, cfg.seed, 0, dt, n + 1) as record:
+
+        def frame(k, c, y):  # every frame is checked as it is written
+            _require_finite(c, y)
+            record.frame(k * dt, c, y)
+
+        frame(0, c_init, y_init)
+        wiener = gen_wiener(n, dt, cfg.seed, 0)
+        run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps, on_frame=frame)
+
+        # autonomous linear state derivative: the propagated value must
+        # reproduce a(y(T)) = sigma * y(T) node for node
+        closed = None
+        if cfg.a_name == "linear" and cfg.b_name == "zero":
+            closed = config.coeffs.a(run.y_final[0])
+
+        reports: list[EstimateReport] = []
+        pairs = []
+        for r_index, stride, slices in zip(r_indices, strides, seeds):
+            sl = slices[-1]
+            _require_finite(sl.z, sl.dry)
+            pairs.append(DerivativePair(r_index * dt, sl.t, sl.drc, sl.dry))
+            for rep in malliavin_report(slices, config.grid, r_index, stride):
+                reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
+            if closed is not None:
+                rel = float(
+                    np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300)
+                )
+                reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
+        record.finish(pairs)
+    return {"malliavin": reports}, {"dt": dt, "r2_bound": None}
 
 
 def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
@@ -690,6 +694,9 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # artifact output
 
+# bytes of an artifact hashed at a time, so a large record is never read whole
+_DIGEST_BLOCK = 2**20
+
 
 def _write_csv(path: Path, reports: list[EstimateReport]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -711,7 +718,11 @@ def _digest_tree(staging: Path) -> dict[str, str]:
     out = {}
     for p in sorted(staging.rglob("*")):
         if p.is_file():
-            out[p.relative_to(staging).as_posix()] = hashlib.sha256(p.read_bytes()).hexdigest()
+            digest = hashlib.sha256()
+            with open(p, "rb") as fh:
+                while block := fh.read(_DIGEST_BLOCK):
+                    digest.update(block)
+            out[p.relative_to(staging).as_posix()] = digest.hexdigest()
     return out
 
 

@@ -1,4 +1,4 @@
-"""Propagation of pathwise noise derivatives along a stored trajectory.
+"""Propagation of pathwise noise derivatives along a primal path.
 
 For a differentiation time r the pair (z, dry) solves the variational system
 obtained by differentiating the scheme w.r.t. the Brownian path at r:
@@ -19,9 +19,12 @@ or source feedback it telescopes to dry(T) = sigma * y(T) exactly.
 
 Where the primal clamp at zero bites, the derivative is zeroed (the clamp's
 a.e. derivative), so the quotient of a clamped perturbed run still matches.
+The pair is carried inside the primal's stepping loop and reads the clamp
+gates the primal step leaves in its workspace.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +32,17 @@ import numpy as np
 
 from .grid import BoundaryKind, GridSpec, laplacian_core
 from .model import CoefficientSet
-from .simulate import SimConfig, Trajectory, WienerPath, apply_bc, simulate_ensemble, simulate_path
+from .simulate import (
+    EnsembleResult,
+    SimConfig,
+    StepBuffers,
+    Trajectory,
+    WienerPath,
+    _impose_bc,
+    simulate_ensemble,
+    simulate_path,
+    step,
+)
 
 
 @dataclass
@@ -59,6 +72,33 @@ def init_malliavin(y_r: np.ndarray, coeffs: CoefficientSet) -> MalliavinState:
     return MalliavinState(z=np.zeros_like(y_r), dry=np.asarray(coeffs.a(y_r), dtype=np.float64).copy())
 
 
+class TangentBuffers:
+    """Workspace for tangent steps of derivative pairs shaped ``shape``
+    (seed axes, then the grid) along primal states shaped ``primal``: the
+    new pair, four scratch arrays and a boundary face per seed, and one
+    coefficient value shaped like the primal.  ``head(k)`` is the workspace
+    of the first k seeds in the same memory, so a batch that grows at its
+    end stays contiguous."""
+
+    def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...]):
+        self.z, self.dry, self.drc, self.lap, self.t, self.u = (np.zeros(shape) for _ in range(6))
+        self.face = np.zeros(shape[:-1])
+        self.shared = np.zeros(primal)
+
+    def head(self, k: int) -> TangentBuffers:
+        view = copy.copy(self)
+        for name in ("z", "dry", "drc", "lap", "t", "u", "face"):
+            setattr(view, name, getattr(self, name)[:k])
+        return view
+
+
+def _tiled(work: TangentBuffers, coef, *args) -> np.ndarray:
+    """``coef(*args)`` evaluated once into ``work.shared`` and copied to every
+    seed's row of ``work.u``; a ufunc broadcasting it would buffer."""
+    np.copyto(work.u, coef(*args, out=work.shared))
+    return work.u
+
+
 def step_malliavin(
     mstate: MalliavinState,
     c: np.ndarray,
@@ -68,54 +108,141 @@ def step_malliavin(
     bc: BoundaryKind,
     dt: float,
     dW,
+    primal: StepBuffers | None = None,
+    work: TangentBuffers | None = None,
 ) -> MalliavinState:
     """Advance the derivative pair across one primal step (c, y) -> next.
 
     ``mstate`` may carry leading seed axes; ``c`` and ``y``, the primal
     states at the step start, broadcast against them, and so does ``dW``
-    against the leading axes.  The primal pre-clamp values that gate the
-    derivative where the clamp was active depend only on the primal states,
-    so seeds sharing one path share one evaluation of them.
+    against the leading axes.  The derivative is zeroed where the primal
+    clamps bit: ``primal`` is the gate-carrying workspace of the primal step
+    from (c, y) under ``dW``, and without it that step is taken here.
+
+    The new pair goes into ``work.z`` and ``work.dry`` (a fresh workspace
+    when None), which may hold ``mstate`` itself, so a sweep allocates
+    nothing.  Seed-sized operations run on whole contiguous rows (boundary
+    nodes get scratch that the boundary rule replaces), in the operation
+    order of the formulas in the module docstring.  Each coefficient is
+    evaluated once at the primal state and copied to every seed's row.
     """
-    dim = grid.dim
-    h = grid.spacing
-    core = (Ellipsis,) + (slice(1, -1),) * dim
-
-    z, dry = mstate.z, mstate.dry
-    drc = recover_drc(z, c, coeffs)
-
-    c_int, y_int = c[core], y[core]
-    z_new_int = z[core] + dt * (
-        laplacian_core(drc, h, dim)
-        + coeffs.df_dc(c_int, y_int) * drc[core]
-        + coeffs.df_dy(c_int, y_int) * dry[core]
-    )
-    # primal clamp gating: the a.e. derivative of max(., 0) is an indicator
-    v_pre = coeffs.beta(c_int) + dt * (laplacian_core(c, h, dim) + coeffs.f(c_int, y_int))
-    z_new_int = np.where(v_pre < 0.0, 0.0, z_new_int)
-
-    z_new = np.array(z, copy=True)
-    z_new[core] = z_new_int
-    z_new = apply_bc(z_new, grid, bc)
-
+    dim, z, dry = grid.dim, mstate.z, mstate.dry
     dw = np.asarray(dW, dtype=np.float64)
-    dw = dw.reshape(dw.shape + (1,) * dim)
-    dry_new = dry + coeffs.a_prime(y) * dry * dw + (
-        coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry
-    ) * dt
-    y_pre = y + coeffs.a(y) * dw + coeffs.b(c, y) * dt
-    dry_new = np.where(y_pre < 0.0, 0.0, dry_new)
-    return MalliavinState(z=z_new, dry=dry_new)
+    if primal is None or work is None:
+        lead = np.broadcast_shapes(z.shape[: z.ndim - dim], c.shape[: c.ndim - dim], dw.shape)
+    if primal is None:
+        primal = StepBuffers(grid, lead, gates=True)
+        c_full, y_full = (np.ascontiguousarray(np.broadcast_to(a, lead + grid.shape)) for a in (c, y))
+        step(c_full, y_full, grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
+    if work is None:
+        work = TangentBuffers(lead + grid.shape, c.shape)
+    drc, lap, t, u = work.drc, work.lap, work.t, work.u
 
+    # z+ = z + dt * (lap_h drc + f_c drc + f_y dry), zero where v+ was clamped
+    np.multiply(z, _tiled(work, coeffs.recip_beta_prime, c), out=drc)
+    laplacian_core(drc, grid.spacing, dim, out=lap)
+    np.add(lap, np.multiply(_tiled(work, coeffs.df_dc, c, y), drc, out=t), out=lap)
+    np.add(lap, np.multiply(_tiled(work, coeffs.df_dy, c, y), dry, out=t), out=lap)
+    np.multiply(dt, lap, out=lap)
+    np.add(z, lap, out=work.z)
+    np.copyto(work.z, 0.0, where=primal.v_gate)
+    _impose_bc(work.z, dim, bc, work.face)
 
-def _require_dense(traj: Trajectory) -> None:
-    if not np.array_equal(traj.step_indices, np.arange(traj.n_steps + 1)):
-        raise ValueError("derivative propagation needs a densely stored trajectory")
+    # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
+    np.multiply(_tiled(work, coeffs.a_prime, y), dry, out=t)
+    np.copyto(u, dw.reshape(dw.shape + (1,) * dim))
+    np.multiply(t, u, out=t)
+    np.add(dry, t, out=t)
+    np.multiply(_tiled(work, coeffs.db_dc, c, y), drc, out=lap)
+    np.add(lap, np.multiply(_tiled(work, coeffs.db_dy, c, y), dry, out=drc), out=lap)
+    np.multiply(lap, dt, out=lap)
+    np.add(t, lap, out=work.dry)
+    np.copyto(work.dry, 0.0, where=primal.y_gate)
+    return MalliavinState(work.z, work.dry)
 
 
 def seed_index(fraction: float, n_steps: int) -> int:
     """Seed step for a fraction of the horizon, clipped to [0, n_steps)."""
     return min(n_steps - 1, max(0, int(round(fraction * n_steps))))
+
+
+class _Tangent:
+    """Tangent recorder of one primal path, the ``on_step`` of its run (see
+    ``propagate_path``).  Its seeds, sorted by seed step, are the rows of one
+    workspace for all of them; a seed's row becomes active at its step, so
+    the active seeds are always the leading rows."""
+
+    def __init__(self, config: SimConfig, wiener: WienerPath, first: int, r_indices, t_indices, on_frame):
+        n = first + wiener.n_steps
+        r_list = [int(r) for r in r_indices]
+        if t_indices is None:
+            t_indices = [[n]] * len(r_list)
+        if len(t_indices) != len(r_list):
+            raise ValueError("need one list of evaluation indices per seed")
+        self.emit: dict[int, list[int]] = {}  # step index -> seeds wanting a slice there
+        self.joins = []  # (seed step, seed) of every seed that wants a slice, sorted
+        for j, (r, ts) in enumerate(zip(r_list, t_indices)):
+            if not first <= r < n:
+                raise ValueError(f"r_index {r} outside [{first}, {n})")
+            wanted = sorted(set(int(k) for k in ts))
+            if wanted and (wanted[0] <= r or wanted[-1] > n):
+                raise ValueError("evaluation indices must lie in (r_index, n_steps]")
+            if wanted:
+                self.joins.append((r, j))
+            for k in wanted:
+                self.emit.setdefault(k, []).append(j)
+        self.joins.sort()
+        self.row = {j: i for i, (_, j) in enumerate(self.joins)}
+        self.config, self.dt, self.k, self.on_frame = config, wiener.dt, first, on_frame
+        self.work = TangentBuffers((len(self.joins),) + config.grid.shape, (1,) + config.grid.shape)
+        self.active = self.work.head(0)
+        self.out: list[list[MalliavinSlice]] = [[] for _ in r_list]
+
+    def __call__(self, res, c, y, dw, primal: StepBuffers) -> None:
+        cf, k, a = self.config, self.k, len(self.active.z)
+        self.k += 1
+        while a < len(self.joins) and self.joins[a][0] == k:
+            seed = init_malliavin(y[0], cf.coeffs)
+            self.work.z[a], self.work.dry[a] = seed.z, seed.dry
+            a += 1
+            self.active = self.work.head(a)
+        if a:
+            state = MalliavinState(self.active.z, self.active.dry)
+            step_malliavin(state, c, y, cf.grid, cf.coeffs, cf.bc, self.dt, dw, primal, self.active)
+        for j in self.emit.get(k + 1, ()):
+            z, dry = self.work.z[self.row[j]].copy(), self.work.dry[self.row[j]].copy()
+            drc = recover_drc(z, res.c[0], cf.coeffs)
+            self.out[j].append(MalliavinSlice(k + 1, float((k + 1) * self.dt), z, drc, dry))
+        if self.on_frame is not None:
+            self.on_frame(k + 1, res.c[0], res.y[0])
+
+
+def propagate_path(
+    config: SimConfig,
+    c0,
+    y0,
+    wiener: WienerPath,
+    r_indices: Sequence[int],
+    t_indices: Sequence[Sequence[int]] | None = None,
+    *,
+    first_step: int = 0,
+    on_frame=None,
+) -> tuple[EnsembleResult | None, list[list[MalliavinSlice]]]:
+    """Step one primal path from (c0, y0) at step ``first_step`` to step n
+    under the increments ``wiener``, and carry one derivative pair per seed
+    step in ``r_indices`` along it in the same loop.  Returns the primal run
+    (None, and nothing stepped, when no slice is wanted) and, per seed, its
+    slices at its own ``t_indices`` (default: step n only); every new primal
+    state goes to ``on_frame(k, c, y)``.  Seed j joins at its step r_j with
+    z = 0 and dry = a(y(r_j)); every operation is elementwise per seed, so a
+    seed's slices are bitwise those of a sweep carrying it alone.
+    """
+    if wiener.increments.ndim != 1:
+        raise ValueError("propagate_path needs a single-path wiener")
+    tangent = _Tangent(config, wiener, first_step, r_indices, t_indices, on_frame)
+    if not tangent.joins:
+        return None, tangent.out
+    return simulate_ensemble(config, c0, y0, wiener=wiener, on_step=tangent), tangent.out
 
 
 def propagate_seeds(
@@ -124,61 +251,17 @@ def propagate_seeds(
     r_indices: Sequence[int],
     t_indices: Sequence[Sequence[int]] | None = None,
 ) -> list[list[MalliavinSlice]]:
-    """Propagate one derivative pair per seed step in ``r_indices`` in a
-    single sweep over the stored path; returns, per seed, its slices at its
-    own ``t_indices`` (default: the final step only).
-
-    The sweep starts at the earliest seed.  Seed j joins the batch at its
-    step r_j, with z = 0 and dry = a(y(r_j)), and from then on advances with
-    the seeds already running.  Every operation is elementwise per seed, so
-    a seed's slices are bitwise those of a sweep carrying it alone.  Only
-    increments at steps >= min(r_indices) are read: the derivative is local
-    in the differentiation time.
-    """
-    _require_dense(traj)
-    n = traj.n_steps
-    r_list = [int(r) for r in r_indices]
-    if t_indices is None:
-        t_indices = [[n]] * len(r_list)
-    if len(t_indices) != len(r_list):
-        raise ValueError("need one list of evaluation indices per seed")
-    emit: dict[int, list[int]] = {}  # step index -> seeds wanting a slice there
-    joins = []  # (seed step, seed) of every seed that wants a slice
-    for j, (r, ts) in enumerate(zip(r_list, t_indices)):
-        if not 0 <= r < n:
-            raise ValueError(f"r_index {r} outside [0, {n})")
-        wanted = sorted(set(int(k) for k in ts))
-        if wanted and (wanted[0] <= r or wanted[-1] > n):
-            raise ValueError("evaluation indices must lie in (r_index, n_steps]")
-        if wanted:
-            joins.append((r, j))
-        for k in wanted:
-            emit.setdefault(k, []).append(j)
-
-    out: list[list[MalliavinSlice]] = [[] for _ in r_list]
-    if not joins:
-        return out
-    joins.sort()
-    inc = traj.wiener.increments
-    row: dict[int, int] = {}  # seed -> its row in the batched state
-    state = MalliavinState(np.empty((0,) + traj.grid.shape), np.empty((0,) + traj.grid.shape))
-    for k in range(joins[0][0], max(emit)):
-        while joins and joins[0][0] == k:
-            seed = init_malliavin(traj.y[k], coeffs)
-            row[joins.pop(0)[1]] = len(state.z)
-            state = MalliavinState(
-                np.concatenate([state.z, seed.z[None]]),
-                np.concatenate([state.dry, seed.dry[None]]),
-            )
-        state = step_malliavin(
-            state, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt, inc[k]
-        )
-        for j in emit.get(k + 1, ()):
-            z, dry = state.z[row[j]], state.dry[row[j]]
-            drc = recover_drc(z, traj.c[k + 1], coeffs)
-            t = float(traj.times[k + 1])
-            out[j].append(MalliavinSlice(k + 1, t, z.copy(), drc, dry.copy()))
-    return out
+    """``propagate_path`` along a stored trajectory: the primal is stepped
+    again from the last stored frame at or before the earliest seed, under
+    the trajectory's increments, which reproduces it bitwise.  Only
+    increments from that frame on are read: the derivative is local in the
+    differentiation time."""
+    r0 = min([int(r) for r in r_indices] + [traj.n_steps - 1])
+    i = max(0, int(np.searchsorted(traj.step_indices, r0, side="right")) - 1)
+    first, inc = int(traj.step_indices[i]), traj.wiener.increments
+    wiener = WienerPath(traj.dt, [inc[k] for k in range(first, traj.n_steps)])
+    config = SimConfig(traj.grid, coeffs, traj.bc, t_final=wiener.t_final)
+    return propagate_path(config, traj.c[i], traj.y[i], wiener, r_indices, t_indices, first_step=first)[1]
 
 
 def propagate(
@@ -236,7 +319,7 @@ def derivative_run(
     r_fractions=(0.25, 0.5),
 ) -> tuple[Trajectory, list[MalliavinSlice]]:
     """Dense primal run plus terminal derivative slices seeded at the given
-    fractions of the horizon."""
+    fractions of the horizon, carried along it by ``propagate_seeds``."""
     traj = simulate_path(config, c0, y0, seed=seed, path_id=path_id, store_dense=True)
     r_indices = [seed_index(frac, traj.n_steps) for frac in r_fractions]
     seeds = propagate_seeds(traj, config.coeffs, r_indices)

@@ -15,7 +15,9 @@ Layout, all integers unsigned little-endian, all floats IEEE f64:
     per pair:
         f64 r, f64 t, then drc then dry, row-major over all nodes
 
-Readers validate the magic and sizes and refuse anything inconsistent.
+The frame count comes first and the pairs last, so ``RecordWriter`` can
+stream a record frame by frame as a run produces it.  Readers validate the
+magic and sizes and refuse anything inconsistent.
 """
 from __future__ import annotations
 
@@ -28,7 +30,9 @@ from .grid import GridSpec, build_grid
 
 MAGIC = b"RPME1"
 _HEAD = struct.Struct("<III QQ d")
-_PAIR_HEAD = struct.Struct("<dd")
+# bytes buffered before a write reaches the file, so a record of many small
+# frames goes out in large blocks
+_WRITE_BUFFER = 2**18
 
 
 @dataclass(frozen=True)
@@ -58,32 +62,70 @@ class FormatError(ValueError):
     pass
 
 
+def _fields(grid: GridSpec, *names: str) -> np.dtype:
+    """One snapshot (t, c, y) or one pair (r, t, drc, dry) as it is stored:
+    scalars first, then the arrays over all nodes."""
+    return np.dtype([(n, "<f8", () if n in ("r", "t") else grid.shape) for n in names])
+
+
+class RecordWriter:
+    """Streams one record to ``path``: the header when opened, then
+    ``n_snapshots`` calls of ``frame``, then ``finish`` with the derivative
+    pairs.  Arrays go to the file through the buffer protocol, and memory
+    stays that of one frame.  Use it in a ``with`` block, which closes the
+    file."""
+
+    def __init__(self, path, grid: GridSpec, seed: int, path_id: int, dt: float, n_snapshots: int):
+        self._grid, self._left = grid, n_snapshots
+        self._fh = open(path, "wb", buffering=_WRITE_BUFFER)
+        self._fh.write(MAGIC + _HEAD.pack(grid.dim, grid.cells_per_axis, n_snapshots, seed, path_id, dt))
+
+    def __enter__(self) -> RecordWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _write(self, head: bytes, a: np.ndarray, b: np.ndarray) -> None:
+        if a.shape != self._grid.shape or b.shape != self._grid.shape:
+            raise ValueError("arrays do not match the grid")
+        self._fh.write(head)
+        self._fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        self._fh.write(np.ascontiguousarray(b, dtype="<f8"))
+
+    def frame(self, t: float, c: np.ndarray, y: np.ndarray) -> None:
+        if self._left == 0:
+            raise ValueError("more snapshots than the header announced")
+        self._write(struct.pack("<d", t), c, y)
+        self._left -= 1
+
+    def finish(self, pairs) -> None:
+        if self._left:
+            raise ValueError(f"{self._left} announced snapshots were not written")
+        self._fh.write(struct.pack("<I", len(pairs)))
+        for pair in pairs:
+            self._write(struct.pack("<dd", pair.r, pair.t), pair.drc, pair.dry)
+
+
 def write_record(path, record: PathRecord) -> None:
-    g = record.grid
-    n_snap = len(record.times)
+    g, n_snap = record.grid, len(record.times)
     if record.c.shape != (n_snap,) + g.shape or record.y.shape != (n_snap,) + g.shape:
         raise ValueError("snapshot arrays do not match the grid")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEAD.pack(g.dim, g.cells_per_axis, n_snap,
-                            record.seed, record.path_id, record.dt))
-        for k in range(n_snap):
-            fh.write(struct.pack("<d", float(record.times[k])))
-            fh.write(np.ascontiguousarray(record.c[k], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(record.y[k], dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(record.pairs)))
-        for pair in record.pairs:
-            if pair.drc.shape != g.shape or pair.dry.shape != g.shape:
-                raise ValueError("derivative arrays do not match the grid")
-            fh.write(_PAIR_HEAD.pack(pair.r, pair.t))
-            fh.write(np.ascontiguousarray(pair.drc, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(pair.dry, dtype="<f8").tobytes())
+    with RecordWriter(path, g, record.seed, record.path_id, record.dt, n_snap) as out:
+        for t, c, y in zip(record.times, record.c, record.y):
+            out.frame(t, c, y)
+        out.finish(record.pairs)
 
 
 def _take(buf: memoryview, offset: int, n_bytes: int, what: str) -> tuple[memoryview, int]:
     if offset + n_bytes > len(buf):
         raise FormatError(f"truncated file while reading {what}")
     return buf[offset : offset + n_bytes], offset + n_bytes
+
+
+def _table(buf: memoryview, offset: int, dtype: np.dtype, count: int, what: str):
+    raw, offset = _take(buf, offset, dtype.itemsize * count, what)
+    return np.frombuffer(raw, dtype), offset
 
 
 def read_record(path) -> PathRecord:
@@ -98,31 +140,11 @@ def read_record(path) -> PathRecord:
         grid = build_grid(int(dim), int(m))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    n_nodes = grid.n_nodes
-    field_bytes = 8 * n_nodes
-
-    times = np.empty(n_snap)
-    c = np.empty((n_snap,) + grid.shape)
-    y = np.empty_like(c)
-    for k in range(n_snap):
-        raw, off = _take(buf, off, 8, "snapshot time")
-        times[k] = struct.unpack("<d", raw)[0]
-        raw, off = _take(buf, off, field_bytes, "snapshot c")
-        c[k] = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-        raw, off = _take(buf, off, field_bytes, "snapshot y")
-        y[k] = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-
+    frames, off = _table(buf, off, _fields(grid, "t", "c", "y"), n_snap, "snapshots")
     raw, off = _take(buf, off, 4, "pair count")
-    n_pairs = struct.unpack("<I", raw)[0]
-    pairs = []
-    for _ in range(n_pairs):
-        raw, off = _take(buf, off, _PAIR_HEAD.size, "pair header")
-        r, t = _PAIR_HEAD.unpack(raw)
-        raw, off = _take(buf, off, field_bytes, "pair drc")
-        drc = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-        raw, off = _take(buf, off, field_bytes, "pair dry")
-        dry = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-        pairs.append(DerivativePair(r, t, drc, dry))
+    pairs, off = _table(buf, off, _fields(grid, "r", "t", "drc", "dry"), *struct.unpack("<I", raw), "pairs")
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes")
-    return PathRecord(grid, seed, path_id, dt, times, c, y, tuple(pairs))
+    c, y = frames["c"].copy(), frames["y"].copy()
+    pairs = tuple(DerivativePair(float(p["r"]), float(p["t"]), p["drc"].copy(), p["dry"].copy()) for p in pairs)
+    return PathRecord(grid, seed, path_id, dt, frames["t"].copy(), c, y, pairs)

@@ -229,16 +229,19 @@ class StepBuffers:
     in two copies each (a step reads one and writes the other) and three
     scratch arrays (the Laplacian, reused for the noise and drift terms, and
     two for the update of v), all shaped like the state, plus one boundary
-    face and the clamp mass per leading index.  A step with a workspace
-    returns views of these arrays, valid until the next step with it."""
+    face and the clamp mass per leading index; with ``gates``, the clamp gates
+    of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.  A
+    step with a workspace returns views of these, valid until its next step."""
 
-    def __init__(self, grid: GridSpec, lead: tuple[int, ...] = ()):
+    def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False):
         shape = tuple(lead) + grid.shape
         self.c = (np.empty(shape), np.empty(shape))
         self.y = (np.empty(shape), np.empty(shape))
         self.lap, self.v, self.u = np.empty(shape), np.empty(shape), np.empty(shape)
         self.face = np.empty(shape[:-1])
         self.mass = np.empty(tuple(lead))
+        self.v_gate = np.zeros(shape, bool) if gates else None
+        self.y_gate = np.zeros(shape, bool) if gates else None
 
 
 def _state_bytes(grid: GridSpec) -> int:
@@ -300,6 +303,8 @@ def step(
     np.minimum(clamped, 0.0, out=clamped)
     np.add.reduce(clamped.reshape(lead + (-1,)), axis=-1, out=work.mass)
     work.mass *= -(h**dim)
+    if work.v_gate is not None:
+        np.less(v, 0.0, out=work.v_gate.reshape(-1)[band])
     np.maximum(v, 0.0, out=v)
     c_new_b = c_new.reshape(-1)[band]
     res = coeffs.beta_inv(v, out=c_new_b)
@@ -317,6 +322,8 @@ def step(
     np.add(y, y_new, out=y_new)
     np.multiply(coeffs.b(c, y, out=scratch), dt, out=scratch)
     np.add(y_new, scratch, out=y_new)
+    if work.y_gate is not None:
+        np.less(y_new, 0.0, out=work.y_gate)
     np.maximum(y_new, 0.0, out=y_new)
     return StepResult(c_new, y_new, work.mass)
 
@@ -387,6 +394,8 @@ class EnsembleResult:
 
 
 def _coerce_values(grid: GridSpec, data, name: str) -> np.ndarray:
+    if isinstance(data, np.ndarray) and data.shape == grid.shape:
+        return np.array(data, dtype=np.float64)  # a stored state: taken as it is
     if isinstance(data, Field):
         if data.grid != grid:
             raise ValueError(f"{name} lives on a different grid")
@@ -406,6 +415,9 @@ def _coerce_values(grid: GridSpec, data, name: str) -> np.ndarray:
 
 
 def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
+    """Initial state from a constant, a ``Field`` or a function of the node
+    points, each checked to be finite and nonnegative, or from a state array
+    of the grid's shape, such as a stored frame, taken as it is."""
     c = apply_bc(_coerce_values(config.grid, c0, "c0"), config.grid, config.bc)
     y = _coerce_values(config.grid, y0, "y0")
     return c, y
@@ -415,7 +427,9 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 # the stepping loop
 
 
-def _run_paths(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int) -> None:
+def _run_paths(
+    config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step=None
+) -> None:
     """Advance the paths of ``part`` from ``c_init``, ``y_init`` under the
     increments that ``noise`` yields in (paths, steps) blocks, filling the
     arrays of ``part``: the terminal state, the clamp mass, the frames every
@@ -423,11 +437,12 @@ def _run_paths(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, s
     of c when ``part.c_sup`` is set, which raises ``NumericalAbort`` at the
     first step whose sup is not finite.  Every operation and reduction is per
     path, so how paths are batched never changes a bit.  All steps share one
-    workspace.
+    workspace, with the clamp gates when ``on_step(res, c, y, dw, work)`` is
+    given; it gets each step's result, start state, increments and workspace.
     """
     grid, dt, n_steps = config.grid, part.dt, part.n_steps
     p = len(part.path_ids)
-    work = StepBuffers(grid, (p,))
+    work = StepBuffers(grid, (p,), gates=on_step is not None)
     c, y = work.c[0], work.y[0]
     c[...], y[...] = c_init, y_init
 
@@ -447,6 +462,8 @@ def _run_paths(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, s
         for dw in block.T:
             n += 1
             res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
+            if on_step is not None:
+                on_step(res, c, y, dw, work)
             c, y = res.c, res.y
             clamp += res.clamp_mass
             if c_sup is not None:
@@ -492,6 +509,7 @@ def simulate_ensemble(
     n_workers: int = 1,
     n_snapshots: int | None = None,
     on_chunk: Callable[[EnsembleResult], None] | None = None,
+    on_step: Callable | None = None,
 ) -> EnsembleResult:
     """Independent paths from one initial state, path_id = first_path_id + k.
 
@@ -510,7 +528,8 @@ def simulate_ensemble(
     records ``n_snapshots + 1`` uniformly spaced frames: into its paths of
     the result's frame stacks, or, given ``on_chunk``, into frames of its
     own that are passed to ``on_chunk`` in path order (at most ``n_workers``
-    chunks alive) and dropped once it returns.
+    chunks alive) and dropped once it returns.  ``on_step`` sees every step
+    of every chunk, on the chunk's thread (see ``_run_paths``).
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
@@ -565,7 +584,7 @@ def simulate_ensemble(
         if not keep:
             part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
-        _run_paths(config, c_init, y_init, noise, part, stride)
+        _run_paths(config, c_init, y_init, noise, part, stride, on_step)
         return part
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]

@@ -556,3 +556,43 @@ def test_step_state_beyond_physical_memory_exits_3(
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert run_cli(command, tmp_path, text, "fits")[0] == 0
 
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_artifacts_are_hashed_in_blocks(tmp_path, monkeypatch, block):
+    from rpmelab import cli
+
+    if block is not None:
+        monkeypatch.setattr(cli, "_DIGEST_BLOCK", block)
+    data = np.random.default_rng(0).bytes(2 * cli._DIGEST_BLOCK + 12345)
+    (tmp_path / "paths").mkdir()
+    (tmp_path / "paths" / "big.rpme1").write_bytes(data)
+    (tmp_path / "empty.csv").write_bytes(b"")
+    assert cli._digest_tree(tmp_path) == {
+        "empty.csv": hashlib.sha256(b"").hexdigest(),
+        "paths/big.rpme1": hashlib.sha256(data).hexdigest(),
+    }
+
+
+DERIVATIVE_2D = (
+    "dim = 2\ncells = 32\nt_final = 0.05\nmalliavin.fractions = 0.1,0.25,0.5,0.75\n"
+    "beta = pme:2.0\ninitial.c = cosine\ninitial.c.amplitude = 0.5\ninitial.y = 1.0\n"
+    "coeff.f = logistic\ncoeff.f.lambda = 0.5\ncoeff.a = linear\ncoeff.a.sigma = 0.3\n"
+    "coeff.b = coupling\n"
+)
+
+
+def test_malliavin_streams_its_record_in_bounded_memory(tmp_path):
+    # the record holds every step of the primal, over 20 MiB; the run keeps
+    # O(state) of it (the frames were held whole before, a 22.9 MiB peak)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = run_cli("malliavin", tmp_path, DERIVATIVE_2D, "deriv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (out / "paths" / "malliavin_path.rpme1").stat().st_size > 20 * 2**20
+    assert peak < 4 * 2**20

@@ -3,8 +3,9 @@ noise, locality in the differentiation time, linearity, and agreement with a
 bumped-path finite difference."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rpmelab.grid import BoundaryKind, build_grid
+from rpmelab.grid import BoundaryKind, Field, build_grid, laplacian_core
 from rpmelab.malliavin import (
     MalliavinState,
     derivative_run,
@@ -16,8 +17,17 @@ from rpmelab.malliavin import (
     seed_index,
     step_malliavin,
 )
-from rpmelab.model import make_coefficients, pme_beta, preset_coefficients
-from rpmelab.simulate import SimConfig, WienerPath, gen_wiener, simulate_path
+from rpmelab.model import make_coefficients, pme_beta, preset_coefficients, regularize_beta
+from rpmelab.simulate import (
+    SimConfig,
+    StepBuffers,
+    WienerPath,
+    apply_bc,
+    cfl_dt,
+    gen_wiener,
+    simulate_path,
+    step,
+)
 
 
 def test_recover_drc_chain_rule():
@@ -158,9 +168,29 @@ def test_propagate_validates_inputs():
         propagate(traj, config.coeffs, traj.n_steps)
     with pytest.raises(ValueError):
         propagate(traj, config.coeffs, 3, t_indices=[2])
-    sparse = simulate_path(config, c0_sine, 1.0, seed=5, n_snapshots=5)
-    with pytest.raises(ValueError):
-        propagate(sparse, config.coeffs, 0)
+
+
+@pytest.mark.parametrize("first_frame", [False, True])
+def test_sparse_trajectory_gives_the_dense_slices_bitwise(first_frame):
+    # the primal is stepped again from the last stored frame before the
+    # earliest seed, so a trajectory with five frames carries the same
+    # derivative as one with every step
+    config = full_coupling_config()
+    dense = simulate_path(config, c0_sine, 1.0, seed=5, store_dense=True)
+    sparse = simulate_path(config, c0_sine, 1.0, wiener=dense.wiener, n_snapshots=5)
+    n = dense.n_steps
+    assert n == 100 and list(sparse.step_indices) == [0, 20, 40, 60, 80, 100]
+    if first_frame:  # restart from the initial data
+        r_indices, t_indices = [0, 7, n // 2, n - 1], [[n], [8, n // 3, n], [n], [n]]
+    else:  # restart from step 40
+        r_indices, t_indices = [n - 1, 53, 41], [[n], [54, 70, n], [n]]
+    for a, b in zip(propagate_seeds(sparse, config.coeffs, r_indices, t_indices),
+                    propagate_seeds(dense, config.coeffs, r_indices, t_indices)):
+        assert [s.step_index for s in a] == [s.step_index for s in b]
+        for sa, sb in zip(a, b):
+            assert sa.t == sb.t
+            for name in ("z", "drc", "dry"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name))
 
 
 def test_intermediate_slices_are_consistent():
@@ -284,3 +314,168 @@ def test_perturbation_oracle_batch_matches_two_single_runs():
     delta = window * wiener.dt
     assert np.array_equal(dq_c, (bumped.c[-1] - base.c[-1]) / (eps * delta))
     assert np.array_equal(dq_y, (bumped.y[-1] - base.y[-1]) / (eps * delta))
+
+
+# ---------------------------------------------------------------------------
+# the sweep inside the primal loop against the replay it replaced
+
+
+def replay_step(z, dry, c, y, grid, coeffs, bc, dt, dW):
+    """The recursion as a replay of stored frames computed it: the clamp
+    gates recomputed from the primal formulas, strided interior views and
+    fresh temporaries."""
+    dim, h = grid.dim, grid.spacing
+    core = (Ellipsis,) + (slice(1, -1),) * dim
+    drc = recover_drc(z, c, coeffs)
+    c_int, y_int = c[core], y[core]
+    z_new_int = z[core] + dt * (
+        laplacian_core(drc, h, dim)
+        + coeffs.df_dc(c_int, y_int) * drc[core]
+        + coeffs.df_dy(c_int, y_int) * dry[core]
+    )
+    v_pre = coeffs.beta(c_int) + dt * (laplacian_core(c, h, dim) + coeffs.f(c_int, y_int))
+    z_new_int = np.where(v_pre < 0.0, 0.0, z_new_int)
+    z_new = np.array(z, copy=True)
+    z_new[core] = z_new_int
+    z_new = apply_bc(z_new, grid, bc)
+    dw = np.asarray(dW, dtype=np.float64)
+    dw = dw.reshape(dw.shape + (1,) * dim)
+    dry_new = dry + coeffs.a_prime(y) * dry * dw + (
+        coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry
+    ) * dt
+    y_pre = y + coeffs.a(y) * dw + coeffs.b(c, y) * dt
+    return z_new, np.where(y_pre < 0.0, 0.0, dry_new)
+
+
+def replay_sweep(traj, coeffs, r_indices, t_indices):
+    """Every seed's slices as (step, t, z, drc, dry) from a replay of the
+    dense frames, seeds joining the batch by concatenation."""
+    emit = {}
+    for j, ts in enumerate(t_indices):
+        for k in sorted(set(ts)):
+            emit.setdefault(k, []).append(j)
+    joins = sorted((r, j) for j, (r, ts) in enumerate(zip(r_indices, t_indices)) if ts)
+    out = [[] for _ in r_indices]
+    z = dry = np.empty((0,) + traj.grid.shape)
+    row = {}
+    for k in range(joins[0][0], max(emit)):
+        while joins and joins[0][0] == k:
+            seed = init_malliavin(traj.y[k], coeffs)
+            row[joins.pop(0)[1]] = len(z)
+            z, dry = np.concatenate([z, seed.z[None]]), np.concatenate([dry, seed.dry[None]])
+        z, dry = replay_step(
+            z, dry, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt, traj.wiener.increments[k]
+        )
+        for j in emit.get(k + 1, ()):
+            zj = z[row[j]]
+            drc = recover_drc(zj, traj.c[k + 1], coeffs)
+            out[j].append((k + 1, float(traj.times[k + 1]), zj.copy(), drc, dry[row[j]].copy()))
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def readme_terms():
+    return dict(
+        f=preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0}),
+        a=preset_coefficients("linear_a", {"sigma": 0.3}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    )
+
+
+COEFFS = {
+    "readme": make_coefficients(pme_beta(2.0), **readme_terms()),
+    "regularized": make_coefficients(regularize_beta(2.0, 1e-3), **readme_terms()),
+    # mu_y > 0 and saturating noise
+    "decaying": make_coefficients(
+        pme_beta(3.0),
+        f=preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.7}),
+        a=preset_coefficients("saturating_a", {"sigma": 0.4}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.2, "rho": 1.1}),
+    ),
+}
+
+
+@st.composite
+def sweeps(draw):
+    """A dense trajectory (seeded or under explicit increments, some steps
+    beyond the stability bound so that the clamps bite) and a seed set."""
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, {1: 10, 2: 6, 3: 3}[dim])))
+    bc = draw(st.sampled_from(list(BoundaryKind)))
+    coeffs = COEFFS[draw(st.sampled_from(sorted(COEFFS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    dt = draw(st.floats(0.2, 5.0)) * cfl_dt(grid, coeffs, 2.0)
+    config = SimConfig(grid, coeffs, bc, t_final=n * dt, dt=dt)
+    c0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape) * (rng.random(grid.shape) < 0.8))
+    y0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape))
+    if draw(st.booleans()):
+        traj = simulate_path(config, c0, y0, seed=draw(st.integers(0, 99)), store_dense=True)
+    else:
+        scale = draw(st.sampled_from([np.sqrt(dt), 5.0]))
+        wiener = WienerPath(dt, rng.normal(scale=scale, size=n))
+        traj = simulate_path(config, c0, y0, wiener=wiener, store_dense=True)
+    assert traj.n_steps == n
+    r_indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    r_indices += draw(st.sampled_from([[], [0], [n - 1], [n - 1, 0]]))
+    t_indices = [draw(st.lists(st.integers(r + 1, n), max_size=3)) for r in r_indices]
+    t_indices[0].append(n)
+    return traj, coeffs, r_indices, t_indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+def test_sweep_in_the_primal_loop_is_bitwise_the_replay(case):
+    traj, coeffs, r_indices, t_indices = case
+    with np.errstate(all="ignore"):
+        ref = replay_sweep(traj, coeffs, r_indices, t_indices)
+        got = propagate_seeds(traj, coeffs, r_indices, t_indices)
+    assert len(got) == len(ref)
+    for slices, expected in zip(got, ref):
+        assert len(slices) == len(expected)
+        for sl, (k, t, z, drc, dry) in zip(slices, expected):
+            assert sl.step_index == k and sl.t == t
+            assert same_bits(sl.z, z) and same_bits(sl.drc, drc) and same_bits(sl.dry, dry)
+
+
+def test_sweep_zeroes_the_derivative_where_either_clamp_bites():
+    # steps past the stability bound and large increments: both gates bite
+    grid = build_grid(2, 6)
+    coeffs = COEFFS["decaying"]
+    dt = 4.5 * cfl_dt(grid, coeffs, 2.0)
+    config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=12 * dt, dt=dt)
+    rng = np.random.default_rng(2)
+    c0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape))
+    wiener = WienerPath(dt, rng.normal(scale=5.0, size=12))
+    traj = simulate_path(config, c0, 1.0, wiener=wiener, store_dense=True)
+    gates = StepBuffers(grid, gates=True)
+    v_bites = y_bites = 0
+    for k in range(12):
+        step(traj.c[k], traj.y[k], grid, coeffs, config.bc, dt, wiener.increments[k], gates)
+        v_bites += int(np.sum(gates.v_gate[(slice(1, -1),) * 2]))
+        y_bites += int(np.sum(gates.y_gate))
+    assert v_bites > 0 and y_bites > 0
+    r_indices, t_indices = [0, 3, 3], [[4, 12], [12], [6, 9]]
+    with np.errstate(all="ignore"):
+        ref = replay_sweep(traj, coeffs, r_indices, t_indices)
+        got = propagate_seeds(traj, coeffs, r_indices, t_indices)
+    for slices, expected in zip(got, ref):
+        for sl, (k, t, z, drc, dry) in zip(slices, expected):
+            assert same_bits(sl.z, z) and same_bits(sl.drc, drc) and same_bits(sl.dry, dry)
+
+
+def test_restart_takes_a_stored_frame_as_it_is():
+    # the regularized family stores c = beta_inv(0) = -2e-19 where v+ = 0;
+    # initial data that negative is refused, a stored frame is not
+    grid = build_grid(1, 2)
+    coeffs = COEFFS["regularized"]
+    config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.02, dt=0.01)
+    traj = simulate_path(config, 0.0, 1.5, seed=1, store_dense=True)
+    assert np.min(traj.c[1]) < 0.0
+    (got,) = propagate_seeds(traj, coeffs, [1])
+    ((k, t, z, drc, dry),) = replay_sweep(traj, coeffs, [1], [[2]])[0]
+    assert got[0].step_index == k and same_bits(got[0].z, z) and same_bits(got[0].dry, dry)

@@ -21,7 +21,7 @@ from rpmelab.model import (
     preset_coefficients,
     regularize_beta,
 )
-from rpmelab.malliavin import perturbation_oracle
+from rpmelab.malliavin import MalliavinState, TangentBuffers, perturbation_oracle, step_malliavin
 from rpmelab.simulate import (
     NumericalAbort,
     SimConfig,
@@ -273,6 +273,43 @@ def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, b
     assert peak < res.c.nbytes
 
 
+@pytest.mark.parametrize("dim,cells,seeds", [(1, 64, 8), (2, 16, 4), (3, 8, 2)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
+def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc, coeffs):
+    # a primal step leaving its gates, then the tangent step reading them,
+    # as in the sweep of malliavin.propagate_path
+    grid = build_grid(dim, cells)
+    coeffs = COEFFS[coeffs]
+    rng = np.random.default_rng(1)
+    primal = StepBuffers(grid, (1,), gates=True)
+    c, y = primal.c[0], primal.y[0]
+    c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
+    y[...] = rng.uniform(0.5, 1.5, y.shape)
+    tangent = TangentBuffers((seeds,) + grid.shape, c.shape)
+    tangent.z[...], tangent.dry[...] = rng.standard_normal((2, seeds) + grid.shape)
+    state = MalliavinState(tangent.z, tangent.dry)
+    dt = cfl_dt(grid, coeffs, 2.0)
+    dws = rng.standard_normal((21, 1)) * np.sqrt(dt)
+
+    def both(c, y, dw):
+        res = step(c, y, grid, coeffs, bc, dt, dw, work=primal)
+        step_malliavin(state, c, y, grid, coeffs, bc, dt, dw, primal, tangent)
+        return res
+
+    res = both(c, y, dws[0])  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for dw in dws[1:]:
+            res = both(res.c, res.y, dw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert state.z is tangent.z and np.all(np.isfinite(tangent.z))
+    assert peak < tangent.z.nbytes
+
+
 # ---------------------------------------------------------------------------
 # ensemble driver
 
@@ -406,3 +443,23 @@ def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
     assert len(calls) == 3
     assert "step 3 of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_state_exits_4_through_malliavin(tmp_path, monkeypatch, capsys):
+    # every frame is checked as it is written, so the run stops at the first
+    # non-finite one instead of after the whole path
+    from rpmelab import cli
+
+    calls = []
+    monkeypatch.setattr(
+        cli, "_coefficients",
+        lambda cfg: make_coefficients(pme_beta(2.0), f=nan_source(3, calls)),
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cells = 8\nt_final = 0.02\ninitial.c = sine\nmalliavin.fractions = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["malliavin", str(cfg), "--out", str(out)]) == 4
+    assert len(calls) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
