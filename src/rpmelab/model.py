@@ -215,12 +215,15 @@ def beta_gap(family: BetaFamily, c_max: float) -> float:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Reaction term f(c, y) with both partial derivatives."""
+    """Reaction term f(c, y) with both partial derivatives.  ``reads_y`` is
+    False only when ``fn`` never reads the value of y, so that c does not
+    depend on the noise and an ensemble steps it once for all paths."""
 
     label: str
     fn: Callable[[Array, Array], Array]
     d_c: Callable[[Array, Array], Array]
     d_y: Callable[[Array, Array], Array]
+    reads_y: bool = True
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ def _zeros1(y, out=None):
     return _full(y, 0.0, out)
 
 
-_ZERO_SOURCE = SourceTerm("zero", _zeros2, _zeros2, _zeros2)
+_ZERO_SOURCE = SourceTerm("zero", _zeros2, _zeros2, _zeros2, reads_y=False)
 _ZERO_NOISE = NoiseTerm("zero", _zeros1, _zeros1)
 _ZERO_DRIFT = DriftTerm("zero", _zeros2, _zeros2, _zeros2)
 
@@ -308,7 +311,8 @@ def preset_coefficients(name: str, params: dict | None = None):
             r *= -mu_y
             return r
 
-        return SourceTerm(f"logistic_f(lambda={lam:g},K={cap:g},mu_y={mu_y:g})", fn, d_c, d_y)
+        label = f"logistic_f(lambda={lam:g},K={cap:g},mu_y={mu_y:g})"
+        return SourceTerm(label, fn, d_c, d_y, reads_y=mu_y != 0.0)
     if name == "linear_a":
         sigma = take("sigma", 0.5)
         if params:

@@ -230,17 +230,24 @@ class StepBuffers:
     scratch arrays (the Laplacian, reused for the noise and drift terms, and
     two for the update of v), all shaped like the state, plus one boundary
     face and the clamp mass per leading index; with ``gates``, the clamp gates
-    of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.  A
-    step with a workspace returns views of these, valid until its next step."""
+    of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.
+    With ``shared_c`` every c-side array has leading axes of 1, for one c
+    shared by all paths, and y gets a scratch array of its own and one that
+    holds c broadcast to every path.  A step with a workspace returns views
+    of these, valid until its next step."""
 
-    def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False):
+    def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
+                 shared_c: bool = False):
         shape = tuple(lead) + grid.shape
-        self.c = (np.empty(shape), np.empty(shape))
+        c_shape = (1,) * len(lead) + grid.shape if shared_c else shape
+        self.c = (np.empty(c_shape), np.empty(c_shape))
         self.y = (np.empty(shape), np.empty(shape))
-        self.lap, self.v, self.u = np.empty(shape), np.empty(shape), np.empty(shape)
-        self.face = np.empty(shape[:-1])
-        self.mass = np.empty(tuple(lead))
-        self.v_gate = np.zeros(shape, bool) if gates else None
+        self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
+        self.y_scratch = self.lap if c_shape == shape else np.empty(shape)
+        self.c_rows = None if c_shape == shape else np.empty(shape)
+        self.face = np.empty(c_shape[:-1])
+        self.mass = np.empty(c_shape[: len(lead)])
+        self.v_gate = np.zeros(c_shape, bool) if gates else None
         self.y_gate = np.zeros(shape, bool) if gates else None
 
 
@@ -269,7 +276,10 @@ def step(
 ) -> StepResult:
     """One explicit step.  ``c`` and ``y`` have trailing grid shape (leading
     axes are independent paths) and ``c`` already satisfies the boundary
-    rule; ``dW`` broadcasts against the leading axes.
+    rule; ``dW`` broadcasts against the leading axes.  When the reaction term
+    does not read y, ``c`` may have leading axes of 1, one c shared by every
+    path of ``y``: its half of the step then runs once, with f given the
+    first path of y, and b gets it copied to every path.
 
     Every intermediate goes into ``work`` (a fresh workspace when None) and
     the new state into the copies of c and y in ``work`` that do not hold the
@@ -281,9 +291,11 @@ def step(
     """
     dim = grid.dim
     h = grid.spacing
-    lead = c.shape[: c.ndim - dim]
+    lead, shared_c = y.shape[: y.ndim - dim], c.shape != y.shape
+    if shared_c and coeffs.source.reads_y:
+        raise ValueError("c shared by several paths needs a reaction term that ignores y")
     if work is None:
-        work = StepBuffers(grid, lead)
+        work = StepBuffers(grid, lead, shared_c=shared_c)
     c_new = work.c[1] if c is work.c[0] else work.c[0]
     y_new = work.y[1] if y is work.y[0] else work.y[0]
     first = (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
@@ -301,7 +313,7 @@ def step(
     clamped = work.u.reshape(-1)[: v_int.size].reshape(v_int.shape)
     np.copyto(clamped, v_int)  # a ufunc on the strided view would buffer
     np.minimum(clamped, 0.0, out=clamped)
-    np.add.reduce(clamped.reshape(lead + (-1,)), axis=-1, out=work.mass)
+    np.add.reduce(clamped.reshape(work.mass.shape + (-1,)), axis=-1, out=work.mass)
     work.mass *= -(h**dim)
     if work.v_gate is not None:
         np.less(v, 0.0, out=work.v_gate.reshape(-1)[band])
@@ -316,10 +328,13 @@ def step(
     dw = np.asarray(dW, dtype=np.float64)
     if lead:
         dw = dw.reshape(dw.shape + (1,) * dim)
-    scratch = work.lap  # the Laplacian is used up
+    scratch = work.y_scratch  # the Laplacian's array, used up, unless c is shared
     np.copyto(scratch, dw)  # a ufunc broadcasting dw would buffer
     np.multiply(coeffs.a(y, out=y_new), scratch, out=y_new)
     np.add(y, y_new, out=y_new)
+    if work.c_rows is not None:
+        np.copyto(work.c_rows, c)  # a ufunc broadcasting c would buffer
+        c = work.c_rows
     np.multiply(coeffs.b(c, y, out=scratch), dt, out=scratch)
     np.add(y_new, scratch, out=y_new)
     if work.y_gate is not None:
@@ -436,24 +451,26 @@ def _run_paths(
     ``stride`` steps when ``part.c`` is set, and the running per-path sup/min
     of c when ``part.c_sup`` is set, which raises ``NumericalAbort`` at the
     first step whose sup is not finite.  Every operation and reduction is per
-    path, so how paths are batched never changes a bit.  All steps share one
-    workspace, with the clamp gates when ``on_step(res, c, y, dw, work)`` is
-    given; it gets each step's result, start state, increments and workspace.
+    path, so how paths are batched never changes a bit.  When the reaction
+    term does not read y, c is the same on every path: it is stepped on one
+    row and broadcast to the paths.  All steps share one workspace, with the
+    clamp gates when ``on_step(res, c, y, dw, work)`` is given; it gets each
+    step's result, start state, increments and workspace.
     """
     grid, dt, n_steps = config.grid, part.dt, part.n_steps
     p = len(part.path_ids)
-    work = StepBuffers(grid, (p,), gates=on_step is not None)
+    shared_c = not config.coeffs.source.reads_y
+    work = StepBuffers(grid, (p,), gates=on_step is not None, shared_c=shared_c)
     c, y = work.c[0], work.y[0]
     c[...], y[...] = c_init, y_init
 
     def nodes(a):
-        return a.reshape(p, -1)
+        return a.reshape(len(a), -1)
 
     clamp, c_sup, c_min = part.clamp_mass, part.c_sup, part.c_min
     clamp[...] = 0.0
     if c_sup is not None:
-        np.max(nodes(c), axis=1, out=c_sup)
-        np.min(nodes(c), axis=1, out=c_min)
+        c_sup[...], c_min[...] = np.max(nodes(c), axis=1), np.min(nodes(c), axis=1)
     if part.c is not None:
         part.c[0], part.y[0] = c, y
 

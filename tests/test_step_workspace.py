@@ -26,6 +26,7 @@ from rpmelab.simulate import (
     NumericalAbort,
     SimConfig,
     StepBuffers,
+    WienerPath,
     apply_bc,
     cfl_dt,
     gen_wiener,
@@ -250,13 +251,20 @@ def test_presets_keep_the_operand_order_of_their_formulas(case):
 
 @pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
-@pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
-def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, bc, coeffs):
+@pytest.mark.parametrize("coeffs,shared_c", [
+    ("readme", False), ("regularized", False), ("decaying", False),
+    # one c for every path: only for reaction terms that ignore y
+    ("readme", True), ("regularized", True), ("zero", True),
+])
+def test_workspace_steps_allocate_less_than_one_state_array(
+    dim, cells, paths, bc, coeffs, shared_c
+):
     grid = build_grid(dim, cells)
     coeffs = COEFFS[coeffs]
     rng = np.random.default_rng(0)
-    work = StepBuffers(grid, (paths,))
+    work = StepBuffers(grid, (paths,), shared_c=shared_c)
     c, y = work.c[0], work.y[0]
+    assert c.shape[0] == (1 if shared_c else paths)
     c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
     y[...] = rng.uniform(0.5, 1.5, y.shape)
     dt = cfl_dt(grid, coeffs, 2.0)
@@ -270,7 +278,7 @@ def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, b
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < res.c.nbytes
+    assert peak < res.y.nbytes
 
 
 @pytest.mark.parametrize("dim,cells,seeds", [(1, 64, 8), (2, 16, 4), (3, 8, 2)])
@@ -463,3 +471,146 @@ def test_non_finite_state_exits_4_through_malliavin(tmp_path, monkeypatch, capsy
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
     assert list(tmp_path.glob(".*staging*")) == []
+
+
+# ---------------------------------------------------------------------------
+# one c for every path when the reaction term ignores y
+
+
+SOURCES = [
+    preset_coefficients("zero"),
+    preset_coefficients("logistic_f", {}),
+    preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0}),
+    preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.0}),
+    preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.7}),
+    preset_coefficients("logistic_f", {"mu_y": 1e-300}),
+]
+
+
+def test_sources_say_whether_they_read_y():
+    assert [term.reads_y for term in SOURCES] == [False, False, False, False, True, True]
+    zero = preset_coefficients("zero")
+    assert SourceTerm("hand-built", zero.fn, zero.d_c, zero.d_y).reads_y
+
+
+IGNORE_Y = [term for term in SOURCES if not term.reads_y]
+
+
+@pytest.mark.parametrize("term", IGNORE_Y, ids=[term.label for term in IGNORE_Y])
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (7,), (3, 4), (2, 3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+    odd=st.sampled_from([None, 0.0, np.inf, np.nan, -1.0]),
+)
+def test_sources_that_ignore_y_give_the_same_bits_for_any_y(term, shape, seed, odd):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.0, 50.0, shape)
+    y1, y2 = rng.uniform(0.0, 50.0, (2,) + shape)
+    if odd is not None:
+        y2.reshape(-1)[:: 2] = odd
+    with np.errstate(all="ignore"):
+        a = term.fn(c, y1, out=np.full(shape, 123.0))
+        b = term.fn(c, y2, out=np.full(shape, -7.0))
+    assert same_bits(a, b)
+
+
+def test_step_refuses_a_shared_c_when_the_source_reads_y():
+    grid = build_grid(2, 4)
+    coeffs = COEFFS["decaying"]
+    assert coeffs.source.reads_y
+    work = StepBuffers(grid, (3,), shared_c=True)
+    c = apply_bc(np.full(work.c[0].shape, 0.5), grid, BoundaryKind.NEUMANN)
+    y = np.ones(work.y[0].shape)
+    for ws in (None, work):
+        with pytest.raises(ValueError, match="ignores y"):
+            step(c, y, grid, coeffs, BoundaryKind.NEUMANN, 1e-4, np.zeros(3), work=ws)
+
+
+# f ignores y, but y still differs between paths and the drift reads c
+ONE_WAY = {
+    "readme": COEFFS["readme"],
+    "regularized": COEFFS["regularized"],
+    "zero-f": make_coefficients(
+        pme_beta(3.0),
+        a=preset_coefficients("saturating_a", {"sigma": 0.4}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.2, "rho": 1.1}),
+    ),
+}
+TWO_WAY = {
+    "decaying": COEFFS["decaying"],
+    "readme-mu_y": make_coefficients(
+        pme_beta(2.0),
+        **dict(readme_terms(), f=preset_coefficients("logistic_f", {"lambda": 0.5, "mu_y": 0.5})),
+    ),
+}
+
+
+def bump(x):
+    return 1.0 + 0.5 * np.cos(np.pi * x[..., 0]) * np.cos(2.0 * x[..., -1])
+
+
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ensemble_is_bitwise_its_single_paths(coupling, data):
+    draw = data.draw
+    terms = ONE_WAY if coupling == "one-way" else TWO_WAY
+    coeffs = terms[draw(st.sampled_from(sorted(terms)))]
+    assert coeffs.source.reads_y == (coupling == "two-way")
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, CELLS[dim])))
+    bc = draw(st.sampled_from(list(BoundaryKind)))
+    config = SimConfig(grid, coeffs, bc, t_final=draw(st.sampled_from([0.002, 0.01])))
+    paths = draw(st.integers(1, 7))
+    chunk = draw(st.sampled_from([1, 3, paths]))
+    workers = draw(st.sampled_from([1, 3]))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    seeded = draw(st.booleans())
+    kw = dict(n_workers=workers, n_snapshots=k)
+    if seeded:
+        first = draw(st.integers(0, 50))
+        kw.update(n_paths=paths, seed=seed, first_path_id=first)
+    else:
+        # increments up to 5 sigma, so the clamp of y bites
+        c_init, _ = simulate.prepare_initial(config, bump, 1.0)
+        dt, n = config.resolve_steps(float(np.max(c_init)), multiple_of=k)
+        scale = draw(st.sampled_from([1.0, 5.0]))
+        inc = np.random.default_rng(seed).standard_normal((paths, n)) * (scale * np.sqrt(dt))
+        kw.update(wiener=WienerPath(dt, inc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate._state_bytes(grid))
+        ens = simulate_ensemble(config, bump, 1.0, **kw)
+
+    for j in range(paths):
+        if seeded:
+            traj = simulate_path(config, bump, 1.0, seed=seed, path_id=first + j, n_snapshots=k)
+            dense = simulate_path(config, bump, 1.0, wiener=traj.wiener, store_dense=True)
+            assert same_bits(ens.c_sup[j], np.max(dense.c))
+            assert same_bits(ens.c_min[j], np.min(dense.c))
+        else:
+            traj = simulate_path(config, bump, 1.0, wiener=WienerPath(dt, inc[j]), n_snapshots=k)
+            assert ens.c_sup is None and ens.c_min is None
+        assert (ens.dt, ens.n_steps) == (traj.dt, traj.n_steps)
+        assert same_bits(ens.times, traj.times)
+        assert same_bits(ens.c[:, j], traj.c)
+        assert same_bits(ens.y[:, j], traj.y)
+        assert same_bits(ens.c_final[j], traj.c[-1])
+        assert same_bits(ens.y_final[j], traj.y[-1])
+        assert same_bits(ens.clamp_mass[j], traj.clamp_mass)
+
+
+@pytest.mark.parametrize("coupling,c_rows", [("one-way", 1), ("two-way", 5)])
+def test_one_way_ensembles_step_c_once_per_chunk(monkeypatch, coupling, c_rows):
+    rows = []
+
+    def spy(c, y, *args, **kw):
+        rows.append((len(c), len(y)))
+        return step(c, y, *args, **kw)
+
+    monkeypatch.setattr(simulate, "step", spy)
+    coeffs = ONE_WAY["readme"] if coupling == "one-way" else TWO_WAY["decaying"]
+    ens = simulate_ensemble(small_config(coeffs), cosine, 1.0, n_paths=5, seed=2, n_snapshots=2)
+    assert rows and set(rows) == {(c_rows, 5)}
+    assert ens.c.shape[1] == 5 and np.all(np.isfinite(ens.c))
