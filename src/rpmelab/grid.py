@@ -18,8 +18,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 
 class BoundaryKind(Enum):
@@ -379,10 +377,12 @@ class Hminus2Solver:
 
     over the free space; it is evaluated by one symmetric positive definite
     solve with the Gram matrix of the Laplacian images, whose sparse LU
-    factorization is computed once per grid.
+    factorization is computed once per grid; scipy is imported for the first.
     """
 
     def __init__(self, grid: GridSpec):
+        import scipy.sparse.linalg
+
         self.grid = grid
         free = grid.free_mask()
         interior = grid.interior_mask()
@@ -421,6 +421,8 @@ class Hminus2Solver:
 @lru_cache(maxsize=32)
 def _laplacian_matrix(grid: GridSpec) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the discrete Laplacian, interior rows by all-node columns."""
+    import scipy.sparse
+
     shape = grid.shape
     h = grid.spacing
     rows_flat = np.flatnonzero(grid.interior_mask().reshape(-1))
@@ -454,14 +456,16 @@ def _hm2_solver(grid: GridSpec) -> Hminus2Solver:
 def hminus2_norm(u: Field) -> float:
     """Negative-order dual norm of the interior values of u.
 
-    Returns 0 when the free test space is empty (grids too coarse to carry
-    any doubly vanishing test field).
+    Returns 0, the value the solve gives, without a factorization when u
+    vanishes on the free nodes; in particular when the free test space is
+    empty (grids too coarse to carry any doubly vanishing test field).
     """
-    solver = _hm2_solver(u.grid)
     sel = u.grid.interior_mask()
     if not np.all(u.defined_mask()[sel]):
         raise ValueError("hminus2_norm requires values on the whole interior block")
-    return solver.norm(u.values[sel])
+    if not u.values[u.grid.free_mask()].any():
+        return 0.0
+    return _hm2_solver(u.grid).norm(u.values[sel])
 
 
 def h02_embed(grid: GridSpec, free_values: np.ndarray) -> Field:

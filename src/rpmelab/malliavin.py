@@ -17,6 +17,9 @@ Seeding before step r makes the recursion reproduce the continuous
 variational initial condition; for linear noise a(y) = sigma*y with no drift
 or source feedback it telescopes to dry(T) = sigma * y(T) exactly.
 
+When f ignores y (one-way coupling) f_y = 0, so z seeded at zero stays
++0.0 bit for bit, drc with it, and only dry is stepped.
+
 Where the primal clamp at zero bites, the derivative is zeroed (the clamp's
 a.e. derivative), so the quotient of a clamped perturbed run still matches.
 The pair is carried inside the primal's stepping loop and reads the clamp
@@ -124,7 +127,9 @@ def step_malliavin(
     nothing.  Seed-sized operations run on whole contiguous rows (boundary
     nodes get scratch that the boundary rule replaces), in the operation
     order of the formulas in the module docstring.  Each coefficient is
-    evaluated once at the primal state and copied to every seed's row.
+    evaluated once at the primal state and copied to every seed's row.  A z
+    of zeros under a source that ignores y is not stepped: ``work.z`` and
+    ``work.drc`` are set to +0.0, the value the formulas give.
     """
     dim, z, dry = grid.dim, mstate.z, mstate.dry
     dw = np.asarray(dW, dtype=np.float64)
@@ -138,15 +143,19 @@ def step_malliavin(
         work = TangentBuffers(lead + grid.shape, c.shape)
     drc, lap, t, u = work.drc, work.lap, work.t, work.u
 
-    # z+ = z + dt * (lap_h drc + f_c drc + f_y dry), zero where v+ was clamped
-    np.multiply(z, _tiled(work, coeffs.recip_beta_prime, c), out=drc)
-    laplacian_core(drc, grid.spacing, dim, out=lap)
-    np.add(lap, np.multiply(_tiled(work, coeffs.df_dc, c, y), drc, out=t), out=lap)
-    np.add(lap, np.multiply(_tiled(work, coeffs.df_dy, c, y), dry, out=t), out=lap)
-    np.multiply(dt, lap, out=lap)
-    np.add(z, lap, out=work.z)
-    np.copyto(work.z, 0.0, where=primal.v_gate)
-    _impose_bc(work.z, dim, bc, work.face)
+    if not (coeffs.source.reads_y or np.count_nonzero(z)):
+        work.z.fill(0.0)
+        drc.fill(0.0)
+    else:
+        # z+ = z + dt * (lap_h drc + f_c drc + f_y dry), zero where v+ was clamped
+        np.multiply(z, _tiled(work, coeffs.recip_beta_prime, c), out=drc)
+        laplacian_core(drc, grid.spacing, dim, out=lap)
+        np.add(lap, np.multiply(_tiled(work, coeffs.df_dc, c, y), drc, out=t), out=lap)
+        np.add(lap, np.multiply(_tiled(work, coeffs.df_dy, c, y), dry, out=t), out=lap)
+        np.multiply(dt, lap, out=lap)
+        np.add(z, lap, out=work.z)
+        np.copyto(work.z, 0.0, where=primal.v_gate)
+        _impose_bc(work.z, dim, bc, work.face)
 
     # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
     np.multiply(_tiled(work, coeffs.a_prime, y), dry, out=t)
@@ -154,7 +163,7 @@ def step_malliavin(
     np.multiply(t, u, out=t)
     np.add(dry, t, out=t)
     np.multiply(_tiled(work, coeffs.db_dc, c, y), drc, out=lap)
-    np.add(lap, np.multiply(_tiled(work, coeffs.db_dy, c, y), dry, out=drc), out=lap)
+    np.add(lap, np.multiply(_tiled(work, coeffs.db_dy, c, y), dry, out=u), out=lap)
     np.multiply(lap, dt, out=lap)
     np.add(t, lap, out=work.dry)
     np.copyto(work.dry, 0.0, where=primal.y_gate)

@@ -232,18 +232,47 @@ def test_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "internal bug" in err
 
 
-def test_import_leaves_scipy_integrate_out():
-    probe = "import sys, rpmelab.cli; print('scipy.integrate' in sys.modules)"
+def scipy_modules_after(probe):
+    """Names of the scipy modules loaded once ``probe`` has run in a fresh
+    interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    listing = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", f"import sys\n{probe}\n{listing}"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_out():
+    assert scipy_modules_after("import rpmelab.cli") == "[]"
+
+
+SMALL_MALLIAVIN = (
+    "cells = 8\nt_final = 0.02\ninitial.c = cosine\ninitial.y = 1.0\n"
+    "coeff.f = logistic\ncoeff.a = linear\ncoeff.b = coupling\n"
+)
+
+
+@pytest.mark.parametrize("mu_y", [0.0, 0.5])
+def test_malliavin_imports_scipy_only_for_a_nonzero_z(tmp_path, mu_y):
+    # f ignores y at mu_y = 0: z and its time slope are zero with no solve;
+    # at mu_y > 0 the slope is a real H^-2 solve
+    cfg = write(tmp_path, SMALL_MALLIAVIN + f"coeff.f.mu_y = {mu_y}\n")
+    out = tmp_path / "out"
+    run = f"from rpmelab.cli import main\nassert main(['malliavin', {cfg!r}, '--out', {str(out)!r}]) == 0"
+    loaded = scipy_modules_after(run)
+    with open(out / "reports" / "malliavin.csv", newline="") as fh:
+        slopes = [float(r["measured"]) for r in csv.DictReader(fh) if r["name"].endswith("z_time_slope_hm2")]
+    assert len(slopes) == 2
+    if mu_y == 0.0:
+        assert loaded == "[]" and slopes == [0.0, 0.0]
+    else:
+        assert "'scipy.sparse.linalg'" in loaded and min(slopes) > 0.0
 
 
 def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):

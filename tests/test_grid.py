@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
+from rpmelab import grid as grid_module
 from rpmelab.grid import (
     Field,
     GridSpec,
@@ -324,6 +326,36 @@ def test_free_space_helpers_need_no_factorization(monkeypatch):
     v = h02_embed(g, np.arange(1.0, n + 1.0))
     assert np.array_equal(v.values[g.free_mask()], np.arange(1.0, n + 1.0))
     assert np.all(v.values[~g.free_mask()] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_hminus2_norm_of_a_field_vanishing_on_the_free_nodes_is_the_solve(dim, data):
+    # hminus2_norm returns without a factorization there, with the solve's bits
+    g = build_grid(dim, data.draw(st.integers(2, {1: 12, 2: 8, 3: 5}[dim])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    free, interior = g.free_mask(), g.interior_mask()
+    off = {
+        "nowhere": np.zeros_like(free),
+        "boundary": ~interior,
+        "inner layer": interior & ~free,
+        "off the free nodes": ~free,
+    }[data.draw(st.sampled_from(["nowhere", "boundary", "inner layer", "off the free nodes"]))]
+    values = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
+    values[off] = rng.normal(size=g.shape)[off]
+    got = hminus2_norm(Field(g, values))
+    ref = Hminus2Solver(g).norm(values[interior])
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def test_hminus2_norm_factorizes_only_for_a_field_nonzero_on_free_nodes(monkeypatch):
+    built = []
+    monkeypatch.setattr(grid_module, "_hm2_solver", lambda g: built.append(g) or Hminus2Solver(g))
+    g = build_grid(2, 7)
+    values = np.where(g.free_mask(), -0.0, 1.0)
+    assert hminus2_norm(Field(g, values)) == 0.0 and built == []
+    values[g.free_mask()] = 1.0
+    assert hminus2_norm(Field(g, values)) > 0.0 and built == [g]
 
 
 def test_chain_rule_exact_for_cubic():

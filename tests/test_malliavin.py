@@ -1,6 +1,9 @@
 """Noise-derivative propagation: chain-rule recovery, exactness for linear
 noise, locality in the differentiation time, linearity, and agreement with a
 bumped-path finite difference."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +11,19 @@ from hypothesis import given, settings, strategies as st
 from rpmelab.grid import BoundaryKind, Field, build_grid, laplacian_core
 from rpmelab.malliavin import (
     MalliavinState,
+    TangentBuffers,
     derivative_run,
     init_malliavin,
     perturbation_oracle,
     propagate,
+    propagate_path,
     propagate_seeds,
     recover_drc,
     seed_index,
     step_malliavin,
 )
-from rpmelab.model import make_coefficients, pme_beta, preset_coefficients, regularize_beta
+from rpmelab.model import SourceTerm, make_coefficients, pme_beta, preset_coefficients, regularize_beta
+from rpmelab.pathfile import DerivativePair, RecordWriter
 from rpmelab.simulate import (
     SimConfig,
     StepBuffers,
@@ -25,6 +31,7 @@ from rpmelab.simulate import (
     apply_bc,
     cfl_dt,
     gen_wiener,
+    prepare_initial,
     simulate_path,
     step,
 )
@@ -479,3 +486,114 @@ def test_restart_takes_a_stored_frame_as_it_is():
     (got,) = propagate_seeds(traj, coeffs, [1])
     ((k, t, z, drc, dry),) = replay_sweep(traj, coeffs, [1], [[2]])[0]
     assert got[0].step_index == k and same_bits(got[0].z, z) and same_bits(got[0].dry, dry)
+
+
+# ---------------------------------------------------------------------------
+# one-way coupling: the tangent skips z, which stays +0.0
+
+
+ONE_WAY_SOURCES = {
+    "zero": preset_coefficients("zero"),
+    "logistic": preset_coefficients("logistic_f", {"lambda": 1.3, "K": 1.5, "mu_y": 0.0}),
+}
+
+
+@st.composite
+def one_way_runs(draw):
+    """A primal path under a source that ignores y (some steps beyond the
+    stability bound so that the clamps bite) and a seed set."""
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, {1: 10, 2: 6, 3: 3}[dim])))
+    bc = draw(st.sampled_from(list(BoundaryKind)))
+    source = ONE_WAY_SOURCES[draw(st.sampled_from(sorted(ONE_WAY_SOURCES)))]
+    noise = draw(st.sampled_from(["linear_a", "saturating_a"]))
+    terms = dict(
+        a=preset_coefficients(noise, {"sigma": 0.4}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.2, "rho": 1.1}),
+    )
+    coeffs = make_coefficients(pme_beta(draw(st.sampled_from([2.0, 3.0]))), f=source, **terms)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    dt = draw(st.floats(0.2, 5.0)) * cfl_dt(grid, coeffs, 2.0)
+    if draw(st.booleans()):
+        wiener = gen_wiener(n, dt, seed=draw(st.integers(0, 99)))
+    else:
+        scale = draw(st.sampled_from([np.sqrt(dt), 5.0]))
+        wiener = WienerPath(dt, rng.normal(scale=scale, size=n))
+    config = SimConfig(grid, coeffs, bc, t_final=n * dt, dt=dt)
+    c0 = rng.uniform(0.0, 2.0, grid.shape) * (rng.random(grid.shape) < 0.8)
+    y0 = rng.uniform(0.0, 2.0, grid.shape)
+    r_indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    r_indices += draw(st.sampled_from([[], [0], [n - 1], [n - 1, 0]]))
+    t_indices = [draw(st.lists(st.integers(r + 1, n), max_size=3)) for r in r_indices]
+    t_indices[0].append(n)
+    return config, terms, prepare_initial(config, c0, y0), wiener, r_indices, t_indices
+
+
+def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
+    """Slices of ``propagate_path`` and the bytes of the record it streams,
+    written as ``rpmelab malliavin`` writes its own."""
+    dt, n = wiener.dt, wiener.n_steps
+    with RecordWriter(path, config.grid, 0, 0, dt, n + 1) as record:
+        record.frame(0.0, *initial)
+        _, seeds = propagate_path(
+            config, *initial, wiener, r_indices, t_indices,
+            on_frame=lambda k, c, y: record.frame(k * dt, c, y),
+        )
+        record.finish([DerivativePair(r * dt, s[-1].t, s[-1].drc, s[-1].dry) for r, s in zip(r_indices, seeds) if s])
+    return seeds, Path(path).read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_way_runs())
+def test_one_way_sweep_is_bitwise_the_full_tangent(case):
+    config, terms, initial, wiener, r_indices, t_indices = case
+    source = config.coeffs.source
+    assert not source.reads_y
+    # the same reaction term, not declared to ignore y: z is stepped in full
+    full_source = SourceTerm(source.label, source.fn, source.d_c, source.d_y)
+    full_coeffs = make_coefficients(config.coeffs.beta_family, f=full_source, **terms)
+    full = SimConfig(config.grid, full_coeffs, config.bc, t_final=config.t_final, dt=config.dt)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        got, got_bytes = streamed_sweep(config, initial, wiener, r_indices, t_indices, f"{tmp}/a.rpme1")
+        ref, ref_bytes = streamed_sweep(full, initial, wiener, r_indices, t_indices, f"{tmp}/b.rpme1")
+    assert got_bytes == ref_bytes
+    assert len(got) == len(ref)
+    for slices, expected in zip(got, ref):
+        assert len(slices) == len(expected)
+        for sl, ex in zip(slices, expected):
+            assert sl.step_index == ex.step_index and sl.t == ex.t
+            assert same_bits(sl.z, ex.z) and same_bits(sl.drc, ex.drc) and same_bits(sl.dry, ex.dry)
+            assert same_bits(sl.z, np.zeros_like(sl.z))
+
+
+def test_one_way_step_is_the_full_step_in_a_used_workspace():
+    # z = -0.0 in a workspace that last held a two-way step: the skipped z
+    # half leaves +0.0 in z and drc, as the full one does; a nonzero z is
+    # stepped in full
+    grid = build_grid(2, 6)
+    one_way = make_coefficients(pme_beta(2.0), **readme_terms())
+    assert not one_way.source.reads_y
+    f = one_way.source
+    full = make_coefficients(one_way.beta_family, **{**readme_terms(), "f": SourceTerm(f.label, f.fn, f.d_c, f.d_y)})
+    rng = np.random.default_rng(4)
+    primal = StepBuffers(grid, (1,), gates=True)
+    c, y = primal.c[0], primal.y[0]
+    c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, BoundaryKind.NEUMANN)
+    y[...] = rng.uniform(0.5, 1.5, y.shape)
+    dt = cfl_dt(grid, one_way, 2.0)
+    step(c, y, grid, one_way, BoundaryKind.NEUMANN, dt, np.array([0.1]), work=primal)
+    args = (c, y, grid, one_way, BoundaryKind.NEUMANN, dt, 0.1, primal)
+    full_args = (c, y, grid, full, BoundaryKind.NEUMANN, dt, 0.1, primal)
+    work = TangentBuffers((3,) + grid.shape, c.shape)
+    dry = rng.standard_normal((3,) + grid.shape)
+    busy = MalliavinState(rng.standard_normal((3,) + grid.shape), dry)
+    ref = step_malliavin(busy, *full_args)
+    got = step_malliavin(busy, *args, work)
+    assert work.z.any() and work.drc.any()
+    assert same_bits(got.z, ref.z) and same_bits(got.dry, ref.dry)
+    zero = MalliavinState(-np.zeros((3,) + grid.shape), dry)
+    ref = step_malliavin(zero, *full_args)
+    got = step_malliavin(zero, *args, work)
+    assert same_bits(got.z, np.zeros_like(dry)) and same_bits(work.drc, np.zeros_like(dry))
+    assert same_bits(got.z, ref.z) and same_bits(got.dry, ref.dry)

@@ -281,14 +281,11 @@ def test_workspace_steps_allocate_less_than_one_state_array(
     assert peak < res.y.nbytes
 
 
-@pytest.mark.parametrize("dim,cells,seeds", [(1, 64, 8), (2, 16, 4), (3, 8, 2)])
-@pytest.mark.parametrize("bc", list(BoundaryKind))
-@pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
-def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc, coeffs):
-    # a primal step leaving its gates, then the tangent step reading them,
-    # as in the sweep of malliavin.propagate_path
+def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, z_zero=False):
+    """Traced peak of 20 warm primal steps leaving their gates, each followed
+    by the tangent step reading them, as in the sweep of
+    malliavin.propagate_path; and the tangent workspace."""
     grid = build_grid(dim, cells)
-    coeffs = COEFFS[coeffs]
     rng = np.random.default_rng(1)
     primal = StepBuffers(grid, (1,), gates=True)
     c, y = primal.c[0], primal.y[0]
@@ -296,6 +293,8 @@ def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc,
     y[...] = rng.uniform(0.5, 1.5, y.shape)
     tangent = TangentBuffers((seeds,) + grid.shape, c.shape)
     tangent.z[...], tangent.dry[...] = rng.standard_normal((2, seeds) + grid.shape)
+    if z_zero:
+        tangent.z[...] = 0.0
     state = MalliavinState(tangent.z, tangent.dry)
     dt = cfl_dt(grid, coeffs, 2.0)
     dws = rng.standard_normal((21, 1)) * np.sqrt(dt)
@@ -315,7 +314,28 @@ def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc,
     finally:
         tracemalloc.stop()
     assert state.z is tangent.z and np.all(np.isfinite(tangent.z))
+    return peak, tangent
+
+
+@pytest.mark.parametrize("dim,cells,seeds", [(1, 64, 8), (2, 16, 4), (3, 8, 2)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
+def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc, coeffs):
+    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs])
     assert peak < tangent.z.nbytes
+
+
+@pytest.mark.parametrize("dim,cells,seeds", [(1, 510, 8), (2, 30, 4), (3, 14, 2)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("coeffs", ["readme", "zero"])
+def test_one_way_tangent_steps_allocate_less_than_one_seed_state(dim, cells, seeds, bc, coeffs):
+    # f ignores y and z starts at zero: the sweep skips the z half; the grids
+    # are large enough that one seed's state outweighs the Python objects a
+    # step makes
+    assert not COEFFS[coeffs].source.reads_y
+    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], z_zero=True)
+    assert not tangent.z.any()
+    assert peak < tangent.z[0].nbytes
 
 
 # ---------------------------------------------------------------------------
