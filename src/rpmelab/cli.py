@@ -76,13 +76,6 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-_PRESET_NAMESPACES = ("coeff.f", "coeff.a", "coeff.b", "initial.c")
-
-_F_PRESETS = {"zero": None, "logistic": "logistic_f"}
-_A_PRESETS = {"zero": None, "linear": "linear_a", "saturating": "saturating_a"}
-_B_PRESETS = {"zero": None, "coupling": "coupling_b"}
-_INITIAL_PRESETS = ("constant", "sine", "cosine", "bump", "barenblatt")
-
 Params = tuple[tuple[str, float], ...]
 
 
@@ -125,182 +118,164 @@ class RunConfig:
     out: str = "rpmelab_out"
 
 
-def _parse_int(key: str, text: str, lo: int, hi: int | None) -> int:
-    try:
-        val = int(text, 10)
-    except ValueError:
-        raise SchemaError(key, f"expected an integer, got {text!r}") from None
-    if val < lo or (hi is not None and val > hi):
-        raise SchemaError(key, f"{val} outside [{lo}, {hi if hi is not None else 'inf'}]")
-    return val
+def _int(lo: int, hi: float = math.inf):
+    def parse(key: str, text: str) -> int:
+        try:
+            val = int(text, 10)
+        except ValueError:
+            raise SchemaError(key, f"expected an integer, got {text!r}") from None
+        if not lo <= val <= hi:
+            raise SchemaError(key, f"{val} outside [{lo}, {hi}]")
+        return val
+
+    return parse
 
 
-def _parse_float(key: str, text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise SchemaError(key, f"expected a number, got {text!r}") from None
-    if not math.isfinite(val):
-        raise SchemaError(key, "must be finite")
-    return val
+def _number(check=None):
+    def parse(key: str, text: str) -> float:
+        try:
+            val = float(text)
+        except ValueError:
+            raise SchemaError(key, f"expected a number, got {text!r}") from None
+        if not math.isfinite(val):
+            raise SchemaError(key, "must be finite")
+        if check is not None and not check(val):
+            raise SchemaError(key, f"{val} out of range")
+        return val
+
+    return parse
 
 
-def _parse_list(key: str, text: str, one) -> tuple:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise SchemaError(key, "empty list")
-    return tuple(one(key, s) for s in items)
+def _choice(allowed):
+    def parse(key: str, text: str) -> str:
+        if text not in allowed:
+            raise SchemaError(key, f"{text!r} not one of {sorted(allowed)}")
+        return text
+
+    return parse
+
+
+def _path(key: str, text: str) -> str:
+    if not text:
+        raise SchemaError(key, "empty path")
+    return text
+
+
+def _list(one, order=lambda a, b: True, rule: str = "", at_least: int = 1):
+    """Comma-separated ``one`` values; each neighbouring pair must satisfy
+    ``order``, else ``rule`` is the error."""
+
+    def parse(key: str, text: str) -> tuple:
+        vals = tuple(one(key, s.strip()) for s in text.split(",") if s.strip())
+        if len(vals) < at_least:
+            raise SchemaError(key, f"{len(vals)} entries, needs at least {at_least}")
+        if not all(order(a, b) for a, b in zip(vals, vals[1:])):
+            raise SchemaError(key, rule)
+        return vals
+
+    return parse
+
+
+_finite = _number()
+_positive = _number(lambda v: v > 0.0)
+_fraction = _number(lambda v: 0.0 < v < 1.0)
+
+# preset namespace -> (name field, params field, config name -> library
+# preset).  Parameters are the keys under the namespace, as in
+# ``coeff.f.lambda``.
+_PRESETS = {
+    "coeff.f": ("f_name", "f_params", {"zero": "zero", "logistic": "logistic_f"}),
+    "coeff.a": (
+        "a_name", "a_params", {"zero": "zero", "linear": "linear_a", "saturating": "saturating_a"}
+    ),
+    "coeff.b": ("b_name", "b_params", {"zero": "zero", "coupling": "coupling_b"}),
+    "initial.c": (
+        "initial_name",
+        "initial_params",
+        {name: name for name in ("constant", "sine", "cosine", "bump", "barenblatt")},
+    ),
+}
+
+# config key -> (RunConfig field, parser).  A parser takes (key, text) and
+# returns the field value or raises a SchemaError naming the key.  The echo is
+# the field's value as text, so a key is written only here or in _PRESETS.
+_KEYS = {
+    "dim": ("dim", _int(1, 3)),
+    "cells": ("cells", _int(2, 1024)),
+    "t_final": ("t_final", _positive),
+    "theta": ("theta", _number(lambda v: 0.0 < v <= 1.0)),
+    "dt": ("dt", _positive),
+    "bc": ("bc", _choice(("dirichlet", "neumann"))),
+    "initial.y": ("y0", _number(lambda v: v >= 0.0)),
+    "n_paths": ("n_paths", _int(1)),
+    # the .rpme1 header and the Philox key both hold the seed as a u64
+    "seed": ("seed", _int(0, 2**64 - 1)),
+    "snapshot_stride": ("snapshot_stride", _int(0)),
+    "workers": ("workers", _int(1)),
+    "quad_refine": ("quad_refine", _int(1)),
+    "malliavin.fractions": ("malliavin_fractions", _list(_fraction)),
+    "stats.lags": ("lags", _list(_int(1), lambda a, b: b > a, "must increase")),
+    "converge.levels": ("levels", _list(_int(2), lambda a, b: b == 2 * a, "must double", 2)),
+    "sweep.eps": ("eps_values", _list(_fraction, lambda a, b: b < a, "must strictly decrease")),
+    "transform.k_max": ("k_max", _positive),
+    "transform.d_max": ("d_max", _positive),
+    "transform.n": ("table_n", _int(8)),
+    "transform.cap": ("weight_cap", _positive),
+    "out": ("out", _path),
+    # a namespace's own key names its preset
+    **{ns: (field, _choice(names)) for ns, (field, _, names) in _PRESETS.items()},
+}
 
 
 def _parse_beta(text: str) -> tuple[str, float, float | None]:
-    parts = text.split(":")
-    if parts[0] == "pme" and len(parts) == 2:
-        m = _parse_float("beta", parts[1])
-        if m <= 1.0:
-            raise SchemaError("beta", "exponent must exceed 1")
-        return "pme", m, None
-    if parts[0] == "regularized" and len(parts) == 3:
-        m = _parse_float("beta", parts[1])
-        eps = _parse_float("beta", parts[2])
-        if m <= 1.0:
-            raise SchemaError("beta", "exponent must exceed 1")
-        if not 0.0 < eps < 1.0:
-            raise SchemaError("beta", "eps must lie in (0, 1)")
-        return "regularized", m, eps
-    raise SchemaError("beta", f"expected 'pme:m' or 'regularized:m:eps', got {text!r}")
-
-
-def _enum(key: str, text: str, allowed) -> str:
-    if text not in allowed:
-        raise SchemaError(key, f"{text!r} not one of {sorted(allowed)}")
-    return text
+    kind, *nums = text.split(":")
+    if (kind, len(nums)) not in (("pme", 1), ("regularized", 2)):
+        raise SchemaError("beta", f"expected 'pme:m' or 'regularized:m:eps', got {text!r}")
+    m = _number(lambda v: v > 1.0)("beta", nums[0])
+    return kind, m, _fraction("beta", nums[1]) if kind == "regularized" else None
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     """Build and validate a RunConfig from flat key -> string pairs."""
-    pending = dict(mapping)
-    params: dict[str, dict[str, float]] = {ns: {} for ns in _PRESET_NAMESPACES}
-    for key in list(pending):
-        for ns in _PRESET_NAMESPACES:
-            if key.startswith(ns + "."):
-                params[ns][key[len(ns) + 1 :]] = _parse_float(key, pending.pop(key))
-                break
-
-    def take(key: str) -> str | None:
-        return pending.pop(key, None)
-
     kw: dict = {}
-
-    def put_int(key: str, field: str, lo: int, hi: int | None = None):
-        raw = take(key)
-        if raw is not None:
-            kw[field] = _parse_int(key, raw, lo, hi)
-
-    def put_float(key: str, field: str, check=None):
-        raw = take(key)
-        if raw is not None:
-            val = _parse_float(key, raw)
-            if check is not None and not check(val):
-                raise SchemaError(key, f"{val} out of range")
-            kw[field] = val
-
-    put_int("dim", "dim", 1, 3)
-    put_int("cells", "cells", 2, 1024)
-    put_int("n_paths", "n_paths", 1)
-    put_int("seed", "seed", 0)
-    put_int("snapshot_stride", "snapshot_stride", 0)
-    put_int("workers", "workers", 1)
-    put_int("quad_refine", "quad_refine", 1)
-    put_int("transform.n", "table_n", 8)
-    put_float("t_final", "t_final", lambda v: v > 0.0)
-    put_float("theta", "theta", lambda v: 0.0 < v <= 1.0)
-    put_float("dt", "dt", lambda v: v > 0.0)
-    put_float("initial.y", "y0", lambda v: v >= 0.0)
-    put_float("transform.k_max", "k_max", lambda v: v > 0.0)
-    put_float("transform.d_max", "d_max", lambda v: v > 0.0)
-    put_float("transform.cap", "weight_cap", lambda v: v > 0.0)
-
-    raw = take("bc")
-    if raw is not None:
-        kw["bc"] = _enum("bc", raw, ("dirichlet", "neumann"))
-    raw = take("beta")
-    if raw is not None:
-        kw["beta_kind"], kw["beta_m"], kw["beta_eps"] = _parse_beta(raw)
-    raw = take("coeff.f")
-    if raw is not None:
-        kw["f_name"] = _enum("coeff.f", raw, _F_PRESETS)
-    raw = take("coeff.a")
-    if raw is not None:
-        kw["a_name"] = _enum("coeff.a", raw, _A_PRESETS)
-    raw = take("coeff.b")
-    if raw is not None:
-        kw["b_name"] = _enum("coeff.b", raw, _B_PRESETS)
-    raw = take("initial.c")
-    if raw is not None:
-        kw["initial_name"] = _enum("initial.c", raw, _INITIAL_PRESETS)
-    raw = take("out")
-    if raw is not None:
-        if not raw:
-            raise SchemaError("out", "empty path")
-        kw["out"] = raw
-
-    raw = take("malliavin.fractions")
-    if raw is not None:
-        fracs = _parse_list("malliavin.fractions", raw, _parse_float)
-        if any(not 0.0 < v < 1.0 for v in fracs):
-            raise SchemaError("malliavin.fractions", "fractions must lie in (0, 1)")
-        kw["malliavin_fractions"] = fracs
-    raw = take("stats.lags")
-    if raw is not None:
-        lags = _parse_list("stats.lags", raw, lambda k, s: _parse_int(k, s, 1, None))
-        if any(b <= a for a, b in zip(lags, lags[1:])):
-            raise SchemaError("stats.lags", "lags must increase")
-        kw["lags"] = lags
-    raw = take("converge.levels")
-    if raw is not None:
-        kw["levels"] = _parse_list(
-            "converge.levels", raw, lambda k, s: _parse_int(k, s, 2, None)
-        )
-    raw = take("sweep.eps")
-    if raw is not None:
-        eps = _parse_list("sweep.eps", raw, _parse_float)
-        if any(not 0.0 < v < 1.0 for v in eps):
-            raise SchemaError("sweep.eps", "eps values must lie in (0, 1)")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise SchemaError("sweep.eps", "eps values must strictly decrease")
-        kw["eps_values"] = eps
-
-    if pending:
-        raise SchemaError(sorted(pending)[0], "unknown key")
-
-    for ns, field in (
-        ("coeff.f", "f_params"),
-        ("coeff.a", "a_params"),
-        ("coeff.b", "b_params"),
-        ("initial.c", "initial_params"),
-    ):
-        if params[ns]:
-            kw[field] = tuple(sorted(params[ns].items()))
+    params: dict[str, dict[str, float]] = {ns: {} for ns in _PRESETS}
+    for key, raw in mapping.items():
+        ns, _, name = key.rpartition(".")
+        if key in _KEYS:
+            field, parse = _KEYS[key]
+            kw[field] = parse(key, raw)
+        elif key == "beta":
+            kw["beta_kind"], kw["beta_m"], kw["beta_eps"] = _parse_beta(raw)
+        elif ns in _PRESETS:
+            params[ns][name] = _finite(key, raw)
+        else:
+            raise SchemaError(key, "unknown key")
+    for ns, (_, params_field, _) in _PRESETS.items():
+        kw[params_field] = tuple(sorted(params[ns].items()))
 
     cfg = RunConfig(**kw)
-    _validate_builds(cfg)
+    # construct every referenced preset once, so bad parameters surface at
+    # load time with the namespace that carried them
+    _coefficients(cfg)
+    _initial(cfg)
     return cfg
 
 
-def _validate_builds(cfg: RunConfig) -> None:
-    """Construct every referenced preset once so bad parameters surface at
-    load time with the namespace that carried them."""
-    _coefficients(cfg)
-    _initial(cfg)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise SchemaError(key, "duplicate key")
+        doc[key] = val
+    return doc
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     """Parse a flat key=value file ('#' comments) or a JSON object."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError("<json>", f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
@@ -310,9 +285,9 @@ def load_config(path: str | os.PathLike) -> RunConfig:
             if isinstance(val, bool) or val is None:
                 raise SchemaError(str(key), "booleans and nulls are not config values")
             if isinstance(val, list):
-                mapping[str(key)] = ",".join(_scalar_text(v) for v in val)
+                mapping[str(key)] = ",".join(_text(v) for v in val)
             else:
-                mapping[str(key)] = _scalar_text(val)
+                mapping[str(key)] = _text(val)
         return config_from_mapping(mapping)
     mapping = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -329,7 +304,10 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     return config_from_mapping(mapping)
 
 
-def _scalar_text(v) -> str:
+def _text(v) -> str:
+    """Config text of a value: floats by repr, tuples comma-joined."""
+    if isinstance(v, tuple):
+        return ",".join(_text(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -337,46 +315,13 @@ def _scalar_text(v) -> str:
 
 def config_echo(cfg: RunConfig) -> dict[str, str]:
     """Flat key -> string form re-parsing to an equal RunConfig."""
-    out = {
-        "dim": str(cfg.dim),
-        "cells": str(cfg.cells),
-        "t_final": repr(cfg.t_final),
-        "theta": repr(cfg.theta),
-        "bc": cfg.bc,
-        "coeff.f": cfg.f_name,
-        "coeff.a": cfg.a_name,
-        "coeff.b": cfg.b_name,
-        "initial.c": cfg.initial_name,
-        "initial.y": repr(cfg.y0),
-        "n_paths": str(cfg.n_paths),
-        "seed": str(cfg.seed),
-        "snapshot_stride": str(cfg.snapshot_stride),
-        "workers": str(cfg.workers),
-        "quad_refine": str(cfg.quad_refine),
-        "malliavin.fractions": ",".join(repr(v) for v in cfg.malliavin_fractions),
-        "stats.lags": ",".join(str(v) for v in cfg.lags),
-        "converge.levels": ",".join(str(v) for v in cfg.levels),
-        "sweep.eps": ",".join(repr(v) for v in cfg.eps_values),
-        "transform.k_max": repr(cfg.k_max),
-        "transform.d_max": repr(cfg.d_max),
-        "transform.n": str(cfg.table_n),
-        "transform.cap": repr(cfg.weight_cap),
-        "out": cfg.out,
-    }
-    if cfg.beta_kind == "pme":
-        out["beta"] = f"pme:{cfg.beta_m!r}"
-    else:
-        out["beta"] = f"regularized:{cfg.beta_m!r}:{cfg.beta_eps!r}"
-    if cfg.dt is not None:
-        out["dt"] = repr(cfg.dt)
-    for ns, pars in (
-        ("coeff.f", cfg.f_params),
-        ("coeff.a", cfg.a_params),
-        ("coeff.b", cfg.b_params),
-        ("initial.c", cfg.initial_params),
-    ):
-        for name, value in pars:
-            out[f"{ns}.{name}"] = repr(value)
+    values = {key: getattr(cfg, field) for key, (field, _) in _KEYS.items()}
+    out = {key: _text(v) for key, v in values.items() if v is not None}
+    beta = (cfg.beta_kind, cfg.beta_m, cfg.beta_eps)
+    out["beta"] = ":".join(_text(v) for v in beta if v is not None)
+    for ns, (_, params_field, _) in _PRESETS.items():
+        for name, value in getattr(cfg, params_field):
+            out[f"{ns}.{name}"] = _text(value)
     return out
 
 
@@ -390,33 +335,28 @@ def _beta_family(cfg: RunConfig):
     return regularize_beta(cfg.beta_m, cfg.beta_eps)
 
 
+def _preset(cfg: RunConfig, ns: str, build):
+    """``build(library preset, params)`` for the preset ``cfg`` names in
+    namespace ``ns``; bad parameters raise a SchemaError naming ``ns``."""
+    name_field, params_field, presets = _PRESETS[ns]
+    try:
+        return build(presets[getattr(cfg, name_field)], dict(getattr(cfg, params_field)))
+    except ValueError as exc:
+        raise SchemaError(ns, str(exc)) from None
+
+
 def _coefficients(cfg: RunConfig):
-    """The coefficient set of a config; a bad preset raises a SchemaError
-    naming its namespace."""
-
-    def build(ns, table, name, pars):
-        if table[name] is None:
-            if pars:
-                raise SchemaError(f"{ns}.{pars[0][0]}", "zero preset takes no parameters")
-            return None
-        try:
-            return preset_coefficients(table[name], dict(pars))
-        except ValueError as exc:
-            raise SchemaError(ns, str(exc)) from None
-
-    return make_coefficients(
-        _beta_family(cfg),
-        f=build("coeff.f", _F_PRESETS, cfg.f_name, cfg.f_params),
-        a=build("coeff.a", _A_PRESETS, cfg.a_name, cfg.a_params),
-        b=build("coeff.b", _B_PRESETS, cfg.b_name, cfg.b_params),
-    )
+    """The coefficient set of a config; ``coeff.f`` fills the slot ``f``."""
+    terms = {
+        ns.removeprefix("coeff."): _preset(cfg, ns, preset_coefficients)
+        for ns in _PRESETS
+        if ns.startswith("coeff.")
+    }
+    return make_coefficients(_beta_family(cfg), **terms)
 
 
 def _initial(cfg: RunConfig):
-    try:
-        return initial_preset(cfg.initial_name, cfg.dim, dict(cfg.initial_params))
-    except ValueError as exc:
-        raise SchemaError("initial.c", str(exc)) from None
+    return _preset(cfg, "initial.c", lambda name, pars: initial_preset(name, cfg.dim, pars))
 
 
 def _physical_memory() -> int:
@@ -608,8 +548,6 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     levels = cfg.levels
-    if len(levels) < 2 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
-        raise SchemaError("converge.levels", "levels must double at every step")
     out = cauchy_refinement(
         _sim_config(cfg, "converge.levels"),
         _initial(cfg),

@@ -104,8 +104,10 @@ def _philox_blocks(seed: int, path_ids, dt: float, n_steps: int, block: int):
     is written into the same buffer, so a block is valid until the next one
     is drawn."""
     mask = 0xFFFFFFFFFFFFFFFF
-    streams = [np.random.Generator(np.random.Philox(key=[seed & mask, int(pid) & mask]))
-               for pid in path_ids]
+    # an explicit u64 key: numpy reads a list holding an int >= 2**63 as
+    # float64, which merges neighbouring seeds and wraps 2**64 - 1 to 0
+    keys = [np.array([seed & mask, int(pid) & mask], np.uint64) for pid in path_ids]
+    streams = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     buf = np.empty((len(streams), min(block, n_steps)))
     scale = math.sqrt(dt)
     for start in range(0, n_steps, buf.shape[1]):

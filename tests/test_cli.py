@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rpmelab import cli
 from rpmelab.cli import (
     RunConfig,
     SchemaError,
@@ -87,6 +89,10 @@ def test_json_config_equivalent(tmp_path):
         ("coeff.a.sigma = 0.4", "coeff.a"),  # param for the zero preset
         ("initial.c = barenblatt\ndim = 2", "initial.c"),
         ("cells = 8\ncells = 9", "cells"),
+        ('{"cells": 8, "t_final": 0.1, "cells": 9}', "cells"),
+        ("converge.levels = 16,24", "converge.levels"),
+        ("converge.levels = 16", "converge.levels"),
+        (f"seed = {2**64}", "seed"),
     ],
 )
 def test_schema_violations_name_the_key(tmp_path, line, key):
@@ -109,6 +115,208 @@ def test_echo_round_trips_to_equal_config(tmp_path):
     assert config_from_mapping(config_echo(cfg)) == cfg
     # defaults echo back to themselves too
     assert config_from_mapping(config_echo(RunConfig())) == RunConfig()
+    # the manifest's config block, string for string
+    assert config_echo(cfg) == {
+        "dim": "1", "cells": "12", "t_final": "0.03", "theta": "0.75", "bc": "dirichlet",
+        "coeff.f": "logistic", "coeff.a": "saturating", "coeff.b": "coupling",
+        "initial.c": "bump", "initial.y": "0.5", "n_paths": "3", "seed": "11",
+        "snapshot_stride": "0", "workers": "2", "quad_refine": "4",
+        "malliavin.fractions": "0.1,0.9", "stats.lags": "2,4,8", "converge.levels": "8,16",
+        "sweep.eps": "0.5,0.25,0.125", "transform.k_max": "2.0", "transform.d_max": "2.0",
+        "transform.n": "32", "transform.cap": "1.0", "out": "somewhere",
+        "beta": "regularized:2.5:0.125", "dt": "0.0001",
+        "coeff.f.lambda": "0.7", "coeff.a.sigma": "0.2", "coeff.b.kappa": "0.3",
+    }
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Config keys (all have defaults)")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    for key in [*cli._KEYS, "beta", *cli._PRESETS]:
+        assert f"`{key}`" in paragraph, key
+
+
+# ---------------------------------------------------------------------------
+# config properties: per-key strategies of valid and invalid text
+
+
+def floats(lo, hi, open_lo=False):
+    return st.floats(lo, hi, exclude_min=open_lo).map(repr)
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def joined(values):
+    return ",".join(str(v) for v in values)
+
+
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+VALID_TEXT = {
+    "cells": ints(2, 1024),
+    "t_final": floats(0.0, 1e6, open_lo=True),
+    "theta": floats(0.0, 1.0, open_lo=True),
+    "dt": floats(0.0, 1.0, open_lo=True),
+    "bc": st.sampled_from(["neumann", "dirichlet"]),
+    "beta": st.one_of(
+        floats(1.0, 8.0, open_lo=True).map(lambda m: f"pme:{m}"),
+        st.tuples(floats(1.0, 8.0, open_lo=True), UNIT.map(repr)).map(
+            lambda t: f"regularized:{t[0]}:{t[1]}"
+        ),
+    ),
+    "initial.y": floats(0.0, 1e3),
+    "n_paths": ints(1, 10**6),
+    "seed": ints(0, 2**64 - 1),
+    "snapshot_stride": ints(0, 10**6),
+    "workers": ints(1, 64),
+    "quad_refine": ints(1, 64),
+    "malliavin.fractions": st.lists(UNIT.map(repr), min_size=1, max_size=5).map(joined),
+    "stats.lags": st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True).map(
+        lambda v: joined(sorted(v))
+    ),
+    "converge.levels": st.tuples(st.integers(2, 64), st.integers(2, 5)).map(
+        lambda t: joined(t[0] * 2**i for i in range(t[1]))
+    ),
+    "sweep.eps": st.lists(UNIT, min_size=1, max_size=5, unique=True).map(
+        lambda v: joined(repr(x) for x in sorted(v, reverse=True))
+    ),
+    "transform.k_max": floats(0.0, 1e3, open_lo=True),
+    "transform.d_max": floats(0.0, 1e3, open_lo=True),
+    "transform.n": ints(8, 4096),
+    "transform.cap": floats(0.0, 1e3, open_lo=True),
+    "out": st.text("abcxyz019_-./", min_size=1, max_size=12),
+}
+
+
+def params(ns, **strategies):
+    return st.fixed_dictionaries({}, optional={f"{ns}.{k}": v for k, v in strategies.items()})
+
+
+NONNEG = floats(0.0, 10.0)
+PRESET_PARAMS = {
+    "coeff.f": {
+        "zero": st.just({}),
+        "logistic": params(
+            "coeff.f", **{"lambda": NONNEG, "K": floats(0.0, 10.0, open_lo=True), "mu_y": NONNEG}
+        ),
+    },
+    "coeff.a": {
+        "zero": st.just({}),
+        "linear": params("coeff.a", sigma=floats(-5.0, 5.0)),
+        "saturating": params("coeff.a", sigma=floats(-5.0, 5.0)),
+    },
+    "coeff.b": {"zero": st.just({}), "coupling": params("coeff.b", kappa=NONNEG, rho=NONNEG)},
+    "initial.c": {
+        "constant": params("initial.c", value=NONNEG),
+        "sine": params("initial.c", amplitude=NONNEG),
+        # offset >= 0.5 >= |amplitude| whichever of the two is left at its default
+        "cosine": params("initial.c", offset=floats(0.5, 10.0), amplitude=floats(-0.5, 0.5)),
+        "bump": params("initial.c", amplitude=NONNEG),
+        "barenblatt": params(
+            "initial.c", m=floats(1.5, 4.0), t0=floats(0.01, 1.0), mass=floats(0.01, 1.0)
+        ),
+    },
+}
+
+
+@st.composite
+def valid_mappings(draw):
+    mapping = draw(st.fixed_dictionaries({}, optional=VALID_TEXT))
+    dim = draw(st.sampled_from([None, 1, 2, 3]))
+    if dim is not None:
+        mapping["dim"] = str(dim)
+    for ns, presets in PRESET_PARAMS.items():
+        # barenblatt data is one-dimensional
+        names = [n for n in presets if n != "barenblatt" or dim in (None, 1)]
+        name = draw(st.sampled_from([None, *names]))
+        if name is not None:
+            mapping[ns] = name
+            mapping.update(draw(presets[name]))
+    return draw(st.permutations(list(mapping.items())).map(dict))
+
+
+NOT_A_NUMBER = ["x", "1..2", "nan", "inf", ""]
+# number-valued keys: out of range, and also not a finite number
+OUT_OF_RANGE = {
+    "dim": ["0", "4", "1.0"],
+    "cells": ["1", "1025", "8.5"],
+    "t_final": ["0", "-0.1"],
+    "theta": ["0", "1.5", "-1"],
+    "dt": ["0", "-1e-3"],
+    "initial.y": ["-0.5"],
+    "n_paths": ["0", "-3"],
+    "seed": ["-1", str(2**64), str(2**70)],
+    "snapshot_stride": ["-1"],
+    "workers": ["0"],
+    "quad_refine": ["0"],
+    "malliavin.fractions": ["0.5,1.5", "0", "0.25,1"],
+    "stats.lags": ["8,8", "16,8", "0,4"],
+    "converge.levels": ["16,24", "16", "16,32,48", "1,2"],
+    "sweep.eps": ["1e-2,1e-1", "0.5,0.5", "1.5"],
+    "transform.k_max": ["0"],
+    "transform.d_max": ["-2"],
+    "transform.n": ["7"],
+    "transform.cap": ["0"],
+}
+INVALID_TEXT = {
+    **{key: bad + NOT_A_NUMBER for key, bad in OUT_OF_RANGE.items()},
+    "bc": ["periodic", "Neumann", ""],
+    "beta": ["pme:1.0", "pme:0.5", "pme", "regularized:2:0", "regularized:2:1.5", "linear:2"],
+    "out": [""],
+    "coeff.f": ["logistic_f", "linear", "bogus"],
+    "coeff.a": ["linear_a", "coupling"],
+    "coeff.b": ["coupling_b", "logistic"],
+    "initial.c": ["cos", "gaussian"],
+}
+
+
+@st.composite
+def corrupted_mappings(draw):
+    """A valid mapping with one key, a table key or a preset parameter it
+    carries, set to text that key refuses."""
+    mapping = draw(valid_mappings())
+    param_keys = [k for k in mapping if k.count(".") == 2]
+    key = draw(st.sampled_from(sorted(INVALID_TEXT) + param_keys))
+    mapping[key] = draw(st.sampled_from(INVALID_TEXT.get(key, NOT_A_NUMBER)))
+    return mapping, key
+
+
+def flat_text(mapping):
+    return "".join(f"{k} = {v}\n" for k, v in mapping.items())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mapping=valid_mappings())
+def test_any_valid_mapping_round_trips_through_its_echo(tmp_path, mapping):
+    cfg = config_from_mapping(mapping)
+    echo = config_echo(cfg)
+    assert config_from_mapping(echo) == cfg
+    assert load_config(write(tmp_path, flat_text(echo))) == cfg
+    assert load_config(write(tmp_path, json.dumps(echo), name="run.json")) == cfg
+    # the input file itself parses to the same config
+    assert load_config(write(tmp_path, flat_text(mapping))) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=corrupted_mappings())
+def test_corrupting_one_key_names_that_key(case):
+    mapping, key = case
+    with pytest.raises(SchemaError) as err:
+        config_from_mapping(mapping)
+    assert err.value.key == key
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=corrupted_mappings(), command=st.sampled_from(sorted(cli._RUNNERS)))
+def test_corrupt_config_exits_3_and_writes_nothing(tmp_path, capsys, case, command):
+    mapping, key = case
+    out = tmp_path / "never"
+    assert main([command, write(tmp_path, flat_text(mapping)), "--out", str(out)]) == 3
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +361,19 @@ def test_simulate_writes_verified_artifacts(tmp_path):
     # the config echo in the manifest reproduces the run configuration
     echoed = config_from_mapping(manifest["config"])
     assert echoed.cells == 8 and echoed.n_paths == 2
+
+
+def test_seed_beyond_u64_exits_3(tmp_path, capsys):
+    code, out = run_cli("simulate", tmp_path, SMALL_SIM + f"seed = {2**64}\n", "wide")
+    assert code == 3
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_u64_seed_runs_and_is_recorded(tmp_path):
+    code, out = run_cli("simulate", tmp_path, SMALL_SIM + f"seed = {2**64 - 1}\n", "widest")
+    assert code == 0
+    assert read_record(out / "paths" / "path_0001.rpme1").seed == 2**64 - 1
 
 
 def test_refuses_nonempty_output_dir(tmp_path):

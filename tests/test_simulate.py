@@ -1,6 +1,7 @@
 """Stepping engine: single-step arithmetic, conservation and positivity
 invariants, noise generation, ensemble determinism, and the binary container."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ def test_wiener_reproducible_and_distinct():
     assert len(firsts) == 100
     batch = gen_wiener_batch(64, 0.01, seed=9, path_ids=[3, 4, 5])
     assert np.array_equal(batch.increments[1], a.increments)
+
+
+def test_wiener_keys_every_u64_seed_apart():
+    # seeds at and above 2**63 each get their own stream, and 2**64 - 1 is
+    # not seed 0; the key is the seed modulo 2**64
+    seeds = [0, 2**63 - 1, 2**63, 2**63 + 1, 2**63 + 1024, 2**64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        firsts = {float(gen_wiener(4, 0.01, seed=s).increments[0]) for s in seeds}
+    assert len(firsts) == len(seeds)
+    wrapped, plain = gen_wiener(4, 0.01, seed=2**64 + 5), gen_wiener(4, 0.01, seed=5)
+    assert np.array_equal(wrapped.increments, plain.increments)
 
 
 def test_coarsen_wiener_groups_increments():
