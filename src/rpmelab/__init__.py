@@ -29,9 +29,9 @@ _EXPORTS = {
         pc_spline project
     """,
     "malliavin": """
-        MalliavinSlice MalliavinState TangentBuffers derivative_run
-        init_malliavin perturbation_oracle propagate propagate_path
-        propagate_seeds recover_drc seed_index step_malliavin
+        MalliavinSlice MalliavinState TangentBuffers init_malliavin
+        perturbation_oracle propagate_path recover_drc seed_index
+        step_malliavin
     """,
     "model": """
         AssumptionProfile AssumptionReport BetaFamily CoefficientSet
@@ -43,7 +43,7 @@ _EXPORTS = {
         DerivativePair FormatError PathRecord RecordWriter read_record write_record
     """,
     "simulate": """
-        EnsembleResult SimConfig Trajectory WienerPath apply_bc cfl_dt
+        EnsembleResult SimConfig WienerPath apply_bc cfl_dt
         coarsen_wiener gen_wiener gen_wiener_batch interior_v_mass
         prepare_initial simulate_ensemble simulate_path step
         NumericalAbort StepBuffers

@@ -37,8 +37,8 @@ from .model import (
     regularize_beta,
 )
 from .simulate import (
+    EnsembleResult,
     SimConfig,
-    Trajectory,
     coarsen_wiener,
     gen_wiener_batch,
     prepare_initial,
@@ -136,8 +136,8 @@ def convex_energy(c_values: np.ndarray, grid: GridSpec, coeffs: CoefficientSet,
     return float(grid.spacing**grid.dim * per_node.sum())
 
 
-def energy_report(traj: Trajectory, coeffs: CoefficientSet, theta: float) -> list[EstimateReport]:
-    """Discrete energy inequality along stored frames:
+def energy_report(run: EnsembleResult, coeffs: CoefficientSet, theta: float) -> list[EstimateReport]:
+    """Discrete energy inequality along the stored frames of path 0:
 
         E(T) + (1 - theta) * D - S_f  <=  E(0),
 
@@ -146,22 +146,21 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet, theta: float) -> lis
     explicit scheme's quadratic remainder is at most theta times the
     dissipation, which is exactly the slack kept on D.
     """
-    grid = traj.grid
-    times = traj.times
+    grid, times, c, y = run.grid, run.times, run.c[:, 0], run.y[:, 0]
     frames = len(times)
-    e0 = convex_energy(traj.c[0], grid, coeffs)
-    e_final = convex_energy(traj.c[-1], grid, coeffs)
+    e0 = convex_energy(c[0], grid, coeffs)
+    e_final = convex_energy(c[-1], grid, coeffs)
     diss = 0.0
     work = 0.0
     core = (slice(1, -1),) * grid.dim
     hw = grid.spacing**grid.dim
     for k in range(frames - 1):
         gap = float(times[k + 1] - times[k])
-        ck = Field(grid, traj.c[k])
+        ck = Field(grid, c[k])
         diss += gap * h1_seminorm(ck) ** 2
-        fvals = coeffs.f(traj.c[k][core], traj.y[k][core])
-        work += gap * hw * float(np.sum(fvals * traj.c[k][core]))
-    sup_c = float(np.max(traj.c))
+        fvals = coeffs.f(c[k][core], y[k][core])
+        work += gap * hw * float(np.sum(fvals * c[k][core]))
+    sup_c = float(np.max(c))
     measured = e_final + (1.0 - theta) * diss - work
     scale = max(e0, 1.0)
     return [
@@ -172,7 +171,7 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet, theta: float) -> lis
             {"initial": e0, "final": e_final, "dissipation": diss, "source_work": work},
         ),
         EstimateReport("sup_concentration", sup_c, None, {}),
-        EstimateReport("clamped_mass", traj.clamp_mass, None, {}),
+        EstimateReport("clamped_mass", float(run.clamp_mass[0]), None, {}),
     ]
 
 
@@ -203,7 +202,7 @@ def bump_time_profile(t_final: float):
 
 
 def weak_residual(
-    traj: Trajectory,
+    run: EnsembleResult,
     coeffs: CoefficientSet,
     free_values: np.ndarray,
     xi: Callable,
@@ -218,26 +217,26 @@ def weak_residual(
     residual and a scale-free version.  For constant xi it telescopes to
     rounding; for smooth xi it shrinks at first order in dt.
     """
-    grid = traj.grid
-    if not np.array_equal(traj.step_indices, np.arange(traj.n_steps + 1)):
-        raise ValueError("weak residual needs a densely stored trajectory")
+    grid, c, y = run.grid, run.c[:, 0], run.y[:, 0]
+    if len(run.times) != run.n_steps + 1:
+        raise ValueError("weak residual needs every step stored")
     v_field = h02_embed(grid, np.asarray(free_values, dtype=np.float64))
     lap_v = laplacian(v_field)
     core = (slice(1, -1),) * grid.dim
     v_int = v_field.values[core]
     lap_int = lap_v.values[core]
     hw = grid.spacing**grid.dim
-    dt = traj.dt
-    n = traj.n_steps
+    dt = run.dt
+    n = run.n_steps
 
-    ts = traj.times
+    ts = run.times
     a = np.empty(n + 1)
     b = np.empty(n)
     for k in range(n + 1):
-        a[k] = hw * float(np.sum(coeffs.beta(traj.c[k][core]) * v_int))
+        a[k] = hw * float(np.sum(coeffs.beta(c[k][core]) * v_int))
         if k < n:
-            fvals = coeffs.f(traj.c[k][core], traj.y[k][core])
-            b[k] = hw * float(np.sum(traj.c[k][core] * lap_int + fvals * v_int))
+            fvals = coeffs.f(c[k][core], y[k][core])
+            b[k] = hw * float(np.sum(c[k][core] * lap_int + fvals * v_int))
     xs = np.asarray(xi(ts), dtype=np.float64)
     xps = np.asarray(xi_prime(ts), dtype=np.float64)
     residual = a[-1] * xs[-1] - a[0] * xs[0] - dt * float(np.sum(a[:-1] * xps[:-1])) - dt * float(
@@ -471,23 +470,23 @@ def barenblatt_error(
     def c0(x):
         return barenblatt_profile(x[..., 0], t0, m, mass) ** m
 
-    traj = simulate_path(config, c0, 0.0, seed=0, n_snapshots=n_snapshots)
+    run = simulate_path(config, c0, 0.0, seed=0, n_snapshots=n_snapshots)
     xs = grid.node_points()[..., 0]
-    tw = np.full(len(traj.times), traj.times[1] - traj.times[0])
+    tw = np.full(len(run.times), run.times[1] - run.times[0])
     tw[0] *= 0.5
     tw[-1] *= 0.5
     err_sq = 0.0
     ref_sq = 0.0
     h = grid.spacing
-    for k, t in enumerate(traj.times):
+    for k, t in enumerate(run.times):
         exact = barenblatt_profile(xs, t0 + t, m, mass)
-        num = coeffs.beta(traj.c[k])
+        num = coeffs.beta(run.c[k, 0])
         err_sq += tw[k] * h * float(np.sum((num[1:-1] - exact[1:-1]) ** 2))
         ref_sq += tw[k] * h * float(np.sum(exact[1:-1] ** 2))
     rel = math.sqrt(err_sq / ref_sq)
     return BenchmarkResult(
-        cells, traj.dt, rel,
-        {"n_steps": traj.n_steps, "clamp_mass": traj.clamp_mass,
+        cells, run.dt, rel,
+        {"n_steps": run.n_steps, "clamp_mass": float(run.clamp_mass[0]),
          "support_radius": barenblatt_support_radius(t0 + t_final, m, mass)},
     )
 
@@ -557,17 +556,17 @@ def transform_report(big_phi: TabulatedTransform, psi: TabulatedTransform) -> li
 
 
 def transform_trajectory_report(
-    traj: Trajectory, transform: Callable[[np.ndarray], np.ndarray]
+    run: EnsembleResult, transform: Callable[[np.ndarray], np.ndarray]
 ) -> list[EstimateReport]:
-    """Diagnostics for a pointwise-transformed trajectory: sup norm,
-    time-integrated squared gradient, and the largest L2 time slope."""
-    grid = traj.grid
-    vals = [transform(traj.c[k]) for k in range(len(traj.times))]
+    """Diagnostics for the pointwise-transformed frames of path 0: sup
+    norm, time-integrated squared gradient, and the largest L2 time slope."""
+    grid = run.grid
+    vals = [transform(run.c[k, 0]) for k in range(len(run.times))]
     sup = max(float(np.max(np.abs(v))) for v in vals)
     diss = 0.0
     slope = 0.0
     for k in range(len(vals) - 1):
-        gap = float(traj.times[k + 1] - traj.times[k])
+        gap = float(run.times[k + 1] - run.times[k])
         diss += gap * h1_seminorm(Field(grid, vals[k])) ** 2
         slope = max(
             slope, lp_norm(Field(grid, (vals[k + 1] - vals[k]) / gap), 2.0, "interior")

@@ -363,15 +363,26 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _memory_need(grid, frames: int) -> int:
+    """Bytes one path holds: its step state and ``frames`` stored frames of
+    c and y in float64."""
+    return _state_bytes(grid) + 16 * grid.n_nodes * frames
+
+
+def _fit_memory(grid, frames: int = 0, key: str = "cells") -> None:
+    """Reject, naming ``key``, a run whose one path does not fit in
+    physical memory, before its step state or frames are allocated."""
+    need = _memory_need(grid, frames)
+    if need > _physical_memory():
+        raise SchemaError(key, f"step state and {frames} stored frames ({need} bytes) exceed physical memory")
+
+
 def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
     """The run description on the grid of ``cells``, or of the finest
-    ``converge.levels`` entry.  A grid whose step state for one path does
-    not fit in physical memory is rejected, naming that key, before any
-    array is allocated."""
+    ``converge.levels`` entry, once one path's step state fits in memory;
+    runs that store frames check them as well (``_fit_memory``)."""
     grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
-    need = _state_bytes(grid)
-    if need > _physical_memory():
-        raise SchemaError(key, f"one path's step state ({need} bytes) exceeds physical memory")
+    _fit_memory(grid, 0, key)
     return SimConfig(
         grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt
     )
@@ -417,6 +428,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     _, n0 = config.resolve_steps(c0_max)
     stride = cfg.snapshot_stride or max(1, n0 // 256)
     n_snap = max(1, n0 // stride)
+    _fit_memory(config.grid, n_snap + 1)
 
     (staging / "paths").mkdir()
     reports: list[EstimateReport] = []
@@ -455,12 +467,13 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     c0_fn = _initial(cfg)
-    _, r2 = _growth_radius(config, c0_fn, cfg.y0)
+    c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
+    _fit_memory(config.grid, config.resolve_steps(c0_max)[1] + 1)  # every step is stored
 
-    traj = simulate_path(config, c0_fn, cfg.y0, seed=cfg.seed, path_id=0, store_dense=True)
-    _require_finite(traj.c, traj.y)
-    reports = [linf_check(float(np.max(traj.c)), r2), _mass_report(traj.c, config, cfg)]
-    reports.extend(energy_report(traj, config.coeffs, cfg.theta))
+    run = simulate_path(config, c0_fn, cfg.y0, seed=cfg.seed, path_id=0, store_dense=True)
+    _require_finite(run.c, run.y)
+    reports = [linf_check(float(np.max(run.c)), r2), _mass_report(run.c[:, 0], config, cfg)]
+    reports.extend(energy_report(run, config.coeffs, cfg.theta))
 
     rng = np.random.default_rng(cfg.seed)
     n_free = free_node_count(config.grid)
@@ -468,17 +481,17 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         v = rng.uniform(0.5, 1.0, size=n_free)
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
         zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
-        _, scaled = weak_residual(traj, config.coeffs, v, ones, zeros)
+        _, scaled = weak_residual(run, config.coeffs, v, ones, zeros)
         reports.append(EstimateReport("weak_residual_constant_window", scaled, 1e-10))
         xi, xi_p = bump_time_profile(cfg.t_final)
-        _, scaled_bump = weak_residual(traj, config.coeffs, v, xi, xi_p)
+        _, scaled_bump = weak_residual(run, config.coeffs, v, xi, xi_p)
         reports.append(EstimateReport("weak_residual_bump_window", scaled_bump, None))
 
     center = tuple(s // 2 for s in config.grid.shape)
-    series = traj.y[(slice(None),) + center]
-    usable = tuple(lag for lag in cfg.lags if lag < traj.n_steps)
+    series = run.y[(slice(None), 0) + center]
+    usable = tuple(lag for lag in cfg.lags if lag < run.n_steps)
     if len(usable) >= 2:
-        reports.append(holder_report(series, traj.dt, usable, "y_holder_exponent"))
+        reports.append(holder_report(series, run.dt, usable, "y_holder_exponent"))
 
     ens = simulate_ensemble(
         config,
@@ -496,7 +509,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
             "terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}
         )
     )
-    return {"verify": reports}, {"dt": traj.dt, "r2_bound": r2}
+    return {"verify": reports}, {"dt": run.dt, "r2_bound": r2}
 
 
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:

@@ -39,11 +39,9 @@ from .simulate import (
     EnsembleResult,
     SimConfig,
     StepBuffers,
-    Trajectory,
     WienerPath,
     _impose_bc,
     simulate_ensemble,
-    simulate_path,
     step,
 )
 
@@ -181,8 +179,8 @@ class _Tangent:
     workspace for all of them; a seed's row becomes active at its step, so
     the active seeds are always the leading rows."""
 
-    def __init__(self, config: SimConfig, wiener: WienerPath, first: int, r_indices, t_indices, on_frame):
-        n = first + wiener.n_steps
+    def __init__(self, config: SimConfig, wiener: WienerPath, r_indices, t_indices, on_frame):
+        n = wiener.n_steps
         r_list = [int(r) for r in r_indices]
         if t_indices is None:
             t_indices = [[n]] * len(r_list)
@@ -191,8 +189,8 @@ class _Tangent:
         self.emit: dict[int, list[int]] = {}  # step index -> seeds wanting a slice there
         self.joins = []  # (seed step, seed) of every seed that wants a slice, sorted
         for j, (r, ts) in enumerate(zip(r_list, t_indices)):
-            if not first <= r < n:
-                raise ValueError(f"r_index {r} outside [{first}, {n})")
+            if not 0 <= r < n:
+                raise ValueError(f"r_index {r} outside [0, {n})")
             wanted = sorted(set(int(k) for k in ts))
             if wanted and (wanted[0] <= r or wanted[-1] > n):
                 raise ValueError("evaluation indices must lie in (r_index, n_steps]")
@@ -202,7 +200,7 @@ class _Tangent:
                 self.emit.setdefault(k, []).append(j)
         self.joins.sort()
         self.row = {j: i for i, (_, j) in enumerate(self.joins)}
-        self.config, self.dt, self.k, self.on_frame = config, wiener.dt, first, on_frame
+        self.config, self.dt, self.k, self.on_frame = config, wiener.dt, 0, on_frame
         self.work = TangentBuffers((len(self.joins),) + config.grid.shape, (1,) + config.grid.shape)
         self.active = self.work.head(0)
         self.out: list[list[MalliavinSlice]] = [[] for _ in r_list]
@@ -234,56 +232,23 @@ def propagate_path(
     r_indices: Sequence[int],
     t_indices: Sequence[Sequence[int]] | None = None,
     *,
-    first_step: int = 0,
     on_frame=None,
 ) -> tuple[EnsembleResult | None, list[list[MalliavinSlice]]]:
-    """Step one primal path from (c0, y0) at step ``first_step`` to step n
-    under the increments ``wiener``, and carry one derivative pair per seed
-    step in ``r_indices`` along it in the same loop.  Returns the primal run
-    (None, and nothing stepped, when no slice is wanted) and, per seed, its
-    slices at its own ``t_indices`` (default: step n only); every new primal
-    state goes to ``on_frame(k, c, y)``.  Seed j joins at its step r_j with
-    z = 0 and dry = a(y(r_j)); every operation is elementwise per seed, so a
-    seed's slices are bitwise those of a sweep carrying it alone.
+    """Step one primal path from (c0, y0) to step n under the increments
+    ``wiener``, and carry one derivative pair per seed step in ``r_indices``
+    along it in the same loop.  Returns the primal run (None, and nothing
+    stepped, when no slice is wanted) and, per seed, its slices at its own
+    ``t_indices`` (default: step n only); every new primal state goes to
+    ``on_frame(k, c, y)``.  Seed j joins at its step r_j with z = 0 and
+    dry = a(y(r_j)); every operation is elementwise per seed, so a seed's
+    slices are bitwise those of a sweep carrying it alone.
     """
     if wiener.increments.ndim != 1:
         raise ValueError("propagate_path needs a single-path wiener")
-    tangent = _Tangent(config, wiener, first_step, r_indices, t_indices, on_frame)
+    tangent = _Tangent(config, wiener, r_indices, t_indices, on_frame)
     if not tangent.joins:
         return None, tangent.out
     return simulate_ensemble(config, c0, y0, wiener=wiener, on_step=tangent), tangent.out
-
-
-def propagate_seeds(
-    traj: Trajectory,
-    coeffs: CoefficientSet,
-    r_indices: Sequence[int],
-    t_indices: Sequence[Sequence[int]] | None = None,
-) -> list[list[MalliavinSlice]]:
-    """``propagate_path`` along a stored trajectory: the primal is stepped
-    again from the last stored frame at or before the earliest seed, under
-    the trajectory's increments, which reproduces it bitwise.  Only
-    increments from that frame on are read: the derivative is local in the
-    differentiation time."""
-    r0 = min([int(r) for r in r_indices] + [traj.n_steps - 1])
-    i = max(0, int(np.searchsorted(traj.step_indices, r0, side="right")) - 1)
-    first, inc = int(traj.step_indices[i]), traj.wiener.increments
-    wiener = WienerPath(traj.dt, [inc[k] for k in range(first, traj.n_steps)])
-    config = SimConfig(traj.grid, coeffs, traj.bc, t_final=wiener.t_final)
-    return propagate_path(config, traj.c[i], traj.y[i], wiener, r_indices, t_indices, first_step=first)[1]
-
-
-def propagate(
-    traj: Trajectory,
-    coeffs: CoefficientSet,
-    r_index: int,
-    t_indices=None,
-) -> list[MalliavinSlice]:
-    """Seed at step ``r_index`` and advance to the end of the trajectory,
-    returning slices at ``t_indices`` (default: the final step only); a
-    sweep of one seed."""
-    ts = None if t_indices is None else [t_indices]
-    return propagate_seeds(traj, coeffs, [r_index], ts)[0]
 
 
 def perturbation_oracle(
@@ -316,20 +281,3 @@ def perturbation_oracle(
     dq_c = (bumped_c - base_c) / (eps * delta)
     dq_y = (bumped_y - base_y) / (eps * delta)
     return dq_c, dq_y
-
-
-def derivative_run(
-    config: SimConfig,
-    c0,
-    y0,
-    *,
-    seed: int = 0,
-    path_id: int = 0,
-    r_fractions=(0.25, 0.5),
-) -> tuple[Trajectory, list[MalliavinSlice]]:
-    """Dense primal run plus terminal derivative slices seeded at the given
-    fractions of the horizon, carried along it by ``propagate_seeds``."""
-    traj = simulate_path(config, c0, y0, seed=seed, path_id=path_id, store_dense=True)
-    r_indices = [seed_index(frac, traj.n_steps) for frac in r_fractions]
-    seeds = propagate_seeds(traj, config.coeffs, r_indices)
-    return traj, [sl for slices in seeds for sl in slices]

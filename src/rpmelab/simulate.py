@@ -346,27 +346,7 @@ def step(
 
 
 # ---------------------------------------------------------------------------
-# result types
-
-
-@dataclass
-class Trajectory:
-    """Stored frames of one path.  ``c`` and ``y`` are stacked with the frame
-    axis first; ``step_indices`` maps frames to step numbers."""
-
-    grid: GridSpec
-    bc: BoundaryKind
-    dt: float
-    times: np.ndarray
-    step_indices: np.ndarray
-    c: np.ndarray
-    y: np.ndarray
-    clamp_mass: float
-    wiener: WienerPath
-
-    @property
-    def n_steps(self) -> int:
-        return self.wiener.n_steps
+# result type
 
 
 @dataclass
@@ -411,12 +391,12 @@ class EnsembleResult:
 
 
 def _coerce_values(grid: GridSpec, data, name: str) -> np.ndarray:
-    if isinstance(data, np.ndarray) and data.shape == grid.shape:
-        return np.array(data, dtype=np.float64)  # a stored state: taken as it is
     if isinstance(data, Field):
         if data.grid != grid:
             raise ValueError(f"{name} lives on a different grid")
         values = np.array(data.values, copy=True)
+    elif isinstance(data, np.ndarray) and data.shape == grid.shape:
+        values = np.array(data, dtype=np.float64)
     elif callable(data):
         values = np.asarray(data(grid.node_points()), dtype=np.float64)
         if values.shape != grid.shape:
@@ -432,9 +412,9 @@ def _coerce_values(grid: GridSpec, data, name: str) -> np.ndarray:
 
 
 def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
-    """Initial state from a constant, a ``Field`` or a function of the node
-    points, each checked to be finite and nonnegative, or from a state array
-    of the grid's shape, such as a stored frame, taken as it is."""
+    """Initial state from a constant, a ``Field``, an array of the grid's
+    shape or a function of the node points, each checked to be finite and
+    nonnegative."""
     c = apply_bc(_coerce_values(config.grid, c0, "c0"), config.grid, config.bc)
     y = _coerce_values(config.grid, y0, "y0")
     return c, y
@@ -536,7 +516,8 @@ def simulate_ensemble(
     drawn ``_NOISE_BLOCK`` steps at a time) or the explicit increments
     ``wiener``, one path per row, which pin dt and the step count.  A seeded
     run resolves the step grid ``simulate_path`` uses for the same
-    ``n_snapshots``, so path k is bitwise the single path k; it also records
+    ``n_snapshots``, so path k is bitwise the one-path result of
+    ``simulate_path(..., path_id=k)``; it also records
     the per-path sup and min of c and raises ``NumericalAbort`` at the first
     step where a path's c is not finite.
 
@@ -624,33 +605,21 @@ def simulate_path(
     wiener: WienerPath | None = None,
     n_snapshots: int | None = None,
     store_dense: bool = False,
-) -> Trajectory:
-    """One path: ``simulate_ensemble`` under the increments ``wiener``,
-    which pin dt and the step count, or else under ``gen_wiener(..., seed,
-    path_id)`` on the step grid a seeded ensemble resolves for
-    ``n_snapshots``.  Frames kept: every step when ``store_dense``,
-    otherwise ``n_snapshots + 1`` uniformly spaced frames (default: first
-    and last)."""
+) -> EnsembleResult:
+    """The one-path ``simulate_ensemble`` result under the increments
+    ``wiener``, which pin dt and the step count, or else under
+    ``gen_wiener(..., seed, path_id)`` on the step grid a seeded ensemble
+    resolves for ``n_snapshots``.  Frames kept, shaped (frames, 1,
+    *grid.shape): every step when ``store_dense``, otherwise
+    ``n_snapshots + 1`` uniformly spaced frames (default: first and last)."""
     if wiener is None:
         c, _ = prepare_initial(config, c0, y0)
         dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=n_snapshots or 1)
         wiener = gen_wiener(n_steps, dt, seed, path_id)
     elif wiener.increments.ndim != 1:
         raise ValueError("simulate_path needs a single-path wiener")
-    n_steps = wiener.n_steps
-    keep = n_steps if store_dense else n_snapshots or 1
-    run = simulate_ensemble(config, c0, y0, wiener=wiener, first_path_id=path_id, n_snapshots=keep)
-    return Trajectory(
-        grid=config.grid,
-        bc=config.bc,
-        dt=wiener.dt,
-        times=run.times,
-        step_indices=np.arange(0, n_steps + 1, n_steps // keep),
-        c=run.c[:, 0],
-        y=run.y[:, 0],
-        clamp_mass=float(run.clamp_mass[0]),
-        wiener=wiener,
-    )
+    keep = wiener.n_steps if store_dense else n_snapshots or 1
+    return simulate_ensemble(config, c0, y0, wiener=wiener, first_path_id=path_id, n_snapshots=keep)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from rpmelab.interp import (
 from rpmelab.malliavin import (
     MalliavinState,
     perturbation_oracle,
-    propagate,
+    propagate_path,
     step_malliavin,
 )
 from rpmelab.model import (
@@ -257,8 +257,8 @@ def test_criterion_04_mass_conservation():
         )
         cfg = SimConfig(g, coeffs, BoundaryKind.NEUMANN, t_final=0.05)
         c0 = initial_preset("cosine", dim, {"offset": 1.0, "amplitude": 0.5})
-        traj = simulate_path(cfg, c0, 1.0, seed=3, n_snapshots=10)
-        masses = np.array([interior_v_mass(traj.c[k], g, coeffs) for k in range(len(traj.times))])
+        run = simulate_path(cfg, c0, 1.0, seed=3, n_snapshots=10)
+        masses = np.array([interior_v_mass(run.c[k, 0], g, coeffs) for k in range(len(run.times))])
         worst = max(worst, float(np.max(np.abs(masses - masses[0]))) / abs(float(masses[0])))
     _criterion(
         4,
@@ -360,11 +360,10 @@ def test_criterion_07_noise_derivative_oracles():
         pme_beta(2.0), a=preset_coefficients("linear_a", {"sigma": sigma})
     )
     cfg = SimConfig(g, geo, BoundaryKind.DIRICHLET, t_final=0.1, dt=1e-3)
-    traj = simulate_path(cfg, sine_half, 1.0, seed=7, store_dense=True)
+    run, seeds = propagate_path(cfg, sine_half, 1.0, gen_wiener(100, 1e-3, seed=7), [0, 25, 99])
     worst_cf = 0.0
-    for r in (0, 25, 99):
-        (term,) = propagate(traj, geo, r)
-        exact = sigma * traj.y[-1]
+    for (term,) in seeds:
+        exact = sigma * run.y_final[0]
         worst_cf = max(
             worst_cf,
             float(np.max(np.abs(term.dry - exact))) / float(np.max(np.abs(exact))),
@@ -381,19 +380,19 @@ def test_criterion_07_noise_derivative_oracles():
     cfg2 = SimConfig(g, coeffs, BoundaryKind.NEUMANN, t_final=0.1, dt=1e-3)
     wiener = gen_wiener(100, 1e-3, seed=31)
     r_index = 20
-    traj2 = simulate_path(cfg2, sine_half, 1.0, wiener=wiener, store_dense=True)
-    (term2,) = propagate(traj2, coeffs, r_index)
+    dense = simulate_path(cfg2, sine_half, 1.0, wiener=wiener, store_dense=True)
+    ((term2,),) = propagate_path(cfg2, sine_half, 1.0, wiener, [r_index])[1]
     dq_c, dq_y = perturbation_oracle(cfg2, sine_half, 1.0, wiener, r_index, 4, eps=1e-3)
     err_y = float(np.max(np.abs(dq_y - term2.dry))) / float(np.max(np.abs(term2.dry)))
     err_c = float(np.max(np.abs(dq_c - term2.drc))) / float(np.max(np.abs(term2.drc)))
     ok_oracle = err_y <= 5e-2 and err_c <= 5e-2
 
-    # locality: increments before the seed step are never read
-    rng = np.random.default_rng(99)
-    tampered = np.array(wiener.increments, copy=True)
-    tampered[:r_index] = rng.normal(scale=math.sqrt(1e-3), size=r_index)
-    twin = dataclasses.replace(traj2, wiener=WienerPath(1e-3, tampered))
-    (term_t,) = propagate(twin, coeffs, r_index)
+    # locality: increments before the seed step reach the derivative only
+    # through the primal state there, so a restart from that state agrees
+    tail = WienerPath(1e-3, wiener.increments[r_index:])
+    restart = dataclasses.replace(cfg2, t_final=tail.t_final)
+    c_r, y_r = dense.c[r_index, 0], dense.y[r_index, 0]
+    ((term_t,),) = propagate_path(restart, c_r, y_r, tail, [0])[1]
     ok_local = (
         np.array_equal(term_t.z, term2.z)
         and np.array_equal(term_t.drc, term2.drc)
@@ -403,7 +402,7 @@ def test_criterion_07_noise_derivative_oracles():
     # linearity of one propagation step in the derivative state
     z = np.abs(np.sin(np.pi * g.node_points()[..., 0])) + 0.2
     dry0 = np.full(g.shape, 0.7)
-    cmid, ymid = traj2.c[50], traj2.y[50]
+    cmid, ymid = dense.c[50, 0], dense.y[50, 0]
     one = step_malliavin(MalliavinState(z, dry0), cmid, ymid, g, coeffs, BoundaryKind.NEUMANN, 1e-3, 0.02)
     two = step_malliavin(MalliavinState(2 * z, 2 * dry0), cmid, ymid, g, coeffs, BoundaryKind.NEUMANN, 1e-3, 0.02)
     ok_lin = (
@@ -506,9 +505,9 @@ def test_criterion_09_weak_residual_first_order():
     for factor in (1, 2, 4):
         w = coarsen_wiener(fine, factor)
         cfg = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=t_final, dt=w.dt)
-        traj = simulate_path(cfg, c0, 1.0, wiener=w, store_dense=True)
-        assert traj.clamp_mass == 0.0
-        scaled.append(weak_residual(traj, coeffs, v, xi, xi_p)[1])
+        run = simulate_path(cfg, c0, 1.0, wiener=w, store_dense=True)
+        assert run.clamp_mass[0] == 0.0
+        scaled.append(weak_residual(run, coeffs, v, xi, xi_p)[1])
     order_12 = math.log2(scaled[1] / scaled[0])
     order_24 = math.log2(scaled[2] / scaled[1])
     _criterion(

@@ -23,7 +23,7 @@ from rpmelab.analysis import (
 )
 from rpmelab.grid import BoundaryKind, Field, build_grid, free_node_count, sample_nodal
 from rpmelab.interp import pc_eval, pc_l2_inner, pc_spline
-from rpmelab.malliavin import propagate, propagate_seeds
+from rpmelab.malliavin import propagate_path
 from rpmelab.model import (
     initial_preset,
     make_coefficients,
@@ -132,14 +132,14 @@ def _dirichlet_sine_run(cells=16, t_final=0.05):
     coeffs = make_coefficients(pme_beta(2.0))
     config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=t_final)
     c0 = initial_preset("sine", 1, {"amplitude": 0.5})
-    traj = simulate_path(config, c0, 0.0, store_dense=True)
-    return traj, coeffs, config
+    run = simulate_path(config, c0, 0.0, store_dense=True)
+    return run, coeffs, config
 
 
 def test_energy_balance_holds_for_diffusive_decay():
-    traj, coeffs, config = _dirichlet_sine_run()
-    assert traj.clamp_mass == 0.0
-    reports = energy_report(traj, coeffs, config.theta)
+    run, coeffs, config = _dirichlet_sine_run()
+    assert run.clamp_mass[0] == 0.0
+    reports = energy_report(run, coeffs, config.theta)
     bal = reports[0]
     assert bal.name == "energy_balance"
     assert bal.passed
@@ -159,9 +159,9 @@ def test_energy_balance_with_source_and_noise():
     )
     config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.02)
     c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
-    traj = simulate_path(config, c0, 1.0, seed=5, store_dense=True)
-    assert traj.clamp_mass == 0.0
-    reports = energy_report(traj, coeffs, config.theta)
+    run = simulate_path(config, c0, 1.0, seed=5, store_dense=True)
+    assert run.clamp_mass[0] == 0.0
+    reports = energy_report(run, coeffs, config.theta)
     assert reports[0].passed
     assert reports[0].detail["source_work"] > 0.0
 
@@ -176,11 +176,11 @@ def _test_field(grid, seed=0):
 
 
 def test_weak_residual_constant_window_telescopes():
-    traj, coeffs, _ = _dirichlet_sine_run(cells=12, t_final=0.02)
-    grid = traj.grid
+    run, coeffs, _ = _dirichlet_sine_run(cells=12, t_final=0.02)
+    grid = run.grid
     xi = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
     xi_p = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
-    raw, scaled = weak_residual(traj, coeffs, _test_field(grid), xi, xi_p)
+    raw, scaled = weak_residual(run, coeffs, _test_field(grid), xi, xi_p)
     assert scaled < 1e-12
 
 
@@ -209,9 +209,9 @@ def test_weak_residual_shrinks_at_first_order_in_dt():
     for factor in (1, 2, 4):
         w = coarsen_wiener(fine, factor)
         cfg = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=t_final, dt=w.dt)
-        traj = simulate_path(cfg, c0, 1.0, wiener=w, store_dense=True)
-        assert traj.clamp_mass == 0.0
-        scaled.append(weak_residual(traj, coeffs, v, xi, xi_p)[1])
+        run = simulate_path(cfg, c0, 1.0, wiener=w, store_dense=True)
+        assert run.clamp_mass[0] == 0.0
+        scaled.append(weak_residual(run, coeffs, v, xi, xi_p)[1])
     order_12 = math.log2(scaled[1] / scaled[0])
     order_24 = math.log2(scaled[2] / scaled[1])
     assert order_12 > 0.9, (scaled, order_12)
@@ -219,8 +219,8 @@ def test_weak_residual_shrinks_at_first_order_in_dt():
 
 
 def test_weak_residual_requires_dense_frames():
-    traj, coeffs, _ = _dirichlet_sine_run(cells=8, t_final=0.01)
-    grid = traj.grid
+    run, coeffs, _ = _dirichlet_sine_run(cells=8, t_final=0.01)
+    grid = run.grid
     config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.01)
     sparse = simulate_path(config, initial_preset("sine", 1, None), 0.0, n_snapshots=2)
     xi = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
@@ -296,6 +296,13 @@ def test_epsilon_sweep_smoke():
 # derivative and transform diagnostics
 
 
+def _seeded_wiener(config, c0, y0, seed):
+    """The increments ``simulate_path`` draws for path 0 under ``seed``."""
+    c, _ = prepare_initial(config, c0, y0)
+    dt, n = config.resolve_steps(float(np.max(c)))
+    return gen_wiener(n, dt, seed)
+
+
 def test_malliavin_report_smoke():
     grid = build_grid(1, 8)
     coeffs = make_coefficients(
@@ -306,8 +313,9 @@ def test_malliavin_report_smoke():
     )
     config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.02)
     c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
-    traj = simulate_path(config, c0, 1.0, seed=4, store_dense=True)
-    slices = propagate(traj, coeffs, 2, malliavin_report_steps(traj.n_steps, 2, 5))
+    wiener = _seeded_wiener(config, c0, 1.0, seed=4)
+    steps = malliavin_report_steps(wiener.n_steps, 2, 5)
+    (slices,) = propagate_path(config, c0, 1.0, wiener, [2], [steps])[1]
     reports = malliavin_report(slices, grid, r_index=2, stride=5)
     names = [r.name for r in reports]
     assert "derivative_dry_sup_l2" in names and "derivative_z_time_slope_hm2" in names
@@ -328,15 +336,15 @@ def test_malliavin_report_is_the_same_from_one_sweep_or_one_seed_each():
     )
     config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.02)
     c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
-    traj = simulate_path(config, c0, 1.0, seed=4, store_dense=True)
-    n = traj.n_steps
+    wiener = _seeded_wiener(config, c0, 1.0, seed=4)
+    n = wiener.n_steps
     r_indices = [n // 2, 2, n - 1]
     strides = [max(1, (n - r) // 8) for r in r_indices]
     steps = [malliavin_report_steps(n, r, st) for r, st in zip(r_indices, strides)]
     assert all(idx[-1] == n for idx in steps)
-    swept = propagate_seeds(traj, coeffs, r_indices, steps)
+    swept = propagate_path(config, c0, 1.0, wiener, r_indices, steps)[1]
     for r, st, idx, slices in zip(r_indices, strides, steps, swept):
-        alone = propagate(traj, coeffs, r, idx)
+        (alone,) = propagate_path(config, c0, 1.0, wiener, [r], [idx])[1]
         assert malliavin_report(slices, grid, r, st) == malliavin_report(alone, grid, r, st)
 
 
@@ -404,9 +412,9 @@ def test_transform_report_green_for_degenerate_weight():
 
 
 def test_transform_trajectory_report_smoke():
-    traj, _, _ = _dirichlet_sine_run(cells=8, t_final=0.01)
+    run, _, _ = _dirichlet_sine_run(cells=8, t_final=0.01)
     tf = holder_power_transform(0.5)
-    reports = transform_trajectory_report(traj, tf)
+    reports = transform_trajectory_report(run, tf)
     assert all(r.bound is None for r in reports)
     by_name = {r.name: r for r in reports}
     assert by_name["transformed_sup"].measured > 0.0

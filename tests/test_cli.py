@@ -528,12 +528,12 @@ def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     for pid in range(20):
         rec = read_record(out / "paths" / f"path_{pid:04d}.rpme1")
-        traj = simulate_path(
+        run = simulate_path(
             config, c0, cfg.y0, seed=3, path_id=pid, n_snapshots=len(rec.times) - 1
         )
-        assert rec.dt == traj.dt == manifest["dt"]
-        assert np.array_equal(rec.times, traj.times)
-        assert np.array_equal(rec.c, traj.c) and np.array_equal(rec.y, traj.y)
+        assert rec.dt == run.dt == manifest["dt"]
+        assert np.array_equal(rec.times, run.times)
+        assert np.array_equal(rec.c, run.c[:, 0]) and np.array_equal(rec.y, run.y[:, 0])
 
 
 def test_failed_hard_report_exits_1(tmp_path, monkeypatch):
@@ -783,6 +783,7 @@ def test_ladders_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, 
     "command,text,cells,key",
     [
         ("simulate", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
+        ("verify", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
         ("malliavin", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
         ("sweep-eps", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
         # cells is not converge's grid: only its finest level counts
@@ -795,9 +796,17 @@ def test_step_state_beyond_physical_memory_exits_3(
 ):
     from rpmelab import cli
     from rpmelab.grid import build_grid
-    from rpmelab.simulate import _state_bytes
 
-    need = _state_bytes(build_grid(2, cells))
+    # simulate stores a frame per step here (fewer than 256 steps), and
+    # verify stores every step; the other subcommands store none
+    frames = 0
+    if command in ("simulate", "verify"):
+        cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+        config = cli._sim_config(cfg)
+        n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+        assert n < 256
+        frames = n + 1
+    need = cli._memory_need(build_grid(2, cells), frames)
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     code, out = run_cli(command, tmp_path, text, "over")
     assert code == 3

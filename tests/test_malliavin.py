@@ -1,6 +1,7 @@
 """Noise-derivative propagation: chain-rule recovery, exactness for linear
 noise, locality in the differentiation time, linearity, and agreement with a
 bumped-path finite difference."""
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -8,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rpmelab import simulate
 from rpmelab.grid import BoundaryKind, Field, build_grid, laplacian_core
 from rpmelab.malliavin import (
     MalliavinState,
     TangentBuffers,
-    derivative_run,
     init_malliavin,
     perturbation_oracle,
-    propagate,
     propagate_path,
-    propagate_seeds,
     recover_drc,
     seed_index,
     step_malliavin,
@@ -60,42 +59,30 @@ def y0_affine(x):
     return 1.0 + x[..., 0]
 
 
+def seeded_wiener(config, c0, y0, seed):
+    """The increments ``simulate_path`` draws for path 0 under ``seed``."""
+    c, _ = prepare_initial(config, c0, y0)
+    dt, n = config.resolve_steps(float(np.max(c)))
+    return gen_wiener(n, dt, seed)
+
+
+def frames(config, c0, y0, wiener):
+    """Every state of the path under ``wiener`` as (c, y), step axis first."""
+    run = simulate_path(config, c0, y0, wiener=wiener, store_dense=True)
+    return run.c[:, 0], run.y[:, 0]
+
+
 def test_linear_noise_derivative_is_exact():
     # a(y) = sigma*y, no drift, no source: the recursion telescopes to
     # dry(T) = sigma * y(T) exactly, for every differentiation time
     config = geometric_config()
-    traj = simulate_path(config, c0_sine, y0_affine, seed=5, store_dense=True)
-    for r_index in (0, 10, traj.n_steps - 1):
-        (terminal,) = propagate(traj, config.coeffs, r_index)
-        expected = 0.4 * traj.y[-1]
+    wiener = seeded_wiener(config, c0_sine, y0_affine, 5)
+    run, seeds = propagate_path(config, c0_sine, y0_affine, wiener, [0, 10, wiener.n_steps - 1])
+    for (terminal,) in seeds:
+        expected = 0.4 * run.y_final[0]
         assert np.max(np.abs(terminal.dry - expected)) < 1e-13
         # no source feedback: the parabolic derivative stays identically zero
         assert np.max(np.abs(terminal.z)) == 0.0
-
-
-class _Recorder:
-    def __init__(self, data):
-        self.data = data
-        self.accessed = []
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __getitem__(self, k):
-        self.accessed.append(k)
-        return self.data[k]
-
-
-def test_propagation_never_reads_earlier_increments():
-    config = geometric_config()
-    traj = simulate_path(config, c0_sine, y0_affine, seed=5, store_dense=True)
-    rec = _Recorder(traj.wiener.increments)
-    object.__setattr__(traj.wiener, "increments", rec)
-    r_index = 17
-    propagate(traj, config.coeffs, r_index)
-    assert rec.accessed
-    assert min(rec.accessed) == r_index
 
 
 def full_coupling_config(t_final=0.1):
@@ -107,6 +94,23 @@ def full_coupling_config(t_final=0.1):
         b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
     )
     return SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=t_final, dt=1e-3)
+
+
+def test_derivative_sees_earlier_increments_only_through_the_seed_state():
+    # locality in the differentiation time: a run restarted from the frame
+    # at the seed step, under the increments from there on, carries the
+    # same derivative bit for bit
+    config = full_coupling_config()
+    wiener = seeded_wiener(config, c0_sine, 1.0, 5)
+    c, y = frames(config, c0_sine, 1.0, wiener)
+    r_index = 17
+    ((whole,),) = propagate_path(config, c0_sine, 1.0, wiener, [r_index])[1]
+    tail = WienerPath(wiener.dt, wiener.increments[r_index:])
+    restart = dataclasses.replace(config, t_final=tail.t_final)
+    ((alone,),) = propagate_path(restart, c[r_index], y[r_index], tail, [0])[1]
+    assert np.max(np.abs(whole.z)) > 0.0
+    for name in ("z", "drc", "dry"):
+        assert np.array_equal(getattr(whole, name), getattr(alone, name))
 
 
 def test_step_malliavin_is_linear_in_the_derivative_state():
@@ -131,13 +135,13 @@ def test_step_malliavin_is_linear_in_the_derivative_state():
 def test_noise_reaches_the_parabolic_component():
     # with d_y f != 0 the derivative of c picks up mass after the seed time
     config = full_coupling_config()
-    traj = simulate_path(config, c0_sine, 1.0, seed=9, store_dense=True)
-    (terminal,) = propagate(traj, config.coeffs, 20)
+    wiener = seeded_wiener(config, c0_sine, 1.0, 9)
+    ((terminal,),) = propagate_path(config, c0_sine, 1.0, wiener, [20])[1]
     assert np.max(np.abs(terminal.drc)) > 0.0
     # Neumann copy rule carries to the derivative
-    refl = traj.grid.reflect_flat().ravel()
+    refl = config.grid.reflect_flat().ravel()
     zb = terminal.z.ravel()
-    bidx = np.flatnonzero(traj.grid.boundary_mask().ravel())
+    bidx = np.flatnonzero(config.grid.boundary_mask().ravel())
     assert np.array_equal(zb[bidx], zb[refl[bidx]])
 
 
@@ -145,8 +149,8 @@ def test_dirichlet_derivative_vanishes_on_boundary():
     config = geometric_config()
     coeffs = full_coupling_config().coeffs
     config = SimConfig(config.grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.05, dt=1e-3)
-    traj = simulate_path(config, c0_sine, 1.0, seed=2, store_dense=True)
-    (terminal,) = propagate(traj, coeffs, 5)
+    wiener = seeded_wiener(config, c0_sine, 1.0, 2)
+    ((terminal,),) = propagate_path(config, c0_sine, 1.0, wiener, [5])[1]
     assert terminal.z[0] == 0.0 and terminal.z[-1] == 0.0
 
 
@@ -156,8 +160,7 @@ def test_matches_bumped_path_quotient():
     wiener = gen_wiener(n_steps, dt, seed=31)
     r_index, window = 20, 4
 
-    traj = simulate_path(config, c0_sine, 1.0, wiener=wiener, store_dense=True)
-    (terminal,) = propagate(traj, config.coeffs, r_index)
+    ((terminal,),) = propagate_path(config, c0_sine, 1.0, wiener, [r_index])[1]
     dq_c, dq_y = perturbation_oracle(config, c0_sine, 1.0, wiener, r_index, window, eps=1e-3)
 
     scale_y = np.max(np.abs(terminal.dry))
@@ -168,65 +171,51 @@ def test_matches_bumped_path_quotient():
     assert np.max(np.abs(dq_c - terminal.drc)) / scale_c < 5e-2
 
 
-def test_propagate_validates_inputs():
+def test_propagate_path_validates_inputs():
     config = geometric_config()
-    traj = simulate_path(config, c0_sine, 1.0, seed=5, store_dense=True)
-    with pytest.raises(ValueError):
-        propagate(traj, config.coeffs, traj.n_steps)
-    with pytest.raises(ValueError):
-        propagate(traj, config.coeffs, 3, t_indices=[2])
+    wiener = seeded_wiener(config, c0_sine, 1.0, 5)
+    n = wiener.n_steps
 
+    def slices(*args):
+        return propagate_path(config, c0_sine, 1.0, wiener, *args)[1]
 
-@pytest.mark.parametrize("first_frame", [False, True])
-def test_sparse_trajectory_gives_the_dense_slices_bitwise(first_frame):
-    # the primal is stepped again from the last stored frame before the
-    # earliest seed, so a trajectory with five frames carries the same
-    # derivative as one with every step
-    config = full_coupling_config()
-    dense = simulate_path(config, c0_sine, 1.0, seed=5, store_dense=True)
-    sparse = simulate_path(config, c0_sine, 1.0, wiener=dense.wiener, n_snapshots=5)
-    n = dense.n_steps
-    assert n == 100 and list(sparse.step_indices) == [0, 20, 40, 60, 80, 100]
-    if first_frame:  # restart from the initial data
-        r_indices, t_indices = [0, 7, n // 2, n - 1], [[n], [8, n // 3, n], [n], [n]]
-    else:  # restart from step 40
-        r_indices, t_indices = [n - 1, 53, 41], [[n], [54, 70, n], [n]]
-    for a, b in zip(propagate_seeds(sparse, config.coeffs, r_indices, t_indices),
-                    propagate_seeds(dense, config.coeffs, r_indices, t_indices)):
-        assert [s.step_index for s in a] == [s.step_index for s in b]
-        for sa, sb in zip(a, b):
-            assert sa.t == sb.t
-            for name in ("z", "drc", "dry"):
-                assert np.array_equal(getattr(sa, name), getattr(sb, name))
+    for args in (([n],), ([3], [[2]]), ([3, n],), ([3, 5], [[10]]), ([3, 5], [[10], [5]])):
+        with pytest.raises(ValueError):
+            slices(*args)
+    assert slices([3, 5], [[], []]) == [[], []]
+    assert slices([]) == []
 
 
 def test_intermediate_slices_are_consistent():
     config = full_coupling_config()
-    traj = simulate_path(config, c0_sine, 1.0, seed=13, store_dense=True)
-    n = traj.n_steps
-    slices = propagate(traj, config.coeffs, 10, t_indices=[n // 2, n])
+    wiener = seeded_wiener(config, c0_sine, 1.0, 13)
+    n = wiener.n_steps
+    (slices,) = propagate_path(config, c0_sine, 1.0, wiener, [10], [[n // 2, n]])[1]
     assert [s.step_index for s in slices] == [n // 2, n]
     # initial seed: z = 0 and dry = a(y(r))
-    seeded = init_malliavin(traj.y[10], config.coeffs)
+    _, y = frames(config, c0_sine, 1.0, wiener)
+    seeded = init_malliavin(y[10], config.coeffs)
     assert np.max(np.abs(seeded.z)) == 0.0
-    assert np.allclose(seeded.dry, 0.3 * traj.y[10], rtol=0, atol=1e-15)
+    assert np.allclose(seeded.dry, 0.3 * y[10], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # one sweep for many seeds
 
 
-def _seed_alone(traj, coeffs, r_index, t_indices):
-    """Reference: the unbatched per-seed recursion, slices as (k, z, drc, dry)."""
-    state = init_malliavin(traj.y[r_index], coeffs)
+def _seed_alone(config, wiener, dense, r_index, t_indices):
+    """Reference: the unbatched per-seed recursion along the dense frames
+    ``dense`` = (c, y), slices as (k, z, drc, dry)."""
+    c, y = dense
+    coeffs = config.coeffs
+    state = init_malliavin(y[r_index], coeffs)
     out = []
     for k in range(r_index, max(t_indices)):
         state = step_malliavin(
-            state, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt,
-            traj.wiener.increments[k],
+            state, c[k], y[k], config.grid, coeffs, config.bc, wiener.dt, wiener.increments[k]
         )
         if k + 1 in t_indices:
-            out.append((k + 1, state.z, recover_drc(state.z, traj.c[k + 1], coeffs), state.dry))
+            out.append((k + 1, state.z, recover_drc(state.z, c[k + 1], coeffs), state.dry))
     return out
 
 
@@ -235,18 +224,19 @@ def test_sweep_is_bitwise_the_per_seed_recursion(dim):
     grid = build_grid(dim, 8 if dim == 1 else 6)
     coeffs = full_coupling_config().coeffs
     config = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=0.05, dt=1e-3)
-    traj = simulate_path(config, c0_sine, 1.0, seed=21, store_dense=True)
-    n = traj.n_steps
+    wiener = seeded_wiener(config, c0_sine, 1.0, 21)
+    dense = frames(config, c0_sine, 1.0, wiener)
+    n = wiener.n_steps
     # unsorted, duplicated, first and last admissible seed steps
     r_indices = [n // 2, 0, n - 1, 7, n // 2]
     t_indices = [[n], [3, n // 3, n], [n], [8, 20, 40], [n // 2 + 1, n]]
-    seeds = propagate_seeds(traj, config.coeffs, r_indices, t_indices)
+    seeds = propagate_path(config, c0_sine, 1.0, wiener, r_indices, t_indices)[1]
     assert len(seeds) == len(r_indices)
     for r, ts, slices in zip(r_indices, t_indices, seeds):
-        ref = _seed_alone(traj, config.coeffs, r, ts)
+        ref = _seed_alone(config, wiener, dense, r, ts)
         assert [s.step_index for s in slices] == [k for k, *_ in ref] == sorted(ts)
         for sl, (k, z, drc, dry) in zip(slices, ref):
-            assert sl.t == float(traj.times[k])
+            assert sl.t == k * wiener.dt
             assert np.array_equal(sl.z, z) and np.array_equal(sl.drc, drc)
             assert np.array_equal(sl.dry, dry)
 
@@ -269,36 +259,30 @@ def test_step_malliavin_batches_seeds_bitwise():
             assert np.array_equal(batch.z[j], one.z) and np.array_equal(batch.dry[j], one.dry)
 
 
-def test_sweep_reads_increments_from_the_earliest_seed_once_per_step():
+def test_sweep_steps_the_primal_once_per_step(monkeypatch):
+    # one primal pass carries every seed
     config = geometric_config()
-    traj = simulate_path(config, c0_sine, y0_affine, seed=5, store_dense=True)
-    rec = _Recorder(traj.wiener.increments)
-    object.__setattr__(traj.wiener, "increments", rec)
-    propagate_seeds(traj, config.coeffs, [30, 12, 40])
-    assert rec.accessed == list(range(12, traj.n_steps))
+    wiener = seeded_wiener(config, c0_sine, y0_affine, 5)
+    real, steps, seen = simulate.step, [], []
+    monkeypatch.setattr(simulate, "step", lambda *a, **kw: steps.append(1) or real(*a, **kw))
+    propagate_path(
+        config, c0_sine, y0_affine, wiener, [30, 12, 40], on_frame=lambda k, c, y: seen.append(k)
+    )
+    assert len(steps) == wiener.n_steps
+    assert seen == list(range(1, wiener.n_steps + 1))
 
 
-def test_propagate_seeds_validates_inputs():
-    config = geometric_config()
-    traj = simulate_path(config, c0_sine, 1.0, seed=5, store_dense=True)
-    with pytest.raises(ValueError):
-        propagate_seeds(traj, config.coeffs, [3, traj.n_steps])
-    with pytest.raises(ValueError):
-        propagate_seeds(traj, config.coeffs, [3, 5], [[10]])
-    with pytest.raises(ValueError):
-        propagate_seeds(traj, config.coeffs, [3, 5], [[10], [5]])
-    assert propagate_seeds(traj, config.coeffs, [3, 5], [[], []]) == [[], []]
-    assert propagate_seeds(traj, config.coeffs, []) == []
-
-
-def test_derivative_run_terminal_slices_follow_the_fractions():
+def test_seeds_at_fractions_give_their_terminal_slices_alone():
     config = full_coupling_config()
     fractions = (0.5, 0.25, 0.5)
-    traj, slices = derivative_run(config, c0_sine, 1.0, seed=4, r_fractions=fractions)
-    assert len(slices) == len(fractions)
-    for frac, sl in zip(fractions, slices):
-        (alone,) = propagate(traj, config.coeffs, seed_index(frac, traj.n_steps))
-        assert sl.step_index == traj.n_steps
+    wiener = seeded_wiener(config, c0_sine, 1.0, 4)
+    n = wiener.n_steps
+    r_indices = [seed_index(frac, n) for frac in fractions]
+    seeds = propagate_path(config, c0_sine, 1.0, wiener, r_indices)[1]
+    assert len(seeds) == len(fractions)
+    for r, (sl,) in zip(r_indices, seeds):
+        ((alone,),) = propagate_path(config, c0_sine, 1.0, wiener, [r])[1]
+        assert sl.step_index == n
         assert np.array_equal(sl.z, alone.z) and np.array_equal(sl.dry, alone.dry)
 
 
@@ -319,8 +303,8 @@ def test_perturbation_oracle_batch_matches_two_single_runs():
     shifted[r_index : r_index + window] += eps * wiener.dt
     bumped = simulate_path(config, c0_sine, 1.0, wiener=WienerPath(wiener.dt, shifted))
     delta = window * wiener.dt
-    assert np.array_equal(dq_c, (bumped.c[-1] - base.c[-1]) / (eps * delta))
-    assert np.array_equal(dq_y, (bumped.y[-1] - base.y[-1]) / (eps * delta))
+    assert np.array_equal(dq_c, (bumped.c_final[0] - base.c_final[0]) / (eps * delta))
+    assert np.array_equal(dq_y, (bumped.y_final[0] - base.y_final[0]) / (eps * delta))
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +338,29 @@ def replay_step(z, dry, c, y, grid, coeffs, bc, dt, dW):
     return z_new, np.where(y_pre < 0.0, 0.0, dry_new)
 
 
-def replay_sweep(traj, coeffs, r_indices, t_indices):
+def replay_sweep(config, wiener, dense, r_indices, t_indices):
     """Every seed's slices as (step, t, z, drc, dry) from a replay of the
-    dense frames, seeds joining the batch by concatenation."""
+    dense frames ``dense`` = (c, y), seeds joining the batch by
+    concatenation."""
+    (c, y), grid, coeffs, dt = dense, config.grid, config.coeffs, wiener.dt
     emit = {}
     for j, ts in enumerate(t_indices):
         for k in sorted(set(ts)):
             emit.setdefault(k, []).append(j)
     joins = sorted((r, j) for j, (r, ts) in enumerate(zip(r_indices, t_indices)) if ts)
     out = [[] for _ in r_indices]
-    z = dry = np.empty((0,) + traj.grid.shape)
+    z = dry = np.empty((0,) + grid.shape)
     row = {}
     for k in range(joins[0][0], max(emit)):
         while joins and joins[0][0] == k:
-            seed = init_malliavin(traj.y[k], coeffs)
+            seed = init_malliavin(y[k], coeffs)
             row[joins.pop(0)[1]] = len(z)
             z, dry = np.concatenate([z, seed.z[None]]), np.concatenate([dry, seed.dry[None]])
-        z, dry = replay_step(
-            z, dry, traj.c[k], traj.y[k], traj.grid, coeffs, traj.bc, traj.dt, traj.wiener.increments[k]
-        )
+        z, dry = replay_step(z, dry, c[k], y[k], grid, coeffs, config.bc, dt, wiener.increments[k])
         for j in emit.get(k + 1, ()):
             zj = z[row[j]]
-            drc = recover_drc(zj, traj.c[k + 1], coeffs)
-            out[j].append((k + 1, float(traj.times[k + 1]), zj.copy(), drc, dry[row[j]].copy()))
+            drc = recover_drc(zj, c[k + 1], coeffs)
+            out[j].append((k + 1, (k + 1) * dt, zj.copy(), drc, dry[row[j]].copy()))
     return out
 
 
@@ -408,8 +392,8 @@ COEFFS = {
 
 @st.composite
 def sweeps(draw):
-    """A dense trajectory (seeded or under explicit increments, some steps
-    beyond the stability bound so that the clamps bite) and a seed set."""
+    """A path (seeded noise or explicit increments, some steps beyond the
+    stability bound so that the clamps bite) and a seed set."""
     dim = draw(st.integers(1, 3))
     grid = build_grid(dim, draw(st.integers(2, {1: 10, 2: 6, 3: 3}[dim])))
     bc = draw(st.sampled_from(list(BoundaryKind)))
@@ -421,26 +405,25 @@ def sweeps(draw):
     c0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape) * (rng.random(grid.shape) < 0.8))
     y0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape))
     if draw(st.booleans()):
-        traj = simulate_path(config, c0, y0, seed=draw(st.integers(0, 99)), store_dense=True)
+        wiener = seeded_wiener(config, c0, y0, draw(st.integers(0, 99)))
     else:
         scale = draw(st.sampled_from([np.sqrt(dt), 5.0]))
         wiener = WienerPath(dt, rng.normal(scale=scale, size=n))
-        traj = simulate_path(config, c0, y0, wiener=wiener, store_dense=True)
-    assert traj.n_steps == n
+    assert wiener.n_steps == n
     r_indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
     r_indices += draw(st.sampled_from([[], [0], [n - 1], [n - 1, 0]]))
     t_indices = [draw(st.lists(st.integers(r + 1, n), max_size=3)) for r in r_indices]
     t_indices[0].append(n)
-    return traj, coeffs, r_indices, t_indices
+    return config, c0, y0, wiener, r_indices, t_indices
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
 def test_sweep_in_the_primal_loop_is_bitwise_the_replay(case):
-    traj, coeffs, r_indices, t_indices = case
+    config, c0, y0, wiener, r_indices, t_indices = case
     with np.errstate(all="ignore"):
-        ref = replay_sweep(traj, coeffs, r_indices, t_indices)
-        got = propagate_seeds(traj, coeffs, r_indices, t_indices)
+        ref = replay_sweep(config, wiener, frames(config, c0, y0, wiener), r_indices, t_indices)
+        got = propagate_path(config, c0, y0, wiener, r_indices, t_indices)[1]
     assert len(got) == len(ref)
     for slices, expected in zip(got, ref):
         assert len(slices) == len(expected)
@@ -458,34 +441,22 @@ def test_sweep_zeroes_the_derivative_where_either_clamp_bites():
     rng = np.random.default_rng(2)
     c0 = Field(grid, rng.uniform(0.0, 2.0, grid.shape))
     wiener = WienerPath(dt, rng.normal(scale=5.0, size=12))
-    traj = simulate_path(config, c0, 1.0, wiener=wiener, store_dense=True)
+    c, y = dense = frames(config, c0, 1.0, wiener)
     gates = StepBuffers(grid, gates=True)
     v_bites = y_bites = 0
     for k in range(12):
-        step(traj.c[k], traj.y[k], grid, coeffs, config.bc, dt, wiener.increments[k], gates)
+        step(c[k], y[k], grid, coeffs, config.bc, dt, wiener.increments[k], gates)
         v_bites += int(np.sum(gates.v_gate[(slice(1, -1),) * 2]))
         y_bites += int(np.sum(gates.y_gate))
     assert v_bites > 0 and y_bites > 0
     r_indices, t_indices = [0, 3, 3], [[4, 12], [12], [6, 9]]
     with np.errstate(all="ignore"):
-        ref = replay_sweep(traj, coeffs, r_indices, t_indices)
-        got = propagate_seeds(traj, coeffs, r_indices, t_indices)
+        ref = replay_sweep(config, wiener, dense, r_indices, t_indices)
+        got = propagate_path(config, c0, 1.0, wiener, r_indices, t_indices)[1]
     for slices, expected in zip(got, ref):
         for sl, (k, t, z, drc, dry) in zip(slices, expected):
             assert same_bits(sl.z, z) and same_bits(sl.drc, drc) and same_bits(sl.dry, dry)
 
-
-def test_restart_takes_a_stored_frame_as_it_is():
-    # the regularized family stores c = beta_inv(0) = -2e-19 where v+ = 0;
-    # initial data that negative is refused, a stored frame is not
-    grid = build_grid(1, 2)
-    coeffs = COEFFS["regularized"]
-    config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.02, dt=0.01)
-    traj = simulate_path(config, 0.0, 1.5, seed=1, store_dense=True)
-    assert np.min(traj.c[1]) < 0.0
-    (got,) = propagate_seeds(traj, coeffs, [1])
-    ((k, t, z, drc, dry),) = replay_sweep(traj, coeffs, [1], [[2]])[0]
-    assert got[0].step_index == k and same_bits(got[0].z, z) and same_bits(got[0].dry, dry)
 
 
 # ---------------------------------------------------------------------------

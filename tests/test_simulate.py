@@ -73,14 +73,14 @@ def test_neumann_mass_conservation_exact():
     def c0(x):
         return 0.5 + 0.3 * np.cos(np.pi * x[..., 0])
 
-    traj = simulate_path(config, c0, 0.0, seed=7, store_dense=True)
-    assert traj.n_steps >= 100
-    masses = [interior_v_mass(traj.c[k], grid, coeffs) for k in range(len(traj.times))]
+    run = simulate_path(config, c0, 0.0, seed=7, store_dense=True)
+    assert run.n_steps >= 100
+    masses = [interior_v_mass(run.c[k, 0], grid, coeffs) for k in range(len(run.times))]
     assert max(abs(m - masses[0]) for m in masses) < 1e-12
-    assert traj.clamp_mass == 0.0
+    assert run.clamp_mass[0] == 0.0
     # no-flux frames satisfy the discrete boundary rule exactly
-    for k in (0, len(traj.times) - 1):
-        nd = normal_diff(Field(grid, traj.c[k]))
+    for k in (0, len(run.times) - 1):
+        nd = normal_diff(Field(grid, run.c[k, 0]))
         assert np.max(np.abs(nd.values[nd.mask])) == 0.0
 
 
@@ -92,8 +92,8 @@ def test_dirichlet_mass_decays():
     def c0(x):
         return np.sin(np.pi * x[..., 0])
 
-    traj = simulate_path(config, c0, 0.0, seed=7, store_dense=True)
-    masses = np.array([interior_v_mass(traj.c[k], grid, coeffs) for k in range(len(traj.times))])
+    run = simulate_path(config, c0, 0.0, seed=7, store_dense=True)
+    masses = interior_v_mass(run.c[:, 0], grid, coeffs)
     assert np.all(np.diff(masses) < 0.0)
 
 
@@ -106,9 +106,9 @@ def test_zero_state_is_a_fixed_point():
     )
     for bc in (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN):
         config = SimConfig(grid, coeffs, bc, t_final=1e-3, dt=5e-5)
-        traj = simulate_path(config, 0.0, 0.0, seed=3, store_dense=True)
-        assert np.all(traj.c == 0.0)
-        assert np.all(traj.y == 0.0)
+        run = simulate_path(config, 0.0, 0.0, seed=3, store_dense=True)
+        assert np.all(run.c == 0.0)
+        assert np.all(run.y == 0.0)
 
 
 def test_max_principle_and_positivity_without_source():
@@ -120,10 +120,10 @@ def test_max_principle_and_positivity_without_source():
         def c0(x):
             return 0.8 * np.sin(np.pi * x[..., 0]) ** 2
 
-        traj = simulate_path(config, c0, 0.0, seed=11, store_dense=True)
-        sups = np.max(traj.c.reshape(len(traj.times), -1), axis=1)
+        run = simulate_path(config, c0, 0.0, seed=11, store_dense=True)
+        sups = np.max(run.c.reshape(len(run.times), -1), axis=1)
         assert np.all(np.diff(sups) <= 1e-14)
-        assert np.min(traj.c) >= 0.0
+        assert np.min(run.c) >= 0.0
 
 
 def test_sup_stays_below_growth_bound_with_source():
@@ -136,9 +136,9 @@ def test_sup_stays_below_growth_bound_with_source():
     def c0(x):
         return 0.9 * np.sin(np.pi * x[..., 0])
 
-    traj = simulate_path(config, c0, 0.0, seed=2, store_dense=True)
+    run = simulate_path(config, c0, 0.0, seed=2, store_dense=True)
     bound = r2_bound(0.2, 0.9, coeffs.beta_family)
-    assert np.max(traj.c) <= bound
+    assert np.max(run.c) <= bound
 
 
 def test_clamp_ledger_counts_forced_negativity():
@@ -157,9 +157,9 @@ def test_clamp_ledger_counts_forced_negativity():
     def c0(x):
         return 0.01 * np.sin(np.pi * x[..., 0])
 
-    traj = simulate_path(config, c0, 0.0, seed=1, store_dense=True)
-    assert traj.clamp_mass > 0.0
-    assert np.min(traj.c) >= 0.0
+    run = simulate_path(config, c0, 0.0, seed=1, store_dense=True)
+    assert run.clamp_mass[0] > 0.0
+    assert np.min(run.c) >= 0.0
 
 
 def test_cfl_formula():
@@ -251,12 +251,13 @@ def test_ensemble_matches_single_paths_bitwise():
     config = _rich_config()
     ens = simulate_ensemble(config, c0_sine, 1.0, n_paths=5, seed=21, first_path_id=10)
     for j, pid in enumerate(range(10, 15)):
-        traj = simulate_path(config, c0_sine, 1.0, seed=21, path_id=pid, store_dense=True)
-        assert traj.dt == ens.dt and traj.n_steps == ens.n_steps
-        assert np.array_equal(ens.c_final[j], traj.c[-1])
-        assert np.array_equal(ens.y_final[j], traj.y[-1])
-        assert ens.c_sup[j] == np.max(traj.c)
-        assert ens.clamp_mass[j] == traj.clamp_mass
+        run = simulate_path(config, c0_sine, 1.0, seed=21, path_id=pid, store_dense=True)
+        assert run.dt == ens.dt and run.n_steps == ens.n_steps
+        assert run.path_ids.tolist() == [pid]
+        assert np.array_equal(ens.c_final[j], run.c[-1, 0])
+        assert np.array_equal(ens.y_final[j], run.y[-1, 0])
+        assert ens.c_sup[j] == np.max(run.c)
+        assert ens.clamp_mass[j] == run.clamp_mass[0]
 
 
 def test_ensemble_worker_count_is_invisible():
@@ -305,12 +306,12 @@ def test_ensemble_snapshots_use_the_single_path_grid():
     )
     for ids, times, c, y, clamp_mass in chunks:
         for j, pid in enumerate(ids):
-            traj = simulate_path(config, c0_cosine, 1.0, seed=5, path_id=int(pid), n_snapshots=k)
-            assert (traj.dt, traj.n_steps) == (ens.dt, ens.n_steps)
-            assert np.array_equal(times, traj.times)
-            assert np.array_equal(c[:, j], traj.c)
-            assert np.array_equal(y[:, j], traj.y)
-            assert clamp_mass[j] == traj.clamp_mass
+            run = simulate_path(config, c0_cosine, 1.0, seed=5, path_id=int(pid), n_snapshots=k)
+            assert (run.dt, run.n_steps) == (ens.dt, ens.n_steps)
+            assert np.array_equal(times, run.times)
+            assert np.array_equal(c[:, j], run.c[:, 0])
+            assert np.array_equal(y[:, j], run.y[:, 0])
+            assert clamp_mass[j] == run.clamp_mass[0]
 
 
 def test_sde_drift_only_matches_exponential_decay():
@@ -319,9 +320,9 @@ def test_sde_drift_only_matches_exponential_decay():
         pme_beta(2.0), b=preset_coefficients("coupling_b", {"kappa": 0.0, "rho": 1.0})
     )
     config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.5, dt=1e-3)
-    traj = simulate_path(config, 0.0, 2.0, seed=4)
+    run = simulate_path(config, 0.0, 2.0, seed=4)
     expected = 2.0 * math.exp(-0.5)
-    assert np.max(np.abs(traj.y[-1] - expected)) < 2e-3
+    assert np.max(np.abs(run.y_final - expected)) < 2e-3
 
 
 def test_sde_clamp_keeps_y_nonnegative():
@@ -330,22 +331,22 @@ def test_sde_clamp_keeps_y_nonnegative():
         pme_beta(2.0), a=preset_coefficients("linear_a", {"sigma": 50.0})
     )
     config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.1, dt=1e-3)
-    traj = simulate_path(config, 0.0, 1.0, seed=8, store_dense=True)
-    assert np.min(traj.y) >= 0.0
+    run = simulate_path(config, 0.0, 1.0, seed=8, store_dense=True)
+    assert np.min(run.y) >= 0.0
 
 
 def test_snapshot_selection():
     config = _rich_config(t_final=4e-3)
-    traj = simulate_path(config, c0_sine, 1.0, seed=1, n_snapshots=4)
-    assert len(traj.times) == 5
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(4e-3, rel=1e-12)
-    assert traj.n_steps % 4 == 0
+    run = simulate_path(config, c0_sine, 1.0, seed=1, n_snapshots=4)
+    assert len(run.times) == 5 and run.c.shape == (5, 1) + config.grid.shape
+    assert run.times[0] == 0.0
+    assert run.times[-1] == pytest.approx(4e-3, rel=1e-12)
+    assert run.n_steps % 4 == 0
     # same step count (n_snapshots also pins the rounding), dense storage
     dense = simulate_path(config, c0_sine, 1.0, seed=1, n_snapshots=4, store_dense=True)
-    assert dense.n_steps == traj.n_steps
+    assert dense.n_steps == run.n_steps and len(dense.times) == dense.n_steps + 1
     k = dense.n_steps // 4
-    assert np.array_equal(traj.c[1], dense.c[k])
+    assert np.array_equal(run.c[1], dense.c[k])
 
 
 def test_initial_data_validation():
@@ -354,6 +355,21 @@ def test_initial_data_validation():
         simulate_path(config, -0.5, 0.0, seed=0)
     with pytest.raises(ValueError):
         simulate_path(config, lambda x: np.full(x.shape[:-1], np.nan), 0.0, seed=0)
+
+
+@pytest.mark.parametrize("which", ["c0", "y0"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+@pytest.mark.parametrize("form", ["ndarray", "Field"])
+def test_initial_arrays_are_checked_like_every_other_form(which, bad, form):
+    # a Field refuses non-finite values when it is built; prepare_initial
+    # refuses every other bad entry, in an array as in a Field
+    config = _rich_config()
+    values = np.full(config.grid.shape, 0.5)
+    values[len(values) // 2] = bad
+    with pytest.raises(ValueError):
+        data = values if form == "ndarray" else Field(config.grid, values)
+        initial = {"c0": 0.5, "y0": 1.0, which: data}
+        prepare_initial(config, initial["c0"], initial["y0"])
 
 
 def test_pathfile_round_trip(tmp_path):

@@ -21,7 +21,13 @@ from rpmelab.model import (
     preset_coefficients,
     regularize_beta,
 )
-from rpmelab.malliavin import MalliavinState, TangentBuffers, perturbation_oracle, step_malliavin
+from rpmelab.malliavin import (
+    MalliavinState,
+    TangentBuffers,
+    perturbation_oracle,
+    propagate_path,
+    step_malliavin,
+)
 from rpmelab.simulate import (
     NumericalAbort,
     SimConfig,
@@ -357,7 +363,8 @@ RESULT_FIELDS = (
 
 def every_caller(n_workers):
     """What each caller of ``simulate_ensemble`` returns on one small
-    problem, as named arrays, plus the chunk sizes of a streamed ensemble."""
+    problem, as named arrays, plus the chunk sizes of a streamed ensemble;
+    ``propagate_path`` is the caller that records a tangent at every step."""
     # the source grows c at a rate set by each path's y, so the sups differ
     config = small_config(COEFFS["decaying"], t_final=0.02)
     kw = dict(n_paths=7, seed=11, n_workers=n_workers, n_snapshots=4)
@@ -369,22 +376,27 @@ def every_caller(n_workers):
 
     streamed = simulate_ensemble(config, 0.2, 1.0, on_chunk=keep, **kw)
     kept = simulate_ensemble(config, 0.2, 1.0, **kw)
-    traj = simulate_path(config, cosine, 1.0, seed=11, path_id=3, n_snapshots=4)
+    path = simulate_path(config, cosine, 1.0, seed=11, path_id=3, n_snapshots=4)
     refine = cauchy_refinement(
         config, cosine, 1.0, levels=(4, 8), n_paths=7, seed=11, n_snapshots=2, n_workers=n_workers
     )
     sweep = epsilon_sweep(config, (0.1, 0.01), cosine, 1.0, n_paths=7, seed=11, n_workers=n_workers)
-    wiener = gen_wiener(traj.n_steps, traj.dt, seed=11)
+    n = path.n_steps
+    wiener = gen_wiener(n, path.dt, seed=11)
     oracle = perturbation_oracle(config, cosine, 1.0, wiener, 2, 3, 1e-3)
+    _, seeds = propagate_path(config, cosine, 1.0, wiener, [5, 0, 2], [[6, n], [3, n], [n]])
+    slices = [s for seed in seeds for s in seed]
 
     out = {f"streamed.{a}": getattr(streamed, a) for a in RESULT_FIELDS}
     out.update({f"kept.{a}": getattr(kept, a) for a in RESULT_FIELDS})
     out["streamed.frames"] = np.array(frames)
-    path_fields = ("times", "step_indices", "c", "y", "clamp_mass")
-    out.update({f"path.{a}": getattr(traj, a) for a in path_fields})
+    path_fields = ("times", "c", "y", "clamp_mass")
+    out.update({f"path.{a}": getattr(path, a) for a in path_fields})
     out.update({f"refine.{a}": getattr(refine, a) for a in ("times", "c_distances", "y_distances")})
     out.update({f"sweep.{a}": getattr(sweep, a) for a in ("dt", "gaps", "c_distances")})
     out["oracle"] = np.array(oracle)
+    out["tangent.steps"] = np.array([(s.step_index, s.t) for s in slices])
+    out.update({f"tangent.{a}": np.array([getattr(s, a) for s in slices]) for a in ("z", "drc", "dry")})
     return out, chunks
 
 
@@ -605,20 +617,21 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
 
     for j in range(paths):
         if seeded:
-            traj = simulate_path(config, bump, 1.0, seed=seed, path_id=first + j, n_snapshots=k)
-            dense = simulate_path(config, bump, 1.0, wiener=traj.wiener, store_dense=True)
+            path = simulate_path(config, bump, 1.0, seed=seed, path_id=first + j, n_snapshots=k)
+            wiener = gen_wiener(path.n_steps, path.dt, seed, first + j)
+            dense = simulate_path(config, bump, 1.0, wiener=wiener, store_dense=True)
             assert same_bits(ens.c_sup[j], np.max(dense.c))
             assert same_bits(ens.c_min[j], np.min(dense.c))
         else:
-            traj = simulate_path(config, bump, 1.0, wiener=WienerPath(dt, inc[j]), n_snapshots=k)
+            path = simulate_path(config, bump, 1.0, wiener=WienerPath(dt, inc[j]), n_snapshots=k)
             assert ens.c_sup is None and ens.c_min is None
-        assert (ens.dt, ens.n_steps) == (traj.dt, traj.n_steps)
-        assert same_bits(ens.times, traj.times)
-        assert same_bits(ens.c[:, j], traj.c)
-        assert same_bits(ens.y[:, j], traj.y)
-        assert same_bits(ens.c_final[j], traj.c[-1])
-        assert same_bits(ens.y_final[j], traj.y[-1])
-        assert same_bits(ens.clamp_mass[j], traj.clamp_mass)
+        assert (ens.dt, ens.n_steps) == (path.dt, path.n_steps)
+        assert same_bits(ens.times, path.times)
+        assert same_bits(ens.c[:, j], path.c[:, 0])
+        assert same_bits(ens.y[:, j], path.y[:, 0])
+        assert same_bits(ens.c_final[j], path.c_final[0])
+        assert same_bits(ens.y_final[j], path.y_final[0])
+        assert same_bits(ens.clamp_mass[j], path.clamp_mass[0])
 
 
 @pytest.mark.parametrize("coupling,c_rows", [("one-way", 1), ("two-way", 5)])
