@@ -136,43 +136,69 @@ def convex_energy(c_values: np.ndarray, grid: GridSpec, coeffs: CoefficientSet,
     return float(grid.spacing**grid.dim * per_node.sum())
 
 
+class EnergySums:
+    """Running sums of the discrete energy inequality over the frames of one
+    path at ``times``, fed in order by ``add``: the convex energy of the
+    first and the last frame, and the dissipation and source work, both
+    left-endpoint sums.  ``energy_report`` feeds it stored frames, a
+    streaming run its frames as they are stepped."""
+
+    def __init__(self, grid: GridSpec, coeffs: CoefficientSet, times: np.ndarray):
+        self.grid, self.coeffs, self.times = grid, coeffs, times
+        self.core = (slice(1, -1),) * grid.dim
+        self.hw = grid.spacing**grid.dim
+        self.e0 = self.e_final = math.nan
+        self.diss = self.work = 0.0
+
+    def add(self, k: int, c: np.ndarray, y: np.ndarray) -> None:
+        """Frame ``k`` of c and y, each shaped like the grid."""
+        if k == 0:
+            self.e0 = convex_energy(c, self.grid, self.coeffs)
+        if k == len(self.times) - 1:
+            self.e_final = convex_energy(c, self.grid, self.coeffs)
+            return
+        gap = float(self.times[k + 1] - self.times[k])
+        self.diss += gap * h1_seminorm(Field(self.grid, c)) ** 2
+        fvals = self.coeffs.f(c[self.core], y[self.core])
+        self.work += gap * self.hw * float(np.sum(fvals * c[self.core]))
+
+    def reports(self, theta: float, sup_c: float, clamp_mass: float) -> list[EstimateReport]:
+        """The reports of ``energy_report`` once every frame is added."""
+        e0 = self.e0
+        measured = self.e_final + (1.0 - theta) * self.diss - self.work
+        scale = max(e0, 1.0)
+        return [
+            EstimateReport(
+                "energy_balance",
+                measured,
+                e0 + 1e-12 * scale,
+                {"initial": e0, "final": self.e_final, "dissipation": self.diss,
+                 "source_work": self.work},
+            ),
+            EstimateReport("sup_concentration", sup_c, None, {}),
+            EstimateReport("clamped_mass", clamp_mass, None, {}),
+        ]
+
+
+def _add_frames(sums, run: EnsembleResult) -> None:
+    """Feed the stored frames of path 0 of ``run`` to ``sums`` in order."""
+    for k in range(len(run.times)):
+        sums.add(k, run.c[k, 0], run.y[k, 0])
+
+
 def energy_report(run: EnsembleResult, coeffs: CoefficientSet, theta: float) -> list[EstimateReport]:
     """Discrete energy inequality along the stored frames of path 0:
 
         E(T) + (1 - theta) * D - S_f  <=  E(0),
 
     with E the convex potential, D the time-integrated squared gradient and
-    S_f the source work, both left-endpoint sums.  Under the step bound the
-    explicit scheme's quadratic remainder is at most theta times the
-    dissipation, which is exactly the slack kept on D.
+    S_f the source work, both left-endpoint sums (see ``EnergySums``).
+    Under the step bound the explicit scheme's quadratic remainder is at
+    most theta times the dissipation, which is exactly the slack kept on D.
     """
-    grid, times, c, y = run.grid, run.times, run.c[:, 0], run.y[:, 0]
-    frames = len(times)
-    e0 = convex_energy(c[0], grid, coeffs)
-    e_final = convex_energy(c[-1], grid, coeffs)
-    diss = 0.0
-    work = 0.0
-    core = (slice(1, -1),) * grid.dim
-    hw = grid.spacing**grid.dim
-    for k in range(frames - 1):
-        gap = float(times[k + 1] - times[k])
-        ck = Field(grid, c[k])
-        diss += gap * h1_seminorm(ck) ** 2
-        fvals = coeffs.f(c[k][core], y[k][core])
-        work += gap * hw * float(np.sum(fvals * c[k][core]))
-    sup_c = float(np.max(c))
-    measured = e_final + (1.0 - theta) * diss - work
-    scale = max(e0, 1.0)
-    return [
-        EstimateReport(
-            "energy_balance",
-            measured,
-            e0 + 1e-12 * scale,
-            {"initial": e0, "final": e_final, "dissipation": diss, "source_work": work},
-        ),
-        EstimateReport("sup_concentration", sup_c, None, {}),
-        EstimateReport("clamped_mass", float(run.clamp_mass[0]), None, {}),
-    ]
+    sums = EnergySums(run.grid, coeffs, run.times)
+    _add_frames(sums, run)
+    return sums.reports(theta, float(np.max(run.c[:, 0])), float(run.clamp_mass[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +227,48 @@ def bump_time_profile(t_final: float):
     return xi, xi_prime
 
 
+class WeakSums:
+    """The per-frame terms of ``weak_residual`` for one test field over the
+    n + 1 frames of a dense path, fed in order by ``add``: A_k at every
+    frame and B_k at every frame but the last.  Every time window is then
+    evaluated from them by ``residual``."""
+
+    def __init__(self, grid: GridSpec, coeffs: CoefficientSet, free_values: np.ndarray,
+                 n_steps: int):
+        v_field = h02_embed(grid, np.asarray(free_values, dtype=np.float64))
+        self.core = (slice(1, -1),) * grid.dim
+        self.v_int = v_field.values[self.core]
+        self.lap_int = laplacian(v_field).values[self.core]
+        self.coeffs, self.hw = coeffs, grid.spacing**grid.dim
+        self.a, self.b = np.empty(n_steps + 1), np.empty(n_steps)
+
+    def add(self, k: int, c: np.ndarray, y: np.ndarray) -> None:
+        """Frame ``k`` of c and y, each shaped like the grid."""
+        core, c_int = self.core, c[self.core]
+        self.a[k] = self.hw * float(np.sum(self.coeffs.beta(c_int) * self.v_int))
+        if k < len(self.b):
+            fvals = self.coeffs.f(c_int, y[core])
+            self.b[k] = self.hw * float(np.sum(c_int * self.lap_int + fvals * self.v_int))
+
+    def residual(self, times: np.ndarray, dt: float, xi: Callable,
+                 xi_prime: Callable) -> tuple[float, float]:
+        """The raw and scale-free residual for the window ``xi`` at the
+        frame ``times``, once every frame is added."""
+        a, b = self.a, self.b
+        xs = np.asarray(xi(times), dtype=np.float64)
+        xps = np.asarray(xi_prime(times), dtype=np.float64)
+        residual = a[-1] * xs[-1] - a[0] * xs[0] - dt * float(np.sum(a[:-1] * xps[:-1])) - dt * float(
+            np.sum(b * xs[:-1])
+        )
+        t_final = float(times[-1])
+        scale = (
+            np.max(np.abs(a)) * (np.max(np.abs(xs)) + t_final * np.max(np.abs(xps)))
+            + t_final * np.max(np.abs(b)) * np.max(np.abs(xs))
+            + 1e-300
+        )
+        return float(residual), float(abs(residual) / scale)
+
+
 def weak_residual(
     run: EnsembleResult,
     coeffs: CoefficientSet,
@@ -213,42 +281,16 @@ def weak_residual(
 
         A(T) xi(T) - A(0) xi(0) - sum_n dt (A_n xi'(t_n) + B_n xi(t_n)),
 
-    A_n = (beta(c_n), v),  B_n = (c_n, lap_h v) + (f_n, v).  Returns the raw
-    residual and a scale-free version.  For constant xi it telescopes to
-    rounding; for smooth xi it shrinks at first order in dt.
+    A_n = (beta(c_n), v),  B_n = (c_n, lap_h v) + (f_n, v), along the dense
+    frames of path 0 (see ``WeakSums``).  Returns the raw residual and a
+    scale-free version.  For constant xi it telescopes to rounding; for
+    smooth xi it shrinks at first order in dt.
     """
-    grid, c, y = run.grid, run.c[:, 0], run.y[:, 0]
     if len(run.times) != run.n_steps + 1:
         raise ValueError("weak residual needs every step stored")
-    v_field = h02_embed(grid, np.asarray(free_values, dtype=np.float64))
-    lap_v = laplacian(v_field)
-    core = (slice(1, -1),) * grid.dim
-    v_int = v_field.values[core]
-    lap_int = lap_v.values[core]
-    hw = grid.spacing**grid.dim
-    dt = run.dt
-    n = run.n_steps
-
-    ts = run.times
-    a = np.empty(n + 1)
-    b = np.empty(n)
-    for k in range(n + 1):
-        a[k] = hw * float(np.sum(coeffs.beta(c[k][core]) * v_int))
-        if k < n:
-            fvals = coeffs.f(c[k][core], y[k][core])
-            b[k] = hw * float(np.sum(c[k][core] * lap_int + fvals * v_int))
-    xs = np.asarray(xi(ts), dtype=np.float64)
-    xps = np.asarray(xi_prime(ts), dtype=np.float64)
-    residual = a[-1] * xs[-1] - a[0] * xs[0] - dt * float(np.sum(a[:-1] * xps[:-1])) - dt * float(
-        np.sum(b * xs[:-1])
-    )
-    t_final = float(ts[-1])
-    scale = (
-        np.max(np.abs(a)) * (np.max(np.abs(xs)) + t_final * np.max(np.abs(xps)))
-        + t_final * np.max(np.abs(b)) * np.max(np.abs(xs))
-        + 1e-300
-    )
-    return float(residual), float(abs(residual) / scale)
+    sums = WeakSums(run.grid, coeffs, free_values, run.n_steps)
+    _add_frames(sums, run)
+    return sums.residual(run.times, run.dt, xi, xi_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,17 +30,17 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    EnergySums,
     EstimateReport,
+    WeakSums,
     bump_time_profile,
     cauchy_refinement,
-    energy_report,
     epsilon_sweep,
     holder_report,
     linf_check,
     malliavin_report,
     malliavin_report_steps,
     transform_report,
-    weak_residual,
 )
 from .grid import BoundaryKind, build_grid, free_node_count
 from .malliavin import propagate_path, seed_index
@@ -60,7 +61,6 @@ from .simulate import (
     interior_v_mass,
     prepare_initial,
     simulate_ensemble,
-    simulate_path,
 )
 from .transform import build_transform_pair, degeneracy_weight
 
@@ -402,8 +402,9 @@ def _growth_radius(config: SimConfig, c0_fn, y0: float) -> tuple[float, float]:
     return c0_max, r2_bound(config.t_final, c0_max, config.coeffs.beta_family)
 
 
-def _mass_report(c_frames, config: SimConfig, cfg: RunConfig) -> EstimateReport:
-    masses = interior_v_mass(c_frames, config.grid, config.coeffs)
+def _mass_report(masses: np.ndarray, cfg: RunConfig) -> EstimateReport:
+    """Largest drift of the interior v-mass over its frames, relative to
+    the initial mass."""
     m0 = float(masses[0])
     drift = float(np.max(np.abs(masses - m0))) / max(abs(m0), 1e-300)
     conserved = cfg.bc == "neumann" and cfg.f_name == "zero"
@@ -443,7 +444,8 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
                 PathRecord(config.grid, cfg.seed, pid, chunk.dt, chunk.times, c, y, ()),
             )
             reports.append(linf_check(float(chunk.c_sup[j]), r2, f"{tag}_sup"))
-            reports.append(replace(_mass_report(c, config, cfg), name=f"{tag}_mass_drift"))
+            masses = interior_v_mass(c, config.grid, config.coeffs)
+            reports.append(replace(_mass_report(masses, cfg), name=f"{tag}_mass_drift"))
             reports.append(EstimateReport(f"{tag}_clamped_mass", float(chunk.clamp_mass[j]), None))
 
     ens = simulate_ensemble(
@@ -466,32 +468,51 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
+    grid, coeffs = config.grid, config.coeffs
     c0_fn = _initial(cfg)
     c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
-    _fit_memory(config.grid, config.resolve_steps(c0_max)[1] + 1)  # every step is stored
+    dt, n = config.resolve_steps(c0_max)
 
-    run = simulate_path(config, c0_fn, cfg.y0, seed=cfg.seed, path_id=0, store_dense=True)
-    _require_finite(run.c, run.y)
-    reports = [linf_check(float(np.max(run.c)), r2), _mass_report(run.c[:, 0], config, cfg)]
-    reports.extend(energy_report(run, config.coeffs, cfg.theta))
+    # path 0 is stepped once and each frame goes through the report sums as
+    # the loop reaches it, so memory holds the step state and O(steps)
+    # floats, never the frames; the times are those a dense run stores
+    times = np.arange(n + 1) * dt
+    center = tuple(s // 2 for s in grid.shape)
+    masses, series = np.empty(n + 1), np.empty(n + 1)
+    n_free = free_node_count(grid)
+    v = np.random.default_rng(cfg.seed).uniform(0.5, 1.0, size=n_free)
+    energy = EnergySums(grid, coeffs, times)
+    weak = WeakSums(grid, coeffs, v, n) if n_free else None
 
-    rng = np.random.default_rng(cfg.seed)
-    n_free = free_node_count(config.grid)
-    if n_free:
-        v = rng.uniform(0.5, 1.0, size=n_free)
+    def frame(k, c, y):  # every frame is checked before it is read
+        _require_finite(c, y)
+        masses[k] = interior_v_mass(c, grid, coeffs)
+        series[k] = y[center]
+        energy.add(k, c, y)
+        if weak is not None:
+            weak.add(k, c, y)
+
+    # each step hands over the state it starts from: frames 0 to n - 1
+    starts = itertools.count()
+    run = simulate_ensemble(
+        config, c0_fn, cfg.y0, n_paths=1, seed=cfg.seed,
+        on_step=lambda res, c, y, *_: frame(next(starts), c[0], y[0]),
+    )
+    frame(n, run.c_final[0], run.y_final[0])
+    sup = float(run.c_sup[0])
+    reports = [linf_check(sup, r2), _mass_report(masses, cfg)]
+    reports.extend(energy.reports(cfg.theta, sup, float(run.clamp_mass[0])))
+    if weak is not None:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
         zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
-        _, scaled = weak_residual(run, config.coeffs, v, ones, zeros)
+        _, scaled = weak.residual(times, dt, ones, zeros)
         reports.append(EstimateReport("weak_residual_constant_window", scaled, 1e-10))
-        xi, xi_p = bump_time_profile(cfg.t_final)
-        _, scaled_bump = weak_residual(run, config.coeffs, v, xi, xi_p)
+        _, scaled_bump = weak.residual(times, dt, *bump_time_profile(cfg.t_final))
         reports.append(EstimateReport("weak_residual_bump_window", scaled_bump, None))
 
-    center = tuple(s // 2 for s in config.grid.shape)
-    series = run.y[(slice(None), 0) + center]
-    usable = tuple(lag for lag in cfg.lags if lag < run.n_steps)
+    usable = tuple(lag for lag in cfg.lags if lag < n)
     if len(usable) >= 2:
-        reports.append(holder_report(series, run.dt, usable, "y_holder_exponent"))
+        reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
     ens = simulate_ensemble(
         config,
@@ -509,7 +530,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
             "terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}
         )
     )
-    return {"verify": reports}, {"dt": run.dt, "r2_bound": r2}
+    return {"verify": reports}, {"dt": dt, "r2_bound": r2}
 
 
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:

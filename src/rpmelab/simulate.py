@@ -234,9 +234,8 @@ class StepBuffers:
     face and the clamp mass per leading index; with ``gates``, the clamp gates
     of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.
     With ``shared_c`` every c-side array has leading axes of 1, for one c
-    shared by all paths, and y gets a scratch array of its own and one that
-    holds c broadcast to every path.  A step with a workspace returns views
-    of these, valid until its next step."""
+    shared by all paths, and y gets a scratch array of its own.  A step with
+    a workspace returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
                  shared_c: bool = False):
@@ -246,7 +245,6 @@ class StepBuffers:
         self.y = (np.empty(shape), np.empty(shape))
         self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
         self.y_scratch = self.lap if c_shape == shape else np.empty(shape)
-        self.c_rows = None if c_shape == shape else np.empty(shape)
         self.face = np.empty(c_shape[:-1])
         self.mass = np.empty(c_shape[: len(lead)])
         self.v_gate = np.zeros(c_shape, bool) if gates else None
@@ -281,7 +279,7 @@ def step(
     rule; ``dW`` broadcasts against the leading axes.  When the reaction term
     does not read y, ``c`` may have leading axes of 1, one c shared by every
     path of ``y``: its half of the step then runs once, with f given the
-    first path of y, and b gets it copied to every path.
+    first path of y, and b broadcasts it to every path.
 
     Every intermediate goes into ``work`` (a fresh workspace when None) and
     the new state into the copies of c and y in ``work`` that do not hold the
@@ -334,9 +332,6 @@ def step(
     np.copyto(scratch, dw)  # a ufunc broadcasting dw would buffer
     np.multiply(coeffs.a(y, out=y_new), scratch, out=y_new)
     np.add(y, y_new, out=y_new)
-    if work.c_rows is not None:
-        np.copyto(work.c_rows, c)  # a ufunc broadcasting c would buffer
-        c = work.c_rows
     np.multiply(coeffs.b(c, y, out=scratch), dt, out=scratch)
     np.add(y_new, scratch, out=y_new)
     if work.y_gate is not None:

@@ -420,12 +420,13 @@ def test_numerical_abort_leaves_no_outputs(tmp_path):
         "initial.c = sine\ninitial.c.amplitude = 1.0\n"
     )
     cfg_path = write(tmp_path, text)
-    out = tmp_path / "blowup"
-    with np.errstate(all="ignore"):
-        code = main(["simulate", cfg_path, "--out", str(out)])
-    assert code == 4
-    assert not out.exists()
-    assert list(tmp_path.glob(".*staging*")) == []
+    for command in ("simulate", "verify"):
+        out = tmp_path / f"blowup_{command}"
+        with np.errstate(all="ignore"):
+            code = main([command, cfg_path, "--out", str(out)])
+        assert code == 4, command
+        assert not out.exists()
+        assert list(tmp_path.glob(".*staging*")) == []
 
 
 def test_growth_bound_overflow_exits_4(tmp_path, capsys):
@@ -797,10 +798,10 @@ def test_step_state_beyond_physical_memory_exits_3(
     from rpmelab import cli
     from rpmelab.grid import build_grid
 
-    # simulate stores a frame per step here (fewer than 256 steps), and
-    # verify stores every step; the other subcommands store none
+    # simulate stores a frame per step here (fewer than 256 steps); verify
+    # streams its path and the other subcommands store no frame
     frames = 0
-    if command in ("simulate", "verify"):
+    if command == "simulate":
         cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
         config = cli._sim_config(cfg)
         n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
@@ -815,6 +816,136 @@ def test_step_state_beyond_physical_memory_exits_3(
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert run_cli(command, tmp_path, text, "fits")[0] == 0
 
+
+def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
+    # memory for the step state but not for every step of path 0, which
+    # verify no longer holds
+    from rpmelab.grid import build_grid
+
+    text = "dim = 2\ncells = 16\nt_final = 0.001\n"
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    config = cli._sim_config(cfg)
+    n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+    grid = build_grid(2, 16)
+    assert cli._memory_need(grid, 0) < cli._memory_need(grid, n + 1) - 1
+    monkeypatch.setattr(cli, "_physical_memory", lambda: cli._memory_need(grid, n + 1) - 1)
+    assert run_cli("verify", tmp_path, text, "streamed")[0] == 0
+
+
+README_COEFFICIENTS = (
+    "beta = pme:2.0\ninitial.c = cosine\ninitial.c.amplitude = 0.5\ninitial.y = 1.0\n"
+    "coeff.f = logistic\ncoeff.f.lambda = 0.5\ncoeff.a = linear\ncoeff.a.sigma = 0.3\n"
+    "coeff.b = coupling\n"
+)
+
+
+def test_verify_at_128_squared_passes_the_preflight(tmp_path, monkeypatch):
+    # README coefficients on a 128^2 grid: 42,192 steps, whose frames (11.4 GB)
+    # an 8 GiB machine cannot hold; the run is stopped where stepping starts
+    class Stepping(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stepping
+
+    text = "dim = 2\ncells = 128\nt_final = 0.1\n" + README_COEFFICIENTS
+    cfg = load_config(write(tmp_path, text))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(cli, "simulate_ensemble", stop)
+    with pytest.raises(Stepping):
+        cli._run_verify(cfg, tmp_path)
+
+
+def _verify_peak_bytes(tmp_path, t_final, name):
+    import tracemalloc
+
+    text = (
+        "dim = 2\ncells = 16\nn_paths = 4\nworkers = 1\nseed = 4711\n"
+        f"t_final = {t_final}\n" + README_COEFFICIENTS
+    )
+    tracemalloc.start()
+    try:
+        code, _ = run_cli("verify", tmp_path, text, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_verify_memory_does_not_grow_with_its_step_count(tmp_path):
+    # four times the steps: the frames of path 0 made the peaks 2.3 MiB and
+    # 12.8 MiB when verify held them; streamed, only O(steps) floats grow.  The first
+    # run also holds what is made once per process (imports, caches).
+    _verify_peak_bytes(tmp_path, 0.05, "warm")
+    short = _verify_peak_bytes(tmp_path, 0.05, "short")
+    long = _verify_peak_bytes(tmp_path, 0.2, "long")
+    assert long <= 1.1 * short, (short, long)
+
+
+def _report_rows(reports):
+    """Reports as the CSV writes them."""
+    return [(r.name, repr(float(r.measured)), repr(r.bound), json.dumps(r.detail, sort_keys=True, default=float))
+            for r in reports]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dim=st.integers(1, 3),
+    bc=st.sampled_from(["neumann", "dirichlet"]),
+    theta=st.floats(0.1, 1.0),
+    mu_y=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_streamed_verify_reports_are_the_dense_ones(tmp_path, dim, bc, theta, mu_y, seed, data):
+    # verify streams path 0 through its report sums; the reports computed
+    # from the dense frames of the same path must agree to the bit
+    from rpmelab.analysis import (
+        EstimateReport, bump_time_profile, energy_report, holder_report, linf_check,
+        weak_residual,
+    )
+    from rpmelab.grid import free_node_count
+    from rpmelab.simulate import interior_v_mass, simulate_path
+
+    cells = data.draw(st.integers(*{1: (4, 16), 2: (2, 8), 3: (2, 4)}[dim]), label="cells")
+    text = (
+        f"dim = {dim}\ncells = {cells}\nbc = {bc}\ntheta = {theta!r}\nt_final = 0.01\n"
+        f"n_paths = 2\nseed = {seed}\nstats.lags = 2,4,8\ncoeff.f.mu_y = {mu_y!r}\n"
+        + README_COEFFICIENTS
+    )
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    sections, extras = cli._run_verify(cfg, tmp_path)
+
+    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
+    coeffs, grid = config.coeffs, config.grid
+    r2 = cli._growth_radius(config, c0, cfg.y0)[1]
+    run = simulate_path(config, c0, cfg.y0, seed=seed, store_dense=True)
+    dense = [
+        linf_check(float(np.max(run.c)), r2),
+        cli._mass_report(interior_v_mass(run.c[:, 0], grid, coeffs), cfg),
+        *energy_report(run, coeffs, cfg.theta),
+    ]
+    n_free = free_node_count(grid)
+    if n_free:
+        v = np.random.default_rng(seed).uniform(0.5, 1.0, size=n_free)
+        ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
+        zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
+        windows = (("constant", (ones, zeros), 1e-10), ("bump", bump_time_profile(0.01), None))
+        for name, window, bound in windows:
+            scaled = weak_residual(run, coeffs, v, *window)[1]
+            dense.append(EstimateReport(f"weak_residual_{name}_window", scaled, bound))
+    center = (slice(None), 0) + tuple(s // 2 for s in grid.shape)
+    lags = tuple(lag for lag in cfg.lags if lag < run.n_steps)
+    if len(lags) >= 2:
+        dense.append(holder_report(run.y[center], run.dt, lags, "y_holder_exponent"))
+
+    streamed = sections["verify"]
+    assert _report_rows(streamed[: len(dense)]) == _report_rows(dense)
+    assert [r.name for r in streamed[len(dense):]] == [
+        "ensemble_sup_vs_growth_bound", "terminal_y_second_moment"
+    ]
+    assert extras["dt"] == run.dt
 
 
 @pytest.mark.parametrize("block", [None, 1000])
