@@ -136,6 +136,16 @@ def convex_energy(c_values: np.ndarray, grid: GridSpec, coeffs: CoefficientSet,
     return float(grid.spacing**grid.dim * per_node.sum())
 
 
+class Frame:
+    """One frame of c and y, each shaped like ``grid``, with the interior of
+    c, and beta and f on it, computed once for every sum that adds it."""
+
+    def __init__(self, grid: GridSpec, coeffs: CoefficientSet, c: np.ndarray, y: np.ndarray):
+        core = (slice(1, -1),) * grid.dim
+        self.c, self.c_int = c, c[core]
+        self.beta, self.f = coeffs.beta(self.c_int), coeffs.f(self.c_int, y[core])
+
+
 class EnergySums:
     """Running sums of the discrete energy inequality over the frames of one
     path at ``times``, fed in order by ``add``: the convex energy of the
@@ -145,22 +155,19 @@ class EnergySums:
 
     def __init__(self, grid: GridSpec, coeffs: CoefficientSet, times: np.ndarray):
         self.grid, self.coeffs, self.times = grid, coeffs, times
-        self.core = (slice(1, -1),) * grid.dim
         self.hw = grid.spacing**grid.dim
         self.e0 = self.e_final = math.nan
         self.diss = self.work = 0.0
 
-    def add(self, k: int, c: np.ndarray, y: np.ndarray) -> None:
-        """Frame ``k`` of c and y, each shaped like the grid."""
+    def add(self, k: int, frame: Frame) -> None:
         if k == 0:
-            self.e0 = convex_energy(c, self.grid, self.coeffs)
+            self.e0 = convex_energy(frame.c, self.grid, self.coeffs)
         if k == len(self.times) - 1:
-            self.e_final = convex_energy(c, self.grid, self.coeffs)
+            self.e_final = convex_energy(frame.c, self.grid, self.coeffs)
             return
         gap = float(self.times[k + 1] - self.times[k])
-        self.diss += gap * h1_seminorm(Field(self.grid, c)) ** 2
-        fvals = self.coeffs.f(c[self.core], y[self.core])
-        self.work += gap * self.hw * float(np.sum(fvals * c[self.core]))
+        self.diss += gap * h1_seminorm(frame.c, self.grid) ** 2
+        self.work += gap * self.hw * float(np.sum(frame.f * frame.c_int))
 
     def reports(self, theta: float, sup_c: float, clamp_mass: float) -> list[EstimateReport]:
         """The reports of ``energy_report`` once every frame is added."""
@@ -180,10 +187,10 @@ class EnergySums:
         ]
 
 
-def _add_frames(sums, run: EnsembleResult) -> None:
+def _add_frames(sums, run: EnsembleResult, coeffs: CoefficientSet) -> None:
     """Feed the stored frames of path 0 of ``run`` to ``sums`` in order."""
     for k in range(len(run.times)):
-        sums.add(k, run.c[k, 0], run.y[k, 0])
+        sums.add(k, Frame(run.grid, coeffs, run.c[k, 0], run.y[k, 0]))
 
 
 def energy_report(run: EnsembleResult, coeffs: CoefficientSet, theta: float) -> list[EstimateReport]:
@@ -197,7 +204,7 @@ def energy_report(run: EnsembleResult, coeffs: CoefficientSet, theta: float) -> 
     most theta times the dissipation, which is exactly the slack kept on D.
     """
     sums = EnergySums(run.grid, coeffs, run.times)
-    _add_frames(sums, run)
+    _add_frames(sums, run, coeffs)
     return sums.reports(theta, float(np.max(run.c[:, 0])), float(run.clamp_mass[0]))
 
 
@@ -233,22 +240,18 @@ class WeakSums:
     frame and B_k at every frame but the last.  Every time window is then
     evaluated from them by ``residual``."""
 
-    def __init__(self, grid: GridSpec, coeffs: CoefficientSet, free_values: np.ndarray,
-                 n_steps: int):
+    def __init__(self, grid: GridSpec, free_values: np.ndarray, n_steps: int):
         v_field = h02_embed(grid, np.asarray(free_values, dtype=np.float64))
-        self.core = (slice(1, -1),) * grid.dim
-        self.v_int = v_field.values[self.core]
-        self.lap_int = laplacian(v_field).values[self.core]
-        self.coeffs, self.hw = coeffs, grid.spacing**grid.dim
+        core = (slice(1, -1),) * grid.dim
+        self.v_int = v_field.values[core]
+        self.lap_int = laplacian(v_field).values[core]
+        self.hw = grid.spacing**grid.dim
         self.a, self.b = np.empty(n_steps + 1), np.empty(n_steps)
 
-    def add(self, k: int, c: np.ndarray, y: np.ndarray) -> None:
-        """Frame ``k`` of c and y, each shaped like the grid."""
-        core, c_int = self.core, c[self.core]
-        self.a[k] = self.hw * float(np.sum(self.coeffs.beta(c_int) * self.v_int))
+    def add(self, k: int, frame: Frame) -> None:
+        self.a[k] = self.hw * float(np.sum(frame.beta * self.v_int))
         if k < len(self.b):
-            fvals = self.coeffs.f(c_int, y[core])
-            self.b[k] = self.hw * float(np.sum(c_int * self.lap_int + fvals * self.v_int))
+            self.b[k] = self.hw * float(np.sum(frame.c_int * self.lap_int + frame.f * self.v_int))
 
     def residual(self, times: np.ndarray, dt: float, xi: Callable,
                  xi_prime: Callable) -> tuple[float, float]:
@@ -288,8 +291,8 @@ def weak_residual(
     """
     if len(run.times) != run.n_steps + 1:
         raise ValueError("weak residual needs every step stored")
-    sums = WeakSums(run.grid, coeffs, free_values, run.n_steps)
-    _add_frames(sums, run)
+    sums = WeakSums(run.grid, free_values, run.n_steps)
+    _add_frames(sums, run, coeffs)
     return sums.residual(run.times, run.dt, xi, xi_prime)
 
 

@@ -32,6 +32,7 @@ from . import __version__
 from .analysis import (
     EnergySums,
     EstimateReport,
+    Frame,
     WeakSums,
     bump_time_profile,
     cauchy_refinement,
@@ -473,7 +474,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
     dt, n = config.resolve_steps(c0_max)
 
-    # path 0 is stepped once and each frame goes through the report sums as
+    # path 0 of the ensemble goes through the report sums frame by frame as
     # the loop reaches it, so memory holds the step state and O(steps)
     # floats, never the frames; the times are those a dense run stores
     times = np.arange(n + 1) * dt
@@ -482,26 +483,27 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     n_free = free_node_count(grid)
     v = np.random.default_rng(cfg.seed).uniform(0.5, 1.0, size=n_free)
     energy = EnergySums(grid, coeffs, times)
-    weak = WeakSums(grid, coeffs, v, n) if n_free else None
+    weak = WeakSums(grid, v, n) if n_free else None
 
     def frame(k, c, y):  # every frame is checked before it is read
         _require_finite(c, y)
-        masses[k] = interior_v_mass(c, grid, coeffs)
+        fr = Frame(grid, coeffs, c, y)
+        masses[k] = grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1)  # interior_v_mass
         series[k] = y[center]
-        energy.add(k, c, y)
+        energy.add(k, fr)
         if weak is not None:
-            weak.add(k, c, y)
+            weak.add(k, fr)
 
     # each step hands over the state it starts from: frames 0 to n - 1
     starts = itertools.count()
-    run = simulate_ensemble(
-        config, c0_fn, cfg.y0, n_paths=1, seed=cfg.seed,
+    ens = simulate_ensemble(
+        config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
         on_step=lambda res, c, y, *_: frame(next(starts), c[0], y[0]),
     )
-    frame(n, run.c_final[0], run.y_final[0])
-    sup = float(run.c_sup[0])
+    frame(n, ens.c_final[0], ens.y_final[0])
+    sup = float(ens.c_sup[0])
     reports = [linf_check(sup, r2), _mass_report(masses, cfg)]
-    reports.extend(energy.reports(cfg.theta, sup, float(run.clamp_mass[0])))
+    reports.extend(energy.reports(cfg.theta, sup, float(ens.clamp_mass[0])))
     if weak is not None:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
         zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
@@ -514,14 +516,6 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    ens = simulate_ensemble(
-        config,
-        c0_fn,
-        cfg.y0,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        n_workers=cfg.workers,
-    )
     _require_finite(ens.c_final, ens.y_final)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
     y_term = ens.y_final[(slice(None),) + center]
@@ -644,12 +638,13 @@ def _run_transform_demo(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     )
     (staging / "transforms").mkdir()
     for name, table in (("big_phi", big_phi), ("psi", psi)):
+        # the rows csv.writer writes: a float's repr needs no quoting
+        k_text = [repr(k) for k in table.k_grid.tolist()]
+        d_text = [repr(d) for d in table.d_grid.tolist()]
         with open(staging / "transforms" / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "d", "value"])
-            for i, k in enumerate(table.k_grid):
-                for j, d in enumerate(table.d_grid):
-                    writer.writerow([repr(float(k)), repr(float(d)), repr(float(table.table[i, j]))])
+            fh.write("k,d,value\r\n")
+            for k, row in zip(k_text, table.table.tolist()):
+                fh.write("".join(f"{k},{d},{v!r}\r\n" for d, v in zip(d_text, row)))
     return {"transform": transform_report(big_phi, psi)}, {"dt": None, "r2_bound": None}
 
 

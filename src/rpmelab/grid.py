@@ -334,23 +334,24 @@ def lp_norm(u: Field, p: float, subset="interior") -> float:
     return float((w * np.sum(vals**p)) ** (1.0 / p))
 
 
-def h1_seminorm(u: Field) -> float:
+def h1_seminorm(u: Field | np.ndarray, grid: GridSpec | None = None) -> float:
     """First-difference seminorm with h**(dim-2) pair weights.
 
     Sums squared nodal gaps over every axis-adjacent pair whose two nodes are
-    both defined, so it applies to partially defined fields as well.
+    both defined, so it applies to partially defined fields as well.  ``u``
+    is a ``Field``, or the values of a fully defined one on ``grid``.
     """
-    g = u.grid
-    dm = u.defined_mask()
+    g, values, dm = (u.grid, u.values, u.mask) if grid is None else (grid, u, None)
     total = 0.0
     for k in range(g.dim):
         lo = [slice(None)] * g.dim
         hi = [slice(None)] * g.dim
         lo[k] = slice(0, -1)
         hi[k] = slice(1, None)
-        pair = dm[tuple(lo)] & dm[tuple(hi)]
-        diff = u.values[tuple(hi)] - u.values[tuple(lo)]
-        total += float(np.sum(np.where(pair, diff, 0.0) ** 2))
+        diff = values[tuple(hi)] - values[tuple(lo)]
+        if dm is not None:
+            diff = np.where(dm[tuple(lo)] & dm[tuple(hi)], diff, 0.0)
+        total += float(np.sum(diff**2))
     return float(np.sqrt(g.spacing ** (g.dim - 2) * total))
 
 

@@ -40,6 +40,7 @@ from .simulate import (
     SimConfig,
     StepBuffers,
     WienerPath,
+    _face_pairs,
     _impose_bc,
     simulate_ensemble,
     step,
@@ -153,7 +154,7 @@ def step_malliavin(
         np.multiply(dt, lap, out=lap)
         np.add(z, lap, out=work.z)
         np.copyto(work.z, 0.0, where=primal.v_gate)
-        _impose_bc(work.z, dim, bc, work.face)
+        _impose_bc(_face_pairs(work.z, dim), bc, work.face)
 
     # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
     np.multiply(_tiled(work, coeffs.a_prime, y), dry, out=t)
@@ -178,6 +179,8 @@ class _Tangent:
     ``propagate_path``).  Its seeds, sorted by seed step, are the rows of one
     workspace for all of them; a seed's row becomes active at its step, so
     the active seeds are always the leading rows."""
+
+    reads_gates = True  # the primal workspace keeps the clamp gates it reads
 
     def __init__(self, config: SimConfig, wiener: WienerPath, r_indices, t_indices, on_frame):
         n = wiener.n_steps

@@ -16,13 +16,14 @@ Layout, all integers unsigned little-endian, all floats IEEE f64:
         f64 r, f64 t, then drc then dry, row-major over all nodes
 
 The frame count comes first and the pairs last, so ``RecordWriter`` can
-stream a record frame by frame as a run produces it.  Readers validate the
+stream a record block by block as a run produces it.  Readers validate the
 magic and sizes and refuse anything inconsistent.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .grid import GridSpec, build_grid
 
 MAGIC = b"RPME1"
 _HEAD = struct.Struct("<III QQ d")
-# bytes buffered before a write reaches the file, so a record of many small
-# frames goes out in large blocks
+# bytes of frames gathered before a write reaches the file, so a record of
+# many small frames goes out in large blocks
 _WRITE_BUFFER = 2**18
 
 
@@ -62,6 +63,7 @@ class FormatError(ValueError):
     pass
 
 
+@lru_cache(maxsize=32)
 def _fields(grid: GridSpec, *names: str) -> np.dtype:
     """One snapshot (t, c, y) or one pair (r, t, drc, dry) as it is stored:
     scalars first, then the arrays over all nodes."""
@@ -70,14 +72,17 @@ def _fields(grid: GridSpec, *names: str) -> np.dtype:
 
 class RecordWriter:
     """Streams one record to ``path``: the header when opened, then
-    ``n_snapshots`` calls of ``frame``, then ``finish`` with the derivative
-    pairs.  Arrays go to the file through the buffer protocol, and memory
-    stays that of one frame.  Use it in a ``with`` block, which closes the
-    file."""
+    ``n_snapshots`` frames in blocks of any size, then ``finish`` with the
+    derivative pairs.  Frames gather as rows of the table that
+    ``read_record`` reads, which goes to the file each time its
+    ``_WRITE_BUFFER`` bytes fill, so memory stays that of one such table.
+    Use it in a ``with`` block, which closes the file."""
 
     def __init__(self, path, grid: GridSpec, seed: int, path_id: int, dt: float, n_snapshots: int):
-        self._grid, self._left = grid, n_snapshots
-        self._fh = open(path, "wb", buffering=_WRITE_BUFFER)
+        self._grid, self._shape, self._left, self._held = grid, grid.shape, n_snapshots, 0
+        frame = _fields(grid, "t", "c", "y")
+        self._frames = np.empty(min(n_snapshots, max(1, _WRITE_BUFFER // frame.itemsize)), frame)
+        self._fh = open(path, "wb")
         self._fh.write(MAGIC + _HEAD.pack(grid.dim, grid.cells_per_axis, n_snapshots, seed, path_id, dt))
 
     def __enter__(self) -> RecordWriter:
@@ -86,34 +91,46 @@ class RecordWriter:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def _write(self, head: bytes, a: np.ndarray, b: np.ndarray) -> None:
-        if a.shape != self._grid.shape or b.shape != self._grid.shape:
+    def _put(self, table: np.ndarray, *columns) -> None:
+        """Rows from columns of any layout after those ``table`` holds."""
+        n, a, b = len(columns[0]), columns[-2], columns[-1]  # (t, c, y) or (r, t, drc, dry)
+        if a.shape != (n,) + self._shape or b.shape != a.shape:
             raise ValueError("arrays do not match the grid")
-        self._fh.write(head)
-        self._fh.write(np.ascontiguousarray(a, dtype="<f8"))
-        self._fh.write(np.ascontiguousarray(b, dtype="<f8"))
+        done = 0
+        while done < n:
+            k = min(n - done, len(table) - self._held)
+            rows = table[self._held : self._held + k]
+            for name, col in zip(table.dtype.names, columns):
+                rows[name] = col[done : done + k]
+            done, self._held = done + k, self._held + k
+            if self._held == len(table):
+                self._fh.write(table)
+                self._held = 0
+
+    def frames(self, t, c: np.ndarray, y: np.ndarray) -> None:
+        """The next ``len(t)`` frames: times ``t``, c and y frame by frame."""
+        if len(t) > self._left:
+            raise ValueError("more snapshots than the header announced")
+        self._put(self._frames, t, c, y)
+        self._left -= len(t)
 
     def frame(self, t: float, c: np.ndarray, y: np.ndarray) -> None:
-        if self._left == 0:
-            raise ValueError("more snapshots than the header announced")
-        self._write(struct.pack("<d", t), c, y)
-        self._left -= 1
+        self.frames((t,), c[None], y[None])
 
     def finish(self, pairs) -> None:
         if self._left:
             raise ValueError(f"{self._left} announced snapshots were not written")
+        self._fh.write(self._frames[: self._held])
+        self._held = 0
         self._fh.write(struct.pack("<I", len(pairs)))
-        for pair in pairs:
-            self._write(struct.pack("<dd", pair.r, pair.t), pair.drc, pair.dry)
+        table = np.empty(1, _fields(self._grid, "r", "t", "drc", "dry"))
+        for p in pairs:
+            self._put(table, (p.r,), (p.t,), p.drc[None], p.dry[None])
 
 
 def write_record(path, record: PathRecord) -> None:
-    g, n_snap = record.grid, len(record.times)
-    if record.c.shape != (n_snap,) + g.shape or record.y.shape != (n_snap,) + g.shape:
-        raise ValueError("snapshot arrays do not match the grid")
-    with RecordWriter(path, g, record.seed, record.path_id, record.dt, n_snap) as out:
-        for t, c, y in zip(record.times, record.c, record.y):
-            out.frame(t, c, y)
+    with RecordWriter(path, record.grid, record.seed, record.path_id, record.dt, len(record.times)) as out:
+        out.frames(record.times, record.c, record.y)
         out.finish(record.pairs)
 
 

@@ -23,7 +23,6 @@ import collections
 import concurrent.futures
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,34 +195,32 @@ def apply_bc(values: np.ndarray, grid: GridSpec, bc: BoundaryKind) -> np.ndarray
     """Reimpose the boundary rule on the trailing grid axes (leading axes
     pass through).  Returns a new array."""
     out = np.array(values, dtype=np.float64, copy=True)
-    _impose_bc(out, grid.dim, bc, np.empty(out.shape[:-1]))
+    _impose_bc(_face_pairs(out, grid.dim), bc, np.empty(out.shape[:-1]))
     return out
 
 
-@lru_cache(maxsize=None)
-def _faces(dim: int) -> tuple:
-    """(face, inner neighbour layer) index pairs of the trailing ``dim``
-    axes, axis by axis."""
+def _face_pairs(values: np.ndarray, dim: int) -> list:
+    """(face, inner neighbour layer) views of ``values``, axis by axis."""
     pairs = []
     for k in range(dim):
         rest = (slice(None),) * (dim - 1 - k)
-        pairs += [((Ellipsis, 0) + rest, (Ellipsis, 1) + rest),
-                  ((Ellipsis, -1) + rest, (Ellipsis, -2) + rest)]
-    return tuple(pairs)
+        pairs += [(values[(Ellipsis, 0) + rest], values[(Ellipsis, 1) + rest]),
+                  (values[(Ellipsis, -1) + rest], values[(Ellipsis, -2) + rest])]
+    return pairs
 
 
-def _impose_bc(values: np.ndarray, dim: int, bc: BoundaryKind, face_buf: np.ndarray) -> None:
-    """Boundary rule in place: zero faces for Dirichlet; for no-flux each face
-    copies its inner neighbour layer in axis order, so a later axis carries
-    the edges an earlier one set and every boundary node ends up with its
-    reflected interior partner.  The copies go through ``face_buf`` (shaped
-    like one face), where a copy within ``values`` would allocate one."""
-    for face, inner in _faces(dim):
+def _impose_bc(pairs: list, bc: BoundaryKind, face_buf: np.ndarray) -> None:
+    """Boundary rule in place on the face ``pairs`` of an array: zero faces
+    for Dirichlet; for no-flux each face copies its inner neighbour layer in
+    axis order, so a later axis carries the edges an earlier one set and
+    every boundary node ends up with its reflected interior partner.  Copies
+    go through ``face_buf`` (one face), as one within the array allocates."""
+    for face, inner in pairs:
         if bc is BoundaryKind.DIRICHLET:
-            values[face] = 0.0
+            face.fill(0.0)
         else:
-            np.copyto(face_buf, values[inner])
-            np.copyto(values[face], face_buf)
+            np.copyto(face_buf, inner)
+            np.copyto(face, face_buf)
 
 
 class StepBuffers:
@@ -249,6 +246,25 @@ class StepBuffers:
         self.mass = np.empty(c_shape[: len(lead)])
         self.v_gate = np.zeros(c_shape, bool) if gates else None
         self.y_gate = np.zeros(shape, bool) if gates else None
+        # the flat band of laplacian_core (see step), the interior of v and
+        # its copy at the head of u, whose rows the clamp mass sums
+        self.dim, self.first = grid.dim, (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
+        band = slice(self.first, self.v.size - self.first)
+        self.lap_b, self.v_b, self.u_b = (a.reshape(-1)[band] for a in (self.lap, self.v, self.u))
+        self.v_int = self.v[(Ellipsis,) + (slice(1, -1),) * grid.dim]
+        self.clamped = self.u.reshape(-1)[: self.v_int.size].reshape(self.v_int.shape)
+        self.clamp_rows = self.clamped.reshape(self.mass.shape + (-1,))
+        self.v_gate_b = None if self.v_gate is None else self.v_gate.reshape(-1)[band]
+        self.own = {(id(c), id(y)): self.views(c, y) for c, y in zip(self.c, self.y)}
+
+    def views(self, c: np.ndarray, y: np.ndarray) -> tuple:
+        """(c band, y band, new c, its band and face pairs, new y) of a step
+        from ``c`` and ``y``; ``own`` keeps those of the workspace's copies."""
+        c_new = self.c[1] if c is self.c[0] else self.c[0]
+        band = slice(self.first, c.size - self.first)
+        c_new_b = c_new.reshape(-1)[band]
+        y_new = self.y[1] if y is self.y[0] else self.y[0]
+        return c.reshape(-1)[band], y.reshape(-1)[band], c_new, c_new_b, _face_pairs(c_new, self.dim), y_new
 
 
 def _state_bytes(grid: GridSpec) -> int:
@@ -289,40 +305,32 @@ def step(
     node the operations and their order are those of the formulas in the
     module docstring.
     """
-    dim = grid.dim
-    h = grid.spacing
+    dim, h = grid.dim, grid.spacing
     lead, shared_c = y.shape[: y.ndim - dim], c.shape != y.shape
     if shared_c and coeffs.source.reads_y:
         raise ValueError("c shared by several paths needs a reaction term that ignores y")
     if work is None:
         work = StepBuffers(grid, lead, shared_c=shared_c)
-    c_new = work.c[1] if c is work.c[0] else work.c[0]
-    y_new = work.y[1] if y is work.y[0] else work.y[0]
-    first = (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
-    band = slice(first, c.size - first)
-    c_b, y_b = c.reshape(-1)[band], y.reshape(-1)[band]
-    v, u = work.v.reshape(-1)[band], work.u.reshape(-1)[band]
+    c_b, y_b, c_new, c_new_b, faces, y_new = work.own.get((id(c), id(y))) or work.views(c, y)
+    v, clamped = work.v_b, work.clamped
 
     # v+ = beta(c) + dt * (lap_h c + f(c, y)), clamped at zero
     laplacian_core(c, h, dim, out=work.lap)
-    np.add(work.lap.reshape(-1)[band], coeffs.f(c_b, y_b, out=v), out=v)
+    np.add(work.lap_b, coeffs.f(c_b, y_b, out=v), out=v)
     v *= dt
-    np.add(coeffs.beta(c_b, out=u), v, out=v)
+    np.add(coeffs.beta(c_b, out=work.u_b), v, out=v)
     # the clamp mass sums the interior per path, contiguous as in the formula
-    v_int = work.v[(Ellipsis,) + (slice(1, -1),) * dim]
-    clamped = work.u.reshape(-1)[: v_int.size].reshape(v_int.shape)
-    np.copyto(clamped, v_int)  # a ufunc on the strided view would buffer
+    np.copyto(clamped, work.v_int)  # a ufunc on the strided view would buffer
     np.minimum(clamped, 0.0, out=clamped)
-    np.add.reduce(clamped.reshape(work.mass.shape + (-1,)), axis=-1, out=work.mass)
+    np.add.reduce(work.clamp_rows, axis=-1, out=work.mass)
     work.mass *= -(h**dim)
     if work.v_gate is not None:
-        np.less(v, 0.0, out=work.v_gate.reshape(-1)[band])
+        np.less(v, 0.0, out=work.v_gate_b)
     np.maximum(v, 0.0, out=v)
-    c_new_b = c_new.reshape(-1)[band]
     res = coeffs.beta_inv(v, out=c_new_b)
     if res is not c_new_b:
         c_new_b[...] = res
-    _impose_bc(c_new, dim, bc, work.face)
+    _impose_bc(faces, bc, work.face)
 
     # y+ = max(y + a(y) dW + b(c, y) dt, 0)
     dw = np.asarray(dW, dtype=np.float64)
@@ -431,13 +439,13 @@ def _run_paths(
     path, so how paths are batched never changes a bit.  When the reaction
     term does not read y, c is the same on every path: it is stepped on one
     row and broadcast to the paths.  All steps share one workspace, with the
-    clamp gates when ``on_step(res, c, y, dw, work)`` is given; it gets each
-    step's result, start state, increments and workspace.
+    clamp gates if ``on_step.reads_gates``; ``on_step(res, c, y, dw, work)``
+    gets each step's result, start state, increments and workspace.
     """
-    grid, dt, n_steps = config.grid, part.dt, part.n_steps
+    grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
     p = len(part.path_ids)
-    shared_c = not config.coeffs.source.reads_y
-    work = StepBuffers(grid, (p,), gates=on_step is not None, shared_c=shared_c)
+    shared_c = not coeffs.source.reads_y
+    work = StepBuffers(grid, (p,), gates=getattr(on_step, "reads_gates", False), shared_c=shared_c)
     c, y = work.c[0], work.y[0]
     c[...], y[...] = c_init, y_init
 
@@ -455,17 +463,19 @@ def _run_paths(
     for block in noise:
         for dw in block.T:
             n += 1
-            res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
+            res = step(c, y, grid, coeffs, bc, dt, dw, work=work)
             if on_step is not None:
                 on_step(res, c, y, dw, work)
             c, y = res.c, res.y
             clamp += res.clamp_mass
             if c_sup is not None:
-                np.maximum(c_sup, np.max(nodes(c), axis=1), out=c_sup)
-                np.minimum(c_min, np.min(nodes(c), axis=1), out=c_min)
-                if not np.all(np.isfinite(c_sup)):
+                np.maximum(c_sup, np.maximum.reduce(nodes(c), axis=1), out=c_sup)
+                np.minimum(c_min, np.minimum.reduce(nodes(c), axis=1), out=c_min)
+                # the sup starts finite and never falls, so its max is finite
+                # exactly when every entry is: NaN and +inf both propagate
+                if not math.isfinite(np.maximum.reduce(c_sup)):
                     bad = int(part.path_ids[int(np.argmin(np.isfinite(c_sup)))])
-                    raise NumericalAbort(f"non-finite c at step {n} of {n_steps} (path {bad})")
+                    raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
             if part.c is not None and n % stride == 0:
                 part.c[n // stride], part.y[n // stride] = c, y
     part.c_final[...], part.y_final[...] = c, y
@@ -523,8 +533,8 @@ def simulate_ensemble(
     records ``n_snapshots + 1`` uniformly spaced frames: into its paths of
     the result's frame stacks, or, given ``on_chunk``, into frames of its
     own that are passed to ``on_chunk`` in path order (at most ``n_workers``
-    chunks alive) and dropped once it returns.  ``on_step`` sees every step
-    of every chunk, on the chunk's thread (see ``_run_paths``).
+    chunks alive) and dropped once it returns.  ``on_step`` sees each step
+    of the first path's chunk, on its thread, that path in row 0.
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
@@ -579,7 +589,7 @@ def simulate_ensemble(
         if not keep:
             part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
-        _run_paths(config, c_init, y_init, noise, part, stride, on_step)
+        _run_paths(config, c_init, y_init, noise, part, stride, on_step if rows.start == 0 else None)
         return part
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]

@@ -883,6 +883,20 @@ def test_verify_memory_does_not_grow_with_its_step_count(tmp_path):
     assert long <= 1.1 * short, (short, long)
 
 
+@pytest.mark.parametrize("n_paths", [1, 5])
+def test_verify_steps_each_path_once(tmp_path, monkeypatch, n_paths):
+    # path 0 is read from the ensemble's first chunk, not stepped again alone
+    from rpmelab import simulate
+
+    rows, step = [], simulate.step
+    monkeypatch.setattr(simulate, "step", lambda c, y, *a, **k: rows.append(len(y)) or step(c, y, *a, **k))
+    text = f"dim = 1\ncells = 8\nn_paths = {n_paths}\nworkers = 1\nt_final = 0.01\n" + README_COEFFICIENTS
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    _, extras = cli._run_verify(cfg, tmp_path)
+    n = round(0.01 / extras["dt"])
+    assert rows == [n_paths] * n
+
+
 def _report_rows(reports):
     """Reports as the CSV writes them."""
     return [(r.name, repr(float(r.measured)), repr(r.bound), json.dumps(r.detail, sort_keys=True, default=float))
@@ -909,10 +923,11 @@ def test_streamed_verify_reports_are_the_dense_ones(tmp_path, dim, bc, theta, mu
     from rpmelab.simulate import interior_v_mass, simulate_path
 
     cells = data.draw(st.integers(*{1: (4, 16), 2: (2, 8), 3: (2, 4)}[dim]), label="cells")
+    n_paths, workers = data.draw(st.integers(1, 5), label="n_paths"), data.draw(st.sampled_from([1, 3]))
     text = (
         f"dim = {dim}\ncells = {cells}\nbc = {bc}\ntheta = {theta!r}\nt_final = 0.01\n"
-        f"n_paths = 2\nseed = {seed}\nstats.lags = 2,4,8\ncoeff.f.mu_y = {mu_y!r}\n"
-        + README_COEFFICIENTS
+        f"n_paths = {n_paths}\nworkers = {workers}\nseed = {seed}\nstats.lags = 2,4,8\n"
+        f"coeff.f.mu_y = {mu_y!r}\n" + README_COEFFICIENTS
     )
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     sections, extras = cli._run_verify(cfg, tmp_path)

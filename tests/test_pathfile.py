@@ -1,13 +1,15 @@
 """The .rpme1 container as properties: any record round-trips, a record
-streamed frame by frame has the bytes of the whole-record encoding, and every
-truncation is refused."""
+streamed frame by frame or in blocks has the bytes of the whole-record
+encoding, and every truncation is refused."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rpmelab import pathfile
 from rpmelab.grid import build_grid
 from rpmelab.pathfile import (
     DerivativePair,
@@ -88,6 +90,83 @@ def test_streamed_record_has_the_bytes_of_the_whole_one(tmp_path_factory, rec):
     expected = encoded(rec)
     assert (d / "whole.rpme1").read_bytes() == expected
     assert (d / "streamed.rpme1").read_bytes() == expected
+
+
+def layouts(a, kind):
+    """``a`` as an array of the same values in another memory layout."""
+    every = (slice(None, None, -1),) * a.ndim
+    return {
+        "C": lambda: np.ascontiguousarray(a),
+        "F": lambda: np.asfortranarray(a),
+        "reversed": lambda: np.ascontiguousarray(a[every])[every],  # negative strides
+        "strided": lambda: np.stack([a, a], axis=-1)[..., 1],
+    }[kind]()
+
+
+@SETTINGS
+@given(records(), st.data())
+def test_blocks_of_any_size_and_layout_have_the_bytes_of_the_whole_record(tmp_path_factory, rec, data):
+    path = tmp_path_factory.mktemp("blocks") / "blocks.rpme1"
+    n = len(rec.times)
+    # repeated cuts give empty blocks; a small buffer splits a block's table
+    cuts = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts")), n]
+    frame_bytes = 8 + 16 * rec.grid.n_nodes
+    buffer = data.draw(st.sampled_from([2, 2 * frame_bytes + 1, 3 * frame_bytes, pathfile._WRITE_BUFFER]))
+    kinds = st.sampled_from(["C", "F", "reversed", "strided"])
+    default, pathfile._WRITE_BUFFER = pathfile._WRITE_BUFFER, buffer
+    try:
+        with RecordWriter(path, rec.grid, rec.seed, rec.path_id, rec.dt, n) as out:
+            for lo, hi in zip(cuts, cuts[1:]):
+                t, c, y = rec.times[lo:hi], rec.c[lo:hi], rec.y[lo:hi]
+                out.frames(layouts(t, data.draw(kinds)), layouts(c, data.draw(kinds)),
+                           layouts(y, data.draw(kinds)))
+            out.finish(rec.pairs)
+    finally:
+        pathfile._WRITE_BUFFER = default
+    assert path.read_bytes() == encoded(rec)
+
+
+def test_blocks_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
+    grid = build_grid(2, 2)
+    rng = np.random.default_rng(0)
+    c, y = rng.standard_normal((2, 3) + grid.shape)
+    t = np.array([0.0, 0.5, 1.0])
+    path = tmp_path / "blocks.rpme1"
+    with RecordWriter(path, grid, 1, 2, 0.5, 2) as out:
+        # a refused block writes nothing
+        with pytest.raises(ValueError, match="more snapshots"):
+            out.frames(t, c, y)
+        for bad in ((t[:1], c[0], y[0]), (t[:2], c[:1], y[:1]), (t[:1], c[:1], y[:1, :3])):
+            with pytest.raises(ValueError, match="do not match the grid"):
+                out.frames(*bad)
+        out.frames(t[:1], c[:1], y[:1])
+        with pytest.raises(ValueError, match="1 announced snapshots were not written"):
+            out.finish(())
+        out.frames(t[1:1], c[1:1], y[1:1])
+        out.frames(t[1:2], c[1:2], y[1:2])
+        with pytest.raises(ValueError, match="more snapshots"):
+            out.frame(1.0, c[2], y[2])
+        out.finish(())
+    rec = PathRecord(grid, 1, 2, 0.5, t[:2], c[:2], y[:2], ())
+    assert path.read_bytes() == encoded(rec)
+
+
+def test_writing_a_record_holds_one_table_block_not_its_frames(tmp_path):
+    grid = build_grid(2, 16)
+    n = 601  # c and y over 601 frames of 18^2 nodes: 3 MiB, the last table block part full
+    rng = np.random.default_rng(1)
+    rec = PathRecord(grid, 0, 0, 0.1, np.arange(n) * 0.1, rng.random((n,) + grid.shape),
+                     rng.random((n,) + grid.shape), ())
+    write_record(tmp_path / "warm.rpme1", rec)
+    tracemalloc.start()
+    try:
+        write_record(tmp_path / "run.rpme1", rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.c.nbytes + rec.y.nbytes > 10 * pathfile._WRITE_BUFFER
+    assert peak < 3 * pathfile._WRITE_BUFFER, peak
+    assert (tmp_path / "run.rpme1").read_bytes() == encoded(rec)
 
 
 @settings(max_examples=15, deadline=None)

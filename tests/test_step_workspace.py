@@ -154,6 +154,34 @@ def test_workspace_step_matches_the_formulas_bitwise(state, dt, n_steps):
 
 
 @SETTINGS
+@given(states(), st.floats(1e-6, 1e-2), st.booleans(), st.booleans(), st.sampled_from(["c", "y", "both"]))
+def test_a_step_from_other_arrays_is_bitwise_the_workspace_step(state, dt, gates, shared, foreign):
+    # the workspace takes the views of its own copies once; arrays of the
+    # caller's own, or a copy of c with the other copy of y, take them per call
+    grid, bc, coeffs, c, y, rng = state
+    if shared:
+        coeffs, c = COEFFS["readme"], c[:1]
+    lead = y.shape[:1]
+    own, other = (StepBuffers(grid, lead, gates=gates, shared_c=shared) for _ in range(2))
+    own.c[1][...], own.y[1][...] = c, y
+    other.c[0][...], other.y[1][...] = c, y
+    args = {"c": (c.copy(), other.y[1]), "y": (other.c[0], y.copy()), "both": (c.copy(), y.copy())}
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            dw = rng.standard_normal(lead) * np.sqrt(dt)
+            ref = step(own.c[1], own.y[1], grid, coeffs, bc, dt, dw, work=own)
+            got = step(*args[foreign], grid, coeffs, bc, dt, dw, work=other)
+            for a in ("c", "y", "clamp_mass"):
+                assert same_bits(getattr(got, a), getattr(ref, a)), a
+            if gates:
+                assert same_bits(other.v_gate, own.v_gate) and same_bits(other.y_gate, own.y_gate)
+            # the results are the workspace's own copies: step on from copies again
+            own.c[1][...], own.y[1][...] = ref.c, ref.y
+            args = {"c": (ref.c.copy(), got.y), "y": (got.c, ref.y.copy()),
+                    "both": (ref.c.copy(), ref.y.copy())}
+
+
+@SETTINGS
 @given(states(), st.floats(0.05, 1.0), st.integers(1, 5))
 def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, theta, n_steps):
     grid, _, coeffs, c, y, rng = state
@@ -424,6 +452,24 @@ def test_chunking_never_changes_a_bit(monkeypatch, workers):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("reads_gates", [False, True])
+def test_on_step_sees_the_first_chunk_with_gates_only_when_it_reads_them(monkeypatch, reads_gates):
+    config = small_config(COEFFS["decaying"], t_final=0.01)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate._state_bytes(config.grid))
+    seen = []
+
+    class Recorder:
+        def __call__(self, res, c, y, dw, work):
+            seen.append((len(y), work.v_gate is not None, y[0].copy()))
+
+    Recorder.reads_gates = reads_gates
+    run = simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=3, n_workers=2, on_step=Recorder())
+    dense = simulate_path(config, cosine, 1.0, seed=3, store_dense=True)
+    assert len(seen) == run.n_steps == dense.n_steps
+    assert {(rows, gates) for rows, gates, _ in seen} == {(3, reads_gates)}
+    assert same_bits([y0 for _, _, y0 in seen], dense.y[:-1, 0])
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_noise_block_never_changes_a_bit(monkeypatch, block):
     ref, _ = every_caller(2)
@@ -466,6 +512,50 @@ def test_non_finite_state_aborts_at_its_step():
     with pytest.raises(NumericalAbort, match=r"step 5 of \d+ \(path 0\)"):
         simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0)
     assert len(calls) == 5
+
+
+def poisoned_source(value, k, calls, grid, row=None):
+    """Zero reaction until call k, ``value`` from call k on: at every node
+    for a source that ignores y (c shared by all paths), or else at the
+    nodes of path ``row`` alone, as the band that the step hands f lays them
+    out; counts its calls."""
+    first = (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
+
+    def fn(c, y, out=None):
+        calls.append(1)
+        r = np.zeros(np.shape(c))
+        if len(calls) >= k:
+            nodes = np.arange(first, first + r.size) // grid.n_nodes
+            r[...] = np.where((row is None) | (nodes == row), value, 0.0)
+        return r
+
+    zero = preset_coefficients("zero")
+    return SourceTerm("poisoned", fn, zero.d_c, zero.d_y, reads_y=row is not None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("row,first_id", [(None, 0), (None, 4), (0, 0), (2, 0), (1, 5)])
+def test_a_non_finite_path_aborts_at_its_step_and_is_named(value, row, first_id):
+    # the abort test on the running sup is all(isfinite(c_sup)) for NaN and +inf
+    # alike, on a shared c (row None) and on one of three per-path c
+    calls = []
+    grid = small_config().grid
+    config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(value, 5, calls, grid, row)),
+                          t_final=0.02)
+    bad = first_id + (row or 0)
+    with pytest.raises(NumericalAbort, match=rf"non-finite c at step 5 of \d+ \(path {bad}\)$"):
+        simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0, first_path_id=first_id)
+    assert len(calls) == 5
+
+
+def test_a_negative_infinite_source_clamps_and_never_aborts():
+    calls = []
+    grid = small_config().grid
+    config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(-np.inf, 5, calls, grid, 1)),
+                          t_final=0.02)
+    run = simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0)
+    assert np.all(np.isfinite(run.c_sup)) and run.c_min[1] == 0.0
+    assert len(calls) == run.n_steps
 
 
 def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
