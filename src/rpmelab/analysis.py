@@ -18,6 +18,7 @@ from .grid import (
     BoundaryKind,
     Field,
     GridSpec,
+    _gauss01,
     build_grid,
     h02_embed,
     h1_seminorm,
@@ -25,7 +26,7 @@ from .grid import (
     laplacian,
     lp_norm,
 )
-from .interp import cell_measures, pc_l2_inner
+from .interp import _cell_bounds, cell_measures, pc_l2_inner
 from .malliavin import MalliavinSlice
 from .model import (
     CoefficientSet,
@@ -128,9 +129,7 @@ def convex_energy(c_values: np.ndarray, grid: GridSpec, coeffs: CoefficientSet,
     int_0^v beta_inv(w) dw at v = beta(c), by Gauss quadrature."""
     core = (slice(1, -1),) * grid.dim
     v = coeffs.beta(c_values[core]).ravel()
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    x, w = _gauss01(n_gauss)
     vals = coeffs.beta_inv(v[None, :] * x[:, None])
     per_node = v * (w @ vals)
     return float(grid.spacing**grid.dim * per_node.sum())
@@ -303,13 +302,8 @@ def weak_residual(
 def overlap_matrix(grid_a: GridSpec, grid_b: GridSpec) -> np.ndarray:
     """Per-axis cell-overlap lengths between the clipped half-cell partitions
     of two grids; rows sum to the cell lengths of ``grid_a``."""
-    def bounds(g: GridSpec):
-        c = g.axis_coords()
-        half = g.spacing / 2.0
-        return np.maximum(c - half, 0.0), np.minimum(c + half, 1.0)
-
-    lo_a, hi_a = bounds(grid_a)
-    lo_b, hi_b = bounds(grid_b)
+    lo_a, hi_a = _cell_bounds(grid_a)
+    lo_b, hi_b = _cell_bounds(grid_b)
     return np.clip(
         np.minimum(hi_a[:, None], hi_b[None, :]) - np.maximum(lo_a[:, None], lo_b[None, :]),
         0.0,

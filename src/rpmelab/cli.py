@@ -57,9 +57,9 @@ from .pathfile import DerivativePair, PathRecord, RecordWriter, write_record
 from .simulate import (
     NumericalAbort,
     SimConfig,
-    _state_bytes,
     gen_wiener,
     interior_v_mass,
+    path_bytes,
     prepare_initial,
     simulate_ensemble,
 )
@@ -364,16 +364,10 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _memory_need(grid, frames: int) -> int:
-    """Bytes one path holds: its step state and ``frames`` stored frames of
-    c and y in float64."""
-    return _state_bytes(grid) + 16 * grid.n_nodes * frames
-
-
 def _fit_memory(grid, frames: int = 0, key: str = "cells") -> None:
     """Reject, naming ``key``, a run whose one path does not fit in
     physical memory, before its step state or frames are allocated."""
-    need = _memory_need(grid, frames)
+    need = path_bytes(grid, frames)
     if need > _physical_memory():
         raise SchemaError(key, f"step state and {frames} stored frames ({need} bytes) exceed physical memory")
 

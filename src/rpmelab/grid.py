@@ -89,11 +89,6 @@ class GridSpec:
         """Flat index of the reflected partner of every node (identity inside)."""
         return _structure(self.dim, self.cells_per_axis).reflect_flat
 
-    def inner_measure_complement(self) -> float:
-        """Lebesgue measure of the part of the cube within 2h of the boundary."""
-        side = 1.0 - 4.0 * self.spacing
-        return 1.0 - max(side, 0.0) ** self.dim
-
 
 class _GridArrays(NamedTuple):
     coords: np.ndarray
@@ -202,46 +197,39 @@ def _subset_mask(grid: GridSpec, subset) -> np.ndarray:
 # difference operators
 
 
+def _one_sided_diff(u: Field, axis: int, forward: bool) -> Field:
+    """The quotient of each axis-adjacent pair, stored at its lower node when
+    ``forward`` and at its upper node otherwise."""
+    g = u.grid
+    if not 0 <= axis < g.dim:
+        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
+    h = g.spacing
+    lo = [slice(None)] * g.dim
+    hi = [slice(None)] * g.dim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    at = tuple(lo if forward else hi)
+    out = np.zeros(g.shape)
+    out[at] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / h
+    mask = np.zeros(g.shape, dtype=bool)
+    dm = u.defined_mask()
+    mask[at] = dm[tuple(lo)] & dm[tuple(hi)]
+    out[~mask] = 0.0
+    return Field(g, out, mask)
+
+
 def forward_diff(u: Field, axis: int) -> Field:
     """Forward difference (u(m + h e_k) - u(m)) / h along ``axis`` (0-based).
 
     Defined wherever both stencil points are; the last node layer along the
     axis is masked out.
     """
-    g = u.grid
-    if not 0 <= axis < g.dim:
-        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    h = g.spacing
-    lo = [slice(None)] * g.dim
-    hi = [slice(None)] * g.dim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    out = np.zeros(g.shape)
-    out[tuple(lo)] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / h
-    mask = np.zeros(g.shape, dtype=bool)
-    dm = u.defined_mask()
-    mask[tuple(lo)] = dm[tuple(lo)] & dm[tuple(hi)]
-    out[~mask] = 0.0
-    return Field(g, out, mask)
+    return _one_sided_diff(u, axis, forward=True)
 
 
 def backward_diff(u: Field, axis: int) -> Field:
     """Backward difference (u(m) - u(m - h e_k)) / h along ``axis``."""
-    g = u.grid
-    if not 0 <= axis < g.dim:
-        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    h = g.spacing
-    lo = [slice(None)] * g.dim
-    hi = [slice(None)] * g.dim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    out = np.zeros(g.shape)
-    out[tuple(hi)] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / h
-    mask = np.zeros(g.shape, dtype=bool)
-    dm = u.defined_mask()
-    mask[tuple(hi)] = dm[tuple(lo)] & dm[tuple(hi)]
-    out[~mask] = 0.0
-    return Field(g, out, mask)
+    return _one_sided_diff(u, axis, forward=False)
 
 
 def laplacian_core(values: np.ndarray, h: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -279,20 +267,6 @@ def laplacian(u: Field) -> Field:
     core = (slice(1, -1),) * g.dim
     out[core] = laplacian_core(u.values, g.spacing, g.dim)
     return Field(g, out, g.interior_mask())
-
-
-def reflect(grid: GridSpec, index: tuple[int, ...]) -> tuple[int, ...]:
-    """Reflected partner of a node multi-index: boundary coordinates move one
-    layer inward, interior coordinates are unchanged."""
-    if len(index) != grid.dim:
-        raise ValueError("index arity does not match grid dim")
-    m = grid.cells_per_axis
-    out = []
-    for i in index:
-        if not 0 <= i <= m + 1:
-            raise ValueError(f"index component {i} out of range")
-        out.append(1 if i == 0 else m if i == m + 1 else i)
-    return tuple(out)
 
 
 def normal_diff(u: Field) -> Field:

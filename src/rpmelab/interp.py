@@ -21,7 +21,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, _gauss01
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -128,6 +128,20 @@ def cell_measures(grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _cell_samples(
+    fn: Callable[[np.ndarray], np.ndarray], grid: GridSpec, offs: np.ndarray
+) -> np.ndarray:
+    """Values of fn at the points lo + (hi - lo) * offs of every clipped node
+    cell along each axis, shaped (nodes, len(offs)) per axis."""
+    lo, hi = _cell_bounds(grid)
+    samples = lo[:, None] + (hi - lo)[:, None] * offs[None, :]  # (nodes, q)
+    flat = samples.reshape(-1)
+    mesh = np.meshgrid(*([flat] * grid.dim), indexing="ij")
+    vals = np.asarray(fn(np.stack(mesh, axis=-1)), dtype=np.float64)
+    n, q = grid.nodes_per_axis, offs.size
+    return vals.reshape(tuple(itertools.chain.from_iterable((n, q) for _ in range(grid.dim))))
+
+
 def project(
     u: Callable[[np.ndarray], np.ndarray], grid: GridSpec, quad_refine: int = 4
 ) -> Field:
@@ -139,19 +153,10 @@ def project(
     """
     if quad_refine < 1:
         raise ValueError("quad_refine must be >= 1")
-    g = grid
-    lo, hi = _cell_bounds(g)
     q = quad_refine
-    offs = (np.arange(q) + 0.5) / q
-    samples = lo[:, None] + (hi - lo)[:, None] * offs[None, :]  # (nodes, q)
-    flat = samples.reshape(-1)
-    mesh = np.meshgrid(*([flat] * g.dim), indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = np.asarray(u(pts), dtype=np.float64)
-    n = g.nodes_per_axis
-    vals = vals.reshape(tuple(itertools.chain.from_iterable((n, q) for _ in range(g.dim))))
-    mean = vals.mean(axis=tuple(range(1, 2 * g.dim, 2)))
-    return Field(g, mean)
+    vals = _cell_samples(u, grid, (np.arange(q) + 0.5) / q)
+    mean = vals.mean(axis=tuple(range(1, 2 * grid.dim, 2)))
+    return Field(grid, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,23 @@ def _corner_slices(grid: GridSpec, corner: tuple[int, ...]) -> tuple[slice, ...]
     return tuple(slice(b, b + ncells) for b in corner)
 
 
+def _pa_cells(u: Field, r, axis: int | None = None) -> np.ndarray:
+    """The polyaffine spline of u at local coordinates ``r`` (one per axis)
+    of every grid cell; with ``axis``, h times its derivative along it."""
+    g = u.grid
+    out = None
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        w = 1.0
+        for k, bit in enumerate(corner):
+            if k == axis:
+                w *= 1.0 if bit else -1.0
+            else:
+                w *= r[k] if bit else 1.0 - r[k]
+        term = w * u.values[_corner_slices(g, corner)]
+        out = term if out is None else out + term
+    return out
+
+
 def interp_gap(u: Field) -> float:
     """Exact L2(open cube) distance between the piecewise-constant and the
     polyaffine splines of u.
@@ -192,30 +214,19 @@ def interp_gap(u: Field) -> float:
     if not u.is_fully_defined():
         raise ValueError("interp_gap needs a fully defined field")
     n = g.dim
-    U = u.values
     gauss = np.array([-_INV_SQRT3, _INV_SQRT3])
     total = 0.0
     for octant in itertools.product((0, 1), repeat=n):
-        owner = U[_corner_slices(g, octant)]
+        owner = u.values[_corner_slices(g, octant)]
         for combo in itertools.product((0, 1), repeat=n):
             r = [0.5 * octant[k] + 0.25 * (gauss[combo[k]] + 1.0) for k in range(n)]
-            lam = np.zeros_like(owner)
-            for corner in itertools.product((0, 1), repeat=n):
-                w = 1.0
-                for k, bit in enumerate(corner):
-                    w *= r[k] if bit else 1.0 - r[k]
-                lam = lam + w * U[_corner_slices(g, corner)]
+            lam = _pa_cells(u, r)
             total += 0.25**n * float(np.sum((lam - owner) ** 2))
     return float(np.sqrt(g.spacing**n * total))
 
 
 # ---------------------------------------------------------------------------
 # Gauss-quadrature norms of the spline representatives
-
-
-def _gauss_cell(n_gauss: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def pa_lp_norm(u: Field, p: float, n_gauss: int = 4) -> float:
@@ -227,20 +238,12 @@ def pa_lp_norm(u: Field, p: float, n_gauss: int = 4) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     n = g.dim
-    U = u.values
-    xs, ws = _gauss_cell(n_gauss)
+    xs, ws = _gauss01(n_gauss)
     total = 0.0
     for combo in itertools.product(range(n_gauss), repeat=n):
         r = [xs[c] for c in combo]
         wgt = float(np.prod([ws[c] for c in combo]))
-        lam = None
-        for corner in itertools.product((0, 1), repeat=n):
-            w = 1.0
-            for k, bit in enumerate(corner):
-                w *= r[k] if bit else 1.0 - r[k]
-            term = w * U[_corner_slices(g, corner)]
-            lam = term if lam is None else lam + term
-        total += wgt * float(np.sum(np.abs(lam) ** p))
+        total += wgt * float(np.sum(np.abs(_pa_cells(u, r)) ** p))
     return float((g.spacing**n * total) ** (1.0 / p))
 
 
@@ -248,24 +251,13 @@ def pa_grad_l2_norm(u: Field, n_gauss: int = 2) -> float:
     """Exact L2(open cube) norm of the polyaffine spline gradient."""
     g = u.grid
     n = g.dim
-    U = u.values
-    xs, ws = _gauss_cell(n_gauss)
+    xs, ws = _gauss01(n_gauss)
     total = 0.0
     for axis in range(n):
         for combo in itertools.product(range(n_gauss), repeat=n):
             r = [xs[c] for c in combo]
             wgt = float(np.prod([ws[c] for c in combo]))
-            deriv = None
-            for corner in itertools.product((0, 1), repeat=n):
-                w = 1.0
-                for k, bit in enumerate(corner):
-                    if k == axis:
-                        w *= 1.0 if bit else -1.0
-                    else:
-                        w *= r[k] if bit else 1.0 - r[k]
-                term = w * U[_corner_slices(g, corner)]
-                deriv = term if deriv is None else deriv + term
-            total += wgt * float(np.sum(deriv**2))
+            total += wgt * float(np.sum(_pa_cells(u, r, axis) ** 2))
     # each in-cell derivative carries a 1/h factor
     return float(np.sqrt(g.spacing ** (n - 2) * total))
 
@@ -277,16 +269,10 @@ def pc_gap_to_function(
     function, by Gauss quadrature on every clipped node cell."""
     g = u.grid
     lo, hi = _cell_bounds(g)
-    xs, ws = _gauss_cell(n_gauss)
-    pts_axis = lo[:, None] + (hi - lo)[:, None] * xs[None, :]  # (nodes, q)
+    xs, ws = _gauss01(n_gauss)
+    fvals = _cell_samples(fn, g, xs)
     n = g.nodes_per_axis
     q = n_gauss
-    flat = pts_axis.reshape(-1)
-    mesh = np.meshgrid(*([flat] * g.dim), indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    fvals = np.asarray(fn(pts), dtype=np.float64)
-    shape = tuple(itertools.chain.from_iterable((n, q) for _ in range(g.dim)))
-    fvals = fvals.reshape(shape)
     uvals = u.values.reshape(
         tuple(itertools.chain.from_iterable((n, 1) for _ in range(g.dim)))
     )

@@ -269,6 +269,18 @@ _ZERO_NOISE = NoiseTerm("zero", _zeros1, _zeros1)
 _ZERO_DRIFT = DriftTerm("zero", _zeros2, _zeros2, _zeros2)
 
 
+def _preset_params(preset: str, params: dict | None, defaults: dict[str, float]) -> list[float]:
+    """The parameters ``defaults`` declares for ``preset``, in its order, each
+    as given in ``params`` or else its default; any other key is refused."""
+    params = dict(params or {})
+    values = [float(params.pop(key, default)) for key, default in defaults.items()]
+    if params and not defaults:
+        raise ValueError(f"{preset} preset takes no parameters, got {sorted(params)}")
+    if params:
+        raise ValueError(f"unknown {preset} parameters {sorted(params)}")
+    return values
+
+
 def preset_coefficients(name: str, params: dict | None = None):
     """Named coefficient fragment.
 
@@ -276,21 +288,11 @@ def preset_coefficients(name: str, params: dict | None = None):
     and ``saturating_a`` are noise amplitudes, ``coupling_b`` is a drift.
     Parameter signs that would break nonnegativity preservation are rejected.
     """
-    params = dict(params or {})
-
-    def take(key, default):
-        return float(params.pop(key, default))
-
     if name == "zero":
-        if params:
-            raise ValueError(f"zero preset takes no parameters, got {sorted(params)}")
+        _preset_params(name, params, {})
         return _ZERO_SOURCE
     if name == "logistic_f":
-        lam = take("lambda", 1.0)
-        cap = take("K", 1.0)
-        mu_y = take("mu_y", 0.0)
-        if params:
-            raise ValueError(f"unknown logistic_f parameters {sorted(params)}")
+        lam, cap, mu_y = _preset_params(name, params, {"lambda": 1.0, "K": 1.0, "mu_y": 0.0})
         if lam < 0.0 or cap <= 0.0 or mu_y < 0.0:
             raise ValueError("logistic_f needs lambda >= 0, K > 0, mu_y >= 0")
 
@@ -325,9 +327,7 @@ def preset_coefficients(name: str, params: dict | None = None):
         label = f"logistic_f(lambda={lam:g},K={cap:g},mu_y={mu_y:g})"
         return SourceTerm(label, fn, d_c, d_y, reads_y=mu_y != 0.0)
     if name == "linear_a":
-        sigma = take("sigma", 0.5)
-        if params:
-            raise ValueError(f"unknown linear_a parameters {sorted(params)}")
+        [sigma] = _preset_params(name, params, {"sigma": 0.5})
 
         @_coefficient
         def a(y, out):
@@ -338,9 +338,7 @@ def preset_coefficients(name: str, params: dict | None = None):
 
         return NoiseTerm(f"linear_a(sigma={sigma:g})", a, da)
     if name == "saturating_a":
-        sigma = take("sigma", 0.5)
-        if params:
-            raise ValueError(f"unknown saturating_a parameters {sorted(params)}")
+        [sigma] = _preset_params(name, params, {"sigma": 0.5})
 
         @_coefficient
         def a(y, out):
@@ -357,10 +355,7 @@ def preset_coefficients(name: str, params: dict | None = None):
 
         return NoiseTerm(f"saturating_a(sigma={sigma:g})", a, da)
     if name == "coupling_b":
-        kappa = take("kappa", 1.0)
-        rho = take("rho", 1.0)
-        if params:
-            raise ValueError(f"unknown coupling_b parameters {sorted(params)}")
+        kappa, rho = _preset_params(name, params, {"kappa": 1.0, "rho": 1.0})
         if kappa < 0.0 or rho < 0.0:
             raise ValueError("coupling_b needs kappa >= 0 and rho >= 0")
 
@@ -419,20 +414,12 @@ class CoefficientSet:
         return self.beta_family.beta
 
     @property
-    def beta_prime(self):
-        return self.beta_family.beta_prime
-
-    @property
     def beta_inv(self):
         return self.beta_family.beta_inv
 
     @property
     def recip_beta_prime(self):
         return self.beta_family.recip_beta_prime
-
-    @property
-    def pme_exponent(self) -> float:
-        return self.beta_family.m
 
     @property
     def f(self):
@@ -666,22 +653,13 @@ def barenblatt_support_radius(t: float, m: float, mass: float) -> float:
 
 def initial_preset(name: str, dim: int, params: dict | None = None) -> Callable[[Array], Array]:
     """Named initial-data function on the closed cube; takes (..., dim) points."""
-    params = dict(params or {})
-
-    def take(key, default):
-        return float(params.pop(key, default))
-
     if name == "constant":
-        value = take("value", 0.0)
-        if params:
-            raise ValueError(f"unknown constant parameters {sorted(params)}")
+        [value] = _preset_params(name, params, {"value": 0.0})
         if value < 0.0:
             raise ValueError("constant initial data must be nonnegative")
         return lambda x: np.full(x.shape[:-1], value)
     if name == "sine":
-        amp = take("amplitude", 0.5)
-        if params:
-            raise ValueError(f"unknown sine parameters {sorted(params)}")
+        [amp] = _preset_params(name, params, {"amplitude": 0.5})
         if amp < 0.0:
             raise ValueError("sine amplitude must be nonnegative")
 
@@ -693,10 +671,7 @@ def initial_preset(name: str, dim: int, params: dict | None = None) -> Callable[
 
         return sine
     if name == "cosine":
-        offset = take("offset", 1.0)
-        amp = take("amplitude", 0.5)
-        if params:
-            raise ValueError(f"unknown cosine parameters {sorted(params)}")
+        offset, amp = _preset_params(name, params, {"offset": 1.0, "amplitude": 0.5})
         if offset < abs(amp):
             raise ValueError("cosine preset needs offset >= |amplitude| to stay nonnegative")
 
@@ -708,9 +683,7 @@ def initial_preset(name: str, dim: int, params: dict | None = None) -> Callable[
 
         return cosine
     if name == "bump":
-        amp = take("amplitude", 0.5)
-        if params:
-            raise ValueError(f"unknown bump parameters {sorted(params)}")
+        [amp] = _preset_params(name, params, {"amplitude": 0.5})
         if amp < 0.0:
             raise ValueError("bump amplitude must be nonnegative")
 
@@ -727,11 +700,7 @@ def initial_preset(name: str, dim: int, params: dict | None = None) -> Callable[
     if name == "barenblatt":
         if dim != 1:
             raise ValueError("barenblatt initial data is one-dimensional")
-        m = take("m", 2.0)
-        t0 = take("t0", 0.05)
-        mass = take("mass", 0.05)
-        if params:
-            raise ValueError(f"unknown barenblatt parameters {sorted(params)}")
+        m, t0, mass = _preset_params(name, params, {"m": 2.0, "t0": 0.05, "mass": 0.05})
 
         def bb(x):
             u = barenblatt_profile(x[..., 0], t0, m, mass)

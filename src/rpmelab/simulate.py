@@ -34,7 +34,7 @@ from .model import CoefficientSet, r2_bound
 _CHUNK = 128
 # cap on the recorded frames (c and y) of one chunk; a chunk shrinks to fit
 _FRAME_BYTES = 8 * 2**20
-# cap on the live step state of one chunk (see _state_bytes); a chunk shrinks
+# cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
 # steps of seeded noise drawn at a time; a Philox stream gives the same bits
@@ -267,10 +267,11 @@ class StepBuffers:
         return c.reshape(-1)[band], y.reshape(-1)[band], c_new, c_new_b, _face_pairs(c_new, self.dim), y_new
 
 
-def _state_bytes(grid: GridSpec) -> int:
-    """Bytes of live step state per path: the seven workspace arrays and one
-    coefficient scratch over all nodes."""
-    return 8 * 8 * grid.n_nodes
+def path_bytes(grid: GridSpec, frames: int) -> int:
+    """Bytes one path holds: its live step state, the seven workspace arrays
+    and one coefficient scratch over all nodes, and ``frames`` stored frames
+    of c and y in float64."""
+    return 8 * 8 * grid.n_nodes + 16 * grid.n_nodes * frames
 
 
 @dataclass
@@ -553,11 +554,12 @@ def simulate_ensemble(
         if n_snapshots and n_steps % n_snapshots:
             raise ValueError("snapshot count must divide the step count")
 
-    chunk, stride = min(_CHUNK, _STATE_BYTES // _state_bytes(grid)), 0
+    chunk, stride = min(_CHUNK, _STATE_BYTES // path_bytes(grid, 0)), 0
     if n_snapshots:
         stride = n_steps // n_snapshots
-        per_path = (n_snapshots + 1) * grid.n_nodes * 16  # c and y frames in float64
-        chunk = min(chunk, _FRAME_BYTES // per_path)
+        # the frames alone: the step state has its own cap above
+        frame_bytes = path_bytes(grid, n_snapshots + 1) - path_bytes(grid, 0)
+        chunk = min(chunk, _FRAME_BYTES // frame_bytes)
     n_chunks = -(-n_paths // max(1, chunk))
     chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
 

@@ -21,6 +21,7 @@ from rpmelab.cli import (
     main,
 )
 from rpmelab.pathfile import read_record
+from rpmelab.simulate import path_bytes
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -807,7 +808,7 @@ def test_step_state_beyond_physical_memory_exits_3(
         n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
         assert n < 256
         frames = n + 1
-    need = cli._memory_need(build_grid(2, cells), frames)
+    need = path_bytes(build_grid(2, cells), frames)
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     code, out = run_cli(command, tmp_path, text, "over")
     assert code == 3
@@ -827,8 +828,8 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
     config = cli._sim_config(cfg)
     n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
     grid = build_grid(2, 16)
-    assert cli._memory_need(grid, 0) < cli._memory_need(grid, n + 1) - 1
-    monkeypatch.setattr(cli, "_physical_memory", lambda: cli._memory_need(grid, n + 1) - 1)
+    assert path_bytes(grid, 0) < path_bytes(grid, n + 1) - 1
+    monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid, n + 1) - 1)
     assert run_cli("verify", tmp_path, text, "streamed")[0] == 0
 
 

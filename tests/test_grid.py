@@ -22,7 +22,6 @@ from rpmelab.grid import (
     laplacian,
     lp_norm,
     normal_diff,
-    reflect,
     sample_nodal,
 )
 
@@ -37,10 +36,6 @@ def test_build_grid_small():
     assert g2.spacing == 0.25
     assert g2.n_interior == 9
     assert g2.n_nodes == 25
-
-    g3 = build_grid(3, 3)
-    # 1 - (1 - 4h)**3 with h = 1/4: the inner box is empty
-    assert g3.inner_measure_complement() == pytest.approx(1.0)
 
 
 def test_build_grid_spacing_identity():
@@ -107,6 +102,22 @@ def test_backward_forward_compose_to_laplacian():
         assert np.allclose(acc[sel], lap.values[sel], atol=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 5), st.integers(0, 2**32 - 1), st.sampled_from([None, 0.3, 0.8]))
+def test_backward_diff_is_forward_diff_shifted_one_layer(dim, cells, seed, density):
+    g = build_grid(dim, cells)
+    rng = np.random.default_rng(seed)
+    mask = None if density is None else rng.random(g.shape) < density
+    u = Field(g, rng.normal(size=g.shape), mask)
+    for k in range(dim):
+        fwd, bwd = forward_diff(u, k), backward_diff(u, k)
+        # the forward difference's last layer is empty, so the roll brings an
+        # empty layer to the front
+        assert not fwd.mask.take(-1, axis=k).any()
+        assert np.array_equal(np.roll(fwd.mask, 1, axis=k), bwd.mask)
+        assert np.array_equal(np.roll(fwd.values, 1, axis=k).view(np.uint64), bwd.values.view(np.uint64))
+
+
 def test_laplacian_quadratic_exact():
     g = build_grid(1, 3)
     u = sample_nodal(g, lambda x: x[..., 0] ** 2)
@@ -125,16 +136,6 @@ def test_laplacian_indicator():
         lap = laplacian(Field(g, vals))
         expect = -2.0 * dim / g.spacing**2
         assert lap.values[center] == pytest.approx(expect, rel=1e-13)
-
-
-def test_reflect_examples():
-    g = build_grid(2, 3)
-    # coordinate (0, 0.5) has index (0, 2); its partner sits at (0.25, 0.5)
-    assert reflect(g, (0, 2)) == (1, 2)
-    assert reflect(g, (4, 4)) == (3, 3)
-    assert reflect(g, (2, 1)) == (2, 1)
-    with pytest.raises(ValueError):
-        reflect(g, (5, 0))
 
 
 def test_normal_diff_linear():

@@ -161,6 +161,41 @@ def test_interp_gap_matches_fine_quadrature():
     assert interp_gap(u) == pytest.approx(brute, rel=1e-4)
 
 
+def tensor_gauss(dim, pieces, order):
+    """Points (N, dim) and weights (N,) of the tensor Gauss rule of ``order``
+    points per axis on each of pieces**dim equal boxes of the unit cube."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    pts = ((np.arange(pieces)[:, None] + 0.5 * (x + 1.0)) / pieces).ravel()
+    wts = np.tile(0.5 * w / pieces, pieces)
+    mesh = np.stack(np.meshgrid(*[pts] * dim, indexing="ij"), axis=-1)
+    weights = np.prod(np.meshgrid(*[wts] * dim, indexing="ij"), axis=0)
+    return mesh.reshape(-1, dim), weights.ravel()
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 4), (3, 3)])
+def test_pa_functionals_match_sampled_splines_in_2d_and_3d(dim, cells):
+    g = build_grid(dim, cells)
+    h = g.spacing
+    u = Field(g, np.random.default_rng(40 + dim).normal(size=g.shape))
+    pa = pa_spline(u)
+    # on each grid cell the spline is affine per axis, so two points per axis
+    # integrate its square and its squared partials exactly
+    pts, wts = tensor_gauss(dim, cells + 1, 2)
+    assert pa_lp_norm(u, 2) == pytest.approx(np.sqrt(wts @ pa_eval(pa, pts) ** 2), rel=1e-12)
+    grad2 = 0.0
+    for k in range(dim):
+        # the partial along k is the gap between the cell's two k-faces over h
+        lo, hi = pts.copy(), pts.copy()
+        cell = np.floor(pts[:, k] / h)
+        lo[:, k], hi[:, k] = cell * h, np.minimum((cell + 1.0) * h, 1.0)
+        grad2 += wts @ ((pa_eval(pa, hi) - pa_eval(pa, lo)) / h) ** 2
+    assert pa_grad_l2_norm(u) == pytest.approx(np.sqrt(grad2), rel=1e-12)
+    # on each half cell the piecewise-constant spline is constant as well
+    pts, wts = tensor_gauss(dim, 2 * (cells + 1), 2)
+    gap = pc_eval(pc_spline(u), pts) - pa_eval(pa, pts)
+    assert interp_gap(u) == pytest.approx(np.sqrt(wts @ gap**2), rel=1e-12)
+
+
 def test_pa_norms_against_quadrature():
     g = build_grid(1, 6)
     rng = np.random.default_rng(14)

@@ -126,6 +126,52 @@ def test_preset_rejects_unknown_keys_and_bad_signs():
         preset_coefficients("zero", {"x": 1.0})
 
 
+# preset -> (parameters it declares with their defaults, label without parameters)
+COEFFICIENT_DEFAULTS = {
+    "logistic_f": ({"lambda": 1.0, "K": 1.0, "mu_y": 0.0}, "logistic_f(lambda=1,K=1,mu_y=0)"),
+    "linear_a": ({"sigma": 0.5}, "linear_a(sigma=0.5)"),
+    "saturating_a": ({"sigma": 0.5}, "saturating_a(sigma=0.5)"),
+    "coupling_b": ({"kappa": 1.0, "rho": 1.0}, "coupling_b(kappa=1,rho=1)"),
+}
+# preset -> (parameters it declares with their defaults, value without
+# parameters at the center of the cube)
+INITIAL_DEFAULTS = {
+    "constant": ({"value": 0.0}, 0.0),
+    "sine": ({"amplitude": 0.5}, 0.5),
+    "cosine": ({"offset": 1.0, "amplitude": 0.5}, 1.0),
+    "bump": ({"amplitude": 0.5}, 0.5),
+    "barenblatt": ({"m": 2.0, "t0": 0.05, "mass": 0.05}, (0.05 ** (-1.0 / 3.0) * 0.05) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COEFFICIENT_DEFAULTS))
+def test_coefficient_preset_defaults_and_unknown_parameters(name):
+    defaults, label = COEFFICIENT_DEFAULTS[name]
+    with pytest.raises(ValueError, match=rf"^unknown {name} parameters \['bogus'\]$"):
+        preset_coefficients(name, {**defaults, "bogus": 1.0})
+    bare, given = preset_coefficients(name), preset_coefficients(name, defaults)
+    assert bare.label == given.label == label
+    args = [np.linspace(0.0, 2.0, 5)] * (1 if name.endswith("_a") else 2)
+    assert np.array_equal(bare.fn(*args), given.fn(*args))
+
+
+def test_zero_preset_takes_no_parameters():
+    with pytest.raises(ValueError, match=r"^zero preset takes no parameters, got \['x'\]$"):
+        preset_coefficients("zero", {"x": 1.0})
+
+
+@pytest.mark.parametrize("name", list(INITIAL_DEFAULTS))
+def test_initial_preset_defaults_and_unknown_parameters(name):
+    defaults, center = INITIAL_DEFAULTS[name]
+    dim = 1 if name == "barenblatt" else 2
+    with pytest.raises(ValueError, match=rf"^unknown {name} parameters \['bogus'\]$"):
+        initial_preset(name, dim, {**defaults, "bogus": 1.0})
+    bare, given = initial_preset(name, dim), initial_preset(name, dim, defaults)
+    x = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 7)] * dim, indexing="ij"), axis=-1)
+    assert np.array_equal(bare(x), given(x))
+    assert float(bare(np.full(dim, 0.5))) == pytest.approx(center, rel=1e-14, abs=1e-15)
+
+
 def test_make_coefficients_slots():
     coeffs = make_coefficients(
         pme_beta(2.0),
@@ -136,7 +182,6 @@ def test_make_coefficients_slots():
     assert coeffs.f(np.float64(0.5), np.float64(0.0)) == pytest.approx(0.25)
     assert coeffs.a(np.float64(1.0)) == pytest.approx(0.3)
     assert coeffs.b(np.float64(2.0), np.float64(1.0)) == pytest.approx(0.0, abs=1e-15)
-    assert coeffs.pme_exponent == 2.0
     bare = make_coefficients(pme_beta(2.0))
     assert bare.f(np.float64(1.0), np.float64(1.0)) == 0.0
     assert bare.a(np.float64(1.0)) == 0.0

@@ -430,7 +430,7 @@ def every_caller(n_workers):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chunking_never_changes_a_bit(monkeypatch, workers):
-    per_path = simulate._state_bytes(small_config().grid)
+    per_path = simulate.path_bytes(small_config().grid, 0)
     default = simulate._STATE_BYTES
     ref, ref_chunks = every_caller(1)
     assert ref_chunks == [7]
@@ -455,7 +455,7 @@ def test_chunking_never_changes_a_bit(monkeypatch, workers):
 @pytest.mark.parametrize("reads_gates", [False, True])
 def test_on_step_sees_the_first_chunk_with_gates_only_when_it_reads_them(monkeypatch, reads_gates):
     config = small_config(COEFFS["decaying"], t_final=0.01)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate._state_bytes(config.grid))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate.path_bytes(config.grid, 0))
     seen = []
 
     class Recorder:
@@ -702,7 +702,7 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
         inc = np.random.default_rng(seed).standard_normal((paths, n)) * (scale * np.sqrt(dt))
         kw.update(wiener=WienerPath(dt, inc))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate._state_bytes(grid))
+        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
         ens = simulate_ensemble(config, bump, 1.0, **kw)
 
     for j in range(paths):
