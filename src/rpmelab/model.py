@@ -67,17 +67,6 @@ def _scratch(out):
     return buf[: out.size].reshape(out.shape)
 
 
-def _broadcast_into(out, x):
-    """``x`` as an operand of a ufunc writing ``out``: ``x`` itself, or, when
-    it broadcasts against ``out`` (one row for every path), its copy in
-    ``out``, as a ufunc broadcasting it would buffer."""
-    x = np.asarray(x, dtype=np.float64)
-    if out is None or x.shape == out.shape:
-        return x
-    np.copyto(out, x)
-    return out
-
-
 def _full(x, value, out):
     """The constant ``value`` shaped like ``x``, in ``out`` when given."""
     if out is None:
@@ -361,7 +350,14 @@ def preset_coefficients(name: str, params: dict | None = None):
 
         @_coefficient
         def b(c, y, out):
-            r = np.multiply(kappa, _broadcast_into(out, c), out=out)
+            c = np.asarray(c, dtype=np.float64)
+            if out is None or c.shape == out.shape:
+                r = np.multiply(kappa, c, out=out)
+            else:
+                # one c row for every path: kappa * c once, then copied to
+                # every row, as a ufunc broadcasting it would buffer
+                r = out
+                np.copyto(r, np.multiply(kappa, c, out=_scratch(c)))
             r -= np.multiply(rho, np.asarray(y, dtype=np.float64), out=_scratch(out))
             return r
 

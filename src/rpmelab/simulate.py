@@ -37,9 +37,14 @@ _FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
+# the shared c of a wave: K + 1 slots of a c row and its v-gates, 9 bytes a
+# node, for the lanes to read a block of K steps from; K is 29 at 2D 32^2
+_BLOCK_BYTES = 300 * 2**10
 # steps of seeded noise drawn at a time; a Philox stream gives the same bits
 # in any blocking, so this bounds the noise buffer and changes no result
 _NOISE_BLOCK = 512
+# where a c half reads or writes c (see StepBuffers.slot)
+_CSlot = collections.namedtuple("_CSlot", "c band faces mass v_gate gate_band")
 
 
 class NumericalAbort(RuntimeError):
@@ -231,40 +236,49 @@ class StepBuffers:
     face and the clamp mass per leading index; with ``gates``, the clamp gates
     of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.
     With ``shared_c`` every c-side array has leading axes of 1, for one c
-    shared by all paths, and y gets a scratch array of its own.  A step with
-    a workspace returns views of these, valid until its next step."""
+    shared by all paths, and y gets a scratch array of its own; ``half`` "c"
+    or "y" keeps only the arrays of that half of a step (see ``step``).  A
+    step with a workspace returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
-                 shared_c: bool = False):
+                 shared_c: bool = False, half: str | None = None):
         shape = tuple(lead) + grid.shape
         c_shape = (1,) * len(lead) + grid.shape if shared_c else shape
-        self.c = (np.empty(c_shape), np.empty(c_shape))
-        self.y = (np.empty(shape), np.empty(shape))
-        self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
-        self.y_scratch = self.lap if c_shape == shape else np.empty(shape)
-        self.face = np.empty(c_shape[:-1])
-        self.mass = np.empty(c_shape[: len(lead)])
-        self.v_gate = np.zeros(c_shape, bool) if gates else None
-        self.y_gate = np.zeros(shape, bool) if gates else None
-        # the flat band of laplacian_core (see step), the interior of v and
-        # its copy at the head of u, whose rows the clamp mass sums
         self.dim, self.first = grid.dim, (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
-        band = slice(self.first, self.v.size - self.first)
-        self.lap_b, self.v_b, self.u_b = (a.reshape(-1)[band] for a in (self.lap, self.v, self.u))
-        self.v_int = self.v[(Ellipsis,) + (slice(1, -1),) * grid.dim]
-        self.clamped = self.u.reshape(-1)[: self.v_int.size].reshape(self.v_int.shape)
-        self.clamp_rows = self.clamped.reshape(self.mass.shape + (-1,))
-        self.v_gate_b = None if self.v_gate is None else self.v_gate.reshape(-1)[band]
+        self.c, self.y, self.v_gate, self.y_gate = (), (), None, None
+        if half != "y":
+            self.c = (np.empty(c_shape), np.empty(c_shape))
+            self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
+            self.face = np.empty(c_shape[:-1])
+            self.mass = np.empty(c_shape[: len(lead)])
+            self.v_gate = np.zeros(c_shape, bool) if gates else None
+            # the flat band of laplacian_core (see step), the interior of v and
+            # its copy at the head of u, whose rows the clamp mass sums
+            band = slice(self.first, self.v.size - self.first)
+            self.lap_b, self.v_b, self.u_b = (a.reshape(-1)[band] for a in (self.lap, self.v, self.u))
+            self.v_int = self.v[(Ellipsis,) + (slice(1, -1),) * grid.dim]
+            self.clamped = self.u.reshape(-1)[: self.v_int.size].reshape(self.v_int.shape)
+            self.clamp_rows = self.clamped.reshape(self.mass.shape + (-1,))
+        if half != "c":
+            self.y = (np.empty(shape), np.empty(shape))
+            self.y_scratch = self.lap if half is None and c_shape == shape else np.empty(shape)
+            self.y_gate = np.zeros(shape, bool) if gates else None
         self.own = {(id(c), id(y)): self.views(c, y) for c, y in zip(self.c, self.y)}
 
-    def views(self, c: np.ndarray, y: np.ndarray) -> tuple:
-        """(c band, y band, new c, its band and face pairs, new y) of a step
-        from ``c`` and ``y``; ``own`` keeps those of the workspace's copies."""
-        c_new = self.c[1] if c is self.c[0] else self.c[0]
+    def slot(self, c: np.ndarray, mass: np.ndarray, v_gate: np.ndarray | None) -> _CSlot:
+        """Where a c half reads or writes ``c``: (c, its update band and face
+        pairs, and the clamp mass, v-gates and v-gate band of that step)."""
         band = slice(self.first, c.size - self.first)
-        c_new_b = c_new.reshape(-1)[band]
+        gate_b = None if v_gate is None else v_gate.reshape(-1)[band]
+        return _CSlot(c, c.reshape(-1)[band], _face_pairs(c, self.dim), mass, v_gate, gate_b)
+
+    def views(self, c: np.ndarray, y: np.ndarray) -> tuple:
+        """(slot of c, y band, slot of the new c, new y) of a step from ``c``
+        and ``y``; ``own`` keeps those of the workspace's copies."""
+        c_new = self.c[1] if c is self.c[0] else self.c[0]
+        src, dst = (self.slot(a, self.mass, self.v_gate) for a in (c, c_new))
         y_new = self.y[1] if y is self.y[0] else self.y[0]
-        return c.reshape(-1)[band], y.reshape(-1)[band], c_new, c_new_b, _face_pairs(c_new, self.dim), y_new
+        return src, y.reshape(-1)[self.first : c.size - self.first], dst, y_new
 
 
 def path_bytes(grid: GridSpec, frames: int) -> int:
@@ -290,13 +304,16 @@ def step(
     dt: float,
     dW,
     work: StepBuffers | None = None,
+    c_new: _CSlot | None = None,
 ) -> StepResult:
-    """One explicit step.  ``c`` and ``y`` have trailing grid shape (leading
-    axes are independent paths) and ``c`` already satisfies the boundary
-    rule; ``dW`` broadcasts against the leading axes.  When the reaction term
-    does not read y, ``c`` may have leading axes of 1, one c shared by every
-    path of ``y``: its half of the step then runs once, with f given the
-    first path of y, and b broadcasts it to every path.
+    """One explicit step, ``_c_half`` then ``_y_half``.  ``c`` and ``y`` have
+    trailing grid shape (leading axes are independent paths) and ``c``
+    already satisfies the boundary rule; ``dW`` broadcasts against the
+    leading axes.  When the reaction term does not read y, ``c`` may have
+    leading axes of 1, one c shared by every path of ``y``: its half of the
+    step then runs once, with f given the first path of y, and b broadcasts
+    it to every path.  ``c_new``, the slot a c half from ``c`` wrote
+    elsewhere with its v-gates, leaves only the y half to this call.
 
     Every intermediate goes into ``work`` (a fresh workspace when None) and
     the new state into the copies of c and y in ``work`` that do not hold the
@@ -306,37 +323,49 @@ def step(
     node the operations and their order are those of the formulas in the
     module docstring.
     """
-    dim, h = grid.dim, grid.spacing
-    lead, shared_c = y.shape[: y.ndim - dim], c.shape != y.shape
+    lead, shared_c = y.shape[: y.ndim - grid.dim], c.shape != y.shape
     if shared_c and coeffs.source.reads_y:
         raise ValueError("c shared by several paths needs a reaction term that ignores y")
     if work is None:
         work = StepBuffers(grid, lead, shared_c=shared_c)
-    c_b, y_b, c_new, c_new_b, faces, y_new = work.own.get((id(c), id(y))) or work.views(c, y)
-    v, clamped = work.v_b, work.clamped
+    if c_new is None:
+        src, y_b, c_new, y_new = work.own.get((id(c), id(y))) or work.views(c, y)
+        _c_half(src, y_b, c_new, grid, coeffs, bc, dt, work)
+    else:
+        y_new = work.y[1] if y is work.y[0] else work.y[0]
+        work.v_gate = c_new.v_gate
+    _y_half(c, y, y_new, dW, grid, coeffs, dt, work)
+    return StepResult(c_new.c, y_new, c_new.mass)
 
-    # v+ = beta(c) + dt * (lap_h c + f(c, y)), clamped at zero
-    laplacian_core(c, h, dim, out=work.lap)
-    np.add(work.lap_b, coeffs.f(c_b, y_b, out=v), out=v)
+
+def _c_half(src: _CSlot, y_b, dst: _CSlot, grid, coeffs, bc, dt: float, work: StepBuffers) -> None:
+    """v+ = beta(c) + dt * (lap_h c + f(c, y)) clamped at zero, c+ = beta_inv(v+)
+    under the boundary rule, from slot ``src`` to slot ``dst`` in ``work``; f gets ``y_b``."""
+    dim, h = grid.dim, grid.spacing
+    v, clamped, c_new_b, mass = work.v_b, work.clamped, dst.band, dst.mass
+    laplacian_core(src.c, h, dim, out=work.lap)
+    np.add(work.lap_b, coeffs.f(src.band, y_b, out=v), out=v)
     v *= dt
-    np.add(coeffs.beta(c_b, out=work.u_b), v, out=v)
+    np.add(coeffs.beta(src.band, out=work.u_b), v, out=v)
     # the clamp mass sums the interior per path, contiguous as in the formula
     np.copyto(clamped, work.v_int)  # a ufunc on the strided view would buffer
     np.minimum(clamped, 0.0, out=clamped)
-    np.add.reduce(work.clamp_rows, axis=-1, out=work.mass)
-    work.mass *= -(h**dim)
-    if work.v_gate is not None:
-        np.less(v, 0.0, out=work.v_gate_b)
+    np.add.reduce(work.clamp_rows, axis=-1, out=mass)
+    mass *= -(h**dim)
+    if dst.gate_band is not None:
+        np.less(v, 0.0, out=dst.gate_band)
     np.maximum(v, 0.0, out=v)
     res = coeffs.beta_inv(v, out=c_new_b)
     if res is not c_new_b:
         c_new_b[...] = res
-    _impose_bc(faces, bc, work.face)
+    _impose_bc(dst.faces, bc, work.face)
 
-    # y+ = max(y + a(y) dW + b(c, y) dt, 0)
+
+def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dW, grid, coeffs, dt: float, work) -> None:
+    """y+ = max(y + a(y) dW + b(c, y) dt, 0) into ``y_new``, its gates into ``work``."""
     dw = np.asarray(dW, dtype=np.float64)
-    if lead:
-        dw = dw.reshape(dw.shape + (1,) * dim)
+    if y.ndim > grid.dim:
+        dw = dw.reshape(dw.shape + (1,) * grid.dim)
     scratch = work.y_scratch  # the Laplacian's array, used up, unless c is shared
     np.copyto(scratch, dw)  # a ufunc broadcasting dw would buffer
     np.multiply(coeffs.a(y, out=y_new), scratch, out=y_new)
@@ -346,7 +375,6 @@ def step(
     if work.y_gate is not None:
         np.less(y_new, 0.0, out=work.y_gate)
     np.maximum(y_new, 0.0, out=y_new)
-    return StepResult(c_new, y_new, work.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -428,78 +456,102 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 # the stepping loop
 
 
-def _run_paths(
-    config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step=None
-) -> None:
-    """Advance the paths of ``part`` from ``c_init``, ``y_init`` under the
-    increments that ``noise`` yields in (paths, steps) blocks, filling the
-    arrays of ``part``: the terminal state, the clamp mass, the frames every
-    ``stride`` steps when ``part.c`` is set, and the running per-path sup/min
-    of c when ``part.c_sup`` is set, which raises ``NumericalAbort`` at the
-    first step whose sup is not finite.  Every operation and reduction is per
-    path, so how paths are batched never changes a bit.  When the reaction
-    term does not read y, c is the same on every path: it is stepped on one
-    row and broadcast to the paths.  All steps share one workspace, with the
-    clamp gates if ``on_step.reads_gates``; ``on_step(res, c, y, dw, work)``
-    gets each step's result, start state, increments and workspace.
-    """
+def _track(part: EnsembleResult, n: int, c: np.ndarray, mass: np.ndarray) -> None:
+    """Adds step n's clamp mass and, if ``part.c_sup`` is set, the sup and min
+    of its new ``c`` to ``part``; raises ``NumericalAbort`` at a non-finite sup."""
+    part.clamp_mass += mass
+    if part.c_sup is not None:
+        rows = c.reshape(len(c), -1)
+        np.maximum(part.c_sup, np.maximum.reduce(rows, axis=1), out=part.c_sup)
+        np.minimum(part.c_min, np.minimum.reduce(rows, axis=1), out=part.c_min)
+        # the sup starts finite and never falls, so its max is finite
+        # exactly when every entry is: NaN and +inf both propagate
+        if not math.isfinite(np.maximum.reduce(part.c_sup)):
+            bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
+            raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
+
+
+def _shared_c(config: SimConfig, part: EnsembleResult, block: int, on_step):
+    """(slots, advance) of the one c of the paths of ``part``, for a source
+    that ignores y; lanes fill slot 0, ``advance(n)`` takes and ``_track``s
+    step n into slot n % (block + 1), with v-gates if ``on_step`` reads them."""
+    work = StepBuffers(config.grid, (1,), half="c")
+    c = np.empty((block + 1, 1) + config.grid.shape)
+    v_gate = np.zeros(c.shape, bool) if getattr(on_step, "reads_gates", False) else [None] * len(c)
+    slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)), v_gate)]
+
+    def advance(n: int) -> None:
+        src, dst = slots[(n - 1) % len(slots)], slots[n % len(slots)]
+        _c_half(src, src.band, dst, config.grid, config.coeffs, config.bc, part.dt, work)  # f ignores y
+        _track(part, n, dst.c, dst.mass)
+
+    return slots, advance
+
+
+def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step, slots):
+    """``run(start, stop)``: steps start + 1 to stop of the paths of ``part``
+    under the (paths, steps) blocks of increments of ``noise``, in one
+    workspace of c and y (c ``_track``ed here) or of y, c read from ``slots``;
+    the terminal state and, if ``part.c`` is set, frames every ``stride``
+    steps go to ``part``.  Every operation and reduction is per path, so
+    batching never changes a bit.  ``on_step(res, c, y, dw, work)`` gets each
+    step, its start state, increments and workspace, gates if it ``reads_gates``."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
-    p = len(part.path_ids)
-    shared_c = not coeffs.source.reads_y
-    work = StepBuffers(grid, (p,), gates=getattr(on_step, "reads_gates", False), shared_c=shared_c)
-    c, y = work.c[0], work.y[0]
+    gates = getattr(on_step, "reads_gates", False)
+    half = None if slots is None else "y"
+    work = StepBuffers(grid, (len(part.path_ids),), gates, not coeffs.source.reads_y, half)
+    c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
-
-    def nodes(a):
-        return a.reshape(len(a), -1)
-
-    clamp, c_sup, c_min = part.clamp_mass, part.c_sup, part.c_min
-    clamp[...] = 0.0
-    if c_sup is not None:
-        c_sup[...], c_min[...] = np.max(nodes(c), axis=1), np.min(nodes(c), axis=1)
+    ring = slots or [None]  # c_new of step n for step: a slot, or None to step c here
+    dws = (dw for block in noise for dw in block.T)
     if part.c is not None:
-        part.c[0], part.y[0] = c, y
+        part.c[0], part.y[0] = c_init, y_init
 
-    n = 0
-    for block in noise:
-        for dw in block.T:
-            n += 1
-            res = step(c, y, grid, coeffs, bc, dt, dw, work=work)
+    def run(start: int, stop: int) -> None:
+        nonlocal c, y
+        for n, dw in zip(range(start + 1, stop + 1), dws):
+            res = step(c, y, grid, coeffs, bc, dt, dw, work, ring[n % len(ring)])
             if on_step is not None:
                 on_step(res, c, y, dw, work)
+            if slots is None:
+                _track(part, n, res.c, res.clamp_mass)
             c, y = res.c, res.y
-            clamp += res.clamp_mass
-            if c_sup is not None:
-                np.maximum(c_sup, np.maximum.reduce(nodes(c), axis=1), out=c_sup)
-                np.minimum(c_min, np.minimum.reduce(nodes(c), axis=1), out=c_min)
-                # the sup starts finite and never falls, so its max is finite
-                # exactly when every entry is: NaN and +inf both propagate
-                if not math.isfinite(np.maximum.reduce(c_sup)):
-                    bad = int(part.path_ids[int(np.argmin(np.isfinite(c_sup)))])
-                    raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
             if part.c is not None and n % stride == 0:
                 part.c[n // stride], part.y[n // stride] = c, y
-    part.c_final[...], part.y_final[...] = c, y
+        if stop == part.n_steps:
+            part.c_final[...], part.y_final[...] = c, y
+
+    return run
+
+
+def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
+    """Run each lane's ``run`` over all steps, ``block`` steps at a time: the
+    first lane here, the others on ``pool``, each block once ``advance`` has
+    stepped their shared c through it.  Raises the first error in path
+    order, an abort of ``advance`` at step m failing every lane at step m;
+    lanes after a failed one stop, those before it go on."""
+    error = None
+    for start in range(0, n_steps, block):
+        stop, abort = min(start + block, n_steps), None
+        if advance is not None:
+            try:
+                for n in range(start + 1, stop + 1):
+                    advance(n)
+            except NumericalAbort as exc:
+                stop, abort = n, exc
+        futures = [pool.submit(run, start, stop) for run in runs[1:]]
+        runs[0](start, stop)  # an error here is the first in path order
+        if abort is not None:
+            raise abort
+        failed = [i for i, future in enumerate(futures, 1) if future.exception() is not None]
+        if failed:
+            runs, error = runs[: failed[0]], futures[failed[0] - 1].exception()
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
 # drivers
-
-
-def _in_path_order(run, chunks: list, n_workers: int):
-    """Yield ``run(chunk)`` for every chunk in order, computing up to
-    ``n_workers`` chunks concurrently; at most ``n_workers`` results are
-    alive at a time, the one being consumed included."""
-    if n_workers <= 1 or len(chunks) <= 1:
-        yield from map(run, chunks)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-        pending = collections.deque(pool.submit(run, ids) for ids in chunks[:n_workers])
-        for ids in chunks[n_workers:]:
-            yield pending.popleft().result()
-            pending.append(pool.submit(run, ids))
-        while pending:
-            yield pending.popleft().result()
 
 
 def simulate_ensemble(
@@ -528,14 +580,17 @@ def simulate_ensemble(
     step where a path's c is not finite.
 
     Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
-    fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out;
-    ``n_workers`` chunks run concurrently.  Results are bitwise independent
-    of the chunking and the worker count.  With ``n_snapshots`` every chunk
-    records ``n_snapshots + 1`` uniformly spaced frames: into its paths of
-    the result's frame stacks, or, given ``on_chunk``, into frames of its
-    own that are passed to ``on_chunk`` in path order (at most ``n_workers``
-    chunks alive) and dropped once it returns.  ``on_step`` sees each step
-    of the first path's chunk, on its thread, that path in row 0.
+    fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out,
+    and the chunks in waves of ``n_workers`` lanes (see ``_run_wave``), one
+    workspace a lane.  When f ignores y, this thread steps the one c of a
+    wave in blocks of steps that fit ``_BLOCK_BYTES`` and its lanes step
+    only y.  Results are bitwise independent of the chunking and the worker
+    count.  With ``n_snapshots`` every chunk records ``n_snapshots + 1``
+    uniformly spaced frames: into its paths of the result's frame stacks,
+    or, given ``on_chunk``, into frames of its own that are passed to
+    ``on_chunk`` in path order after its wave (at most ``n_workers`` chunks
+    alive) and dropped once it returns.  ``on_step`` sees each step of the
+    first path's chunk, on this thread, that path in row 0.
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
@@ -578,27 +633,36 @@ def simulate_ensemble(
         # the last kept frame is the terminal state
         c_final=np.empty(shape) if c_frames is None else c_frames[-1],
         y_final=np.empty(shape) if y_frames is None else y_frames[-1],
-        c_sup=np.empty(n_paths) if seeded else None,
-        c_min=np.empty(n_paths) if seeded else None,
-        clamp_mass=np.empty(n_paths),
+        c_sup=np.full(n_paths, np.max(c_init)) if seeded else None,
+        c_min=np.full(n_paths, np.min(c_init)) if seeded else None,
+        clamp_mass=np.zeros(n_paths),
         times=np.arange(0, n_steps + 1, stride) * dt if n_snapshots else None,
         c=c_frames,
         y=y_frames,
     )
 
-    def run(rows):
-        part = result._paths(rows)
+    def lane(rows, part, slots):
         if not keep:
             part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
-        _run_paths(config, c_init, y_init, noise, part, stride, on_step if rows.start == 0 else None)
-        return part
+        first = on_step if rows.start == 0 else None
+        return _lane(config, c_init, y_init, noise, part, stride, first, slots)
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
-    for part in _in_path_order(run, chunks, n_workers):
-        if on_chunk is not None:
-            on_chunk(part)
-            part.c = part.y = None
+    width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (9 * grid.n_nodes)))
+    with concurrent.futures.ThreadPoolExecutor(max(1, width - 1)) as pool:
+        for wave in (chunks[i : i + width] for i in range(0, len(chunks), width)):
+            slots = advance = None
+            if len(wave) > 1 and not config.coeffs.source.reads_y:
+                span = result._paths(slice(wave[0].start, wave[-1].stop))
+                slots, advance = _shared_c(config, span, block, on_step if wave[0].start == 0 else None)
+            # the lanes, and their workspaces, are freed as the wave returns
+            parts = [result._paths(rows) for rows in wave]
+            _run_wave([lane(*args, slots) for args in zip(wave, parts)], advance, n_steps, block, pool)
+            if on_chunk is not None:
+                for part in parts:
+                    on_chunk(part)
+                    part.c = part.y = None
     return result
 
 

@@ -889,13 +889,15 @@ def test_verify_steps_each_path_once(tmp_path, monkeypatch, n_paths):
     # path 0 is read from the ensemble's first chunk, not stepped again alone
     from rpmelab import simulate
 
-    rows, step = [], simulate.step
-    monkeypatch.setattr(simulate, "step", lambda c, y, *a, **k: rows.append(len(y)) or step(c, y, *a, **k))
+    c_rows, y_rows, c_half, y_half = [], [], simulate._c_half, simulate._y_half
+    monkeypatch.setattr(simulate, "_c_half", lambda src, *a: c_rows.append(len(src[0])) or c_half(src, *a))
+    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
     text = f"dim = 1\ncells = 8\nn_paths = {n_paths}\nworkers = 1\nt_final = 0.01\n" + README_COEFFICIENTS
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     _, extras = cli._run_verify(cfg, tmp_path)
     n = round(0.01 / extras["dt"])
-    assert rows == [n_paths] * n
+    # the README source ignores y: one shared c row per step
+    assert y_rows == [n_paths] * n and c_rows == [1] * n
 
 
 def _report_rows(reports):

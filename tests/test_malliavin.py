@@ -263,12 +263,14 @@ def test_sweep_steps_the_primal_once_per_step(monkeypatch):
     # one primal pass carries every seed
     config = geometric_config()
     wiener = seeded_wiener(config, c0_sine, y0_affine, 5)
-    real, steps, seen = simulate.step, [], []
-    monkeypatch.setattr(simulate, "step", lambda *a, **kw: steps.append(1) or real(*a, **kw))
+    halves, seen = [], []
+    for name in ("_c_half", "_y_half"):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a, name=name, real=real: halves.append(name) or real(*a))
     propagate_path(
         config, c0_sine, y0_affine, wiener, [30, 12, 40], on_frame=lambda k, c, y: seen.append(k)
     )
-    assert len(steps) == wiener.n_steps
+    assert halves == ["_c_half", "_y_half"] * wiener.n_steps
     assert seen == list(range(1, wiener.n_steps + 1))
 
 

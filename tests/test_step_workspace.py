@@ -3,7 +3,10 @@ numpy expressions, free of allocations once warm, and the coefficient `out=`
 contract it relies on; plus chunking invariance and the non-finite abort of
 the ensemble driver."""
 import sys
+import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +27,10 @@ from rpmelab.model import (
 from rpmelab.malliavin import (
     MalliavinState,
     TangentBuffers,
+    init_malliavin,
     perturbation_oracle,
     propagate_path,
+    recover_drc,
     step_malliavin,
 )
 from rpmelab.simulate import (
@@ -548,6 +553,79 @@ def test_a_non_finite_path_aborts_at_its_step_and_is_named(value, row, first_id)
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("row", [None, 1], ids=["shared-c", "per-path-c"])
+def test_an_abort_leaves_no_thread_running(monkeypatch, workers, row):
+    # seven paths in chunks of 2, 2, 2 and 1, in waves of `workers` lanes: a
+    # shared c aborts in the wave's producer (or a lone lane) at step 5; a
+    # per-path c aborts in every lane from the fifth call of f on, the first
+    # lane in its path 1
+    grid = small_config().grid
+    f = poisoned_source(np.nan, 5, [], grid, row)
+    config = small_config(make_coefficients(pme_beta(2.0), f=f), t_final=0.02)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid, 0))
+    at = "5" if row is None else r"\d+"
+    before = threading.active_count()
+    with pytest.raises(NumericalAbort, match=rf"non-finite c at step {at} of \d+ \(path {3 + (row or 0)}\)$"):
+        simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=0, first_path_id=3, n_workers=workers)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fails_at", [3, 5, 6])
+def test_an_on_step_error_up_to_the_abort_step_is_raised_instead(monkeypatch, workers, fails_at):
+    # the shared c aborts at step 5, once on_step has seen step 5, as in a
+    # lone lane: an error of on_step at step 5 or before is the one raised
+    grid = small_config().grid
+    config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(np.nan, 5, [], grid)), t_final=0.02)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid, 0))
+    seen = []
+
+    def on_step(res, c, y, dw, work):
+        seen.append(len(y))
+        if len(seen) == fails_at:
+            raise LookupError(f"on_step at step {fails_at}")
+
+    before = threading.active_count()
+    with pytest.raises(LookupError if fails_at <= 5 else NumericalAbort, match=r"step [35]\b"):
+        simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=0, n_workers=workers, on_step=on_step)
+    assert threading.active_count() == before
+    assert seen == [2] * min(fails_at, 5)
+
+
+def spiking_source(level):
+    """A reaction that reads y: zero, or a ValueError naming the largest y
+    once y exceeds ``level``."""
+
+    def fn(c, y, out=None):
+        if np.max(y) > level:
+            raise ValueError(f"y up to {np.max(y):.0f}")
+        r = np.empty(np.shape(c)) if out is None else out
+        r[...] = 0.0
+        return r
+
+    zero = preset_coefficients("zero")
+    return SourceTerm(f"spiking({level:g})", fn, zero.d_c, zero.d_y, reads_y=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_first_failing_lane_in_path_order_is_raised_at_any_worker_count(monkeypatch, workers):
+    # y jumps to 6 at step 1 on path 2 (the second chunk) and to 11 at step 5
+    # on path 0 (the first chunk), so f fails one step later, in another
+    # block of two steps: path 0's error is raised, as a lone lane raises it
+    a = preset_coefficients("linear_a", {"sigma": 1.0})
+    config = small_config(make_coefficients(pme_beta(2.0), f=spiking_source(3.0), a=a), t_final=0.02)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * 9 * config.grid.n_nodes)
+    dt, n = config.resolve_steps(1.5)
+    inc = np.zeros((5, n))
+    inc[2, 0], inc[0, 4] = 5.0, 10.0
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=r"^y up to 11$"):
+        simulate_ensemble(config, cosine, 1.0, wiener=WienerPath(dt, inc), n_workers=workers)
+    assert threading.active_count() == before
+
+
 def test_a_negative_infinite_source_clamps_and_never_aborts():
     calls = []
     grid = small_config().grid
@@ -724,16 +802,185 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
         assert same_bits(ens.clamp_mass[j], path.clamp_mass[0])
 
 
-@pytest.mark.parametrize("coupling,c_rows", [("one-way", 1), ("two-way", 5)])
-def test_one_way_ensembles_step_c_once_per_chunk(monkeypatch, coupling, c_rows):
-    rows = []
-
-    def spy(c, y, *args, **kw):
-        rows.append((len(c), len(y)))
-        return step(c, y, *args, **kw)
-
-    monkeypatch.setattr(simulate, "step", spy)
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+def test_one_way_ensembles_step_c_once_per_wave(monkeypatch, coupling, workers):
+    # five paths in chunks of 2, 2 and 1: one wave of three lanes at workers
+    # 3, three waves of one lane at workers 1; y is stepped once per path and
+    # step, a shared c once per wave and step, a per-path c once per path
+    c_rows, y_rows = [], []
+    c_half, y_half = simulate._c_half, simulate._y_half
+    monkeypatch.setattr(simulate, "_c_half", lambda src, *a: c_rows.append(len(src[0])) or c_half(src, *a))
+    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
     coeffs = ONE_WAY["readme"] if coupling == "one-way" else TWO_WAY["decaying"]
-    ens = simulate_ensemble(small_config(coeffs), cosine, 1.0, n_paths=5, seed=2, n_snapshots=2)
-    assert rows and set(rows) == {(c_rows, 5)}
+    config = small_config(coeffs)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
+    ens = simulate_ensemble(config, cosine, 1.0, n_paths=5, seed=2, n_snapshots=2, n_workers=workers)
+    n, waves = ens.n_steps, 3 // workers
+    assert sorted(y_rows) == sorted([2, 2, 1] * n)
+    assert sorted(c_rows) == sorted([1] * waves * n if coupling == "one-way" else [2, 2, 1] * n)
     assert ens.c.shape[1] == 5 and np.all(np.isfinite(ens.c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    paths=st.integers(1, 5),
+    kappa=st.floats(0.0, 10.0),
+    rho=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_b_of_a_shared_c_row_is_bitwise_the_per_path_b(dim, paths, kappa, rho, seed):
+    # kappa * c is taken once on the row and copied to every path's row
+    b = preset_coefficients("coupling_b", {"kappa": kappa, "rho": rho})
+    rng = np.random.default_rng(seed)
+    grid_shape = tuple(int(m) for m in rng.integers(2, 6, dim))
+    c = rng.uniform(0.0, 50.0, (1,) + grid_shape)
+    y = rng.uniform(0.0, 50.0, (paths,) + grid_shape)
+    per_path = b.fn(np.repeat(c, paths, axis=0), y, out=np.full(y.shape, -7.0))
+    assert same_bits(b.fn(c, y, out=np.full(y.shape, 123.0)), per_path)
+    assert same_bits(b.fn(c, y), per_path)
+
+
+def gates_of_path_0(work):
+    """The v-gates of path 0 on interior nodes (boundary nodes inside the
+    update band get scratch, see ``step``) and its y-gates."""
+    v_gate = work.v_gate[0]
+    return v_gate[(slice(1, -1),) * v_gate.ndim], work.y_gate[0]
+
+
+class StepRecorder:
+    """``on_step`` keeping what it sees of the first path at each step.  It
+    sleeps at each step, so the producer of a shared c runs as far ahead of
+    this lane as the blocks allow."""
+
+    def __init__(self, reads_gates):
+        self.reads_gates, self.seen = reads_gates, []
+
+    def __call__(self, res, c, y, dw, work):
+        time.sleep(1e-4)
+        gates = gates_of_path_0(work) if self.reads_gates else ()
+        seen = (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates
+        self.seen.append(tuple(np.copy(a) for a in seen))
+
+
+def plain_loop(config, c_init, y_init, inc, dt, stride):
+    """The ensemble as one loop of ``step`` calls on per-path c and y: the
+    terminal state, clamp mass, running sup and min, the frames every
+    ``stride`` steps, and what an ``on_step`` with gates sees of path 0."""
+    grid, paths = config.grid, len(inc)
+    work = StepBuffers(grid, (paths,), gates=True)
+    c, y = (np.repeat(a[None], paths, axis=0) for a in (c_init, y_init))
+
+    def rows(a):
+        return a.reshape(paths, -1)
+
+    clamp, sup, low = np.zeros(paths), rows(c).max(axis=1), rows(c).min(axis=1)
+    frames, seen = [(c, y)], []
+    for n, dw in enumerate(inc.T, 1):
+        res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
+        gates = gates_of_path_0(work)
+        seen.append(tuple(np.copy(a) for a in (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates))
+        c, y = res.c.copy(), res.y.copy()
+        clamp += res.clamp_mass
+        sup, low = np.maximum(sup, rows(c).max(axis=1)), np.minimum(low, rows(c).min(axis=1))
+        if stride and n % stride == 0:
+            frames.append((c, y))
+    return c, y, clamp, sup, low, frames, seen
+
+
+def sink_source(rate):
+    """The one-way reaction f = -rate: v+ < 0 wherever beta(c) < rate * dt,
+    so the clamp of v bites on part of the grid."""
+
+    def fn(c, y, out=None):
+        r = np.empty(np.shape(c)) if out is None else out
+        r[...] = -rate
+        return r
+
+    zero = preset_coefficients("zero")
+    return SourceTerm(f"sink({rate:g})", fn, zero.d_c, zero.d_y, reads_y=False)
+
+
+WAVE_TERMS = {
+    "one-way": ONE_WAY,
+    "two-way": TWO_WAY,
+    "sink": {"sink": make_coefficients(pme_beta(2.0), **dict(readme_terms(), f=sink_source(2000.0)))},
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(WAVE_TERMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
+    # any worker count, chunk cap and block length of the shared c: the
+    # results, the frames in on_chunk order, what on_step sees of path 0 (its
+    # gates read through the block) and the tangent along path 0
+    draw = data.draw
+    terms = WAVE_TERMS[coupling]
+    coeffs = terms[draw(st.sampled_from(sorted(terms)))]
+    dim = draw(st.integers(1, 2))
+    grid = build_grid(dim, draw(st.integers(2, CELLS[dim])))
+    t_final = draw(st.sampled_from([0.004, 0.02]))
+    config = SimConfig(grid, coeffs, draw(st.sampled_from(list(BoundaryKind))), t_final=t_final)
+    paths = draw(st.integers(1, 7))
+    chunk = draw(st.sampled_from([1, 2, paths]))
+    k = draw(st.sampled_from([None, 1, 2]))
+    recorder = StepRecorder(draw(st.booleans()))
+    kw = dict(n_workers=draw(st.sampled_from([1, 2, 3])), n_snapshots=k, on_step=recorder)
+    c_init, y_init = simulate.prepare_initial(config, bump, 1.0)
+    dt, n = config.resolve_steps(float(np.max(c_init)), multiple_of=k or 1)
+    block = draw(st.sampled_from([1, 2, next(b for b in range(3, n + 3) if n % b)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    seeded = draw(st.booleans())
+    if seeded:
+        kw.update(n_paths=paths, seed=seed)
+        inc = simulate.gen_wiener_batch(n, dt, seed, range(paths)).increments
+    else:
+        # increments up to 5 sigma, so the clamp of y bites
+        inc = np.random.default_rng(seed).standard_normal((paths, n)) * (5.0 * np.sqrt(dt))
+        kw.update(wiener=WienerPath(dt, inc))
+    chunks = []
+    if k and draw(st.booleans()):
+        kw["on_chunk"] = lambda part: chunks.append((part.path_ids.copy(), part.c.copy(), part.y.copy()))
+    r = draw(st.integers(0, n - 1))
+    # lanes read the block of c that the producer wrote: switch often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
+            mp.setattr(simulate, "_BLOCK_BYTES", block * 9 * grid.n_nodes)
+            ens = simulate_ensemble(config, bump, 1.0, **kw)
+            _, [[tangent]] = propagate_path(config, bump, 1.0, WienerPath(dt, inc[0]), [r])
+    finally:
+        sys.setswitchinterval(interval)
+
+    c, y, clamp, sup, low, frames, seen = plain_loop(config, c_init, y_init, inc, dt, n // k if k else 0)
+    assert same_bits(ens.c_final, c) and same_bits(ens.y_final, y)
+    assert same_bits(ens.clamp_mass, clamp)
+    if seeded:
+        assert same_bits(ens.c_sup, sup) and same_bits(ens.c_min, low)
+    else:
+        assert ens.c_sup is None and ens.c_min is None
+    if chunks:
+        assert same_bits(np.concatenate([ids for ids, _, _ in chunks]), ens.path_ids)
+        got = [np.concatenate([ch[a] for ch in chunks], axis=1) for a in (1, 2)]
+    else:
+        got = [ens.c, ens.y]
+    if k:
+        assert same_bits(got[0], [fc for fc, _ in frames]) and same_bits(got[1], [fy for _, fy in frames])
+    assert len(recorder.seen) == n
+    for got_step, ref_step in zip(recorder.seen, seen):
+        assert all(same_bits(a, b) for a, b in zip(got_step, ref_step))
+
+    seed_state = init_malliavin(seen[r][1], coeffs)
+    state = MalliavinState(seed_state.z[None], seed_state.dry[None])
+    interior = (slice(None),) + (slice(1, -1),) * dim
+    for c0, y0, _, _, _, dw0, v_gate, y_gate in seen[r:]:
+        gates = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None])
+        gates.v_gate[interior] = v_gate
+        state = step_malliavin(state, c0[None], y0[None], grid, coeffs, config.bc, dt, np.array([dw0]), gates)
+    assert tangent.step_index == n
+    assert same_bits(tangent.z, state.z[0]) and same_bits(tangent.dry, state.dry[0])
+    assert same_bits(tangent.drc, recover_drc(state.z[0], seen[-1][2], coeffs))
