@@ -238,25 +238,35 @@ def laplacian_core(values: np.ndarray, h: float, dim: int, out: np.ndarray | Non
     ``values`` may carry leading batch axes; the result is the interior block
     along the trailing axes, a view of ``out`` (C-contiguous, shaped like
     ``values``; a new array when None).  The stencil runs over one flat band
-    of ``values``, from the first interior node of the first leading index to
-    the last interior node of the last one, so every inner loop is long; the
-    band of ``out`` then holds the stencil at every node, scratch where it
-    wraps around the boundary layer.
+    of ``values`` (see ``_stencil``), so every inner loop is long; the band
+    of ``out`` then holds the stencil at every node, scratch where it wraps
+    around the boundary layer.
     """
     if out is None:
         out = np.empty(values.shape)
-    n = values.shape[-1]
-    flat = values.reshape(-1)
+    band, shifts = _stencil(values, dim)
+    first = (values.size - band.size) // 2  # where the band starts
+    _band_laplacian(out.reshape(-1)[first : first + band.size], band, shifts, h)
+    return out[(Ellipsis,) + (slice(1, -1),) * dim]
+
+
+def _stencil(values: np.ndarray, dim: int) -> tuple[np.ndarray, tuple]:
+    """(band, shifts) of C-contiguous ``values``: the flat band from node
+    (1, ..., 1) of the first leading index to the last interior node of the
+    last one, and that band moved one node up and down each axis in turn."""
+    n, flat = values.shape[-1], values.reshape(-1)
     first = (n**dim - 1) // (n - 1)  # flat index of node (1, ..., 1)
     end = flat.size - first
-    acc = out.reshape(-1)[first:end]
-    np.multiply(flat[first:end], -2.0 * dim, out=acc)
-    for k in range(dim):
-        s = n ** (dim - 1 - k)  # flat offset of one node along axis k
-        np.add(acc, flat[first + s : end + s], out=acc)
-        np.add(acc, flat[first - s : end - s], out=acc)
+    offsets = [n ** (dim - 1 - k) for k in range(dim)]  # one node along axis k
+    return flat[first:end], tuple(flat[first + s : end + s] for o in offsets for s in (o, -o))
+
+
+def _band_laplacian(acc: np.ndarray, band: np.ndarray, shifts: tuple, h: float) -> None:
+    """The stencil into ``acc``: -2 dim ``band`` plus its ``shifts`` in order, over h**2."""
+    np.multiply(band, -float(len(shifts)), out=acc)
+    for shifted in shifts:
+        np.add(acc, shifted, out=acc)
     np.divide(acc, h * h, out=acc)
-    return out[(Ellipsis,) + (slice(1, -1),) * dim]
 
 
 def laplacian(u: Field) -> Field:

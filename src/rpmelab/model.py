@@ -23,25 +23,31 @@ Array = np.ndarray
 # them) it writes its value there with the same ufuncs in the same order as
 # without, so both results agree bit for bit, and returns ``out``.  Scalar
 # arguments without ``out`` keep numpy scalar arithmetic and return scalars.
+# A ``_coefficient`` wraps one in-place core, ``core(*args, out, tmp)``, with
+# its scratch ``tmp`` passed in: a stepping workspace (``simulate.StepBuffers``)
+# binds the cores to scratch of its own, other callers get a thread-local one.
 
 
 def _coefficient(core):
-    """Wrap ``core(*args, out)``, a chain of in-place ufunc steps that sees
-    either an ``out`` array or arguments of one shape with ``out=None`` (its
-    first step then allocates the result, or makes a numpy scalar)."""
+    """Wrap ``core(*args, out, tmp)``, kept as ``fn.core``: in-place ufunc
+    steps on float64 arrays, given an ``out`` array and scratch ``tmp`` like it,
+    or arguments of one shape and ``out`` and ``tmp`` None (its first step
+    then allocates the result, or makes a numpy scalar)."""
 
     @functools.wraps(core)
     def fn(*args, out=None):
+        args = [np.asarray(a, dtype=np.float64) for a in args]
         if out is None:
-            if len(args) == 1 or np.shape(args[0]) == np.shape(args[1]):
-                return core(*args, out=None)
-            out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            if len(args) == 1 or args[0].shape == args[1].shape:
+                return core(*args, None, None)
+            out = np.empty(np.broadcast_shapes(*(a.shape for a in args)))
         elif out.ndim == 0:
             # numpy scalar and array powers can differ in the last bit
-            out[()] = core(*args, out=None)
+            out[()] = core(*args, None, None)
             return out
-        return core(*args, out=out)
+        return core(*args, out, _scratch(out))
 
+    fn.core = core
     return fn
 
 
@@ -55,12 +61,8 @@ _LOCAL = threading.local()
 
 
 def _scratch(out):
-    """Scratch shaped like ``out``; None without ``out``, so that the ufunc
-    allocates.  One buffer per thread, kept for the thread's lifetime and
-    grown to the largest size asked for, so a stepping loop allocates it
-    once."""
-    if out is None:
-        return None
+    """Scratch shaped like ``out``.  One buffer per thread, kept for the
+    thread's lifetime and grown to the largest size asked for."""
     buf = getattr(_LOCAL, "scratch", None)
     if buf is None or buf.size < out.size:
         buf = _LOCAL.scratch = np.empty(out.size)
@@ -102,14 +104,14 @@ def pme_beta(m: float) -> BetaFamily:
     inv_m = 1.0 / m
 
     @_coefficient
-    def beta(c, out):
-        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+    def beta(c, out, tmp):
+        r = np.maximum(c, 0.0, out=out)
         r **= inv_m
         return r
 
     @_coefficient
-    def beta_prime(c, out):
-        c = np.maximum(np.asarray(c, dtype=np.float64), 0.0)
+    def beta_prime(c, out, tmp):
+        c = np.maximum(c, 0.0)
         with np.errstate(divide="ignore"):
             r = np.where(c > 0.0, inv_m * c ** (inv_m - 1.0), np.inf)
         if out is None:
@@ -118,14 +120,14 @@ def pme_beta(m: float) -> BetaFamily:
         return out
 
     @_coefficient
-    def beta_inv(v, out):
-        r = np.maximum(np.asarray(v, dtype=np.float64), 0.0, out=out)
+    def beta_inv(v, out, tmp):
+        r = np.maximum(v, 0.0, out=out)
         r **= m
         return r
 
     @_coefficient
-    def recip(c, out):
-        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+    def recip(c, out, tmp):
+        r = np.maximum(c, 0.0, out=out)
         r **= 1.0 - inv_m
         r *= m
         return r
@@ -156,32 +158,32 @@ def regularize_beta(m: float, eps: float) -> BetaFamily:
     shift = eps**inv_m
 
     @_coefficient
-    def beta(c, out):
-        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+    def beta(c, out, tmp):
+        r = np.maximum(c, 0.0, out=out)
         r += eps
         r **= inv_m
         r -= shift
         return r
 
     @_coefficient
-    def beta_prime(c, out):
-        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+    def beta_prime(c, out, tmp):
+        r = np.maximum(c, 0.0, out=out)
         r += eps
         r **= inv_m - 1.0
         r *= inv_m
         return r
 
     @_coefficient
-    def beta_inv(v, out):
-        r = np.maximum(np.asarray(v, dtype=np.float64), 0.0, out=out)
+    def beta_inv(v, out, tmp):
+        r = np.maximum(v, 0.0, out=out)
         r += shift
         r **= m
         r -= eps
         return r
 
     @_coefficient
-    def recip(c, out):
-        r = np.maximum(np.asarray(c, dtype=np.float64), 0.0, out=out)
+    def recip(c, out, tmp):
+        r = np.maximum(c, 0.0, out=out)
         r += eps
         r **= 1.0 - inv_m
         r *= m
@@ -285,31 +287,31 @@ def preset_coefficients(name: str, params: dict | None = None):
         if lam < 0.0 or cap <= 0.0 or mu_y < 0.0:
             raise ValueError("logistic_f needs lambda >= 0, K > 0, mu_y >= 0")
 
-        def times_decay(r, y, out):
+        def times_decay(r, y, tmp):
             # the factor exp(-mu_y * y) is exactly 1.0 when mu_y == 0
             if mu_y != 0.0:
-                e = np.multiply(-mu_y, y, out=_scratch(out))
+                e = np.multiply(-mu_y, y, out=tmp)
                 r *= np.exp(e, out=_inplace(e))
             return r
 
         @_coefficient
-        def fn(c, y, out):
+        def fn(c, y, out, tmp):
             r = np.multiply(lam, c, out=out)
-            t = np.divide(c, cap, out=_scratch(out))
+            t = np.divide(c, cap, out=tmp)
             r *= np.subtract(1.0, t, out=_inplace(t))
-            return times_decay(r, y, out)
+            return times_decay(r, y, tmp)
 
         @_coefficient
-        def d_c(c, y, out):
+        def d_c(c, y, out, tmp):
             r = np.multiply(2.0, c, out=out)
             r /= cap
             r = np.subtract(1.0, r, out=_inplace(r))
             r *= lam
-            return times_decay(r, y, out)
+            return times_decay(r, y, tmp)
 
         @_coefficient
-        def d_y(c, y, out):
-            r = fn(c, y, out=out)
+        def d_y(c, y, out, tmp):
+            r = fn.core(c, y, out, tmp)
             r *= -mu_y
             return r
 
@@ -319,8 +321,8 @@ def preset_coefficients(name: str, params: dict | None = None):
         [sigma] = _preset_params(name, params, {"sigma": 0.5})
 
         @_coefficient
-        def a(y, out):
-            return np.multiply(sigma, np.asarray(y, dtype=np.float64), out=out)
+        def a(y, out, tmp):
+            return np.multiply(sigma, y, out=out)
 
         def da(y, out=None):
             return _full(y, sigma, out)
@@ -330,15 +332,14 @@ def preset_coefficients(name: str, params: dict | None = None):
         [sigma] = _preset_params(name, params, {"sigma": 0.5})
 
         @_coefficient
-        def a(y, out):
-            y = np.asarray(y, dtype=np.float64)
+        def a(y, out, tmp):
             r = np.multiply(sigma, y, out=out)
-            r /= np.add(1.0, y, out=_scratch(out))
+            r /= np.add(1.0, y, out=tmp)
             return r
 
         @_coefficient
-        def da(y, out):
-            r = np.add(1.0, np.asarray(y, dtype=np.float64), out=out)
+        def da(y, out, tmp):
+            r = np.add(1.0, y, out=out)
             r **= 2
             return np.divide(sigma, r, out=_inplace(r))
 
@@ -349,16 +350,16 @@ def preset_coefficients(name: str, params: dict | None = None):
             raise ValueError("coupling_b needs kappa >= 0 and rho >= 0")
 
         @_coefficient
-        def b(c, y, out):
-            c = np.asarray(c, dtype=np.float64)
+        def b(c, y, out, tmp):
             if out is None or c.shape == out.shape:
                 r = np.multiply(kappa, c, out=out)
             else:
-                # one c row for every path: kappa * c once, then copied to
-                # every row, as a ufunc broadcasting it would buffer
+                # one c row for every path: kappa * c once, at the head of
+                # tmp, then copied to every row, as a ufunc broadcasting it
+                # would buffer
                 r = out
-                np.copyto(r, np.multiply(kappa, c, out=_scratch(c)))
-            r -= np.multiply(rho, np.asarray(y, dtype=np.float64), out=_scratch(out))
+                r[...] = np.multiply(kappa, c, out=tmp.reshape(-1)[: c.size].reshape(c.shape))
+            r -= np.multiply(rho, y, out=tmp)
             return r
 
         def db_c(c, y, out=None):

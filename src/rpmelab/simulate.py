@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import BoundaryKind, Field, GridSpec, laplacian_core
+from .grid import BoundaryKind, Field, GridSpec, _band_laplacian, _stencil
 from .model import CoefficientSet, r2_bound
 
 # most paths per processing chunk; chunk sizes never depend on the worker count
@@ -44,7 +45,7 @@ _BLOCK_BYTES = 300 * 2**10
 # in any blocking, so this bounds the noise buffer and changes no result
 _NOISE_BLOCK = 512
 # where a c half reads or writes c (see StepBuffers.slot)
-_CSlot = collections.namedtuple("_CSlot", "c band faces mass v_gate gate_band")
+_CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass v_gate gate_band")
 
 
 class NumericalAbort(RuntimeError):
@@ -224,38 +225,43 @@ def _impose_bc(pairs: list, bc: BoundaryKind, face_buf: np.ndarray) -> None:
         if bc is BoundaryKind.DIRICHLET:
             face.fill(0.0)
         else:
-            np.copyto(face_buf, inner)
-            np.copyto(face, face_buf)
+            face_buf[...] = inner
+            face[...] = face_buf
 
 
 class StepBuffers:
     """Workspace for repeated steps of one C-contiguous state shape: c and y
-    in two copies each (a step reads one and writes the other) and three
+    in two copies each (a step reads one and writes the other), three
     scratch arrays (the Laplacian, reused for the noise and drift terms, and
-    two for the update of v), all shaped like the state, plus one boundary
-    face and the clamp mass per leading index; with ``gates``, the clamp gates
-    of the last step (v+ < 0 on the update band, y+ < 0) as boolean masks.
-    With ``shared_c`` every c-side array has leading axes of 1, for one c
-    shared by all paths, and y gets a scratch array of its own; ``half`` "c"
-    or "y" keeps only the arrays of that half of a step (see ``step``).  A
-    step with a workspace returns views of these, valid until its next step."""
+    two for the update of v) and the coefficient scratch, all shaped like the
+    state, plus one boundary face and the clamp mass per leading index; with
+    ``gates``, the clamp gates of the last step (v+ < 0 on the update band,
+    y+ < 0) as boolean masks.  With ``shared_c`` every c-side array has
+    leading axes of 1, for one c shared by all paths, and y gets a scratch
+    array of its own; ``half`` "c" or "y" keeps only the arrays of that half
+    of a step (see ``step``).  What a step reads is bound once: the ``slot``
+    of each copy of c and, at the first step under a coefficient set, the
+    in-place cores of f, beta, beta_inv, a and b, which get the coefficient
+    scratch, so a warm step is a flat run of ufuncs.  A step with a
+    workspace returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
                  shared_c: bool = False, half: str | None = None):
         shape = tuple(lead) + grid.shape
         c_shape = (1,) * len(lead) + grid.shape if shared_c else shape
-        self.dim, self.first = grid.dim, (grid.n_nodes - 1) // (grid.nodes_per_axis - 1)
-        self.c, self.y, self.v_gate, self.y_gate = (), (), None, None
+        self.dim, self.h, self.cell = grid.dim, grid.spacing, grid.spacing**grid.dim
+        self.c, self.y, self.v_gate, self.y_gate, self.coeffs = (), (), None, None, None
+        self.tmp = np.empty(c_shape if half == "c" else shape)
         if half != "y":
             self.c = (np.empty(c_shape), np.empty(c_shape))
             self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
             self.face = np.empty(c_shape[:-1])
             self.mass = np.empty(c_shape[: len(lead)])
             self.v_gate = np.zeros(c_shape, bool) if gates else None
-            # the flat band of laplacian_core (see step), the interior of v and
+            # the flat band of the update (see step), the interior of v and
             # its copy at the head of u, whose rows the clamp mass sums
-            band = slice(self.first, self.v.size - self.first)
-            self.lap_b, self.v_b, self.u_b = (a.reshape(-1)[band] for a in (self.lap, self.v, self.u))
+            self.lap_b, self.v_b, self.u_b = (_stencil(a, grid.dim)[0] for a in (self.lap, self.v, self.u))
+            self.tmp_b = self.tmp.reshape(-1)[: self.v_b.size]
             self.v_int = self.v[(Ellipsis,) + (slice(1, -1),) * grid.dim]
             self.clamped = self.u.reshape(-1)[: self.v_int.size].reshape(self.v_int.shape)
             self.clamp_rows = self.clamped.reshape(self.mass.shape + (-1,))
@@ -263,27 +269,37 @@ class StepBuffers:
             self.y = (np.empty(shape), np.empty(shape))
             self.y_scratch = self.lap if half is None and c_shape == shape else np.empty(shape)
             self.y_gate = np.zeros(shape, bool) if gates else None
-        self.own = {(id(c), id(y)): self.views(c, y) for c, y in zip(self.c, self.y)}
+        self.slots = tuple(self.slot(c, self.mass, self.v_gate) for c in self.c)
+        self.own = tuple(self.views(c, y) for c, y in zip(self.c, self.y))
+
+    def bind(self, coeffs: CoefficientSet) -> None:
+        """Take the cores ``core(*args, out, tmp)`` of f, beta, beta_inv, a
+        and b of ``coeffs``; a plain callable gets ``out`` alone."""
+        self.coeffs, fns = coeffs, (coeffs.f, coeffs.beta, coeffs.beta_inv, coeffs.a, coeffs.b)
+        self.f, self.beta, self.beta_inv, self.a, self.b = (
+            getattr(fn, "core", None) or (lambda *a, fn=fn: fn(*a[:-2], out=a[-2])) for fn in fns)
 
     def slot(self, c: np.ndarray, mass: np.ndarray, v_gate: np.ndarray | None) -> _CSlot:
-        """Where a c half reads or writes ``c``: (c, its update band and face
-        pairs, and the clamp mass, v-gates and v-gate band of that step)."""
-        band = slice(self.first, c.size - self.first)
-        gate_b = None if v_gate is None else v_gate.reshape(-1)[band]
-        return _CSlot(c, c.reshape(-1)[band], _face_pairs(c, self.dim), mass, v_gate, gate_b)
+        """Where a c half reads or writes ``c``: (c, its update band, the
+        band's Laplacian neighbours, its face pairs and rows per leading
+        index, and the clamp mass, v-gates and v-gate band of that step)."""
+        gate_b = None if v_gate is None else _stencil(v_gate, self.dim)[0]
+        return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1),
+                      mass, v_gate, gate_b)
 
     def views(self, c: np.ndarray, y: np.ndarray) -> tuple:
         """(slot of c, y band, slot of the new c, new y) of a step from ``c``
         and ``y``; ``own`` keeps those of the workspace's copies."""
-        c_new = self.c[1] if c is self.c[0] else self.c[0]
-        src, dst = (self.slot(a, self.mass, self.v_gate) for a in (c, c_new))
+        new = int(c is self.c[0])  # the copy the new c goes to
+        src = self.slots[1 - new] if c is self.c[1 - new] else self.slot(c, self.mass, self.v_gate)
         y_new = self.y[1] if y is self.y[0] else self.y[0]
-        return src, y.reshape(-1)[self.first : c.size - self.first], dst, y_new
+        return src, _stencil(y, self.dim)[0][: src.band.size], self.slots[new], y_new
 
 
 def path_bytes(grid: GridSpec, frames: int) -> int:
-    """Bytes one path holds: its live step state, the seven workspace arrays
-    and one coefficient scratch over all nodes, and ``frames`` stored frames
+    """Bytes one path holds: the eight arrays over all nodes of its
+    workspace (c and y in two copies, three scratch arrays and the
+    coefficient scratch, see ``StepBuffers``), and ``frames`` stored frames
     of c and y in float64."""
     return 8 * 8 * grid.n_nodes + 16 * grid.n_nodes * frames
 
@@ -323,54 +339,54 @@ def step(
     node the operations and their order are those of the formulas in the
     module docstring.
     """
-    lead, shared_c = y.shape[: y.ndim - grid.dim], c.shape != y.shape
-    if shared_c and coeffs.source.reads_y:
+    if c.shape != y.shape and coeffs.source.reads_y:
         raise ValueError("c shared by several paths needs a reaction term that ignores y")
     if work is None:
-        work = StepBuffers(grid, lead, shared_c=shared_c)
+        work = StepBuffers(grid, y.shape[: y.ndim - grid.dim], shared_c=c.shape != y.shape)
+    if work.coeffs is not coeffs:
+        work.bind(coeffs)
+    if getattr(dW, "ndim", None) != y.ndim and y.ndim > grid.dim:  # one increment per path
+        dW = np.reshape(dW, np.shape(dW) + (1,) * grid.dim)
     if c_new is None:
-        src, y_b, c_new, y_new = work.own.get((id(c), id(y))) or work.views(c, y)
-        _c_half(src, y_b, c_new, grid, coeffs, bc, dt, work)
+        i = y is work.y[1]
+        src, y_b, c_new, y_new = work.own[i] if c is work.c[i] and y is work.y[i] else work.views(c, y)
+        _c_half(src, y_b, c_new, bc, dt, work)
     else:
         y_new = work.y[1] if y is work.y[0] else work.y[0]
         work.v_gate = c_new.v_gate
-    _y_half(c, y, y_new, dW, grid, coeffs, dt, work)
+    _y_half(c, y, y_new, dW, dt, work)
     return StepResult(c_new.c, y_new, c_new.mass)
 
 
-def _c_half(src: _CSlot, y_b, dst: _CSlot, grid, coeffs, bc, dt: float, work: StepBuffers) -> None:
+def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> None:
     """v+ = beta(c) + dt * (lap_h c + f(c, y)) clamped at zero, c+ = beta_inv(v+)
     under the boundary rule, from slot ``src`` to slot ``dst`` in ``work``; f gets ``y_b``."""
-    dim, h = grid.dim, grid.spacing
-    v, clamped, c_new_b, mass = work.v_b, work.clamped, dst.band, dst.mass
-    laplacian_core(src.c, h, dim, out=work.lap)
-    np.add(work.lap_b, coeffs.f(src.band, y_b, out=v), out=v)
+    v, clamped, c_new_b, mass, tmp = work.v_b, work.clamped, dst.band, dst.mass, work.tmp_b
+    _band_laplacian(work.lap_b, src.band, src.shifts, work.h)
+    np.add(work.lap_b, work.f(src.band, y_b, v, tmp), out=v)
     v *= dt
-    np.add(coeffs.beta(src.band, out=work.u_b), v, out=v)
+    np.add(work.beta(src.band, work.u_b, tmp), v, out=v)
     # the clamp mass sums the interior per path, contiguous as in the formula
-    np.copyto(clamped, work.v_int)  # a ufunc on the strided view would buffer
+    clamped[...] = work.v_int  # a ufunc on the strided view would buffer
     np.minimum(clamped, 0.0, out=clamped)
     np.add.reduce(work.clamp_rows, axis=-1, out=mass)
-    mass *= -(h**dim)
+    mass *= -work.cell
     if dst.gate_band is not None:
         np.less(v, 0.0, out=dst.gate_band)
     np.maximum(v, 0.0, out=v)
-    res = coeffs.beta_inv(v, out=c_new_b)
+    res = work.beta_inv(v, c_new_b, tmp)
     if res is not c_new_b:
         c_new_b[...] = res
     _impose_bc(dst.faces, bc, work.face)
 
 
-def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dW, grid, coeffs, dt: float, work) -> None:
+def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work: StepBuffers) -> None:
     """y+ = max(y + a(y) dW + b(c, y) dt, 0) into ``y_new``, its gates into ``work``."""
-    dw = np.asarray(dW, dtype=np.float64)
-    if y.ndim > grid.dim:
-        dw = dw.reshape(dw.shape + (1,) * grid.dim)
     scratch = work.y_scratch  # the Laplacian's array, used up, unless c is shared
-    np.copyto(scratch, dw)  # a ufunc broadcasting dw would buffer
-    np.multiply(coeffs.a(y, out=y_new), scratch, out=y_new)
+    scratch[...] = dw  # a ufunc broadcasting dw would buffer
+    np.multiply(work.a(y, y_new, work.tmp), scratch, out=y_new)
     np.add(y, y_new, out=y_new)
-    np.multiply(coeffs.b(c, y, out=scratch), dt, out=scratch)
+    np.multiply(work.b(c, y, scratch, work.tmp), dt, out=scratch)
     np.add(y_new, scratch, out=y_new)
     if work.y_gate is not None:
         np.less(y_new, 0.0, out=work.y_gate)
@@ -456,14 +472,13 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 # the stepping loop
 
 
-def _track(part: EnsembleResult, n: int, c: np.ndarray, mass: np.ndarray) -> None:
+def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
     """Adds step n's clamp mass and, if ``part.c_sup`` is set, the sup and min
-    of its new ``c`` to ``part``; raises ``NumericalAbort`` at a non-finite sup."""
-    part.clamp_mass += mass
+    of its new c, in slot ``dst``, to ``part``; raises ``NumericalAbort`` at a non-finite sup."""
+    part.clamp_mass += dst.mass
     if part.c_sup is not None:
-        rows = c.reshape(len(c), -1)
-        np.maximum(part.c_sup, np.maximum.reduce(rows, axis=1), out=part.c_sup)
-        np.minimum(part.c_min, np.minimum.reduce(rows, axis=1), out=part.c_min)
+        np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
+        np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
         # the sup starts finite and never falls, so its max is finite
         # exactly when every entry is: NaN and +inf both propagate
         if not math.isfinite(np.maximum.reduce(part.c_sup)):
@@ -476,14 +491,15 @@ def _shared_c(config: SimConfig, part: EnsembleResult, block: int, on_step):
     that ignores y; lanes fill slot 0, ``advance(n)`` takes and ``_track``s
     step n into slot n % (block + 1), with v-gates if ``on_step`` reads them."""
     work = StepBuffers(config.grid, (1,), half="c")
+    work.bind(config.coeffs)
     c = np.empty((block + 1, 1) + config.grid.shape)
     v_gate = np.zeros(c.shape, bool) if getattr(on_step, "reads_gates", False) else [None] * len(c)
     slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)), v_gate)]
 
     def advance(n: int) -> None:
         src, dst = slots[(n - 1) % len(slots)], slots[n % len(slots)]
-        _c_half(src, src.band, dst, config.grid, config.coeffs, config.bc, part.dt, work)  # f ignores y
-        _track(part, n, dst.c, dst.mass)
+        _c_half(src, src.band, dst, config.bc, part.dt, work)  # f ignores y
+        _track(part, n, dst)
 
     return slots, advance
 
@@ -503,18 +519,19 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
     ring = slots or [None]  # c_new of step n for step: a slot, or None to step c here
-    dws = (dw for block in noise for dw in block.T)
+    # each step's increments, and a view of them that broadcasts over the nodes
+    dws = (pair for block in noise for pair in zip(block.T, block.T[(Ellipsis,) + (None,) * grid.dim]))
     if part.c is not None:
         part.c[0], part.y[0] = c_init, y_init
 
     def run(start: int, stop: int) -> None:
         nonlocal c, y
-        for n, dw in zip(range(start + 1, stop + 1), dws):
-            res = step(c, y, grid, coeffs, bc, dt, dw, work, ring[n % len(ring)])
+        for n, (dw, dw_nodes) in zip(range(start + 1, stop + 1), dws):
+            res = step(c, y, grid, coeffs, bc, dt, dw_nodes, work, ring[n % len(ring)])
             if on_step is not None:
                 on_step(res, c, y, dw, work)
             if slots is None:
-                _track(part, n, res.c, res.clamp_mass)
+                _track(part, n, work.slots[res.c is work.c[1]])
             c, y = res.c, res.y
             if part.c is not None and n % stride == 0:
                 part.c[n // stride], part.y[n // stride] = c, y
@@ -650,7 +667,8 @@ def simulate_ensemble(
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
     width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (9 * grid.n_nodes)))
-    with concurrent.futures.ThreadPoolExecutor(max(1, width - 1)) as pool:
+    pool = concurrent.futures.ThreadPoolExecutor(width - 1) if min(width, len(chunks)) > 1 else None
+    with pool or contextlib.nullcontext():  # a thread pool only for waves of several lanes
         for wave in (chunks[i : i + width] for i in range(0, len(chunks), width)):
             slots = advance = None
             if len(wave) > 1 and not config.coeffs.source.reads_y:

@@ -63,6 +63,10 @@ def test_stacked_interior_mass_matches_one_state_at_a_time(dim, cells):
     loop = [float(grid.spacing**dim * np.sum(coeffs.beta(c[core]))) for c in frames]
     assert np.array_equal(interior_v_mass(frames, grid, coeffs), loop)
     assert [interior_v_mass(c, grid, coeffs) for c in frames] == loop
+    # a chunk of frames, (frames, paths, *grid), in one call or path by path
+    chunk = frames[:16].reshape((4, 4) + grid.shape)
+    stacked = interior_v_mass(chunk, grid, coeffs)
+    assert all(stacked[:, j].tobytes() == interior_v_mass(chunk[:, j], grid, coeffs).tobytes() for j in range(4))
 
 
 def test_neumann_mass_conservation_exact():

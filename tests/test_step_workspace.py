@@ -2,17 +2,20 @@
 numpy expressions, free of allocations once warm, and the coefficient `out=`
 contract it relies on; plus chunking invariance and the non-finite abort of
 the ensemble driver."""
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rpmelab import simulate
+from rpmelab import grid as grid_module, model, simulate
 from rpmelab.analysis import cauchy_refinement, epsilon_sweep
 from rpmelab.cli import main
 from rpmelab.grid import BoundaryKind, build_grid, laplacian_core
@@ -34,6 +37,7 @@ from rpmelab.malliavin import (
     step_malliavin,
 )
 from rpmelab.simulate import (
+    EnsembleResult,
     NumericalAbort,
     SimConfig,
     StepBuffers,
@@ -375,6 +379,104 @@ def test_one_way_tangent_steps_allocate_less_than_one_seed_state(dim, cells, see
     peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], z_zero=True)
     assert not tangent.z.any()
     assert peak < tangent.z[0].nbytes
+
+
+# ---------------------------------------------------------------------------
+# what a warm step reads is bound once
+
+
+def on_fresh_thread(fn):
+    """``fn()`` on a thread of its own, its error raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:  # raised by the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def bound_steps(monkeypatch, form, dim, gates, coeffs, n_steps=6):
+    """``n_steps`` steps of 3 paths in one workspace of ``form``: "own" (a c
+    per path), "shared" (one c row for all paths) or "y-lane" (y alone, c
+    from the producer of a wave's shared c, as in ``simulate_ensemble``).
+    From step 3 on, anything that takes views or binds cores raises.
+    Returns the final c and y, and whether this thread made a thread-local
+    coefficient scratch."""
+    grid, bc, paths = build_grid(dim, 6), BoundaryKind.NEUMANN, 3
+    rng = np.random.default_rng(dim)
+    dt = cfl_dt(grid, coeffs, 2.0)
+    c0 = apply_bc(rng.uniform(0.5, 1.5, (1,) + grid.shape), grid, bc)
+    y0 = rng.uniform(0.5, 1.5, (paths,) + grid.shape)
+    work = StepBuffers(grid, (paths,), gates, form != "own", "y" if form == "y-lane" else None)
+    ring = [None]
+    if form == "y-lane":
+        config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
+        part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
+                              np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
+        ring, advance = simulate._shared_c(config, part, n_steps, SimpleNamespace(reads_gates=gates))
+    c, y = (ring[0].c if form == "y-lane" else work.c[0]), work.y[0]
+    c[...], y[...] = c0, y0
+
+    def rebind(*args, **kwargs):
+        raise AssertionError("a warm step took views or bound cores again")
+
+    for n, dw in enumerate(rng.standard_normal((n_steps, paths)) * np.sqrt(dt), 1):
+        if n == 3:
+            for owner, name in [(simulate, "_stencil"), (grid_module, "laplacian_core"),
+                                (StepBuffers, "bind"), (StepBuffers, "views"), (StepBuffers, "slot")]:
+                monkeypatch.setattr(owner, name, rebind)
+        if form == "y-lane":
+            advance(n)
+        res = step(c, y, grid, coeffs, bc, dt, dw, work, ring[n % len(ring)])
+        c, y = res.c, res.y
+    return c.copy(), y.copy(), hasattr(model._LOCAL, "scratch")
+
+
+@pytest.mark.parametrize("gates", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("coeffs,form", [
+    ("readme", "own"), ("readme", "shared"), ("readme", "y-lane"), ("regularized", "y-lane"),
+    ("decaying", "own"), ("zero", "shared"),
+])
+def test_warm_steps_rebind_nothing_and_make_no_thread_scratch(monkeypatch, coeffs, form, dim, gates):
+    # the coefficient scratch is the workspace's, not a second, thread-local
+    # copy; a y-lane gives the bits of a lane that steps its shared c itself
+    coeffs = COEFFS[coeffs]
+    c, y, made_scratch = on_fresh_thread(lambda: bound_steps(monkeypatch, form, dim, gates, coeffs))
+    monkeypatch.undo()
+    assert not made_scratch
+    c_ref, y_ref, _ = bound_steps(monkeypatch, "shared" if form == "y-lane" else form, dim, gates, coeffs)
+    assert same_bits(c, c_ref) and same_bits(y, y_ref)
+
+
+@pytest.mark.parametrize("paths,workers,pool", [(2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True)])
+def test_only_waves_of_several_lanes_start_a_thread_pool(paths, workers, pool):
+    # two paths a chunk: a wave of several lanes needs two chunks and two workers
+    code = f"""
+import sys
+from rpmelab import simulate
+from rpmelab.grid import BoundaryKind, build_grid
+from rpmelab.model import make_coefficients, pme_beta
+grid = build_grid(1, 8)
+simulate._STATE_BYTES = 2 * simulate.path_bytes(grid, 0)
+config = simulate.SimConfig(grid, make_coefficients(pme_beta(2.0)), BoundaryKind.NEUMANN, t_final=0.01)
+simulate.simulate_ensemble(config, 1.0, 1.0, n_paths={paths}, n_workers={workers})
+print("concurrent.futures.thread" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(pool)]
 
 
 # ---------------------------------------------------------------------------
