@@ -14,19 +14,17 @@ _EXPORTS = {
         SweepResult barenblatt_error bump_time_profile cauchy_refinement
         convex_energy energy_report epsilon_sweep holder_report linf_check
         malliavin_report malliavin_report_steps moment_report overlap_matrix
-        pc_cross_distance_sq pc_cross_inner transform_report
-        transform_trajectory_report weak_residual
+        pc_cross_inner transform_report weak_residual
     """,
     "grid": """
-        BoundaryKind Field GridSpec backward_diff build_grid
-        chain_rule_residual forward_diff free_node_count grad_h1_seminorm
-        h02_embed h1_seminorm hminus2_norm l2_inner laplacian lp_norm
-        normal_diff sample_nodal
+        BoundaryKind Field GridSpec backward_diff build_grid forward_diff
+        free_node_count grad_h1_seminorm h02_embed h1_seminorm hminus2_norm
+        l2_inner laplacian lp_norm normal_diff sample_nodal
     """,
     "interp": """
         CellFunction cell_measures interp_gap pa_eval pa_grad_l2_norm
-        pa_lp_norm pa_spline pc_eval pc_gap_to_function pc_l2_inner pc_lp_norm
-        pc_spline project
+        pa_lp_norm pa_spline pc_eval pc_gap_to_function pc_l2_inner pc_spline
+        project
     """,
     "malliavin": """
         MalliavinSlice MalliavinState TangentBuffers init_malliavin
@@ -34,10 +32,9 @@ _EXPORTS = {
         step_malliavin
     """,
     "model": """
-        AssumptionProfile AssumptionReport BetaFamily CoefficientSet
-        barenblatt_profile barenblatt_support_radius beta_gap initial_preset
-        make_coefficients pme_beta pme_profile preset_coefficients r2_bound
-        regularize_beta validate_assumptions
+        BetaFamily CoefficientSet barenblatt_profile barenblatt_support_radius
+        beta_gap initial_preset make_coefficients pme_beta preset_coefficients
+        r2_bound regularize_beta
     """,
     "pathfile": """
         DerivativePair FormatError PathRecord RecordWriter read_record write_record
@@ -49,9 +46,9 @@ _EXPORTS = {
         NumericalAbort StepBuffers
     """,
     "transform": """
-        PowerTransform TabulatedTransform boundary_distance
-        build_transform_pair constant_weight degeneracy_weight gamma_weight
-        holder_power_transform invert_psi second_difference_quotient
+        PowerTransform TabulatedTransform build_transform_pair constant_weight
+        degeneracy_weight holder_power_transform invert_psi
+        second_difference_quotient
     """,
 }
 

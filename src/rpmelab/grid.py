@@ -470,42 +470,10 @@ def free_node_count(grid: GridSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# chain-rule defect
+# Gauss rule on [0, 1]
 
 
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
 
-
-def chain_rule_residual(
-    g: Callable[[np.ndarray], np.ndarray],
-    g_prime: Callable[[np.ndarray], np.ndarray],
-    u: Field,
-    axis: int,
-    quad_order: int = 8,
-) -> float:
-    """Max defect of the exact difference chain rule along one axis.
-
-    The forward difference of g(u) equals the forward difference of u times
-    the mean of g' along the straight segment between the two nodal values;
-    the segment mean is evaluated by Gauss-Legendre quadrature of the given
-    order, so the residual is zero up to quadrature error (exactly zero for
-    polynomial g' of degree < 2*quad_order).
-    """
-    if quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
-    gr = u.grid
-    du = forward_diff(u, axis)
-    gu = Field(gr, np.asarray(g(u.values), dtype=np.float64), u.mask)
-    dgu = forward_diff(gu, axis)
-    sel = du.defined_mask()
-    base = u.values[sel]
-    slope = du.values[sel]
-    xs, ws = _gauss01(quad_order)
-    mean_deriv = np.zeros_like(base)
-    h = gr.spacing
-    for x, w in zip(xs, ws):
-        mean_deriv += w * np.asarray(g_prime(base + x * h * slope), dtype=np.float64)
-    resid = dgu.values[sel] - slope * mean_deriv
-    return float(np.max(np.abs(resid))) if resid.size else 0.0

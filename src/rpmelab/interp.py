@@ -171,16 +171,6 @@ def pc_l2_inner(u: Field, v: Field) -> float:
     return float(np.sum(u.values * v.values * w))
 
 
-def pc_lp_norm(u: Field, p: float) -> float:
-    """Exact L^p(open cube) norm of the piecewise-constant spline of u."""
-    if np.isinf(p):
-        return float(np.max(np.abs(u.values)))
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    w = cell_measures(u.grid)
-    return float(np.sum(np.abs(u.values) ** p * w) ** (1.0 / p))
-
-
 def _corner_slices(grid: GridSpec, corner: tuple[int, ...]) -> tuple[slice, ...]:
     ncells = grid.cells_per_axis + 1
     return tuple(slice(b, b + ncells) for b in corner)
@@ -229,32 +219,33 @@ def interp_gap(u: Field) -> float:
 # Gauss-quadrature norms of the spline representatives
 
 
-def pa_lp_norm(u: Field, p: float, n_gauss: int = 4) -> float:
-    """L^p(open cube) norm of the polyaffine spline by per-cell Gauss quadrature
-    (exact for p = 2 with n_gauss >= 2)."""
+def pa_lp_norm(u: Field, p: float) -> float:
+    """L^p(open cube) norm of the polyaffine spline by per-cell 4-point Gauss
+    quadrature (exact for p = 2)."""
     g = u.grid
     if np.isinf(p):
         return float(np.max(np.abs(u.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     n = g.dim
-    xs, ws = _gauss01(n_gauss)
+    xs, ws = _gauss01(4)
     total = 0.0
-    for combo in itertools.product(range(n_gauss), repeat=n):
+    for combo in itertools.product(range(len(xs)), repeat=n):
         r = [xs[c] for c in combo]
         wgt = float(np.prod([ws[c] for c in combo]))
         total += wgt * float(np.sum(np.abs(_pa_cells(u, r)) ** p))
     return float((g.spacing**n * total) ** (1.0 / p))
 
 
-def pa_grad_l2_norm(u: Field, n_gauss: int = 2) -> float:
-    """Exact L2(open cube) norm of the polyaffine spline gradient."""
+def pa_grad_l2_norm(u: Field) -> float:
+    """Exact L2(open cube) norm of the polyaffine spline gradient, by per-cell
+    2-point Gauss quadrature."""
     g = u.grid
     n = g.dim
-    xs, ws = _gauss01(n_gauss)
+    xs, ws = _gauss01(2)
     total = 0.0
     for axis in range(n):
-        for combo in itertools.product(range(n_gauss), repeat=n):
+        for combo in itertools.product(range(len(xs)), repeat=n):
             r = [xs[c] for c in combo]
             wgt = float(np.prod([ws[c] for c in combo]))
             total += wgt * float(np.sum(_pa_cells(u, r, axis) ** 2))
@@ -262,17 +253,14 @@ def pa_grad_l2_norm(u: Field, n_gauss: int = 2) -> float:
     return float(np.sqrt(g.spacing ** (n - 2) * total))
 
 
-def pc_gap_to_function(
-    u: Field, fn: Callable[[np.ndarray], np.ndarray], n_gauss: int = 4
-) -> float:
+def pc_gap_to_function(u: Field, fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2(open cube) distance between the piecewise-constant spline of u and a
-    function, by Gauss quadrature on every clipped node cell."""
+    function, by 4-point Gauss quadrature on every clipped node cell."""
     g = u.grid
     lo, hi = _cell_bounds(g)
-    xs, ws = _gauss01(n_gauss)
+    xs, ws = _gauss01(4)
     fvals = _cell_samples(fn, g, xs)
     n = g.nodes_per_axis
-    q = n_gauss
     uvals = u.values.reshape(
         tuple(itertools.chain.from_iterable((n, 1) for _ in range(g.dim)))
     )
@@ -281,7 +269,7 @@ def pc_gap_to_function(
     for k in range(g.dim):
         wshape = [1] * (2 * g.dim)
         wshape[2 * k] = n
-        wshape[2 * k + 1] = q
+        wshape[2 * k + 1] = len(ws)
         wk = (lengths[:, None] * ws[None, :]).reshape(wshape)
         diff2 = diff2 * wk
     return float(np.sqrt(np.sum(diff2)))

@@ -1,6 +1,5 @@
 """Model coefficients: the degenerate nonlinearity, its smooth regularization,
-source/noise/drift presets, the exponential growth bound, and sampled checks
-of the structural assumptions the estimates rest on.
+source/noise/drift presets and the exponential growth bound.
 
 The conserved quantity is v = beta(c) with beta(c) = c**(1/m) for an exponent
 m > 1: beta' blows up at c = 0 while its reciprocal 1/beta' = m*c**(1-1/m)
@@ -11,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -477,150 +476,6 @@ def r2_bound(T: float, R0: float, beta_family: BetaFamily) -> float:
         raise ValueError("r2_bound needs T >= 0 and R0 >= 0")
     inner = math.exp(T * R0) * (float(beta_family.beta(np.float64(R0))) + 1.0) - 1.0
     return float(beta_family.beta_inv(np.float64(inner)))
-
-
-# ---------------------------------------------------------------------------
-# assumption audit
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    measured: float
-    limit: float | None = None
-    where: float | None = None
-
-
-@dataclass(frozen=True)
-class AssumptionProfile:
-    """Parameters the structural assumptions are audited against: Hoelder
-    exponents m1, m2 for the nonlinearity, the degeneracy weight bound mu on
-    (0, m_bound], and the two radii bounding data and coefficients."""
-
-    m1: float
-    m2: float
-    mu: float
-    m_bound: float
-    R0: float
-    R1: float
-
-
-def pme_profile(m: float, R0: float = 1.0, R1: float = 10.0, m_bound: float = 1.0) -> AssumptionProfile:
-    """Profile under which the degenerate family passes its own audit:
-    both exponents equal m, so c**(1-1/m2) * beta'(c) is the constant 1/m."""
-    return AssumptionProfile(m1=m, m2=m, mu=1.0 / m, m_bound=m_bound, R0=R0, R1=R1)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    entries: tuple[CheckEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
-def validate_assumptions(
-    coeffs: CoefficientSet,
-    profile: AssumptionProfile,
-    T: float,
-    sample_density: int = 1000,
-) -> AssumptionReport:
-    """Sampled audit of the structural assumptions on (beta, f, a, b).
-
-    Every condition is checked on a sampled range and reported with its
-    measured supremum; nothing raises, failures are entries with
-    ``passed=False``.
-    """
-    fam = coeffs.beta_family
-    r2 = r2_bound(T, profile.R0, fam)
-    c_hi = max(r2, 1e-6)
-    n = max(int(sample_density), 8)
-    entries: list[CheckEntry] = []
-
-    cs = np.linspace(0.0, c_hi, n)
-    cs_pos = cs[1:]
-
-    # beta fixes the origin and inverts exactly
-    beta0 = abs(float(fam.beta(np.float64(0.0))))
-    entries.append(CheckEntry("beta_at_zero", beta0 <= 1e-14, beta0, 1e-14))
-    round_trip = float(np.max(np.abs(fam.beta_inv(fam.beta(cs)) - cs)))
-    entries.append(
-        CheckEntry("beta_inverse_roundtrip", round_trip <= 1e-9 * max(c_hi, 1.0), round_trip)
-    )
-
-    # strictly increasing with decreasing positive derivative
-    bvals = fam.beta(cs)
-    increasing = bool(np.all(np.diff(bvals) > 0.0))
-    entries.append(CheckEntry("beta_increasing", increasing, float(np.min(np.diff(bvals)))))
-    bp = fam.beta_prime(cs_pos)
-    positive = bool(np.all(bp > 0.0))
-    entries.append(CheckEntry("beta_prime_positive", positive, float(np.min(bp))))
-    decreasing = bool(np.all(np.diff(bp) <= 1e-12 * np.abs(bp[:-1])))
-    entries.append(CheckEntry("beta_prime_decreasing", decreasing, float(np.max(np.diff(bp)))))
-
-    # Hoelder seminorm of the reciprocal derivative, exponent 1 - 1/m1
-    sub = np.unique(np.concatenate([np.linspace(0.0, c_hi, 160), np.geomspace(c_hi * 1e-8, c_hi, 80)]))
-    rvals = fam.recip_beta_prime(sub)
-    alpha = 1.0 - 1.0 / profile.m1
-    diff = np.abs(rvals[:, None] - rvals[None, :])
-    gaps = np.abs(sub[:, None] - sub[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = np.where(gaps > 0.0, diff / gaps**alpha, 0.0)
-    hoelder = float(np.max(quot))
-    entries.append(CheckEntry("recip_prime_hoelder", hoelder <= profile.R1, hoelder, profile.R1))
-
-    # weighted derivative bound on (0, m_bound]
-    ms = np.linspace(profile.m_bound / n, profile.m_bound, n)
-    weighted = ms ** (1.0 - 1.0 / profile.m2) * fam.beta_prime(ms)
-    w_sup = float(np.max(weighted))
-    entries.append(
-        CheckEntry(
-            "weighted_prime_bound",
-            bool(np.isfinite(w_sup) and w_sup <= profile.mu * (1.0 + 1e-9)),
-            w_sup,
-            profile.mu,
-            float(ms[int(np.argmax(weighted))]),
-        )
-    )
-
-    # reaction growth against beta + 1, and nonnegativity on the c = 0 edge
-    y_hi = max(profile.R0, 1.0) * 10.0
-    ys = np.linspace(0.0, y_hi, 200)
-    cc, yy = np.meshgrid(np.linspace(0.0, c_hi, 200), ys, indexing="ij")
-    fvals = coeffs.f(cc, yy)
-    growth = fvals / (fam.beta(cc) + 1.0)
-    g_sup = float(np.max(growth))
-    entries.append(CheckEntry("source_growth", g_sup <= profile.R0 + 1e-12, g_sup, profile.R0))
-    f_edge = float(np.min(coeffs.f(np.zeros_like(ys), ys)))
-    entries.append(CheckEntry("source_nonneg_at_degenerate", f_edge >= -1e-14, f_edge))
-
-    # source partial derivatives bounded by R1
-    for name, fn in (("source_dc_bound", coeffs.df_dc), ("source_dy_bound", coeffs.df_dy)):
-        sup = float(np.max(np.abs(fn(cc, yy))))
-        entries.append(CheckEntry(name, sup <= profile.R1, sup, profile.R1))
-
-    # noise amplitude: anchored at zero with bounded derivative
-    a0 = abs(float(coeffs.a(np.float64(0.0))))
-    entries.append(CheckEntry("noise_zero_at_origin", a0 <= 1e-14, a0))
-    ap_sup = float(np.max(np.abs(coeffs.a_prime(ys))))
-    entries.append(CheckEntry("noise_deriv_bound", ap_sup <= profile.R1, ap_sup, profile.R1))
-
-    # drift: inward on the y = 0 edge, partials bounded
-    b_edge = float(np.min(coeffs.b(np.linspace(0.0, c_hi, 200), np.zeros(200))))
-    entries.append(CheckEntry("drift_nonneg_at_zero", b_edge >= -1e-14, b_edge))
-    for name, fn in (("drift_dc_bound", coeffs.db_dc), ("drift_dy_bound", coeffs.db_dy)):
-        sup = float(np.max(np.abs(fn(cc, yy))))
-        entries.append(CheckEntry(name, sup <= profile.R1, sup, profile.R1))
-
-    return AssumptionReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

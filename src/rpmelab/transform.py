@@ -1,6 +1,6 @@
 """Regularizing transformations.
 
-Three ingredients:
+Two ingredients:
 
 * a power map that turns a Hoelder-rough profile into one with bounded
   second differences (composing k -> coef * k**(2/gamma + 1) with a
@@ -15,14 +15,10 @@ Three ingredients:
       Psi(k, d) = int_0^k Phi(s, d) * beta'(s) ds,
 
   all cumulative trapezoid sums on a refined grid, subsampled to the
-  requested table;
-
-* a space-time weight vanishing on the parabolic boundary and dominated by
-  both the elapsed time and the distance to the lateral boundary.
+  requested table.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,29 +224,3 @@ def invert_psi(psi: TabulatedTransform, values, d: float) -> np.ndarray:
         frac = np.where(run > 0.0, (vals - col[idx]) / run, 0.0)
     return psi.k_grid[idx] + frac * (psi.k_grid[idx + 1] - psi.k_grid[idx])
 
-
-# ---------------------------------------------------------------------------
-# parabolic-boundary weight
-
-
-def gamma_weight(t, points: np.ndarray, kappa: float | None = None) -> np.ndarray:
-    """Space-time weight kappa * tanh(t) * prod_i x_i (1 - x_i).
-
-    With the default kappa = 4**(dim-1) it is dominated by the elapsed time
-    and by the distance to the lateral boundary, and vanishes on the
-    parabolic boundary t = 0, x in boundary.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    dim = points.shape[-1]
-    if kappa is None:
-        kappa = 4.0 ** (dim - 1)
-    out = np.full(points.shape[:-1], kappa) * np.tanh(np.asarray(t, dtype=np.float64))
-    for k in range(dim):
-        out = out * points[..., k] * (1.0 - points[..., k])
-    return out
-
-
-def boundary_distance(points: np.ndarray) -> np.ndarray:
-    """Distance to the boundary of the unit cube."""
-    points = np.asarray(points, dtype=np.float64)
-    return np.min(np.minimum(points, 1.0 - points), axis=-1)

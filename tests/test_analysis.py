@@ -15,10 +15,8 @@ from rpmelab.analysis import (
     malliavin_report_steps,
     moment_report,
     overlap_matrix,
-    pc_cross_distance_sq,
     pc_cross_inner,
     transform_report,
-    transform_trajectory_report,
     weak_residual,
 )
 from rpmelab.grid import BoundaryKind, Field, build_grid, free_node_count, sample_nodal
@@ -32,7 +30,7 @@ from rpmelab.model import (
     regularize_beta,
 )
 from rpmelab.simulate import SimConfig, gen_wiener, prepare_initial, simulate_path
-from rpmelab.transform import build_transform_pair, degeneracy_weight, holder_power_transform
+from rpmelab.transform import build_transform_pair, degeneracy_weight
 
 
 def test_estimate_report_pass_logic():
@@ -64,7 +62,6 @@ def test_cross_inner_same_grid_matches_pc_inner():
     u = Field(grid, rng.uniform(size=grid.shape))
     w = Field(grid, rng.uniform(size=grid.shape))
     assert pc_cross_inner(u, w) == pytest.approx(pc_l2_inner(u, w), rel=1e-13)
-    assert pc_cross_distance_sq(u, u) < 1e-14
 
 
 def test_cross_inner_matches_midpoint_quadrature():
@@ -409,13 +406,3 @@ def test_transform_report_green_for_degenerate_weight():
         "big_phi_mixed_partial_min",
         "psi_round_trip",
     }
-
-
-def test_transform_trajectory_report_smoke():
-    run, _, _ = _dirichlet_sine_run(cells=8, t_final=0.01)
-    tf = holder_power_transform(0.5)
-    reports = transform_trajectory_report(run, tf)
-    assert all(r.bound is None for r in reports)
-    by_name = {r.name: r for r in reports}
-    assert by_name["transformed_sup"].measured > 0.0
-    assert math.isfinite(by_name["transformed_grad_sq_time_integral"].measured)

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from rpmelab import grid as grid_module
 from rpmelab.grid import (
     Field,
-    GridSpec,
     Hminus2Solver,
     backward_diff,
     build_grid,
-    chain_rule_residual,
     forward_diff,
     free_node_count,
     grad_h1_seminorm,
@@ -359,20 +357,14 @@ def test_hminus2_norm_factorizes_only_for_a_field_nonzero_on_free_nodes(monkeypa
     assert hminus2_norm(Field(g, values)) > 0.0 and built == [g]
 
 
-def test_chain_rule_exact_for_cubic():
-    g = build_grid(1, 9)
-    rng = np.random.default_rng(2)
-    u = Field(g, rng.uniform(0.0, 2.0, size=g.shape))
-    r = chain_rule_residual(lambda s: s**3, lambda s: 3 * s**2, u, 0, quad_order=2)
-    assert r < 1e-12
-
-
-def test_chain_rule_residual_smooth():
-    for dim in (1, 2):
-        g = build_grid(dim, 8)
-        u = sample_nodal(g, lambda x: np.sin(np.pi * x[..., 0]) + 0.1)
-        r = chain_rule_residual(np.exp, np.exp, u, 0, quad_order=8)
-        assert r < 1e-10
+@pytest.mark.parametrize("order", [2, 4, 16])
+def test_gauss01_exact_to_degree_two_order_minus_one(order):
+    # the orders pa_grad_l2_norm, pa_lp_norm / pc_gap_to_function and
+    # convex_energy use: exact for x**k, k <= 2*order - 1
+    x, w = grid_module._gauss01(order)
+    assert np.all((x > 0.0) & (x < 1.0)) and np.all(w > 0.0)
+    for k in range(2 * order):
+        assert np.dot(w, x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
 
 def test_grad_h1_seminorm_runs():

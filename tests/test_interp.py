@@ -25,7 +25,6 @@ from rpmelab.interp import (
     pc_eval,
     pc_gap_to_function,
     pc_l2_inner,
-    pc_lp_norm,
     pc_spline,
     project,
 )
@@ -218,7 +217,7 @@ def test_pc_gap_to_function_exact_case():
     # distance from the zero field to the identity is the L2 norm of x
     g = build_grid(1, 3)
     z = Field(g, np.zeros(g.shape))
-    val = pc_gap_to_function(z, lambda x: x[..., 0], n_gauss=4)
+    val = pc_gap_to_function(z, lambda x: x[..., 0])
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 

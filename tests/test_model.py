@@ -1,23 +1,19 @@
-"""Coefficient families: nonlinearity algebra, presets, the growth bound,
-and the sampled assumption audit."""
+"""Coefficient families: nonlinearity algebra, presets and the growth bound."""
 import math
 
 import numpy as np
 import pytest
 
 from rpmelab.model import (
-    AssumptionProfile,
     barenblatt_profile,
     barenblatt_support_radius,
     beta_gap,
     initial_preset,
     make_coefficients,
     pme_beta,
-    pme_profile,
     preset_coefficients,
     r2_bound,
     regularize_beta,
-    validate_assumptions,
 )
 
 
@@ -32,11 +28,39 @@ def test_pme_beta_values():
     assert not fam.smooth
 
 
-def test_pme_beta_roundtrip_and_monotone():
-    fam = pme_beta(3.0)
+@pytest.mark.parametrize(
+    "fam",
+    [pme_beta(2.0), pme_beta(3.0), regularize_beta(2.0, 1e-3), regularize_beta(3.0, 1e-3)],
+    ids=["pme:2", "pme:3", "regularized:2:1e-3", "regularized:3:1e-3"],
+)
+def test_pme_beta_roundtrip_and_monotone(fam):
+    # beta inverts and increases strictly; beta' is positive and nonincreasing on (0, 7]
     cs = np.linspace(0.0, 7.0, 301)
+    assert fam.beta(np.float64(0.0)) == 0.0
     assert np.max(np.abs(fam.beta_inv(fam.beta(cs)) - cs)) < 1e-12
     assert np.all(np.diff(fam.beta(cs)) > 0.0)
+    bp = fam.beta_prime(cs[1:])
+    assert np.all(bp > 0.0)
+    assert np.all(np.diff(bp) <= 0.0)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [pme_beta(2.0), pme_beta(3.0), regularize_beta(2.0, 1e-3), regularize_beta(3.0, 1e-3)],
+    ids=["pme:2", "pme:3", "regularized:2:1e-3", "regularized:3:1e-3"],
+)
+def test_recip_beta_prime_hoelder(fam):
+    # 1/beta' = m*(c + eps)**alpha, alpha = 1 - 1/m, has Hoelder constant m
+    # for exponent alpha; the degenerate family attains it against c = 0
+    alpha = 1.0 - 1.0 / fam.m
+    cs = np.unique(np.concatenate([np.linspace(0.0, 7.0, 160), np.geomspace(1e-8, 7.0, 80)]))
+    r = fam.recip_beta_prime(cs)
+    gaps = np.abs(cs[:, None] - cs[None, :])
+    off = gaps > 0.0
+    quot = np.abs(r[:, None] - r[None, :])[off] / gaps[off] ** alpha
+    assert np.max(quot) <= fam.m * (1.0 + 1e-12)
+    if not fam.smooth:
+        assert np.max(quot) == pytest.approx(fam.m, rel=1e-12)
 
 
 def test_bad_exponent_rejected():
@@ -113,6 +137,23 @@ def test_noise_and_drift_presets():
     assert b.fn(np.float64(1.0), np.float64(0.5)) == pytest.approx(-0.5, abs=1e-15)
     assert b.d_c(np.float64(0.0), np.float64(0.0)) == 0.5
     assert b.d_y(np.float64(0.0), np.float64(0.0)) == -2.0
+
+
+def test_presets_keep_concentration_and_y_nonnegative_on_the_edges():
+    # f(0, y) >= 0, a(0) = 0 and b(c, 0) >= 0: no preset pushes c or y
+    # below zero from the boundary of the nonnegative quadrant
+    grid = np.linspace(0.0, 20.0, 201)
+    zeros = np.zeros_like(grid)
+    for params in ({}, {"lambda": 3.0, "K": 0.5, "mu_y": 0.7}):
+        src = preset_coefficients("logistic_f", params)
+        assert np.all(src.fn(zeros, grid) >= 0.0)
+    for name in ("linear_a", "saturating_a"):
+        noise = preset_coefficients(name, {"sigma": 0.8})
+        assert noise.fn(np.float64(0.0)) == 0.0
+        assert np.all(noise.fn(grid) >= 0.0)
+    for params in ({}, {"kappa": 0.5, "rho": 4.0}, {"kappa": 0.0, "rho": 2.0}):
+        drift = preset_coefficients("coupling_b", params)
+        assert np.all(drift.fn(grid, zeros) >= 0.0)
 
 
 def test_preset_rejects_unknown_keys_and_bad_signs():
@@ -197,53 +238,6 @@ def test_weighted_derivative_constant_for_matched_exponent():
     cs = np.geomspace(1e-10, 1.0, 200)
     weighted = cs ** (1.0 - 1.0 / 3.0) * fam.beta_prime(cs)
     assert np.max(np.abs(weighted - 1.0 / 3.0)) < 1e-12
-
-
-def test_validate_assumptions_passes_for_benign_bundle():
-    coeffs = make_coefficients(
-        pme_beta(2.0),
-        f=preset_coefficients("logistic_f", {"lambda": 1.0, "K": 1.0, "mu_y": 0.5}),
-        a=preset_coefficients("linear_a", {"sigma": 0.3}),
-        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 1.0}),
-    )
-    # |d_y f| ~ mu_y * lambda * c**2 over the reachable range c <= 19.7
-    profile = pme_profile(2.0, R0=1.0, R1=200.0)
-    report = validate_assumptions(coeffs, profile, T=1.0)
-    failing = [e.name for e in report.entries if not e.passed]
-    assert report.passed, failing
-    w = report.entry("weighted_prime_bound")
-    assert w.measured == pytest.approx(0.5, rel=1e-9)
-
-
-def test_validate_assumptions_regularized_family():
-    coeffs = make_coefficients(regularize_beta(2.0, 1e-3))
-    report = validate_assumptions(coeffs, pme_profile(2.0, R0=1.0, R1=50.0), T=1.0)
-    assert report.passed, [e.name for e in report.entries if not e.passed]
-
-
-def test_validate_assumptions_flags_violations():
-    coeffs = make_coefficients(pme_beta(3.0))
-    # matched exponent: measured weighted sup is exactly 1/3
-    good = validate_assumptions(coeffs, pme_profile(3.0, R1=50.0), T=0.5)
-    assert good.entry("weighted_prime_bound").passed
-    assert good.entry("weighted_prime_bound").measured == pytest.approx(1.0 / 3.0, rel=1e-9)
-    # exponent m2 = 3/2 makes the weight too weak: the sup blows up near 0
-    bad_profile = AssumptionProfile(m1=3.0, m2=1.5, mu=1.0 / 3.0, m_bound=1.0, R0=1.0, R1=50.0)
-    bad = validate_assumptions(coeffs, bad_profile, T=0.5)
-    entry = bad.entry("weighted_prime_bound")
-    assert not entry.passed
-    assert entry.measured > 3.0
-    assert not bad.passed
-
-
-def test_validate_assumptions_reports_source_growth():
-    # lambda far beyond R0 breaks the growth condition and is reported, not raised
-    coeffs = make_coefficients(
-        pme_beta(2.0), f=preset_coefficients("logistic_f", {"lambda": 40.0, "K": 1.0})
-    )
-    report = validate_assumptions(coeffs, pme_profile(2.0, R0=1.0, R1=1e4), T=0.25)
-    assert not report.entry("source_growth").passed
-    assert report.entry("source_growth").measured > 1.0
 
 
 def test_initial_presets():

@@ -1,19 +1,15 @@
 """Regularizing transforms: power-map smoothing, tabulated double integrals
-against closed forms, monotone inversion, and the parabolic-boundary weight."""
-import math
-
+against closed forms, and monotone inversion."""
 import numpy as np
 import pytest
 
 from rpmelab.model import BetaFamily, pme_beta
 from rpmelab.transform import (
     TabulatedTransform,
-    boundary_distance,
     build_transform_pair,
     constant_weight,
     cumulative_trapezoid,
     degeneracy_weight,
-    gamma_weight,
     holder_power_transform,
     invert_psi,
     second_difference_quotient,
@@ -138,30 +134,6 @@ def test_psi_slope_is_phi_times_beta_prime_and_stays_linear():
     ratios_fine = psi_fine.partial_k(d) / (0.5 * (psi_fine.k_grid[:-1] + psi_fine.k_grid[1:]))
     assert np.max(ratios_fine) <= 2.0 * np.max(ratios)
     assert np.max(ratios) <= 2.0 * np.max(ratios_fine)
-
-
-def test_gamma_weight_dominated_by_time_and_distance():
-    rng = np.random.default_rng(11)
-    for dim in (1, 2, 3):
-        pts = rng.random((10_000, dim))
-        ts = rng.random(10_000) * 3.0
-        g = gamma_weight(ts, pts)
-        assert np.min(g) >= 0.0
-        assert np.all(g <= ts + 1e-12)
-        assert np.all(g <= boundary_distance(pts) + 1e-12)
-        assert np.max(g) <= math.sqrt(dim) / 4.0 + 1e-12
-
-
-def test_gamma_weight_vanishes_on_parabolic_boundary():
-    pts = np.array([[0.0, 0.3], [1.0, 0.7], [0.5, 0.0], [0.5, 1.0]])
-    assert np.all(gamma_weight(2.0, pts) == 0.0)
-    interior = np.array([[0.4, 0.6]])
-    assert gamma_weight(0.0, interior)[0] == 0.0
-    assert gamma_weight(1.0, interior)[0] > 0.0
-    # default prefactor for dim 2 is 4
-    assert gamma_weight(1.0, interior, kappa=4.0)[0] == pytest.approx(
-        gamma_weight(1.0, interior)[0], rel=1e-15
-    )
 
 
 def test_degeneracy_weight_cap_and_origin():
