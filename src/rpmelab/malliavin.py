@@ -136,8 +136,8 @@ def step_malliavin(
         lead = np.broadcast_shapes(z.shape[: z.ndim - dim], c.shape[: c.ndim - dim], dw.shape)
     if primal is None:
         primal = StepBuffers(grid, lead, gates=True)
-        c_full, y_full = (np.ascontiguousarray(np.broadcast_to(a, lead + grid.shape)) for a in (c, y))
-        step(c_full, y_full, grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
+        primal.c[0][...], primal.y[0][...] = c, y
+        step(primal.c[0], primal.y[0], grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
     if work is None:
         work = TangentBuffers(lead + grid.shape, c.shape)
     drc, lap, t, u = work.drc, work.lap, work.t, work.u

@@ -38,9 +38,14 @@ _FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
-# the shared c of a wave: K + 1 slots of a c row and its v-gates, 9 bytes a
-# node, for the lanes to read a block of K steps from; K is 29 at 2D 32^2
-_BLOCK_BYTES = 300 * 2**10
+# the shared c of a wave: K + 1 slots of a c row and its v-gates, a step
+# charged 9 bytes a node and _SLOT_VIEWS, for the lanes to read a block of
+# K steps from; K is 29 at 2D 32^2
+_BLOCK_BYTES = 420 * 2**10
+# the numpy views of a _CSlot with v-gates, about 1.3 KiB in 1D, 2.2 KiB in
+# 2D and 3.2 KiB in 3D, so a small grid cannot fill the budget with
+# thousands of slots
+_SLOT_VIEWS = 4 * 2**10
 # steps of seeded noise drawn at a time; a Philox stream gives the same bits
 # in any blocking, so this bounds the noise buffer and changes no result
 _NOISE_BLOCK = 512
@@ -81,12 +86,6 @@ class WienerPath:
     @property
     def t_final(self) -> float:
         return self.n_steps * self.dt
-
-    def cumulative(self) -> np.ndarray:
-        """W at the step endpoints, starting from 0."""
-        out = np.zeros(self.increments.shape[:-1] + (self.n_steps + 1,))
-        np.cumsum(self.increments, axis=-1, out=out[..., 1:])
-        return out
 
 
 def gen_wiener(n_steps: int, dt: float, seed: int, path_id: int = 0) -> WienerPath:
@@ -236,28 +235,26 @@ class StepBuffers:
     two for the update of v) and the coefficient scratch, all shaped like the
     state, plus one boundary face and the clamp mass per leading index; with
     ``gates``, the clamp gates of the last step (v+ < 0 on the update band,
-    y+ < 0) as boolean masks.  With ``shared_c`` every c-side array has
-    leading axes of 1, for one c shared by all paths, and y gets a scratch
-    array of its own; ``half`` "c" or "y" keeps only the arrays of that half
-    of a step (see ``step``).  What a step reads is bound once: the ``slot``
-    of each copy of c and, at the first step under a coefficient set, the
-    in-place cores of f, beta, beta_inv, a and b, which get the coefficient
-    scratch, so a warm step is a flat run of ufuncs.  A step with a
-    workspace returns views of these, valid until its next step."""
+    y+ < 0) as boolean masks.  ``half`` "c" or "y" keeps only the arrays of
+    that half of a step (see ``step``), and a y half gets a y scratch of its
+    own.  What a step reads is bound once: the ``slot`` of each copy of c,
+    the ``own`` views of a step from each copy and, at the first step under
+    a coefficient set, the in-place cores of f, beta, beta_inv, a and b,
+    which get the coefficient scratch, so a warm step is a flat run of
+    ufuncs.  A step returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
-                 shared_c: bool = False, half: str | None = None):
+                 half: str | None = None):
         shape = tuple(lead) + grid.shape
-        c_shape = (1,) * len(lead) + grid.shape if shared_c else shape
         self.dim, self.h, self.cell = grid.dim, grid.spacing, grid.spacing**grid.dim
         self.c, self.y, self.v_gate, self.y_gate, self.coeffs = (), (), None, None, None
-        self.tmp = np.empty(c_shape if half == "c" else shape)
+        self.tmp = np.empty(shape)
         if half != "y":
-            self.c = (np.empty(c_shape), np.empty(c_shape))
-            self.lap, self.v, self.u = np.empty(c_shape), np.empty(c_shape), np.empty(c_shape)
-            self.face = np.empty(c_shape[:-1])
-            self.mass = np.empty(c_shape[: len(lead)])
-            self.v_gate = np.zeros(c_shape, bool) if gates else None
+            self.c = (np.empty(shape), np.empty(shape))
+            self.lap, self.v, self.u = np.empty(shape), np.empty(shape), np.empty(shape)
+            self.face = np.empty(shape[:-1])
+            self.mass = np.empty(shape[: len(lead)])
+            self.v_gate = np.zeros(shape, bool) if gates else None
             # the flat band of the update (see step), the interior of v and
             # its copy at the head of u, whose rows the clamp mass sums
             self.lap_b, self.v_b, self.u_b = (_stencil(a, grid.dim)[0] for a in (self.lap, self.v, self.u))
@@ -267,10 +264,12 @@ class StepBuffers:
             self.clamp_rows = self.clamped.reshape(self.mass.shape + (-1,))
         if half != "c":
             self.y = (np.empty(shape), np.empty(shape))
-            self.y_scratch = self.lap if half is None and c_shape == shape else np.empty(shape)
+            self.y_scratch = self.lap if half is None else np.empty(shape)
             self.y_gate = np.zeros(shape, bool) if gates else None
         self.slots = tuple(self.slot(c, self.mass, self.v_gate) for c in self.c)
-        self.own = tuple(self.views(c, y) for c, y in zip(self.c, self.y))
+        # (slot of c, y band, slot of the new c, new y) of a step from each copy
+        self.own = tuple((src, _stencil(y, grid.dim)[0], dst, y_new) for src, y, dst, y_new
+                         in zip(self.slots, self.y, self.slots[::-1], self.y[::-1]))
 
     def bind(self, coeffs: CoefficientSet) -> None:
         """Take the cores ``core(*args, out, tmp)`` of f, beta, beta_inv, a
@@ -287,20 +286,15 @@ class StepBuffers:
         return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1),
                       mass, v_gate, gate_b)
 
-    def views(self, c: np.ndarray, y: np.ndarray) -> tuple:
-        """(slot of c, y band, slot of the new c, new y) of a step from ``c``
-        and ``y``; ``own`` keeps those of the workspace's copies."""
-        new = int(c is self.c[0])  # the copy the new c goes to
-        src = self.slots[1 - new] if c is self.c[1 - new] else self.slot(c, self.mass, self.v_gate)
-        y_new = self.y[1] if y is self.y[0] else self.y[0]
-        return src, _stencil(y, self.dim)[0][: src.band.size], self.slots[new], y_new
-
 
 def path_bytes(grid: GridSpec, frames: int) -> int:
-    """Bytes one path holds: the eight arrays over all nodes of its
-    workspace (c and y in two copies, three scratch arrays and the
-    coefficient scratch, see ``StepBuffers``), and ``frames`` stored frames
-    of c and y in float64."""
+    """Bytes a chunk is charged per path: eight arrays over all nodes (the
+    workspace of a lane that steps c and y: c and y in two copies, three
+    scratch arrays and the coefficient scratch, see ``StepBuffers``), and
+    ``frames`` stored frames of c and y in float64.  A lane of a one-way
+    run holds four (y, its copy, the y scratch and the coefficient scratch),
+    but is charged eight all the same: at four, ensemble-2d's chunks would
+    double and its peak RSS grow by about 10% (from the workspace sizes)."""
     return 8 * 8 * grid.n_nodes + 16 * grid.n_nodes * frames
 
 
@@ -325,31 +319,33 @@ def step(
     """One explicit step, ``_c_half`` then ``_y_half``.  ``c`` and ``y`` have
     trailing grid shape (leading axes are independent paths) and ``c``
     already satisfies the boundary rule; ``dW`` broadcasts against the
-    leading axes.  When the reaction term does not read y, ``c`` may have
-    leading axes of 1, one c shared by every path of ``y``: its half of the
-    step then runs once, with f given the first path of y, and b broadcasts
-    it to every path.  ``c_new``, the slot a c half from ``c`` wrote
-    elsewhere with its v-gates, leaves only the y half to this call.
+    leading axes.  ``c_new``, the slot with v-gates that a c half from ``c``
+    wrote elsewhere, leaves only the y half to this call; ``c`` may then be
+    one row that b broadcasts to every path of ``y``.
 
-    Every intermediate goes into ``work`` (a fresh workspace when None) and
-    the new state into the copies of c and y in ``work`` that do not hold the
-    input, so a loop that passes each result back in allocates nothing.  The
-    update of v runs on the flat band of ``laplacian_core`` (boundary nodes
-    inside it get scratch values that the boundary rule then replaces); per
-    node the operations and their order are those of the formulas in the
-    module docstring.
+    Every intermediate goes into ``work`` and the new state into the copies
+    of c and y in ``work`` that do not hold the input, so a loop that passes
+    each result back in allocates nothing.  A step of c reads c and y from
+    the copies in ``work`` and raises ``ValueError`` for other arrays; with
+    ``work`` None they are copied into a fresh workspace, a one-row c into
+    every path.  The update of v runs on the flat band of ``laplacian_core``
+    (boundary nodes inside it get scratch values that the boundary rule then
+    replaces); per node the operations and their order are those of the
+    formulas in the module docstring.
     """
-    if c.shape != y.shape and coeffs.source.reads_y:
-        raise ValueError("c shared by several paths needs a reaction term that ignores y")
     if work is None:
-        work = StepBuffers(grid, y.shape[: y.ndim - grid.dim], shared_c=c.shape != y.shape)
+        work = StepBuffers(grid, y.shape[: y.ndim - grid.dim])
+        work.c[0][...], work.y[0][...] = c, y
+        c, y = work.c[0], work.y[0]
     if work.coeffs is not coeffs:
         work.bind(coeffs)
     if getattr(dW, "ndim", None) != y.ndim and y.ndim > grid.dim:  # one increment per path
         dW = np.reshape(dW, np.shape(dW) + (1,) * grid.dim)
     if c_new is None:
         i = y is work.y[1]
-        src, y_b, c_new, y_new = work.own[i] if c is work.c[i] and y is work.y[i] else work.views(c, y)
+        if c is not work.c[i] or y is not work.y[i]:
+            raise ValueError("a step of c reads c and y from a copy of each in its workspace")
+        src, y_b, c_new, y_new = work.own[i]
         _c_half(src, y_b, c_new, bc, dt, work)
     else:
         y_new = work.y[1] if y is work.y[0] else work.y[0]
@@ -382,7 +378,7 @@ def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> 
 
 def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work: StepBuffers) -> None:
     """y+ = max(y + a(y) dW + b(c, y) dt, 0) into ``y_new``, its gates into ``work``."""
-    scratch = work.y_scratch  # the Laplacian's array, used up, unless c is shared
+    scratch = work.y_scratch  # the Laplacian's array, used up, in a workspace of c and y
     scratch[...] = dw  # a ufunc broadcasting dw would buffer
     np.multiply(work.a(y, y_new, work.tmp), scratch, out=y_new)
     np.add(y, y_new, out=y_new)
@@ -486,7 +482,7 @@ def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
             raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
 
 
-def _shared_c(config: SimConfig, part: EnsembleResult, block: int, on_step):
+def _wave_c(config: SimConfig, part: EnsembleResult, block: int, on_step):
     """(slots, advance) of the one c of the paths of ``part``, for a source
     that ignores y; lanes fill slot 0, ``advance(n)`` takes and ``_track``s
     step n into slot n % (block + 1), with v-gates if ``on_step`` reads them."""
@@ -514,8 +510,7 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     step, its start state, increments and workspace, gates if it ``reads_gates``."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
     gates = getattr(on_step, "reads_gates", False)
-    half = None if slots is None else "y"
-    work = StepBuffers(grid, (len(part.path_ids),), gates, not coeffs.source.reads_y, half)
+    work = StepBuffers(grid, (len(part.path_ids),), gates, None if slots is None else "y")
     c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
     ring = slots or [None]  # c_new of step n for step: a slot, or None to step c here
@@ -599,9 +594,9 @@ def simulate_ensemble(
     Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
     fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out,
     and the chunks in waves of ``n_workers`` lanes (see ``_run_wave``), one
-    workspace a lane.  When f ignores y, this thread steps the one c of a
-    wave in blocks of steps that fit ``_BLOCK_BYTES`` and its lanes step
-    only y.  Results are bitwise independent of the chunking and the worker
+    workspace a lane.  When f ignores y, this thread steps the one c of
+    every wave, of one lane or several, in blocks of steps that fit
+    ``_BLOCK_BYTES`` and its lanes step only y.  Results are bitwise independent of the chunking and the worker
     count.  With ``n_snapshots`` every chunk records ``n_snapshots + 1``
     uniformly spaced frames: into its paths of the result's frame stacks,
     or, given ``on_chunk``, into frames of its own that are passed to
@@ -666,14 +661,14 @@ def simulate_ensemble(
         return _lane(config, c_init, y_init, noise, part, stride, first, slots)
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
-    width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (9 * grid.n_nodes)))
+    width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (9 * grid.n_nodes + _SLOT_VIEWS)))
     pool = concurrent.futures.ThreadPoolExecutor(width - 1) if min(width, len(chunks)) > 1 else None
     with pool or contextlib.nullcontext():  # a thread pool only for waves of several lanes
         for wave in (chunks[i : i + width] for i in range(0, len(chunks), width)):
             slots = advance = None
-            if len(wave) > 1 and not config.coeffs.source.reads_y:
+            if not config.coeffs.source.reads_y:
                 span = result._paths(slice(wave[0].start, wave[-1].stop))
-                slots, advance = _shared_c(config, span, block, on_step if wave[0].start == 0 else None)
+                slots, advance = _wave_c(config, span, block, on_step if wave[0].start == 0 else None)
             # the lanes, and their workspaces, are freed as the wave returns
             parts = [result._paths(rows) for rows in wave]
             _run_wave([lane(*args, slots) for args in zip(wave, parts)], advance, n_steps, block, pool)

@@ -33,21 +33,13 @@ from .model import BetaFamily
 
 @dataclass(frozen=True)
 class PowerTransform:
-    """k -> coef * k**power on the half line, with derivative and inverse."""
+    """k -> coef * k**power on the half line."""
 
     coef: float
     power: float
 
     def __call__(self, k):
         return self.coef * np.maximum(np.asarray(k, dtype=np.float64), 0.0) ** self.power
-
-    def derivative(self, k):
-        k = np.maximum(np.asarray(k, dtype=np.float64), 0.0)
-        return self.coef * self.power * k ** (self.power - 1.0)
-
-    def inverse(self, v):
-        v = np.maximum(np.asarray(v, dtype=np.float64), 0.0)
-        return (v / self.coef) ** (1.0 / self.power)
 
 
 def holder_power_transform(gamma: float) -> PowerTransform:
@@ -134,11 +126,6 @@ class TabulatedTransform:
         """Table values along k at fixed d (linear in d)."""
         di, df = self._locate(self.d_grid, np.asarray(float(d)))
         return self.table[:, di] * (1 - df) + self.table[:, di + 1] * df
-
-    def partial_k(self, d: float) -> np.ndarray:
-        """Forward-difference k-derivative of the fixed-d column, at midpoints."""
-        col = self.column(d)
-        return np.diff(col) / np.diff(self.k_grid)
 
     def mixed_partial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Central-difference d2/dkdd on the interior table nodes."""

@@ -260,7 +260,8 @@ def test_step_malliavin_batches_seeds_bitwise():
 
 
 def test_sweep_steps_the_primal_once_per_step(monkeypatch):
-    # one primal pass carries every seed
+    # one primal pass carries every seed: each half runs once per step, the
+    # c half of a step before its y half (a shared c runs ahead in blocks)
     config = geometric_config()
     wiener = seeded_wiener(config, c0_sine, y0_affine, 5)
     halves, seen = [], []
@@ -270,7 +271,9 @@ def test_sweep_steps_the_primal_once_per_step(monkeypatch):
     propagate_path(
         config, c0_sine, y0_affine, wiener, [30, 12, 40], on_frame=lambda k, c, y: seen.append(k)
     )
-    assert halves == ["_c_half", "_y_half"] * wiener.n_steps
+    c_at, y_at = ([i for i, name in enumerate(halves) if name == half] for half in ("_c_half", "_y_half"))
+    assert len(c_at) == len(y_at) == len(halves) // 2 == wiener.n_steps
+    assert all(i < j for i, j in zip(c_at, y_at))
     assert seen == list(range(1, wiener.n_steps + 1))
 
 
@@ -447,7 +450,8 @@ def test_sweep_zeroes_the_derivative_where_either_clamp_bites():
     gates = StepBuffers(grid, gates=True)
     v_bites = y_bites = 0
     for k in range(12):
-        step(c[k], y[k], grid, coeffs, config.bc, dt, wiener.increments[k], gates)
+        gates.c[0][...], gates.y[0][...] = c[k], y[k]
+        step(gates.c[0], gates.y[0], grid, coeffs, config.bc, dt, wiener.increments[k], gates)
         v_bites += int(np.sum(gates.v_gate[(slice(1, -1),) * 2]))
         y_bites += int(np.sum(gates.y_gate))
     assert v_bites > 0 and y_bites > 0

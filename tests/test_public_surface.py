@@ -1,7 +1,7 @@
 """The library surface: every public top-level function and class in
-``src/rpmelab`` is used somewhere other than its own definition and the
-package's export list, so code that only its own unit test reaches does not
-accumulate."""
+``src/rpmelab``, and every public method of such a class, is used somewhere
+other than its own definition and the package's export list, so code that
+only its own unit test reaches does not accumulate."""
 import ast
 from pathlib import Path
 
@@ -30,8 +30,9 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _survey() -> tuple[dict[str, str], set[str]]:
-    """Public top-level definitions (name -> module) and every name used
-    outside its own definition in src/, the acceptance tests or bench/."""
+    """Public top-level definitions and public methods of top-level classes
+    (name or class.method -> module), and every name used outside its own
+    definition in src/, the acceptance tests or bench/."""
     defined, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -42,6 +43,9 @@ def _survey() -> tuple[dict[str, str], set[str]]:
                 if not stmt.name.startswith("_"):
                     defined[stmt.name] = path.stem
                 names.discard(stmt.name)
+            for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("_"):
+                    defined[f"{stmt.name}.{sub.name}"] = path.stem
             used |= names
     for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]:
         used |= _names(ast.parse(path.read_text(encoding="utf-8")))
@@ -50,10 +54,9 @@ def _survey() -> tuple[dict[str, str], set[str]]:
 
 def test_every_public_definition_has_a_use_beyond_its_unit_tests():
     defined, used = _survey()
-    unused = sorted(
-        f"{module}.{name}" for name, module in defined.items()
-        if name not in used and name not in TEST_REFERENCES
-    )
-    assert not unused, f"public definitions that only their own tests reach: {unused}"
-    stale = sorted(set(TEST_REFERENCES) - (defined.keys() - used))
+    # a method counts as used wherever an attribute of its name is read
+    unused = {key for key in defined if key.rpartition(".")[2] not in used}
+    untested = sorted(f"{defined[key]}.{key}" for key in unused - TEST_REFERENCES.keys())
+    assert not untested, f"public definitions that only their own tests reach: {untested}"
+    stale = sorted(TEST_REFERENCES.keys() - unused)
     assert not stale, f"kept as test references but now used elsewhere or gone: {stale}"

@@ -2,6 +2,7 @@
 numpy expressions, free of allocations once warm, and the coefficient `out=`
 contract it relies on; plus chunking invariance and the non-finite abort of
 the ensemble driver."""
+import contextlib
 import os
 import subprocess
 import sys
@@ -148,7 +149,8 @@ def test_band_laplacian_matches_the_strided_sum_bitwise(state):
 def test_workspace_step_matches_the_formulas_bitwise(state, dt, n_steps):
     grid, bc, coeffs, c, y, rng = state
     work = StepBuffers(grid, c.shape[:1])
-    cw, yw = c, y
+    work.c[0][...], work.y[0][...] = c, y
+    cw, yw = work.c[0], work.y[0]
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
             dw = rng.standard_normal(c.shape[0]) * np.sqrt(dt)
@@ -163,34 +165,6 @@ def test_workspace_step_matches_the_formulas_bitwise(state, dt, n_steps):
 
 
 @SETTINGS
-@given(states(), st.floats(1e-6, 1e-2), st.booleans(), st.booleans(), st.sampled_from(["c", "y", "both"]))
-def test_a_step_from_other_arrays_is_bitwise_the_workspace_step(state, dt, gates, shared, foreign):
-    # the workspace takes the views of its own copies once; arrays of the
-    # caller's own, or a copy of c with the other copy of y, take them per call
-    grid, bc, coeffs, c, y, rng = state
-    if shared:
-        coeffs, c = COEFFS["readme"], c[:1]
-    lead = y.shape[:1]
-    own, other = (StepBuffers(grid, lead, gates=gates, shared_c=shared) for _ in range(2))
-    own.c[1][...], own.y[1][...] = c, y
-    other.c[0][...], other.y[1][...] = c, y
-    args = {"c": (c.copy(), other.y[1]), "y": (other.c[0], y.copy()), "both": (c.copy(), y.copy())}
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            dw = rng.standard_normal(lead) * np.sqrt(dt)
-            ref = step(own.c[1], own.y[1], grid, coeffs, bc, dt, dw, work=own)
-            got = step(*args[foreign], grid, coeffs, bc, dt, dw, work=other)
-            for a in ("c", "y", "clamp_mass"):
-                assert same_bits(getattr(got, a), getattr(ref, a)), a
-            if gates:
-                assert same_bits(other.v_gate, own.v_gate) and same_bits(other.y_gate, own.y_gate)
-            # the results are the workspace's own copies: step on from copies again
-            own.c[1][...], own.y[1][...] = ref.c, ref.y
-            args = {"c": (ref.c.copy(), got.y), "y": (got.c, ref.y.copy()),
-                    "both": (ref.c.copy(), ref.y.copy())}
-
-
-@SETTINGS
 @given(states(), st.floats(0.05, 1.0), st.integers(1, 5))
 def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, theta, n_steps):
     grid, _, coeffs, c, y, rng = state
@@ -198,6 +172,8 @@ def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, thet
     zero_f = make_coefficients(coeffs.beta_family, a=coeffs.noise, b=coeffs.drift)
     dt = cfl_dt(grid, zero_f, float(np.max(c)), theta)
     work = StepBuffers(grid, c.shape[:1])
+    work.c[0][...], work.y[0][...] = c, y
+    c, y = work.c[0], work.y[0]
     mass0 = [interior_v_mass(cp, grid, zero_f) for cp in c]
     for _ in range(n_steps):
         res = step(c, y, grid, zero_f, BoundaryKind.NEUMANN, dt,
@@ -292,36 +268,65 @@ def test_presets_keep_the_operand_order_of_their_formulas(case):
 # allocation guard
 
 
+def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contextlib.nullcontext):
+    """``n_steps`` steps of ``paths`` paths from one c row in one workspace
+    of ``form``: "own" (a c per path) or "y-lane" (y alone, c from the
+    producer of a wave's shared c, as in ``simulate_ensemble``), steps 3 on
+    inside ``watch()``.  Returns the final c and y."""
+    rng = np.random.default_rng(grid.dim)
+    dt = cfl_dt(grid, coeffs, 2.0)
+    c0 = apply_bc(rng.uniform(0.5, 1.5, (1,) + grid.shape), grid, bc)
+    y0 = rng.uniform(0.5, 1.5, (paths,) + grid.shape)
+    dws = rng.standard_normal((n_steps, paths)) * np.sqrt(dt)
+    if form == "own":
+        work, ring, advance = StepBuffers(grid, (paths,), gates), [None], lambda n: None
+        c = work.c[0]
+    else:
+        config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
+        part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
+                              np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
+        ring, advance = simulate._wave_c(config, part, n_steps, SimpleNamespace(reads_gates=gates))
+        work, c = StepBuffers(grid, (paths,), gates, "y"), ring[0].c
+    y = work.y[0]
+    c[...], y[...] = c0, y0
+
+    def run(steps):
+        nonlocal c, y
+        for n in steps:
+            advance(n)
+            res = step(c, y, grid, coeffs, bc, dt, dws[n - 1], work, ring[n % len(ring)])
+            c, y = res.c, res.y
+
+    run(range(1, 3))
+    with watch():
+        run(range(3, n_steps + 1))
+    return c.copy(), y.copy()
+
+
 @pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
-@pytest.mark.parametrize("coeffs,shared_c", [
-    ("readme", False), ("regularized", False), ("decaying", False),
-    # one c for every path: only for reaction terms that ignore y
-    ("readme", True), ("regularized", True), ("zero", True),
+@pytest.mark.parametrize("coeffs,form", [
+    ("readme", "own"), ("regularized", "own"), ("decaying", "own"),
+    # c from the producer of a wave: only for reaction terms that ignore y
+    ("readme", "y-lane"), ("regularized", "y-lane"), ("zero", "y-lane"),
 ])
-def test_workspace_steps_allocate_less_than_one_state_array(
-    dim, cells, paths, bc, coeffs, shared_c
-):
-    grid = build_grid(dim, cells)
-    coeffs = COEFFS[coeffs]
-    rng = np.random.default_rng(0)
-    work = StepBuffers(grid, (paths,), shared_c=shared_c)
-    c, y = work.c[0], work.y[0]
-    assert c.shape[0] == (1 if shared_c else paths)
-    c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
-    y[...] = rng.uniform(0.5, 1.5, y.shape)
-    dt = cfl_dt(grid, coeffs, 2.0)
-    dws = rng.standard_normal((21, paths)) * np.sqrt(dt)
-    res = step(c, y, grid, coeffs, bc, dt, dws[0], work=work)  # warm-up
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for dw in dws[1:]:
-            res = step(res.c, res.y, grid, coeffs, bc, dt, dw, work=work)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < res.y.nbytes
+def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, bc, coeffs, form):
+    grid, coeffs, peak = build_grid(dim, cells), COEFFS[coeffs], []
+
+    @contextlib.contextmanager
+    def traced():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            yield
+            peak.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+
+    c, y = form_steps(form, grid, coeffs, bc, paths, 22, watch=traced)
+    assert peak[0] < y.nbytes
+    c_ref, y_ref = form_steps("own", grid, coeffs, bc, paths, 22)
+    assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
 
 
 def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, z_zero=False):
@@ -404,58 +409,42 @@ def on_fresh_thread(fn):
     return out["value"]
 
 
-def bound_steps(monkeypatch, form, dim, gates, coeffs, n_steps=6):
-    """``n_steps`` steps of 3 paths in one workspace of ``form``: "own" (a c
-    per path), "shared" (one c row for all paths) or "y-lane" (y alone, c
-    from the producer of a wave's shared c, as in ``simulate_ensemble``).
-    From step 3 on, anything that takes views or binds cores raises.
-    Returns the final c and y, and whether this thread made a thread-local
-    coefficient scratch."""
-    grid, bc, paths = build_grid(dim, 6), BoundaryKind.NEUMANN, 3
-    rng = np.random.default_rng(dim)
-    dt = cfl_dt(grid, coeffs, 2.0)
-    c0 = apply_bc(rng.uniform(0.5, 1.5, (1,) + grid.shape), grid, bc)
-    y0 = rng.uniform(0.5, 1.5, (paths,) + grid.shape)
-    work = StepBuffers(grid, (paths,), gates, form != "own", "y" if form == "y-lane" else None)
-    ring = [None]
-    if form == "y-lane":
-        config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
-        part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
-                              np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
-        ring, advance = simulate._shared_c(config, part, n_steps, SimpleNamespace(reads_gates=gates))
-    c, y = (ring[0].c if form == "y-lane" else work.c[0]), work.y[0]
-    c[...], y[...] = c0, y0
+def bound_steps(monkeypatch, form, dim, gates, coeffs):
+    """Six steps of 3 paths in one workspace of ``form`` (see
+    ``form_steps``); from step 3 on, anything that takes views or binds
+    cores raises.  Returns the final c and y, and whether this thread made
+    a thread-local coefficient scratch."""
 
     def rebind(*args, **kwargs):
         raise AssertionError("a warm step took views or bound cores again")
 
-    for n, dw in enumerate(rng.standard_normal((n_steps, paths)) * np.sqrt(dt), 1):
-        if n == 3:
-            for owner, name in [(simulate, "_stencil"), (grid_module, "laplacian_core"),
-                                (StepBuffers, "bind"), (StepBuffers, "views"), (StepBuffers, "slot")]:
-                monkeypatch.setattr(owner, name, rebind)
-        if form == "y-lane":
-            advance(n)
-        res = step(c, y, grid, coeffs, bc, dt, dw, work, ring[n % len(ring)])
-        c, y = res.c, res.y
-    return c.copy(), y.copy(), hasattr(model._LOCAL, "scratch")
+    @contextlib.contextmanager
+    def no_rebinding():
+        for owner, name in [(simulate, "_stencil"), (grid_module, "laplacian_core"),
+                            (StepBuffers, "bind"), (StepBuffers, "slot")]:
+            monkeypatch.setattr(owner, name, rebind)
+        yield
+
+    c, y = form_steps(form, build_grid(dim, 6), coeffs, BoundaryKind.NEUMANN, 3, 6, gates, no_rebinding)
+    return c, y, hasattr(model._LOCAL, "scratch")
 
 
 @pytest.mark.parametrize("gates", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("coeffs,form", [
-    ("readme", "own"), ("readme", "shared"), ("readme", "y-lane"), ("regularized", "y-lane"),
-    ("decaying", "own"), ("zero", "shared"),
+    ("readme", "own"), ("regularized", "own"), ("decaying", "own"), ("zero", "own"),
+    # c from the producer of a wave: only for reaction terms that ignore y
+    ("readme", "y-lane"), ("regularized", "y-lane"), ("zero", "y-lane"),
 ])
 def test_warm_steps_rebind_nothing_and_make_no_thread_scratch(monkeypatch, coeffs, form, dim, gates):
     # the coefficient scratch is the workspace's, not a second, thread-local
-    # copy; a y-lane gives the bits of a lane that steps its shared c itself
+    # copy; a y-lane gives the bits of a workspace with a c per path
     coeffs = COEFFS[coeffs]
     c, y, made_scratch = on_fresh_thread(lambda: bound_steps(monkeypatch, form, dim, gates, coeffs))
     monkeypatch.undo()
     assert not made_scratch
-    c_ref, y_ref, _ = bound_steps(monkeypatch, "shared" if form == "y-lane" else form, dim, gates, coeffs)
-    assert same_bits(c, c_ref) and same_bits(y, y_ref)
+    c_ref, y_ref, _ = bound_steps(monkeypatch, "own", dim, gates, coeffs)
+    assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
 
 
 @pytest.mark.parametrize("paths,workers,pool", [(2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True)])
@@ -586,14 +575,16 @@ def test_noise_block_never_changes_a_bit(monkeypatch, block):
         assert same_bits(res[name], value), name
 
 
-def test_seeded_noise_is_drawn_in_blocks():
+@pytest.mark.parametrize("paths,workers", [(128, 1), (256, 2)])
+def test_seeded_noise_is_drawn_in_blocks(paths, workers):
     # the whole run's increments would take 128 paths x 10,240 steps = 10 MiB
+    # a lane; the ring of the shared c is charged for the views of its slots
     config = SimConfig(
         build_grid(1, 2), COEFFS["readme"], BoundaryKind.NEUMANN, t_final=1.0, dt=1.0 / 10_240
     )
     tracemalloc.start()
     try:
-        simulate_ensemble(config, 0.5, 1.0, n_paths=128, seed=3)
+        simulate_ensemble(config, 0.5, 1.0, n_paths=paths, seed=3, n_workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,7 +650,7 @@ def test_a_non_finite_path_aborts_at_its_step_and_is_named(value, row, first_id)
 @pytest.mark.parametrize("row", [None, 1], ids=["shared-c", "per-path-c"])
 def test_an_abort_leaves_no_thread_running(monkeypatch, workers, row):
     # seven paths in chunks of 2, 2, 2 and 1, in waves of `workers` lanes: a
-    # shared c aborts in the wave's producer (or a lone lane) at step 5; a
+    # shared c aborts in the wave's producer at step 5; a
     # per-path c aborts in every lane from the fifth call of f on, the first
     # lane in its path 1
     grid = small_config().grid
@@ -676,8 +667,8 @@ def test_an_abort_leaves_no_thread_running(monkeypatch, workers, row):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("fails_at", [3, 5, 6])
 def test_an_on_step_error_up_to_the_abort_step_is_raised_instead(monkeypatch, workers, fails_at):
-    # the shared c aborts at step 5, once on_step has seen step 5, as in a
-    # lone lane: an error of on_step at step 5 or before is the one raised
+    # the shared c aborts at step 5 in the producer, raised once the lanes
+    # have stepped to 5: an error of on_step at step 5 or before is raised instead
     grid = small_config().grid
     config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(np.nan, 5, [], grid)), t_final=0.02)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid, 0))
@@ -718,7 +709,7 @@ def test_the_first_failing_lane_in_path_order_is_raised_at_any_worker_count(monk
     a = preset_coefficients("linear_a", {"sigma": 1.0})
     config = small_config(make_coefficients(pme_beta(2.0), f=spiking_source(3.0), a=a), t_final=0.02)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * 9 * config.grid.n_nodes)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * (9 * config.grid.n_nodes + simulate._SLOT_VIEWS))
     dt, n = config.resolve_steps(1.5)
     inc = np.zeros((5, n))
     inc[2, 0], inc[0, 4] = 5.0, 10.0
@@ -817,16 +808,19 @@ def test_sources_that_ignore_y_give_the_same_bits_for_any_y(term, shape, seed, o
     assert same_bits(a, b)
 
 
-def test_step_refuses_a_shared_c_when_the_source_reads_y():
-    grid = build_grid(2, 4)
-    coeffs = COEFFS["decaying"]
-    assert coeffs.source.reads_y
-    work = StepBuffers(grid, (3,), shared_c=True)
-    c = apply_bc(np.full(work.c[0].shape, 0.5), grid, BoundaryKind.NEUMANN)
-    y = np.ones(work.y[0].shape)
-    for ws in (None, work):
-        with pytest.raises(ValueError, match="ignores y"):
-            step(c, y, grid, coeffs, BoundaryKind.NEUMANN, 1e-4, np.zeros(3), work=ws)
+def test_a_step_of_c_reads_the_workspace_copies_or_copies_into_a_fresh_one():
+    # a fresh workspace takes a one-row c into every path
+    grid, bc, coeffs = build_grid(2, 4), BoundaryKind.NEUMANN, COEFFS["decaying"]
+    work = StepBuffers(grid, (3,))
+    c = apply_bc(np.full((1,) + grid.shape, 0.5), grid, bc)
+    work.c[1][...], work.y[1][...] = c, 1.0
+    ref = step(work.c[1], work.y[1], grid, coeffs, bc, 1e-4, np.zeros(3), work=work)
+    got = step(c, np.ones(work.y[0].shape), grid, coeffs, bc, 1e-4, np.zeros(3))
+    for a in ("c", "y", "clamp_mass"):
+        assert same_bits(getattr(got, a), getattr(ref, a)), a
+    for args in ((c, work.y[0]), (work.c[0], work.y[0].copy()), (work.c[0], work.y[1])):
+        with pytest.raises(ValueError, match="copy of each in its workspace"):
+            step(*args, grid, coeffs, bc, 1e-4, np.zeros(3), work=work)
 
 
 # f ignores y, but y still differs between paths and the drift reads c
@@ -972,23 +966,24 @@ def plain_loop(config, c_init, y_init, inc, dt, stride):
     ``stride`` steps, and what an ``on_step`` with gates sees of path 0."""
     grid, paths = config.grid, len(inc)
     work = StepBuffers(grid, (paths,), gates=True)
-    c, y = (np.repeat(a[None], paths, axis=0) for a in (c_init, y_init))
+    work.c[0][...], work.y[0][...] = c_init, y_init
+    c, y = work.c[0], work.y[0]
 
     def rows(a):
         return a.reshape(paths, -1)
 
     clamp, sup, low = np.zeros(paths), rows(c).max(axis=1), rows(c).min(axis=1)
-    frames, seen = [(c, y)], []
+    frames, seen = [(c.copy(), y.copy())], []
     for n, dw in enumerate(inc.T, 1):
         res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
         gates = gates_of_path_0(work)
         seen.append(tuple(np.copy(a) for a in (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates))
-        c, y = res.c.copy(), res.y.copy()
+        c, y = res.c, res.y
         clamp += res.clamp_mass
         sup, low = np.maximum(sup, rows(c).max(axis=1)), np.minimum(low, rows(c).min(axis=1))
         if stride and n % stride == 0:
-            frames.append((c, y))
-    return c, y, clamp, sup, low, frames, seen
+            frames.append((c.copy(), y.copy()))
+    return c.copy(), y.copy(), clamp, sup, low, frames, seen
 
 
 def sink_source(rate):
@@ -1052,7 +1047,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
-            mp.setattr(simulate, "_BLOCK_BYTES", block * 9 * grid.n_nodes)
+            mp.setattr(simulate, "_BLOCK_BYTES", block * (9 * grid.n_nodes + simulate._SLOT_VIEWS))
             ens = simulate_ensemble(config, bump, 1.0, **kw)
             _, [[tangent]] = propagate_path(config, bump, 1.0, WienerPath(dt, inc[0]), [r])
     finally:
