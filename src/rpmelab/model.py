@@ -154,14 +154,17 @@ def regularize_beta(m: float, eps: float) -> BetaFamily:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     inv_m = 1.0 / m
-    shift = eps**inv_m
+    # beta and beta_inv subtract what their own powers give at 0, so 0 maps
+    # to 0 exactly; numpy scalar and array powers can differ in the last bit
+    shift = (np.float64(eps) ** inv_m, (np.full(1, eps) ** inv_m)[0])
+    top = (shift[0] ** m, (np.full(1, shift[1]) ** m)[0])
 
     @_coefficient
     def beta(c, out, tmp):
         r = np.maximum(c, 0.0, out=out)
         r += eps
         r **= inv_m
-        r -= shift
+        r -= shift[isinstance(r, np.ndarray)]
         return r
 
     @_coefficient
@@ -175,9 +178,9 @@ def regularize_beta(m: float, eps: float) -> BetaFamily:
     @_coefficient
     def beta_inv(v, out, tmp):
         r = np.maximum(v, 0.0, out=out)
-        r += shift
+        r += shift[isinstance(r, np.ndarray)]
         r **= m
-        r -= eps
+        r -= top[isinstance(r, np.ndarray)]
         return r
 
     @_coefficient
@@ -229,21 +232,25 @@ class SourceTerm:
 
 @dataclass(frozen=True)
 class NoiseTerm:
-    """Noise amplitude a(y) with derivative; a(0) = 0 keeps y nonnegative."""
+    """Noise amplitude a(y) with derivative; a(0) = 0 keeps y nonnegative.
+    ``slope`` is set only when a(y) = slope * y."""
 
     label: str
     fn: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
+    slope: float | None = None
 
 
 @dataclass(frozen=True)
 class DriftTerm:
-    """SDE drift b(c, y) with both partial derivatives."""
+    """SDE drift b(c, y) with both partial derivatives.  ``affine`` is set
+    only when b(c, y) = kappa * c - rho * y, as (kappa, rho)."""
 
     label: str
     fn: Callable[[Array, Array], Array]
     d_c: Callable[[Array, Array], Array]
     d_y: Callable[[Array, Array], Array]
+    affine: tuple[float, float] | None = None
 
 
 def _zeros2(c, y, out=None):
@@ -326,7 +333,7 @@ def preset_coefficients(name: str, params: dict | None = None):
         def da(y, out=None):
             return _full(y, sigma, out)
 
-        return NoiseTerm(f"linear_a(sigma={sigma:g})", a, da)
+        return NoiseTerm(f"linear_a(sigma={sigma:g})", a, da, slope=sigma)
     if name == "saturating_a":
         [sigma] = _preset_params(name, params, {"sigma": 0.5})
 
@@ -367,7 +374,7 @@ def preset_coefficients(name: str, params: dict | None = None):
         def db_y(c, y, out=None):
             return _full(y, -rho, out)
 
-        return DriftTerm(f"coupling_b(kappa={kappa:g},rho={rho:g})", b, db_c, db_y)
+        return DriftTerm(f"coupling_b(kappa={kappa:g},rho={rho:g})", b, db_c, db_y, affine=(kappa, rho))
     raise ValueError(f"unknown coefficient preset {name!r}")
 
 

@@ -11,7 +11,11 @@ The update reads, per step of size dt,
 with boundary values of c reimposed afterwards (zero for Dirichlet, copy of
 the reflected interior neighbour for no-flux).  State arrays always satisfy
 the boundary rule, so the discrete flux through the boundary vanishes exactly
-for the no-flux case and interior mass of v is conserved when f = 0.
+for the no-flux case and interior mass of v is conserved when f = 0.  When
+the terms declare a(y) = sigma y and b(c, y) = kappa c - rho y, the y update
+takes the affine form, the same to a few ulps, in four passes over y:
+
+    y+ = max(y * (1 + sigma dW - rho dt) + (kappa dt) * c, 0).
 
 Everything is written against trailing grid axes, so a leading path axis
 turns the scalar stepper into the ensemble engine with bit-identical
@@ -233,15 +237,17 @@ class StepBuffers:
     in two copies each (a step reads one and writes the other), three
     scratch arrays (the Laplacian, reused for the noise and drift terms, and
     two for the update of v) and the coefficient scratch, all shaped like the
-    state, plus one boundary face and the clamp mass per leading index; with
-    ``gates``, the clamp gates of the last step (v+ < 0 on the update band,
-    y+ < 0) as boolean masks.  ``half`` "c" or "y" keeps only the arrays of
-    that half of a step (see ``step``), and a y half gets a y scratch of its
-    own.  What a step reads is bound once: the ``slot`` of each copy of c,
+    state, plus one boundary face, the clamp mass and the alpha of an affine
+    y update (see ``_y_half``) per leading index; with ``gates``, the clamp
+    gates of the last step (v+ < 0 on the update band, y+ < 0) as boolean
+    masks.  ``half`` "c" or "y" keeps only the arrays of that half of a step
+    (see ``step``), and a y half gets a y scratch of its own.  What a step
+    reads is bound once: the ``slot`` of each copy of c,
     the ``own`` views of a step from each copy and, at the first step under
     a coefficient set, the in-place cores of f, beta, beta_inv, a and b,
-    which get the coefficient scratch, so a warm step is a flat run of
-    ufuncs.  A step returns views of these, valid until its next step."""
+    which get the coefficient scratch, and the affine form of a and b if
+    they declare one, so a warm step is a flat run of ufuncs.  A step
+    returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
                  half: str | None = None):
@@ -265,6 +271,7 @@ class StepBuffers:
         if half != "c":
             self.y = (np.empty(shape), np.empty(shape))
             self.y_scratch = self.lap if half is None else np.empty(shape)
+            self.alpha = np.empty(shape[: len(lead)] + (1,) * grid.dim)
             self.y_gate = np.zeros(shape, bool) if gates else None
         self.slots = tuple(self.slot(c, self.mass, self.v_gate) for c in self.c)
         # (slot of c, y band, slot of the new c, new y) of a step from each copy
@@ -273,10 +280,13 @@ class StepBuffers:
 
     def bind(self, coeffs: CoefficientSet) -> None:
         """Take the cores ``core(*args, out, tmp)`` of f, beta, beta_inv, a
-        and b of ``coeffs``; a plain callable gets ``out`` alone."""
+        and b of ``coeffs``; a plain callable gets ``out`` alone.  ``affine``
+        is (sigma, kappa, rho) when a(y) = sigma y and b = kappa c - rho y."""
         self.coeffs, fns = coeffs, (coeffs.f, coeffs.beta, coeffs.beta_inv, coeffs.a, coeffs.b)
         self.f, self.beta, self.beta_inv, self.a, self.b = (
             getattr(fn, "core", None) or (lambda *a, fn=fn: fn(*a[:-2], out=a[-2])) for fn in fns)
+        slope, drift = coeffs.noise.slope, coeffs.drift.affine
+        self.affine = None if slope is None or drift is None else (slope, *drift)
 
     def slot(self, c: np.ndarray, mass: np.ndarray, v_gate: np.ndarray | None) -> _CSlot:
         """Where a c half reads or writes ``c``: (c, its update band, the
@@ -331,7 +341,7 @@ def step(
     every path.  The update of v runs on the flat band of ``laplacian_core``
     (boundary nodes inside it get scratch values that the boundary rule then
     replaces); per node the operations and their order are those of the
-    formulas in the module docstring.
+    formulas in the module docstring, for y those of the declared form.
     """
     if work is None:
         work = StepBuffers(grid, y.shape[: y.ndim - grid.dim])
@@ -377,13 +387,26 @@ def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> 
 
 
 def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work: StepBuffers) -> None:
-    """y+ = max(y + a(y) dW + b(c, y) dt, 0) into ``y_new``, its gates into ``work``."""
+    """y+ = max(y + a(y) dW + b(c, y) dt, 0), or its ``work.affine`` form, into ``y_new``, gates into ``work``."""
     scratch = work.y_scratch  # the Laplacian's array, used up, in a workspace of c and y
-    scratch[...] = dw  # a ufunc broadcasting dw would buffer
-    np.multiply(work.a(y, y_new, work.tmp), scratch, out=y_new)
-    np.add(y, y_new, out=y_new)
-    np.multiply(work.b(c, y, scratch, work.tmp), dt, out=scratch)
-    np.add(y_new, scratch, out=y_new)
+    if work.affine is None:
+        scratch[...] = dw  # a ufunc broadcasting dw would buffer
+        np.multiply(work.a(y, y_new, work.tmp), scratch, out=y_new)
+        np.add(y, y_new, out=y_new)
+        np.multiply(work.b(c, y, scratch, work.tmp), dt, out=scratch)
+        np.add(y_new, scratch, out=y_new)
+    else:
+        sigma, kappa, rho = work.affine
+        alpha = np.multiply(sigma, dw, out=work.alpha)  # 1 + sigma dW - rho dt, in that order
+        alpha += 1.0
+        alpha -= rho * dt
+        scratch[...] = alpha  # as for dw above
+        np.multiply(y, scratch, out=y_new)
+        if c.shape == y.shape:
+            np.multiply(kappa * dt, c, out=scratch)
+        else:  # one c row for every path: kappa dt c once, at the head of tmp
+            scratch[...] = np.multiply(kappa * dt, c, out=work.tmp[:1])
+        y_new += scratch
     if work.y_gate is not None:
         np.less(y_new, 0.0, out=work.y_gate)
     np.maximum(y_new, 0.0, out=y_new)

@@ -95,6 +95,21 @@ def test_regularized_beta_smooth_at_origin():
     assert np.max(np.abs(fam.beta_inv(fam.beta(cs)) - cs)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1.1, 1.5, 2, 2.0, 2.5, 3.0, 4.0, 7.0])
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.9])
+def test_regularized_beta_maps_zero_to_zero_exactly(m, eps):
+    # a clamped node stores c = beta_inv(0), which must not be a rounding
+    # residue of either sign; numpy scalar and array powers can differ, so
+    # both kinds of argument are checked, with and without out=
+    fam = regularize_beta(m, eps)
+    for fn in (fam.beta, fam.beta_inv):
+        assert fn(0.0) == 0.0 and fn(np.float64(0.0)) == 0.0
+        assert fn(np.zeros(())) == 0.0 and fn(np.zeros(()), out=np.empty(())) == 0.0
+        zeros = np.zeros(19)
+        assert np.all(fn(zeros) == 0.0) and np.all(fn(zeros, out=np.empty(19)) == 0.0)
+        assert not np.signbit(fn(zeros)).any()
+
+
 def test_r2_bound_closed_form():
     # m = 2, T = 1, R0 = 1: inner = 2e - 1, squared by the inverse map
     fam = pme_beta(2.0)
@@ -137,6 +152,11 @@ def test_noise_and_drift_presets():
     assert b.fn(np.float64(1.0), np.float64(0.5)) == pytest.approx(-0.5, abs=1e-15)
     assert b.d_c(np.float64(0.0), np.float64(0.0)) == 0.5
     assert b.d_y(np.float64(0.0), np.float64(0.0)) == -2.0
+    # only linear_a and coupling_b declare the affine form of the y step
+    assert (a.slope, b.affine) == (0.3, (0.5, 2.0))
+    assert sat.slope is None
+    zero = make_coefficients(pme_beta(2.0))
+    assert zero.noise.slope is None and zero.drift.affine is None
 
 
 def test_presets_keep_concentration_and_y_nonnegative_on_the_edges():
