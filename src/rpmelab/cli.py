@@ -384,8 +384,11 @@ def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
 
 
 def _require_finite(*arrays) -> None:
+    # NaN propagates through the max and the min, +inf shows in the max and
+    # -inf in the min, so no boolean array is made
     for arr in arrays:
-        if not np.isfinite(arr).all():
+        if arr.size and not (math.isfinite(np.maximum.reduce(arr, axis=None))
+                             and math.isfinite(np.minimum.reduce(arr, axis=None))):
             raise NumericalAbort("non-finite state encountered")
 
 
@@ -412,7 +415,8 @@ def _mass_report(masses: np.ndarray, cfg: RunConfig) -> EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners; each returns (csv sections, manifest extras)
+# subcommand runners; each returns (csv sections, manifest extras), the
+# extras' "digests" those of the files their writers hashed
 
 Sections = dict[str, list[EstimateReport]]
 
@@ -423,18 +427,20 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
     _, n0 = config.resolve_steps(c0_max)
     stride = cfg.snapshot_stride or max(1, n0 // 256)
-    n_snap = max(1, n0 // stride)
+    # steps are rounded up to a multiple of n_snap: at least n0, under n0 + stride
+    n_snap = -(-n0 // stride)
     _fit_memory(config.grid, n_snap + 1)
 
     (staging / "paths").mkdir()
     reports: list[EstimateReport] = []
+    digests: dict[str, str] = {}
 
     def write_chunk(chunk) -> None:
         _require_finite(chunk.c, chunk.y)
         for j, pid in enumerate(int(p) for p in chunk.path_ids):
             tag = f"path_{pid:04d}"
             c, y = chunk.c[:, j], chunk.y[:, j]
-            write_record(
+            digests[f"paths/{tag}.rpme1"] = write_record(
                 staging / "paths" / f"{tag}.rpme1",
                 PathRecord(config.grid, cfg.seed, pid, chunk.dt, chunk.times, c, y, ()),
             )
@@ -458,7 +464,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     reports.append(
         EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None)
     )
-    return {"simulate": reports}, {"dt": ens.dt, "r2_bound": r2}
+    return {"simulate": reports}, {"dt": ens.dt, "r2_bound": r2, "digests": digests}
 
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
@@ -565,7 +571,8 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
                 )
                 reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
         record.finish(pairs)
-    return {"malliavin": reports}, {"dt": dt, "r2_bound": None}
+    digests = {"paths/malliavin_path.rpme1": record.digest}
+    return {"malliavin": reports}, {"dt": dt, "r2_bound": None, "digests": digests}
 
 
 def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
@@ -675,15 +682,20 @@ def _write_csv(path: Path, reports: list[EstimateReport]) -> None:
             )
 
 
-def _digest_tree(staging: Path) -> dict[str, str]:
+def _digest_tree(staging: Path, hashed: dict[str, str] | None = None) -> dict[str, str]:
+    """SHA-256 of every file under ``staging`` by relative path; a file in
+    ``hashed``, with the digest its writer took, is not read back."""
     out = {}
     for p in sorted(staging.rglob("*")):
-        if p.is_file():
+        name = p.relative_to(staging).as_posix()
+        if hashed and name in hashed:
+            out[name] = hashed[name]
+        elif p.is_file():
             digest = hashlib.sha256()
             with open(p, "rb") as fh:
                 while block := fh.read(_DIGEST_BLOCK):
                     digest.update(block)
-            out[p.relative_to(staging).as_posix()] = digest.hexdigest()
+            out[name] = digest.hexdigest()
     return out
 
 
@@ -712,7 +724,7 @@ def run_command(command: str, cfg: RunConfig) -> int:
             "dt": extras.get("dt"),
             "r2_bound": extras.get("r2_bound"),
             "reports": {name: r.passed for name, r in all_reports},
-            "digests": _digest_tree(staging),
+            "digests": _digest_tree(staging, extras.get("digests")),
             "wall_time_s": time.perf_counter() - started,
         }
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:

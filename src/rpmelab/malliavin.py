@@ -18,7 +18,9 @@ variational initial condition; for linear noise a(y) = sigma*y with no drift
 or source feedback it telescopes to dry(T) = sigma * y(T) exactly.
 
 When f ignores y (one-way coupling) f_y = 0, so z seeded at zero stays
-+0.0 bit for bit, drc with it, and only dry is stepped.
++0.0 bit for bit while c is finite, drc with it, and only dry is stepped.
+Coefficients the terms declare constant (a' = sigma for linear noise,
+b_c = kappa and b_y = -rho for an affine drift) enter the update as scalars.
 
 Where the primal clamp at zero bites, the derivative is zeroed (the clamp's
 a.e. derivative), so the quotient of a clamped perturbed run still matches.
@@ -28,12 +30,13 @@ gates the primal step leaves in its workspace.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryKind, GridSpec, laplacian_core
+from .grid import BoundaryKind, GridSpec, _band_laplacian, _stencil
 from .model import CoefficientSet
 from .simulate import (
     EnsembleResult,
@@ -78,26 +81,53 @@ class TangentBuffers:
     """Workspace for tangent steps of derivative pairs shaped ``shape``
     (seed axes, then the grid) along primal states shaped ``primal``: the
     new pair, four scratch arrays and a boundary face per seed, and one
-    coefficient value shaped like the primal.  ``head(k)`` is the workspace
-    of the first k seeds in the same memory, so a batch that grows at its
-    end stays contiguous."""
+    coefficient value and its scratch shaped like the primal.  ``head(k)``
+    is the workspace of the first k seeds in the same memory, so a batch
+    that grows at its end stays contiguous.  What a step reads is bound at
+    its first step under a coefficient set (see ``bind``)."""
 
     def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...]):
         self.z, self.dry, self.drc, self.lap, self.t, self.u = (np.zeros(shape) for _ in range(6))
         self.face = np.zeros(shape[:-1])
-        self.shared = np.zeros(primal)
+        self.shared, self.tmp = np.zeros(primal), np.zeros(primal)
+        self.coeffs = None
 
     def head(self, k: int) -> TangentBuffers:
         view = copy.copy(self)
         for name in ("z", "dry", "drc", "lap", "t", "u", "face"):
             setattr(view, name, getattr(self, name)[:k])
+        view.coeffs = None  # its own band views are bound at its first step
         return view
 
+    def bind(self, coeffs: CoefficientSet, grid: GridSpec) -> None:
+        """Bind the band of drc with its Laplacian neighbours and the band
+        of lap (see ``laplacian_core``), the face pairs of z, and each
+        coefficient the step reads as a function of the primal state: the
+        declared constant when the noise is linear (a' = sigma) or the drift
+        affine (b_c = kappa, b_y = -rho), otherwise its core evaluated into
+        ``shared`` with scratch ``tmp`` and ``_tiled``."""
+        self.coeffs, self.h = coeffs, grid.spacing
+        (self.drc_b, self.shifts), self.lap_b = _stencil(self.drc, grid.dim), _stencil(self.lap, grid.dim)[0]
+        self.faces = _face_pairs(self.z, grid.dim)
 
-def _tiled(work: TangentBuffers, coef, *args) -> np.ndarray:
-    """``coef(*args)`` evaluated once into ``work.shared`` and copied to every
-    seed's row of ``work.u``; a ufunc broadcasting it would buffer."""
-    np.copyto(work.u, coef(*args, out=work.shared))
+        def tiled(fn):
+            core = getattr(fn, "core", None) or (lambda *a: fn(*a[:-2], out=a[-2]))
+            return lambda *args: _tiled(self, core(*args, self.shared, self.tmp))
+
+        def constant(value):
+            return lambda *args: value
+
+        slope, drift = coeffs.noise.slope, coeffs.drift.affine
+        self.recip, self.f_c, self.f_y = map(tiled, (coeffs.recip_beta_prime, coeffs.df_dc, coeffs.df_dy))
+        self.a_prime = tiled(coeffs.a_prime) if slope is None else constant(slope)
+        self.b_c, self.b_y = (tiled(coeffs.db_dc), tiled(coeffs.db_dy)) if drift is None else (
+            constant(drift[0]), constant(-drift[1]))
+
+
+def _tiled(work: TangentBuffers, value: np.ndarray) -> np.ndarray:
+    """``value``, shaped like the primal, copied to every seed's row of
+    ``work.u``; a ufunc broadcasting it would buffer."""
+    np.copyto(work.u, value)
     return work.u
 
 
@@ -125,10 +155,16 @@ def step_malliavin(
     when None), which may hold ``mstate`` itself, so a sweep allocates
     nothing.  Seed-sized operations run on whole contiguous rows (boundary
     nodes get scratch that the boundary rule replaces), in the operation
-    order of the formulas in the module docstring.  Each coefficient is
-    evaluated once at the primal state and copied to every seed's row.  A z
-    of zeros under a source that ignores y is not stepped: ``work.z`` and
-    ``work.drc`` are set to +0.0, the value the formulas give.
+    order of the formulas in the module docstring.  What a step reads is
+    bound into ``work`` at its first step under ``coeffs`` (see
+    ``TangentBuffers.bind``).  Each coefficient is evaluated once at the
+    primal state and copied to every seed's row, or is the constant its
+    term declares; a constant, and a ``dW`` of one value, enter the ufuncs
+    as scalars, which give the bits of an array filled with them.  A z of
+    zeros under a source that ignores y is not stepped while c is finite:
+    ``work.z`` and ``work.drc`` are set to +0.0, the value the formulas
+    give (past a non-finite c they give NaN).  The primal c is nonnegative,
+    so its max is finite exactly when c is.
     """
     dim, z, dry = grid.dim, mstate.z, mstate.dry
     dw = np.asarray(dW, dtype=np.float64)
@@ -140,29 +176,34 @@ def step_malliavin(
         step(primal.c[0], primal.y[0], grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
     if work is None:
         work = TangentBuffers(lead + grid.shape, c.shape)
+    if work.coeffs is not coeffs:
+        work.bind(coeffs, grid)
     drc, lap, t, u = work.drc, work.lap, work.t, work.u
 
-    if not (coeffs.source.reads_y or np.count_nonzero(z)):
+    if not (coeffs.source.reads_y or np.count_nonzero(z)) and math.isfinite(np.maximum.reduce(c, axis=None)):
         work.z.fill(0.0)
         drc.fill(0.0)
     else:
         # z+ = z + dt * (lap_h drc + f_c drc + f_y dry), zero where v+ was clamped
-        np.multiply(z, _tiled(work, coeffs.recip_beta_prime, c), out=drc)
-        laplacian_core(drc, grid.spacing, dim, out=lap)
-        np.add(lap, np.multiply(_tiled(work, coeffs.df_dc, c, y), drc, out=t), out=lap)
-        np.add(lap, np.multiply(_tiled(work, coeffs.df_dy, c, y), dry, out=t), out=lap)
+        np.multiply(z, work.recip(c), out=drc)
+        _band_laplacian(work.lap_b, work.drc_b, work.shifts, work.h)
+        np.add(lap, np.multiply(work.f_c(c, y), drc, out=t), out=lap)
+        np.add(lap, np.multiply(work.f_y(c, y), dry, out=t), out=lap)
         np.multiply(dt, lap, out=lap)
         np.add(z, lap, out=work.z)
         np.copyto(work.z, 0.0, where=primal.v_gate)
-        _impose_bc(_face_pairs(work.z, dim), bc, work.face)
+        _impose_bc(work.faces, bc, work.face)
 
     # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
-    np.multiply(_tiled(work, coeffs.a_prime, y), dry, out=t)
-    np.copyto(u, dw.reshape(dw.shape + (1,) * dim))
-    np.multiply(t, u, out=t)
+    np.multiply(work.a_prime(y), dry, out=t)
+    if dw.size == 1:
+        np.multiply(t, dw.reshape(()), out=t)
+    else:
+        np.copyto(u, dw.reshape(dw.shape + (1,) * dim))  # a ufunc broadcasting dw would buffer
+        np.multiply(t, u, out=t)
     np.add(dry, t, out=t)
-    np.multiply(_tiled(work, coeffs.db_dc, c, y), drc, out=lap)
-    np.add(lap, np.multiply(_tiled(work, coeffs.db_dy, c, y), dry, out=u), out=lap)
+    np.multiply(work.b_c(c, y), drc, out=lap)
+    np.add(lap, np.multiply(work.b_y(c, y), dry, out=u), out=lap)
     np.multiply(lap, dt, out=lap)
     np.add(t, lap, out=work.dry)
     np.copyto(work.dry, 0.0, where=primal.y_gate)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,65 @@ def test_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "internal bug" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "malliavin"])
+@pytest.mark.parametrize("fails_at", [0, 2])
+def test_a_write_error_on_the_writer_thread_exits_5_and_leaves_no_staging(
+    tmp_path, monkeypatch, capsys, command, fails_at
+):
+    from rpmelab import pathfile
+
+    # tables of two frames: every record goes out in many, on a writer thread
+    monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 2 * (8 + 16 * 10))
+    caller, calls, write = threading.current_thread(), [], pathfile.RecordWriter._write
+
+    def failing(self, data):
+        if threading.current_thread() is not caller:
+            calls.append(len(data))
+            if len(calls) > fails_at:
+                raise OSError("disk full")
+        write(self, data)
+
+    monkeypatch.setattr(pathfile.RecordWriter, "_write", failing)
+    before = set(threading.enumerate())
+    code, out = run_cli(command, tmp_path, SMALL_SIM, "fails")
+    assert code == 5
+    assert len(calls) == fails_at + 1
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+    assert set(threading.enumerate()) == before
+    assert "disk full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "malliavin"])
+@pytest.mark.parametrize("buffer", [None, 2 * (8 + 16 * 10)], ids=["one-table", "many-tables"])
+def test_every_manifest_digest_is_the_sha256_of_its_file(tmp_path, monkeypatch, command, buffer):
+    # records are hashed by their writers, on a writer thread when they span
+    # several tables; every other artifact is read back
+    from rpmelab import pathfile
+
+    if buffer is not None:
+        monkeypatch.setattr(pathfile, "_WRITE_BUFFER", buffer)
+    code, out = run_cli(command, tmp_path, SMALL_SIM, "hashed")
+    assert code == 0
+    digests = json.loads((out / "manifest.json").read_text())["digests"]
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+    assert sorted(digests) == files and any(name.endswith(".rpme1") for name in files)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(1,), (3, 4)])
+def test_require_finite_refuses_nan_and_either_infinity(bad, shape):
+    ok = np.arange(float(np.prod(shape))).reshape(shape) - 2.0
+    cli._require_finite(ok, np.empty(0), -ok)
+    for i in range(ok.size):
+        arr = ok.copy()
+        arr.flat[i] = bad
+        with pytest.raises(cli.NumericalAbort):
+            cli._require_finite(ok, arr)
+
+
 def scipy_modules_after(probe):
     """Names of the scipy modules loaded once ``probe`` has run in a fresh
     interpreter."""
@@ -838,6 +898,37 @@ README_COEFFICIENTS = (
     "coeff.f = logistic\ncoeff.f.lambda = 0.5\ncoeff.a = linear\ncoeff.a.sigma = 0.3\n"
     "coeff.b = coupling\n"
 )
+
+
+def simulated_steps(tmp_path, text, name):
+    """(steps, stored frames of a record, unrounded steps n0, stride) of a
+    ``simulate`` run of ``text``."""
+    code, out = run_cli("simulate", tmp_path, text, name)
+    assert code == 0
+    cfg = load_config(tmp_path / f"{name}.cfg")
+    config = cli._sim_config(cfg)
+    n0 = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+    dt = json.loads((out / "manifest.json").read_text())["dt"]
+    frames = len(read_record(out / "paths" / "path_0000.rpme1").times)
+    return round(cfg.t_final / dt), frames, n0, cfg.snapshot_stride or max(1, n0 // 256)
+
+
+@pytest.mark.parametrize("t_final", [0.003, 0.02, 0.1])
+@pytest.mark.parametrize("stride", [0, 1, 3, 7, 40, 10**6])
+def test_snapshots_round_the_steps_up_by_less_than_one_stride(tmp_path, t_final, stride):
+    text = f"cells = 6\nn_paths = 1\nt_final = {t_final}\nsnapshot_stride = {stride}\n" + README_COEFFICIENTS
+    steps, frames, n0, stride = simulated_steps(tmp_path, text, "snap")
+    n_snap = frames - 1
+    assert n_snap == -(-n0 // stride) and steps % n_snap == 0
+    assert n0 <= steps < n0 + stride
+
+
+@pytest.mark.parametrize("dim,expected", [(1, (1380, 277, 1380, 5)), (2, (2760, 277, 2756, 10))])
+def test_the_readme_simulate_rounds_its_steps_to_whole_snapshots(tmp_path, dim, expected):
+    # (steps, frames, unrounded steps, stride): in 2D the old rule, n0 // stride
+    # snapshots, stored 276 frames of 3,025 steps
+    text = f"dim = {dim}\ncells = 32\nt_final = 0.1\nn_paths = 1\nseed = 7\n" + README_COEFFICIENTS
+    assert simulated_steps(tmp_path, text, "readme") == expected
 
 
 def test_verify_at_128_squared_passes_the_preflight(tmp_path, monkeypatch):

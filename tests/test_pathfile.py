@@ -1,8 +1,12 @@
 """The .rpme1 container as properties: any record round-trips, a record
 streamed frame by frame or in blocks has the bytes of the whole-record
 encoding, and every truncation is refused."""
+import concurrent.futures
+import hashlib
 import struct
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,9 +155,12 @@ def test_blocks_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
     assert path.read_bytes() == encoded(rec)
 
 
-def test_writing_a_record_holds_one_table_block_not_its_frames(tmp_path):
+def test_writing_a_record_holds_two_tables_not_its_frames(tmp_path, monkeypatch):
+    # one table fills while the other is in flight; tables of 256 KiB keep
+    # the record more than ten tables long
+    monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 2**18)
     grid = build_grid(2, 16)
-    n = 601  # c and y over 601 frames of 18^2 nodes: 3 MiB, the last table block part full
+    n = 601  # c and y over 601 frames of 18^2 nodes: 3 MiB, the last table part full
     rng = np.random.default_rng(1)
     rec = PathRecord(grid, 0, 0, 0.1, np.arange(n) * 0.1, rng.random((n,) + grid.shape),
                      rng.random((n,) + grid.shape), ())
@@ -195,3 +202,98 @@ def test_writer_holds_to_the_announced_frame_count(tmp_path):
         out.frame(0.0, zero, zero)
         with pytest.raises(ValueError, match="more snapshots"):
             out.frame(0.1, zero, zero)
+
+
+# ---------------------------------------------------------------------------
+# the digest taken as the record is written, on a writer thread
+
+
+@st.composite
+def streams(draw):
+    """A record on a small grid, a write buffer giving its frames one table,
+    two or many, and cuts of its frames into blocks of any size."""
+    grid = build_grid(1, draw(st.integers(2, 4)))
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = tuple(DerivativePair(float(r), 1.0, *rng.standard_normal((2,) + grid.shape))
+                  for r in range(draw(st.integers(0, 2))))
+    rec = PathRecord(grid, 3, 4, 0.1, rng.standard_normal(n), rng.standard_normal((n,) + grid.shape),
+                     rng.standard_normal((n,) + grid.shape), pairs)
+    tables = draw(st.sampled_from(["one", "two", "many"]))
+    rows = {"one": max(n, 1), "two": max(1, -(-n // 2)), "many": draw(st.integers(1, max(1, n // 3)))}[tables]
+    cuts = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=5))), n]
+    return rec, rows * (8 + 16 * grid.n_nodes), cuts
+
+
+def stream(path, rec, cuts, fail: bool = False):
+    """``rec`` streamed to ``path`` in the blocks between ``cuts``; with
+    ``fail``, an error leaves the block after the last frame, before
+    ``finish``.  Returns the writer."""
+    with RecordWriter(path, rec.grid, rec.seed, rec.path_id, rec.dt, len(rec.times)) as out:
+        for lo, hi in zip(cuts, cuts[1:]):
+            out.frames(rec.times[lo:hi], rec.c[lo:hi], rec.y[lo:hi])
+        if fail:
+            raise KeyError("the caller failed")
+        out.finish(rec.pairs)
+    return out
+
+
+class CountedPool(concurrent.futures.ThreadPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        CountedPool.started += 1
+        super().__init__(*args, **kwargs)
+
+
+def off_the_caller(write, fails_at):
+    """``RecordWriter._write`` that raises at the ``fails_at``-th write made
+    on another thread than the caller's (counted from 0)."""
+    caller, seen = threading.current_thread(), []
+
+    def patched(self, data):
+        if threading.current_thread() is not caller:
+            seen.append(len(data))
+            if len(seen) > fails_at:
+                raise OSError("disk full")
+        return write(self, data)
+
+    return patched
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams(), st.integers(0, 3))
+def test_the_streamed_digest_is_that_of_the_file_and_no_writer_thread_outlives_its_record(
+    tmp_path_factory, case, fails_at
+):
+    rec, buffer, cuts = case
+    rows = buffer // (8 + 16 * rec.grid.n_nodes)  # frames a table holds
+    handed_off = max(0, -(-len(rec.times) // rows) - 1)  # full tables followed by another frame
+    d = tmp_path_factory.mktemp("digest")
+    before = set(threading.enumerate())
+    CountedPool.started = 0
+    with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", CountedPool):
+        out = stream(d / "whole.rpme1", rec, cuts)
+        assert set(threading.enumerate()) == before
+        assert CountedPool.started == int(handed_off > 0)  # a thread only for frames beyond one table
+        data = (d / "whole.rpme1").read_bytes()
+        assert data == encoded(rec)
+        assert out.digest == hashlib.sha256(data).hexdigest()
+
+        # an error of the caller leaves the block, and the writer thread with it
+        with pytest.raises(KeyError):
+            stream(d / "caller.rpme1", rec, cuts, fail=True)
+        assert set(threading.enumerate()) == before
+
+        # a write error on the writer thread surfaces in the block
+        with mock.patch.object(RecordWriter, "_write", off_the_caller(RecordWriter._write, fails_at)):
+            try:
+                stream(d / "fails.rpme1", rec, cuts)
+            except OSError:
+                failed = True
+            else:
+                failed = False
+        assert set(threading.enumerate()) == before
+    # the writer thread writes the tables handed off, finish the rest
+    assert failed == (handed_off > fails_at)

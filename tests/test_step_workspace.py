@@ -3,6 +3,7 @@ numpy expressions, free of allocations once warm, and the coefficient `out=`
 contract it relies on; plus chunking invariance and the non-finite abort of
 the ensemble driver."""
 import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rpmelab import grid as grid_module, model, simulate
+from rpmelab import grid as grid_module, malliavin, model, simulate
 from rpmelab.analysis import cauchy_refinement, epsilon_sweep
 from rpmelab.cli import main
 from rpmelab.grid import BoundaryKind, build_grid, laplacian_core
@@ -496,6 +497,139 @@ def test_warm_steps_rebind_nothing_and_make_no_thread_scratch(monkeypatch, coeff
     assert not made_scratch
     c_ref, y_ref, _ = bound_steps(monkeypatch, "own", dim, gates, coeffs)
     assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
+
+
+# ---------------------------------------------------------------------------
+# the tangent step, bound as the primal step is
+
+TANGENT_COEFFS = {
+    # linear a and coupling b: a', b_c and b_y are declared constants
+    "one-way": COEFFS["readme"],
+    "two-way": make_coefficients(
+        pme_beta(2.0),
+        f=preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0, "mu_y": 0.5}),
+        a=preset_coefficients("linear_a", {"sigma": 0.3}),
+        b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}),
+    ),
+    # a' is evaluated at y; b is affine
+    "saturating": COEFFS["saturating"],
+    "decaying": COEFFS["decaying"],
+}
+
+
+def declared_constants_raise(coeffs):
+    """``coeffs`` whose a', b_c and b_y raise when called wherever their
+    terms declare them constant."""
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a declared constant was evaluated")
+
+    noise, drift = coeffs.noise, coeffs.drift
+    if noise.slope is not None:
+        noise = dataclasses.replace(noise, deriv=evaluated)
+    if drift.affine is not None:
+        drift = dataclasses.replace(drift, d_c=evaluated, d_y=evaluated)
+    return dataclasses.replace(coeffs, noise=noise, drift=drift)
+
+
+def tangent_steps(grid, coeffs, bc, seeds, n_steps, z_zero, dt_factor=1.0, seed=0, watch=None, bound=None):
+    """``n_steps`` primal steps of one path leaving their gates, each
+    followed by the tangent step of ``seeds`` seeds in one workspace (z zero
+    or drawn) under ``bound`` (default ``coeffs``), inside ``watch(n)`` at
+    step n, and the same tangent steps written term by term
+    (``reference_tangent_step``).  Returns the (z, dry) of both after every
+    step."""
+    rng = np.random.default_rng(seed)
+    primal = StepBuffers(grid, (1,), gates=True)
+    c, y = primal.c[0], primal.y[0]
+    c[...] = apply_bc(rng.uniform(0.0, 2.0, c.shape), grid, bc)
+    y[...] = rng.uniform(0.0, 2.0, y.shape)
+    dt = dt_factor * cfl_dt(grid, coeffs, 2.0)
+    dws = rng.standard_normal((n_steps, 1)) * rng.choice([np.sqrt(dt), 5.0])
+    work = TangentBuffers((seeds,) + grid.shape, c.shape)
+    work.z[...] = 0.0 if z_zero else rng.standard_normal(work.z.shape)
+    work.dry[...] = rng.standard_normal(work.dry.shape)
+    state, ref = MalliavinState(work.z, work.dry), (work.z.copy(), work.dry.copy())
+    got, expected = [], []
+    for n, dw in enumerate(dws, 1):
+        res = step(c, y, grid, coeffs, bc, dt, dw, work=primal)
+        ref = reference_tangent_step(*ref, c, y, grid, coeffs, bc, dt, dw, primal)
+        with watch(n) if watch else contextlib.nullcontext():
+            step_malliavin(state, c, y, grid, bound or coeffs, bc, dt, dw, primal, work)
+        got.append((work.z.copy(), work.dry.copy()))
+        expected.append(ref)
+        c, y = res.c, res.y
+    return got, expected
+
+
+def reference_tangent_step(z, dry, c, y, grid, coeffs, bc, dt, dw, primal):
+    """The tangent step term by term: each coefficient from its public
+    callable as a fresh array over every seed's row, dW one too, the
+    Laplacian from ``laplacian_core`` and the boundary rule from ``apply_bc``."""
+    full = lambda value: np.array(np.broadcast_to(value, z.shape))
+    if not coeffs.source.reads_y and not np.count_nonzero(z) and np.isfinite(c).all():
+        z_new, drc = np.zeros(z.shape), np.zeros(z.shape)
+    else:
+        drc = z * full(coeffs.recip_beta_prime(c))
+        lap = np.zeros(z.shape)
+        laplacian_core(drc, grid.spacing, grid.dim, out=lap)
+        lap = lap + full(coeffs.df_dc(c, y)) * drc + full(coeffs.df_dy(c, y)) * dry
+        z_new = apply_bc(np.where(primal.v_gate, 0.0, z + dt * lap), grid, bc)
+    dry_new = dry + full(coeffs.a_prime(y)) * dry * full(dw) + (
+        full(coeffs.db_dc(c, y)) * drc + full(coeffs.db_dy(c, y)) * dry) * dt
+    return z_new, np.where(primal.y_gate, 0.0, dry_new)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seeds", [1, 3])
+@pytest.mark.parametrize("coupling,z_zero,tiled", [
+    ("one-way", True, 0),  # z is not stepped, and every coefficient of dry is a constant
+    ("one-way", False, 3),  # a nonzero z is: 1/beta', f_c and f_y are evaluated and tiled
+    ("two-way", True, 3),
+    ("two-way", False, 3),
+])
+def test_warm_tangent_steps_rebind_nothing_and_evaluate_no_declared_constant(
+    monkeypatch, dim, seeds, coupling, z_zero, tiled
+):
+    calls = []
+
+    def rebind(*args, **kwargs):
+        raise AssertionError("a warm tangent step took views or bound again")
+
+    @contextlib.contextmanager
+    def watch(n):
+        if n == 3:  # from the third step on
+            for owner, name in [(grid_module, "laplacian_core"), (malliavin, "_stencil"),
+                                (malliavin, "_face_pairs"), (TangentBuffers, "bind")]:
+                monkeypatch.setattr(owner, name, rebind)
+            if not tiled:
+                monkeypatch.setattr(malliavin, "_tiled", rebind)
+            else:
+                count = malliavin._tiled
+                monkeypatch.setattr(malliavin, "_tiled", lambda *args: calls.append(n) or count(*args))
+        yield
+
+    coeffs = TANGENT_COEFFS[coupling]
+    with np.errstate(all="ignore"):
+        got, expected = tangent_steps(build_grid(dim, 5), coeffs, BoundaryKind.NEUMANN, seeds, 6, z_zero,
+                                      watch=watch, bound=declared_constants_raise(coeffs))
+    assert len(calls) == tiled * 4  # steps 3 to 6
+    for (z, dry), (z_ref, dry_ref) in zip(got, expected):
+        assert same_bits(z, z_ref) and same_bits(dry, dry_ref)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(2, 6), st.sampled_from(list(BoundaryKind)),
+       st.sampled_from(sorted(TANGENT_COEFFS)), st.integers(1, 5), st.booleans(),
+       st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
+def test_the_bound_tangent_step_is_the_term_by_term_formula_bitwise(dim, cells, bc, coupling, seeds, z_zero,
+                                                                    dt_factor, seed):
+    # steps beyond the stability bound and large increments make the clamps bite
+    grid = build_grid(dim, min(cells, {1: 6, 2: 6, 3: 3}[dim]))
+    with np.errstate(all="ignore"):
+        got, expected = tangent_steps(grid, TANGENT_COEFFS[coupling], bc, seeds, 5, z_zero, dt_factor, seed)
+    for (z, dry), (z_ref, dry_ref) in zip(got, expected):
+        assert same_bits(z, z_ref) and same_bits(dry, dry_ref)
 
 
 @pytest.mark.parametrize("paths,workers,pool", [(2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True)])
