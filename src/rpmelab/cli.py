@@ -50,12 +50,12 @@ from .model import (
     make_coefficients,
     pme_beta,
     preset_coefficients,
-    r2_bound,
     regularize_beta,
 )
 from .pathfile import DerivativePair, PathRecord, RecordWriter, write_record
 from .simulate import (
     NumericalAbort,
+    SchemaError,
     SimConfig,
     gen_wiener,
     interior_v_mass,
@@ -64,14 +64,6 @@ from .simulate import (
     simulate_ensemble,
 )
 from .transform import build_transform_pair, degeneracy_weight
-
-
-class SchemaError(ValueError):
-    """Configuration rejected; ``key`` names the offending entry."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key {key!r}: {message}")
-        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +384,6 @@ def _require_finite(*arrays) -> None:
             raise NumericalAbort("non-finite state encountered")
 
 
-def _growth_radius(config: SimConfig, c0_fn, y0: float) -> tuple[float, float]:
-    """Sup of the boundary-applied initial concentration, the state the
-    library steps from, and the growth bound r2 over the horizon."""
-    c, _ = prepare_initial(config, c0_fn, y0)
-    c0_max = float(np.max(c))
-    return c0_max, r2_bound(config.t_final, c0_max, config.coeffs.beta_family)
-
-
 def _mass_report(masses: np.ndarray, cfg: RunConfig) -> EstimateReport:
     """Largest drift of the interior v-mass over its frames, relative to
     the initial mass."""
@@ -424,7 +408,8 @@ Sections = dict[str, list[EstimateReport]]
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     c0_fn = _initial(cfg)
-    c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
+    c0_max = float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0]))
+    r2 = config.growth_radius(c0_max)
     _, n0 = config.resolve_steps(c0_max)
     stride = cfg.snapshot_stride or max(1, n0 // 256)
     # steps are rounded up to a multiple of n_snap: at least n0, under n0 + stride
@@ -449,21 +434,11 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
             reports.append(replace(_mass_report(masses, cfg), name=f"{tag}_mass_drift"))
             reports.append(EstimateReport(f"{tag}_clamped_mass", float(chunk.clamp_mass[j]), None))
 
-    ens = simulate_ensemble(
-        config,
-        c0_fn,
-        cfg.y0,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        n_workers=cfg.workers,
-        n_snapshots=n_snap,
-        on_chunk=write_chunk,
-    )
+    ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
+                            n_snapshots=n_snap, on_chunk=write_chunk)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup"))
     reports.append(EstimateReport("ensemble_min", float(np.min(ens.c_min)), None))
-    reports.append(
-        EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None)
-    )
+    reports.append(EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None))
     return {"simulate": reports}, {"dt": ens.dt, "r2_bound": r2, "digests": digests}
 
 
@@ -471,7 +446,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config = _sim_config(cfg)
     grid, coeffs = config.grid, config.coeffs
     c0_fn = _initial(cfg)
-    c0_max, r2 = _growth_radius(config, c0_fn, cfg.y0)
+    c0_max = float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0]))
+    r2 = config.growth_radius(c0_max)
     dt, n = config.resolve_steps(c0_max)
 
     # path 0 of the ensemble goes through the report sums frame by frame as
@@ -519,11 +495,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     _require_finite(ens.c_final, ens.y_final)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
     y_term = ens.y_final[(slice(None),) + center]
-    reports.append(
-        EstimateReport(
-            "terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}
-        )
-    )
+    reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
     return {"verify": reports}, {"dt": dt, "r2_bound": r2}
 
 
@@ -553,9 +525,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
         # autonomous linear state derivative: the propagated value must
         # reproduce a(y(T)) = sigma * y(T) node for node
-        closed = None
-        if cfg.a_name == "linear" and cfg.b_name == "zero":
-            closed = config.coeffs.a(run.y_final[0])
+        closed = config.coeffs.a(run.y_final[0]) if cfg.a_name == "linear" and cfg.b_name == "zero" else None
 
         reports: list[EstimateReport] = []
         pairs = []

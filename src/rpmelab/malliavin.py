@@ -17,10 +17,11 @@ Seeding before step r makes the recursion reproduce the continuous
 variational initial condition; for linear noise a(y) = sigma*y with no drift
 or source feedback it telescopes to dry(T) = sigma * y(T) exactly.
 
-When f ignores y (one-way coupling) f_y = 0, so z seeded at zero stays
-+0.0 bit for bit while c is finite, drc with it, and only dry is stepped.
-Coefficients the terms declare constant (a' = sigma for linear noise,
-b_c = kappa and b_y = -rho for an affine drift) enter the update as scalars.
+Under a(y) = sigma y and b(c, y) = kappa c - rho y the primal steps
+y+ = max(alpha y + (kappa dt) c, 0), alpha = 1 + sigma dW - rho dt, and dry
+steps by the exact derivative of that step, dry+ = alpha dry + (kappa dt) drc
+(the formula above to a few ulps).  When f ignores y, f_y = 0 keeps z and drc
+at zero: such a tangent has no z and steps dry alone, with drc = +0.0.
 
 Where the primal clamp at zero bites, the derivative is zeroed (the clamp's
 a.e. derivative), so the quotient of a clamped perturbed run still matches.
@@ -30,7 +31,6 @@ gates the primal step leaves in its workspace.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,9 +52,9 @@ from .simulate import (
 
 @dataclass
 class MalliavinState:
-    """Derivative pair at one time level, full grid shape."""
+    """Derivative pair at one time level, full grid shape; z None for dry alone."""
 
-    z: np.ndarray
+    z: np.ndarray | None
     dry: np.ndarray
 
 
@@ -80,35 +80,39 @@ def init_malliavin(y_r: np.ndarray, coeffs: CoefficientSet) -> MalliavinState:
 class TangentBuffers:
     """Workspace for tangent steps of derivative pairs shaped ``shape``
     (seed axes, then the grid) along primal states shaped ``primal``: the
-    new pair, four scratch arrays and a boundary face per seed, and one
-    coefficient value and its scratch shaped like the primal.  ``head(k)``
-    is the workspace of the first k seeds in the same memory, so a batch
-    that grows at its end stays contiguous.  What a step reads is bound at
-    its first step under a coefficient set (see ``bind``)."""
+    new pair, drc, three scratch arrays and a boundary face per seed (dry
+    and the scratch alone without ``z``), and one coefficient value and its
+    scratch shaped like the primal.  ``head(k)`` is the workspace of the
+    first k seeds in the same memory, so a batch that grows at its end stays
+    contiguous.  What a step reads is bound at its first step (see ``bind``)."""
 
-    def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...]):
-        self.z, self.dry, self.drc, self.lap, self.t, self.u = (np.zeros(shape) for _ in range(6))
-        self.face = np.zeros(shape[:-1])
+    def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...], z: bool = True):
+        self.dry, self.lap, self.t, self.u = (np.zeros(shape) for _ in range(4))
+        self.z, self.drc, self.face = (np.zeros(shape), np.zeros(shape), np.zeros(shape[:-1])) if z else [None] * 3
         self.shared, self.tmp = np.zeros(primal), np.zeros(primal)
-        self.coeffs = None
+        self.coeffs = self.primal = None
 
     def head(self, k: int) -> TangentBuffers:
         view = copy.copy(self)
         for name in ("z", "dry", "drc", "lap", "t", "u", "face"):
-            setattr(view, name, getattr(self, name)[:k])
+            if getattr(self, name) is not None:
+                setattr(view, name, getattr(self, name)[:k])
         view.coeffs = None  # its own band views are bound at its first step
         return view
 
-    def bind(self, coeffs: CoefficientSet, grid: GridSpec) -> None:
-        """Bind the band of drc with its Laplacian neighbours and the band
-        of lap (see ``laplacian_core``), the face pairs of z, and each
-        coefficient the step reads as a function of the primal state: the
-        declared constant when the noise is linear (a' = sigma) or the drift
-        affine (b_c = kappa, b_y = -rho), otherwise its core evaluated into
-        ``shared`` with scratch ``tmp`` and ``_tiled``."""
-        self.coeffs, self.h = coeffs, grid.spacing
-        (self.drc_b, self.shifts), self.lap_b = _stencil(self.drc, grid.dim), _stencil(self.lap, grid.dim)[0]
-        self.faces = _face_pairs(self.z, grid.dim)
+    def bind(self, coeffs: CoefficientSet, grid: GridSpec, primal: StepBuffers) -> None:
+        """Bind the bands of drc, with its Laplacian neighbours, and of lap
+        (see ``laplacian_core``) and the face pairs of z, if z is kept; the
+        alpha of ``primal`` under its affine terms, a 0-d view if it has one
+        value (a ufunc broadcasting a (1, 1) operand would buffer); and each
+        other coefficient: its declared constant (a' = sigma, b_c = kappa,
+        b_y = -rho), else its core into ``shared`` (scratch ``tmp``) and ``_tiled``."""
+        self.coeffs, self.primal, self.h, self.affine = coeffs, primal, grid.spacing, primal.affine
+        if self.z is not None:
+            (self.drc_b, self.shifts), self.lap_b = _stencil(self.drc, grid.dim), _stencil(self.lap, grid.dim)[0]
+            self.faces = _face_pairs(self.z, grid.dim)
+        if self.affine is not None:
+            self.alpha = primal.alpha.reshape(()) if primal.alpha.size == 1 else primal.alpha
 
         def tiled(fn):
             core = getattr(fn, "core", None) or (lambda *a: fn(*a[:-2], out=a[-2]))
@@ -146,46 +150,42 @@ def step_malliavin(
     """Advance the derivative pair across one primal step (c, y) -> next.
 
     ``mstate`` may carry leading seed axes; ``c`` and ``y``, the primal
-    states at the step start, broadcast against them, and so does ``dW``
-    against the leading axes.  The derivative is zeroed where the primal
-    clamps bit: ``primal`` is the gate-carrying workspace of the primal step
-    from (c, y) under ``dW``, and without it that step is taken here.
+    state at the step start, and ``dW`` broadcast against them.  ``primal``
+    is the gate-carrying workspace of the primal step from (c, y) under
+    ``dW`` (taken here when None); the derivative is zeroed where its clamps
+    bit.  A z of None steps dry alone, with drc = +0.0, for a source that
+    ignores y.
 
     The new pair goes into ``work.z`` and ``work.dry`` (a fresh workspace
     when None), which may hold ``mstate`` itself, so a sweep allocates
     nothing.  Seed-sized operations run on whole contiguous rows (boundary
     nodes get scratch that the boundary rule replaces), in the operation
-    order of the formulas in the module docstring.  What a step reads is
-    bound into ``work`` at its first step under ``coeffs`` (see
-    ``TangentBuffers.bind``).  Each coefficient is evaluated once at the
-    primal state and copied to every seed's row, or is the constant its
-    term declares; a constant, and a ``dW`` of one value, enter the ufuncs
-    as scalars, which give the bits of an array filled with them.  A z of
-    zeros under a source that ignores y is not stepped while c is finite:
-    ``work.z`` and ``work.drc`` are set to +0.0, the value the formulas
-    give (past a non-finite c they give NaN).  The primal c is nonnegative,
-    so its max is finite exactly when c is.
+    order of the formulas in the module docstring, the affine one with the
+    primal's alpha; what they read is bound at the first step (see
+    ``TangentBuffers.bind``).  A constant, a drc of +0.0 and a ``dW`` of one
+    value enter the ufuncs as scalars, which give the bits of an array
+    filled with them.
     """
     dim, z, dry = grid.dim, mstate.z, mstate.dry
     dw = np.asarray(dW, dtype=np.float64)
     if primal is None or work is None:
-        lead = np.broadcast_shapes(z.shape[: z.ndim - dim], c.shape[: c.ndim - dim], dw.shape)
+        lead = np.broadcast_shapes(dry.shape[: dry.ndim - dim], c.shape[: c.ndim - dim], dw.shape)
     if primal is None:
         primal = StepBuffers(grid, lead, gates=True)
         primal.c[0][...], primal.y[0][...] = c, y
         step(primal.c[0], primal.y[0], grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
     if work is None:
-        work = TangentBuffers(lead + grid.shape, c.shape)
-    if work.coeffs is not coeffs:
-        work.bind(coeffs, grid)
-    drc, lap, t, u = work.drc, work.lap, work.t, work.u
+        work = TangentBuffers(lead + grid.shape, c.shape, z is not None)
+    if work.coeffs is not coeffs or work.primal is not primal:
+        if z is None and coeffs.source.reads_y:
+            raise ValueError("a tangent of dry alone needs a source that ignores y")
+        work.bind(coeffs, grid, primal)
+    lap, t, u = work.lap, work.t, work.u
 
-    if not (coeffs.source.reads_y or np.count_nonzero(z)) and math.isfinite(np.maximum.reduce(c, axis=None)):
-        work.z.fill(0.0)
-        drc.fill(0.0)
-    else:
+    drc = 0.0
+    if z is not None:
         # z+ = z + dt * (lap_h drc + f_c drc + f_y dry), zero where v+ was clamped
-        np.multiply(z, work.recip(c), out=drc)
+        drc = np.multiply(z, work.recip(c), out=work.drc)
         _band_laplacian(work.lap_b, work.drc_b, work.shifts, work.h)
         np.add(lap, np.multiply(work.f_c(c, y), drc, out=t), out=lap)
         np.add(lap, np.multiply(work.f_y(c, y), dry, out=t), out=lap)
@@ -194,20 +194,23 @@ def step_malliavin(
         np.copyto(work.z, 0.0, where=primal.v_gate)
         _impose_bc(work.faces, bc, work.face)
 
-    # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
-    np.multiply(work.a_prime(y), dry, out=t)
-    if dw.size == 1:
-        np.multiply(t, dw.reshape(()), out=t)
+    if work.affine is not None:
+        # dry+ = alpha dry + (kappa dt) drc, zero where y+ was clamped; a drc of
+        # +0.0 still gives a zero of alpha dry the sign the step with z gives it
+        kappa_dt = work.affine[1] * dt
+        term = kappa_dt * drc if z is None else np.multiply(kappa_dt, drc, out=lap)
+        np.add(np.multiply(dry, work.alpha, out=work.dry), term, out=work.dry)
     else:
-        np.copyto(u, dw.reshape(dw.shape + (1,) * dim))  # a ufunc broadcasting dw would buffer
-        np.multiply(t, u, out=t)
-    np.add(dry, t, out=t)
-    np.multiply(work.b_c(c, y), drc, out=lap)
-    np.add(lap, np.multiply(work.b_y(c, y), dry, out=u), out=lap)
-    np.multiply(lap, dt, out=lap)
-    np.add(t, lap, out=work.dry)
+        # dry+ = dry + a'(y) dry dW + (b_c drc + b_y dry) dt, zero where y+ was clamped
+        np.multiply(work.a_prime(y), dry, out=t)
+        np.multiply(t, dw.reshape(()) if dw.size == 1 else dw.reshape(dw.shape + (1,) * dim), out=t)
+        np.add(dry, t, out=t)
+        np.multiply(work.b_c(c, y), drc, out=lap)
+        np.add(lap, np.multiply(work.b_y(c, y), dry, out=u), out=lap)
+        np.multiply(lap, dt, out=lap)
+        np.add(t, lap, out=work.dry)
     np.copyto(work.dry, 0.0, where=primal.y_gate)
-    return MalliavinState(work.z, work.dry)
+    return MalliavinState(None if z is None else work.z, work.dry)
 
 
 def seed_index(fraction: float, n_steps: int) -> int:
@@ -218,8 +221,9 @@ def seed_index(fraction: float, n_steps: int) -> int:
 class _Tangent:
     """Tangent recorder of one primal path, the ``on_step`` of its run (see
     ``propagate_path``).  Its seeds, sorted by seed step, are the rows of one
-    workspace for all of them; a seed's row becomes active at its step, so
-    the active seeds are always the leading rows."""
+    workspace for all of them, of dry alone when the source ignores y; a
+    seed's row becomes active at its step, with the zero z it was made with,
+    so the active seeds are always the leading rows."""
 
     reads_gates = True  # the primal workspace keeps the clamp gates it reads
 
@@ -245,25 +249,26 @@ class _Tangent:
         self.joins.sort()
         self.row = {j: i for i, (_, j) in enumerate(self.joins)}
         self.config, self.dt, self.k, self.on_frame = config, wiener.dt, 0, on_frame
-        self.work = TangentBuffers((len(self.joins),) + config.grid.shape, (1,) + config.grid.shape)
+        shape = config.grid.shape
+        self.work = TangentBuffers((len(self.joins),) + shape, (1,) + shape, config.coeffs.source.reads_y)
         self.active = self.work.head(0)
         self.out: list[list[MalliavinSlice]] = [[] for _ in r_list]
 
     def __call__(self, res, c, y, dw, primal: StepBuffers) -> None:
-        cf, k, a = self.config, self.k, len(self.active.z)
+        cf, k, a = self.config, self.k, len(self.active.dry)
         self.k += 1
         while a < len(self.joins) and self.joins[a][0] == k:
-            seed = init_malliavin(y[0], cf.coeffs)
-            self.work.z[a], self.work.dry[a] = seed.z, seed.dry
+            self.work.dry[a] = init_malliavin(y[0], cf.coeffs).dry
             a += 1
             self.active = self.work.head(a)
         if a:
             state = MalliavinState(self.active.z, self.active.dry)
             step_malliavin(state, c, y, cf.grid, cf.coeffs, cf.bc, self.dt, dw, primal, self.active)
         for j in self.emit.get(k + 1, ()):
-            z, dry = self.work.z[self.row[j]].copy(), self.work.dry[self.row[j]].copy()
-            drc = recover_drc(z, res.c[0], cf.coeffs)
-            self.out[j].append(MalliavinSlice(k + 1, float((k + 1) * self.dt), z, drc, dry))
+            i, keeps_z = self.row[j], self.work.z is not None  # else z and drc are +0.0
+            z = self.work.z[i].copy() if keeps_z else np.zeros(cf.grid.shape)
+            drc = recover_drc(z, res.c[0], cf.coeffs) if keeps_z else np.zeros(cf.grid.shape)
+            self.out[j].append(MalliavinSlice(k + 1, float((k + 1) * self.dt), z, drc, self.work.dry[i].copy()))
         if self.on_frame is not None:
             self.on_frame(k + 1, res.c[0], res.y[0])
 
@@ -284,8 +289,9 @@ def propagate_path(
     stepped, when no slice is wanted) and, per seed, its slices at its own
     ``t_indices`` (default: step n only); every new primal state goes to
     ``on_frame(k, c, y)``.  Seed j joins at its step r_j with z = 0 and
-    dry = a(y(r_j)); every operation is elementwise per seed, so a seed's
-    slices are bitwise those of a sweep carrying it alone.
+    dry = a(y(r_j)); under a source that ignores y only dry is stepped, and
+    every slice has z = drc = +0.0.  Every operation is elementwise per
+    seed, so a seed's slices are bitwise those of a sweep carrying it alone.
     """
     if wiener.increments.ndim != 1:
         raise ValueError("propagate_path needs a single-path wiener")

@@ -57,6 +57,14 @@ _NOISE_BLOCK = 512
 _CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass v_gate gate_band")
 
 
+class SchemaError(ValueError):
+    """Configuration rejected; ``key`` names the offending entry."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"config key {key!r}: {message}")
+        self.key = key
+
+
 class NumericalAbort(RuntimeError):
     """The state stopped being finite."""
 
@@ -182,15 +190,27 @@ class SimConfig:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
 
+    def growth_radius(self, c0_max: float) -> float:
+        """``r2_bound`` from ``c0_max`` over the horizon, refused naming t_final if it overflows."""
+        try:
+            with np.errstate(over="ignore"):
+                radius = r2_bound(self.t_final, c0_max, self.coeffs.beta_family)
+        except OverflowError:
+            radius = math.inf
+        if not math.isfinite(radius):
+            raise SchemaError("t_final", f"the growth radius over {self.t_final!r} overflows")
+        return radius
+
     def resolve_steps(self, c0_max: float, multiple_of: int = 1) -> tuple[float, int]:
         """Final (dt, n_steps): target step from the override or the CFL
         bound at the a priori sup radius, then rounded so n_steps is a
-        multiple of ``multiple_of`` and dt * n_steps == t_final."""
-        if self.dt is not None:
-            target = self.dt
-        else:
-            radius = r2_bound(self.t_final, c0_max, self.coeffs.beta_family)
-            target = cfl_dt(self.grid, self.coeffs, radius, self.theta)
+        multiple of ``multiple_of`` and dt * n_steps == t_final.  A target
+        that is not a positive float with a finite step count raises
+        ``SchemaError`` naming dt or theta."""
+        key, target = ("dt", self.dt) if self.dt is not None else (
+            "theta", cfl_dt(self.grid, self.coeffs, self.growth_radius(c0_max), self.theta))
+        if not (target > 0.0 and math.isfinite(self.t_final / target)):
+            raise SchemaError(key, f"step {target!r} gives no finite step count over t_final {self.t_final!r}")
         n = max(1, math.ceil(self.t_final / target - 1e-12))
         n = multiple_of * math.ceil(n / multiple_of)
         return self.t_final / n, n
@@ -298,13 +318,10 @@ class StepBuffers:
 
 
 def path_bytes(grid: GridSpec, frames: int) -> int:
-    """Bytes a chunk is charged per path: eight arrays over all nodes (the
-    workspace of a lane that steps c and y: c and y in two copies, three
-    scratch arrays and the coefficient scratch, see ``StepBuffers``), and
-    ``frames`` stored frames of c and y in float64.  A lane of a one-way
-    run holds four (y, its copy, the y scratch and the coefficient scratch),
-    but is charged eight all the same: at four, ensemble-2d's chunks would
-    double and its peak RSS grow by about 10% (from the workspace sizes)."""
+    """Bytes a chunk is charged per path: the eight state-sized arrays of a
+    lane that steps c and y (see ``StepBuffers``; a one-way lane holds four,
+    but at four ensemble-2d's chunks would double and its peak RSS grow by
+    about 10%), and ``frames`` stored frames of c and y in float64."""
     return 8 * 8 * grid.n_nodes + 16 * grid.n_nodes * frames
 
 

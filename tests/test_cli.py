@@ -22,7 +22,7 @@ from rpmelab.cli import (
     main,
 )
 from rpmelab.pathfile import read_record
-from rpmelab.simulate import path_bytes
+from rpmelab.simulate import path_bytes, prepare_initial
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -325,6 +325,11 @@ def test_corrupt_config_exits_3_and_writes_nothing(tmp_path, capsys, case, comma
 # subcommand runs
 
 
+def c0_max(config, cfg):
+    """Sup of the boundary-applied initial c that a run of ``cfg`` steps from."""
+    return float(np.max(prepare_initial(config, cli._initial(cfg), cfg.y0)[0]))
+
+
 def run_cli(command, tmp_path, text, out_name):
     cfg_path = write(tmp_path, text, name=f"{out_name}.cfg")
     out = tmp_path / out_name
@@ -369,6 +374,24 @@ def test_seed_beyond_u64_exits_3(tmp_path, capsys):
     code, out = run_cli("simulate", tmp_path, SMALL_SIM + f"seed = {2**64}\n", "wide")
     assert code == 3
     assert "config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "malliavin", "converge", "sweep-eps"])
+@pytest.mark.parametrize("line,key", [
+    ("theta = 5e-324", "theta"),  # the CFL step underflows to 0.0
+    ("theta = 1e-320", "theta"),  # a step so small that t_final / dt is infinite
+    ("t_final = 1e300", "t_final"),  # the growth radius overflows
+    ("dt = 5e-324", "dt"),
+])
+def test_a_step_grid_that_cannot_be_resolved_exits_3_naming_its_key(tmp_path, capsys, command, line, key):
+    # each config passes the schema; the step grid it makes is refused
+    # before anything is stepped
+    text = f"cells = 8\n{line}\n"
+    config_from_mapping(dict([line.split(" = ")]))
+    code, out = run_cli(command, tmp_path, text, "grid")
+    assert code == 3
+    assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,13 +454,15 @@ def test_numerical_abort_leaves_no_outputs(tmp_path):
         assert list(tmp_path.glob(".*staging*")) == []
 
 
-def test_growth_bound_overflow_exits_4(tmp_path, capsys):
+def test_growth_bound_overflow_exits_3_naming_t_final(tmp_path, capsys):
+    # a radius that overflows is a config outcome, refused before any step,
+    # not a state that blew up (exit 4)
     text = "cells = 8\nt_final = 100\ninitial.c = constant\ninitial.c.value = 20\n"
     code, out = run_cli("simulate", tmp_path, text, "overflow")
-    assert code == 4
+    assert code == 3
     assert not out.exists()
     assert list(tmp_path.glob(".*staging*")) == []
-    assert "numerical abort" in capsys.readouterr().err
+    assert "config key 't_final'" in capsys.readouterr().err
 
 
 def test_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
@@ -656,7 +681,7 @@ def test_malliavin_propagates_every_seed_in_one_sweep(tmp_path, monkeypatch):
     real = malliavin.step_malliavin
 
     def counting(mstate, *args):
-        seeds_per_call.append(mstate.z.shape[0])
+        seeds_per_call.append(mstate.dry.shape[0])
         return real(mstate, *args)
 
     monkeypatch.setattr(malliavin, "step_malliavin", counting)
@@ -865,7 +890,7 @@ def test_step_state_beyond_physical_memory_exits_3(
     if command == "simulate":
         cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
         config = cli._sim_config(cfg)
-        n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+        n = config.resolve_steps(c0_max(config, cfg))[1]
         assert n < 256
         frames = n + 1
     need = path_bytes(build_grid(2, cells), frames)
@@ -886,7 +911,7 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
     text = "dim = 2\ncells = 16\nt_final = 0.001\n"
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     config = cli._sim_config(cfg)
-    n = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+    n = config.resolve_steps(c0_max(config, cfg))[1]
     grid = build_grid(2, 16)
     assert path_bytes(grid, 0) < path_bytes(grid, n + 1) - 1
     monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid, n + 1) - 1)
@@ -907,7 +932,7 @@ def simulated_steps(tmp_path, text, name):
     assert code == 0
     cfg = load_config(tmp_path / f"{name}.cfg")
     config = cli._sim_config(cfg)
-    n0 = config.resolve_steps(cli._growth_radius(config, cli._initial(cfg), cfg.y0)[0])[1]
+    n0 = config.resolve_steps(c0_max(config, cfg))[1]
     dt = json.loads((out / "manifest.json").read_text())["dt"]
     frames = len(read_record(out / "paths" / "path_0000.rpme1").times)
     return round(cfg.t_final / dt), frames, n0, cfg.snapshot_stride or max(1, n0 // 256)
@@ -1028,7 +1053,7 @@ def test_streamed_verify_reports_are_the_dense_ones(tmp_path, dim, bc, theta, mu
 
     config, c0 = cli._sim_config(cfg), cli._initial(cfg)
     coeffs, grid = config.coeffs, config.grid
-    r2 = cli._growth_radius(config, c0, cfg.y0)[1]
+    r2 = config.growth_radius(c0_max(config, cfg))
     run = simulate_path(config, c0, cfg.y0, seed=seed, store_dense=True)
     dense = [
         linf_check(float(np.max(run.c)), r2),

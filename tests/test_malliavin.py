@@ -317,29 +317,41 @@ def test_perturbation_oracle_batch_matches_two_single_runs():
 
 
 def replay_step(z, dry, c, y, grid, coeffs, bc, dt, dW):
-    """The recursion as a replay of stored frames computed it: the clamp
-    gates recomputed from the primal formulas, strided interior views and
-    fresh temporaries."""
+    """The recursion as a replay of stored frames computed it, in the form
+    the terms declare: the clamp gates recomputed from the primal formulas,
+    strided interior views and fresh temporaries.  Under the affine terms
+    the y step is max(alpha y + (kappa dt) c, 0) and dry steps by its
+    derivative; under a source that ignores y, z and drc are zero."""
     dim, h = grid.dim, grid.spacing
     core = (Ellipsis,) + (slice(1, -1),) * dim
-    drc = recover_drc(z, c, coeffs)
-    c_int, y_int = c[core], y[core]
-    z_new_int = z[core] + dt * (
-        laplacian_core(drc, h, dim)
-        + coeffs.df_dc(c_int, y_int) * drc[core]
-        + coeffs.df_dy(c_int, y_int) * dry[core]
-    )
-    v_pre = coeffs.beta(c_int) + dt * (laplacian_core(c, h, dim) + coeffs.f(c_int, y_int))
-    z_new_int = np.where(v_pre < 0.0, 0.0, z_new_int)
-    z_new = np.array(z, copy=True)
-    z_new[core] = z_new_int
-    z_new = apply_bc(z_new, grid, bc)
+    if coeffs.source.reads_y:
+        drc = recover_drc(z, c, coeffs)
+        c_int, y_int = c[core], y[core]
+        z_new_int = z[core] + dt * (
+            laplacian_core(drc, h, dim)
+            + coeffs.df_dc(c_int, y_int) * drc[core]
+            + coeffs.df_dy(c_int, y_int) * dry[core]
+        )
+        v_pre = coeffs.beta(c_int) + dt * (laplacian_core(c, h, dim) + coeffs.f(c_int, y_int))
+        z_new_int = np.where(v_pre < 0.0, 0.0, z_new_int)
+        z_new = np.array(z, copy=True)
+        z_new[core] = z_new_int
+        z_new = apply_bc(z_new, grid, bc)
+    else:
+        z_new, drc = np.zeros(z.shape), np.zeros(z.shape)
     dw = np.asarray(dW, dtype=np.float64)
     dw = dw.reshape(dw.shape + (1,) * dim)
-    dry_new = dry + coeffs.a_prime(y) * dry * dw + (
-        coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry
-    ) * dt
-    y_pre = y + coeffs.a(y) * dw + coeffs.b(c, y) * dt
+    sigma, drift = coeffs.noise.slope, coeffs.drift.affine
+    if sigma is None or drift is None:
+        dry_new = dry + coeffs.a_prime(y) * dry * dw + (
+            coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry
+        ) * dt
+        y_pre = y + coeffs.a(y) * dw + coeffs.b(c, y) * dt
+    else:
+        kappa, rho = drift
+        alpha = sigma * dw + 1.0 - rho * dt
+        dry_new = dry * alpha + (kappa * dt) * drc
+        y_pre = y * alpha + (kappa * dt) * c
     return z_new, np.where(y_pre < 0.0, 0.0, dry_new)
 
 
@@ -364,7 +376,7 @@ def replay_sweep(config, wiener, dense, r_indices, t_indices):
         z, dry = replay_step(z, dry, c[k], y[k], grid, coeffs, config.bc, dt, wiener.increments[k])
         for j in emit.get(k + 1, ()):
             zj = z[row[j]]
-            drc = recover_drc(zj, c[k + 1], coeffs)
+            drc = recover_drc(zj, c[k + 1], coeffs) if coeffs.source.reads_y else np.zeros(zj.shape)
             out[j].append((k + 1, (k + 1) * dt, zj.copy(), drc, dry[row[j]].copy()))
     return out
 
@@ -466,7 +478,7 @@ def test_sweep_zeroes_the_derivative_where_either_clamp_bites():
 
 
 # ---------------------------------------------------------------------------
-# one-way coupling: the tangent skips z, which stays +0.0
+# one-way coupling: the tangent steps dry alone; z and drc are +0.0
 
 
 ONE_WAY_SOURCES = {
@@ -540,60 +552,67 @@ def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
 @settings(max_examples=60, deadline=None)
 @given(one_way_runs())
 # steps far beyond the stability bound overflow c (at step 10 of 11 and 11
-# of 12): the formulas give drc = 0 * recip_beta_prime(inf) = NaN, so the
-# one-way shortcut, which would set +0.0, must not be taken there
+# of 12), before the one slice at the last step: the full tangent then gives
+# drc = 0 * recip_beta_prime(inf) = NaN and carries it into dry, while the
+# tangent of dry alone never reads c; the frames stay the same bytes and the
+# slices keep z = drc = +0.0
 @example(one_way_case(1, 5, BoundaryKind.NEUMANN, "logistic", "linear_a", 3.0, 0, 11, 5.0, None, None, [0], [[11]]))
 @example(one_way_case(1, 7, BoundaryKind.DIRICHLET, "logistic", "linear_a", 2.0, 10, 12, 5.0, None, None, [0], [[12]]))
 def test_one_way_sweep_is_bitwise_the_full_tangent(case):
+    # while c is finite, the tangent of dry alone is bit for bit the tangent
+    # of the same source not declared to ignore y, which steps z in full
     config, terms, initial, wiener, r_indices, t_indices = case
     source = config.coeffs.source
     assert not source.reads_y
-    # the same reaction term, not declared to ignore y: z is stepped in full
     full_source = SourceTerm(source.label, source.fn, source.d_c, source.d_y)
     full_coeffs = make_coefficients(config.coeffs.beta_family, f=full_source, **terms)
     full = SimConfig(config.grid, full_coeffs, config.bc, t_final=config.t_final, dt=config.dt)
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
         got, got_bytes = streamed_sweep(config, initial, wiener, r_indices, t_indices, f"{tmp}/a.rpme1")
         ref, ref_bytes = streamed_sweep(full, initial, wiener, r_indices, t_indices, f"{tmp}/b.rpme1")
-        c = read_record(f"{tmp}/a.rpme1").c
-    assert got_bytes == ref_bytes
+        got_record, ref_record = read_record(f"{tmp}/a.rpme1"), read_record(f"{tmp}/b.rpme1")
+    c = got_record.c
+    assert same_bits(c, ref_record.c) and same_bits(got_record.y, ref_record.y)
+    if np.isfinite(c).all():
+        assert got_bytes == ref_bytes
     assert len(got) == len(ref)
     for slices, expected in zip(got, ref):
         assert len(slices) == len(expected)
         for sl, ex in zip(slices, expected):
             assert sl.step_index == ex.step_index and sl.t == ex.t
-            assert same_bits(sl.z, ex.z) and same_bits(sl.drc, ex.drc) and same_bits(sl.dry, ex.dry)
-            if np.isfinite(c[: sl.step_index]).all():  # z is stepped once c is not finite
-                assert same_bits(sl.z, np.zeros_like(sl.z))
+            assert same_bits(sl.z, np.zeros_like(sl.z)) and same_bits(sl.drc, np.zeros_like(sl.drc))
+            if np.isfinite(c[: sl.step_index + 1]).all():  # drc at step k reads c up to k
+                assert same_bits(sl.z, ex.z) and same_bits(sl.drc, ex.drc) and same_bits(sl.dry, ex.dry)
 
 
 def test_one_way_step_is_the_full_step_in_a_used_workspace():
-    # z = -0.0 in a workspace that last held a two-way step: the skipped z
-    # half leaves +0.0 in z and drc, as the full one does; a nonzero z is
-    # stepped in full
-    grid = build_grid(2, 6)
-    one_way = make_coefficients(pme_beta(2.0), **readme_terms())
-    assert not one_way.source.reads_y
-    f = one_way.source
-    full = make_coefficients(one_way.beta_family, **{**readme_terms(), "f": SourceTerm(f.label, f.fn, f.d_c, f.d_y)})
+    # a workspace that last held a two-way step keeps a nonzero drc: the
+    # step of dry alone reads none of it and gives the bits of the full step
+    # from z = +0.0, under the affine terms and, with saturating noise, term
+    # by term; a source that reads y refuses a tangent without z
+    grid, bc = build_grid(2, 6), BoundaryKind.NEUMANN
     rng = np.random.default_rng(4)
-    primal = StepBuffers(grid, (1,), gates=True)
-    c, y = primal.c[0], primal.y[0]
-    c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, BoundaryKind.NEUMANN)
-    y[...] = rng.uniform(0.5, 1.5, y.shape)
-    dt = cfl_dt(grid, one_way, 2.0)
-    step(c, y, grid, one_way, BoundaryKind.NEUMANN, dt, np.array([0.1]), work=primal)
-    args = (c, y, grid, one_way, BoundaryKind.NEUMANN, dt, 0.1, primal)
-    full_args = (c, y, grid, full, BoundaryKind.NEUMANN, dt, 0.1, primal)
-    work = TangentBuffers((3,) + grid.shape, c.shape)
-    dry = rng.standard_normal((3,) + grid.shape)
-    busy = MalliavinState(rng.standard_normal((3,) + grid.shape), dry)
-    ref = step_malliavin(busy, *full_args)
-    got = step_malliavin(busy, *args, work)
-    assert work.z.any() and work.drc.any()
-    assert same_bits(got.z, ref.z) and same_bits(got.dry, ref.dry)
-    zero = MalliavinState(-np.zeros((3,) + grid.shape), dry)
-    ref = step_malliavin(zero, *full_args)
-    got = step_malliavin(zero, *args, work)
-    assert same_bits(got.z, np.zeros_like(dry)) and same_bits(work.drc, np.zeros_like(dry))
-    assert same_bits(got.z, ref.z) and same_bits(got.dry, ref.dry)
+    for noise in ("linear_a", "saturating_a"):
+        terms = {**readme_terms(), "a": preset_coefficients(noise, {"sigma": 0.3})}
+        one_way = make_coefficients(pme_beta(2.0), **terms)
+        f = one_way.source
+        assert not f.reads_y
+        full = make_coefficients(pme_beta(2.0), **{**terms, "f": SourceTerm(f.label, f.fn, f.d_c, f.d_y)})
+        two_way = make_coefficients(pme_beta(2.0), **{
+            **terms, "f": preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0, "mu_y": 0.5})})
+        primal = StepBuffers(grid, (1,), gates=True)
+        c, y = primal.c[0], primal.y[0]
+        c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
+        y[...] = rng.uniform(0.5, 1.5, y.shape)
+        dt = cfl_dt(grid, one_way, 2.0)
+        step(c, y, grid, one_way, bc, dt, np.array([0.1]), work=primal)
+        work = TangentBuffers((3,) + grid.shape, c.shape)
+        dry = rng.standard_normal((3,) + grid.shape)
+        busy = MalliavinState(rng.standard_normal((3,) + grid.shape), dry.copy())
+        step_malliavin(busy, c, y, grid, two_way, bc, dt, 0.1, primal, work)
+        assert work.drc.any()
+        ref = step_malliavin(MalliavinState(np.zeros_like(dry), dry), c, y, grid, full, bc, dt, 0.1, primal)
+        got = step_malliavin(MalliavinState(None, dry), c, y, grid, one_way, bc, dt, 0.1, primal, work)
+        assert got.z is None and same_bits(ref.z, np.zeros_like(dry)) and same_bits(got.dry, ref.dry)
+        with pytest.raises(ValueError, match="ignores y"):
+            step_malliavin(MalliavinState(None, dry), c, y, grid, two_way, bc, dt, 0.1, primal)

@@ -380,20 +380,21 @@ def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, b
     assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
 
 
-def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, z_zero=False):
+def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, dry_only=False):
     """Traced peak of 20 warm primal steps leaving their gates, each followed
     by the tangent step reading them, as in the sweep of
-    malliavin.propagate_path; and the tangent workspace."""
+    malliavin.propagate_path (of dry alone with ``dry_only``); and the
+    tangent workspace."""
     grid = build_grid(dim, cells)
     rng = np.random.default_rng(1)
     primal = StepBuffers(grid, (1,), gates=True)
     c, y = primal.c[0], primal.y[0]
     c[...] = apply_bc(rng.uniform(0.5, 1.5, c.shape), grid, bc)
     y[...] = rng.uniform(0.5, 1.5, y.shape)
-    tangent = TangentBuffers((seeds,) + grid.shape, c.shape)
-    tangent.z[...], tangent.dry[...] = rng.standard_normal((2, seeds) + grid.shape)
-    if z_zero:
-        tangent.z[...] = 0.0
+    tangent = TangentBuffers((seeds,) + grid.shape, c.shape, z=not dry_only)
+    tangent.dry[...] = rng.standard_normal((seeds,) + grid.shape)
+    if not dry_only:
+        tangent.z[...] = rng.standard_normal((seeds,) + grid.shape)
     state = MalliavinState(tangent.z, tangent.dry)
     dt = cfl_dt(grid, coeffs, 2.0)
     dws = rng.standard_normal((21, 1)) * np.sqrt(dt)
@@ -412,7 +413,8 @@ def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, z_zero=False):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert state.z is tangent.z and np.all(np.isfinite(tangent.z))
+    assert state.dry is tangent.dry and np.all(np.isfinite(tangent.dry))
+    assert state.z is tangent.z and (dry_only or np.all(np.isfinite(tangent.z)))
     return peak, tangent
 
 
@@ -426,15 +428,15 @@ def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc,
 
 @pytest.mark.parametrize("dim,cells,seeds", [(1, 510, 8), (2, 30, 4), (3, 14, 2)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
-@pytest.mark.parametrize("coeffs", ["readme", "zero"])
+@pytest.mark.parametrize("coeffs", ["readme", "zero", "saturating"])
 def test_one_way_tangent_steps_allocate_less_than_one_seed_state(dim, cells, seeds, bc, coeffs):
-    # f ignores y and z starts at zero: the sweep skips the z half; the grids
-    # are large enough that one seed's state outweighs the Python objects a
-    # step makes
+    # f ignores y: the sweep steps dry alone (affine for readme, term by
+    # term for zero and saturating terms); the grids are large enough that
+    # one seed's state outweighs the Python objects a step makes
     assert not COEFFS[coeffs].source.reads_y
-    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], z_zero=True)
-    assert not tangent.z.any()
-    assert peak < tangent.z[0].nbytes
+    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], dry_only=True)
+    assert tangent.z is None and tangent.drc is None
+    assert peak < tangent.dry[0].nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +534,13 @@ def declared_constants_raise(coeffs):
     return dataclasses.replace(coeffs, noise=noise, drift=drift)
 
 
-def tangent_steps(grid, coeffs, bc, seeds, n_steps, z_zero, dt_factor=1.0, seed=0, watch=None, bound=None):
+def tangent_steps(grid, coeffs, bc, seeds, n_steps, z, dt_factor=1.0, seed=0, watch=None, bound=None):
     """``n_steps`` primal steps of one path leaving their gates, each
-    followed by the tangent step of ``seeds`` seeds in one workspace (z zero
-    or drawn) under ``bound`` (default ``coeffs``), inside ``watch(n)`` at
-    step n, and the same tangent steps written term by term
-    (``reference_tangent_step``).  Returns the (z, dry) of both after every
-    step."""
+    followed by the tangent step of ``seeds`` seeds in one workspace (z
+    "zero", "drawn" or "none", a tangent of dry alone) under ``bound``
+    (default ``coeffs``), inside ``watch(n)`` at step n, and the same
+    tangent steps written term by term (``reference_tangent_step``).
+    Returns the (z, dry) of both after every step."""
     rng = np.random.default_rng(seed)
     primal = StepBuffers(grid, (1,), gates=True)
     c, y = primal.c[0], primal.y[0]
@@ -546,50 +548,66 @@ def tangent_steps(grid, coeffs, bc, seeds, n_steps, z_zero, dt_factor=1.0, seed=
     y[...] = rng.uniform(0.0, 2.0, y.shape)
     dt = dt_factor * cfl_dt(grid, coeffs, 2.0)
     dws = rng.standard_normal((n_steps, 1)) * rng.choice([np.sqrt(dt), 5.0])
-    work = TangentBuffers((seeds,) + grid.shape, c.shape)
-    work.z[...] = 0.0 if z_zero else rng.standard_normal(work.z.shape)
+    work = TangentBuffers((seeds,) + grid.shape, c.shape, z=z != "none")
+    if z != "none":
+        work.z[...] = 0.0 if z == "zero" else rng.standard_normal(work.z.shape)
     work.dry[...] = rng.standard_normal(work.dry.shape)
-    state, ref = MalliavinState(work.z, work.dry), (work.z.copy(), work.dry.copy())
+    state = MalliavinState(work.z, work.dry)
+    ref = (None if work.z is None else work.z.copy(), work.dry.copy())
     got, expected = [], []
     for n, dw in enumerate(dws, 1):
         res = step(c, y, grid, coeffs, bc, dt, dw, work=primal)
         ref = reference_tangent_step(*ref, c, y, grid, coeffs, bc, dt, dw, primal)
         with watch(n) if watch else contextlib.nullcontext():
             step_malliavin(state, c, y, grid, bound or coeffs, bc, dt, dw, primal, work)
-        got.append((work.z.copy(), work.dry.copy()))
+        got.append((None if work.z is None else work.z.copy(), work.dry.copy()))
         expected.append(ref)
         c, y = res.c, res.y
     return got, expected
 
 
 def reference_tangent_step(z, dry, c, y, grid, coeffs, bc, dt, dw, primal):
-    """The tangent step term by term: each coefficient from its public
-    callable as a fresh array over every seed's row, dW one too, the
-    Laplacian from ``laplacian_core`` and the boundary rule from ``apply_bc``."""
-    full = lambda value: np.array(np.broadcast_to(value, z.shape))
-    if not coeffs.source.reads_y and not np.count_nonzero(z) and np.isfinite(c).all():
-        z_new, drc = np.zeros(z.shape), np.zeros(z.shape)
+    """The tangent step term by term in the form its terms declare: each
+    coefficient from its public callable as a fresh array over every seed's
+    row, dW and alpha = 1 + sigma dW - rho dt ones too, the Laplacian from
+    ``laplacian_core`` and the boundary rule from ``apply_bc``; z None: dry
+    alone, with drc = +0.0."""
+    full = lambda value: np.array(np.broadcast_to(value, dry.shape))
+    if z is None:
+        z_new, drc = None, np.zeros(dry.shape)
     else:
         drc = z * full(coeffs.recip_beta_prime(c))
         lap = np.zeros(z.shape)
         laplacian_core(drc, grid.spacing, grid.dim, out=lap)
         lap = lap + full(coeffs.df_dc(c, y)) * drc + full(coeffs.df_dy(c, y)) * dry
         z_new = apply_bc(np.where(primal.v_gate, 0.0, z + dt * lap), grid, bc)
-    dry_new = dry + full(coeffs.a_prime(y)) * dry * full(dw) + (
-        full(coeffs.db_dc(c, y)) * drc + full(coeffs.db_dy(c, y)) * dry) * dt
+    sigma, drift = coeffs.noise.slope, coeffs.drift.affine
+    if sigma is None or drift is None:
+        dry_new = dry + full(coeffs.a_prime(y)) * dry * full(dw) + (
+            full(coeffs.db_dc(c, y)) * drc + full(coeffs.db_dy(c, y)) * dry) * dt
+    else:  # the derivative of the affine y step
+        kappa, rho = drift
+        dry_new = dry * full(sigma * dw + 1.0 - rho * dt) + full(kappa * dt) * drc
     return z_new, np.where(primal.y_gate, 0.0, dry_new)
+
+
+def same_tangents(got, expected):
+    return all((z is None if z_ref is None else same_bits(z, z_ref)) and same_bits(dry, dry_ref)
+               for (z, dry), (z_ref, dry_ref) in zip(got, expected))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seeds", [1, 3])
-@pytest.mark.parametrize("coupling,z_zero,tiled", [
-    ("one-way", True, 0),  # z is not stepped, and every coefficient of dry is a constant
-    ("one-way", False, 3),  # a nonzero z is: 1/beta', f_c and f_y are evaluated and tiled
-    ("two-way", True, 3),
-    ("two-way", False, 3),
+@pytest.mark.parametrize("coupling,z,tiled", [
+    ("one-way", "none", 0),  # dry alone, and every coefficient of dry is a constant or alpha
+    ("one-way", "zero", 3),  # a z is stepped: 1/beta', f_c and f_y are evaluated and tiled
+    ("one-way", "drawn", 3),
+    ("two-way", "zero", 3),
+    ("two-way", "drawn", 3),
+    ("saturating", "none", 1),  # dry alone, term by term: a' is evaluated and tiled
 ])
 def test_warm_tangent_steps_rebind_nothing_and_evaluate_no_declared_constant(
-    monkeypatch, dim, seeds, coupling, z_zero, tiled
+    monkeypatch, dim, seeds, coupling, z, tiled
 ):
     calls = []
 
@@ -611,25 +629,66 @@ def test_warm_tangent_steps_rebind_nothing_and_evaluate_no_declared_constant(
 
     coeffs = TANGENT_COEFFS[coupling]
     with np.errstate(all="ignore"):
-        got, expected = tangent_steps(build_grid(dim, 5), coeffs, BoundaryKind.NEUMANN, seeds, 6, z_zero,
+        got, expected = tangent_steps(build_grid(dim, 5), coeffs, BoundaryKind.NEUMANN, seeds, 6, z,
                                       watch=watch, bound=declared_constants_raise(coeffs))
     assert len(calls) == tiled * 4  # steps 3 to 6
-    for (z, dry), (z_ref, dry_ref) in zip(got, expected):
-        assert same_bits(z, z_ref) and same_bits(dry, dry_ref)
+    assert same_tangents(got, expected)
 
 
 @SETTINGS
 @given(st.integers(1, 3), st.integers(2, 6), st.sampled_from(list(BoundaryKind)),
-       st.sampled_from(sorted(TANGENT_COEFFS)), st.integers(1, 5), st.booleans(),
+       st.sampled_from(sorted(TANGENT_COEFFS)), st.integers(1, 5), st.sampled_from(["zero", "drawn", "none"]),
        st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
-def test_the_bound_tangent_step_is_the_term_by_term_formula_bitwise(dim, cells, bc, coupling, seeds, z_zero,
+def test_the_bound_tangent_step_is_the_term_by_term_formula_bitwise(dim, cells, bc, coupling, seeds, z,
                                                                     dt_factor, seed):
-    # steps beyond the stability bound and large increments make the clamps bite
+    # steps beyond the stability bound and large increments make the clamps
+    # bite; only a source that ignores y steps dry alone
+    coeffs = TANGENT_COEFFS[coupling]
+    assume(z != "none" or not coeffs.source.reads_y)
     grid = build_grid(dim, min(cells, {1: 6, 2: 6, 3: 3}[dim]))
     with np.errstate(all="ignore"):
-        got, expected = tangent_steps(grid, TANGENT_COEFFS[coupling], bc, seeds, 5, z_zero, dt_factor, seed)
-    for (z, dry), (z_ref, dry_ref) in zip(got, expected):
-        assert same_bits(z, z_ref) and same_bits(dry, dry_ref)
+        got, expected = tangent_steps(grid, coeffs, bc, seeds, 5, z, dt_factor, seed)
+    assert same_tangents(got, expected)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 5), st.booleans(), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.floats(1e-6, 0.1), st.sampled_from([None, 5.0]), st.integers(0, 2**32 - 1))
+def test_the_affine_tangent_step_is_the_term_by_term_formula_to_a_few_ulps(
+        dim, seeds, two_way, sigma, kappa, rho, dt, big_dw, seed):
+    # dry+ = alpha dry + (kappa dt) drc against dry + sigma dry dW +
+    # (kappa drc - rho dry) dt, both gated by the primal's y gate; z is
+    # stepped by the same formula in both, bit for bit
+    grid, bc = build_grid(dim, CELLS[dim]), BoundaryKind.NEUMANN
+    f = preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0, "mu_y": 0.5 if two_way else 0.0})
+    coeffs = make_coefficients(pme_beta(2.0), f=f, a=preset_coefficients("linear_a", {"sigma": sigma}),
+                               b=preset_coefficients("coupling_b", {"kappa": kappa, "rho": rho}))
+    rng = np.random.default_rng(seed)
+    primal = StepBuffers(grid, (1,), gates=True)
+    c, y = primal.c[0], primal.y[0]
+    c[...] = apply_bc(rng.uniform(0.0, 2.0, c.shape), grid, bc)
+    y[...] = rng.uniform(0.0, 2.0, y.shape)
+    dw = rng.standard_normal(1) * (np.sqrt(dt) if big_dw is None else big_dw)
+    step(c, y, grid, coeffs, bc, dt, dw, work=primal)
+    assert primal.affine == (sigma, kappa, rho)
+    work = TangentBuffers((seeds,) + grid.shape, c.shape, z=two_way)
+    dry = rng.standard_normal((seeds,) + grid.shape)
+    z = rng.standard_normal((seeds,) + grid.shape) if two_way else None
+    got = step_malliavin(MalliavinState(z, dry.copy()), c, y, grid, coeffs, bc, dt, dw, primal, work)
+    # the primal's own alpha, bound as a 0-d view (a (1, 1) operand buffers)
+    assert work.alpha.shape == () and np.shares_memory(work.alpha, primal.alpha)
+    drc = np.zeros(dry.shape) if z is None else z * coeffs.recip_beta_prime(c)
+    dw = dw.reshape((1,) * (dim + 1))
+    formula = np.where(primal.y_gate, 0.0, dry + coeffs.a_prime(y) * dry * dw + (
+        coeffs.db_dc(c, y) * drc + coeffs.db_dy(c, y) * dry) * dt)
+    # each form rounds each term a few times, as the affine y step does
+    scale = np.abs(dry) + np.abs(sigma * dry * dw) + kappa * np.abs(drc) * dt + rho * np.abs(dry) * dt
+    assert np.all(np.abs(got.dry - formula) <= 6.0 * np.finfo(float).eps * scale)
+    if two_way:
+        z_ref, _ = reference_tangent_step(z, dry, c, y, grid, coeffs, bc, dt, dw.reshape(1), primal)
+        assert same_bits(got.z, z_ref)
+    else:
+        assert got.z is None
 
 
 @pytest.mark.parametrize("paths,workers,pool", [(2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True)])
@@ -1256,13 +1315,20 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     for got_step, ref_step in zip(recorder.seen, seen):
         assert all(same_bits(a, b) for a, b in zip(got_step, ref_step))
 
+    # the tangent of dry alone when f ignores y, and under the affine terms
+    # the primal's alpha, 1 + sigma dW - rho dt, as the primal step forms it
+    one_way, sigma, drift = not coeffs.source.reads_y, coeffs.noise.slope, coeffs.drift.affine
     seed_state = init_malliavin(seen[r][1], coeffs)
-    state = MalliavinState(seed_state.z[None], seed_state.dry[None])
+    state = MalliavinState(None if one_way else seed_state.z[None], seed_state.dry[None])
     interior = (slice(None),) + (slice(1, -1),) * dim
     for c0, y0, _, _, _, dw0, v_gate, y_gate in seen[r:]:
-        gates = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None])
-        gates.v_gate[interior] = v_gate
-        state = step_malliavin(state, c0[None], y0[None], grid, coeffs, config.bc, dt, np.array([dw0]), gates)
+        primal = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None], affine=None)
+        primal.v_gate[interior] = v_gate
+        if sigma is not None and drift is not None:
+            primal.affine = (sigma, *drift)
+            primal.alpha = np.reshape(sigma * dw0 + 1.0 - drift[1] * dt, (1,) * (dim + 1))
+        state = step_malliavin(state, c0[None], y0[None], grid, coeffs, config.bc, dt, np.array([dw0]), primal)
+    zero = np.zeros(grid.shape)
     assert tangent.step_index == n
-    assert same_bits(tangent.z, state.z[0]) and same_bits(tangent.dry, state.dry[0])
-    assert same_bits(tangent.drc, recover_drc(state.z[0], seen[-1][2], coeffs))
+    assert same_bits(tangent.z, zero if one_way else state.z[0]) and same_bits(tangent.dry, state.dry[0])
+    assert same_bits(tangent.drc, zero if one_way else recover_drc(state.z[0], seen[-1][2], coeffs))
