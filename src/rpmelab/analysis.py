@@ -108,13 +108,12 @@ def holder_report(
             raise ValueError(f"lag {lag} too long for {n} steps")
         diff = series[:, lag:] - series[:, :-lag]
         msq.append(float(np.mean(diff**2)))
+    detail = {f"msq_lag_{lag}": m for lag, m in zip(lags, msq)}
     if min(msq) <= 0.0:
         # frozen series: no increments to fit, report a zero exponent
-        detail = {f"msq_lag_{lag}": m for lag, m in zip(lags, msq)}
         detail["degenerate"] = 1.0
         return EstimateReport(name, 0.0, None, detail)
     slope = float(np.polyfit(np.log([lag * dt for lag in lags]), np.log(msq), 1)[0])
-    detail = {f"msq_lag_{lag}": m for lag, m in zip(lags, msq)}
     detail["slope"] = slope
     return EstimateReport(name, slope / 2.0, None, detail)
 
@@ -213,23 +212,17 @@ def energy_report(run: EnsembleResult, coeffs: CoefficientSet, theta: float) -> 
 def bump_time_profile(t_final: float):
     """Compactly supported smooth window on (0, T) and its derivative."""
 
-    def xi(t):
+    def window(t, derivative: bool):
         s = 2.0 * np.asarray(t, dtype=np.float64) / t_final - 1.0
         inside = np.abs(s) < 1.0
         val = np.zeros_like(s)
         core = 1.0 - s[inside] ** 2
         val[inside] = np.exp(-1.0 / core)
+        if derivative:
+            val[inside] = val[inside] * (-2.0 * s[inside] / core**2) * (2.0 / t_final)
         return val
 
-    def xi_prime(t):
-        s = 2.0 * np.asarray(t, dtype=np.float64) / t_final - 1.0
-        inside = np.abs(s) < 1.0
-        val = np.zeros_like(s)
-        core = 1.0 - s[inside] ** 2
-        val[inside] = np.exp(-1.0 / core) * (-2.0 * s[inside] / core**2) * (2.0 / t_final)
-        return val
-
-    return xi, xi_prime
+    return (lambda t: window(t, False)), (lambda t: window(t, True))
 
 
 class WeakSums:

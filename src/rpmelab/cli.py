@@ -375,12 +375,12 @@ def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
     )
 
 
-def _require_finite(*arrays) -> None:
-    # NaN propagates through the max and the min, +inf shows in the max and
-    # -inf in the min, so no boolean array is made
+def _require_finite(*arrays, signed: bool = True) -> None:
+    # NaN propagates through the max and the min, +inf shows in the max and -inf in the min (so
+    # no boolean array is made); a primal frame, clamped nonnegative (not ``signed``), has no -inf
     for arr in arrays:
         if arr.size and not (math.isfinite(np.maximum.reduce(arr, axis=None))
-                             and math.isfinite(np.minimum.reduce(arr, axis=None))):
+                             and (not signed or math.isfinite(np.minimum.reduce(arr, axis=None)))):
             raise NumericalAbort("non-finite state encountered")
 
 
@@ -421,7 +421,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     digests: dict[str, str] = {}
 
     def write_chunk(chunk) -> None:
-        _require_finite(chunk.c, chunk.y)
+        _require_finite(chunk.c, chunk.y, signed=False)
         for j, pid in enumerate(int(p) for p in chunk.path_ids):
             tag = f"path_{pid:04d}"
             c, y = chunk.c[:, j], chunk.y[:, j]
@@ -462,7 +462,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     weak = WeakSums(grid, v, n) if n_free else None
 
     def frame(k, c, y):  # every frame is checked before it is read
-        _require_finite(c, y)
+        _require_finite(c, y, signed=False)
         fr = Frame(grid, coeffs, c, y)
         masses[k] = grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1)  # interior_v_mass
         series[k] = y[center]
@@ -492,7 +492,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    _require_finite(ens.c_final, ens.y_final)
+    _require_finite(ens.c_final, ens.y_final, signed=False)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
     y_term = ens.y_final[(slice(None),) + center]
     reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
@@ -516,7 +516,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     with RecordWriter(path, config.grid, cfg.seed, 0, dt, n + 1) as record:
 
         def frame(k, c, y):  # every frame is checked as it is written
-            _require_finite(c, y)
+            _require_finite(c, y, signed=False)
             record.frame(k * dt, c, y)
 
         frame(0, c_init, y_init)

@@ -104,19 +104,15 @@ def _structure(dim: int, m: int) -> _GridArrays:
     shape = (m + 2,) * dim
     coords = np.linspace(0.0, 1.0, m + 2)
     idx = np.indices(shape)
-    boundary = np.zeros(shape, dtype=bool)
+    boundary, free, refl = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), idx.copy()
     for k in range(dim):
         boundary |= (idx[k] == 0) | (idx[k] == m + 1)
-    interior = ~boundary
-    refl = idx.copy()
-    for k in range(dim):
+        free &= (idx[k] >= 2) & (idx[k] <= m - 1)
         ax = refl[k]
         ax[ax == 0] = 1
         ax[ax == m + 1] = m
+    interior = ~boundary
     reflect_flat = np.ravel_multi_index(tuple(refl), shape)
-    free = np.ones(shape, dtype=bool)
-    for k in range(dim):
-        free &= (idx[k] >= 2) & (idx[k] <= m - 1)
     points = np.stack(np.meshgrid(*([coords] * dim), indexing="ij"), axis=-1)
     for a in (coords, points, boundary, interior, free, reflect_flat):
         a.setflags(write=False)

@@ -81,13 +81,15 @@ class TangentBuffers:
     """Workspace for tangent steps of derivative pairs shaped ``shape``
     (seed axes, then the grid) along primal states shaped ``primal``: the
     new pair, drc, three scratch arrays and a boundary face per seed (dry
-    and the scratch alone without ``z``), and one coefficient value and its
+    and the scratch alone without ``z``, dry alone if also ``affine``: the
+    affine dry step reads no scratch), and one coefficient value and its
     scratch shaped like the primal.  ``head(k)`` is the workspace of the
     first k seeds in the same memory, so a batch that grows at its end stays
     contiguous.  What a step reads is bound at its first step (see ``bind``)."""
 
-    def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...], z: bool = True):
-        self.dry, self.lap, self.t, self.u = (np.zeros(shape) for _ in range(4))
+    def __init__(self, shape: tuple[int, ...], primal: tuple[int, ...], z: bool = True, affine: bool = False):
+        self.dry = np.zeros(shape)
+        self.lap, self.t, self.u = (np.zeros(shape) if z or not affine else None for _ in range(3))
         self.z, self.drc, self.face = (np.zeros(shape), np.zeros(shape), np.zeros(shape[:-1])) if z else [None] * 3
         self.shared, self.tmp = np.zeros(primal), np.zeros(primal)
         self.coeffs = self.primal = None
@@ -108,6 +110,8 @@ class TangentBuffers:
         other coefficient: its declared constant (a' = sigma, b_c = kappa,
         b_y = -rho), else its core into ``shared`` (scratch ``tmp``) and ``_tiled``."""
         self.coeffs, self.primal, self.h, self.affine = coeffs, primal, grid.spacing, primal.affine
+        if self.u is None and self.affine is None:
+            raise ValueError("a tangent workspace made for the affine dry step has no scratch for other terms")
         if self.z is not None:
             (self.drc_b, self.shifts), self.lap_b = _stencil(self.drc, grid.dim), _stencil(self.lap, grid.dim)[0]
             self.faces = _face_pairs(self.z, grid.dim)
@@ -175,7 +179,7 @@ def step_malliavin(
         primal.c[0][...], primal.y[0][...] = c, y
         step(primal.c[0], primal.y[0], grid, coeffs, bc, dt, np.broadcast_to(dw, lead), work=primal)
     if work is None:
-        work = TangentBuffers(lead + grid.shape, c.shape, z is not None)
+        work = TangentBuffers(lead + grid.shape, c.shape, z is not None, primal.affine is not None)
     if work.coeffs is not coeffs or work.primal is not primal:
         if z is None and coeffs.source.reads_y:
             raise ValueError("a tangent of dry alone needs a source that ignores y")
@@ -209,7 +213,8 @@ def step_malliavin(
         np.add(lap, np.multiply(work.b_y(c, y), dry, out=u), out=lap)
         np.multiply(lap, dt, out=lap)
         np.add(t, lap, out=work.dry)
-    np.copyto(work.dry, 0.0, where=primal.y_gate)
+    if primal.y_clamped:  # else its y gate is all False
+        np.copyto(work.dry, 0.0, where=primal.y_gate)
     return MalliavinState(None if z is None else work.z, work.dry)
 
 
@@ -250,7 +255,9 @@ class _Tangent:
         self.row = {j: i for i, (_, j) in enumerate(self.joins)}
         self.config, self.dt, self.k, self.on_frame = config, wiener.dt, 0, on_frame
         shape = config.grid.shape
-        self.work = TangentBuffers((len(self.joins),) + shape, (1,) + shape, config.coeffs.source.reads_y)
+        cf = config.coeffs  # dry alone under the affine terms steps with no scratch
+        affine = cf.noise.slope is not None and cf.drift.affine is not None
+        self.work = TangentBuffers((len(self.joins),) + shape, (1,) + shape, cf.source.reads_y, affine)
         self.active = self.work.head(0)
         self.out: list[list[MalliavinSlice]] = [[] for _ in r_list]
 

@@ -13,7 +13,7 @@ the reflected interior neighbour for no-flux).  State arrays always satisfy
 the boundary rule, so the discrete flux through the boundary vanishes exactly
 for the no-flux case and interior mass of v is conserved when f = 0.  When
 the terms declare a(y) = sigma y and b(c, y) = kappa c - rho y, the y update
-takes the affine form, the same to a few ulps, in four passes over y:
+takes the affine form, the same to a few ulps, in three to five passes over y:
 
     y+ = max(y * (1 + sigma dW - rho dt) + (kappa dt) * c, 0).
 
@@ -53,6 +53,8 @@ _SLOT_VIEWS = 4 * 2**10
 # steps of seeded noise drawn at a time; a Philox stream gives the same bits
 # in any blocking, so this bounds the noise buffer and changes no result
 _NOISE_BLOCK = 512
+# lanes of this many nodes or more take alpha y as an einsum (see _y_half)
+_WIDE = 8192
 # where a c half reads or writes c (see StepBuffers.slot)
 _CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass v_gate gate_band")
 
@@ -262,8 +264,9 @@ class StepBuffers:
     gates of the last step (v+ < 0 on the update band, y+ < 0) as boolean
     masks.  ``half`` "c" or "y" keeps only the arrays of that half of a step
     (see ``step``), and a y half gets a y scratch of its own.  What a step
-    reads is bound once: the ``slot`` of each copy of c,
-    the ``own`` views of a step from each copy and, at the first step under
+    reads is bound once: the ``slot`` of each copy of c, the (paths, nodes)
+    ``y_rows`` of each copy of y and ``alpha_op``, the ``own`` views of a
+    step from each copy and, at the first step under
     a coefficient set, the in-place cores of f, beta, beta_inv, a and b,
     which get the coefficient scratch, and the affine form of a and b if
     they declare one, so a warm step is a flat run of ufuncs.  A step
@@ -274,6 +277,7 @@ class StepBuffers:
         shape = tuple(lead) + grid.shape
         self.dim, self.h, self.cell = grid.dim, grid.spacing, grid.spacing**grid.dim
         self.c, self.y, self.v_gate, self.y_gate, self.coeffs = (), (), None, None, None
+        self.y_clamped, self.y_last = True, None  # see _y_half
         self.tmp = np.empty(shape)
         if half != "y":
             self.c = (np.empty(shape), np.empty(shape))
@@ -292,6 +296,9 @@ class StepBuffers:
             self.y = (np.empty(shape), np.empty(shape))
             self.y_scratch = self.lap if half is None else np.empty(shape)
             self.alpha = np.empty(shape[: len(lead)] + (1,) * grid.dim)
+            n, wide = self.alpha.size, self.tmp.size >= _WIDE
+            self.alpha_op = self.alpha.reshape(()) if n == 1 else self.alpha.reshape(n) if wide else None
+            self.y_rows = tuple(a.reshape(n, -1) for a in self.y)
             self.y_gate = np.zeros(shape, bool) if gates else None
         self.slots = tuple(self.slot(c, self.mass, self.v_gate) for c in self.c)
         # (slot of c, y band, slot of the new c, new y) of a step from each copy
@@ -404,8 +411,11 @@ def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> 
 
 
 def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work: StepBuffers) -> None:
-    """y+ = max(y + a(y) dW + b(c, y) dt, 0), or its ``work.affine`` form, into ``y_new``, gates into ``work``."""
-    scratch = work.y_scratch  # the Laplacian's array, used up, in a workspace of c and y
+    """y+ = max(y + a(y) dW + b(c, y) dt, 0), or its ``work.affine`` form, into ``y_new``, gates into ``work``.
+    alpha y reads ``work.alpha_op`` if set (0-d on one path, else an einsum, 0 + alpha y: no buffer and no
+    floating-point warning); the clamp is then skipped while every alpha >= 0 and y is this workspace's
+    last y: as kappa, c >= 0, y+ has no negative or -0.0 entry, and the y gate stays all False."""
+    scratch, bites = work.y_scratch, True  # the Laplacian's array, used up, in a workspace of c and y
     if work.affine is None:
         scratch[...] = dw  # a ufunc broadcasting dw would buffer
         np.multiply(work.a(y, y_new, work.tmp), scratch, out=y_new)
@@ -417,16 +427,30 @@ def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work
         alpha = np.multiply(sigma, dw, out=work.alpha)  # 1 + sigma dW - rho dt, in that order
         alpha += 1.0
         alpha -= rho * dt
-        scratch[...] = alpha  # as for dw above
-        np.multiply(y, scratch, out=y_new)
+        op = work.alpha_op
+        if op is None:
+            scratch[...] = alpha  # as for dw above
+            np.multiply(y, scratch, out=y_new)
+        elif op.ndim:
+            j = y_new is work.y[1]
+            rows = work.y_rows[1 - j] if y is work.y[1 - j] else y.reshape(op.size, -1)
+            np.einsum("pn,p->pn", rows, op, out=work.y_rows[j])
+        else:
+            np.multiply(y, op, out=y_new)
         if c.shape == y.shape:
             np.multiply(kappa * dt, c, out=scratch)
         else:  # one c row for every path: kappa dt c once, at the head of tmp
             scratch[...] = np.multiply(kappa * dt, c, out=work.tmp[:1])
         y_new += scratch
-    if work.y_gate is not None:
-        np.less(y_new, 0.0, out=work.y_gate)
-    np.maximum(y_new, 0.0, out=y_new)
+        # a NaN alpha fails the test, so the clamp runs
+        bites = op is None or y is not work.y_last or not (np.minimum.reduce(op) if op.ndim else float(op)) >= 0.0
+    if bites:
+        if work.y_gate is not None:
+            np.less(y_new, 0.0, out=work.y_gate)
+        np.maximum(y_new, 0.0, out=y_new)
+    elif work.y_clamped and work.y_gate is not None:
+        work.y_gate.fill(False)
+    work.y_clamped, work.y_last = bites, y_new
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,37 @@ def test_require_finite_refuses_nan_and_either_infinity(bad, shape):
             cli._require_finite(ok, arr)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(1,), (3, 4)])
+def test_require_finite_refuses_nan_and_inf_at_any_node_of_a_nonnegative_frame(bad, shape):
+    # a primal frame is clamped nonnegative, so its max alone is read
+    frame = np.arange(float(np.prod(shape))).reshape(shape)
+    frame.flat[0] = -0.0
+    cli._require_finite(frame, np.empty(0), signed=False)
+    for i in range(frame.size):
+        arr = frame.copy()
+        arr.flat[i] = bad
+        with pytest.raises(cli.NumericalAbort):
+            cli._require_finite(frame, arr, signed=False)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, monkeypatch, capsys, command):
+    # sigma = 1e300 makes alpha = 1 + sigma dW - rho dt about +-1e297, so y
+    # overflows within a few steps; on a lane of 8 paths of 34^2 nodes alpha y
+    # is an einsum, which raises no floating-point warning, and the check of
+    # every frame still ends the run
+    einsum, calls = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw))
+    text = ("dim = 2\ncells = 32\nt_final = 0.002\nn_paths = 8\ninitial.y = 1.0\n"
+            "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
+    code, out = run_cli(command, tmp_path, text, command)
+    assert code == 4 and calls
+    assert "non-finite state" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+
+
 def scipy_modules_after(probe):
     """Names of the scipy modules loaded once ``probe`` has run in a fresh
     interpreter."""

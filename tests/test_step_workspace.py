@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rpmelab import grid as grid_module, malliavin, model, simulate
 from rpmelab.analysis import cauchy_refinement, epsilon_sweep
@@ -209,6 +209,84 @@ def test_the_affine_y_step_is_the_term_by_term_formula_to_a_few_ulps(
     assert np.all(np.abs(got - formula) <= 6.0 * np.finfo(float).eps * scale)
 
 
+def five_pass_y_half(c, y, dw, dt, sigma, kappa, rho, dim):
+    """The affine y half and its gate in five full-array passes: alpha
+    filled into a scratch array, y times it, kappa dt c filled in, added,
+    and the clamp, as the step took them before alpha y could be an einsum
+    and the clamp could be skipped."""
+    alpha = np.multiply(sigma, np.reshape(dw, np.shape(dw) + (1,) * dim))
+    alpha += 1.0
+    alpha -= rho * dt
+    scratch = np.empty(y.shape)
+    scratch[...] = alpha
+    y_new = np.multiply(y, scratch)
+    scratch[...] = np.multiply(kappa * dt, c)
+    y_new += scratch
+    gate = np.less(y_new, 0.0)
+    return np.maximum(y_new, 0.0), gate
+
+
+# (cells, paths) of a lane of at least simulate._WIDE nodes
+WIDE_LANES = {1: (254, 33), 2: (16, 26), 3: (8, 9)}
+SPECIAL_DW = [-5.0, 5.0, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["state", "one", "few", "wide"]),
+       st.sampled_from(["own", "one-way", "two-way"]), st.booleans(), st.floats(-2.0, 2.0),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(1e-6, 0.1),
+       st.lists(st.lists(st.sampled_from(SPECIAL_DW), max_size=2), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+# on a wide lane a NaN alpha on one path hides a negative alpha on another from the minimum
+@example(1, "wide", "two-way", True, 1.0, 0.5, 0.5, 0.01, [[], [np.nan, -5.0]], 0)
+def test_the_y_half_is_the_five_pass_formula_bitwise(dim, lane, form, gates, sigma, kappa, rho, dt, specials,
+                                                     seed):
+    # alpha y by a 0-d alpha, a filled copy or an einsum, and the clamp
+    # skipped where it cannot bite: y+ and the y gate of every step are the
+    # five passes' bit for bit, from y0 and c with zeros of both signs, under
+    # increments that make alpha negative, NaN or infinite on some paths
+    cells, paths = WIDE_LANES[dim] if lane == "wide" else (CELLS[dim], {"state": 0, "one": 1, "few": 3}[lane])
+    assume(paths or form != "one-way")  # one c row for every path needs a path axis
+    grid, bc, lead = build_grid(dim, cells), BoundaryKind.NEUMANN, (paths,) if paths else ()
+    coeffs = make_coefficients(pme_beta(2.0), a=preset_coefficients("linear_a", {"sigma": sigma}),
+                               b=preset_coefficients("coupling_b", {"kappa": kappa, "rho": rho}))
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(a):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        return a
+
+    def draw_c():
+        return signed_zeros(rng.uniform(0.0, 2.0, ((1,) if form == "one-way" else lead) + grid.shape))
+
+    if form == "own":  # c from the c half of each step
+        work, c_new = StepBuffers(grid, lead, gates), None
+        work.c[0][...] = draw_c()
+    else:  # c handed in, as a y-lane reads it from its wave
+        work, c_new = StepBuffers(grid, lead, gates, "y"), StepBuffers(grid, (1,), half="c").slots[1]
+    assert (work.alpha_op is None) == (paths > 1 and lane != "wide")
+    assert lane != "wide" or work.alpha_op.ndim == 1
+    work.y[0][...] = signed_zeros(rng.uniform(0.0, 2.0, lead + grid.shape))
+    c, y = work.c[0] if form == "own" else None, work.y[0]
+    with np.errstate(all="ignore"):
+        for values in specials:
+            dw = np.asarray(rng.standard_normal(lead) * np.sqrt(dt))
+            # each value on some path if there are enough, the draw kept on the others
+            pick = (rng.permutation(dw.size) % (len(values) + 1)).reshape(dw.shape)
+            dw[pick < len(values)] = np.asarray(values + [0.0])[pick][pick < len(values)]
+            c = c if form == "own" else draw_c()
+            y_ref, gate_ref = five_pass_y_half(c, y, dw, dt, sigma, kappa, rho, dim)
+            res = step(c, y, grid, coeffs, bc, dt, dw, work, c_new)
+            # where y and alpha are both NaN, which NaN a product keeps is
+            # numpy's choice: its own multiply differs on it by array length
+            both_nan = np.isnan(res.y) & np.isnan(y_ref)
+            assert same_bits(np.where(both_nan, np.nan, res.y), np.where(both_nan, np.nan, y_ref))
+            if gates:
+                assert same_bits(work.y_gate, gate_ref)
+            c, y = res.c if form == "own" else c, res.y
+
+
 @SETTINGS
 @given(states(), st.floats(0.05, 1.0), st.integers(1, 5))
 def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, theta, n_steps):
@@ -354,7 +432,8 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
     return c.copy(), y.copy()
 
 
-@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4)])
+# 2D 32^2 with 16 paths: a lane of 18,496 nodes, whose alpha y is an einsum
+@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4), (2, 32, 16)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
 @pytest.mark.parametrize("coeffs,form", [
     ("readme", "own"), ("regularized", "own"), ("decaying", "own"), ("saturating", "own"),
@@ -437,6 +516,25 @@ def test_one_way_tangent_steps_allocate_less_than_one_seed_state(dim, cells, see
     peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], dry_only=True)
     assert tangent.z is None and tangent.drc is None
     assert peak < tangent.dry[0].nbytes
+
+
+@pytest.mark.parametrize("coeffs,scratch", [
+    ("readme", False), ("regularized", False), ("zero", True), ("saturating", True), ("decaying", True),
+])
+def test_a_tangent_allocates_scratch_only_for_z_or_the_term_by_term_dry_step(coeffs, scratch):
+    # dry alone under the affine terms (linear a, coupling b; f ignores y)
+    # reads dry, the primal's alpha and its y gate, and no scratch
+    coeffs = COEFFS[coeffs]
+    config = small_config(coeffs)
+    dt, n = config.resolve_steps(1.5)
+    work = malliavin._Tangent(config, WienerPath(dt, np.zeros(n)), [0, 2], None, None).work
+    assert [getattr(work, name) is not None for name in ("lap", "t", "u")] == [scratch] * 3
+    assert (work.z is not None) == coeffs.source.reads_y
+    if not scratch:  # a primal under other terms is refused, not stepped without scratch
+        primal = StepBuffers(config.grid, (1,), gates=True)
+        primal.bind(COEFFS["saturating"])
+        with pytest.raises(ValueError, match="affine dry step"):
+            work.bind(COEFFS["saturating"], config.grid, primal)
 
 
 # ---------------------------------------------------------------------------
@@ -1322,7 +1420,8 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     state = MalliavinState(None if one_way else seed_state.z[None], seed_state.dry[None])
     interior = (slice(None),) + (slice(1, -1),) * dim
     for c0, y0, _, _, _, dw0, v_gate, y_gate in seen[r:]:
-        primal = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None], affine=None)
+        primal = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None], affine=None,
+                                 y_clamped=True)
         primal.v_gate[interior] = v_gate
         if sigma is not None and drift is not None:
             primal.affine = (sigma, *drift)
