@@ -27,9 +27,8 @@ _EXPORTS = {
         project
     """,
     "malliavin": """
-        MalliavinSlice MalliavinState TangentBuffers init_malliavin
-        perturbation_oracle propagate_path recover_drc seed_index
-        step_malliavin
+        MalliavinSlice MalliavinState TangentBuffers perturbation_oracle
+        propagate_path recover_drc seed_index step_malliavin
     """,
     "model": """
         BetaFamily CoefficientSet barenblatt_profile barenblatt_support_radius

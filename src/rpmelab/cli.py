@@ -352,6 +352,13 @@ def _initial(cfg: RunConfig):
     return _preset(cfg, "initial.c", lambda name, pars: initial_preset(name, cfg.dim, pars))
 
 
+def _initial_state(cfg: RunConfig):
+    """(SimConfig, initial c preset, prepared initial c and y, max of that c) of a stepping run."""
+    config, c0_fn = _sim_config(cfg), _initial(cfg)
+    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
+    return config, c0_fn, c_init, y_init, float(np.max(c_init))
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -384,6 +391,12 @@ def _require_finite(*arrays, signed: bool = True) -> None:
             raise NumericalAbort("non-finite state encountered")
 
 
+def _contraction(name: str, values, i: int) -> EstimateReport:
+    """``values[i] / values[i - 1]`` (0 when the earlier one is not positive) against the bound 1."""
+    prev = values[i - 1]
+    return EstimateReport(name, values[i] / prev if prev > 0.0 else 0.0, 1.0)
+
+
 def _mass_report(masses: np.ndarray, cfg: RunConfig) -> EstimateReport:
     """Largest drift of the interior v-mass over its frames, relative to
     the initial mass."""
@@ -406,9 +419,7 @@ Sections = dict[str, list[EstimateReport]]
 
 
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config = _sim_config(cfg)
-    c0_fn = _initial(cfg)
-    c0_max = float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0]))
+    config, c0_fn, _, _, c0_max = _initial_state(cfg)
     r2 = config.growth_radius(c0_max)
     _, n0 = config.resolve_steps(c0_max)
     stride = cfg.snapshot_stride or max(1, n0 // 256)
@@ -443,11 +454,8 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config = _sim_config(cfg)
-    grid, coeffs = config.grid, config.coeffs
-    c0_fn = _initial(cfg)
-    c0_max = float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0]))
-    r2 = config.growth_radius(c0_max)
+    config, c0_fn, _, _, c0_max = _initial_state(cfg)
+    grid, coeffs, r2 = config.grid, config.coeffs, config.growth_radius(c0_max)
     dt, n = config.resolve_steps(c0_max)
 
     # path 0 of the ensemble goes through the report sums frame by frame as
@@ -500,10 +508,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config = _sim_config(cfg)
-    c0_fn = _initial(cfg)
-    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
-    dt, n = config.resolve_steps(float(np.max(c_init)))
+    config, c0_fn, c_init, y_init, c0_max = _initial_state(cfg)
+    dt, n = config.resolve_steps(c0_max)
 
     # one run carries every seed; each seed's report steps end at n, so its
     # last slice is the terminal pair for the record
@@ -563,13 +569,8 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         for i, d in enumerate(dists):
             pair = f"{levels[i]}_{levels[i + 1]}"
             reports.append(EstimateReport(f"{tag}_distance_{pair}", d, None))
-        for i in range(len(dists) - 1):
-            ratio = dists[i + 1] / dists[i] if dists[i] > 0.0 else 0.0
-            reports.append(
-                EstimateReport(
-                    f"{tag}_contraction_{levels[i + 1]}_{levels[i + 2]}", ratio, 1.0
-                )
-            )
+        reports += [_contraction(f"{tag}_contraction_{levels[i]}_{levels[i + 1]}", dists, i)
+                    for i in range(1, len(dists))]
     return {"converge": reports}, {"dt": out.levels[-1].dt, "r2_bound": None}
 
 
@@ -583,15 +584,13 @@ def _run_sweep_eps(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     for i, (eps, gap) in enumerate(zip(out.eps, out.gaps)):
         reports.append(EstimateReport(f"beta_gap_{i}", gap, None, {"eps": eps}))
         if i:
-            ratio = gap / out.gaps[i - 1] if out.gaps[i - 1] > 0.0 else 0.0
-            reports.append(EstimateReport(f"beta_gap_contraction_{i}", ratio, 1.0))
+            reports.append(_contraction(f"beta_gap_contraction_{i}", out.gaps, i))
     for i, d in enumerate(out.c_distances):
         reports.append(
             EstimateReport(f"c_distance_{i}", d, None, {"eps_from": out.eps[i], "eps_to": out.eps[i + 1]})
         )
         if i:
-            ratio = d / out.c_distances[i - 1] if out.c_distances[i - 1] > 0.0 else 0.0
-            reports.append(EstimateReport(f"c_distance_contraction_{i}", ratio, 1.0))
+            reports.append(_contraction(f"c_distance_contraction_{i}", out.c_distances, i))
     return {"sweep_eps": reports}, {"dt": out.dt, "r2_bound": None}
 
 

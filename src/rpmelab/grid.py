@@ -388,12 +388,9 @@ class Hminus2Solver:
         g = self.grid
         full = np.zeros(g.n_nodes)
         vals = np.asarray(interior_values, dtype=np.float64).reshape(-1)
-        if vals.size == g.n_interior:
-            full[self._interior_flat] = vals
-        elif vals.size == g.n_nodes:
-            full = vals
-        else:
-            raise ValueError("interior_values has neither interior nor full size")
+        if vals.size != g.n_interior:
+            raise ValueError("interior_values is not of interior size")
+        full[self._interior_flat] = vals
         u_free = full[self._free_flat]
         val = float(u_free @ self._lu.solve(u_free))
         return float(np.sqrt(g.spacing**g.dim * max(val, 0.0)))

@@ -73,10 +73,6 @@ def recover_drc(z: np.ndarray, c: np.ndarray, coeffs: CoefficientSet) -> np.ndar
     return z * coeffs.recip_beta_prime(c)
 
 
-def init_malliavin(y_r: np.ndarray, coeffs: CoefficientSet) -> MalliavinState:
-    return MalliavinState(z=np.zeros_like(y_r), dry=np.asarray(coeffs.a(y_r), dtype=np.float64).copy())
-
-
 class TangentBuffers:
     """Workspace for tangent steps of derivative pairs shaped ``shape``
     (seed axes, then the grid) along primal states shaped ``primal``: the
@@ -265,7 +261,7 @@ class _Tangent:
         cf, k, a = self.config, self.k, len(self.active.dry)
         self.k += 1
         while a < len(self.joins) and self.joins[a][0] == k:
-            self.work.dry[a] = init_malliavin(y[0], cf.coeffs).dry
+            self.work.dry[a] = cf.coeffs.a(y[0])
             a += 1
             self.active = self.work.head(a)
         if a:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +23,7 @@ Array = np.ndarray
 # arguments without ``out`` keep numpy scalar arithmetic and return scalars.
 # A ``_coefficient`` wraps one in-place core, ``core(*args, out, tmp)``, with
 # its scratch ``tmp`` passed in: a stepping workspace (``simulate.StepBuffers``)
-# binds the cores to scratch of its own, other callers get a thread-local one.
+# binds the cores to scratch of its own, a call given ``out`` gets fresh scratch.
 
 
 def _coefficient(core):
@@ -44,7 +43,7 @@ def _coefficient(core):
             # numpy scalar and array powers can differ in the last bit
             out[()] = core(*args, None, None)
             return out
-        return core(*args, out, _scratch(out))
+        return core(*args, out, np.empty(out.shape))  # C order, as the workspace scratch
 
     fn.core = core
     return fn
@@ -54,18 +53,6 @@ def _inplace(x):
     """``out=`` for a ufunc that overwrites ``x``: ``x`` itself when it is an
     array, None when it is a numpy scalar."""
     return x if isinstance(x, np.ndarray) else None
-
-
-_LOCAL = threading.local()
-
-
-def _scratch(out):
-    """Scratch shaped like ``out``.  One buffer per thread, kept for the
-    thread's lifetime and grown to the largest size asked for."""
-    buf = getattr(_LOCAL, "scratch", None)
-    if buf is None or buf.size < out.size:
-        buf = _LOCAL.scratch = np.empty(out.size)
-    return buf[: out.size].reshape(out.shape)
 
 
 def _full(x, value, out):

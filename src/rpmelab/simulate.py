@@ -42,13 +42,13 @@ _FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
-# the shared c of a wave: K + 1 slots of a c row and its v-gates, a step
-# charged 9 bytes a node and _SLOT_VIEWS, for the lanes to read a block of
-# K steps from; K is 29 at 2D 32^2
+# the shared c of a wave: K + 1 slots of a c row, a step charged 9 bytes a
+# node and _SLOT_VIEWS, for the lanes to read a block of K steps from; K is
+# 29 at 2D 32^2
 _BLOCK_BYTES = 420 * 2**10
-# the numpy views of a _CSlot with v-gates, about 1.3 KiB in 1D, 2.2 KiB in
-# 2D and 3.2 KiB in 3D, so a small grid cannot fill the budget with
-# thousands of slots
+# the numpy views of a _CSlot, about 1.3 KiB in 1D, 2.4 KiB in 2D and
+# 3.3 KiB in 3D, so a small grid cannot fill the budget with thousands of
+# slots
 _SLOT_VIEWS = 4 * 2**10
 # steps of seeded noise drawn at a time; a Philox stream gives the same bits
 # in any blocking, so this bounds the noise buffer and changes no result
@@ -56,7 +56,7 @@ _NOISE_BLOCK = 512
 # lanes of this many nodes or more take alpha y as an einsum (see _y_half)
 _WIDE = 8192
 # where a c half reads or writes c (see StepBuffers.slot)
-_CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass v_gate gate_band")
+_CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass")
 
 
 class SchemaError(ValueError):
@@ -262,11 +262,11 @@ class StepBuffers:
     state, plus one boundary face, the clamp mass and the alpha of an affine
     y update (see ``_y_half``) per leading index; with ``gates``, the clamp
     gates of the last step (v+ < 0 on the update band, y+ < 0) as boolean
-    masks.  ``half`` "c" or "y" keeps only the arrays of that half of a step
-    (see ``step``), and a y half gets a y scratch of its own.  What a step
-    reads is bound once: the ``slot`` of each copy of c, the (paths, nodes)
-    ``y_rows`` of each copy of y and ``alpha_op``, the ``own`` views of a
-    step from each copy and, at the first step under
+    masks.  ``half`` "c" or "y" keeps only the arrays, gate included, of
+    that half of a step (see ``step``), and a y half gets a y scratch of its
+    own.  What a step reads is bound once: the ``slot`` of each copy of c,
+    the (paths, nodes) ``y_rows`` of each copy of y and ``alpha_op``, the
+    ``own`` views of a step from each copy and, at the first step under
     a coefficient set, the in-place cores of f, beta, beta_inv, a and b,
     which get the coefficient scratch, and the affine form of a and b if
     they declare one, so a warm step is a flat run of ufuncs.  A step
@@ -285,9 +285,10 @@ class StepBuffers:
             self.face = np.empty(shape[:-1])
             self.mass = np.empty(shape[: len(lead)])
             self.v_gate = np.zeros(shape, bool) if gates else None
-            # the flat band of the update (see step), the interior of v and
-            # its copy at the head of u, whose rows the clamp mass sums
+            # the flat band of the update (see step) and of its gate, the
+            # interior of v and its copy at the head of u, whose rows the clamp mass sums
             self.lap_b, self.v_b, self.u_b = (_stencil(a, grid.dim)[0] for a in (self.lap, self.v, self.u))
+            self.gate_b = None if self.v_gate is None else _stencil(self.v_gate, grid.dim)[0]
             self.tmp_b = self.tmp.reshape(-1)[: self.v_b.size]
             self.v_int = self.v[(Ellipsis,) + (slice(1, -1),) * grid.dim]
             self.clamped = self.u.reshape(-1)[: self.v_int.size].reshape(self.v_int.shape)
@@ -300,7 +301,7 @@ class StepBuffers:
             self.alpha_op = self.alpha.reshape(()) if n == 1 else self.alpha.reshape(n) if wide else None
             self.y_rows = tuple(a.reshape(n, -1) for a in self.y)
             self.y_gate = np.zeros(shape, bool) if gates else None
-        self.slots = tuple(self.slot(c, self.mass, self.v_gate) for c in self.c)
+        self.slots = tuple(self.slot(c, self.mass) for c in self.c)
         # (slot of c, y band, slot of the new c, new y) of a step from each copy
         self.own = tuple((src, _stencil(y, grid.dim)[0], dst, y_new) for src, y, dst, y_new
                          in zip(self.slots, self.y, self.slots[::-1], self.y[::-1]))
@@ -315,13 +316,11 @@ class StepBuffers:
         slope, drift = coeffs.noise.slope, coeffs.drift.affine
         self.affine = None if slope is None or drift is None else (slope, *drift)
 
-    def slot(self, c: np.ndarray, mass: np.ndarray, v_gate: np.ndarray | None) -> _CSlot:
+    def slot(self, c: np.ndarray, mass: np.ndarray) -> _CSlot:
         """Where a c half reads or writes ``c``: (c, its update band, the
         band's Laplacian neighbours, its face pairs and rows per leading
-        index, and the clamp mass, v-gates and v-gate band of that step)."""
-        gate_b = None if v_gate is None else _stencil(v_gate, self.dim)[0]
-        return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1),
-                      mass, v_gate, gate_b)
+        index, and the clamp mass of that step)."""
+        return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1), mass)
 
 
 def path_bytes(grid: GridSpec, frames: int) -> int:
@@ -353,9 +352,9 @@ def step(
     """One explicit step, ``_c_half`` then ``_y_half``.  ``c`` and ``y`` have
     trailing grid shape (leading axes are independent paths) and ``c``
     already satisfies the boundary rule; ``dW`` broadcasts against the
-    leading axes.  ``c_new``, the slot with v-gates that a c half from ``c``
-    wrote elsewhere, leaves only the y half to this call; ``c`` may then be
-    one row that b broadcasts to every path of ``y``.
+    leading axes.  ``c_new``, the slot that a c half from ``c`` wrote
+    elsewhere, leaves only the y half to this call; ``c`` may then be one
+    row that b broadcasts to every path of ``y``.
 
     Every intermediate goes into ``work`` and the new state into the copies
     of c and y in ``work`` that do not hold the input, so a loop that passes
@@ -383,7 +382,6 @@ def step(
         _c_half(src, y_b, c_new, bc, dt, work)
     else:
         y_new = work.y[1] if y is work.y[0] else work.y[0]
-        work.v_gate = c_new.v_gate
     _y_half(c, y, y_new, dW, dt, work)
     return StepResult(c_new.c, y_new, c_new.mass)
 
@@ -401,8 +399,8 @@ def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> 
     np.minimum(clamped, 0.0, out=clamped)
     np.add.reduce(work.clamp_rows, axis=-1, out=mass)
     mass *= -work.cell
-    if dst.gate_band is not None:
-        np.less(v, 0.0, out=dst.gate_band)
+    if work.gate_b is not None:
+        np.less(v, 0.0, out=work.gate_b)
     np.maximum(v, 0.0, out=v)
     res = work.beta_inv(v, c_new_b, tmp)
     if res is not c_new_b:
@@ -546,15 +544,15 @@ def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
             raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
 
 
-def _wave_c(config: SimConfig, part: EnsembleResult, block: int, on_step):
+def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
     """(slots, advance) of the one c of the paths of ``part``, for a source
     that ignores y; lanes fill slot 0, ``advance(n)`` takes and ``_track``s
-    step n into slot n % (block + 1), with v-gates if ``on_step`` reads them."""
+    step n into slot n % (block + 1).  No v-gates: a tangent of such a
+    source has no z to gate."""
     work = StepBuffers(config.grid, (1,), half="c")
     work.bind(config.coeffs)
     c = np.empty((block + 1, 1) + config.grid.shape)
-    v_gate = np.zeros(c.shape, bool) if getattr(on_step, "reads_gates", False) else [None] * len(c)
-    slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)), v_gate)]
+    slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)))]
 
     def advance(n: int) -> None:
         src, dst = slots[(n - 1) % len(slots)], slots[n % len(slots)]
@@ -571,7 +569,8 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     the terminal state and, if ``part.c`` is set, frames every ``stride``
     steps go to ``part``.  Every operation and reduction is per path, so
     batching never changes a bit.  ``on_step(res, c, y, dw, work)`` gets each
-    step, its start state, increments and workspace, gates if it ``reads_gates``."""
+    step, its start state, increments and workspace, with the gates of the
+    halves stepped here if it ``reads_gates``."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
     gates = getattr(on_step, "reads_gates", False)
     work = StepBuffers(grid, (len(part.path_ids),), gates, None if slots is None else "y")
@@ -732,7 +731,7 @@ def simulate_ensemble(
             slots = advance = None
             if not config.coeffs.source.reads_y:
                 span = result._paths(slice(wave[0].start, wave[-1].stop))
-                slots, advance = _wave_c(config, span, block, on_step if wave[0].start == 0 else None)
+                slots, advance = _wave_c(config, span, block)
             # the lanes, and their workspaces, are freed as the wave returns
             parts = [result._paths(rows) for rows in wave]
             _run_wave([lane(*args, slots) for args in zip(wave, parts)], advance, n_steps, block, pool)

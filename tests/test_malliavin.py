@@ -14,7 +14,6 @@ from rpmelab.grid import BoundaryKind, Field, build_grid, laplacian_core
 from rpmelab.malliavin import (
     MalliavinState,
     TangentBuffers,
-    init_malliavin,
     perturbation_oracle,
     propagate_path,
     recover_drc,
@@ -186,17 +185,24 @@ def test_propagate_path_validates_inputs():
     assert slices([]) == []
 
 
+def seed_state(y_r, coeffs):
+    """The pair a seed joins with at its step r: z = 0 and dry = a(y(r))."""
+    return MalliavinState(np.zeros_like(y_r), np.array(coeffs.a(y_r)))
+
+
 def test_intermediate_slices_are_consistent():
     config = full_coupling_config()
     wiener = seeded_wiener(config, c0_sine, 1.0, 13)
     n = wiener.n_steps
     (slices,) = propagate_path(config, c0_sine, 1.0, wiener, [10], [[n // 2, n]])[1]
     assert [s.step_index for s in slices] == [n // 2, n]
-    # initial seed: z = 0 and dry = a(y(r))
-    _, y = frames(config, c0_sine, 1.0, wiener)
-    seeded = init_malliavin(y[10], config.coeffs)
-    assert np.max(np.abs(seeded.z)) == 0.0
-    assert np.allclose(seeded.dry, 0.3 * y[10], rtol=0, atol=1e-15)
+    # initial seed: z = 0 and dry = a(y(r)) = 0.3 y(r), one step before the first slice
+    c, y = frames(config, c0_sine, 1.0, wiener)
+    ((first,),) = propagate_path(config, c0_sine, 1.0, wiener, [10], [[11]])[1]
+    seeded = MalliavinState(np.zeros(y[10].shape), 0.3 * y[10])
+    one = step_malliavin(seeded, c[10], y[10], config.grid, config.coeffs, config.bc, wiener.dt,
+                         wiener.increments[10])
+    assert np.array_equal(first.z, one.z) and np.array_equal(first.dry, one.dry)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def _seed_alone(config, wiener, dense, r_index, t_indices):
     ``dense`` = (c, y), slices as (k, z, drc, dry)."""
     c, y = dense
     coeffs = config.coeffs
-    state = init_malliavin(y[r_index], coeffs)
+    state = seed_state(y[r_index], coeffs)
     out = []
     for k in range(r_index, max(t_indices)):
         state = step_malliavin(
@@ -370,7 +376,7 @@ def replay_sweep(config, wiener, dense, r_indices, t_indices):
     row = {}
     for k in range(joins[0][0], max(emit)):
         while joins and joins[0][0] == k:
-            seed = init_malliavin(y[k], coeffs)
+            seed = seed_state(y[k], coeffs)
             row[joins.pop(0)[1]] = len(z)
             z, dry = np.concatenate([z, seed.z[None]]), np.concatenate([dry, seed.dry[None]])
         z, dry = replay_step(z, dry, c[k], y[k], grid, coeffs, config.bc, dt, wiener.increments[k])

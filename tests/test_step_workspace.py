@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rpmelab import grid as grid_module, malliavin, model, simulate
+from rpmelab import grid as grid_module, malliavin, simulate
 from rpmelab.analysis import cauchy_refinement, epsilon_sweep
 from rpmelab.cli import main
 from rpmelab.grid import BoundaryKind, build_grid, laplacian_core
@@ -32,7 +32,6 @@ from rpmelab.model import (
 from rpmelab.malliavin import (
     MalliavinState,
     TangentBuffers,
-    init_malliavin,
     perturbation_oracle,
     propagate_path,
     recover_drc,
@@ -414,7 +413,7 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
         config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
         part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
                               np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
-        ring, advance = simulate._wave_c(config, part, n_steps, SimpleNamespace(reads_gates=gates))
+        ring, advance = simulate._wave_c(config, part, n_steps)
         work, c = StepBuffers(grid, (paths,), gates, "y"), ring[0].c
     y = work.y[0]
     c[...], y[...] = c0, y0
@@ -462,8 +461,10 @@ def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, b
 def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, dry_only=False):
     """Traced peak of 20 warm primal steps leaving their gates, each followed
     by the tangent step reading them, as in the sweep of
-    malliavin.propagate_path (of dry alone with ``dry_only``); and the
-    tangent workspace."""
+    malliavin.propagate_path (of dry alone with ``dry_only``); the largest
+    peak of one tangent step, each traced on its own (an iterator buffer of
+    a broadcasting ufunc, about 1 KB, is far below the sweep's bound but not
+    below this one); and the tangent workspace."""
     grid = build_grid(dim, cells)
     rng = np.random.default_rng(1)
     primal = StepBuffers(grid, (1,), gates=True)
@@ -478,31 +479,37 @@ def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, dry_only=False):
     dt = cfl_dt(grid, coeffs, 2.0)
     dws = rng.standard_normal((21, 1)) * np.sqrt(dt)
 
-    def both(c, y, dw):
+    def both(c, y, dw, peaks=None):
         res = step(c, y, grid, coeffs, bc, dt, dw, work=primal)
+        if peaks is not None:  # the sweep's peak so far is kept across the reset
+            peaks[0] = max(peaks[0], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
         step_malliavin(state, c, y, grid, coeffs, bc, dt, dw, primal, tangent)
+        if peaks is not None:
+            peaks[1] = max(peaks[1], tracemalloc.get_traced_memory()[1] - start)
         return res
 
     res = both(c, y, dws[0])  # warm-up
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
+        base, peaks = tracemalloc.get_traced_memory()[0], [0, 0]
         for dw in dws[1:]:
-            res = both(res.c, res.y, dw)
-        peak = tracemalloc.get_traced_memory()[1] - base
+            res = both(res.c, res.y, dw, peaks)
+        peak = max(peaks[0], tracemalloc.get_traced_memory()[1]) - base
     finally:
         tracemalloc.stop()
     assert state.dry is tangent.dry and np.all(np.isfinite(tangent.dry))
     assert state.z is tangent.z and (dry_only or np.all(np.isfinite(tangent.z)))
-    return peak, tangent
+    return peak, peaks[1], tangent
 
 
 @pytest.mark.parametrize("dim,cells,seeds", [(1, 64, 8), (2, 16, 4), (3, 8, 2)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
 @pytest.mark.parametrize("coeffs", ["readme", "regularized", "decaying"])
 def test_tangent_steps_allocate_less_than_one_state_array(dim, cells, seeds, bc, coeffs):
-    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs])
-    assert peak < tangent.z.nbytes
+    peak, call_peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs])
+    assert peak < tangent.z.nbytes and call_peak < 512
 
 
 @pytest.mark.parametrize("dim,cells,seeds", [(1, 510, 8), (2, 30, 4), (3, 14, 2)])
@@ -513,9 +520,9 @@ def test_one_way_tangent_steps_allocate_less_than_one_seed_state(dim, cells, see
     # term for zero and saturating terms); the grids are large enough that
     # one seed's state outweighs the Python objects a step makes
     assert not COEFFS[coeffs].source.reads_y
-    peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], dry_only=True)
+    peak, call_peak, tangent = tangent_sweep_peak(dim, cells, seeds, bc, COEFFS[coeffs], dry_only=True)
     assert tangent.z is None and tangent.drc is None
-    assert peak < tangent.dry[0].nbytes
+    assert peak < tangent.dry[0].nbytes and call_peak < 512
 
 
 @pytest.mark.parametrize("coeffs,scratch", [
@@ -541,30 +548,10 @@ def test_a_tangent_allocates_scratch_only_for_z_or_the_term_by_term_dry_step(coe
 # what a warm step reads is bound once
 
 
-def on_fresh_thread(fn):
-    """``fn()`` on a thread of its own, its error raised here."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except Exception as exc:  # raised by the caller
-            out["error"] = exc
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
 def bound_steps(monkeypatch, form, dim, gates, coeffs):
     """Six steps of 3 paths in one workspace of ``form`` (see
     ``form_steps``); from step 3 on, anything that takes views or binds
-    cores raises.  Returns the final c and y, and whether this thread made
-    a thread-local coefficient scratch."""
+    cores raises.  Returns the final c and y."""
 
     def rebind(*args, **kwargs):
         raise AssertionError("a warm step took views or bound cores again")
@@ -576,8 +563,7 @@ def bound_steps(monkeypatch, form, dim, gates, coeffs):
             monkeypatch.setattr(owner, name, rebind)
         yield
 
-    c, y = form_steps(form, build_grid(dim, 6), coeffs, BoundaryKind.NEUMANN, 3, 6, gates, no_rebinding)
-    return c, y, hasattr(model._LOCAL, "scratch")
+    return form_steps(form, build_grid(dim, 6), coeffs, BoundaryKind.NEUMANN, 3, 6, gates, no_rebinding)
 
 
 @pytest.mark.parametrize("gates", [False, True])
@@ -588,14 +574,12 @@ def bound_steps(monkeypatch, form, dim, gates, coeffs):
     # c from the producer of a wave: only for reaction terms that ignore y
     ("readme", "y-lane"), ("regularized", "y-lane"), ("zero", "y-lane"), ("saturating", "y-lane"),
 ])
-def test_warm_steps_rebind_nothing_and_make_no_thread_scratch(monkeypatch, coeffs, form, dim, gates):
-    # the coefficient scratch is the workspace's, not a second, thread-local
-    # copy; a y-lane gives the bits of a workspace with a c per path
+def test_warm_steps_rebind_nothing(monkeypatch, coeffs, form, dim, gates):
+    # a y-lane gives the bits of a workspace with a c per path
     coeffs = COEFFS[coeffs]
-    c, y, made_scratch = on_fresh_thread(lambda: bound_steps(monkeypatch, form, dim, gates, coeffs))
+    c, y = bound_steps(monkeypatch, form, dim, gates, coeffs)
     monkeypatch.undo()
-    assert not made_scratch
-    c_ref, y_ref, _ = bound_steps(monkeypatch, "own", dim, gates, coeffs)
+    c_ref, y_ref = bound_steps(monkeypatch, "own", dim, gates, coeffs)
     assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
 
 
@@ -906,6 +890,43 @@ def test_on_step_sees_the_first_chunk_with_gates_only_when_it_reads_them(monkeyp
     assert len(seen) == run.n_steps == dense.n_steps
     assert {(rows, gates) for rows, gates, _ in seen} == {(3, reads_gates)}
     assert same_bits([y0 for _, _, y0 in seen], dense.y[:-1, 0])
+
+
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+def test_a_tangent_run_keeps_a_v_gate_only_where_a_z_reads_it(monkeypatch, coupling):
+    # a one-way tangent steps dry alone: neither the producer of the shared c
+    # (its workspace and ring) nor the lane holds a v-gate, and the lane
+    # keeps its y gate; a two-way lane steps c itself and keeps both gates
+    coeffs = COEFFS["readme"] if coupling == "one-way" else COEFFS["decaying"]
+    config = small_config(coeffs, t_final=0.01)
+    works, rings, gates = [], [], []
+
+    class Recorded(StepBuffers):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            works.append(self)
+
+    wave_c, call = simulate._wave_c, malliavin._Tangent.__call__
+    monkeypatch.setattr(simulate, "StepBuffers", Recorded)
+    monkeypatch.setattr(simulate, "_wave_c", lambda *args: rings.append(wave_c(*args)) or rings[-1])
+    monkeypatch.setattr(malliavin._Tangent, "__call__",
+                        lambda self, res, c, y, dw, work: gates.append((work.v_gate, work.y_gate))
+                        or call(self, res, c, y, dw, work))
+    c, _ = simulate.prepare_initial(config, cosine, 1.0)
+    dt, n = config.resolve_steps(float(np.max(c)))
+    _, [[tangent]] = propagate_path(config, cosine, 1.0, gen_wiener(n, dt, seed=4), [2])
+    assert np.all(np.isfinite(tangent.dry)) and len(gates) == n
+    shape = (1,) + config.grid.shape
+    assert all(y_gate.dtype == bool and y_gate.shape == shape for _, y_gate in gates)
+    if coupling == "one-way":
+        slots = [slot for ring, _ in rings for slot in ring]
+        assert len(rings) == 1 and slots and [w.v_gate for w in works] == [None, None]
+        assert not [a for slot in slots for a in slot if isinstance(a, np.ndarray) and a.dtype == bool]
+        assert all(v_gate is None for v_gate, _ in gates)
+    else:
+        assert rings == [] and len(works) == 1
+        assert works[0].v_gate.dtype == bool and works[0].v_gate.shape == shape
+        assert all(v_gate is works[0].v_gate and y_gate is works[0].y_gate for v_gate, y_gate in gates)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -1282,9 +1303,10 @@ def test_coupling_b_of_a_shared_c_row_is_bitwise_the_per_path_b(dim, paths, kapp
 
 def gates_of_path_0(work):
     """The v-gates of path 0 on interior nodes (boundary nodes inside the
-    update band get scratch, see ``step``) and its y-gates."""
-    v_gate = work.v_gate[0]
-    return v_gate[(slice(1, -1),) * v_gate.ndim], work.y_gate[0]
+    update band get scratch, see ``step``), None in a workspace of y alone,
+    and its y-gates."""
+    v_gate = work.v_gate
+    return None if v_gate is None else v_gate[(0,) + (slice(1, -1),) * (v_gate.ndim - 1)], work.y_gate[0]
 
 
 class StepRecorder:
@@ -1299,7 +1321,7 @@ class StepRecorder:
         time.sleep(1e-4)
         gates = gates_of_path_0(work) if self.reads_gates else ()
         seen = (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates
-        self.seen.append(tuple(np.copy(a) for a in seen))
+        self.seen.append(tuple(None if a is None else np.copy(a) for a in seen))
 
 
 def plain_loop(config, c_init, y_init, inc, dt, stride):
@@ -1354,7 +1376,8 @@ WAVE_TERMS = {
 def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     # any worker count, chunk cap and block length of the shared c: the
     # results, the frames in on_chunk order, what on_step sees of path 0 (its
-    # gates read through the block) and the tangent along path 0
+    # gates: both where the lane steps c, the y gate alone where it reads c
+    # from the shared block) and the tangent along path 0
     draw = data.draw
     terms = WAVE_TERMS[coupling]
     coeffs = terms[draw(st.sampled_from(sorted(terms)))]
@@ -1410,14 +1433,18 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     if k:
         assert same_bits(got[0], [fc for fc, _ in frames]) and same_bits(got[1], [fy for _, fy in frames])
     assert len(recorder.seen) == n
+    one_way = not coeffs.source.reads_y
     for got_step, ref_step in zip(recorder.seen, seen):
+        if recorder.reads_gates and one_way:  # no v-gate: a one-way tangent has no z to gate
+            assert got_step[6] is None
+            got_step, ref_step = got_step[:6] + got_step[7:], ref_step[:6] + ref_step[7:]
         assert all(same_bits(a, b) for a, b in zip(got_step, ref_step))
 
     # the tangent of dry alone when f ignores y, and under the affine terms
-    # the primal's alpha, 1 + sigma dW - rho dt, as the primal step forms it
-    one_way, sigma, drift = not coeffs.source.reads_y, coeffs.noise.slope, coeffs.drift.affine
-    seed_state = init_malliavin(seen[r][1], coeffs)
-    state = MalliavinState(None if one_way else seed_state.z[None], seed_state.dry[None])
+    # the primal's alpha, 1 + sigma dW - rho dt, as the primal step forms it;
+    # a seed joins with z = 0 and dry = a(y(r))
+    sigma, drift, y_r = coeffs.noise.slope, coeffs.drift.affine, seen[r][1]
+    state = MalliavinState(None if one_way else np.zeros((1,) + y_r.shape), np.array(coeffs.a(y_r))[None])
     interior = (slice(None),) + (slice(1, -1),) * dim
     for c0, y0, _, _, _, dw0, v_gate, y_gate in seen[r:]:
         primal = SimpleNamespace(v_gate=np.zeros((1,) + grid.shape, bool), y_gate=y_gate[None], affine=None,
