@@ -52,7 +52,7 @@ from .model import (
     preset_coefficients,
     regularize_beta,
 )
-from .pathfile import DerivativePair, PathRecord, RecordWriter, write_record
+from .pathfile import MAX_FRAMES, DerivativePair, PathRecord, RecordWriter, write_record
 from .simulate import (
     NumericalAbort,
     SchemaError,
@@ -510,6 +510,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config, c0_fn, c_init, y_init, c0_max = _initial_state(cfg)
     dt, n = config.resolve_steps(c0_max)
+    if n + 1 > MAX_FRAMES:  # the record keeps the state of every step
+        raise SchemaError("dt" if config.dt else "theta", f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
 
     # one run carries every seed; each seed's report steps end at n, so its
     # last slice is the terminal pair for the record

@@ -35,6 +35,7 @@ from .grid import GridSpec, build_grid
 
 MAGIC = b"RPME1"
 _HEAD = struct.Struct("<III QQ d")
+MAX_FRAMES = 2**32 - 1  # the most frames a record holds: its header counts them in a u32
 # bytes of frames gathered before a write reaches the file, so a record of
 # many small frames goes out in large blocks; each table a record hands to
 # its writer thread costs the caller about 0.1 ms of waiting for the GIL

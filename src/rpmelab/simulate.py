@@ -42,9 +42,9 @@ _FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
-# the shared c of a wave: K + 1 slots of a c row, a step charged 9 bytes a
-# node and _SLOT_VIEWS, for the lanes to read a block of K steps from; K is
-# 29 at 2D 32^2
+# the shared c of a wave: K + 1 slots of a c row, a step charged the 8
+# bytes a node of its row and _SLOT_VIEWS, for the lanes to read a block of
+# K steps from; K is 98 in 1D at 32 cells and 32 at 2D 32^2
 _BLOCK_BYTES = 420 * 2**10
 # the numpy views of a _CSlot, about 1.3 KiB in 1D, 2.4 KiB in 2D and
 # 3.3 KiB in 3D, so a small grid cannot fill the budget with thousands of
@@ -260,17 +260,17 @@ class StepBuffers:
     scratch arrays (the Laplacian, reused for the noise and drift terms, and
     two for the update of v) and the coefficient scratch, all shaped like the
     state, plus one boundary face, the clamp mass and the alpha of an affine
-    y update (see ``_y_half``) per leading index; with ``gates``, the clamp
-    gates of the last step (v+ < 0 on the update band, y+ < 0) as boolean
-    masks.  ``half`` "c" or "y" keeps only the arrays, gate included, of
-    that half of a step (see ``step``), and a y half gets a y scratch of its
-    own.  What a step reads is bound once: the ``slot`` of each copy of c,
-    the (paths, nodes) ``y_rows`` of each copy of y and ``alpha_op``, the
-    ``own`` views of a step from each copy and, at the first step under
-    a coefficient set, the in-place cores of f, beta, beta_inv, a and b,
-    which get the coefficient scratch, and the affine form of a and b if
-    they declare one, so a warm step is a flat run of ufuncs.  A step
-    returns views of these, valid until its next step."""
+    y update (see ``_y_half``; a lane copies it in) per leading index; with
+    ``gates``, the clamp gates of the last step (v+ < 0 on the update band,
+    y+ < 0) as boolean masks.  ``half`` "c" or "y" keeps only the arrays,
+    gate included, of that half of a step (see ``step``), and a y half gets
+    a y scratch of its own.  What a step reads is bound once: the ``slot``
+    of each copy of c, the (paths, nodes) ``y_rows`` of each copy of y and
+    ``alpha_op``, the ``own`` views of a step from each copy and, at the
+    first step under a coefficient set, the in-place cores of f, beta,
+    beta_inv, a and b, which get the coefficient scratch, and the affine
+    form of a and b if they declare one, so a warm step is a flat run of
+    ufuncs.  A step returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
                  half: str | None = None):
@@ -348,13 +348,14 @@ def step(
     dW,
     work: StepBuffers | None = None,
     c_new: _CSlot | None = None,
+    alpha_min=None,
 ) -> StepResult:
     """One explicit step, ``_c_half`` then ``_y_half``.  ``c`` and ``y`` have
     trailing grid shape (leading axes are independent paths) and ``c``
     already satisfies the boundary rule; ``dW`` broadcasts against the
     leading axes.  ``c_new``, the slot that a c half from ``c`` wrote
     elsewhere, leaves only the y half to this call; ``c`` may then be one
-    row that b broadcasts to every path of ``y``.
+    row that b broadcasts to every path of ``y``; see ``_y_half`` for ``alpha_min``.
 
     Every intermediate goes into ``work`` and the new state into the copies
     of c and y in ``work`` that do not hold the input, so a loop that passes
@@ -382,37 +383,42 @@ def step(
         _c_half(src, y_b, c_new, bc, dt, work)
     else:
         y_new = work.y[1] if y is work.y[0] else work.y[0]
-    _y_half(c, y, y_new, dW, dt, work)
+    _y_half(c, y, y_new, dW, dt, work, alpha_min)
     return StepResult(c_new.c, y_new, c_new.mass)
 
 
 def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> None:
-    """v+ = beta(c) + dt * (lap_h c + f(c, y)) clamped at zero, c+ = beta_inv(v+)
-    under the boundary rule, from slot ``src`` to slot ``dst`` in ``work``; f gets ``y_b``."""
+    """v+ = beta(c) + dt * (lap_h c + f(c, y)) clamped at zero (a no-op, skipped, with no v-gate and v > 0
+    on the whole band), c+ = beta_inv(v+) under the boundary rule, from slot ``src`` to slot ``dst`` in
+    ``work``; f gets ``y_b``."""
     v, clamped, c_new_b, mass, tmp = work.v_b, work.clamped, dst.band, dst.mass, work.tmp_b
     _band_laplacian(work.lap_b, src.band, src.shifts, work.h)
     np.add(work.lap_b, work.f(src.band, y_b, v, tmp), out=v)
     v *= dt
     np.add(work.beta(src.band, work.u_b, tmp), v, out=v)
-    # the clamp mass sums the interior per path, contiguous as in the formula
-    clamped[...] = work.v_int  # a ufunc on the strided view would buffer
-    np.minimum(clamped, 0.0, out=clamped)
-    np.add.reduce(work.clamp_rows, axis=-1, out=mass)
-    mass *= -work.cell
-    if work.gate_b is not None:
-        np.less(v, 0.0, out=work.gate_b)
-    np.maximum(v, 0.0, out=v)
+    if work.gate_b is None and np.minimum.reduce(v) > 0.0:
+        mass.fill(-0.0)
+    else:
+        # the clamp mass sums the interior per path, contiguous as in the formula
+        clamped[...] = work.v_int  # a ufunc on the strided view would buffer
+        np.minimum(clamped, 0.0, out=clamped)
+        np.add.reduce(work.clamp_rows, axis=-1, out=mass)
+        mass *= -work.cell
+        if work.gate_b is not None:
+            np.less(v, 0.0, out=work.gate_b)
+        np.maximum(v, 0.0, out=v)
     res = work.beta_inv(v, c_new_b, tmp)
     if res is not c_new_b:
         c_new_b[...] = res
     _impose_bc(dst.faces, bc, work.face)
 
 
-def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work: StepBuffers) -> None:
+def _y_half(c, y, y_new: np.ndarray, dw, dt: float, work: StepBuffers, alpha_min=None) -> None:
     """y+ = max(y + a(y) dW + b(c, y) dt, 0), or its ``work.affine`` form, into ``y_new``, gates into ``work``.
+    alpha comes from ``dw``, or from ``work.alpha`` as a caller that passes its minimum ``alpha_min`` wrote it.
     alpha y reads ``work.alpha_op`` if set (0-d on one path, else an einsum, 0 + alpha y: no buffer and no
-    floating-point warning); the clamp is then skipped while every alpha >= 0 and y is this workspace's
-    last y: as kappa, c >= 0, y+ has no negative or -0.0 entry, and the y gate stays all False."""
+    floating-point warning), else a filled copy.  The clamp is skipped while every alpha >= 0 and y is this
+    workspace's last y: as kappa, c >= 0, y+ has no negative or -0.0 entry, and the y gate stays all False."""
     scratch, bites = work.y_scratch, True  # the Laplacian's array, used up, in a workspace of c and y
     if work.affine is None:
         scratch[...] = dw  # a ufunc broadcasting dw would buffer
@@ -422,10 +428,11 @@ def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work
         np.add(y_new, scratch, out=y_new)
     else:
         sigma, kappa, rho = work.affine
-        alpha = np.multiply(sigma, dw, out=work.alpha)  # 1 + sigma dW - rho dt, in that order
-        alpha += 1.0
-        alpha -= rho * dt
-        op = work.alpha_op
+        alpha, op = work.alpha, work.alpha_op
+        if alpha_min is None:
+            np.multiply(sigma, dw, out=alpha)  # 1 + sigma dW - rho dt, in that order
+            alpha += 1.0
+            alpha -= rho * dt
         if op is None:
             scratch[...] = alpha  # as for dw above
             np.multiply(y, scratch, out=y_new)
@@ -441,7 +448,7 @@ def _y_half(c: np.ndarray, y: np.ndarray, y_new: np.ndarray, dw, dt: float, work
             scratch[...] = np.multiply(kappa * dt, c, out=work.tmp[:1])
         y_new += scratch
         # a NaN alpha fails the test, so the clamp runs
-        bites = op is None or y is not work.y_last or not (np.minimum.reduce(op) if op.ndim else float(op)) >= 0.0
+        bites = y is not work.y_last or not (alpha.min() if alpha_min is None else alpha_min) >= 0.0
     if bites:
         if work.y_gate is not None:
             np.less(y_new, 0.0, out=work.y_gate)
@@ -531,8 +538,8 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
-    """Adds step n's clamp mass and, if ``part.c_sup`` is set, the sup and min
-    of its new c, in slot ``dst``, to ``part``; raises ``NumericalAbort`` at a non-finite sup."""
+    """Adds step n's clamp mass and, if ``part.c_sup`` is set, the sup and min of its new c, in slot
+    ``dst``, to ``part`` (a lane's own c: see ``_wave_c``); raises ``NumericalAbort`` at a non-finite sup."""
     part.clamp_mass += dst.mass
     if part.c_sup is not None:
         np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
@@ -545,47 +552,77 @@ def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
 
 
 def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
-    """(slots, advance) of the one c of the paths of ``part``, for a source
-    that ignores y; lanes fill slot 0, ``advance(n)`` takes and ``_track``s
-    step n into slot n % (block + 1).  No v-gates: a tangent of such a
-    source has no z to gate."""
+    """(slots, advance) of the one c of the paths of ``part``, for a source that ignores y (no v-gates:
+    its tangent has no z); lanes fill slot 0.  ``advance(start, stop)`` steps start + 1 to stop into
+    slot n % (block + 1), adds to ``part`` once a block what ``_track`` adds per step, ties taking the
+    new value, and returns (stop, None) or the first step whose row max, finite iff the row is (c >= 0),
+    is not, and its abort."""
     work = StepBuffers(config.grid, (1,), half="c")
     work.bind(config.coeffs)
     c = np.empty((block + 1, 1) + config.grid.shape)
     slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)))]
 
-    def advance(n: int) -> None:
-        src, dst = slots[(n - 1) % len(slots)], slots[n % len(slots)]
-        _c_half(src, src.band, dst, config.bc, part.dt, work)  # f ignores y
-        _track(part, n, dst)
+    def advance(start: int, stop: int):
+        track, n, abort, mass = part.c_sup is not None, start, None, part.clamp_mass[0]
+        while n < stop and abort is None:
+            n += 1
+            src, dst = slots[(n - 1) % len(c)], slots[n % len(c)]
+            _c_half(src, src.band, dst, config.bc, part.dt, work)  # f ignores y
+            mass += dst.mass[0]
+            if track and not math.isfinite(np.maximum.reduce(dst.rows, axis=None)):
+                abort = NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {part.path_ids[0]})")
+        part.clamp_mass[...] = mass
+        if track:
+            sup, low, first, last = part.c_sup[0], part.c_min[0], (start + 1) % len(c), n % len(c) + 1
+            for span in (c[first:last],) if first < last else (c[first:], c[:last]):
+                top, new = np.maximum.reduce(span, axis=None), np.minimum.reduce(span, axis=None)
+                sup, low = sup if sup > top else top, low if low < new else new
+            part.c_sup[...], part.c_min[...] = sup, low
+        return n, abort
 
     return slots, advance
 
 
-def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step, slots):
+def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step, slots, block):
     """``run(start, stop)``: steps start + 1 to stop of the paths of ``part``
     under the (paths, steps) blocks of increments of ``noise``, in one
     workspace of c and y (c ``_track``ed here) or of y, c read from ``slots``;
     the terminal state and, if ``part.c`` is set, frames every ``stride``
-    steps go to ``part``.  Every operation and reduction is per path, so
-    batching never changes a bit.  ``on_step(res, c, y, dw, work)`` gets each
-    step, its start state, increments and workspace, with the gates of the
-    halves stepped here if it ``reads_gates``."""
+    steps go to ``part``; affine alphas come ``block`` steps at a time.
+    Every operation and reduction is per path, so batching never changes a
+    bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
+    increments and workspace, with the gates of the halves stepped here if it ``reads_gates``."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
     gates = getattr(on_step, "reads_gates", False)
     work = StepBuffers(grid, (len(part.path_ids),), gates, None if slots is None else "y")
+    work.bind(coeffs)
     c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
     ring = slots or [None]  # c_new of step n for step: a slot, or None to step c here
-    # each step's increments, and a view of them that broadcasts over the nodes
-    dws = (pair for block in noise for pair in zip(block.T, block.T[(Ellipsis,) + (None,) * grid.dim]))
+    if work.affine is not None:
+        (sigma, _, rho), alpha = work.affine, work.alpha.reshape(-1)
+        alphas, mins = np.empty((block, len(part.path_ids))), np.empty(block)
+
+    def steps():  # each step's increments, as a view broadcasting over the nodes too, its alpha and their min
+        for dws in (inc[:, i : i + block].T for inc in noise for i in range(0, inc.shape[1], block)):
+            rows = lows = (None,) * len(dws)
+            if work.affine is not None:  # 1 + sigma dW - rho dt, as _y_half forms it
+                rows = np.multiply(sigma, dws, out=alphas[: len(dws)])
+                rows += 1.0
+                rows -= rho * dt
+                lows = np.minimum.reduce(rows, axis=1, out=mins[: len(dws)])
+            yield from zip(dws, dws[(Ellipsis,) + (None,) * grid.dim], rows, lows)
+
+    dws = steps()
     if part.c is not None:
         part.c[0], part.y[0] = c_init, y_init
 
     def run(start: int, stop: int) -> None:
         nonlocal c, y
-        for n, (dw, dw_nodes) in zip(range(start + 1, stop + 1), dws):
-            res = step(c, y, grid, coeffs, bc, dt, dw_nodes, work, ring[n % len(ring)])
+        for n, (dw, dw_nodes, row, low) in zip(range(start + 1, stop + 1), dws):
+            if row is not None:
+                np.copyto(alpha, row)
+            res = step(c, y, grid, coeffs, bc, dt, dw_nodes, work, ring[n % len(ring)], low)
             if on_step is not None:
                 on_step(res, c, y, dw, work)
             if slots is None:
@@ -607,13 +644,7 @@ def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
     lanes after a failed one stop, those before it go on."""
     error = None
     for start in range(0, n_steps, block):
-        stop, abort = min(start + block, n_steps), None
-        if advance is not None:
-            try:
-                for n in range(start + 1, stop + 1):
-                    advance(n)
-            except NumericalAbort as exc:
-                stop, abort = n, exc
+        stop, abort = advance(start, min(start + block, n_steps))
         futures = [pool.submit(run, start, stop) for run in runs[1:]]
         runs[0](start, stop)  # an error here is the first in path order
         if abort is not None:
@@ -721,17 +752,16 @@ def simulate_ensemble(
             part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
         first = on_step if rows.start == 0 else None
-        return _lane(config, c_init, y_init, noise, part, stride, first, slots)
+        return _lane(config, c_init, y_init, noise, part, stride, first, slots, block)
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
-    width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (9 * grid.n_nodes + _SLOT_VIEWS)))
+    width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (8 * grid.n_nodes + _SLOT_VIEWS)))
     pool = concurrent.futures.ThreadPoolExecutor(width - 1) if min(width, len(chunks)) > 1 else None
     with pool or contextlib.nullcontext():  # a thread pool only for waves of several lanes
         for wave in (chunks[i : i + width] for i in range(0, len(chunks), width)):
-            slots = advance = None
+            slots, advance = None, lambda start, stop: (stop, None)  # c stepped in every lane
             if not config.coeffs.source.reads_y:
-                span = result._paths(slice(wave[0].start, wave[-1].stop))
-                slots, advance = _wave_c(config, span, block)
+                slots, advance = _wave_c(config, result._paths(slice(wave[0].start, wave[-1].stop)), block)
             # the lanes, and their workspaces, are freed as the wave returns
             parts = [result._paths(rows) for rows in wave]
             _run_wave([lane(*args, slots) for args in zip(wave, parts)], advance, n_steps, block, pool)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -392,6 +393,22 @@ def test_a_step_grid_that_cannot_be_resolved_exits_3_naming_its_key(tmp_path, ca
     code, out = run_cli(command, tmp_path, text, "grid")
     assert code == 3
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,key,steps", [
+    ("dt = 1e-300", "dt", r"1e\+299"),  # the README example's t_final of 0.1
+    ("theta = 1e-12", "theta", r"5\.063e\+13"),
+])
+def test_a_malliavin_step_count_beyond_a_record_exits_3_naming_its_key(tmp_path, capsys, line, key, steps):
+    # the record of a malliavin run keeps n + 1 frames, counted in a u32 of
+    # its header: a larger count is refused before any state is allocated,
+    # not packed into the header (struct.error, exit 5)
+    text = f"cells = 8\nt_final = 0.1\n{line}\n"
+    code, out = run_cli("malliavin", tmp_path, text, "long")
+    assert code == 3
+    assert re.search(rf"config key {key!r}: {steps} steps, a record holds 4294967294$",
+                     capsys.readouterr().err.strip())
     assert not out.exists()
 
 

@@ -286,6 +286,89 @@ def test_the_y_half_is_the_five_pass_formula_bitwise(dim, lane, form, gates, sig
             c, y = res.c if form == "own" else c, res.y
 
 
+def full_pass_c_half(src, y_b, dst, bc, dt, work):
+    """The c half with the clamp pass taken at every step, as before it could
+    be skipped: the clamped copy of the interior of v, its mass, the v-gate
+    and the clamp of v."""
+    v, clamped, mass, tmp = work.v_b, work.clamped, dst.mass, work.tmp_b
+    grid_module._band_laplacian(work.lap_b, src.band, src.shifts, work.h)
+    np.add(work.lap_b, work.f(src.band, y_b, v, tmp), out=v)
+    v *= dt
+    np.add(work.beta(src.band, work.u_b, tmp), v, out=v)
+    clamped[...] = work.v_int
+    np.minimum(clamped, 0.0, out=clamped)
+    np.add.reduce(work.clamp_rows, axis=-1, out=mass)
+    mass *= -work.cell
+    if work.gate_b is not None:
+        np.less(v, 0.0, out=work.gate_b)
+    np.maximum(v, 0.0, out=v)
+    res = work.beta_inv(v, dst.band, tmp)
+    if res is not dst.band:
+        dst.band[...] = res
+    simulate._impose_bc(dst.faces, bc, work.face)
+
+
+# band entries of v that the clamp pass must see: (beta(c), f) that give them
+# from c = +0.0 at dt = 0.1; -0.0 needs -0.0 + dt (0.0 + f), f underflowing to -0.0
+CLAMP_ENTRIES = {"+0": (0.0, 0.0), "-0": (-0.0, -5e-324), "negative": (0.0, -3.0), "nan": (np.nan, 0.0),
+                 "inf": (np.inf, 0.0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.booleans(), st.sampled_from(list(BoundaryKind)),
+       st.lists(st.tuples(st.sampled_from(sorted(CLAMP_ENTRIES)), st.sampled_from(["interior", "scratch"])),
+                max_size=3),
+       st.integers(0, 2**32 - 1))
+@example(1, 0, False, BoundaryKind.NEUMANN, [("-0", "interior")], 0)
+@example(2, 0, True, BoundaryKind.NEUMANN, [], 0)
+def test_the_c_clamp_skip_is_bitwise_the_full_pass(dim, paths, gates, bc, entries, seed):
+    # the clamp pass is skipped only where the band of v is strictly positive
+    # and no v-gate is kept: the new c, its clamp mass and the v-gate are those
+    # of the full pass bit for bit, with +0.0, -0.0, negative, NaN and +inf
+    # entries in the interior or in the boundary scratch of the band alone.
+    # beta and f give prescribed bands, and beta_inv keeps the sign of a zero,
+    # so a skip over a -0.0 would show in c
+    grid, lead = build_grid(dim, CELLS[dim]), (paths,) if paths else ()
+    rng = np.random.default_rng(seed)
+    beta_v, f_v = rng.uniform(0.1, 2.0, lead + grid.shape), np.zeros(lead + grid.shape)
+    band_nodes = np.zeros(lead + grid.shape, bool)
+    simulate._stencil(band_nodes, dim)[0][...] = True
+    interior = np.zeros(grid.shape, bool)
+    interior[(slice(1, -1),) * dim] = True
+    interior = np.broadcast_to(interior, band_nodes.shape)
+    for kind, where in entries:
+        nodes = np.flatnonzero(band_nodes & (interior if where == "interior" else ~interior))
+        assume(nodes.size)
+        node = np.unravel_index(rng.choice(nodes), band_nodes.shape)
+        beta_v[node], f_v[node] = CLAMP_ENTRIES[kind]
+
+    def prescribed(values):
+        band = simulate._stencil(values, dim)[0]
+        return lambda *args, out=None: np.copyto(out, band) or out
+
+    beta = dataclasses.replace(pme_beta(2.0), beta=prescribed(beta_v),
+                               beta_inv=lambda v, out=None: np.copyto(out, v) or out)
+    zero = preset_coefficients("zero")
+    coeffs = make_coefficients(beta, f=SourceTerm("prescribed", prescribed(f_v), zero.d_c, zero.d_y, reads_y=False))
+    results = []
+    for c_half in (simulate._c_half, full_pass_c_half):
+        work = StepBuffers(grid, lead, gates)
+        work.bind(coeffs)
+        work.c[0][...], work.c[1][...] = 0.0, np.nan
+        if gates:
+            work.v_gate.fill(True)  # a gate that a step left: the full pass overwrites it
+        with np.errstate(invalid="ignore"):
+            c_half(work.slots[0], work.slots[0].band, work.slots[1], bc, 0.1, work)
+        results.append((work.c[1].copy(), work.mass.copy(), None if work.v_gate is None else work.v_gate.copy(),
+                        work.clamped.copy()))
+    (c, mass, gate, clamped), (c_ref, mass_ref, gate_ref, clamped_ref) = results
+    assert same_bits(c, c_ref) and same_bits(mass, mass_ref) and same_bits(gate, gate_ref)
+    skipped = not gates and np.min(simulate._stencil(beta_v + 0.1 * f_v, dim)[0]) > 0.0
+    # a skip leaves the clamped copy unwritten: a workspace with a v-gate never skips
+    assert same_bits(clamped, clamped_ref) != skipped
+    assert not skipped or np.all(mass == -0.0) and np.all(np.signbit(mass))
+
+
 @SETTINGS
 @given(states(), st.floats(0.05, 1.0), st.integers(1, 5))
 def test_step_keeps_the_state_nonnegative_and_conserves_no_flux_mass(state, theta, n_steps):
@@ -398,21 +481,31 @@ def test_presets_keep_the_operand_order_of_their_formulas(case):
 
 def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contextlib.nullcontext):
     """``n_steps`` steps of ``paths`` paths from one c row in one workspace
-    of ``form``: "own" (a c per path) or "y-lane" (y alone, c from the
-    producer of a wave's shared c, as in ``simulate_ensemble``), steps 3 on
-    inside ``watch()``.  Returns the final c and y."""
+    of ``form``: "own" (a c per path), "y-lane" (y alone, c from the
+    producer of a wave's shared c, as in ``simulate_ensemble``) or "lane"
+    (the producer and lane of ``simulate_ensemble``, in blocks of 2 and
+    n_steps - 2 steps), steps 3 on inside ``watch()``.  Returns the final c
+    and y."""
     rng = np.random.default_rng(grid.dim)
     dt = cfl_dt(grid, coeffs, 2.0)
     c0 = apply_bc(rng.uniform(0.5, 1.5, (1,) + grid.shape), grid, bc)
     y0 = rng.uniform(0.5, 1.5, (paths,) + grid.shape)
     dws = rng.standard_normal((n_steps, paths)) * np.sqrt(dt)
+    config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
+    part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
+                          np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
+    if form == "lane":
+        ring, advance = simulate._wave_c(config, part, n_steps - 2)
+        lane = simulate._lane(config, c0, y0, [dws.T], part, 0, None, ring, n_steps - 2)
+        for start, stop in ((0, 2), (2, n_steps)):
+            with watch() if start else contextlib.nullcontext():
+                assert advance(start, stop) == (stop, None)
+                lane(start, stop)
+        return part.c_final.copy(), part.y_final.copy()
     if form == "own":
-        work, ring, advance = StepBuffers(grid, (paths,), gates), [None], lambda n: None
+        work, ring, advance = StepBuffers(grid, (paths,), gates), [None], lambda start, stop: (stop, None)
         c = work.c[0]
     else:
-        config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
-        part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
-                              np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
         ring, advance = simulate._wave_c(config, part, n_steps)
         work, c = StepBuffers(grid, (paths,), gates, "y"), ring[0].c
     y = work.y[0]
@@ -420,8 +513,8 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
 
     def run(steps):
         nonlocal c, y
+        assert advance(steps[0] - 1, steps[-1]) == (steps[-1], None)  # the producer's block
         for n in steps:
-            advance(n)
             res = step(c, y, grid, coeffs, bc, dt, dws[n - 1], work, ring[n % len(ring)])
             c, y = res.c, res.y
 
@@ -431,13 +524,17 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
     return c.copy(), y.copy()
 
 
-# 2D 32^2 with 16 paths: a lane of 18,496 nodes, whose alpha y is an einsum
-@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4), (2, 32, 16)])
+# 2D 32^2 with 16 paths: a lane of 18,496 nodes, whose alpha y is an einsum;
+# 1D at 8 cells: 10 nodes a path, so the alphas of a lane's block of 20
+# steps, allocated per block instead of once a lane, would outweigh y
+@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4), (2, 32, 16), (1, 8, 64)])
 @pytest.mark.parametrize("bc", list(BoundaryKind))
 @pytest.mark.parametrize("coeffs,form", [
     ("readme", "own"), ("regularized", "own"), ("decaying", "own"), ("saturating", "own"),
     # c from the producer of a wave: only for reaction terms that ignore y
     ("readme", "y-lane"), ("regularized", "y-lane"), ("zero", "y-lane"), ("saturating", "y-lane"),
+    # the loop of simulate_ensemble: alpha a block at once under the affine terms
+    ("readme", "lane"), ("saturating", "lane"),
 ])
 def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, bc, coeffs, form):
     grid, coeffs, peak = build_grid(dim, cells), COEFFS[coeffs], []
@@ -1009,6 +1106,99 @@ def test_a_non_finite_path_aborts_at_its_step_and_is_named(value, row, first_id)
     assert len(calls) == 5
 
 
+def per_step_track(part, n, dst):
+    """Step n's clamp mass, sup and min of c, in slot ``dst``, added to every
+    path of ``part`` one step at a time, as a lane that steps the c of its own
+    paths tracks them: the reference for the producer of a wave's shared c,
+    which tracks them once a block."""
+    part.clamp_mass += dst.mass
+    if part.c_sup is not None:
+        np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
+        np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
+        if not np.all(np.isfinite(part.c_sup)):
+            bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
+            raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(list(BoundaryKind)), st.integers(3, 13),
+       st.sampled_from(["1", "2", "no divisor", "thirds"]), st.integers(1, 4), st.integers(0, 9), st.booleans(),
+       st.integers(1, 15), st.sampled_from([np.nan, np.inf, -np.inf, -40.0]),
+       st.sampled_from([1.0, 0.0, -0.0]), st.sampled_from([None, 0.0, -0.0]), st.integers(0, 2**32 - 1))
+# a sink lowers the min at every step, also in the block of steps 5 and 6 that wraps the ring
+@example(1, BoundaryKind.NEUMANN, 9, "2", 2, 0, True, 1, -40.0, 1.0, None, 0)
+# c0 of -0.0 alone: its sup and min are -0.0, the rows of every step +0.0
+@example(2, BoundaryKind.NEUMANN, 6, "1", 1, 3, True, 20, np.nan, -0.0, None, 0)
+@example(1, BoundaryKind.DIRICHLET, 7, "thirds", 3, 0, True, 20, np.nan, 1.0, -0.0, 5)
+def test_block_tracking_is_bitwise_the_per_step_tracking(dim, bc, n, blocks, paths, first, seeded, k, value, scale,
+                                                         zero, seed):
+    # the producer of a wave's shared c adds the clamp mass, sup and min of
+    # its steps to the wave's paths once a block, from one reduction a step:
+    # bit for bit, sign of zero included, what per-step tracking adds; a c
+    # that stops being finite at step k ends the block with the abort that
+    # per-step tracking raises, naming step k and the wave's first path,
+    # after k calls of f (poisoned from call k, which may lie past the run)
+    grid = build_grid(dim, CELLS[dim])
+    # blocks of 1, 2, a length that does not divide n, and a third of n: from
+    # the third block on, a block wraps the ring of block + 1 slots
+    block = {"1": 1, "2": 2, "no divisor": next(b for b in range(3, n + 3) if n % b), "thirds": n // 3}[blocks]
+    # c0 with zeros of both signs: its min and max may be -0.0 where the
+    # rows of later steps hold +0.0, and np.minimum and np.maximum then take
+    # the new value; without zeros, a sink lowers the min at every step
+    rng = np.random.default_rng(seed)
+    c0 = rng.uniform(1.0, 1.05, grid.shape) * scale
+    if zero is not None:
+        c0[rng.random(grid.shape) < 0.3] = zero
+        c0[rng.random(grid.shape) < 0.2] = -0.0
+    c_init = apply_bc(c0, grid, bc)
+    results = []
+    for blocked in (True, False):
+        calls = []
+        coeffs = make_coefficients(pme_beta(2.0), f=poisoned_source(value, k, calls, grid))
+        dt = cfl_dt(grid, coeffs, 2.0)
+        config = SimConfig(grid, coeffs, bc, t_final=n * dt)
+        part = EnsembleResult(grid, dt, n, np.arange(first, first + paths), None, None,
+                              np.full(paths, np.max(c_init)) if seeded else None,
+                              np.full(paths, np.min(c_init)) if seeded else None, np.zeros(paths))
+        stop, abort, tracked = n, None, {}  # step -> what part holds after it
+
+        def keep(m):
+            tracked[m] = [None if a is None else a.copy() for a in (part.c_sup, part.c_min, part.clamp_mass)]
+
+        # a run that tracks no sup steps on past a c of +inf, whose Laplacian is NaN
+        with np.errstate(invalid="ignore"):
+            if blocked:
+                slots, advance = simulate._wave_c(config, part, block)
+                slots[0].c[...] = c_init
+                for start in range(0, n, block):
+                    stop, abort = advance(start, min(start + block, n))
+                    keep(stop)
+                    if abort is not None:
+                        break
+            else:
+                work = StepBuffers(grid, (1,), half="c")
+                work.bind(coeffs)
+                work.c[0][...] = c_init
+                try:
+                    for stop in range(1, n + 1):
+                        src, dst = work.slots[(stop - 1) % 2], work.slots[stop % 2]
+                        simulate._c_half(src, src.band, dst, bc, dt, work)
+                        try:
+                            per_step_track(part, stop, dst)
+                        finally:
+                            keep(stop)
+                except NumericalAbort as exc:
+                    abort = exc
+        results.append((stop, None if abort is None else str(abort), len(calls), tracked))
+    (stop, abort, calls, got), (stop_ref, abort_ref, calls_ref, ref) = results
+    assert (stop, abort, calls) == (stop_ref, abort_ref, calls_ref)
+    if abort is not None:
+        assert abort == f"non-finite c at step {k} of {n} (path {first})" and calls == k
+    # after every block, the last one included
+    for m, arrays in got.items():
+        assert all(same_bits(a, b) for a, b in zip(arrays, ref[m])), m
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("row", [None, 1], ids=["shared-c", "per-path-c"])
 def test_an_abort_leaves_no_thread_running(monkeypatch, workers, row):
@@ -1072,7 +1262,7 @@ def test_the_first_failing_lane_in_path_order_is_raised_at_any_worker_count(monk
     a = preset_coefficients("linear_a", {"sigma": 1.0})
     config = small_config(make_coefficients(pme_beta(2.0), f=spiking_source(3.0), a=a), t_final=0.02)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * (9 * config.grid.n_nodes + simulate._SLOT_VIEWS))
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * (8 * config.grid.n_nodes + simulate._SLOT_VIEWS))
     dt, n = config.resolve_steps(1.5)
     inc = np.zeros((5, n))
     inc[2, 0], inc[0, 4] = 5.0, 10.0
@@ -1412,7 +1602,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
-            mp.setattr(simulate, "_BLOCK_BYTES", block * (9 * grid.n_nodes + simulate._SLOT_VIEWS))
+            mp.setattr(simulate, "_BLOCK_BYTES", block * (8 * grid.n_nodes + simulate._SLOT_VIEWS))
             ens = simulate_ensemble(config, bump, 1.0, **kw)
             _, [[tangent]] = propagate_path(config, bump, 1.0, WienerPath(dt, inc[0]), [r])
     finally:
