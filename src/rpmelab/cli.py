@@ -3,12 +3,12 @@ artifact output (binary snapshot records, CSV estimate reports, a manifest
 with content digests).
 
 Exit codes: 0 all hard-bound reports passed, 1 at least one failed, 2 missing
-input file, 3 config schema violation (the offending key is named), 4
-numerical abort (non-finite state, or floating-point overflow such as a
-growth bound too large to represent), 5 unexpected internal error (the
-traceback is printed).  Outputs are staged in a scratch directory next to the
-target and renamed into place only on completion, so a failed run never
-leaves partial artifacts.
+input file, 3 config schema violation (the offending key is named: t_final
+for a growth radius that overflows), 4 numerical abort (a non-finite state,
+or a floating-point overflow while stepping), 5 unexpected internal error
+(the traceback is printed).  Outputs are staged in a scratch directory next
+to the target and renamed into place only on completion, so a failed run
+never leaves partial artifacts.
 """
 from __future__ import annotations
 
@@ -383,8 +383,8 @@ def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
 
 
 def _require_finite(*arrays, signed: bool = True) -> None:
-    # NaN propagates through the max and the min, +inf shows in the max and -inf in the min (so
-    # no boolean array is made); a primal frame, clamped nonnegative (not ``signed``), has no -inf
+    # NaN propagates through the max and the min, +inf shows in the max and -inf in the min (so no
+    # boolean array is made); a primal y (the engine checks c) is clamped nonnegative: not ``signed``
     for arr in arrays:
         if arr.size and not (math.isfinite(np.maximum.reduce(arr, axis=None))
                              and (not signed or math.isfinite(np.minimum.reduce(arr, axis=None)))):
@@ -432,7 +432,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     digests: dict[str, str] = {}
 
     def write_chunk(chunk) -> None:
-        _require_finite(chunk.c, chunk.y, signed=False)
+        _require_finite(chunk.y, signed=False)
         for j, pid in enumerate(int(p) for p in chunk.path_ids):
             tag = f"path_{pid:04d}"
             c, y = chunk.c[:, j], chunk.y[:, j]
@@ -469,8 +469,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     energy = EnergySums(grid, coeffs, times)
     weak = WeakSums(grid, v, n) if n_free else None
 
-    def frame(k, c, y):  # every frame is checked before it is read
-        _require_finite(c, y, signed=False)
+    def frame(k, c, y):  # every frame's y is checked before it is read
+        _require_finite(y, signed=False)
         fr = Frame(grid, coeffs, c, y)
         masses[k] = grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1)  # interior_v_mass
         series[k] = y[center]
@@ -500,7 +500,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    _require_finite(ens.c_final, ens.y_final, signed=False)
+    _require_finite(ens.y_final, signed=False)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
     y_term = ens.y_final[(slice(None),) + center]
     reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
@@ -523,8 +523,8 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     path = staging / "paths" / "malliavin_path.rpme1"
     with RecordWriter(path, config.grid, cfg.seed, 0, dt, n + 1) as record:
 
-        def frame(k, c, y):  # every frame is checked as it is written
-            _require_finite(c, y, signed=False)
+        def frame(k, c, y):  # every frame's y is checked as it is written
+            _require_finite(y, signed=False)
             record.frame(k * dt, c, y)
 
         frame(0, c_init, y_init)

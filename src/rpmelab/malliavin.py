@@ -100,11 +100,12 @@ class TangentBuffers:
 
     def bind(self, coeffs: CoefficientSet, grid: GridSpec, primal: StepBuffers) -> None:
         """Bind the bands of drc, with its Laplacian neighbours, and of lap
-        (see ``laplacian_core``) and the face pairs of z, if z is kept; the
-        alpha of ``primal`` under its affine terms, a 0-d view if it has one
-        value (a ufunc broadcasting a (1, 1) operand would buffer); and each
-        other coefficient: its declared constant (a' = sigma, b_c = kappa,
-        b_y = -rho), else its core into ``shared`` (scratch ``tmp``) and ``_tiled``."""
+        (``_stencil``'s, which ``_band_laplacian`` steps on) and the face
+        pairs of z, if z is kept; the alpha of ``primal`` under its affine
+        terms, a 0-d view if it has one value (a ufunc broadcasting a (1, 1)
+        operand would buffer); and each other coefficient: its declared
+        constant (a' = sigma, b_c = kappa, b_y = -rho), else its core into
+        ``shared`` (scratch ``tmp``) and ``_tiled``."""
         self.coeffs, self.primal, self.h, self.affine = coeffs, primal, grid.spacing, primal.affine
         if self.u is None and self.affine is None:
             raise ValueError("a tangent workspace made for the affine dry step has no scratch for other terms")

@@ -362,10 +362,10 @@ def step(
     each result back in allocates nothing.  A step of c reads c and y from
     the copies in ``work`` and raises ``ValueError`` for other arrays; with
     ``work`` None they are copied into a fresh workspace, a one-row c into
-    every path.  The update of v runs on the flat band of ``laplacian_core``
-    (boundary nodes inside it get scratch values that the boundary rule then
-    replaces); per node the operations and their order are those of the
-    formulas in the module docstring, for y those of the declared form.
+    every path.  The update of v runs ``_band_laplacian`` on ``_stencil``'s
+    flat band (boundary nodes inside it get scratch values that the boundary
+    rule then replaces); per node the operations and their order are those
+    of the formulas in the module docstring, for y those of the declared form.
     """
     if work is None:
         work = StepBuffers(grid, y.shape[: y.ndim - grid.dim])
@@ -466,7 +466,7 @@ def _y_half(c, y, y_new: np.ndarray, dw, dt: float, work: StepBuffers, alpha_min
 class EnsembleResult:
     """Per-path terminal data and running statistics, path axis first.
 
-    ``c_sup`` and ``c_min`` are recorded by seeded runs only.  With
+    ``c_sup`` and ``c_min`` are the sup and min of c over every step.  With
     snapshots, ``times`` holds the stored times and ``c`` and ``y`` the
     frames, shaped (frames, paths, *grid.shape); the frames stay None when
     they went to an ``on_chunk`` callback instead.
@@ -478,8 +478,8 @@ class EnsembleResult:
     path_ids: np.ndarray
     c_final: np.ndarray
     y_final: np.ndarray
-    c_sup: np.ndarray | None
-    c_min: np.ndarray | None
+    c_sup: np.ndarray
+    c_min: np.ndarray
     clamp_mass: np.ndarray
     times: np.ndarray | None = None
     c: np.ndarray | None = None
@@ -488,14 +488,13 @@ class EnsembleResult:
     def _paths(self, rows: slice) -> EnsembleResult:
         """View of the paths in ``rows``; writing into it fills this result."""
 
-        def cut(a, lead=()):
-            return None if a is None else a[lead + (rows,)]
+        def cut(frames):
+            return None if frames is None else frames[:, rows]
 
         return replace(
             self, path_ids=self.path_ids[rows], c_final=self.c_final[rows],
-            y_final=self.y_final[rows], c_sup=cut(self.c_sup), c_min=cut(self.c_min),
-            clamp_mass=self.clamp_mass[rows], c=cut(self.c, (slice(None),)),
-            y=cut(self.y, (slice(None),)),
+            y_final=self.y_final[rows], c_sup=self.c_sup[rows], c_min=self.c_min[rows],
+            clamp_mass=self.clamp_mass[rows], c=cut(self.c), y=cut(self.y),
         )
 
 
@@ -538,46 +537,44 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
-    """Adds step n's clamp mass and, if ``part.c_sup`` is set, the sup and min of its new c, in slot
-    ``dst``, to ``part`` (a lane's own c: see ``_wave_c``); raises ``NumericalAbort`` at a non-finite sup."""
+    """Adds step n's clamp mass and the sup and min of its new c, in slot ``dst``, to ``part`` (a
+    lane's own c: see ``_wave_c``); raises ``NumericalAbort`` at a non-finite sup."""
     part.clamp_mass += dst.mass
-    if part.c_sup is not None:
-        np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
-        np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
-        # the sup starts finite and never falls, so its max is finite
-        # exactly when every entry is: NaN and +inf both propagate
-        if not math.isfinite(np.maximum.reduce(part.c_sup)):
-            bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
-            raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
+    np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
+    np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
+    # the sup starts finite and never falls, so its max is finite
+    # exactly when every entry is: NaN and +inf both propagate
+    if not math.isfinite(np.maximum.reduce(part.c_sup)):
+        bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
+        raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
 
 
 def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
     """(slots, advance) of the one c of the paths of ``part``, for a source that ignores y (no v-gates:
     its tangent has no z); lanes fill slot 0.  ``advance(start, stop)`` steps start + 1 to stop into
-    slot n % (block + 1), adds to ``part`` once a block what ``_track`` adds per step, ties taking the
-    new value, and returns (stop, None) or the first step whose row max, finite iff the row is (c >= 0),
-    is not, and its abort."""
+    slot n % (block + 1), adds to ``part`` what ``_track`` adds per step (the sup from each step's row
+    max, the min once a block), ties taking the new value, and returns (stop, None) or the first step
+    whose row max, finite iff the row is (c >= 0), is not, and its abort."""
     work = StepBuffers(config.grid, (1,), half="c")
     work.bind(config.coeffs)
     c = np.empty((block + 1, 1) + config.grid.shape)
     slots = [work.slot(*row) for row in zip(c, np.empty((len(c), 1)))]
 
     def advance(start: int, stop: int):
-        track, n, abort, mass = part.c_sup is not None, start, None, part.clamp_mass[0]
+        n, abort, mass, sup, low = start, None, part.clamp_mass[0], part.c_sup[0], part.c_min[0]
         while n < stop and abort is None:
             n += 1
             src, dst = slots[(n - 1) % len(c)], slots[n % len(c)]
             _c_half(src, src.band, dst, config.bc, part.dt, work)  # f ignores y
-            mass += dst.mass[0]
-            if track and not math.isfinite(np.maximum.reduce(dst.rows, axis=None)):
+            mass, top = mass + dst.mass[0], np.maximum.reduce(dst.rows, axis=None)
+            sup = sup if sup > top else top
+            if not math.isfinite(top):
                 abort = NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {part.path_ids[0]})")
-        part.clamp_mass[...] = mass
-        if track:
-            sup, low, first, last = part.c_sup[0], part.c_min[0], (start + 1) % len(c), n % len(c) + 1
-            for span in (c[first:last],) if first < last else (c[first:], c[:last]):
-                top, new = np.maximum.reduce(span, axis=None), np.minimum.reduce(span, axis=None)
-                sup, low = sup if sup > top else top, low if low < new else new
-            part.c_sup[...], part.c_min[...] = sup, low
+        first, last = (start + 1) % len(c), n % len(c) + 1
+        for span in (c[first:last],) if first < last else (c[first:], c[:last]):
+            new = np.minimum.reduce(span, axis=None)
+            low = low if low < new else new
+        part.clamp_mass[...], part.c_sup[...], part.c_min[...] = mass, sup, low
         return n, abort
 
     return slots, advance
@@ -681,9 +678,9 @@ def simulate_ensemble(
     ``wiener``, one path per row, which pin dt and the step count.  A seeded
     run resolves the step grid ``simulate_path`` uses for the same
     ``n_snapshots``, so path k is bitwise the one-path result of
-    ``simulate_path(..., path_id=k)``; it also records
-    the per-path sup and min of c and raises ``NumericalAbort`` at the first
-    step where a path's c is not finite.
+    ``simulate_path(..., path_id=k)``.  Every run records the per-path sup
+    and min of c and raises ``NumericalAbort`` at the first step where a
+    path's c is not finite.
 
     Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
     fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out,
@@ -730,7 +727,6 @@ def simulate_ensemble(
     keep = on_chunk is None
     c_frames, y_frames = (frames(n_paths), frames(n_paths)) if keep else (None, None)
     shape = (n_paths,) + grid.shape
-    seeded = wiener is None
     result = EnsembleResult(
         grid=grid,
         dt=dt,
@@ -739,8 +735,8 @@ def simulate_ensemble(
         # the last kept frame is the terminal state
         c_final=np.empty(shape) if c_frames is None else c_frames[-1],
         y_final=np.empty(shape) if y_frames is None else y_frames[-1],
-        c_sup=np.full(n_paths, np.max(c_init)) if seeded else None,
-        c_min=np.full(n_paths, np.min(c_init)) if seeded else None,
+        c_sup=np.full(n_paths, np.max(c_init)),
+        c_min=np.full(n_paths, np.min(c_init)),
         clamp_mass=np.zeros(n_paths),
         times=np.arange(0, n_steps + 1, stride) * dt if n_snapshots else None,
         c=c_frames,
@@ -750,7 +746,7 @@ def simulate_ensemble(
     def lane(rows, part, slots):
         if not keep:
             part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
-        noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if seeded else [inc[rows]]
+        noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if wiener is None else [inc[rows]]
         first = on_step if rows.start == 0 else None
         return _lane(config, c_init, y_init, noise, part, stride, first, slots, block)
 

@@ -488,6 +488,20 @@ def test_numerical_abort_leaves_no_outputs(tmp_path):
         assert list(tmp_path.glob(".*staging*")) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "malliavin", "converge", "sweep-eps"])
+def test_a_blown_up_c_exits_4_naming_its_step_and_path(tmp_path, capsys, command):
+    # the README example at dt = 0.005, far above its CFL step: c overflows
+    # at step 10 of 20, and every stepping subcommand, seeded or under
+    # explicit increments, ends with the engine's abort naming step and path
+    text = "cells = 32\nt_final = 0.1\nseed = 7\n" + README_COEFFICIENTS + "dt = 0.005\nn_paths = 4\n"
+    with np.errstate(all="ignore"):
+        code, out = run_cli(command, tmp_path, text, command)
+    assert code == 4
+    assert re.search(r"non-finite c at step \d+ of \d+ \(path 0\)", capsys.readouterr().err)
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+
+
 def test_growth_bound_overflow_exits_3_naming_t_final(tmp_path, capsys):
     # a radius that overflows is a config outcome, refused before any step,
     # not a state that blew up (exit 4)

@@ -23,6 +23,7 @@ from rpmelab.malliavin import (
 from rpmelab.model import SourceTerm, make_coefficients, pme_beta, preset_coefficients, regularize_beta
 from rpmelab.pathfile import DerivativePair, RecordWriter, read_record
 from rpmelab.simulate import (
+    NumericalAbort,
     SimConfig,
     StepBuffers,
     WienerPath,
@@ -440,12 +441,32 @@ def sweeps(draw):
     return config, c0, y0, wiener, r_indices, t_indices
 
 
+def overflowing_sweep():
+    """A 1D path under ``COEFFS["decaying"]`` with steps five times the
+    stability bound, whose c stops being finite at step 9 of 10."""
+    grid, coeffs, rng = build_grid(1, 9), COEFFS["decaying"], np.random.default_rng(0)
+    dt = 5.0 * cfl_dt(grid, coeffs, 2.0)
+    config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=10 * dt, dt=dt)
+    c0, y0 = (Field(grid, rng.uniform(0.0, 2.0, grid.shape)) for _ in range(2))
+    return config, c0, y0, WienerPath(dt, rng.normal(scale=np.sqrt(dt), size=10)), [0, 4], [[10], [6, 10]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
+@example(overflowing_sweep())
 def test_sweep_in_the_primal_loop_is_bitwise_the_replay(case):
+    # a c that stops being finite aborts the sweep at the step, and with the
+    # message, that it aborts the primal
     config, c0, y0, wiener, r_indices, t_indices = case
     with np.errstate(all="ignore"):
-        ref = replay_sweep(config, wiener, frames(config, c0, y0, wiener), r_indices, t_indices)
+        try:
+            dense = frames(config, c0, y0, wiener)
+        except NumericalAbort as exc:
+            with pytest.raises(NumericalAbort) as sweep_abort:
+                propagate_path(config, c0, y0, wiener, r_indices, t_indices)
+            assert str(sweep_abort.value) == str(exc) and str(exc).startswith("non-finite c at step ")
+            return
+        ref = replay_sweep(config, wiener, dense, r_indices, t_indices)
         got = propagate_path(config, c0, y0, wiener, r_indices, t_indices)[1]
     assert len(got) == len(ref)
     for slices, expected in zip(got, ref):
@@ -555,40 +576,81 @@ def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
     return seeds, Path(path).read_bytes()
 
 
+def counted(source, calls, reads_y):
+    """``source`` declared to read y or not, counting its calls in ``calls``."""
+    fn = source.fn
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return fn(*args, **kw)
+
+    if hasattr(fn, "core"):
+        counting.core = lambda *args: calls.append(1) or fn.core(*args)
+    return SourceTerm(source.label, counting, source.d_c, source.d_y, reads_y)
+
+
+def sweep_both(case, tmp):
+    """``streamed_sweep`` of ``case`` under its source, which ignores y, and
+    under the same source not declared to ignore y, which steps z in full:
+    per form, its (slices, record bytes, record) or the message of the
+    ``NumericalAbort`` it raised, and the calls of f."""
+    config, terms, initial, wiener, r_indices, t_indices = case
+    assert not config.coeffs.source.reads_y
+    outcomes = []
+    for reads_y in (False, True):
+        calls = []
+        coeffs = make_coefficients(config.coeffs.beta_family, f=counted(config.coeffs.source, calls, reads_y), **terms)
+        path = f"{tmp}/{reads_y}.rpme1"
+        try:
+            seeds, data = streamed_sweep(dataclasses.replace(config, coeffs=coeffs), initial, wiener, r_indices,
+                                         t_indices, path)
+            outcomes.append(((seeds, data, read_record(path)), len(calls)))
+        except NumericalAbort as exc:
+            outcomes.append((str(exc), len(calls)))
+    return outcomes
+
+
+# steps far beyond the stability bound overflow c, at step 10 of 11 and at
+# step 11 of 12, before the one slice at the last step
+OVERFLOWS = [
+    one_way_case(1, 5, BoundaryKind.NEUMANN, "logistic", "linear_a", 3.0, 0, 11, 5.0, None, None, [0], [[11]]),
+    one_way_case(1, 7, BoundaryKind.DIRICHLET, "logistic", "linear_a", 2.0, 10, 12, 5.0, None, None, [0], [[12]]),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(one_way_runs())
-# steps far beyond the stability bound overflow c (at step 10 of 11 and 11
-# of 12), before the one slice at the last step: the full tangent then gives
-# drc = 0 * recip_beta_prime(inf) = NaN and carries it into dry, while the
-# tangent of dry alone never reads c; the frames stay the same bytes and the
-# slices keep z = drc = +0.0
-@example(one_way_case(1, 5, BoundaryKind.NEUMANN, "logistic", "linear_a", 3.0, 0, 11, 5.0, None, None, [0], [[11]]))
-@example(one_way_case(1, 7, BoundaryKind.DIRICHLET, "logistic", "linear_a", 2.0, 10, 12, 5.0, None, None, [0], [[12]]))
+@example(OVERFLOWS[0])
+@example(OVERFLOWS[1])
 def test_one_way_sweep_is_bitwise_the_full_tangent(case):
-    # while c is finite, the tangent of dry alone is bit for bit the tangent
-    # of the same source not declared to ignore y, which steps z in full
-    config, terms, initial, wiener, r_indices, t_indices = case
-    source = config.coeffs.source
-    assert not source.reads_y
-    full_source = SourceTerm(source.label, source.fn, source.d_c, source.d_y)
-    full_coeffs = make_coefficients(config.coeffs.beta_family, f=full_source, **terms)
-    full = SimConfig(config.grid, full_coeffs, config.bc, t_final=config.t_final, dt=config.dt)
+    # the tangent of dry alone is bit for bit the tangent of the same source
+    # not declared to ignore y, which steps z in full; a c that stops being
+    # finite aborts both at the same step, after as many calls of f
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
-        got, got_bytes = streamed_sweep(config, initial, wiener, r_indices, t_indices, f"{tmp}/a.rpme1")
-        ref, ref_bytes = streamed_sweep(full, initial, wiener, r_indices, t_indices, f"{tmp}/b.rpme1")
-        got_record, ref_record = read_record(f"{tmp}/a.rpme1"), read_record(f"{tmp}/b.rpme1")
-    c = got_record.c
-    assert same_bits(c, ref_record.c) and same_bits(got_record.y, ref_record.y)
-    if np.isfinite(c).all():
-        assert got_bytes == ref_bytes
+        (got, got_calls), (ref, ref_calls) = sweep_both(case, tmp)
+    assert got_calls == ref_calls
+    if isinstance(ref, str):
+        assert got == ref and ref.startswith(f"non-finite c at step {ref_calls} of ")
+        return
+    (got, got_bytes, got_record), (ref, ref_bytes, ref_record) = got, ref
+    assert got_bytes == ref_bytes
+    assert same_bits(got_record.c, ref_record.c) and same_bits(got_record.y, ref_record.y)
     assert len(got) == len(ref)
     for slices, expected in zip(got, ref):
         assert len(slices) == len(expected)
         for sl, ex in zip(slices, expected):
             assert sl.step_index == ex.step_index and sl.t == ex.t
             assert same_bits(sl.z, np.zeros_like(sl.z)) and same_bits(sl.drc, np.zeros_like(sl.drc))
-            if np.isfinite(c[: sl.step_index + 1]).all():  # drc at step k reads c up to k
-                assert same_bits(sl.z, ex.z) and same_bits(sl.drc, ex.drc) and same_bits(sl.dry, ex.dry)
+            assert same_bits(sl.z, ex.z) and same_bits(sl.drc, ex.drc) and same_bits(sl.dry, ex.dry)
+
+
+@pytest.mark.parametrize("case,step,n", [(0, 10, 11), (1, 11, 12)])
+def test_a_one_way_sweep_whose_c_overflows_aborts_as_the_full_tangent(case, step, n):
+    # under explicit increments as under seeded ones: the engine stops at the
+    # first non-finite c, in both forms, after f has run once a step
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        outcomes = sweep_both(OVERFLOWS[case], tmp)
+    assert outcomes == [(f"non-finite c at step {step} of {n} (path 0)", step)] * 2
 
 
 def test_one_way_step_is_the_full_step_in_a_used_workspace():

@@ -1091,19 +1091,36 @@ def poisoned_source(value, k, calls, grid, row=None):
     return SourceTerm("poisoned", fn, zero.d_c, zero.d_y, reads_y=row is not None)
 
 
+@pytest.mark.parametrize("noise", ["seeded", "explicit"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("row,first_id", [(None, 0), (None, 4), (0, 0), (2, 0), (1, 5)])
-def test_a_non_finite_path_aborts_at_its_step_and_is_named(value, row, first_id):
+def test_a_non_finite_path_aborts_at_its_step_and_is_named(noise, value, row, first_id):
     # the abort test on the running sup is all(isfinite(c_sup)) for NaN and +inf
-    # alike, on a shared c (row None) and on one of three per-path c
+    # alike, on a shared c (row None) and on one of three per-path c, under
+    # seeded noise and under 40 steps of increments given
     calls = []
     grid = small_config().grid
     config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(value, 5, calls, grid, row)),
                           t_final=0.02)
+    kw = dict(n_paths=3, seed=0)
+    if noise == "explicit":
+        kw = dict(wiener=WienerPath(config.t_final / 40, np.random.default_rng(1).standard_normal((3, 40)) * 0.01))
     bad = first_id + (row or 0)
-    with pytest.raises(NumericalAbort, match=rf"non-finite c at step 5 of \d+ \(path {bad}\)$"):
-        simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0, first_path_id=first_id)
+    with pytest.raises(NumericalAbort, match=rf"^non-finite c at step 5 of \d+ \(path {bad}\)$"):
+        simulate_ensemble(config, cosine, 1.0, first_path_id=first_id, **kw)
     assert len(calls) == 5
+
+
+def test_a_non_finite_c_ends_a_tangent_sweep_at_its_step():
+    # propagate_path, under the increments it is given: a one-way source that
+    # turns NaN at its third call ends a 40-step sweep at step 3, after three
+    # calls of f, with the abort of a seeded run
+    calls = []
+    config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(np.nan, 3, calls, small_config().grid)))
+    wiener = WienerPath(config.t_final / 40, np.random.default_rng(1).standard_normal(40) * 0.01)
+    with pytest.raises(NumericalAbort, match=r"^non-finite c at step 3 of 40 \(path 0\)$"):
+        propagate_path(config, cosine, 1.0, wiener, [0, 5])
+    assert len(calls) == 3
 
 
 def per_step_track(part, n, dst):
@@ -1112,32 +1129,32 @@ def per_step_track(part, n, dst):
     paths tracks them: the reference for the producer of a wave's shared c,
     which tracks them once a block."""
     part.clamp_mass += dst.mass
-    if part.c_sup is not None:
-        np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
-        np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
-        if not np.all(np.isfinite(part.c_sup)):
-            bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
-            raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
+    np.maximum(part.c_sup, np.maximum.reduce(dst.rows, axis=1), out=part.c_sup)
+    np.minimum(part.c_min, np.minimum.reduce(dst.rows, axis=1), out=part.c_min)
+    if not np.all(np.isfinite(part.c_sup)):
+        bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
+        raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.sampled_from(list(BoundaryKind)), st.integers(3, 13),
-       st.sampled_from(["1", "2", "no divisor", "thirds"]), st.integers(1, 4), st.integers(0, 9), st.booleans(),
+       st.sampled_from(["1", "2", "no divisor", "thirds"]), st.integers(1, 4), st.integers(0, 9),
        st.integers(1, 15), st.sampled_from([np.nan, np.inf, -np.inf, -40.0]),
        st.sampled_from([1.0, 0.0, -0.0]), st.sampled_from([None, 0.0, -0.0]), st.integers(0, 2**32 - 1))
 # a sink lowers the min at every step, also in the block of steps 5 and 6 that wraps the ring
-@example(1, BoundaryKind.NEUMANN, 9, "2", 2, 0, True, 1, -40.0, 1.0, None, 0)
+@example(1, BoundaryKind.NEUMANN, 9, "2", 2, 0, 1, -40.0, 1.0, None, 0)
 # c0 of -0.0 alone: its sup and min are -0.0, the rows of every step +0.0
-@example(2, BoundaryKind.NEUMANN, 6, "1", 1, 3, True, 20, np.nan, -0.0, None, 0)
-@example(1, BoundaryKind.DIRICHLET, 7, "thirds", 3, 0, True, 20, np.nan, 1.0, -0.0, 5)
-def test_block_tracking_is_bitwise_the_per_step_tracking(dim, bc, n, blocks, paths, first, seeded, k, value, scale,
-                                                         zero, seed):
+@example(2, BoundaryKind.NEUMANN, 6, "1", 1, 3, 20, np.nan, -0.0, None, 0)
+@example(1, BoundaryKind.DIRICHLET, 7, "thirds", 3, 0, 20, np.nan, 1.0, -0.0, 5)
+def test_block_tracking_is_bitwise_the_per_step_tracking(dim, bc, n, blocks, paths, first, k, value, scale, zero,
+                                                         seed):
     # the producer of a wave's shared c adds the clamp mass, sup and min of
-    # its steps to the wave's paths once a block, from one reduction a step:
-    # bit for bit, sign of zero included, what per-step tracking adds; a c
-    # that stops being finite at step k ends the block with the abort that
-    # per-step tracking raises, naming step k and the wave's first path,
-    # after k calls of f (poisoned from call k, which may lie past the run)
+    # its steps to the wave's paths once a block, from the max of each step's
+    # row and the min of the block: bit for bit, sign of zero included, what
+    # per-step tracking adds; a c that stops being finite at step k ends the
+    # block with the abort that per-step tracking raises, naming step k and
+    # the wave's first path, after k calls of f (poisoned from call k, which
+    # may lie past the run)
     grid = build_grid(dim, CELLS[dim])
     # blocks of 1, 2, a length that does not divide n, and a third of n: from
     # the third block on, a block wraps the ring of block + 1 slots
@@ -1158,37 +1175,34 @@ def test_block_tracking_is_bitwise_the_per_step_tracking(dim, bc, n, blocks, pat
         dt = cfl_dt(grid, coeffs, 2.0)
         config = SimConfig(grid, coeffs, bc, t_final=n * dt)
         part = EnsembleResult(grid, dt, n, np.arange(first, first + paths), None, None,
-                              np.full(paths, np.max(c_init)) if seeded else None,
-                              np.full(paths, np.min(c_init)) if seeded else None, np.zeros(paths))
+                              np.full(paths, np.max(c_init)), np.full(paths, np.min(c_init)), np.zeros(paths))
         stop, abort, tracked = n, None, {}  # step -> what part holds after it
 
         def keep(m):
-            tracked[m] = [None if a is None else a.copy() for a in (part.c_sup, part.c_min, part.clamp_mass)]
+            tracked[m] = [a.copy() for a in (part.c_sup, part.c_min, part.clamp_mass)]
 
-        # a run that tracks no sup steps on past a c of +inf, whose Laplacian is NaN
-        with np.errstate(invalid="ignore"):
-            if blocked:
-                slots, advance = simulate._wave_c(config, part, block)
-                slots[0].c[...] = c_init
-                for start in range(0, n, block):
-                    stop, abort = advance(start, min(start + block, n))
-                    keep(stop)
-                    if abort is not None:
-                        break
-            else:
-                work = StepBuffers(grid, (1,), half="c")
-                work.bind(coeffs)
-                work.c[0][...] = c_init
-                try:
-                    for stop in range(1, n + 1):
-                        src, dst = work.slots[(stop - 1) % 2], work.slots[stop % 2]
-                        simulate._c_half(src, src.band, dst, bc, dt, work)
-                        try:
-                            per_step_track(part, stop, dst)
-                        finally:
-                            keep(stop)
-                except NumericalAbort as exc:
-                    abort = exc
+        if blocked:
+            slots, advance = simulate._wave_c(config, part, block)
+            slots[0].c[...] = c_init
+            for start in range(0, n, block):
+                stop, abort = advance(start, min(start + block, n))
+                keep(stop)
+                if abort is not None:
+                    break
+        else:
+            work = StepBuffers(grid, (1,), half="c")
+            work.bind(coeffs)
+            work.c[0][...] = c_init
+            try:
+                for stop in range(1, n + 1):
+                    src, dst = work.slots[(stop - 1) % 2], work.slots[stop % 2]
+                    simulate._c_half(src, src.band, dst, bc, dt, work)
+                    try:
+                        per_step_track(part, stop, dst)
+                    finally:
+                        keep(stop)
+            except NumericalAbort as exc:
+                abort = exc
         results.append((stop, None if abort is None else str(abort), len(calls), tracked))
     (stop, abort, calls, got), (stop_ref, abort_ref, calls_ref, ref) = results
     assert (stop, abort, calls) == (stop_ref, abort_ref, calls_ref)
@@ -1436,12 +1450,13 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
         if seeded:
             path = simulate_path(config, bump, 1.0, seed=seed, path_id=first + j, n_snapshots=k)
             wiener = gen_wiener(path.n_steps, path.dt, seed, first + j)
-            dense = simulate_path(config, bump, 1.0, wiener=wiener, store_dense=True)
-            assert same_bits(ens.c_sup[j], np.max(dense.c))
-            assert same_bits(ens.c_min[j], np.min(dense.c))
         else:
-            path = simulate_path(config, bump, 1.0, wiener=WienerPath(dt, inc[j]), n_snapshots=k)
-            assert ens.c_sup is None and ens.c_min is None
+            wiener = WienerPath(dt, inc[j])
+            path = simulate_path(config, bump, 1.0, wiener=wiener, n_snapshots=k)
+        # seeded or under explicit increments, the sup and min are those of every step
+        dense = simulate_path(config, bump, 1.0, wiener=wiener, store_dense=True)
+        assert same_bits(ens.c_sup[j], np.max(dense.c)) and same_bits(ens.c_sup[j], path.c_sup[0])
+        assert same_bits(ens.c_min[j], np.min(dense.c)) and same_bits(ens.c_min[j], path.c_min[0])
         assert (ens.dt, ens.n_steps) == (path.dt, path.n_steps)
         assert same_bits(ens.times, path.times)
         assert same_bits(ens.c[:, j], path.c[:, 0])
@@ -1611,10 +1626,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     c, y, clamp, sup, low, frames, seen = plain_loop(config, c_init, y_init, inc, dt, n // k if k else 0)
     assert same_bits(ens.c_final, c) and same_bits(ens.y_final, y)
     assert same_bits(ens.clamp_mass, clamp)
-    if seeded:
-        assert same_bits(ens.c_sup, sup) and same_bits(ens.c_min, low)
-    else:
-        assert ens.c_sup is None and ens.c_min is None
+    assert same_bits(ens.c_sup, sup) and same_bits(ens.c_min, low)
     if chunks:
         assert same_bits(np.concatenate([ids for ids, _, _ in chunks]), ens.path_ids)
         got = [np.concatenate([ch[a] for ch in chunks], axis=1) for a in (1, 2)]
