@@ -40,6 +40,7 @@ from .model import (
 from .simulate import (
     EnsembleResult,
     SimConfig,
+    StepPlan,
     coarsen_wiener,
     gen_wiener_batch,
     prepare_initial,
@@ -375,11 +376,9 @@ def cauchy_refinement(
         ratio = (g.spacing / h_fine) ** 2
         factors.append(2 ** int(math.floor(math.log2(ratio))) if ratio >= 2.0 else 1)
     c0_fine, _ = prepare_initial(configs[-1], c0_fn, y0)
-    dt_f, n_f = configs[-1].resolve_steps(
-        float(np.max(c0_fine)), multiple_of=n_snapshots * max(factors)
-    )
+    plan = configs[-1].plan(float(np.max(c0_fine)), multiple_of=n_snapshots * max(factors))
 
-    wiener = gen_wiener_batch(n_f, dt_f, seed, list(range(n_paths)))
+    wiener = gen_wiener_batch(plan.n_steps, plan.dt, seed, list(range(n_paths)))
     frames = []
     level_meta = []
     for cf, factor in zip(configs, factors):
@@ -422,6 +421,14 @@ class SweepResult:
     c_distances: tuple[float, ...]  # successive-eps mean-square L2 distances at T
 
 
+def sweep_plan(config: SimConfig, eps_values: Sequence[float], c0_max: float) -> tuple[list[SimConfig], StepPlan]:
+    """(``config`` at each eps, largest first, its beta regularized there; the plan they share: the stiffest's)."""
+    m = config.coeffs.beta_family.m
+    configs = [replace(config, coeffs=config.coeffs.with_beta(regularize_beta(m, e)))
+               for e in sorted(eps_values, reverse=True)]
+    return configs, max((cf.plan(c0_max) for cf in configs), key=lambda p: p.n_steps)
+
+
 def epsilon_sweep(
     config: SimConfig,
     eps_values: Sequence[float],
@@ -440,18 +447,13 @@ def epsilon_sweep(
     """
     eps_values = tuple(sorted(eps_values, reverse=True))
     grid = config.grid
-    m = config.coeffs.beta_family.m
-    families = [regularize_beta(m, e) for e in eps_values]
-    configs = [replace(config, coeffs=config.coeffs.with_beta(fam)) for fam in families]
-    c0_max = float(np.max(prepare_initial(configs[0], c0_fn, y0)[0]))
-    # stiffest family dictates the shared step
-    n = max(cf.resolve_steps(c0_max)[1] for cf in configs)
-    dt = config.t_final / n
-    wiener = gen_wiener_batch(n, dt, seed, list(range(n_paths)))
+    c0_max = float(np.max(prepare_initial(config, c0_fn, y0)[0]))
+    configs, plan = sweep_plan(config, eps_values, c0_max)
+    wiener = gen_wiener_batch(plan.n_steps, plan.dt, seed, list(range(n_paths)))
 
     finals = [simulate_ensemble(cf, c0_fn, y0, wiener=wiener, n_workers=n_workers).c_final
               for cf in configs]
-    gaps = [beta_gap(fam, max(2.0 * c0_max, 1.0)) for fam in families]
+    gaps = [beta_gap(cf.coeffs.beta_family, max(2.0 * c0_max, 1.0)) for cf in configs]
     hw = grid.spacing**grid.dim
     core = (slice(None),) + (slice(1, -1),) * grid.dim
     dists = []
@@ -459,7 +461,7 @@ def epsilon_sweep(
         diff = finals[i] - finals[i + 1]
         core_sq = (diff[core] ** 2).reshape(n_paths, -1).sum(axis=-1) * hw
         dists.append(float(math.sqrt(np.mean(core_sq))))
-    return SweepResult(eps_values, dt, tuple(gaps), tuple(dists))
+    return SweepResult(eps_values, plan.dt, tuple(gaps), tuple(dists))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ artifact output (binary snapshot records, CSV estimate reports, a manifest
 with content digests).
 
 Exit codes: 0 all hard-bound reports passed, 1 at least one failed, 2 missing
-input file, 3 config schema violation (the offending key is named: t_final
-for a growth radius that overflows), 4 numerical abort (a non-finite state,
-or a floating-point overflow while stepping), 5 unexpected internal error
-(the traceback is printed).  Outputs are staged in a scratch directory next
-to the target and renamed into place only on completion, so a failed run
-never leaves partial artifacts.
+input file, 3 config schema violation (the offending key is named; every
+stepping subcommand first resolves its step plan and checks it, see
+``_preflight``), 4 numerical abort (a non-finite state, or a floating-point
+overflow while stepping), 5 unexpected internal error (the traceback is
+printed).  Outputs are staged in a scratch directory next to the target and
+renamed into place only on completion, so a failed run never leaves partial
+artifacts.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .analysis import (
     linf_check,
     malliavin_report,
     malliavin_report_steps,
+    sweep_plan,
     transform_report,
 )
 from .grid import BoundaryKind, build_grid, free_node_count
@@ -352,34 +354,42 @@ def _initial(cfg: RunConfig):
     return _preset(cfg, "initial.c", lambda name, pars: initial_preset(name, cfg.dim, pars))
 
 
-def _initial_state(cfg: RunConfig):
-    """(SimConfig, initial c preset, prepared initial c and y, max of that c) of a stepping run."""
-    config, c0_fn = _sim_config(cfg), _initial(cfg)
-    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
-    return config, c0_fn, c_init, y_init, float(np.max(c_init))
-
-
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _fit_memory(grid, frames: int = 0, key: str = "cells") -> None:
-    """Reject, naming ``key``, a run whose one path does not fit in
-    physical memory, before its step state or frames are allocated."""
-    need = path_bytes(grid, frames)
-    if need > _physical_memory():
-        raise SchemaError(key, f"step state and {frames} stored frames ({need} bytes) exceed physical memory")
-
-
-def _sim_config(cfg: RunConfig, key: str = "cells") -> SimConfig:
-    """The run description on the grid of ``cells``, or of the finest
-    ``converge.levels`` entry, once one path's step state fits in memory;
-    runs that store frames check them as well (``_fit_memory``)."""
+def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: bool = False,
+               stride: bool = False, record: bool = False, plan_of=SimConfig.plan):
+    """(SimConfig, initial c preset, initial c and y, step plan ``plan_of(config, c0_max)``, frames kept of a
+    path) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything is
+    allocated.  Refused naming ``key`` when one path's step state, then with its frames (``stride``: the
+    first and one every ``snapshot_stride`` or n_steps // 256 steps), exceeds physical memory; naming t_final
+    for a growth radius the run reads (``radius``) that overflows; naming the plan's key for a record of a
+    frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory."""
     grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
-    _fit_memory(grid, 0, key)
-    return SimConfig(
-        grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt
-    )
+    config = SimConfig(grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt)
+
+    def fit(key: str, frames: int, floats: int = 0) -> None:
+        need = path_bytes(grid, frames) + 8 * floats
+        if need > _physical_memory():
+            raise SchemaError(key, f"step state, {frames} stored frames and {floats:.4g} floats "
+                                   f"({need:.4g} bytes) exceed physical memory")
+
+    fit(key, 0)
+    c0_fn = _initial(cfg)
+    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
+    plan = plan_of(config, float(np.max(c_init)))
+    n = plan.n_steps
+    if radius and not math.isfinite(plan.radius):
+        raise SchemaError("t_final", f"the growth radius over {cfg.t_final!r} overflows")
+    if record and n + 1 > MAX_FRAMES:
+        raise SchemaError(plan.key, f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
+    # the steps are rounded up to a multiple of ceil(n / stride) snapshots: from n to n + stride - 1
+    frames = 1 + -(-n // (cfg.snapshot_stride or max(1, n // 256))) if stride else 0
+    if frames:
+        fit(key, frames)
+    fit(plan.key, frames, (n + 1) * floats)
+    return config, c0_fn, c_init, y_init, plan, frames
 
 
 def _require_finite(*arrays, signed: bool = True) -> None:
@@ -419,13 +429,7 @@ Sections = dict[str, list[EstimateReport]]
 
 
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, _, _, c0_max = _initial_state(cfg)
-    r2 = config.growth_radius(c0_max)
-    _, n0 = config.resolve_steps(c0_max)
-    stride = cfg.snapshot_stride or max(1, n0 // 256)
-    # steps are rounded up to a multiple of n_snap: at least n0, under n0 + stride
-    n_snap = -(-n0 // stride)
-    _fit_memory(config.grid, n_snap + 1)
+    config, c0_fn, _, _, plan, frames = _preflight(cfg, radius=True, stride=True)
 
     (staging / "paths").mkdir()
     reports: list[EstimateReport] = []
@@ -440,23 +444,22 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
                 staging / "paths" / f"{tag}.rpme1",
                 PathRecord(config.grid, cfg.seed, pid, chunk.dt, chunk.times, c, y, ()),
             )
-            reports.append(linf_check(float(chunk.c_sup[j]), r2, f"{tag}_sup"))
+            reports.append(linf_check(float(chunk.c_sup[j]), plan.radius, f"{tag}_sup"))
             masses = interior_v_mass(c, config.grid, config.coeffs)
             reports.append(replace(_mass_report(masses, cfg), name=f"{tag}_mass_drift"))
             reports.append(EstimateReport(f"{tag}_clamped_mass", float(chunk.clamp_mass[j]), None))
 
     ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
-                            n_snapshots=n_snap, on_chunk=write_chunk)
-    reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup"))
+                            n_snapshots=frames - 1, on_chunk=write_chunk)
+    reports.append(linf_check(float(np.max(ens.c_sup)), plan.radius, "ensemble_sup"))
     reports.append(EstimateReport("ensemble_min", float(np.min(ens.c_min)), None))
     reports.append(EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None))
-    return {"simulate": reports}, {"dt": ens.dt, "r2_bound": r2, "digests": digests}
+    return {"simulate": reports}, {"dt": ens.dt, "r2_bound": plan.radius, "digests": digests}
 
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, _, _, c0_max = _initial_state(cfg)
-    grid, coeffs, r2 = config.grid, config.coeffs, config.growth_radius(c0_max)
-    dt, n = config.resolve_steps(c0_max)
+    config, c0_fn, _, _, plan, _ = _preflight(cfg, 5, radius=True)
+    grid, coeffs, r2, dt, n = config.grid, config.coeffs, plan.radius, plan.dt, plan.n_steps
 
     # path 0 of the ensemble goes through the report sums frame by frame as
     # the loop reaches it, so memory holds the step state and O(steps)
@@ -508,10 +511,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, c_init, y_init, c0_max = _initial_state(cfg)
-    dt, n = config.resolve_steps(c0_max)
-    if n + 1 > MAX_FRAMES:  # the record keeps the state of every step
-        raise SchemaError("dt" if config.dt else "theta", f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
+    config, c0_fn, c_init, y_init, plan, _ = _preflight(cfg, 1, record=True)
+    dt, n = plan.dt, plan.n_steps
 
     # one run carries every seed; each seed's report steps end at n, so its
     # last slice is the terminal pair for the record
@@ -544,9 +545,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
             for rep in malliavin_report(slices, config.grid, r_index, stride):
                 reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
             if closed is not None:
-                rel = float(
-                    np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300)
-                )
+                rel = float(np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300))
                 reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
         record.finish(pairs)
     digests = {"paths/malliavin_path.rpme1": record.digest}
@@ -555,16 +554,9 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     levels = cfg.levels
-    out = cauchy_refinement(
-        _sim_config(cfg, "converge.levels"),
-        _initial(cfg),
-        cfg.y0,
-        levels=levels,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        n_snapshots=5,
-        n_workers=cfg.workers,
-    )
+    config, c0_fn, *_ = _preflight(cfg, cfg.n_paths, "converge.levels")
+    out = cauchy_refinement(config, c0_fn, cfg.y0, levels=levels, n_paths=cfg.n_paths, seed=cfg.seed,
+                            n_snapshots=5, n_workers=cfg.workers)
     _require_finite(np.asarray(out.c_distances), np.asarray(out.y_distances))
     reports: list[EstimateReport] = []
     for tag, dists in (("c", out.c_distances), ("y", out.y_distances)):
@@ -577,10 +569,10 @@ def _run_converge(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_sweep_eps(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    out = epsilon_sweep(
-        _sim_config(cfg), cfg.eps_values, _initial(cfg), cfg.y0,
-        n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
-    )
+    config, c0_fn, *_ = _preflight(
+        cfg, cfg.n_paths, plan_of=lambda config, c0_max: sweep_plan(config, cfg.eps_values, c0_max)[1])
+    out = epsilon_sweep(config, cfg.eps_values, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed,
+                        n_workers=cfg.workers)
     _require_finite(np.asarray(out.c_distances), np.asarray(out.gaps))
     reports: list[EstimateReport] = []
     for i, (eps, gap) in enumerate(zip(out.eps, out.gaps)):

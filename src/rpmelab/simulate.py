@@ -168,10 +168,16 @@ def cfl_dt(grid: GridSpec, coeffs: CoefficientSet, c_max: float, theta: float = 
     return theta * h * h / (2.0 * grid.dim * s)
 
 
+# a run's step grid (see SimConfig.plan): n_steps steps of dt landing on t_final, the a priori
+# sup radius (r2_bound) and key, the config key that set the step: "dt" for an override, else "theta"
+StepPlan = collections.namedtuple("StepPlan", "dt n_steps radius key")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run description: discretization, coefficients, horizon, step control.
 
+    ``plan`` resolves the step grid of a run, the one place that does:
     ``dt`` overrides the stability formula when set; either way the step is
     trimmed so an integer number of steps lands exactly on ``t_final`` (and
     on every requested snapshot).
@@ -192,30 +198,30 @@ class SimConfig:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
 
-    def growth_radius(self, c0_max: float) -> float:
-        """``r2_bound`` from ``c0_max`` over the horizon, refused naming t_final if it overflows."""
+    def plan(self, c0_max: float, multiple_of: int = 1) -> StepPlan:
+        """The step grid from ``c0_max``: the target step, the override or the
+        CFL bound at the radius ``r2_bound`` over the horizon, rounded so
+        n_steps is a multiple of ``multiple_of`` and dt * n_steps == t_final;
+        under an override a radius that overflows is inf.  ``SchemaError``
+        names t_final for one under theta or a step below the smallest normal
+        float, the step's key for a target that is not a positive float with
+        a finite step count."""
         try:
             with np.errstate(over="ignore"):
                 radius = r2_bound(self.t_final, c0_max, self.coeffs.beta_family)
         except OverflowError:
             radius = math.inf
-        if not math.isfinite(radius):
+        if self.dt is None and not math.isfinite(radius):
             raise SchemaError("t_final", f"the growth radius over {self.t_final!r} overflows")
-        return radius
-
-    def resolve_steps(self, c0_max: float, multiple_of: int = 1) -> tuple[float, int]:
-        """Final (dt, n_steps): target step from the override or the CFL
-        bound at the a priori sup radius, then rounded so n_steps is a
-        multiple of ``multiple_of`` and dt * n_steps == t_final.  A target
-        that is not a positive float with a finite step count raises
-        ``SchemaError`` naming dt or theta."""
         key, target = ("dt", self.dt) if self.dt is not None else (
-            "theta", cfl_dt(self.grid, self.coeffs, self.growth_radius(c0_max), self.theta))
+            "theta", cfl_dt(self.grid, self.coeffs, radius, self.theta))
         if not (target > 0.0 and math.isfinite(self.t_final / target)):
             raise SchemaError(key, f"step {target!r} gives no finite step count over t_final {self.t_final!r}")
         n = max(1, math.ceil(self.t_final / target - 1e-12))
         n = multiple_of * math.ceil(n / multiple_of)
-        return self.t_final / n, n
+        if not self.t_final / n >= np.finfo(np.float64).tiny:
+            raise SchemaError("t_final", f"a step of {self.t_final / n!r} is below the smallest normal float")
+        return StepPlan(self.t_final / n, n, radius, key)
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +682,8 @@ def simulate_ensemble(
     The noise is either ``n_paths`` seeded streams (those of ``gen_wiener``,
     drawn ``_NOISE_BLOCK`` steps at a time) or the explicit increments
     ``wiener``, one path per row, which pin dt and the step count.  A seeded
-    run resolves the step grid ``simulate_path`` uses for the same
-    ``n_snapshots``, so path k is bitwise the one-path result of
+    run takes its step grid from ``config.plan``, a multiple of
+    ``n_snapshots`` steps, and path k is bitwise the one-path result of
     ``simulate_path(..., path_id=k)``.  Every run records the per-path sup
     and min of c and raises ``NumericalAbort`` at the first step where a
     path's c is not finite.
@@ -700,7 +706,7 @@ def simulate_ensemble(
     if wiener is None:
         if n_paths is None or n_paths < 1:
             raise ValueError("n_paths must be positive")
-        dt, n_steps = config.resolve_steps(float(np.max(c_init)), multiple_of=n_snapshots or 1)
+        dt, n_steps, _, _ = config.plan(float(np.max(c_init)), multiple_of=n_snapshots or 1)
     else:
         if n_paths is not None:
             raise ValueError("pass either n_paths or wiener")
@@ -780,19 +786,18 @@ def simulate_path(
     store_dense: bool = False,
 ) -> EnsembleResult:
     """The one-path ``simulate_ensemble`` result under the increments
-    ``wiener``, which pin dt and the step count, or else under
-    ``gen_wiener(..., seed, path_id)`` on the step grid a seeded ensemble
-    resolves for ``n_snapshots``.  Frames kept, shaped (frames, 1,
-    *grid.shape): every step when ``store_dense``, otherwise
-    ``n_snapshots + 1`` uniformly spaced frames (default: first and last)."""
-    if wiener is None:
-        c, _ = prepare_initial(config, c0, y0)
-        dt, n_steps = config.resolve_steps(float(np.max(c)), multiple_of=n_snapshots or 1)
-        wiener = gen_wiener(n_steps, dt, seed, path_id)
-    elif wiener.increments.ndim != 1:
+    ``wiener``, which pin dt and the step count, or else a seeded ensemble of
+    the one path ``path_id``.  Frames kept, shaped (frames, 1, *grid.shape):
+    every step when ``store_dense``, otherwise ``n_snapshots + 1`` uniformly
+    spaced frames (default: first and last)."""
+    if wiener is not None and wiener.increments.ndim != 1:
         raise ValueError("simulate_path needs a single-path wiener")
-    keep = wiener.n_steps if store_dense else n_snapshots or 1
-    return simulate_ensemble(config, c0, y0, wiener=wiener, first_path_id=path_id, n_snapshots=keep)
+    keep = n_snapshots or 1
+    if store_dense:  # a step count that is a multiple of keep rounds to itself
+        keep = wiener.n_steps if wiener is not None else config.plan(
+            float(np.max(prepare_initial(config, c0, y0)[0])), multiple_of=keep).n_steps
+    noise = {"n_paths": 1, "seed": seed} if wiener is None else {"wiener": wiener}
+    return simulate_ensemble(config, c0, y0, **noise, first_path_id=path_id, n_snapshots=keep)
 
 
 # ---------------------------------------------------------------------------

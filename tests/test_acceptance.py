@@ -495,7 +495,7 @@ def test_criterion_09_weak_residual_first_order():
     base = SimConfig(grid, coeffs, BoundaryKind.NEUMANN, t_final=t_final)
     # 4x finer than the parabolic bound so the factor-4 coarsening stays
     # stable and clamp-free
-    _, n0 = base.resolve_steps(1.5)
+    n0 = base.plan(1.5).n_steps
     n = 4 * n0
     fine = gen_wiener(n, t_final / n, seed=17)
     xi, xi_p = bump_time_profile(t_final)

@@ -196,7 +196,8 @@ def test_weak_residual_shrinks_at_first_order_in_dt():
     c0 = initial_preset("cosine", 1, {"offset": 1.0, "amplitude": 0.5})
     # 4x finer than the parabolic bound so the factor-4 coarsening still
     # satisfies it (else the coarse run clamps and breaks the identity)
-    dt0, n0 = config.resolve_steps(1.5)
+    plan = config.plan(1.5)
+    dt0, n0 = plan.dt, plan.n_steps
     n = 4 * n0
     fine = gen_wiener(n, t_final / n, seed=9)
     xi, xi_p = bump_time_profile(t_final)
@@ -296,7 +297,8 @@ def test_epsilon_sweep_smoke():
 def _seeded_wiener(config, c0, y0, seed):
     """The increments ``simulate_path`` draws for path 0 under ``seed``."""
     c, _ = prepare_initial(config, c0, y0)
-    dt, n = config.resolve_steps(float(np.max(c)))
+    plan = config.plan(float(np.max(c)))
+    dt, n = plan.dt, plan.n_steps
     return gen_wiener(n, dt, seed)
 
 
@@ -366,8 +368,8 @@ def test_refinement_resolves_steps_from_the_boundary_applied_state():
     fine = SimConfig(build_grid(1, 8), coeffs, BoundaryKind.DIRICHLET, t_final)
     c, _ = prepare_initial(fine, _ramp, 0.0)
     block = n_snapshots * out.levels[0].coarsen_factor  # the coarse level has the largest factor
-    expected = block * math.ceil(fine.resolve_steps(float(np.max(c)))[1] / block)
-    raw = block * math.ceil(fine.resolve_steps(1.5)[1] / block)
+    expected = block * math.ceil(fine.plan(float(np.max(c))).n_steps / block)
+    raw = block * math.ceil(fine.plan(1.5).n_steps / block)
     assert expected != raw  # the two maxima resolve different grids here
     assert out.levels[-1].n_steps == expected
     assert out.levels[-1].dt == t_final / expected
@@ -387,7 +389,7 @@ def test_epsilon_sweep_resolves_steps_from_the_boundary_applied_state():
     c, _ = prepare_initial(configs[0], _ramp, 0.0)
 
     def shared_dt(c0_max):
-        dt = min(cf.resolve_steps(c0_max)[0] for cf in configs)
+        dt = min(cf.plan(c0_max).dt for cf in configs)
         return t_final / math.ceil(t_final / dt - 1e-12)
 
     assert shared_dt(float(np.max(c))) != shared_dt(1.5)

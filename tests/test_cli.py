@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -326,11 +327,6 @@ def test_corrupt_config_exits_3_and_writes_nothing(tmp_path, capsys, case, comma
 # subcommand runs
 
 
-def c0_max(config, cfg):
-    """Sup of the boundary-applied initial c that a run of ``cfg`` steps from."""
-    return float(np.max(prepare_initial(config, cli._initial(cfg), cfg.y0)[0]))
-
-
 def run_cli(command, tmp_path, text, out_name):
     cfg_path = write(tmp_path, text, name=f"{out_name}.cfg")
     out = tmp_path / out_name
@@ -384,6 +380,8 @@ def test_seed_beyond_u64_exits_3(tmp_path, capsys):
     ("theta = 1e-320", "theta"),  # a step so small that t_final / dt is infinite
     ("t_final = 1e300", "t_final"),  # the growth radius overflows
     ("dt = 5e-324", "dt"),
+    ("t_final = 1e-320", "t_final"),  # a subnormal step
+    ("t_final = 5e-324", "t_final"),  # one step of the smallest subnormal
 ])
 def test_a_step_grid_that_cannot_be_resolved_exits_3_naming_its_key(tmp_path, capsys, command, line, key):
     # each config passes the schema; the step grid it makes is refused
@@ -394,6 +392,21 @@ def test_a_step_grid_that_cannot_be_resolved_exits_3_naming_its_key(tmp_path, ca
     assert code == 3
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,code", [
+    ("simulate", 3), ("verify", 3), ("malliavin", 0), ("converge", 1), ("sweep-eps", 0),
+])
+def test_an_override_past_a_growth_radius_that_overflows_is_refused_only_where_the_radius_is_read(
+    tmp_path, capsys, command, code
+):
+    # exp(t_final * c0_max) overflows: the dt override still sets the step,
+    # and only simulate and verify, whose sup checks read the radius, refuse
+    # it (converge's contraction from 32 to 64 cells fails its bound here)
+    text = "cells = 8\nt_final = 1000\ndt = 100\nn_paths = 2\ninitial.c = constant\ninitial.c.value = 1.5\n"
+    assert run_cli(command, tmp_path, text, "long")[0] == code
+    refused = "config key 't_final': the growth radius over 1000.0 overflows" in capsys.readouterr().err
+    assert refused == (code == 3)
 
 
 @pytest.mark.parametrize("line,key,steps", [
@@ -410,6 +423,30 @@ def test_a_malliavin_step_count_beyond_a_record_exits_3_naming_its_key(tmp_path,
     assert re.search(rf"config key {key!r}: {steps} steps, a record holds 4294967294$",
                      capsys.readouterr().err.strip())
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("verify", "theta = 1e-10", "theta"),
+    ("verify", "theta = 1e-8", "theta"),
+    ("verify", "dt = 1e-300", "dt"),
+    ("converge", "theta = 1e-8", "theta"),
+    ("converge", "dt = 1e-300", "dt"),
+    ("sweep-eps", "theta = 1e-8", "theta"),
+    ("sweep-eps", "dt = 1e-300", "dt"),
+])
+def test_a_step_count_whose_series_or_noise_exceed_memory_exits_3_naming_its_key(
+    tmp_path, monkeypatch, capsys, command, line, key
+):
+    # verify's per-step series and the whole-horizon noise of converge and
+    # sweep-eps outgrow an 8 GiB machine; each run is refused before its
+    # arrays are allocated, not failed by numpy (exit 5)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+    text = f"cells = 8\nt_final = 0.1\nn_paths = 4\nworkers = 1\nseed = 7\n{line}\n" + README_COEFFICIENTS
+    code, out = run_cli(command, tmp_path, text, "long")
+    assert code == 3
+    assert re.search(rf"config key {key!r}: step state, 0 stored frames and .* floats .* exceed physical memory$",
+                     capsys.readouterr().err.strip())
+    assert not out.exists() and os.listdir(tmp_path) == ["long.cfg"]
 
 
 def test_largest_u64_seed_runs_and_is_recorded(tmp_path):
@@ -690,7 +727,7 @@ def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):
     assert [p for ids in chunk_ids for p in ids] == list(range(20))
 
     cfg = load_config(tmp_path / "chunks.cfg")
-    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
+    config, c0 = cli._preflight(cfg)[:2]
     manifest = json.loads((out / "manifest.json").read_text())
     for pid in range(20):
         rec = read_record(out / "paths" / f"path_{pid:04d}.rpme1")
@@ -798,7 +835,7 @@ def test_simulate_path_sup_covers_every_step(tmp_path):
     with open(out / "reports" / "simulate.csv", newline="") as fh:
         measured = {r["name"]: float(r["measured"]) for r in csv.DictReader(fh)}
     cfg = load_config(tmp_path / "sup.cfg")
-    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
+    config, c0 = cli._preflight(cfg)[:2]
     between_frames = 0
     for pid in range(3):
         rec = read_record(out / "paths" / f"path_{pid:04d}.rpme1")
@@ -946,40 +983,68 @@ def test_ladders_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "command,text,cells,key",
+    "command,text,cells,key,floats",
     [
-        ("simulate", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
-        ("verify", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
-        ("malliavin", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
-        ("sweep-eps", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells"),
+        ("simulate", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 0),
+        # times, masses, the y series and the two of WeakSums
+        ("verify", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 5),
+        # the whole-horizon noise of the one path
+        ("malliavin", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 1),
+        ("sweep-eps", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 1),
         # cells is not converge's grid: only its finest level counts
         ("converge", "dim = 2\ncells = 64\nt_final = 0.001\nconverge.levels = 4,8\n", 8,
-         "converge.levels"),
+         "converge.levels", 1),
     ],
 )
 def test_step_state_beyond_physical_memory_exits_3(
-    tmp_path, monkeypatch, capsys, command, text, cells, key
+    tmp_path, monkeypatch, capsys, command, text, cells, key, floats
 ):
     from rpmelab import cli
     from rpmelab.grid import build_grid
 
     # simulate stores a frame per step here (fewer than 256 steps); verify
-    # streams its path and the other subcommands store no frame
+    # streams its path and the other subcommands store no frame.  Each keeps
+    # ``floats`` floats a step (one path: n_paths = 1) at the step count its
+    # config resolves; memory for the frames but not for those floats is
+    # refused naming the key that set the step
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    n = cli._preflight(cfg, key=key)[4].n_steps
     frames = 0
     if command == "simulate":
-        cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-        config = cli._sim_config(cfg)
-        n = config.resolve_steps(c0_max(config, cfg))[1]
         assert n < 256
         frames = n + 1
-    need = path_bytes(build_grid(2, cells), frames)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
-    code, out = run_cli(command, tmp_path, text, "over")
-    assert code == 3
-    assert f"config key {key!r}" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    state, need = path_bytes(build_grid(2, cells), 0), path_bytes(build_grid(2, cells), frames)
+    series = 8 * floats * (n + 1)
+    made = []  # a step state that does not fit is refused before the initial state is made
+    monkeypatch.setattr(cli, "prepare_initial", lambda *args: made.append(args) or prepare_initial(*args))
+    for memory, named in [(state - 1, key), (need - 1, key)] + [(need + series - 1, "theta")] * bool(floats):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        code, out = run_cli(command, tmp_path, text, f"over{memory}")
+        assert code == 3
+        assert f"config key {named!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert memory >= state or not made
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need + series)
     assert run_cli(command, tmp_path, text, "fits")[0] == 0
+
+
+def test_sweep_eps_counts_its_noise_at_the_step_count_of_its_stiffest_family(tmp_path, monkeypatch, capsys):
+    # at a small c0_max a regularized family steps many times more often than
+    # the config's own beta, and every family shares the stiffest one's noise
+    from rpmelab.analysis import sweep_plan
+
+    text = "cells = 32\nt_final = 0.1\nn_paths = 2\ninitial.c = constant\ninitial.c.value = 0.001\n"
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    config, _, c_init, *_ = cli._preflight(cfg)
+    c0 = float(np.max(c_init))
+    n = sweep_plan(config, cfg.eps_values, c0)[1].n_steps
+    assert n > 5 * config.plan(c0).n_steps
+    need = path_bytes(config.grid, 0) + 8 * cfg.n_paths * (n + 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run_cli("sweep-eps", tmp_path, text, "short")[0] == 3
+    assert "config key 'theta'" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run_cli("sweep-eps", tmp_path, text, "fits")[0] == 0
 
 
 def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
@@ -989,8 +1054,7 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
 
     text = "dim = 2\ncells = 16\nt_final = 0.001\n"
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-    config = cli._sim_config(cfg)
-    n = config.resolve_steps(c0_max(config, cfg))[1]
+    n = cli._preflight(cfg)[4].n_steps
     grid = build_grid(2, 16)
     assert path_bytes(grid, 0) < path_bytes(grid, n + 1) - 1
     monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid, n + 1) - 1)
@@ -1010,8 +1074,7 @@ def simulated_steps(tmp_path, text, name):
     code, out = run_cli("simulate", tmp_path, text, name)
     assert code == 0
     cfg = load_config(tmp_path / f"{name}.cfg")
-    config = cli._sim_config(cfg)
-    n0 = config.resolve_steps(c0_max(config, cfg))[1]
+    n0 = cli._preflight(cfg)[4].n_steps
     dt = json.loads((out / "manifest.json").read_text())["dt"]
     frames = len(read_record(out / "paths" / "path_0000.rpme1").times)
     return round(cfg.t_final / dt), frames, n0, cfg.snapshot_stride or max(1, n0 // 256)
@@ -1033,6 +1096,42 @@ def test_the_readme_simulate_rounds_its_steps_to_whole_snapshots(tmp_path, dim, 
     # snapshots, stored 276 frames of 3,025 steps
     text = f"dim = {dim}\ncells = 32\nt_final = 0.1\nn_paths = 1\nseed = 7\n" + README_COEFFICIENTS
     assert simulated_steps(tmp_path, text, "readme") == expected
+
+
+README_ONE_PATH = "cells = 32\nt_final = 0.1\nn_paths = 1\nseed = 7\nworkers = 1\n" + README_COEFFICIENTS
+
+
+@pytest.mark.parametrize("dim,command,grids", [
+    (1, "simulate", [(1380, 5)]),
+    (1, "verify", [(1380, 0)]),
+    (1, "malliavin", [(1380, 0)]),
+    (1, "converge", [(670, 134), (2680, 536), (5360, 1072)]),  # levels 16, 32, 64
+    (1, "sweep-eps", [(1376, 0)] * 3),
+    (2, "simulate", [(2760, 10)]),
+    (2, "verify", [(2756, 0)]),
+    (2, "malliavin", [(2756, 0)]),
+    (2, "converge", [(1340, 268), (5360, 1072), (10720, 2144)]),
+    (2, "sweep-eps", [(2749, 0)] * 3),
+])
+def test_each_subcommand_hands_the_engine_the_readme_step_grid(tmp_path, monkeypatch, dim, command, grids):
+    # (n_steps, frame stride) of every lane each stepping subcommand builds on
+    # the README example, and dt = t_final / n_steps to the bit; nothing is
+    # stepped, so what the runner does after its lanes reads unstepped
+    # states and may fail
+    from rpmelab import simulate
+
+    seen = []
+
+    def lane(config, c_init, y_init, noise, part, stride, *rest):
+        seen.append((part.dt, part.n_steps, stride))
+
+    monkeypatch.setattr(simulate, "_lane", lane)
+    monkeypatch.setattr(simulate, "_run_wave", lambda *args: None)
+    cfg = config_from_mapping(dict(line.split(" = ") for line in f"dim = {dim}\n{README_ONE_PATH}".splitlines()))
+    with np.errstate(all="ignore"), contextlib.suppress(Exception):
+        cli._RUNNERS[command](cfg, tmp_path)
+    assert [(n, stride) for _, n, stride in seen] == grids
+    assert [dt for dt, _, _ in seen] == [0.1 / n for n, _ in grids]
 
 
 def test_verify_at_128_squared_passes_the_preflight(tmp_path, monkeypatch):
@@ -1130,9 +1229,8 @@ def test_streamed_verify_reports_are_the_dense_ones(tmp_path, dim, bc, theta, mu
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     sections, extras = cli._run_verify(cfg, tmp_path)
 
-    config, c0 = cli._sim_config(cfg), cli._initial(cfg)
-    coeffs, grid = config.coeffs, config.grid
-    r2 = config.growth_radius(c0_max(config, cfg))
+    config, c0, _, _, plan, _ = cli._preflight(cfg)
+    coeffs, grid, r2 = config.coeffs, config.grid, plan.radius
     run = simulate_path(config, c0, cfg.y0, seed=seed, store_dense=True)
     dense = [
         linf_check(float(np.max(run.c)), r2),

@@ -62,7 +62,8 @@ def y0_affine(x):
 def seeded_wiener(config, c0, y0, seed):
     """The increments ``simulate_path`` draws for path 0 under ``seed``."""
     c, _ = prepare_initial(config, c0, y0)
-    dt, n = config.resolve_steps(float(np.max(c)))
+    plan = config.plan(float(np.max(c)))
+    dt, n = plan.dt, plan.n_steps
     return gen_wiener(n, dt, seed)
 
 
@@ -156,7 +157,8 @@ def test_dirichlet_derivative_vanishes_on_boundary():
 
 def test_matches_bumped_path_quotient():
     config = full_coupling_config()
-    dt, n_steps = config.resolve_steps(0.5)
+    plan = config.plan(0.5)
+    dt, n_steps = plan.dt, plan.n_steps
     wiener = gen_wiener(n_steps, dt, seed=31)
     r_index, window = 20, 4
 

@@ -16,6 +16,7 @@ from rpmelab.model import (
 )
 from rpmelab.pathfile import DerivativePair, FormatError, PathRecord, read_record, write_record
 from rpmelab.simulate import (
+    SchemaError,
     SimConfig,
     cfl_dt,
     coarsen_wiener,
@@ -176,19 +177,37 @@ def test_cfl_formula():
         cfl_dt(grid, coeffs, 1.0, theta=0.0)
 
 
-def test_resolve_steps_lands_on_horizon():
+def test_a_step_plan_lands_on_horizon():
     grid = build_grid(1, 8)
     coeffs = make_coefficients(pme_beta(2.0))
     config = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=1.0, dt=0.3)
-    dt, n = config.resolve_steps(1.0)
+    plan = config.plan(1.0)
+    dt, n = plan.dt, plan.n_steps
     assert n == 4 and dt == pytest.approx(0.25, rel=1e-15)
-    dt, n = config.resolve_steps(1.0, multiple_of=6)
+    plan = config.plan(1.0, multiple_of=6)
+    dt, n = plan.dt, plan.n_steps
     assert n == 6 and dt * n == pytest.approx(1.0, rel=1e-15)
     auto = SimConfig(grid, coeffs, BoundaryKind.DIRICHLET, t_final=0.01)
-    dt, n = auto.resolve_steps(0.5)
+    plan = auto.plan(0.5)
+    dt, n = plan.dt, plan.n_steps
     radius = r2_bound(0.01, 0.5, coeffs.beta_family)
     assert dt <= cfl_dt(grid, coeffs, radius, 0.5) * (1.0 + 1e-12)
     assert dt * n == pytest.approx(0.01, rel=1e-15)
+    # the plan carries the radius its step was sized at, and the key that set it
+    assert (plan.radius, plan.key) == (radius, "theta")
+    assert config.plan(1.0).key == "dt"
+
+
+def test_an_override_plans_past_a_growth_radius_that_overflows():
+    # exp(t_final * c0_max) overflows past about 709: an override sizes its
+    # step without the radius and keeps it as inf, the CFL step needs it
+    coeffs = make_coefficients(pme_beta(2.0))
+    config = SimConfig(build_grid(1, 8), coeffs, BoundaryKind.DIRICHLET, t_final=1000.0, dt=0.01)
+    plan = config.plan(1.5)
+    assert (plan.n_steps, plan.radius, plan.key) == (100_000, math.inf, "dt")
+    assert plan.dt == 1000.0 / 100_000
+    with pytest.raises(SchemaError, match="growth radius"):
+        SimConfig(config.grid, coeffs, BoundaryKind.DIRICHLET, t_final=1000.0).plan(1.5)
 
 
 def test_wiener_statistics():
@@ -292,7 +311,7 @@ def test_ensemble_snapshots_use_the_single_path_grid():
         n_snapshots=k, on_chunk=chunks.append,
     )
     c_init, _ = prepare_initial(config, c0_cosine, 1.0)
-    assert config.resolve_steps(float(np.max(c_init)))[1] % k != 0
+    assert config.plan(float(np.max(c_init))).n_steps % k != 0
     assert ens.n_steps % k == 0
     assert [int(p) for c in chunks for p in c.path_ids] == [2, 3, 4, 5]
     assert all(c.c is None and c.y is None for c in chunks)  # dropped after the callback

@@ -630,7 +630,8 @@ def test_a_tangent_allocates_scratch_only_for_z_or_the_term_by_term_dry_step(coe
     # reads dry, the primal's alpha and its y gate, and no scratch
     coeffs = COEFFS[coeffs]
     config = small_config(coeffs)
-    dt, n = config.resolve_steps(1.5)
+    plan = config.plan(1.5)
+    dt, n = plan.dt, plan.n_steps
     work = malliavin._Tangent(config, WienerPath(dt, np.zeros(n)), [0, 2], None, None).work
     assert [getattr(work, name) is not None for name in ("lap", "t", "u")] == [scratch] * 3
     assert (work.z is not None) == coeffs.source.reads_y
@@ -1010,7 +1011,8 @@ def test_a_tangent_run_keeps_a_v_gate_only_where_a_z_reads_it(monkeypatch, coupl
                         lambda self, res, c, y, dw, work: gates.append((work.v_gate, work.y_gate))
                         or call(self, res, c, y, dw, work))
     c, _ = simulate.prepare_initial(config, cosine, 1.0)
-    dt, n = config.resolve_steps(float(np.max(c)))
+    plan = config.plan(float(np.max(c)))
+    dt, n = plan.dt, plan.n_steps
     _, [[tangent]] = propagate_path(config, cosine, 1.0, gen_wiener(n, dt, seed=4), [2])
     assert np.all(np.isfinite(tangent.dry)) and len(gates) == n
     shape = (1,) + config.grid.shape
@@ -1066,7 +1068,7 @@ def nan_source(k, calls):
 def test_non_finite_state_aborts_at_its_step():
     calls = []
     config = small_config(make_coefficients(pme_beta(2.0), f=nan_source(5, calls)), t_final=0.02)
-    assert config.resolve_steps(1.5)[1] > 10
+    assert config.plan(1.5).n_steps > 10
     with pytest.raises(NumericalAbort, match=r"step 5 of \d+ \(path 0\)"):
         simulate_ensemble(config, cosine, 1.0, n_paths=3, seed=0)
     assert len(calls) == 5
@@ -1277,7 +1279,8 @@ def test_the_first_failing_lane_in_path_order_is_raised_at_any_worker_count(monk
     config = small_config(make_coefficients(pme_beta(2.0), f=spiking_source(3.0), a=a), t_final=0.02)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * (8 * config.grid.n_nodes + simulate._SLOT_VIEWS))
-    dt, n = config.resolve_steps(1.5)
+    plan = config.plan(1.5)
+    dt, n = plan.dt, plan.n_steps
     inc = np.zeros((5, n))
     inc[2, 0], inc[0, 4] = 5.0, 10.0
     before = threading.active_count()
@@ -1438,7 +1441,8 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
     else:
         # increments up to 5 sigma, so the clamp of y bites
         c_init, _ = simulate.prepare_initial(config, bump, 1.0)
-        dt, n = config.resolve_steps(float(np.max(c_init)), multiple_of=k)
+        plan = config.plan(float(np.max(c_init)), multiple_of=k)
+        dt, n = plan.dt, plan.n_steps
         scale = draw(st.sampled_from([1.0, 5.0]))
         inc = np.random.default_rng(seed).standard_normal((paths, n)) * (scale * np.sqrt(dt))
         kw.update(wiener=WienerPath(dt, inc))
@@ -1596,7 +1600,8 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     recorder = StepRecorder(draw(st.booleans()))
     kw = dict(n_workers=draw(st.sampled_from([1, 2, 3])), n_snapshots=k, on_step=recorder)
     c_init, y_init = simulate.prepare_initial(config, bump, 1.0)
-    dt, n = config.resolve_steps(float(np.max(c_init)), multiple_of=k or 1)
+    plan = config.plan(float(np.max(c_init)), multiple_of=k or 1)
+    dt, n = plan.dt, plan.n_steps
     block = draw(st.sampled_from([1, 2, next(b for b in range(3, n + 3) if n % b)]))
     seed = draw(st.integers(0, 2**32 - 1))
     seeded = draw(st.booleans())
