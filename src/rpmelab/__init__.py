@@ -36,7 +36,7 @@ _EXPORTS = {
         r2_bound regularize_beta
     """,
     "pathfile": """
-        DerivativePair FormatError PathRecord RecordWriter read_record write_record
+        DerivativePair FormatError PathRecord RecordWriter read_record
     """,
     "simulate": """
         EnsembleResult SimConfig WienerPath apply_bc cfl_dt

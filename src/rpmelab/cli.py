@@ -14,6 +14,7 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -54,7 +55,7 @@ from .model import (
     preset_coefficients,
     regularize_beta,
 )
-from .pathfile import MAX_FRAMES, DerivativePair, PathRecord, RecordWriter, write_record
+from .pathfile import MAX_FRAMES, DerivativePair, RecordWriter
 from .simulate import (
     NumericalAbort,
     SchemaError,
@@ -358,24 +359,28 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _free_disk(path) -> int:
+    return shutil.disk_usage(path).free
+
+
 def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: bool = False,
                stride: bool = False, record: bool = False, plan_of=SimConfig.plan):
-    """(SimConfig, initial c preset, initial c and y, step plan ``plan_of(config, c0_max)``, frames kept of a
-    path) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything is
-    allocated.  Refused naming ``key`` when one path's step state, then with its frames (``stride``: the
-    first and one every ``snapshot_stride`` or n_steps // 256 steps), exceeds physical memory; naming t_final
+    """(SimConfig, initial c preset, initial c and y, step plan ``plan_of(config, c0_max)``, frames of a
+    path's record) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything
+    is allocated.  Refused naming ``key`` when one path's step state exceeds physical memory; naming t_final
     for a growth radius the run reads (``radius``) that overflows; naming the plan's key for a record of a
-    frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory."""
+    frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory; for
+    ``stride``'s records (a frame every ``snapshot_stride`` or n_steps // 256 steps, streamed to disk, not
+    held), naming snapshot_stride for more frames than a header counts, and out beyond the free disk."""
     grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
     config = SimConfig(grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt)
 
-    def fit(key: str, frames: int, floats: int = 0) -> None:
-        need = path_bytes(grid, frames) + 8 * floats
+    def fit(key: str, floats: int = 0) -> None:
+        need = path_bytes(grid) + 8 * floats
         if need > _physical_memory():
-            raise SchemaError(key, f"step state, {frames} stored frames and {floats:.4g} floats "
-                                   f"({need:.4g} bytes) exceed physical memory")
+            raise SchemaError(key, f"step state and {floats:.4g} floats ({need:.4g} bytes) exceed physical memory")
 
-    fit(key, 0)
+    fit(key)
     c0_fn = _initial(cfg)
     c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
     plan = plan_of(config, float(np.max(c_init)))
@@ -384,11 +389,19 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
         raise SchemaError("t_final", f"the growth radius over {cfg.t_final!r} overflows")
     if record and n + 1 > MAX_FRAMES:
         raise SchemaError(plan.key, f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
-    # the steps are rounded up to a multiple of ceil(n / stride) snapshots: from n to n + stride - 1
-    frames = 1 + -(-n // (cfg.snapshot_stride or max(1, n // 256))) if stride else 0
-    if frames:
-        fit(key, frames)
-    fit(plan.key, frames, (n + 1) * floats)
+    if floats:
+        fit(plan.key, (n + 1) * floats)
+    frames = 0
+    if stride:
+        # the steps are rounded up to a multiple of ceil(n / stride) snapshots: from n to n + stride - 1
+        frames = 1 + -(-n // (cfg.snapshot_stride or max(1, n // 256)))
+        if frames > MAX_FRAMES:
+            raise SchemaError("snapshot_stride", f"{frames:.4g} frames, a record holds {MAX_FRAMES}")
+        # a record: magic and header (41 bytes), (t, c, y) a frame, the u32 pair count
+        need = cfg.n_paths * (45 + frames * (8 + 16 * grid.n_nodes))
+        if need > _free_disk(Path(cfg.out).absolute().parent):
+            raise SchemaError("out", f"{cfg.n_paths} records of {frames} frames ({need:.4g} bytes) "
+                                     "exceed the free disk space")
     return config, c0_fn, c_init, y_init, plan, frames
 
 
@@ -430,27 +443,33 @@ Sections = dict[str, list[EstimateReport]]
 
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config, c0_fn, _, _, plan, frames = _preflight(cfg, radius=True, stride=True)
+    grid, tags = config.grid, [f"path_{pid:04d}" for pid in range(cfg.n_paths)]
 
     (staging / "paths").mkdir()
-    reports: list[EstimateReport] = []
+    masses = np.empty((frames, cfg.n_paths))  # the interior v-mass of every frame
     digests: dict[str, str] = {}
 
-    def write_chunk(chunk) -> None:
-        _require_finite(chunk.y, signed=False)
-        for j, pid in enumerate(int(p) for p in chunk.path_ids):
-            tag = f"path_{pid:04d}"
-            c, y = chunk.c[:, j], chunk.y[:, j]
-            digests[f"paths/{tag}.rpme1"] = write_record(
-                staging / "paths" / f"{tag}.rpme1",
-                PathRecord(config.grid, cfg.seed, pid, chunk.dt, chunk.times, c, y, ()),
-            )
-            reports.append(linf_check(float(chunk.c_sup[j]), plan.radius, f"{tag}_sup"))
-            masses = interior_v_mass(c, config.grid, config.coeffs)
-            reports.append(replace(_mass_report(masses, cfg), name=f"{tag}_mass_drift"))
-            reports.append(EstimateReport(f"{tag}_clamped_mass", float(chunk.clamp_mass[j]), None))
+    @contextlib.contextmanager
+    def records(part):  # a chunk's records, written as its lane takes each frame
+        ids, names = part.path_ids, [f"paths/{tags[pid]}.rpme1" for pid in part.path_ids]
+        with RecordWriter([staging / name for name in names], grid, cfg.seed, ids, part.dt, frames) as out:
+
+            def frame(k, c, y):  # every frame's y is checked as it is written
+                _require_finite(y, signed=False)
+                masses[k, ids] = interior_v_mass(c, grid, config.coeffs)
+                out.frame(part.times[k], c, y)
+
+            yield frame
+            out.finish()
+        digests.update(zip(names, out.digests))
 
     ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
-                            n_snapshots=frames - 1, on_chunk=write_chunk)
+                            n_snapshots=frames - 1, on_frames=records)
+    reports: list[EstimateReport] = []
+    for pid, tag in enumerate(tags):
+        reports.append(linf_check(float(ens.c_sup[pid]), plan.radius, f"{tag}_sup"))
+        reports.append(replace(_mass_report(masses[:, pid], cfg), name=f"{tag}_mass_drift"))
+        reports.append(EstimateReport(f"{tag}_clamped_mass", float(ens.clamp_mass[pid]), None))
     reports.append(linf_check(float(np.max(ens.c_sup)), plan.radius, "ensemble_sup"))
     reports.append(EstimateReport("ensemble_min", float(np.min(ens.c_min)), None))
     reports.append(EstimateReport("ensemble_clamped_mass", float(np.max(ens.clamp_mass)), None))
@@ -522,7 +541,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
     (staging / "paths").mkdir()
     path = staging / "paths" / "malliavin_path.rpme1"
-    with RecordWriter(path, config.grid, cfg.seed, 0, dt, n + 1) as record:
+    with RecordWriter([path], config.grid, cfg.seed, [0], dt, n + 1) as record:
 
         def frame(k, c, y):  # every frame's y is checked as it is written
             _require_finite(y, signed=False)
@@ -548,7 +567,7 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
                 rel = float(np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300))
                 reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
         record.finish(pairs)
-    digests = {"paths/malliavin_path.rpme1": record.digest}
+    digests = {"paths/malliavin_path.rpme1": record.digests[0]}
     return {"malliavin": reports}, {"dt": dt, "r2_bound": None, "digests": digests}
 
 

@@ -16,7 +16,7 @@ Layout, all integers unsigned little-endian, all floats IEEE f64:
         f64 r, f64 t, then drc then dry, row-major over all nodes
 
 The frame count comes first and the pairs last, so ``RecordWriter`` can
-stream a record block by block as a run produces it.  Records are hashed as
+stream a record frame by frame as a run produces it.  Records are hashed as
 they are written: the writer's SHA-256 of its bytes is the record's digest,
 and nothing is read back to get it.  Readers validate the magic and sizes
 and refuse anything inconsistent.
@@ -77,31 +77,31 @@ def _fields(grid: GridSpec, *names: str) -> np.dtype:
     return np.dtype([(n, "<f8", () if n in ("r", "t") else grid.shape) for n in names])
 
 
-def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A table of frames and its t, c and y columns."""
-    return table, table["t"], table["c"], table["y"]
-
-
 class RecordWriter:
-    """Streams one record to ``path``: the header when opened, then
-    ``n_snapshots`` frames in blocks of any size, then ``finish`` with the
-    derivative pairs; ``digest`` is then the SHA-256 of every byte written.
-    Frames gather as rows of the table that ``read_record`` reads, of
-    ``_WRITE_BUFFER`` bytes.  A record of one such table is written by
-    ``finish``.  In a longer one each full table goes to a writer thread,
-    which writes and hashes it while the caller fills a second table, so
-    memory stays that of two tables.  The thread starts at the first full
-    table and is joined by ``finish`` or on leaving the ``with`` block,
-    which closes the file; an error it raised surfaces there, or at the
-    next full table."""
+    """Streams the records of a chunk of paths side by side, record i to
+    ``paths[i]`` with path id ``path_ids[i]``: ``n_snapshots`` frames of
+    every record, then ``finish`` with each record's derivative pairs;
+    ``digests`` are then the SHA-256 of each record's bytes.  Frames gather
+    as rows of the tables that ``read_record`` reads, a table a record, in
+    one array of ``_WRITE_BUFFER`` bytes (at least a row a record).  Records
+    of one such array are written by ``finish``; in longer ones each full
+    array goes to a writer thread, started at the first, which appends each
+    record's rows to its file (the first write makes it, header first) and
+    hashes them while the caller fills a second array: memory stays that of
+    two arrays, and one record file is open at a time.  The thread is joined
+    by ``finish`` or on leaving the ``with`` block; an error it raised
+    surfaces there, or at the next full array."""
 
-    def __init__(self, path, grid: GridSpec, seed: int, path_id: int, dt: float, n_snapshots: int):
-        self._grid, self._shape, self._left, self._held = grid, grid.shape, n_snapshots, 0
+    def __init__(self, paths, grid: GridSpec, seed: int, path_ids, dt: float, n_snapshots: int):
+        self._paths, self._grid, self._left, self._held = list(paths), grid, n_snapshots, 0
+        # a frame of every record, or one frame for them all
+        self._shapes = {(len(self._paths),) + grid.shape, (1,) + grid.shape, grid.shape}
         frame = _fields(grid, "t", "c", "y")
-        self._tables = [_columns(np.empty(min(n_snapshots, max(1, _WRITE_BUFFER // frame.itemsize)), frame))]
-        self._sha, self._pool, self._flight = hashlib.sha256(), None, None
-        self._fh = open(path, "wb")
-        self._write(MAGIC + _HEAD.pack(grid.dim, grid.cells_per_axis, n_snapshots, seed, path_id, dt))
+        rows = min(n_snapshots, max(1, _WRITE_BUFFER // (frame.itemsize * len(self._paths))))
+        self._tables = [np.empty((len(self._paths), rows), frame)]
+        self._shas, self._pool, self._flight = [hashlib.sha256() for _ in self._paths], None, None
+        self._heads = [MAGIC + _HEAD.pack(grid.dim, grid.cells_per_axis, n_snapshots, seed, int(pid), dt)
+                       for pid in path_ids]
 
     def __enter__(self) -> RecordWriter:
         return self
@@ -112,89 +112,69 @@ class RecordWriter:
         except Exception:
             if exc_type is None:  # else the error that left the block is the one raised
                 raise
-        finally:
-            self._fh.close()
 
     @property
-    def digest(self) -> str:
-        """Hex SHA-256 of the bytes written so far: the record's after ``finish``."""
-        return self._sha.hexdigest()
+    def digests(self) -> list[str]:
+        """Hex SHA-256 of the bytes written so far, record by record: the records' after ``finish``."""
+        return [sha.hexdigest() for sha in self._shas]
 
-    def _write(self, data) -> None:
-        self._fh.write(data)
-        self._sha.update(data)
+    def _write(self, *blocks) -> None:
+        """Appends item i of each of ``blocks`` to record i and its hash, on the first write after its header."""
+        heads, self._heads = self._heads, [b""] * len(self._paths)
+        for path, sha, head, *data in zip(self._paths, self._shas, heads, *blocks, strict=True):
+            with open(path, "wb" if head else "ab") as fh:
+                for block in (head, *data):
+                    fh.write(block)
+                    sha.update(block)
 
     def _join(self) -> None:
-        """Waits for the table in flight and joins the writer thread; raises its error."""
+        """Waits for the array in flight and joins the writer thread; raises its error."""
         pool, self._pool = self._pool, None
         if pool is not None:
             with pool:
                 self._flight.result()
 
-    def _room(self) -> tuple[np.ndarray, ...]:
-        """The table to fill, with room for a row, and its columns: a full
-        one goes to the writer thread (started here for the first) once the
-        one before it is written, and the other table is filled."""
-        if self._held < len(self._tables[0][0]):
+    def _room(self) -> np.ndarray:
+        """The array to fill, with room for a row a record: a full one goes
+        to the writer thread (started here for the first) once the one
+        before it is written, and the other array is filled."""
+        if self._held < self._tables[0].shape[1]:
             return self._tables[0]
         if self._pool is None:
             self._pool = concurrent.futures.ThreadPoolExecutor(1)
-            self._tables.append(_columns(np.empty_like(self._tables[0][0])))
+            self._tables.append(np.empty_like(self._tables[0]))
         else:
             self._flight.result()
-        self._flight = self._pool.submit(self._write, self._tables[0][0])
+        self._flight = self._pool.submit(self._write, self._tables[0])
         self._tables.reverse()
         self._held = 0
         return self._tables[0]
 
-    def frames(self, t, c: np.ndarray, y: np.ndarray) -> None:
-        """The next ``len(t)`` frames: times ``t``, c and y frame by frame."""
-        n = len(t)
-        if n > self._left:
-            raise ValueError("more snapshots than the header announced")
-        if c.shape != (n,) + self._shape or y.shape != c.shape:
-            raise ValueError("arrays do not match the grid")
-        done = 0
-        while done < n:
-            table = self._room()[0]
-            k = min(n - done, len(table) - self._held)
-            rows = table[self._held : self._held + k]
-            rows["t"], rows["c"], rows["y"] = t[done : done + k], c[done : done + k], y[done : done + k]
-            done, self._held = done + k, self._held + k
-        self._left -= n
-
     def frame(self, t: float, c: np.ndarray, y: np.ndarray) -> None:
-        """The next frame, written into its table row."""
+        """The next frame of every record, into its row: c and y in any layout, a record each or one for all."""
         if not self._left:
             raise ValueError("more snapshots than the header announced")
-        if c.shape != self._shape or y.shape != self._shape:
+        if c.shape not in self._shapes or y.shape not in self._shapes:
             raise ValueError("arrays do not match the grid")
-        _, t_col, c_col, y_col = self._room()
-        t_col[self._held], c_col[self._held], y_col[self._held] = t, c, y
-        self._held += 1
-        self._left -= 1
+        table = self._room()
+        table["t"][:, self._held], table["c"][:, self._held], table["y"][:, self._held] = t, c, y
+        self._held, self._left = self._held + 1, self._left - 1
 
-    def finish(self, pairs) -> None:
+    def finish(self, *pairs) -> None:
+        """Ends the records: the last frames, then the derivative pairs ``pairs[i]`` of record i (default none)."""
         if self._left:
             raise ValueError(f"{self._left} announced snapshots were not written")
         self._join()
-        self._write(self._tables[0][0][: self._held])
+        row, tails = np.empty(1, _fields(self._grid, "r", "t", "drc", "dry")), []
+        for own in pairs or [()] * len(self._paths):
+            tails.append(struct.pack("<I", len(own)))
+            for p in own:
+                if p.drc.shape != self._grid.shape or p.dry.shape != self._grid.shape:
+                    raise ValueError("arrays do not match the grid")
+                row["r"], row["t"], row["drc"], row["dry"] = p.r, p.t, p.drc, p.dry
+                tails[-1] += row.tobytes()
+        self._write(self._tables[0][:, : self._held], tails)
         self._held = 0
-        self._write(struct.pack("<I", len(pairs)))
-        row = np.empty(1, _fields(self._grid, "r", "t", "drc", "dry"))
-        for p in pairs:
-            if p.drc.shape != self._shape or p.dry.shape != self._shape:
-                raise ValueError("arrays do not match the grid")
-            row["r"], row["t"], row["drc"], row["dry"] = p.r, p.t, p.drc, p.dry
-            self._write(row)
-
-
-def write_record(path, record: PathRecord) -> str:
-    """Writes ``record`` to ``path`` and returns the hex SHA-256 of its bytes."""
-    with RecordWriter(path, record.grid, record.seed, record.path_id, record.dt, len(record.times)) as out:
-        out.frames(record.times, record.c, record.y)
-        out.finish(record.pairs)
-    return out.digest
 
 
 def _take(buf: memoryview, offset: int, n_bytes: int, what: str) -> tuple[memoryview, int]:

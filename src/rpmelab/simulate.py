@@ -37,8 +37,6 @@ from .model import CoefficientSet, r2_bound
 
 # most paths per processing chunk; chunk sizes never depend on the worker count
 _CHUNK = 128
-# cap on the recorded frames (c and y) of one chunk; a chunk shrinks to fit
-_FRAME_BYTES = 8 * 2**20
 # cap on the live step state of one chunk (see path_bytes); a chunk shrinks
 # to fit: at most 70 paths of a 2D 32^2 grid
 _STATE_BYTES = 5 * 2**20
@@ -329,12 +327,13 @@ class StepBuffers:
         return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1), mass)
 
 
-def path_bytes(grid: GridSpec, frames: int) -> int:
+def path_bytes(grid: GridSpec) -> int:
     """Bytes a chunk is charged per path: the eight state-sized arrays of a
     lane that steps c and y (see ``StepBuffers``; a one-way lane holds four,
     but at four ensemble-2d's chunks would double and its peak RSS grow by
-    about 10%), and ``frames`` stored frames of c and y in float64."""
-    return 8 * 8 * grid.n_nodes + 16 * grid.n_nodes * frames
+    about 10%).  Stored frames go to the chunk's frame hook as they are
+    taken, so they are not charged."""
+    return 8 * 8 * grid.n_nodes
 
 
 @dataclass
@@ -475,7 +474,7 @@ class EnsembleResult:
     ``c_sup`` and ``c_min`` are the sup and min of c over every step.  With
     snapshots, ``times`` holds the stored times and ``c`` and ``y`` the
     frames, shaped (frames, paths, *grid.shape); the frames stay None when
-    they went to an ``on_chunk`` callback instead.
+    they went to an ``on_frames`` hook instead.
     """
 
     grid: GridSpec
@@ -586,12 +585,14 @@ def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
     return slots, advance
 
 
-def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride: int, on_step, slots, block):
+def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride, on_step, slots, block, frame):
     """``run(start, stop)``: steps start + 1 to stop of the paths of ``part``
     under the (paths, steps) blocks of increments of ``noise``, in one
     workspace of c and y (c ``_track``ed here) or of y, c read from ``slots``;
-    the terminal state and, if ``part.c`` is set, frames every ``stride``
-    steps go to ``part``; affine alphas come ``block`` steps at a time.
+    the terminal state goes to ``part`` and, given ``frame``, the state every
+    ``stride`` steps to ``frame(k, c, y)`` as frame k, the initial one at
+    once, c one row for every path when it is read from ``slots``; affine
+    alphas come ``block`` steps at a time.
     Every operation and reduction is per path, so batching never changes a
     bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
     increments and workspace, with the gates of the halves stepped here if it ``reads_gates``."""
@@ -617,8 +618,8 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
             yield from zip(dws, dws[(Ellipsis,) + (None,) * grid.dim], rows, lows)
 
     dws = steps()
-    if part.c is not None:
-        part.c[0], part.y[0] = c_init, y_init
+    if frame is not None:
+        frame(0, c_init, y_init)
 
     def run(start: int, stop: int) -> None:
         nonlocal c, y
@@ -631,8 +632,8 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
             if slots is None:
                 _track(part, n, work.slots[res.c is work.c[1]])
             c, y = res.c, res.y
-            if part.c is not None and n % stride == 0:
-                part.c[n // stride], part.y[n // stride] = c, y
+            if frame is not None and n % stride == 0:
+                frame(n // stride, c, y)
         if stop == part.n_steps:
             part.c_final[...], part.y_final[...] = c, y
 
@@ -643,13 +644,16 @@ def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
     """Run each lane's ``run`` over all steps, ``block`` steps at a time: the
     first lane here, the others on ``pool``, each block once ``advance`` has
     stepped their shared c through it.  Raises the first error in path
-    order, an abort of ``advance`` at step m failing every lane at step m;
-    lanes after a failed one stop, those before it go on."""
+    order, once no lane runs, an abort of ``advance`` at step m failing every
+    lane at step m; lanes after a failed one stop, those before it go on."""
     error = None
     for start in range(0, n_steps, block):
         stop, abort = advance(start, min(start + block, n_steps))
         futures = [pool.submit(run, start, stop) for run in runs[1:]]
-        runs[0](start, stop)  # an error here is the first in path order
+        try:
+            runs[0](start, stop)  # an error here is the first in path order
+        finally:
+            concurrent.futures.wait(futures)
         if abort is not None:
             raise abort
         failed = [i for i, future in enumerate(futures, 1) if future.exception() is not None]
@@ -663,6 +667,15 @@ def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
 # drivers
 
 
+def _kept(part: EnsembleResult):
+    """The default frame hook: frame k into ``part``'s paths of the result's frame stacks."""
+
+    def frame(k: int, c, y) -> None:
+        part.c[k], part.y[k] = c, y
+
+    return contextlib.nullcontext(frame)
+
+
 def simulate_ensemble(
     config: SimConfig,
     c0,
@@ -674,7 +687,7 @@ def simulate_ensemble(
     first_path_id: int = 0,
     n_workers: int = 1,
     n_snapshots: int | None = None,
-    on_chunk: Callable[[EnsembleResult], None] | None = None,
+    on_frames: Callable = _kept,
     on_step: Callable | None = None,
 ) -> EnsembleResult:
     """Independent paths from one initial state, path_id = first_path_id + k.
@@ -689,17 +702,18 @@ def simulate_ensemble(
     path's c is not finite.
 
     Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
-    fits ``_STATE_BYTES`` and their frames ``_FRAME_BYTES``, then evened out,
-    and the chunks in waves of ``n_workers`` lanes (see ``_run_wave``), one
-    workspace a lane.  When f ignores y, this thread steps the one c of
-    every wave, of one lane or several, in blocks of steps that fit
-    ``_BLOCK_BYTES`` and its lanes step only y.  Results are bitwise independent of the chunking and the worker
-    count.  With ``n_snapshots`` every chunk records ``n_snapshots + 1``
-    uniformly spaced frames: into its paths of the result's frame stacks,
-    or, given ``on_chunk``, into frames of its own that are passed to
-    ``on_chunk`` in path order after its wave (at most ``n_workers`` chunks
-    alive) and dropped once it returns.  ``on_step`` sees each step of the
-    first path's chunk, on this thread, that path in row 0.
+    fits ``_STATE_BYTES``, then evened out, and the chunks in waves of
+    ``n_workers`` lanes (see ``_run_wave``), one workspace a lane.  When f
+    ignores y, this thread steps the one c of every wave, of one lane or
+    several, in blocks of steps that fit ``_BLOCK_BYTES`` and its lanes step
+    only y.  Results are bitwise independent of the chunking and the worker
+    count.  With ``n_snapshots`` each lane hands every one of the
+    ``n_snapshots + 1`` uniformly spaced frames of its chunk, as it takes
+    it, to ``frame(k, c, y)`` of the context manager ``on_frames(part)``,
+    ``part`` the chunk's paths of the result (c one row for all when the wave
+    shares its c), entered as the wave starts and left as it ends or fails;
+    by default into the result's frame stacks.  ``on_step`` sees each step
+    of the first path's chunk, on this thread, that path in row 0.
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
@@ -718,43 +732,33 @@ def simulate_ensemble(
         if n_snapshots and n_steps % n_snapshots:
             raise ValueError("snapshot count must divide the step count")
 
-    chunk, stride = min(_CHUNK, _STATE_BYTES // path_bytes(grid, 0)), 0
-    if n_snapshots:
-        stride = n_steps // n_snapshots
-        # the frames alone: the step state has its own cap above
-        frame_bytes = path_bytes(grid, n_snapshots + 1) - path_bytes(grid, 0)
-        chunk = min(chunk, _FRAME_BYTES // frame_bytes)
-    n_chunks = -(-n_paths // max(1, chunk))
+    n_chunks = -(-n_paths // max(1, min(_CHUNK, _STATE_BYTES // path_bytes(grid))))
     chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
-
-    def frames(k):
-        return np.empty((n_snapshots + 1, k) + grid.shape) if n_snapshots else None
-
-    keep = on_chunk is None
-    c_frames, y_frames = (frames(n_paths), frames(n_paths)) if keep else (None, None)
+    stride = n_steps // n_snapshots if n_snapshots else 0
     shape = (n_paths,) + grid.shape
+    stacks = [np.empty((n_snapshots + 1,) + shape) if n_snapshots and on_frames is _kept else None for _ in "cy"]
     result = EnsembleResult(
         grid=grid,
         dt=dt,
         n_steps=n_steps,
         path_ids=np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64),
         # the last kept frame is the terminal state
-        c_final=np.empty(shape) if c_frames is None else c_frames[-1],
-        y_final=np.empty(shape) if y_frames is None else y_frames[-1],
+        c_final=np.empty(shape) if stacks[0] is None else stacks[0][-1],
+        y_final=np.empty(shape) if stacks[1] is None else stacks[1][-1],
         c_sup=np.full(n_paths, np.max(c_init)),
         c_min=np.full(n_paths, np.min(c_init)),
         clamp_mass=np.zeros(n_paths),
         times=np.arange(0, n_steps + 1, stride) * dt if n_snapshots else None,
-        c=c_frames,
-        y=y_frames,
+        c=stacks[0],
+        y=stacks[1],
     )
 
-    def lane(rows, part, slots):
-        if not keep:
-            part.c, part.y = frames(len(part.path_ids)), frames(len(part.path_ids))
+    def lane(rows, slots, hooks):
+        part = result._paths(rows)
+        frame = hooks.enter_context(on_frames(part)) if n_snapshots else None
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if wiener is None else [inc[rows]]
         first = on_step if rows.start == 0 else None
-        return _lane(config, c_init, y_init, noise, part, stride, first, slots, block)
+        return _lane(config, c_init, y_init, noise, part, stride, first, slots, block, frame)
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
     width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (8 * grid.n_nodes + _SLOT_VIEWS)))
@@ -764,13 +768,10 @@ def simulate_ensemble(
             slots, advance = None, lambda start, stop: (stop, None)  # c stepped in every lane
             if not config.coeffs.source.reads_y:
                 slots, advance = _wave_c(config, result._paths(slice(wave[0].start, wave[-1].stop)), block)
-            # the lanes, and their workspaces, are freed as the wave returns
-            parts = [result._paths(rows) for rows in wave]
-            _run_wave([lane(*args, slots) for args in zip(wave, parts)], advance, n_steps, block, pool)
-            if on_chunk is not None:
-                for part in parts:
-                    on_chunk(part)
-                    part.c = part.y = None
+            # the lanes, their workspaces and frame hooks, are freed as the wave returns; every hook
+            # of the wave is left first, as the wave ends or with its error
+            with contextlib.ExitStack() as hooks:
+                _run_wave([lane(rows, slots, hooks) for rows in wave], advance, n_steps, block, pool)
     return result
 
 

@@ -444,7 +444,7 @@ def test_a_step_count_whose_series_or_noise_exceed_memory_exits_3_naming_its_key
     text = f"cells = 8\nt_final = 0.1\nn_paths = 4\nworkers = 1\nseed = 7\n{line}\n" + README_COEFFICIENTS
     code, out = run_cli(command, tmp_path, text, "long")
     assert code == 3
-    assert re.search(rf"config key {key!r}: step state, 0 stored frames and .* floats .* exceed physical memory$",
+    assert re.search(rf"config key {key!r}: step state and .* floats .* exceed physical memory$",
                      capsys.readouterr().err.strip())
     assert not out.exists() and os.listdir(tmp_path) == ["long.cfg"]
 
@@ -577,12 +577,12 @@ def test_a_write_error_on_the_writer_thread_exits_5_and_leaves_no_staging(
     monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 2 * (8 + 16 * 10))
     caller, calls, write = threading.current_thread(), [], pathfile.RecordWriter._write
 
-    def failing(self, data):
+    def failing(self, *blocks):
         if threading.current_thread() is not caller:
-            calls.append(len(data))
+            calls.append(len(blocks))
             if len(calls) > fails_at:
                 raise OSError("disk full")
-        write(self, data)
+        write(self, *blocks)
 
     monkeypatch.setattr(pathfile.RecordWriter, "_write", failing)
     before = set(threading.enumerate())
@@ -656,6 +656,30 @@ def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, monkeypatch, capsys, comm
     assert list(tmp_path.glob(".*staging*")) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # y overflows on the lane threads too
+def test_a_blown_up_y_in_chunks_of_three_workers_exits_4_and_joins_every_writer(tmp_path, monkeypatch, capsys):
+    # sigma = 1e300 overflows y within a few steps (see above); six one-path
+    # chunks run in two waves of three lanes, each streaming its record on a
+    # writer thread of its own (tables of one frame), and every writer is
+    # joined before the staging directory is removed
+    from rpmelab import pathfile, simulate
+    from rpmelab.grid import build_grid
+
+    monkeypatch.setattr(simulate, "_STATE_BYTES", path_bytes(build_grid(1, 8)))
+    monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 1)
+    text = ("cells = 8\nt_final = 0.02\nn_paths = 6\nworkers = 3\ninitial.y = 1.0\n"
+            "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
+    before, started = set(threading.enumerate()), []
+    real = pathfile.RecordWriter._room
+    monkeypatch.setattr(pathfile.RecordWriter, "_room", lambda self: started.append(self._pool) or real(self))
+    code, _ = run_cli("simulate", tmp_path, text, "blowup")
+    assert code == 4
+    assert "non-finite state" in capsys.readouterr().err
+    assert any(pool is not None for pool in started)  # a writer thread was running
+    assert [p.name for p in tmp_path.iterdir()] == ["blowup.cfg"]
+    assert set(threading.enumerate()) == before
+
+
 def scipy_modules_after(probe):
     """Names of the scipy modules loaded once ``probe`` has run in a fresh
     interpreter."""
@@ -700,30 +724,32 @@ def test_malliavin_imports_scipy_only_for_a_nonzero_z(tmp_path, mu_y):
 
 
 def test_simulate_chunks_write_single_path_records(tmp_path, monkeypatch):
-    # 2D frames of 20 paths exceed one chunk's frame budget
-    from rpmelab import cli
-    from rpmelab.simulate import _FRAME_BYTES, simulate_path
+    # a step-state budget of 6 paths runs the 20 paths as 4 chunks of 5, each
+    # writing the record of each of its paths
+    from rpmelab import cli, simulate
+    from rpmelab.grid import build_grid
+    from rpmelab.simulate import simulate_path
 
     text = (
         "dim = 2\ncells = 16\nt_final = 0.02\nn_paths = 20\nseed = 3\nworkers = 2\n"
         "initial.c = cosine\ninitial.c.amplitude = 0.5\ninitial.y = 1.0\n"
         "coeff.f = logistic\ncoeff.a = linear\ncoeff.a.sigma = 0.3\ncoeff.b = coupling\n"
     )
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 6 * path_bytes(build_grid(2, 16)))
     chunk_ids = []
     real = cli.simulate_ensemble
 
-    def spy(*args, on_chunk, **kwargs):
-        def record(chunk):
-            assert chunk.c.nbytes + chunk.y.nbytes <= _FRAME_BYTES
-            chunk_ids.append([int(p) for p in chunk.path_ids])
-            on_chunk(chunk)
+    def spy(*args, on_frames, **kwargs):
+        def hook(part):
+            chunk_ids.append([int(p) for p in part.path_ids])
+            return on_frames(part)
 
-        return real(*args, on_chunk=record, **kwargs)
+        return real(*args, on_frames=hook, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_ensemble", spy)
     code, out = run_cli("simulate", tmp_path, text, "chunks")
     assert code == 0
-    assert len(chunk_ids) > 1
+    assert [len(ids) for ids in chunk_ids] == [5] * 4
     assert [p for ids in chunk_ids for p in ids] == list(range(20))
 
     cfg = load_config(tmp_path / "chunks.cfg")
@@ -939,10 +965,25 @@ NOISY_SIM = (
 )
 
 
-def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
-    code1, out1 = run_cli("simulate", tmp_path, NOISY_SIM, "rep1")
-    code2, out2 = run_cli("simulate", tmp_path, NOISY_SIM, "rep2")
-    code3, out3 = run_cli("simulate", tmp_path, NOISY_SIM + "workers = 3\n", "rep3")
+@pytest.mark.parametrize("source", ["", "coeff.f.mu_y = 0.5\n"], ids=["one-way", "two-way"])
+def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch, source):
+    from rpmelab import pathfile, simulate
+    from rpmelab.grid import build_grid
+
+    text = NOISY_SIM + source  # two-way: every path has a c, and a v-mass, of its own
+    code1, out1 = run_cli("simulate", tmp_path, text, "rep1")
+    code2, out2 = run_cli("simulate", tmp_path, text, "rep2")
+    # one-path chunks in waves of three lanes, each streaming its record and
+    # masses on a writer thread of its own (tables of one frame), the threads
+    # switching often: nothing a lane writes is lost or misplaced
+    monkeypatch.setattr(simulate, "_STATE_BYTES", path_bytes(build_grid(1, 8)))
+    monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code3, out3 = run_cli("simulate", tmp_path, text + "workers = 3\n", "rep3")
+    finally:
+        sys.setswitchinterval(interval)
     assert code1 == code2 == code3 == 0
 
     assert _file_bytes(out1) == _file_bytes(out2)
@@ -1002,30 +1043,48 @@ def test_step_state_beyond_physical_memory_exits_3(
     from rpmelab import cli
     from rpmelab.grid import build_grid
 
-    # simulate stores a frame per step here (fewer than 256 steps); verify
-    # streams its path and the other subcommands store no frame.  Each keeps
-    # ``floats`` floats a step (one path: n_paths = 1) at the step count its
-    # config resolves; memory for the frames but not for those floats is
-    # refused naming the key that set the step
+    # each keeps ``floats`` floats a step (one path: n_paths = 1) at the step
+    # count its config resolves; memory for the step state but not for those
+    # floats is refused naming the key that set the step
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     n = cli._preflight(cfg, key=key)[4].n_steps
-    frames = 0
-    if command == "simulate":
-        assert n < 256
-        frames = n + 1
-    state, need = path_bytes(build_grid(2, cells), 0), path_bytes(build_grid(2, cells), frames)
-    series = 8 * floats * (n + 1)
+    state, series = path_bytes(build_grid(2, cells)), 8 * floats * (n + 1)
     made = []  # a step state that does not fit is refused before the initial state is made
     monkeypatch.setattr(cli, "prepare_initial", lambda *args: made.append(args) or prepare_initial(*args))
-    for memory, named in [(state - 1, key), (need - 1, key)] + [(need + series - 1, "theta")] * bool(floats):
+    for memory, named in [(state - 1, key)] + [(state + series - 1, "theta")] * bool(floats):
         monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         code, out = run_cli(command, tmp_path, text, f"over{memory}")
         assert code == 3
         assert f"config key {named!r}" in capsys.readouterr().err
         assert not out.exists()
         assert memory >= state or not made
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need + series)
+    # simulate stores a frame a step here (fewer than 256 steps) and streams
+    # them to its records, verify streams its path and the other subcommands
+    # store no frame: memory that does not hold the frames of the path runs
+    assert command != "simulate" or n < 256
+    assert state + series < state + 16 * build_grid(2, cells).n_nodes * (n + 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: state + series)
     assert run_cli(command, tmp_path, text, "fits")[0] == 0
+
+
+def test_simulate_records_beyond_the_free_disk_or_a_header_exit_3(tmp_path, monkeypatch, capsys):
+    # each record is 45 + frames * (8 + 16 * nodes) bytes; all n_paths of them
+    # must fit the free space where out is made, and their frames a header
+    text = "dim = 2\ncells = 16\nt_final = 0.001\nn_paths = 3\n"
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    frames = cli._preflight(cfg, stride=True)[5]
+    size, asked = 45 + frames * (8 + 16 * 18**2), []
+    for free, name, code in ((3 * size - 1, "full", 3), (3 * size, "fits", 0)):
+        monkeypatch.setattr(cli, "_free_disk", lambda path: asked.append(path) or free)
+        assert run_cli("simulate", tmp_path, text, name)[0] == code
+    assert "config key 'out'" in capsys.readouterr().err
+    assert set(asked) == {tmp_path}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fits", "fits.cfg", "full.cfg"]
+    assert [p.stat().st_size for p in sorted((tmp_path / "fits" / "paths").iterdir())] == [size] * 3
+    monkeypatch.setattr(cli, "MAX_FRAMES", frames - 1)
+    code, out = run_cli("simulate", tmp_path, text, "header")
+    assert code == 3 and not out.exists()
+    assert "config key 'snapshot_stride'" in capsys.readouterr().err
 
 
 def test_sweep_eps_counts_its_noise_at_the_step_count_of_its_stiffest_family(tmp_path, monkeypatch, capsys):
@@ -1039,7 +1098,7 @@ def test_sweep_eps_counts_its_noise_at_the_step_count_of_its_stiffest_family(tmp
     c0 = float(np.max(c_init))
     n = sweep_plan(config, cfg.eps_values, c0)[1].n_steps
     assert n > 5 * config.plan(c0).n_steps
-    need = path_bytes(config.grid, 0) + 8 * cfg.n_paths * (n + 1)
+    need = path_bytes(config.grid) + 8 * cfg.n_paths * (n + 1)
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert run_cli("sweep-eps", tmp_path, text, "short")[0] == 3
     assert "config key 'theta'" in capsys.readouterr().err
@@ -1056,8 +1115,7 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     n = cli._preflight(cfg)[4].n_steps
     grid = build_grid(2, 16)
-    assert path_bytes(grid, 0) < path_bytes(grid, n + 1) - 1
-    monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid, n + 1) - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid) + 16 * grid.n_nodes * (n + 1) - 1)
     assert run_cli("verify", tmp_path, text, "streamed")[0] == 0
 
 
@@ -1176,6 +1234,34 @@ def test_verify_memory_does_not_grow_with_its_step_count(tmp_path):
     short = _verify_peak_bytes(tmp_path, 0.05, "short")
     long = _verify_peak_bytes(tmp_path, 0.2, "long")
     assert long <= 1.1 * short, (short, long)
+
+
+def _simulate_peak_bytes(tmp_path, stride, name):
+    import tracemalloc
+
+    text = (
+        "dim = 2\ncells = 16\nn_paths = 8\nworkers = 1\nseed = 4711\nt_final = 0.05\n"
+        f"snapshot_stride = {stride}\n" + README_COEFFICIENTS
+    )
+    tracemalloc.start()
+    try:
+        code, out = run_cli("simulate", tmp_path, text, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, len(read_record(out / "paths" / "path_0000.rpme1").times)
+
+
+def test_simulate_memory_does_not_grow_with_its_frames(tmp_path):
+    # a quarter of the stride: four times the frames, 6.7 MB of them over the
+    # 8 paths at stride 2, which simulate held when it kept a chunk's frames;
+    # streamed to the records, each chunk holds two tables of its writer
+    _simulate_peak_bytes(tmp_path, 8, "warm")
+    sparse, few = _simulate_peak_bytes(tmp_path, 8, "sparse")
+    dense, many = _simulate_peak_bytes(tmp_path, 2, "dense")
+    assert many > 3 * few
+    assert dense <= 1.1 * sparse, (sparse, dense)
 
 
 @pytest.mark.parametrize("n_paths", [1, 5])

@@ -568,7 +568,7 @@ def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
     """Slices of ``propagate_path`` and the bytes of the record it streams,
     written as ``rpmelab malliavin`` writes its own."""
     dt, n = wiener.dt, wiener.n_steps
-    with RecordWriter(path, config.grid, 0, 0, dt, n + 1) as record:
+    with RecordWriter([path], config.grid, 0, [0], dt, n + 1) as record:
         record.frame(0.0, *initial)
         _, seeds = propagate_path(
             config, *initial, wiener, r_indices, t_indices,

@@ -1,6 +1,7 @@
 """The .rpme1 container as properties: any record round-trips, a record
-streamed frame by frame or in blocks has the bytes of the whole-record
-encoding, and every truncation is refused."""
+streamed frame by frame, alone or beside the other records of its chunk,
+has the bytes of the whole-record encoding, and every truncation is
+refused."""
 import concurrent.futures
 import hashlib
 import struct
@@ -21,7 +22,6 @@ from rpmelab.pathfile import (
     PathRecord,
     RecordWriter,
     read_record,
-    write_record,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -70,7 +70,7 @@ def same_bits(a, b):
 @given(records())
 def test_any_record_round_trips(tmp_path_factory, rec):
     path = tmp_path_factory.mktemp("rt") / "run.rpme1"
-    write_record(path, rec)
+    stream(path, rec)
     back = read_record(path)
     assert back.grid == rec.grid and (back.seed, back.path_id) == (rec.seed, rec.path_id)
     assert same_bits(back.dt, rec.dt)
@@ -84,16 +84,13 @@ def test_any_record_round_trips(tmp_path_factory, rec):
 @SETTINGS
 @given(records())
 def test_streamed_record_has_the_bytes_of_the_whole_one(tmp_path_factory, rec):
-    d = tmp_path_factory.mktemp("stream")
-    write_record(d / "whole.rpme1", rec)
+    path = tmp_path_factory.mktemp("stream") / "streamed.rpme1"
     # frames arrive one at a time, in any memory layout
-    with RecordWriter(d / "streamed.rpme1", rec.grid, rec.seed, rec.path_id, rec.dt, len(rec.times)) as out:
+    with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
         for t, c, y in zip(rec.times, rec.c, rec.y):
             out.frame(float(t), np.asfortranarray(c), y[::-1][::-1])
         out.finish(rec.pairs)
-    expected = encoded(rec)
-    assert (d / "whole.rpme1").read_bytes() == expected
-    assert (d / "streamed.rpme1").read_bytes() == expected
+    assert path.read_bytes() == encoded(rec)
 
 
 def layouts(a, kind):
@@ -109,50 +106,41 @@ def layouts(a, kind):
 
 @SETTINGS
 @given(records(), st.data())
-def test_blocks_of_any_size_and_layout_have_the_bytes_of_the_whole_record(tmp_path_factory, rec, data):
-    path = tmp_path_factory.mktemp("blocks") / "blocks.rpme1"
-    n = len(rec.times)
-    # repeated cuts give empty blocks; a small buffer splits a block's table
-    cuts = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts")), n]
+def test_frames_of_any_layout_in_tables_of_any_size_have_the_bytes_of_the_whole_record(
+    tmp_path_factory, rec, data
+):
+    path = tmp_path_factory.mktemp("layouts") / "layouts.rpme1"
     frame_bytes = 8 + 16 * rec.grid.n_nodes
     buffer = data.draw(st.sampled_from([2, 2 * frame_bytes + 1, 3 * frame_bytes, pathfile._WRITE_BUFFER]))
     kinds = st.sampled_from(["C", "F", "reversed", "strided"])
-    default, pathfile._WRITE_BUFFER = pathfile._WRITE_BUFFER, buffer
-    try:
-        with RecordWriter(path, rec.grid, rec.seed, rec.path_id, rec.dt, n) as out:
-            for lo, hi in zip(cuts, cuts[1:]):
-                t, c, y = rec.times[lo:hi], rec.c[lo:hi], rec.y[lo:hi]
-                out.frames(layouts(t, data.draw(kinds)), layouts(c, data.draw(kinds)),
-                           layouts(y, data.draw(kinds)))
+    with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer):
+        with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
+            for t, c, y in zip(rec.times, rec.c, rec.y):
+                out.frame(t, layouts(c, data.draw(kinds)), layouts(y, data.draw(kinds)))
             out.finish(rec.pairs)
-    finally:
-        pathfile._WRITE_BUFFER = default
     assert path.read_bytes() == encoded(rec)
 
 
-def test_blocks_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
+def test_frames_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
+    # two records: c and y a record each, or one frame for both
     grid = build_grid(2, 2)
-    rng = np.random.default_rng(0)
-    c, y = rng.standard_normal((2, 3) + grid.shape)
-    t = np.array([0.0, 0.5, 1.0])
-    path = tmp_path / "blocks.rpme1"
-    with RecordWriter(path, grid, 1, 2, 0.5, 2) as out:
-        # a refused block writes nothing
-        with pytest.raises(ValueError, match="more snapshots"):
-            out.frames(t, c, y)
-        for bad in ((t[:1], c[0], y[0]), (t[:2], c[:1], y[:1]), (t[:1], c[:1], y[:1, :3])):
+    c, y = np.random.default_rng(0).standard_normal((2, 2, 2) + grid.shape)
+    paths = [tmp_path / "a.rpme1", tmp_path / "b.rpme1"]
+    with RecordWriter(paths, grid, 1, [2, 3], 0.5, 2) as out:
+        # a refused frame writes nothing
+        for bad in ((c[0, :, :3], y[0]), (c[0], y[0, :1, :3]), (np.stack([c[0]] * 3), y[0]), (c[0, 0, 0], y[0])):
             with pytest.raises(ValueError, match="do not match the grid"):
-                out.frames(*bad)
-        out.frames(t[:1], c[:1], y[:1])
+                out.frame(0.0, *bad)
+        out.frame(0.0, c[0, 0], y[0])
         with pytest.raises(ValueError, match="1 announced snapshots were not written"):
-            out.finish(())
-        out.frames(t[1:1], c[1:1], y[1:1])
-        out.frames(t[1:2], c[1:2], y[1:2])
+            out.finish()
+        out.frame(0.5, c[1, :1], y[1])
         with pytest.raises(ValueError, match="more snapshots"):
-            out.frame(1.0, c[2], y[2])
-        out.finish(())
-    rec = PathRecord(grid, 1, 2, 0.5, t[:2], c[:2], y[:2], ())
-    assert path.read_bytes() == encoded(rec)
+            out.frame(1.0, c[1], y[1])
+        out.finish()
+    for i, path in enumerate(paths):
+        c_i = np.stack([c[0, 0], c[1, 0]])
+        assert path.read_bytes() == encoded(PathRecord(grid, 1, 2 + i, 0.5, np.array([0.0, 0.5]), c_i, y[:, i], ()))
 
 
 def test_writing_a_record_holds_two_tables_not_its_frames(tmp_path, monkeypatch):
@@ -164,10 +152,10 @@ def test_writing_a_record_holds_two_tables_not_its_frames(tmp_path, monkeypatch)
     rng = np.random.default_rng(1)
     rec = PathRecord(grid, 0, 0, 0.1, np.arange(n) * 0.1, rng.random((n,) + grid.shape),
                      rng.random((n,) + grid.shape), ())
-    write_record(tmp_path / "warm.rpme1", rec)
+    stream(tmp_path / "warm.rpme1", rec)
     tracemalloc.start()
     try:
-        write_record(tmp_path / "run.rpme1", rec)
+        stream(tmp_path / "run.rpme1", rec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,14 +182,82 @@ def test_every_truncation_raises_format_error(tmp_path_factory, rec):
 def test_writer_holds_to_the_announced_frame_count(tmp_path):
     grid = build_grid(1, 2)
     zero = np.zeros(grid.shape)
-    with RecordWriter(tmp_path / "short.rpme1", grid, 0, 0, 0.1, 2) as out:
+    with RecordWriter([tmp_path / "short.rpme1"], grid, 0, [0], 0.1, 2) as out:
         out.frame(0.0, zero, zero)
         with pytest.raises(ValueError, match="not written"):
             out.finish(())
-    with RecordWriter(tmp_path / "long.rpme1", grid, 0, 0, 0.1, 1) as out:
+    with RecordWriter([tmp_path / "long.rpme1"], grid, 0, [0], 0.1, 1) as out:
         out.frame(0.0, zero, zero)
         with pytest.raises(ValueError, match="more snapshots"):
             out.frame(0.1, zero, zero)
+
+
+class OpenFiles:
+    """``open`` for the pathfile module that counts the files open at once."""
+
+    def __init__(self):
+        self.now = self.most = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, *args):
+        fh, count = open(*args), self
+
+        class Counted:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+            def write(self, data):
+                return fh.write(data)
+
+            def close(self):
+                with count.lock:
+                    count.now -= 1
+                fh.close()
+
+        with self.lock:
+            self.now += 1
+            self.most = max(self.most, self.now)
+        return Counted()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_records_written_side_by_side_have_the_bytes_of_each_alone(tmp_path_factory, data):
+    # a chunk's records in one writer: their own path ids, frames and pairs, or
+    # one c for them all (the shared c of a wave), in one table, two or many;
+    # one record file is open at a time
+    draw = data.draw
+    grid = build_grid(1, draw(st.integers(2, 4)))
+    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.standard_normal(n)
+    shared = draw(st.sampled_from([None, (1,) + grid.shape, grid.shape]))
+    c = rng.standard_normal((n, k) + grid.shape)
+    if shared is not None:
+        c[...] = rng.standard_normal((n, 1) + grid.shape)
+    y = rng.standard_normal((n, k) + grid.shape)
+    pairs = [tuple(DerivativePair(float(r), 1.0, *rng.standard_normal((2,) + grid.shape))
+                   for r in range(draw(st.integers(0, 2)))) for _ in range(k)]
+    ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k))
+    recs = [PathRecord(grid, 9, pid, 0.1, times, c[:, i], y[:, i], own) for i, (pid, own) in enumerate(zip(ids, pairs))]
+    handed = c if shared is None else c[:, 0].reshape((n,) + shared)
+    buffer = draw(st.sampled_from([1, 2 * k * (8 + 16 * grid.n_nodes) + 1, pathfile._WRITE_BUFFER]))
+    d = tmp_path_factory.mktemp("side")
+    paths = [d / f"{i}.rpme1" for i in range(k)]
+    files = OpenFiles()
+    with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer), mock.patch.object(pathfile, "open", files, create=True):
+        with RecordWriter(paths, grid, 9, ids, 0.1, n) as out:
+            for i in range(n):
+                out.frame(times[i], handed[i], y[i])
+            out.finish(*pairs if any(pairs) or draw(st.booleans()) else ())
+    assert files.most == 1 and files.now == 0
+    for path, rec, digest in zip(paths, recs, out.digests):
+        data = path.read_bytes()
+        assert data == encoded(rec)
+        assert digest == hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +266,8 @@ def test_writer_holds_to_the_announced_frame_count(tmp_path):
 
 @st.composite
 def streams(draw):
-    """A record on a small grid, a write buffer giving its frames one table,
-    two or many, and cuts of its frames into blocks of any size."""
+    """A record on a small grid and a write buffer giving its frames one
+    table, two or many."""
     grid = build_grid(1, draw(st.integers(2, 4)))
     n = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -221,17 +277,16 @@ def streams(draw):
                      rng.standard_normal((n,) + grid.shape), pairs)
     tables = draw(st.sampled_from(["one", "two", "many"]))
     rows = {"one": max(n, 1), "two": max(1, -(-n // 2)), "many": draw(st.integers(1, max(1, n // 3)))}[tables]
-    cuts = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=5))), n]
-    return rec, rows * (8 + 16 * grid.n_nodes), cuts
+    return rec, rows * (8 + 16 * grid.n_nodes)
 
 
-def stream(path, rec, cuts, fail: bool = False):
-    """``rec`` streamed to ``path`` in the blocks between ``cuts``; with
-    ``fail``, an error leaves the block after the last frame, before
-    ``finish``.  Returns the writer."""
-    with RecordWriter(path, rec.grid, rec.seed, rec.path_id, rec.dt, len(rec.times)) as out:
-        for lo, hi in zip(cuts, cuts[1:]):
-            out.frames(rec.times[lo:hi], rec.c[lo:hi], rec.y[lo:hi])
+def stream(path, rec, fail: bool = False):
+    """``rec`` streamed to ``path`` frame by frame; with ``fail``, an error
+    leaves the block after the last frame, before ``finish``.  Returns the
+    writer."""
+    with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
+        for frame in zip(rec.times, rec.c, rec.y):
+            out.frame(*frame)
         if fail:
             raise KeyError("the caller failed")
         out.finish(rec.pairs)
@@ -251,12 +306,12 @@ def off_the_caller(write, fails_at):
     on another thread than the caller's (counted from 0)."""
     caller, seen = threading.current_thread(), []
 
-    def patched(self, data):
+    def patched(self, *blocks):
         if threading.current_thread() is not caller:
-            seen.append(len(data))
+            seen.append(len(blocks))
             if len(seen) > fails_at:
                 raise OSError("disk full")
-        return write(self, data)
+        return write(self, *blocks)
 
     return patched
 
@@ -266,7 +321,7 @@ def off_the_caller(write, fails_at):
 def test_the_streamed_digest_is_that_of_the_file_and_no_writer_thread_outlives_its_record(
     tmp_path_factory, case, fails_at
 ):
-    rec, buffer, cuts = case
+    rec, buffer = case
     rows = buffer // (8 + 16 * rec.grid.n_nodes)  # frames a table holds
     handed_off = max(0, -(-len(rec.times) // rows) - 1)  # full tables followed by another frame
     d = tmp_path_factory.mktemp("digest")
@@ -274,22 +329,22 @@ def test_the_streamed_digest_is_that_of_the_file_and_no_writer_thread_outlives_i
     CountedPool.started = 0
     with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer), \
             mock.patch.object(concurrent.futures, "ThreadPoolExecutor", CountedPool):
-        out = stream(d / "whole.rpme1", rec, cuts)
+        out = stream(d / "whole.rpme1", rec)
         assert set(threading.enumerate()) == before
         assert CountedPool.started == int(handed_off > 0)  # a thread only for frames beyond one table
         data = (d / "whole.rpme1").read_bytes()
         assert data == encoded(rec)
-        assert out.digest == hashlib.sha256(data).hexdigest()
+        assert out.digests == [hashlib.sha256(data).hexdigest()]
 
         # an error of the caller leaves the block, and the writer thread with it
         with pytest.raises(KeyError):
-            stream(d / "caller.rpme1", rec, cuts, fail=True)
+            stream(d / "caller.rpme1", rec, fail=True)
         assert set(threading.enumerate()) == before
 
         # a write error on the writer thread surfaces in the block
         with mock.patch.object(RecordWriter, "_write", off_the_caller(RecordWriter._write, fails_at)):
             try:
-                stream(d / "fails.rpme1", rec, cuts)
+                stream(d / "fails.rpme1", rec)
             except OSError:
                 failed = True
             else:

@@ -1,5 +1,6 @@
 """Stepping engine: single-step arithmetic, conservation and positivity
 invariants, noise generation, ensemble determinism, and the binary container."""
+import contextlib
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from rpmelab.model import (
     preset_coefficients,
     r2_bound,
 )
-from rpmelab.pathfile import DerivativePair, FormatError, PathRecord, read_record, write_record
+from rpmelab.pathfile import DerivativePair, FormatError, RecordWriter, read_record
 from rpmelab.simulate import (
     SchemaError,
     SimConfig,
@@ -306,24 +307,26 @@ def test_ensemble_snapshots_use_the_single_path_grid():
     config = _readme_config()
     k = 7  # does not divide the unrounded step count
     chunks = []
+
+    @contextlib.contextmanager
+    def keep_frames(chunk):
+        c, y = (np.empty((k + 1, len(chunk.path_ids)) + config.grid.shape) for _ in "cy")
+
+        def frame(i, c_i, y_i):
+            c[i], y[i] = c_i, y_i
+
+        yield frame
+        chunks.append((chunk.path_ids, chunk.times, c, y, chunk.clamp_mass))
+
     ens = simulate_ensemble(
         config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
-        n_snapshots=k, on_chunk=chunks.append,
+        n_snapshots=k, on_frames=keep_frames,
     )
     c_init, _ = prepare_initial(config, c0_cosine, 1.0)
     assert config.plan(float(np.max(c_init))).n_steps % k != 0
     assert ens.n_steps % k == 0
-    assert [int(p) for c in chunks for p in c.path_ids] == [2, 3, 4, 5]
-    assert all(c.c is None and c.y is None for c in chunks)  # dropped after the callback
-    chunks = []
-
-    def keep_frames(chunk):
-        chunks.append((chunk.path_ids, chunk.times, chunk.c, chunk.y, chunk.clamp_mass))
-
-    simulate_ensemble(
-        config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
-        n_snapshots=k, on_chunk=keep_frames,
-    )
+    assert [int(p) for ids, *_ in chunks for p in ids] == [2, 3, 4, 5]
+    assert ens.c is None and ens.y is None  # the frames went to the hook alone
     for ids, times, c, y, clamp_mass in chunks:
         for j, pid in enumerate(ids):
             run = simulate_path(config, c0_cosine, 1.0, seed=5, path_id=int(pid), n_snapshots=k)
@@ -402,9 +405,11 @@ def test_pathfile_round_trip(tmp_path):
         DerivativePair(0.25, 1.0, rng.random(grid.shape), rng.random(grid.shape)),
         DerivativePair(0.5, 1.0, rng.random(grid.shape), rng.random(grid.shape)),
     )
-    rec = PathRecord(grid, seed=42, path_id=7, dt=1e-3, times=times, c=c, y=y, pairs=pairs)
     fn = tmp_path / "run.rpme1"
-    write_record(fn, rec)
+    with RecordWriter([fn], grid, 42, [7], 1e-3, len(times)) as out:
+        for frame in zip(times, c, y):
+            out.frame(*frame)
+        out.finish(pairs)
     back = read_record(fn)
     assert back.grid == grid
     assert back.seed == 42 and back.path_id == 7 and back.dt == 1e-3
@@ -418,12 +423,10 @@ def test_pathfile_round_trip(tmp_path):
 
 def test_pathfile_rejects_corruption(tmp_path):
     grid = build_grid(1, 4)
-    rec = PathRecord(
-        grid, 0, 0, 1e-3, np.array([0.0]), np.zeros((1,) + grid.shape),
-        np.zeros((1,) + grid.shape), ()
-    )
     fn = tmp_path / "run.rpme1"
-    write_record(fn, rec)
+    with RecordWriter([fn], grid, 0, [0], 1e-3, 1) as out:
+        out.frame(0.0, np.zeros(grid.shape), np.zeros(grid.shape))
+        out.finish()
     raw = bytearray(fn.read_bytes())
     bad_magic = tmp_path / "bad_magic.rpme1"
     bad_magic.write_bytes(b"XPME1" + bytes(raw[5:]))

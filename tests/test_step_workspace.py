@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -496,7 +497,7 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
                           np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
     if form == "lane":
         ring, advance = simulate._wave_c(config, part, n_steps - 2)
-        lane = simulate._lane(config, c0, y0, [dws.T], part, 0, None, ring, n_steps - 2)
+        lane = simulate._lane(config, c0, y0, [dws.T], part, 0, None, ring, n_steps - 2, None)
         for start, stop in ((0, 2), (2, n_steps)):
             with watch() if start else contextlib.nullcontext():
                 assert advance(start, stop) == (stop, None)
@@ -880,7 +881,7 @@ from rpmelab import simulate
 from rpmelab.grid import BoundaryKind, build_grid
 from rpmelab.model import make_coefficients, pme_beta
 grid = build_grid(1, 8)
-simulate._STATE_BYTES = 2 * simulate.path_bytes(grid, 0)
+simulate._STATE_BYTES = 2 * simulate.path_bytes(grid)
 config = simulate.SimConfig(grid, make_coefficients(pme_beta(2.0)), BoundaryKind.NEUMANN, t_final=0.01)
 simulate.simulate_ensemble(config, 1.0, 1.0, n_paths={paths}, n_workers={workers})
 print("concurrent.futures.thread" in sys.modules)
@@ -909,20 +910,33 @@ RESULT_FIELDS = (
 )
 
 
+def frame_hook(grid, chunks):
+    """An ``on_frames`` hook that checks each chunk's frames arrive in order,
+    frame 0 first, and gathers them into ``chunks`` as (path ids, c, y), the
+    frames shaped (frames, paths, *grid.shape), chunks in path order."""
+
+    @contextlib.contextmanager
+    def hook(part):
+        shape, taken = (len(part.path_ids),) + grid.shape, []
+        yield lambda k, c, y: taken.append((k, *(np.broadcast_to(a, shape).copy() for a in (c, y))))
+        assert [k for k, _, _ in taken] == list(range(len(part.times)))
+        chunks.append((part.path_ids.copy(), *(np.array([f[i] for f in taken]) for i in (1, 2))))
+        chunks.sort(key=lambda chunk: chunk[0][0])
+
+    return hook
+
+
 def every_caller(n_workers):
     """What each caller of ``simulate_ensemble`` returns on one small
-    problem, as named arrays, plus the chunk sizes of a streamed ensemble;
-    ``propagate_path`` is the caller that records a tangent at every step."""
+    problem, as named arrays, plus the chunk sizes of an ensemble whose
+    frames go to an ``on_frames`` hook; ``propagate_path`` is the caller
+    that records a tangent at every step."""
     # the source grows c at a rate set by each path's y, so the sups differ
     config = small_config(COEFFS["decaying"], t_final=0.02)
     kw = dict(n_paths=7, seed=11, n_workers=n_workers, n_snapshots=4)
-    chunks, frames = [], []
-
-    def keep(part):
-        chunks.append(len(part.path_ids))
-        frames.extend((part.c[:, j].copy(), part.y[:, j].copy()) for j in range(chunks[-1]))
-
-    streamed = simulate_ensemble(config, 0.2, 1.0, on_chunk=keep, **kw)
+    chunks = []
+    streamed = simulate_ensemble(config, 0.2, 1.0, on_frames=frame_hook(config.grid, chunks), **kw)
+    frames = [(c[:, j], y[:, j]) for ids, c, y in chunks for j in range(len(ids))]
     kept = simulate_ensemble(config, 0.2, 1.0, **kw)
     path = simulate_path(config, cosine, 1.0, seed=11, path_id=3, n_snapshots=4)
     refine = cauchy_refinement(
@@ -945,12 +959,12 @@ def every_caller(n_workers):
     out["oracle"] = np.array(oracle)
     out["tangent.steps"] = np.array([(s.step_index, s.t) for s in slices])
     out.update({f"tangent.{a}": np.array([getattr(s, a) for s in slices]) for a in ("z", "drc", "dry")})
-    return out, chunks
+    return out, [len(ids) for ids, _, _ in chunks]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chunking_never_changes_a_bit(monkeypatch, workers):
-    per_path = simulate.path_bytes(small_config().grid, 0)
+    per_path = simulate.path_bytes(small_config().grid)
     default = simulate._STATE_BYTES
     ref, ref_chunks = every_caller(1)
     assert ref_chunks == [7]
@@ -972,10 +986,33 @@ def test_chunking_never_changes_a_bit(monkeypatch, workers):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("coupling", ["readme", "decaying"])  # one-way: lanes of y behind a shared c
+def test_a_wave_frees_its_lanes_before_the_next_makes_its_own(monkeypatch, coupling):
+    # one-path chunks, one lane a wave: no lane workspace of a wave is alive
+    # as the next wave makes its lane, so the waves never hold two at once
+    made, alive, real = [], [], simulate._lane
+
+    class Tracked(simulate.StepBuffers):
+        def __init__(self, grid, lead=(), gates=False, half=None):
+            super().__init__(grid, lead, gates, half)
+            if half != "c":  # a lane's, not the shared c's
+                made.append(weakref.ref(self))
+
+    def lane(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "StepBuffers", Tracked)
+    monkeypatch.setattr(simulate, "_lane", lane)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 1)
+    simulate_ensemble(small_config(COEFFS[coupling]), cosine, 1.0, n_paths=3, seed=1, n_snapshots=2)
+    assert alive == [0, 0, 0] and len(made) == 3
+
+
 @pytest.mark.parametrize("reads_gates", [False, True])
 def test_on_step_sees_the_first_chunk_with_gates_only_when_it_reads_them(monkeypatch, reads_gates):
     config = small_config(COEFFS["decaying"], t_final=0.01)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate.path_bytes(config.grid, 0))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate.path_bytes(config.grid))
     seen = []
 
     class Recorder:
@@ -1225,7 +1262,7 @@ def test_an_abort_leaves_no_thread_running(monkeypatch, workers, row):
     grid = small_config().grid
     f = poisoned_source(np.nan, 5, [], grid, row)
     config = small_config(make_coefficients(pme_beta(2.0), f=f), t_final=0.02)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid, 0))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid))
     at = "5" if row is None else r"\d+"
     before = threading.active_count()
     with pytest.raises(NumericalAbort, match=rf"non-finite c at step {at} of \d+ \(path {3 + (row or 0)}\)$"):
@@ -1240,7 +1277,7 @@ def test_an_on_step_error_up_to_the_abort_step_is_raised_instead(monkeypatch, wo
     # have stepped to 5: an error of on_step at step 5 or before is raised instead
     grid = small_config().grid
     config = small_config(make_coefficients(pme_beta(2.0), f=poisoned_source(np.nan, 5, [], grid)), t_final=0.02)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid, 0))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid))
     seen = []
 
     def on_step(res, c, y, dw, work):
@@ -1277,7 +1314,7 @@ def test_the_first_failing_lane_in_path_order_is_raised_at_any_worker_count(monk
     # block of two steps: path 0's error is raised, as a lone lane raises it
     a = preset_coefficients("linear_a", {"sigma": 1.0})
     config = small_config(make_coefficients(pme_beta(2.0), f=spiking_source(3.0), a=a), t_final=0.02)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid))
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 2 * (8 * config.grid.n_nodes + simulate._SLOT_VIEWS))
     plan = config.plan(1.5)
     dt, n = plan.dt, plan.n_steps
@@ -1447,7 +1484,7 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
         inc = np.random.default_rng(seed).standard_normal((paths, n)) * (scale * np.sqrt(dt))
         kw.update(wiener=WienerPath(dt, inc))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
+        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid))
         ens = simulate_ensemble(config, bump, 1.0, **kw)
 
     for j in range(paths):
@@ -1482,7 +1519,7 @@ def test_one_way_ensembles_step_c_once_per_wave(monkeypatch, coupling, workers):
     monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
     coeffs = ONE_WAY["readme"] if coupling == "one-way" else TWO_WAY["decaying"]
     config = small_config(coeffs)
-    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid, 0))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid))
     ens = simulate_ensemble(config, cosine, 1.0, n_paths=5, seed=2, n_snapshots=2, n_workers=workers)
     n, waves = ens.n_steps, 3 // workers
     assert sorted(y_rows) == sorted([2, 2, 1] * n)
@@ -1584,7 +1621,7 @@ WAVE_TERMS = {
 @given(data=st.data())
 def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     # any worker count, chunk cap and block length of the shared c: the
-    # results, the frames in on_chunk order, what on_step sees of path 0 (its
+    # results, the frames handed to an on_frames hook, what on_step sees of path 0 (its
     # gates: both where the lane steps c, the y gate alone where it reads c
     # from the shared block) and the tangent along path 0
     draw = data.draw
@@ -1614,14 +1651,14 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
         kw.update(wiener=WienerPath(dt, inc))
     chunks = []
     if k and draw(st.booleans()):
-        kw["on_chunk"] = lambda part: chunks.append((part.path_ids.copy(), part.c.copy(), part.y.copy()))
+        kw["on_frames"] = frame_hook(grid, chunks)
     r = draw(st.integers(0, n - 1))
     # lanes read the block of c that the producer wrote: switch often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, 0))
+            mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid))
             mp.setattr(simulate, "_BLOCK_BYTES", block * (8 * grid.n_nodes + simulate._SLOT_VIEWS))
             ens = simulate_ensemble(config, bump, 1.0, **kw)
             _, [[tangent]] = propagate_path(config, bump, 1.0, WienerPath(dt, inc[0]), [r])
