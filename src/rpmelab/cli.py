@@ -5,11 +5,11 @@ with content digests).
 Exit codes: 0 all hard-bound reports passed, 1 at least one failed, 2 missing
 input file, 3 config schema violation (the offending key is named; every
 stepping subcommand first resolves its step plan and checks it, see
-``_preflight``), 4 numerical abort (a non-finite state, or a floating-point
-overflow while stepping), 5 unexpected internal error (the traceback is
-printed).  Outputs are staged in a scratch directory next to the target and
-renamed into place only on completion, so a failed run never leaves partial
-artifacts.
+``_preflight``), 4 numerical abort (a non-finite c or y, named with its step
+and path, or a value derived from them; or a floating-point overflow while
+stepping), 5 unexpected internal error (the traceback is printed).  Outputs
+are staged in a scratch directory next to the target and renamed into place
+only on completion, so a failed run never leaves partial artifacts.
 """
 from __future__ import annotations
 
@@ -405,12 +405,12 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
     return config, c0_fn, c_init, y_init, plan, frames
 
 
-def _require_finite(*arrays, signed: bool = True) -> None:
+def _require_finite(*arrays) -> None:
     # NaN propagates through the max and the min, +inf shows in the max and -inf in the min (so no
-    # boolean array is made); a primal y (the engine checks c) is clamped nonnegative: not ``signed``
+    # boolean array is made); the engine checks the primal c and y
     for arr in arrays:
         if arr.size and not (math.isfinite(np.maximum.reduce(arr, axis=None))
-                             and (not signed or math.isfinite(np.minimum.reduce(arr, axis=None)))):
+                             and math.isfinite(np.minimum.reduce(arr, axis=None))):
             raise NumericalAbort("non-finite state encountered")
 
 
@@ -446,17 +446,18 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     grid, tags = config.grid, [f"path_{pid:04d}" for pid in range(cfg.n_paths)]
 
     (staging / "paths").mkdir()
-    masses = np.empty((frames, cfg.n_paths))  # the interior v-mass of every frame
+    masses = np.empty((3, cfg.n_paths))  # interior v-masses of frame 0, the frame farthest from it, the last
     digests: dict[str, str] = {}
 
     @contextlib.contextmanager
     def records(part):  # a chunk's records, written as its lane takes each frame
         ids, names = part.path_ids, [f"paths/{tags[pid]}.rpme1" for pid in part.path_ids]
+        kept = masses[:, ids[0] : ids[0] + len(ids)]
         with RecordWriter([staging / name for name in names], grid, cfg.seed, ids, part.dt, frames) as out:
 
-            def frame(k, c, y):  # every frame's y is checked as it is written
-                _require_finite(y, signed=False)
-                masses[k, ids] = interior_v_mass(c, grid, config.coeffs)
+            def frame(k, c, y):
+                kept[2 if k else slice(None)] = interior_v_mass(c, grid, config.coeffs)
+                np.copyto(kept[1], kept[2], where=np.abs(kept[2] - kept[0]) > np.abs(kept[1] - kept[0]))
                 out.frame(part.times[k], c, y)
 
             yield frame
@@ -491,8 +492,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     energy = EnergySums(grid, coeffs, times)
     weak = WeakSums(grid, v, n) if n_free else None
 
-    def frame(k, c, y):  # every frame's y is checked before it is read
-        _require_finite(y, signed=False)
+    def frame(k, c, y):
         fr = Frame(grid, coeffs, c, y)
         masses[k] = grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1)  # interior_v_mass
         series[k] = y[center]
@@ -522,7 +522,6 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    _require_finite(ens.y_final, signed=False)
     reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
     y_term = ens.y_final[(slice(None),) + center]
     reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
@@ -542,24 +541,21 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     (staging / "paths").mkdir()
     path = staging / "paths" / "malliavin_path.rpme1"
     with RecordWriter([path], config.grid, cfg.seed, [0], dt, n + 1) as record:
-
-        def frame(k, c, y):  # every frame's y is checked as it is written
-            _require_finite(y, signed=False)
-            record.frame(k * dt, c, y)
-
-        frame(0, c_init, y_init)
+        record.frame(0.0, c_init, y_init)
         wiener = gen_wiener(n, dt, cfg.seed, 0)
-        run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps, on_frame=frame)
+        run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps,
+                                    on_frame=lambda k, c, y: record.frame(k * dt, c, y))
 
         # autonomous linear state derivative: the propagated value must
         # reproduce a(y(T)) = sigma * y(T) node for node
         closed = config.coeffs.a(run.y_final[0]) if cfg.a_name == "linear" and cfg.b_name == "zero" else None
 
+        # a dry that overflowed and was zeroed by a clamp: an earlier slice is not finite
+        _require_finite(*(a for slices in seeds for sl in slices for a in (sl.z, sl.dry)))
         reports: list[EstimateReport] = []
         pairs = []
         for r_index, stride, slices in zip(r_indices, strides, seeds):
             sl = slices[-1]
-            _require_finite(sl.z, sl.dry)
             pairs.append(DerivativePair(r_index * dt, sl.t, sl.drc, sl.dry))
             for rep in malliavin_report(slices, config.grid, r_index, stride):
                 reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
@@ -610,15 +606,8 @@ def _run_sweep_eps(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 def _run_transform_demo(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     family = _beta_family(cfg)
     phi = degeneracy_weight(family, cap=cfg.weight_cap)
-    big_phi, psi = build_transform_pair(
-        phi,
-        family,
-        cfg.k_max,
-        cfg.d_max,
-        n_k=cfg.table_n,
-        n_d=cfg.table_n,
-        quad_refine=cfg.quad_refine,
-    )
+    big_phi, psi = build_transform_pair(phi, family, cfg.k_max, cfg.d_max, n_k=cfg.table_n, n_d=cfg.table_n,
+                                        quad_refine=cfg.quad_refine)
     (staging / "transforms").mkdir()
     for name, table in (("big_phi", big_phi), ("psi", psi)):
         # the rows csv.writer writes: a float's repr needs no quoting
@@ -653,15 +642,8 @@ def _write_csv(path: Path, reports: list[EstimateReport]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["name", "measured", "bound", "passed", "detail"])
         for r in reports:
-            writer.writerow(
-                [
-                    r.name,
-                    repr(float(r.measured)),
-                    "" if r.bound is None else repr(float(r.bound)),
-                    "true" if r.passed else "false",
-                    json.dumps(r.detail, sort_keys=True, default=float),
-                ]
-            )
+            writer.writerow([r.name, repr(float(r.measured)), "" if r.bound is None else repr(float(r.bound)),
+                             "true" if r.passed else "false", json.dumps(r.detail, sort_keys=True, default=float)])
 
 
 def _digest_tree(staging: Path, hashed: dict[str, str] | None = None) -> dict[str, str]:

@@ -541,6 +541,12 @@ def prepare_initial(config: SimConfig, c0, y0) -> tuple[np.ndarray, np.ndarray]:
 # the stepping loop
 
 
+def _abort(name: str, n: int, part: EnsembleResult, sups) -> NumericalAbort:
+    """The abort at step n naming the first of ``part``'s paths whose sup of ``name`` in ``sups`` is not finite."""
+    return NumericalAbort(f"non-finite {name} at step {n} of {part.n_steps} "
+                          f"(path {part.path_ids[np.argmin(np.isfinite(sups))]})")
+
+
 def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
     """Adds step n's clamp mass and the sup and min of its new c, in slot ``dst``, to ``part`` (a
     lane's own c: see ``_wave_c``); raises ``NumericalAbort`` at a non-finite sup."""
@@ -550,8 +556,7 @@ def _track(part: EnsembleResult, n: int, dst: _CSlot) -> None:
     # the sup starts finite and never falls, so its max is finite
     # exactly when every entry is: NaN and +inf both propagate
     if not math.isfinite(np.maximum.reduce(part.c_sup)):
-        bad = int(part.path_ids[int(np.argmin(np.isfinite(part.c_sup)))])
-        raise NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {bad})")
+        raise _abort("c", n, part, part.c_sup)
 
 
 def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
@@ -574,7 +579,7 @@ def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
             mass, top = mass + dst.mass[0], np.maximum.reduce(dst.rows, axis=None)
             sup = sup if sup > top else top
             if not math.isfinite(top):
-                abort = NumericalAbort(f"non-finite c at step {n} of {part.n_steps} (path {part.path_ids[0]})")
+                abort = _abort("c", n, part, [top])
         first, last = (start + 1) % len(c), n % len(c) + 1
         for span in (c[first:last],) if first < last else (c[first:], c[:last]):
             new = np.minimum.reduce(span, axis=None)
@@ -592,7 +597,9 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     the terminal state goes to ``part`` and, given ``frame``, the state every
     ``stride`` steps to ``frame(k, c, y)`` as frame k, the initial one at
     once, c one row for every path when it is read from ``slots``; affine
-    alphas come ``block`` steps at a time.
+    alphas come ``block`` steps at a time.  A y entry that is not finite stays
+    so but under an alpha < 0, whose clamp turns alpha * inf into 0, so ``run``
+    raises ``NumericalAbort`` at a y not finite at ``stop`` or before such a step.
     Every operation and reduction is per path, so batching never changes a
     bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
     increments and workspace, with the gates of the halves stepped here if it ``reads_gates``."""
@@ -621,11 +628,17 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     if frame is not None:
         frame(0, c_init, y_init)
 
+    def finite(n: int) -> None:  # y >= 0, so its max is finite exactly when every entry is
+        if not math.isfinite(np.maximum.reduce(rows := work.y_rows[y is work.y[1]], axis=None)):
+            raise _abort("y", n, part, np.maximum.reduce(rows, axis=1))
+
     def run(start: int, stop: int) -> None:
         nonlocal c, y
         for n, (dw, dw_nodes, row, low) in zip(range(start + 1, stop + 1), dws):
             if row is not None:
                 np.copyto(alpha, row)
+                if not low >= 0.0:  # the clamp after a negative alpha turns alpha * inf into 0
+                    finite(n - 1)
             res = step(c, y, grid, coeffs, bc, dt, dw_nodes, work, ring[n % len(ring)], low)
             if on_step is not None:
                 on_step(res, c, y, dw, work)
@@ -634,6 +647,7 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
             c, y = res.c, res.y
             if frame is not None and n % stride == 0:
                 frame(n // stride, c, y)
+        finite(stop)
         if stop == part.n_steps:
             part.c_final[...], part.y_final[...] = c, y
 
@@ -699,7 +713,8 @@ def simulate_ensemble(
     ``n_snapshots`` steps, and path k is bitwise the one-path result of
     ``simulate_path(..., path_id=k)``.  Every run records the per-path sup
     and min of c and raises ``NumericalAbort`` at the first step where a
-    path's c is not finite.
+    path's c is not finite, and at a path's y that is not, checked where no
+    step can clamp it back (see ``_lane``).
 
     Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
     fits ``_STATE_BYTES``, then evened out, and the chunks in waves of

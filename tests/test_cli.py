@@ -625,33 +625,19 @@ def test_require_finite_refuses_nan_and_either_infinity(bad, shape):
             cli._require_finite(ok, arr)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("shape", [(1,), (3, 4)])
-def test_require_finite_refuses_nan_and_inf_at_any_node_of_a_nonnegative_frame(bad, shape):
-    # a primal frame is clamped nonnegative, so its max alone is read
-    frame = np.arange(float(np.prod(shape))).reshape(shape)
-    frame.flat[0] = -0.0
-    cli._require_finite(frame, np.empty(0), signed=False)
-    for i in range(frame.size):
-        arr = frame.copy()
-        arr.flat[i] = bad
-        with pytest.raises(cli.NumericalAbort):
-            cli._require_finite(frame, arr, signed=False)
-
-
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, monkeypatch, capsys, command):
     # sigma = 1e300 makes alpha = 1 + sigma dW - rho dt about +-1e297, so y
     # overflows within a few steps; on a lane of 8 paths of 34^2 nodes alpha y
-    # is an einsum, which raises no floating-point warning, and the check of
-    # every frame still ends the run
+    # is an einsum, which raises no floating-point warning, and the engine's
+    # check of y still ends the run
     einsum, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw))
     text = ("dim = 2\ncells = 32\nt_final = 0.002\nn_paths = 8\ninitial.y = 1.0\n"
             "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
     code, out = run_cli(command, tmp_path, text, command)
     assert code == 4 and calls
-    assert "non-finite state" in capsys.readouterr().err
+    assert re.search(r"non-finite y at step \d+ of \d+ \(path \d+\)", capsys.readouterr().err)
     assert not out.exists()
     assert list(tmp_path.glob(".*staging*")) == []
 
@@ -674,10 +660,45 @@ def test_a_blown_up_y_in_chunks_of_three_workers_exits_4_and_joins_every_writer(
     monkeypatch.setattr(pathfile.RecordWriter, "_room", lambda self: started.append(self._pool) or real(self))
     code, _ = run_cli("simulate", tmp_path, text, "blowup")
     assert code == 4
-    assert "non-finite state" in capsys.readouterr().err
+    assert re.search(r"non-finite y at step \d+ of \d+ \(path \d+\)", capsys.readouterr().err)
     assert any(pool is not None for pool in started)  # a writer thread was running
     assert [p.name for p in tmp_path.iterdir()] == ["blowup.cfg"]
     assert set(threading.enumerate()) == before
+
+
+def healed_y(extra):
+    """The README coefficients at sigma = 1e300 on 8 cells to t = 0.02, plus ``extra``."""
+    return README_COEFFICIENTS.replace("sigma = 0.3", "sigma = 1e300") + "cells = 8\nt_final = 0.02\n" + extra
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command,extra,path", [
+    ("simulate", "seed = 0\nn_paths = 1\nsnapshot_stride = 100000\n", 0),  # y heals between the two frames
+    ("verify", "seed = 2\nn_paths = 2\n", 1),  # on a path whose frames verify does not read
+    ("sweep-eps", "seed = 0\nn_paths = 2\n", 0),
+], ids=["simulate", "verify", "sweep-eps"])
+def test_a_y_that_overflows_and_is_clamped_back_exits_4_naming_its_step_and_path(tmp_path, capsys, command, extra,
+                                                                                 path):
+    # sigma = 1e300: y overflows to +inf, and a later step's negative alpha
+    # clamps alpha * inf = -inf back to 0, so the terminal state is finite;
+    # each of these runs exited 0 while y was checked at frames only
+    code, out = run_cli(command, tmp_path, healed_y(extra), command)
+    assert code == 4
+    assert re.search(rf"non-finite y at step \d+ of \d+ \(path {path}\)$", capsys.readouterr().err.strip())
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_dry_that_overflows_before_its_last_slice_exits_4(tmp_path, capsys):
+    # path 0's y stays finite, but its dry overflows and a clamp zeroes it,
+    # so only an earlier slice is not finite: every slice is checked before
+    # the report reads them (it exited 5 when only the last slice was)
+    code, out = run_cli("malliavin", tmp_path, healed_y("seed = 2\nn_paths = 2\n"), "malliavin")
+    assert code == 4
+    assert "numerical abort" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob(".*staging*")) == []
 
 
 def scipy_modules_after(probe):

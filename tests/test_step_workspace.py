@@ -5,6 +5,7 @@ the ensemble driver."""
 import contextlib
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1160,6 +1161,55 @@ def test_a_non_finite_c_ends_a_tangent_sweep_at_its_step():
     with pytest.raises(NumericalAbort, match=r"^non-finite c at step 3 of 40 \(path 0\)$"):
         propagate_path(config, cosine, 1.0, wiener, [0, 5])
     assert len(calls) == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["one-way", "two-way"]), st.sampled_from(["affine", "saturating"]), st.sampled_from([1, 3]),
+       st.sampled_from([np.nan, np.inf]), st.integers(0, 4), st.integers(0, 48), st.integers(1, 39), st.booleans())
+@example("one-way", "affine", 1, np.inf, 4, 24, 7, True)
+@example("two-way", "affine", 3, np.inf, 2, 0, 20, True)
+def test_a_non_finite_y_at_any_node_of_any_path_aborts_naming_that_path(way, form, workers, value, row, node, k, heal):
+    # a NaN or +inf planted at one node of one path's y after step k, in
+    # lanes of y alone (one-way) or of c and y (two-way), under the affine
+    # or the term-by-term y step, in chunks of 2, 2 and 1 paths on 1 or 3
+    # workers and blocks of 7 steps, ends the run naming that path; with
+    # ``heal`` the next step's alpha is negative, which clamps alpha * inf
+    # back to 0: the lane checks y before it, so the abort names step k
+    grid = small_config().grid
+    f = preset_coefficients("logistic_f", {"lambda": 0.5, "K": 5.0, "mu_y": 0.7 if way == "two-way" else 0.0})
+    a = preset_coefficients("linear_a" if form == "affine" else "saturating_a", {"sigma": 0.3})
+    coeffs = make_coefficients(pme_beta(2.0), f=f, a=a, b=preset_coefficients("coupling_b", {"kappa": 0.5, "rho": 0.4}))
+    config, first, bad = small_config(coeffs, t_final=0.02), 3, 3 + row
+    inc = np.random.default_rng(1).standard_normal((5, 40)) * 0.01
+    if heal:
+        inc[row, k] = -10.0  # step k + 1: alpha = 1 + 0.3 dW - 0.4 dt < 0
+    wiener = WienerPath(config.t_final / 40, inc)
+
+    @contextlib.contextmanager
+    def plant(part):
+        def frame(j, c, y):
+            if j == k and bad in part.path_ids:
+                y[list(part.path_ids).index(bad)].flat[node] = value
+
+        yield frame
+
+    kw = dict(wiener=wiener, first_path_id=first, n_workers=workers, n_snapshots=40)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(grid))
+        mp.setattr(simulate, "_BLOCK_BYTES", 7 * (8 * grid.n_nodes + simulate._SLOT_VIEWS))
+        assert np.all(np.isfinite(simulate_ensemble(config, cosine, 1.0, **kw).y_final))
+        with pytest.raises(NumericalAbort) as abort:
+            simulate_ensemble(config, cosine, 1.0, on_frames=plant, **kw)
+    name, n, path = re.fullmatch(r"non-finite (c|y) at step (\d+) of 40 \(path (\d+)\)", str(abort.value)).groups()
+    end = min(40, -(-k // 7) * 7)  # the end of the block of step k
+    assert int(path) == bad
+    if heal and form == "affine":
+        assert (name, int(n)) == ("y", k)
+    elif way == "one-way":  # y persists non-finite, and c does not read it
+        assert (name, int(n)) == ("y", end)
+    else:  # or f carries a NaN into c, which aborts at its own step
+        assert k <= int(n) <= end
 
 
 def per_step_track(part, n, dst):
