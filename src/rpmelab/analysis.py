@@ -365,7 +365,10 @@ def cauchy_refinement(
     Each level is ``config`` on a grid of the given cells per axis.  Every
     level steps with a power-of-two multiple of the finest step, which the
     finest level resolves, so all levels see the same Brownian path at their
-    own resolution and share the snapshot times.
+    own resolution and share the snapshot times.  Every level's frames are
+    held until the distances are taken: y of every path, and c of every path
+    or, when the paths share their c, one row a frame (see
+    ``simulate_ensemble``).
     """
     grids = [build_grid(config.grid.dim, m) for m in levels]
     configs = [replace(config, grid=g) for g in grids]

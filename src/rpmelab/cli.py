@@ -7,9 +7,10 @@ input file, 3 config schema violation (the offending key is named; every
 stepping subcommand first resolves its step plan and checks it, see
 ``_preflight``), 4 numerical abort (a non-finite c or y, named with its step
 and path, or a value derived from them; or a floating-point overflow while
-stepping), 5 unexpected internal error (the traceback is printed).  Outputs
-are staged in a scratch directory next to the target and renamed into place
-only on completion, so a failed run never leaves partial artifacts.
+stepping, also as the ``RuntimeWarning`` raised under ``-W error``), 5
+unexpected internal error (the traceback is printed).  Outputs are staged in
+a scratch directory next to the target and renamed into place only on
+completion, so a failed run never leaves partial artifacts.
 """
 from __future__ import annotations
 
@@ -698,7 +699,7 @@ def run_command(command: str, cfg: RunConfig) -> int:
         shutil.rmtree(staging)
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalAbort, OverflowError) as exc:
+    except (NumericalAbort, OverflowError, RuntimeWarning) as exc:  # the last under -W error::RuntimeWarning
         shutil.rmtree(staging)
         print(f"error: numerical abort: {exc}", file=sys.stderr)
         return 4

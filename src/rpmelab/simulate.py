@@ -331,8 +331,8 @@ def path_bytes(grid: GridSpec) -> int:
     """Bytes a chunk is charged per path: the eight state-sized arrays of a
     lane that steps c and y (see ``StepBuffers``; a one-way lane holds four,
     but at four ensemble-2d's chunks would double and its peak RSS grow by
-    about 10%).  Stored frames go to the chunk's frame hook as they are
-    taken, so they are not charged."""
+    about 8%, measured).  Stored frames go to the chunk's frame hook as they
+    are taken, so they are not charged."""
     return 8 * 8 * grid.n_nodes
 
 
@@ -474,7 +474,9 @@ class EnsembleResult:
     ``c_sup`` and ``c_min`` are the sup and min of c over every step.  With
     snapshots, ``times`` holds the stored times and ``c`` and ``y`` the
     frames, shaped (frames, paths, *grid.shape); the frames stay None when
-    they went to an ``on_frames`` hook instead.
+    they went to an ``on_frames`` hook instead.  When every path shares its
+    c (a source that ignores y), ``c_final`` and ``c`` are read-only views of
+    one row, with stride 0 along the path axis.
     """
 
     grid: GridSpec
@@ -491,7 +493,8 @@ class EnsembleResult:
     y: np.ndarray | None = None
 
     def _paths(self, rows: slice) -> EnsembleResult:
-        """View of the paths in ``rows``; writing into it fills this result."""
+        """View of the paths in ``rows``; writing into its writable arrays
+        fills this result (the views of a shared c are read-only)."""
 
         def cut(frames):
             return None if frames is None else frames[:, rows]
@@ -594,12 +597,14 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     """``run(start, stop)``: steps start + 1 to stop of the paths of ``part``
     under the (paths, steps) blocks of increments of ``noise``, in one
     workspace of c and y (c ``_track``ed here) or of y, c read from ``slots``;
-    the terminal state goes to ``part`` and, given ``frame``, the state every
-    ``stride`` steps to ``frame(k, c, y)`` as frame k, the initial one at
-    once, c one row for every path when it is read from ``slots``; affine
-    alphas come ``block`` steps at a time.  A y entry that is not finite stays
-    so but under an alpha < 0, whose clamp turns alpha * inf into 0, so ``run``
-    raises ``NumericalAbort`` at a y not finite at ``stop`` or before such a step.
+    the terminal state goes to ``part``, c where ``part`` holds it writable
+    (a shared c's row: only in the first chunk), and, given ``frame``, the
+    state every ``stride`` steps to ``frame(k, c, y)`` as frame k, the
+    initial one at once, c one row for every path when it is read from
+    ``slots``; affine alphas come ``block`` steps at a time.  A y entry that
+    is not finite stays so but under an alpha < 0, whose clamp turns
+    alpha * inf into 0, so ``run`` raises ``NumericalAbort`` at a y not
+    finite at ``stop`` or before such a step.
     Every operation and reduction is per path, so batching never changes a
     bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
     increments and workspace, with the gates of the halves stepped here if it ``reads_gates``."""
@@ -649,7 +654,9 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
                 frame(n // stride, c, y)
         finite(stop)
         if stop == part.n_steps:
-            part.c_final[...], part.y_final[...] = c, y
+            part.y_final[...] = y
+            if part.c_final.flags.writeable:  # a shared c: only the chunk that holds its row
+                part.c_final[...] = c
 
     return run
 
@@ -682,10 +689,13 @@ def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
 
 
 def _kept(part: EnsembleResult):
-    """The default frame hook: frame k into ``part``'s paths of the result's frame stacks."""
+    """The default frame hook: frame k into ``part``'s paths of the result's
+    frame stacks; the frames of a shared c only in the chunk that holds its row."""
 
     def frame(k: int, c, y) -> None:
-        part.c[k], part.y[k] = c, y
+        part.y[k] = y
+        if part.c.flags.writeable:
+            part.c[k] = c
 
     return contextlib.nullcontext(frame)
 
@@ -727,8 +737,12 @@ def simulate_ensemble(
     it, to ``frame(k, c, y)`` of the context manager ``on_frames(part)``,
     ``part`` the chunk's paths of the result (c one row for all when the wave
     shares its c), entered as the wave starts and left as it ends or fails;
-    by default into the result's frame stacks.  ``on_step`` sees each step
-    of the first path's chunk, on this thread, that path in row 0.
+    by default into the result's frame stacks.  A c that every path shares
+    is held once: ``c_final`` and the kept ``c`` are read-only views of one
+    row, which only the first chunk's ``part`` holds writable, so its lane,
+    on this thread, writes each frame and the terminal c once.  ``on_step``
+    sees each step of the first path's chunk, on this thread, that path in
+    row 0.
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
@@ -750,26 +764,30 @@ def simulate_ensemble(
     n_chunks = -(-n_paths // max(1, min(_CHUNK, _STATE_BYTES // path_bytes(grid))))
     chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
     stride = n_steps // n_snapshots if n_snapshots else 0
-    shape = (n_paths,) + grid.shape
-    stacks = [np.empty((n_snapshots + 1,) + shape) if n_snapshots and on_frames is _kept else None for _ in "cy"]
+    shape, shared = (n_paths,) + grid.shape, not config.coeffs.source.reads_y
+    # c and y, frames first when kept, the last kept frame the terminal state; a shared c is one row
+    frames, last = ((n_snapshots + 1,), -1) if n_snapshots and on_frames is _kept else ((), Ellipsis)
+    c_rows = np.empty(frames + (1 if shared else n_paths,) + grid.shape)
+    c_held, y_held = np.broadcast_to(c_rows, frames + shape) if shared else c_rows, np.empty(frames + shape)
     result = EnsembleResult(
         grid=grid,
         dt=dt,
         n_steps=n_steps,
         path_ids=np.arange(first_path_id, first_path_id + n_paths, dtype=np.int64),
-        # the last kept frame is the terminal state
-        c_final=np.empty(shape) if stacks[0] is None else stacks[0][-1],
-        y_final=np.empty(shape) if stacks[1] is None else stacks[1][-1],
+        c_final=c_held[last],
+        y_final=y_held[last],
         c_sup=np.full(n_paths, np.max(c_init)),
         c_min=np.full(n_paths, np.min(c_init)),
         clamp_mass=np.zeros(n_paths),
         times=np.arange(0, n_steps + 1, stride) * dt if n_snapshots else None,
-        c=stacks[0],
-        y=stacks[1],
+        c=c_held if frames else None,
+        y=y_held if frames else None,
     )
 
     def lane(rows, slots, hooks):
         part = result._paths(rows)
+        if shared and rows.start == 0:  # the first chunk, on this thread, writes the row of c
+            part = replace(part, c_final=c_rows[last], c=c_rows if frames else None)
         frame = hooks.enter_context(on_frames(part)) if n_snapshots else None
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if wiener is None else [inc[rows]]
         first = on_step if rows.start == 0 else None
@@ -781,7 +799,7 @@ def simulate_ensemble(
     with pool or contextlib.nullcontext():  # a thread pool only for waves of several lanes
         for wave in (chunks[i : i + width] for i in range(0, len(chunks), width)):
             slots, advance = None, lambda start, stop: (stop, None)  # c stepped in every lane
-            if not config.coeffs.source.reads_y:
+            if shared:
                 slots, advance = _wave_c(config, result._paths(slice(wave[0].start, wave[-1].stop)), block)
             # the lanes, their workspaces and frame hooks, are freed as the wave returns; every hook
             # of the wave is left first, as the wave ends or with its error

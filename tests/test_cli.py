@@ -539,6 +539,28 @@ def test_a_blown_up_c_exits_4_naming_its_step_and_path(tmp_path, capsys, command
     assert list(tmp_path.glob(".*staging*")) == []
 
 
+def test_an_overflow_raised_under_warnings_as_errors_exits_4_and_writes_nothing(tmp_path):
+    # under -W error::RuntimeWarning numpy's "overflow encountered" is an
+    # exception that stops the step before the engine's check: c of the README
+    # example at dt = 0.005 (see above), y of the README example at
+    # sigma = 1e300; it is a numerical abort, not an internal failure
+    readme = "cells = 32\nt_final = 0.1\nseed = 7\n" + README_COEFFICIENTS
+    configs = {"c": readme + "dt = 0.005\nn_paths = 4\n",
+               "y": readme.replace("sigma = 0.3", "sigma = 1e300") + "n_paths = 100\nworkers = 4\n"}
+    runs = [(write(tmp_path, text, f"{name}.cfg"), command, str(tmp_path / f"{name}-{command}"))
+            for name, text in configs.items()
+            for command in ("simulate", "verify", "malliavin", "converge", "sweep-eps")]
+    script = ("import sys\nfrom rpmelab.cli import main\n"
+              f"for cfg, command, out in {runs!r}:\n    print(main([command, cfg, '--out', out]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4"] * len(runs), proc.stderr
+    assert proc.stderr.count("error: numerical abort: overflow encountered") == len(runs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "y.cfg"]
+
+
 def test_growth_bound_overflow_exits_3_naming_t_final(tmp_path, capsys):
     # a radius that overflows is a config outcome, refused before any step,
     # not a state that blew up (exit 4)

@@ -1555,6 +1555,62 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
         assert same_bits(ens.c_final[j], path.c_final[0])
         assert same_bits(ens.y_final[j], path.y_final[0])
         assert same_bits(ens.clamp_mass[j], path.clamp_mass[0])
+    assert_c_rows(ens, coupling == "one-way")
+
+
+def assert_c_rows(ens, shared):
+    """A shared c is one row that every path sees through read-only views,
+    stride 0 along the path axis; otherwise each path has a writable row of
+    c, as of y."""
+    for held, axis in ((ens.c_final, 0), (ens.c, 1)):
+        if held is not None:
+            assert held.flags.writeable != shared and (held.strides[axis] == 0) == shared
+    for held in (ens.y_final, ens.y):
+        assert held is None or held.flags.writeable and all(held.strides)
+
+
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+def test_refinement_levels_and_sweep_finals_hold_a_shared_c_once(monkeypatch, coupling):
+    # every ensemble that cauchy_refinement and epsilon_sweep run, under their
+    # explicit increments: a shared c is one row, each path's row bitwise the
+    # one-path result
+    from rpmelab import analysis
+
+    runs, real = [], analysis.simulate_ensemble
+    monkeypatch.setattr(analysis, "simulate_ensemble",
+                        lambda *args, **kw: runs.append((args, kw, real(*args, **kw))) or runs[-1][2])
+    config = small_config(COEFFS["readme"] if coupling == "one-way" else COEFFS["decaying"], t_final=0.01)
+    refine = cauchy_refinement(config, cosine, 1.0, levels=(4, 6), n_paths=3, seed=5, n_snapshots=2, n_workers=2)
+    sweep = epsilon_sweep(config, (0.1, 0.01), cosine, 1.0, n_paths=3, seed=5)
+    assert len(runs) == 4 and refine.c_distances[0] > 0.0 and sweep.c_distances[0] > 0.0
+    for (cf, c0, y0), kw, ens in runs:
+        assert_c_rows(ens, coupling == "one-way")
+        wiener = kw["wiener"]
+        for j in range(3):
+            path = simulate_path(cf, c0, y0, wiener=WienerPath(wiener.dt, wiener.increments[j]),
+                                 n_snapshots=kw.get("n_snapshots"))
+            assert same_bits(ens.c_final[j], path.c_final[0]) and same_bits(ens.y_final[j], path.y_final[0])
+            if ens.c is not None:
+                assert same_bits(ens.c[:, j], path.c[:, 0]) and same_bits(ens.y[:, j], path.y[:, 0])
+
+
+def test_kept_frames_of_a_shared_c_do_not_grow_with_the_paths():
+    # 41 kept frames of 8^2 nodes: 8 more paths add their y frames (the last
+    # of them y_final) and their step state, but no frame of c
+    config = small_config(COEFFS["readme"], t_final=0.01)
+    frames, peaks = 41, []
+    simulate_ensemble(config, cosine, 1.0, n_paths=16, seed=3, n_snapshots=frames - 1)  # first-call caches
+    for paths in (8, 16):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = simulate_ensemble(config, cosine, 1.0, n_paths=paths, seed=3, n_snapshots=frames - 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert_c_rows(ens, True)
+    y_frames = 8 * frames * config.grid.n_nodes * 8
+    assert y_frames <= peaks[1] - peaks[0] < y_frames * 3 // 2
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1562,11 +1618,13 @@ def test_ensemble_is_bitwise_its_single_paths(coupling, data):
 def test_one_way_ensembles_step_c_once_per_wave(monkeypatch, coupling, workers):
     # five paths in chunks of 2, 2 and 1: one wave of three lanes at workers
     # 3, three waves of one lane at workers 1; y is stepped once per path and
-    # step, a shared c once per wave and step, a per-path c once per path
-    c_rows, y_rows = [], []
-    c_half, y_half = simulate._c_half, simulate._y_half
+    # step, a shared c once per wave and step, a per-path c once per path;
+    # only the first chunk holds the one row of a shared c writable
+    c_rows, y_rows, parts = [], [], []
+    c_half, y_half, lane = simulate._c_half, simulate._y_half, simulate._lane
     monkeypatch.setattr(simulate, "_c_half", lambda src, *a: c_rows.append(len(src[0])) or c_half(src, *a))
     monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
+    monkeypatch.setattr(simulate, "_lane", lambda *a: parts.append(a[4]) or lane(*a))
     coeffs = ONE_WAY["readme"] if coupling == "one-way" else TWO_WAY["decaying"]
     config = small_config(coeffs)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid))
@@ -1575,6 +1633,9 @@ def test_one_way_ensembles_step_c_once_per_wave(monkeypatch, coupling, workers):
     assert sorted(y_rows) == sorted([2, 2, 1] * n)
     assert sorted(c_rows) == sorted([1] * waves * n if coupling == "one-way" else [2, 2, 1] * n)
     assert ens.c.shape[1] == 5 and np.all(np.isfinite(ens.c))
+    writers = [list(p.path_ids) for p in parts if p.c_final.flags.writeable and p.c.flags.writeable]
+    assert writers == ([[0, 1]] if coupling == "one-way" else [[0, 1], [2, 3], [4]])
+    assert_c_rows(ens, coupling == "one-way")
 
 
 @settings(max_examples=40, deadline=None)
