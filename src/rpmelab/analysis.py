@@ -315,7 +315,9 @@ def pc_cross_inner(u: Field, w: Field) -> float:
 def _batched_pc_norm_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     meas = cell_measures(grid)
     lead = values.shape[: values.ndim - grid.dim]
-    return (values**2 * meas).reshape(lead + (-1,)).sum(axis=-1)
+    sq = values**2  # a new array even of a broadcast view, so scaled in place
+    sq *= meas
+    return sq.reshape(lead + (-1,)).sum(axis=-1)
 
 
 def _batched_cross(values_a: np.ndarray, grid_a: GridSpec, values_b: np.ndarray,

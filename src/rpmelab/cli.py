@@ -15,7 +15,6 @@ completion, so a failed run never leaves partial artifacts.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import itertools
@@ -450,20 +449,20 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     masses = np.empty((3, cfg.n_paths))  # interior v-masses of frame 0, the frame farthest from it, the last
     digests: dict[str, str] = {}
 
-    @contextlib.contextmanager
     def records(part):  # a chunk's records, written as its lane takes each frame
         ids, names = part.path_ids, [f"paths/{tags[pid]}.rpme1" for pid in part.path_ids]
         kept = masses[:, ids[0] : ids[0] + len(ids)]
-        with RecordWriter([staging / name for name in names], grid, cfg.seed, ids, part.dt, frames) as out:
+        out = RecordWriter([staging / name for name in names], grid, cfg.seed, ids, part.dt, frames)
 
-            def frame(k, c, y):
-                kept[2 if k else slice(None)] = interior_v_mass(c, grid, config.coeffs)
-                np.copyto(kept[1], kept[2], where=np.abs(kept[2] - kept[0]) > np.abs(kept[1] - kept[0]))
-                out.frame(part.times[k], c, y)
+        def frame(k, c, y):
+            kept[2 if k else slice(None)] = interior_v_mass(c, grid, config.coeffs)
+            np.copyto(kept[1], kept[2], where=np.abs(kept[2] - kept[0]) > np.abs(kept[1] - kept[0]))
+            out.frame(part.times[k], c, y)
+            if k == frames - 1:
+                out.finish()
+                digests.update(zip(names, out.digests))
 
-            yield frame
-            out.finish()
-        digests.update(zip(names, out.digests))
+        return frame
 
     ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
                             n_snapshots=frames - 1, on_frames=records)
@@ -541,29 +540,29 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
     (staging / "paths").mkdir()
     path = staging / "paths" / "malliavin_path.rpme1"
-    with RecordWriter([path], config.grid, cfg.seed, [0], dt, n + 1) as record:
-        record.frame(0.0, c_init, y_init)
-        wiener = gen_wiener(n, dt, cfg.seed, 0)
-        run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps,
-                                    on_frame=lambda k, c, y: record.frame(k * dt, c, y))
+    record = RecordWriter([path], config.grid, cfg.seed, [0], dt, n + 1)
+    record.frame(0.0, c_init, y_init)
+    wiener = gen_wiener(n, dt, cfg.seed, 0)
+    run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps,
+                                on_frame=lambda k, c, y: record.frame(k * dt, c, y))
 
-        # autonomous linear state derivative: the propagated value must
-        # reproduce a(y(T)) = sigma * y(T) node for node
-        closed = config.coeffs.a(run.y_final[0]) if cfg.a_name == "linear" and cfg.b_name == "zero" else None
+    # autonomous linear state derivative: the propagated value must
+    # reproduce a(y(T)) = sigma * y(T) node for node
+    closed = config.coeffs.a(run.y_final[0]) if cfg.a_name == "linear" and cfg.b_name == "zero" else None
 
-        # a dry that overflowed and was zeroed by a clamp: an earlier slice is not finite
-        _require_finite(*(a for slices in seeds for sl in slices for a in (sl.z, sl.dry)))
-        reports: list[EstimateReport] = []
-        pairs = []
-        for r_index, stride, slices in zip(r_indices, strides, seeds):
-            sl = slices[-1]
-            pairs.append(DerivativePair(r_index * dt, sl.t, sl.drc, sl.dry))
-            for rep in malliavin_report(slices, config.grid, r_index, stride):
-                reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
-            if closed is not None:
-                rel = float(np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300))
-                reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
-        record.finish(pairs)
+    # a dry that overflowed and was zeroed by a clamp: an earlier slice is not finite
+    _require_finite(*(a for slices in seeds for sl in slices for a in (sl.z, sl.dry)))
+    reports: list[EstimateReport] = []
+    pairs = []
+    for r_index, stride, slices in zip(r_indices, strides, seeds):
+        sl = slices[-1]
+        pairs.append(DerivativePair(r_index * dt, sl.t, sl.drc, sl.dry))
+        for rep in malliavin_report(slices, config.grid, r_index, stride):
+            reports.append(replace(rep, name=f"r{r_index}_{rep.name}"))
+        if closed is not None:
+            rel = float(np.max(np.abs(sl.dry - closed)) / max(np.max(np.abs(closed)), 1e-300))
+            reports.append(EstimateReport(f"r{r_index}_closed_form_rel_error", rel, 5e-2))
+    record.finish(pairs)
     digests = {"paths/malliavin_path.rpme1": record.digests[0]}
     return {"malliavin": reports}, {"dt": dt, "r2_bound": None, "digests": digests}
 

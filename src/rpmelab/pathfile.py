@@ -23,7 +23,6 @@ and refuse anything inconsistent.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -37,9 +36,7 @@ MAGIC = b"RPME1"
 _HEAD = struct.Struct("<III QQ d")
 MAX_FRAMES = 2**32 - 1  # the most frames a record holds: its header counts them in a u32
 # bytes of frames gathered before a write reaches the file, so a record of
-# many small frames goes out in large blocks; each table a record hands to
-# its writer thread costs the caller about 0.1 ms of waiting for the GIL
-# (2D 32^2 malliavin on a 2-vCPU host: 6 ms a run at 256 KiB, 2 ms at 1 MiB)
+# many small frames goes out in large blocks: few opens and writes a record
 _WRITE_BUFFER = 2**20
 
 
@@ -83,14 +80,12 @@ class RecordWriter:
     every record, then ``finish`` with each record's derivative pairs;
     ``digests`` are then the SHA-256 of each record's bytes.  Frames gather
     as rows of the tables that ``read_record`` reads, a table a record, in
-    one array of ``_WRITE_BUFFER`` bytes (at least a row a record).  Records
-    of one such array are written by ``finish``; in longer ones each full
-    array goes to a writer thread, started at the first, which appends each
-    record's rows to its file (the first write makes it, header first) and
-    hashes them while the caller fills a second array: memory stays that of
-    two arrays, and one record file is open at a time.  The thread is joined
-    by ``finish`` or on leaving the ``with`` block; an error it raised
-    surfaces there, or at the next full array."""
+    one array of ``_WRITE_BUFFER`` bytes (at least a row a record).  A frame
+    that finds the array full, and ``finish``, first append each record's
+    rows to its file (the first write makes it, header first) and hash
+    them, on the caller's thread: memory stays that of one array, one
+    record file is open at a time, and a write error is raised by the call
+    that made the write."""
 
     def __init__(self, paths, grid: GridSpec, seed: int, path_ids, dt: float, n_snapshots: int):
         self._paths, self._grid, self._left, self._held = list(paths), grid, n_snapshots, 0
@@ -98,20 +93,10 @@ class RecordWriter:
         self._shapes = {(len(self._paths),) + grid.shape, (1,) + grid.shape, grid.shape}
         frame = _fields(grid, "t", "c", "y")
         rows = min(n_snapshots, max(1, _WRITE_BUFFER // (frame.itemsize * len(self._paths))))
-        self._tables = [np.empty((len(self._paths), rows), frame)]
-        self._shas, self._pool, self._flight = [hashlib.sha256() for _ in self._paths], None, None
+        self._table = np.empty((len(self._paths), rows), frame)
+        self._shas = [hashlib.sha256() for _ in self._paths]
         self._heads = [MAGIC + _HEAD.pack(grid.dim, grid.cells_per_axis, n_snapshots, seed, int(pid), dt)
                        for pid in path_ids]
-
-    def __enter__(self) -> RecordWriter:
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        try:
-            self._join()
-        except Exception:
-            if exc_type is None:  # else the error that left the block is the one raised
-                raise
 
     @property
     def digests(self) -> list[str]:
@@ -127,36 +112,16 @@ class RecordWriter:
                     fh.write(block)
                     sha.update(block)
 
-    def _join(self) -> None:
-        """Waits for the array in flight and joins the writer thread; raises its error."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            with pool:
-                self._flight.result()
-
-    def _room(self) -> np.ndarray:
-        """The array to fill, with room for a row a record: a full one goes
-        to the writer thread (started here for the first) once the one
-        before it is written, and the other array is filled."""
-        if self._held < self._tables[0].shape[1]:
-            return self._tables[0]
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(1)
-            self._tables.append(np.empty_like(self._tables[0]))
-        else:
-            self._flight.result()
-        self._flight = self._pool.submit(self._write, self._tables[0])
-        self._tables.reverse()
-        self._held = 0
-        return self._tables[0]
-
     def frame(self, t: float, c: np.ndarray, y: np.ndarray) -> None:
         """The next frame of every record, into its row: c and y in any layout, a record each or one for all."""
         if not self._left:
             raise ValueError("more snapshots than the header announced")
         if c.shape not in self._shapes or y.shape not in self._shapes:
             raise ValueError("arrays do not match the grid")
-        table = self._room()
+        table = self._table
+        if self._held == table.shape[1]:
+            self._write(table)
+            self._held = 0
         table["t"][:, self._held], table["c"][:, self._held], table["y"][:, self._held] = t, c, y
         self._held, self._left = self._held + 1, self._left - 1
 
@@ -164,7 +129,6 @@ class RecordWriter:
         """Ends the records: the last frames, then the derivative pairs ``pairs[i]`` of record i (default none)."""
         if self._left:
             raise ValueError(f"{self._left} announced snapshots were not written")
-        self._join()
         row, tails = np.empty(1, _fields(self._grid, "r", "t", "drc", "dry")), []
         for own in pairs or [()] * len(self._paths):
             tails.append(struct.pack("<I", len(own)))
@@ -173,7 +137,7 @@ class RecordWriter:
                     raise ValueError("arrays do not match the grid")
                 row["r"], row["t"], row["drc"], row["dry"] = p.r, p.t, p.drc, p.dry
                 tails[-1] += row.tobytes()
-        self._write(self._tables[0][:, : self._held], tails)
+        self._write(self._table[:, : self._held], tails)
         self._held = 0
 
 

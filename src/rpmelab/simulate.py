@@ -689,15 +689,16 @@ def _run_wave(runs: list, advance, n_steps: int, block: int, pool) -> None:
 
 
 def _kept(part: EnsembleResult):
-    """The default frame hook: frame k into ``part``'s paths of the result's
-    frame stacks; the frames of a shared c only in the chunk that holds its row."""
+    """The default ``on_frames``: a ``frame(k, c, y)`` that writes frame k into
+    ``part``'s paths of the result's frame stacks; the frames of a shared c
+    only in the chunk that holds its row."""
 
     def frame(k: int, c, y) -> None:
         part.y[k] = y
         if part.c.flags.writeable:
             part.c[k] = c
 
-    return contextlib.nullcontext(frame)
+    return frame
 
 
 def simulate_ensemble(
@@ -734,13 +735,13 @@ def simulate_ensemble(
     only y.  Results are bitwise independent of the chunking and the worker
     count.  With ``n_snapshots`` each lane hands every one of the
     ``n_snapshots + 1`` uniformly spaced frames of its chunk, as it takes
-    it, to ``frame(k, c, y)`` of the context manager ``on_frames(part)``,
-    ``part`` the chunk's paths of the result (c one row for all when the wave
-    shares its c), entered as the wave starts and left as it ends or fails;
-    by default into the result's frame stacks.  A c that every path shares
-    is held once: ``c_final`` and the kept ``c`` are read-only views of one
-    row, which only the first chunk's ``part`` holds writable, so its lane,
-    on this thread, writes each frame and the terminal c once.  ``on_step``
+    it, to the function ``frame(k, c, y)`` that ``on_frames(part)`` returns
+    as the wave starts, ``part`` the chunk's paths of the result (c one row
+    for all when the wave shares its c), on the lane's thread; by default
+    into the result's frame stacks.  A c that every path shares is held
+    once: ``c_final`` and the kept ``c`` are read-only views of one row,
+    which only the first chunk's ``part`` holds writable, so its lane, on
+    this thread, writes each frame and the terminal c once.  ``on_step``
     sees each step of the first path's chunk, on this thread, that path in
     row 0.
     """
@@ -784,11 +785,11 @@ def simulate_ensemble(
         y=y_held if frames else None,
     )
 
-    def lane(rows, slots, hooks):
+    def lane(rows, slots):
         part = result._paths(rows)
         if shared and rows.start == 0:  # the first chunk, on this thread, writes the row of c
             part = replace(part, c_final=c_rows[last], c=c_rows if frames else None)
-        frame = hooks.enter_context(on_frames(part)) if n_snapshots else None
+        frame = on_frames(part) if n_snapshots else None
         noise = _philox_blocks(seed, part.path_ids, dt, n_steps, _NOISE_BLOCK) if wiener is None else [inc[rows]]
         first = on_step if rows.start == 0 else None
         return _lane(config, c_init, y_init, noise, part, stride, first, slots, block, frame)
@@ -801,10 +802,8 @@ def simulate_ensemble(
             slots, advance = None, lambda start, stop: (stop, None)  # c stepped in every lane
             if shared:
                 slots, advance = _wave_c(config, result._paths(slice(wave[0].start, wave[-1].stop)), block)
-            # the lanes, their workspaces and frame hooks, are freed as the wave returns; every hook
-            # of the wave is left first, as the wave ends or with its error
-            with contextlib.ExitStack() as hooks:
-                _run_wave([lane(rows, slots, hooks) for rows in wave], advance, n_steps, block, pool)
+            # the lanes, their workspaces and frame hooks, are freed as the wave returns
+            _run_wave([lane(rows, slots) for rows in wave], advance, n_steps, block, pool)
     return result
 
 

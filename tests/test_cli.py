@@ -590,20 +590,18 @@ def test_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "malliavin"])
 @pytest.mark.parametrize("fails_at", [0, 2])
-def test_a_write_error_on_the_writer_thread_exits_5_and_leaves_no_staging(
-    tmp_path, monkeypatch, capsys, command, fails_at
-):
+def test_a_record_write_error_exits_5_and_leaves_no_staging(tmp_path, monkeypatch, capsys, command, fails_at):
     from rpmelab import pathfile
 
-    # tables of two frames: every record goes out in many, on a writer thread
+    # tables of two frames: every record goes out in many writes, and the
+    # write counted fails_at (from 0) fails, on whichever thread makes it
     monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 2 * (8 + 16 * 10))
-    caller, calls, write = threading.current_thread(), [], pathfile.RecordWriter._write
+    calls, write = [], pathfile.RecordWriter._write
 
     def failing(self, *blocks):
-        if threading.current_thread() is not caller:
-            calls.append(len(blocks))
-            if len(calls) > fails_at:
-                raise OSError("disk full")
+        calls.append(len(blocks))
+        if len(calls) > fails_at:
+            raise OSError("disk full")
         write(self, *blocks)
 
     monkeypatch.setattr(pathfile.RecordWriter, "_write", failing)
@@ -620,8 +618,8 @@ def test_a_write_error_on_the_writer_thread_exits_5_and_leaves_no_staging(
 @pytest.mark.parametrize("command", ["simulate", "malliavin"])
 @pytest.mark.parametrize("buffer", [None, 2 * (8 + 16 * 10)], ids=["one-table", "many-tables"])
 def test_every_manifest_digest_is_the_sha256_of_its_file(tmp_path, monkeypatch, command, buffer):
-    # records are hashed by their writers, on a writer thread when they span
-    # several tables; every other artifact is read back
+    # records are hashed by their writers as they are written, in one table
+    # or several; every other artifact is read back
     from rpmelab import pathfile
 
     if buffer is not None:
@@ -665,11 +663,11 @@ def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # y overflows on the lane threads too
-def test_a_blown_up_y_in_chunks_of_three_workers_exits_4_and_joins_every_writer(tmp_path, monkeypatch, capsys):
+def test_a_blown_up_y_in_chunks_of_three_workers_exits_4_and_leaves_no_thread(tmp_path, monkeypatch, capsys):
     # sigma = 1e300 overflows y within a few steps (see above); six one-path
-    # chunks run in two waves of three lanes, each streaming its record on a
-    # writer thread of its own (tables of one frame), and every writer is
-    # joined before the staging directory is removed
+    # chunks run in two waves of three lanes, each writing its record on its
+    # own thread (tables of one frame), and every lane is done before the
+    # staging directory is removed
     from rpmelab import pathfile, simulate
     from rpmelab.grid import build_grid
 
@@ -677,13 +675,10 @@ def test_a_blown_up_y_in_chunks_of_three_workers_exits_4_and_joins_every_writer(
     monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 1)
     text = ("cells = 8\nt_final = 0.02\nn_paths = 6\nworkers = 3\ninitial.y = 1.0\n"
             "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
-    before, started = set(threading.enumerate()), []
-    real = pathfile.RecordWriter._room
-    monkeypatch.setattr(pathfile.RecordWriter, "_room", lambda self: started.append(self._pool) or real(self))
+    before = set(threading.enumerate())
     code, _ = run_cli("simulate", tmp_path, text, "blowup")
     assert code == 4
     assert re.search(r"non-finite y at step \d+ of \d+ \(path \d+\)", capsys.readouterr().err)
-    assert any(pool is not None for pool in started)  # a writer thread was running
     assert [p.name for p in tmp_path.iterdir()] == ["blowup.cfg"]
     assert set(threading.enumerate()) == before
 
@@ -1016,9 +1011,9 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch, sour
     text = NOISY_SIM + source  # two-way: every path has a c, and a v-mass, of its own
     code1, out1 = run_cli("simulate", tmp_path, text, "rep1")
     code2, out2 = run_cli("simulate", tmp_path, text, "rep2")
-    # one-path chunks in waves of three lanes, each streaming its record and
-    # masses on a writer thread of its own (tables of one frame), the threads
-    # switching often: nothing a lane writes is lost or misplaced
+    # one-path chunks in waves of three lanes, each writing its record and
+    # masses on its own thread (tables of one frame), the threads switching
+    # often: nothing a lane writes is lost or misplaced
     monkeypatch.setattr(simulate, "_STATE_BYTES", path_bytes(build_grid(1, 8)))
     monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 1)
     interval = sys.getswitchinterval()
@@ -1299,7 +1294,7 @@ def _simulate_peak_bytes(tmp_path, stride, name):
 def test_simulate_memory_does_not_grow_with_its_frames(tmp_path):
     # a quarter of the stride: four times the frames, 6.7 MB of them over the
     # 8 paths at stride 2, which simulate held when it kept a chunk's frames;
-    # streamed to the records, each chunk holds two tables of its writer
+    # streamed to the records, each chunk holds one table of its writer
     _simulate_peak_bytes(tmp_path, 8, "warm")
     sparse, few = _simulate_peak_bytes(tmp_path, 8, "sparse")
     dense, many = _simulate_peak_bytes(tmp_path, 2, "dense")

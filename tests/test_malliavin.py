@@ -568,13 +568,13 @@ def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
     """Slices of ``propagate_path`` and the bytes of the record it streams,
     written as ``rpmelab malliavin`` writes its own."""
     dt, n = wiener.dt, wiener.n_steps
-    with RecordWriter([path], config.grid, 0, [0], dt, n + 1) as record:
-        record.frame(0.0, *initial)
-        _, seeds = propagate_path(
-            config, *initial, wiener, r_indices, t_indices,
-            on_frame=lambda k, c, y: record.frame(k * dt, c, y),
-        )
-        record.finish([DerivativePair(r * dt, s[-1].t, s[-1].drc, s[-1].dry) for r, s in zip(r_indices, seeds) if s])
+    record = RecordWriter([path], config.grid, 0, [0], dt, n + 1)
+    record.frame(0.0, *initial)
+    _, seeds = propagate_path(
+        config, *initial, wiener, r_indices, t_indices,
+        on_frame=lambda k, c, y: record.frame(k * dt, c, y),
+    )
+    record.finish([DerivativePair(r * dt, s[-1].t, s[-1].drc, s[-1].dry) for r, s in zip(r_indices, seeds) if s])
     return seeds, Path(path).read_bytes()
 
 

@@ -2,7 +2,6 @@
 streamed frame by frame, alone or beside the other records of its chunk,
 has the bytes of the whole-record encoding, and every truncation is
 refused."""
-import concurrent.futures
 import hashlib
 import struct
 import threading
@@ -86,10 +85,10 @@ def test_any_record_round_trips(tmp_path_factory, rec):
 def test_streamed_record_has_the_bytes_of_the_whole_one(tmp_path_factory, rec):
     path = tmp_path_factory.mktemp("stream") / "streamed.rpme1"
     # frames arrive one at a time, in any memory layout
-    with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
-        for t, c, y in zip(rec.times, rec.c, rec.y):
-            out.frame(float(t), np.asfortranarray(c), y[::-1][::-1])
-        out.finish(rec.pairs)
+    out = RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times))
+    for t, c, y in zip(rec.times, rec.c, rec.y):
+        out.frame(float(t), np.asfortranarray(c), y[::-1][::-1])
+    out.finish(rec.pairs)
     assert path.read_bytes() == encoded(rec)
 
 
@@ -114,10 +113,10 @@ def test_frames_of_any_layout_in_tables_of_any_size_have_the_bytes_of_the_whole_
     buffer = data.draw(st.sampled_from([2, 2 * frame_bytes + 1, 3 * frame_bytes, pathfile._WRITE_BUFFER]))
     kinds = st.sampled_from(["C", "F", "reversed", "strided"])
     with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer):
-        with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
-            for t, c, y in zip(rec.times, rec.c, rec.y):
-                out.frame(t, layouts(c, data.draw(kinds)), layouts(y, data.draw(kinds)))
-            out.finish(rec.pairs)
+        out = RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times))
+        for t, c, y in zip(rec.times, rec.c, rec.y):
+            out.frame(t, layouts(c, data.draw(kinds)), layouts(y, data.draw(kinds)))
+        out.finish(rec.pairs)
     assert path.read_bytes() == encoded(rec)
 
 
@@ -126,26 +125,26 @@ def test_frames_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
     grid = build_grid(2, 2)
     c, y = np.random.default_rng(0).standard_normal((2, 2, 2) + grid.shape)
     paths = [tmp_path / "a.rpme1", tmp_path / "b.rpme1"]
-    with RecordWriter(paths, grid, 1, [2, 3], 0.5, 2) as out:
-        # a refused frame writes nothing
-        for bad in ((c[0, :, :3], y[0]), (c[0], y[0, :1, :3]), (np.stack([c[0]] * 3), y[0]), (c[0, 0, 0], y[0])):
-            with pytest.raises(ValueError, match="do not match the grid"):
-                out.frame(0.0, *bad)
-        out.frame(0.0, c[0, 0], y[0])
-        with pytest.raises(ValueError, match="1 announced snapshots were not written"):
-            out.finish()
-        out.frame(0.5, c[1, :1], y[1])
-        with pytest.raises(ValueError, match="more snapshots"):
-            out.frame(1.0, c[1], y[1])
+    out = RecordWriter(paths, grid, 1, [2, 3], 0.5, 2)
+    # a refused frame writes nothing
+    for bad in ((c[0, :, :3], y[0]), (c[0], y[0, :1, :3]), (np.stack([c[0]] * 3), y[0]), (c[0, 0, 0], y[0])):
+        with pytest.raises(ValueError, match="do not match the grid"):
+            out.frame(0.0, *bad)
+    out.frame(0.0, c[0, 0], y[0])
+    with pytest.raises(ValueError, match="1 announced snapshots were not written"):
         out.finish()
+    out.frame(0.5, c[1, :1], y[1])
+    with pytest.raises(ValueError, match="more snapshots"):
+        out.frame(1.0, c[1], y[1])
+    out.finish()
     for i, path in enumerate(paths):
         c_i = np.stack([c[0, 0], c[1, 0]])
         assert path.read_bytes() == encoded(PathRecord(grid, 1, 2 + i, 0.5, np.array([0.0, 0.5]), c_i, y[:, i], ()))
 
 
-def test_writing_a_record_holds_two_tables_not_its_frames(tmp_path, monkeypatch):
-    # one table fills while the other is in flight; tables of 256 KiB keep
-    # the record more than ten tables long
+def test_writing_a_record_holds_one_table_not_its_frames(tmp_path, monkeypatch):
+    # the frames gather in one table, written out each time it is full;
+    # tables of 256 KiB keep the record more than ten tables long
     monkeypatch.setattr(pathfile, "_WRITE_BUFFER", 2**18)
     grid = build_grid(2, 16)
     n = 601  # c and y over 601 frames of 18^2 nodes: 3 MiB, the last table part full
@@ -160,7 +159,7 @@ def test_writing_a_record_holds_two_tables_not_its_frames(tmp_path, monkeypatch)
     finally:
         tracemalloc.stop()
     assert rec.c.nbytes + rec.y.nbytes > 10 * pathfile._WRITE_BUFFER
-    assert peak < 3 * pathfile._WRITE_BUFFER, peak
+    assert peak < 2 * pathfile._WRITE_BUFFER, peak
     assert (tmp_path / "run.rpme1").read_bytes() == encoded(rec)
 
 
@@ -182,14 +181,14 @@ def test_every_truncation_raises_format_error(tmp_path_factory, rec):
 def test_writer_holds_to_the_announced_frame_count(tmp_path):
     grid = build_grid(1, 2)
     zero = np.zeros(grid.shape)
-    with RecordWriter([tmp_path / "short.rpme1"], grid, 0, [0], 0.1, 2) as out:
-        out.frame(0.0, zero, zero)
-        with pytest.raises(ValueError, match="not written"):
-            out.finish(())
-    with RecordWriter([tmp_path / "long.rpme1"], grid, 0, [0], 0.1, 1) as out:
-        out.frame(0.0, zero, zero)
-        with pytest.raises(ValueError, match="more snapshots"):
-            out.frame(0.1, zero, zero)
+    out = RecordWriter([tmp_path / "short.rpme1"], grid, 0, [0], 0.1, 2)
+    out.frame(0.0, zero, zero)
+    with pytest.raises(ValueError, match="not written"):
+        out.finish(())
+    out = RecordWriter([tmp_path / "long.rpme1"], grid, 0, [0], 0.1, 1)
+    out.frame(0.0, zero, zero)
+    with pytest.raises(ValueError, match="more snapshots"):
+        out.frame(0.1, zero, zero)
 
 
 class OpenFiles:
@@ -197,7 +196,6 @@ class OpenFiles:
 
     def __init__(self):
         self.now = self.most = 0
-        self.lock = threading.Lock()
 
     def __call__(self, *args):
         fh, count = open(*args), self
@@ -213,13 +211,11 @@ class OpenFiles:
                 return fh.write(data)
 
             def close(self):
-                with count.lock:
-                    count.now -= 1
+                count.now -= 1
                 fh.close()
 
-        with self.lock:
-            self.now += 1
-            self.most = max(self.most, self.now)
+        self.now += 1
+        self.most = max(self.most, self.now)
         return Counted()
 
 
@@ -249,10 +245,10 @@ def test_records_written_side_by_side_have_the_bytes_of_each_alone(tmp_path_fact
     paths = [d / f"{i}.rpme1" for i in range(k)]
     files = OpenFiles()
     with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer), mock.patch.object(pathfile, "open", files, create=True):
-        with RecordWriter(paths, grid, 9, ids, 0.1, n) as out:
-            for i in range(n):
-                out.frame(times[i], handed[i], y[i])
-            out.finish(*pairs if any(pairs) or draw(st.booleans()) else ())
+        out = RecordWriter(paths, grid, 9, ids, 0.1, n)
+        for i in range(n):
+            out.frame(times[i], handed[i], y[i])
+        out.finish(*pairs if any(pairs) or draw(st.booleans()) else ())
     assert files.most == 1 and files.now == 0
     for path, rec, digest in zip(paths, recs, out.digests):
         data = path.read_bytes()
@@ -261,7 +257,7 @@ def test_records_written_side_by_side_have_the_bytes_of_each_alone(tmp_path_fact
 
 
 # ---------------------------------------------------------------------------
-# the digest taken as the record is written, on a writer thread
+# the digest taken as the record is written, on the caller's thread
 
 
 @st.composite
@@ -280,37 +276,23 @@ def streams(draw):
     return rec, rows * (8 + 16 * grid.n_nodes)
 
 
-def stream(path, rec, fail: bool = False):
-    """``rec`` streamed to ``path`` frame by frame; with ``fail``, an error
-    leaves the block after the last frame, before ``finish``.  Returns the
-    writer."""
-    with RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times)) as out:
-        for frame in zip(rec.times, rec.c, rec.y):
-            out.frame(*frame)
-        if fail:
-            raise KeyError("the caller failed")
-        out.finish(rec.pairs)
+def stream(path, rec):
+    """``rec`` streamed to ``path`` frame by frame.  Returns the writer."""
+    out = RecordWriter([path], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times))
+    for frame in zip(rec.times, rec.c, rec.y):
+        out.frame(*frame)
+    out.finish(rec.pairs)
     return out
 
 
-class CountedPool(concurrent.futures.ThreadPoolExecutor):
-    started = 0
-
-    def __init__(self, *args, **kwargs):
-        CountedPool.started += 1
-        super().__init__(*args, **kwargs)
-
-
-def off_the_caller(write, fails_at):
-    """``RecordWriter._write`` that raises at the ``fails_at``-th write made
-    on another thread than the caller's (counted from 0)."""
-    caller, seen = threading.current_thread(), []
+def failing_at(write, fails_at, threads):
+    """``RecordWriter._write`` that notes the thread of each write in
+    ``threads`` and raises at the ``fails_at``-th write (counted from 0)."""
 
     def patched(self, *blocks):
-        if threading.current_thread() is not caller:
-            seen.append(len(blocks))
-            if len(seen) > fails_at:
-                raise OSError("disk full")
+        threads.append(threading.current_thread())
+        if len(threads) > fails_at:
+            raise OSError("disk full")
         return write(self, *blocks)
 
     return patched
@@ -318,37 +300,39 @@ def off_the_caller(write, fails_at):
 
 @settings(max_examples=60, deadline=None)
 @given(streams(), st.integers(0, 3))
-def test_the_streamed_digest_is_that_of_the_file_and_no_writer_thread_outlives_its_record(
-    tmp_path_factory, case, fails_at
-):
+def test_the_streamed_digest_is_that_of_the_file_and_no_writer_starts_a_thread(tmp_path_factory, case, fails_at):
     rec, buffer = case
     rows = buffer // (8 + 16 * rec.grid.n_nodes)  # frames a table holds
-    handed_off = max(0, -(-len(rec.times) // rows) - 1)  # full tables followed by another frame
+    written_full = max(0, -(-len(rec.times) // rows) - 1)  # full tables followed by another frame
     d = tmp_path_factory.mktemp("digest")
-    before = set(threading.enumerate())
-    CountedPool.started = 0
+    before, started = set(threading.enumerate()), []
+    start = threading.Thread.start
     with mock.patch.object(pathfile, "_WRITE_BUFFER", buffer), \
-            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", CountedPool):
+            mock.patch.object(threading.Thread, "start", lambda self: started.append(self) or start(self)):
         out = stream(d / "whole.rpme1", rec)
-        assert set(threading.enumerate()) == before
-        assert CountedPool.started == int(handed_off > 0)  # a thread only for frames beyond one table
         data = (d / "whole.rpme1").read_bytes()
         assert data == encoded(rec)
         assert out.digests == [hashlib.sha256(data).hexdigest()]
 
-        # an error of the caller leaves the block, and the writer thread with it
-        with pytest.raises(KeyError):
-            stream(d / "caller.rpme1", rec, fail=True)
-        assert set(threading.enumerate()) == before
-
-        # a write error on the writer thread surfaces in the block
-        with mock.patch.object(RecordWriter, "_write", off_the_caller(RecordWriter._write, fails_at)):
-            try:
-                stream(d / "fails.rpme1", rec)
-            except OSError:
-                failed = True
+        # a write error surfaces at the write that failed: the frame after a
+        # full table, or finish
+        threads = []
+        out = RecordWriter([d / "fails.rpme1"], rec.grid, rec.seed, [rec.path_id], rec.dt, len(rec.times))
+        with mock.patch.object(RecordWriter, "_write", failing_at(RecordWriter._write, fails_at, threads)):
+            failed_at = None
+            for k, frame in enumerate(zip(rec.times, rec.c, rec.y)):
+                try:
+                    out.frame(*frame)
+                except OSError:
+                    failed_at = k
+                    break
             else:
-                failed = False
-        assert set(threading.enumerate()) == before
-    # the writer thread writes the tables handed off, finish the rest
-    assert failed == (handed_off > fails_at)
+                try:
+                    out.finish(rec.pairs)
+                except OSError:
+                    failed_at = "finish"
+    assert not started and set(threading.enumerate()) == before
+    assert set(threads) == {threading.current_thread()}
+    # each full table is written by the frame after it, the rest by finish
+    expected = (fails_at + 1) * rows if fails_at < written_full else "finish" if fails_at == written_full else None
+    assert failed_at == expected

@@ -1,6 +1,5 @@
 """Stepping engine: single-step arithmetic, conservation and positivity
 invariants, noise generation, ensemble determinism, and the binary container."""
-import contextlib
 import math
 import warnings
 
@@ -308,15 +307,15 @@ def test_ensemble_snapshots_use_the_single_path_grid():
     k = 7  # does not divide the unrounded step count
     chunks = []
 
-    @contextlib.contextmanager
     def keep_frames(chunk):
         c, y = (np.empty((k + 1, len(chunk.path_ids)) + config.grid.shape) for _ in "cy")
 
         def frame(i, c_i, y_i):
             c[i], y[i] = c_i, y_i
+            if i == k:
+                chunks.append((chunk.path_ids, chunk.times, c, y, chunk.clamp_mass))
 
-        yield frame
-        chunks.append((chunk.path_ids, chunk.times, c, y, chunk.clamp_mass))
+        return frame
 
     ens = simulate_ensemble(
         config, c0_cosine, 1.0, n_paths=4, seed=5, first_path_id=2,
@@ -406,10 +405,10 @@ def test_pathfile_round_trip(tmp_path):
         DerivativePair(0.5, 1.0, rng.random(grid.shape), rng.random(grid.shape)),
     )
     fn = tmp_path / "run.rpme1"
-    with RecordWriter([fn], grid, 42, [7], 1e-3, len(times)) as out:
-        for frame in zip(times, c, y):
-            out.frame(*frame)
-        out.finish(pairs)
+    out = RecordWriter([fn], grid, 42, [7], 1e-3, len(times))
+    for frame in zip(times, c, y):
+        out.frame(*frame)
+    out.finish(pairs)
     back = read_record(fn)
     assert back.grid == grid
     assert back.seed == 42 and back.path_id == 7 and back.dt == 1e-3
@@ -424,9 +423,9 @@ def test_pathfile_round_trip(tmp_path):
 def test_pathfile_rejects_corruption(tmp_path):
     grid = build_grid(1, 4)
     fn = tmp_path / "run.rpme1"
-    with RecordWriter([fn], grid, 0, [0], 1e-3, 1) as out:
-        out.frame(0.0, np.zeros(grid.shape), np.zeros(grid.shape))
-        out.finish()
+    out = RecordWriter([fn], grid, 0, [0], 1e-3, 1)
+    out.frame(0.0, np.zeros(grid.shape), np.zeros(grid.shape))
+    out.finish()
     raw = bytearray(fn.read_bytes())
     bad_magic = tmp_path / "bad_magic.rpme1"
     bad_magic.write_bytes(b"XPME1" + bytes(raw[5:]))

@@ -873,7 +873,9 @@ def test_the_affine_tangent_step_is_the_term_by_term_formula_to_a_few_ulps(
         assert got.z is None
 
 
-@pytest.mark.parametrize("paths,workers,pool", [(2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True)])
+@pytest.mark.parametrize("paths,workers,pool", [
+    (2, 1, False), (2, 3, False), (4, 1, False), (4, 2, True), pytest.param(0, 1, False, id="records"),
+])
 def test_only_waves_of_several_lanes_start_a_thread_pool(paths, workers, pool):
     # two paths a chunk: a wave of several lanes needs two chunks and two workers
     code = f"""
@@ -885,6 +887,20 @@ grid = build_grid(1, 8)
 simulate._STATE_BYTES = 2 * simulate.path_bytes(grid)
 config = simulate.SimConfig(grid, make_coefficients(pme_beta(2.0)), BoundaryKind.NEUMANN, t_final=0.01)
 simulate.simulate_ensemble(config, 1.0, 1.0, n_paths={paths}, n_workers={workers})
+print("concurrent.futures.thread" in sys.modules)
+"""
+    if not paths:  # a one-lane simulate and a malliavin, their records a table of one frame each
+        code = """
+import sys, tempfile
+from pathlib import Path
+from rpmelab import pathfile
+from rpmelab.cli import main
+pathfile._WRITE_BUFFER = 1
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_text("cells = 8\\nt_final = 0.01\\nn_paths = 2\\n")
+    for command in ("simulate", "malliavin"):
+        assert main([command, str(cfg), "--out", str(Path(tmp) / command)]) == 0
 print("concurrent.futures.thread" in sys.modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -914,15 +930,22 @@ RESULT_FIELDS = (
 def frame_hook(grid, chunks):
     """An ``on_frames`` hook that checks each chunk's frames arrive in order,
     frame 0 first, and gathers them into ``chunks`` as (path ids, c, y), the
-    frames shaped (frames, paths, *grid.shape), chunks in path order."""
+    frames shaped (frames, paths, *grid.shape), chunks in path order, each
+    added at its last frame."""
+    lock = threading.Lock()  # lanes on several threads add their chunks
 
-    @contextlib.contextmanager
     def hook(part):
         shape, taken = (len(part.path_ids),) + grid.shape, []
-        yield lambda k, c, y: taken.append((k, *(np.broadcast_to(a, shape).copy() for a in (c, y))))
-        assert [k for k, _, _ in taken] == list(range(len(part.times)))
-        chunks.append((part.path_ids.copy(), *(np.array([f[i] for f in taken]) for i in (1, 2))))
-        chunks.sort(key=lambda chunk: chunk[0][0])
+
+        def frame(k, c, y):
+            assert k == len(taken)
+            taken.append(tuple(np.broadcast_to(a, shape).copy() for a in (c, y)))
+            if k == len(part.times) - 1:
+                with lock:
+                    chunks.append((part.path_ids.copy(), *(np.array([f[i] for f in taken]) for i in (0, 1))))
+                    chunks.sort(key=lambda chunk: chunk[0][0])
+
+        return frame
 
     return hook
 
@@ -1186,13 +1209,12 @@ def test_a_non_finite_y_at_any_node_of_any_path_aborts_naming_that_path(way, for
         inc[row, k] = -10.0  # step k + 1: alpha = 1 + 0.3 dW - 0.4 dt < 0
     wiener = WienerPath(config.t_final / 40, inc)
 
-    @contextlib.contextmanager
     def plant(part):
         def frame(j, c, y):
             if j == k and bad in part.path_ids:
                 y[list(part.path_ids).index(bad)].flat[node] = value
 
-        yield frame
+        return frame
 
     kw = dict(wiener=wiener, first_path_id=first, n_workers=workers, n_snapshots=40)
     with pytest.MonkeyPatch.context() as mp:
