@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -365,8 +364,8 @@ def _free_disk(path) -> int:
 
 def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: bool = False,
                stride: bool = False, record: bool = False, plan_of=SimConfig.plan):
-    """(SimConfig, initial c preset, initial c and y, step plan ``plan_of(config, c0_max)``, frames of a
-    path's record) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything
+    """(SimConfig, initial c preset, step plan ``plan_of(config, c0_max)`` at the initial c's max, frames of
+    a path's record) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything
     is allocated.  Refused naming ``key`` when one path's step state exceeds physical memory; naming t_final
     for a growth radius the run reads (``radius``) that overflows; naming the plan's key for a record of a
     frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory; for
@@ -382,8 +381,7 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
 
     fit(key)
     c0_fn = _initial(cfg)
-    c_init, y_init = prepare_initial(config, c0_fn, cfg.y0)
-    plan = plan_of(config, float(np.max(c_init)))
+    plan = plan_of(config, float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0])))
     n = plan.n_steps
     if radius and not math.isfinite(plan.radius):
         raise SchemaError("t_final", f"the growth radius over {cfg.t_final!r} overflows")
@@ -402,7 +400,7 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
         if need > _free_disk(Path(cfg.out).absolute().parent):
             raise SchemaError("out", f"{cfg.n_paths} records of {frames} frames ({need:.4g} bytes) "
                                      "exceed the free disk space")
-    return config, c0_fn, c_init, y_init, plan, frames
+    return config, c0_fn, plan, frames
 
 
 def _require_finite(*arrays) -> None:
@@ -418,6 +416,13 @@ def _contraction(name: str, values, i: int) -> EstimateReport:
     """``values[i] / values[i - 1]`` (0 when the earlier one is not positive) against the bound 1."""
     prev = values[i - 1]
     return EstimateReport(name, values[i] / prev if prev > 0.0 else 0.0, 1.0)
+
+
+def _keep_mass(kept: np.ndarray, k: int, mass) -> None:
+    """Keeps frame k's interior v-masses ``mass`` in ``kept``, (3, paths), as those of frame 0, of the frame
+    farthest from it so far (ties keep the earlier) and of the last frame: all that ``_mass_report`` reads."""
+    kept[2 if k else slice(None)] = mass
+    np.copyto(kept[1], kept[2], where=np.abs(kept[2] - kept[0]) > np.abs(kept[1] - kept[0]))
 
 
 def _mass_report(masses: np.ndarray, cfg: RunConfig) -> EstimateReport:
@@ -442,7 +447,7 @@ Sections = dict[str, list[EstimateReport]]
 
 
 def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, _, _, plan, frames = _preflight(cfg, radius=True, stride=True)
+    config, c0_fn, plan, frames = _preflight(cfg, radius=True, stride=True)
     grid, tags = config.grid, [f"path_{pid:04d}" for pid in range(cfg.n_paths)]
 
     (staging / "paths").mkdir()
@@ -455,8 +460,7 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         out = RecordWriter([staging / name for name in names], grid, cfg.seed, ids, part.dt, frames)
 
         def frame(k, c, y):
-            kept[2 if k else slice(None)] = interior_v_mass(c, grid, config.coeffs)
-            np.copyto(kept[1], kept[2], where=np.abs(kept[2] - kept[0]) > np.abs(kept[1] - kept[0]))
+            _keep_mass(kept, k, interior_v_mass(c, grid, config.coeffs))
             out.frame(part.times[k], c, y)
             if k == frames - 1:
                 out.finish()
@@ -478,37 +482,32 @@ def _run_simulate(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, _, _, plan, _ = _preflight(cfg, 5, radius=True)
+    config, c0_fn, plan, _ = _preflight(cfg, 4, radius=True)
     grid, coeffs, r2, dt, n = config.grid, config.coeffs, plan.radius, plan.dt, plan.n_steps
 
-    # path 0 of the ensemble goes through the report sums frame by frame as
-    # the loop reaches it, so memory holds the step state and O(steps)
-    # floats, never the frames; the times are those a dense run stores
+    # the frame hook hands every state of path 0 (row 0 of its chunk) to the
+    # report sums as the lane takes it, so memory holds the step state and
+    # O(steps) floats, never the frames; the times are those a dense run stores
     times = np.arange(n + 1) * dt
     center = tuple(s // 2 for s in grid.shape)
-    masses, series = np.empty(n + 1), np.empty(n + 1)
+    kept, series = np.empty((3, 1)), np.empty(n + 1)
     n_free = free_node_count(grid)
     v = np.random.default_rng(cfg.seed).uniform(0.5, 1.0, size=n_free)
     energy = EnergySums(grid, coeffs, times)
     weak = WeakSums(grid, v, n) if n_free else None
 
     def frame(k, c, y):
-        fr = Frame(grid, coeffs, c, y)
-        masses[k] = grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1)  # interior_v_mass
-        series[k] = y[center]
+        fr = Frame(grid, coeffs, c[0], y[0])
+        _keep_mass(kept, k, grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1))  # interior_v_mass
+        series[k] = y[(0,) + center]
         energy.add(k, fr)
         if weak is not None:
             weak.add(k, fr)
 
-    # each step hands over the state it starts from: frames 0 to n - 1
-    starts = itertools.count()
-    ens = simulate_ensemble(
-        config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
-        on_step=lambda res, c, y, *_: frame(next(starts), c[0], y[0]),
-    )
-    frame(n, ens.c_final[0], ens.y_final[0])
+    ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
+                            n_snapshots=n, on_frames=lambda part: frame if part.path_ids[0] == 0 else None)
     sup = float(ens.c_sup[0])
-    reports = [linf_check(sup, r2), _mass_report(masses, cfg)]
+    reports = [linf_check(sup, r2), _mass_report(kept[:, 0], cfg)]
     reports.extend(energy.reports(cfg.theta, sup, float(ens.clamp_mass[0])))
     if weak is not None:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
@@ -529,7 +528,7 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
 
 
 def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
-    config, c0_fn, c_init, y_init, plan, _ = _preflight(cfg, 1, record=True)
+    config, c0_fn, plan, _ = _preflight(cfg, 1, record=True)
     dt, n = plan.dt, plan.n_steps
 
     # one run carries every seed; each seed's report steps end at n, so its
@@ -541,7 +540,6 @@ def _run_malliavin(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     (staging / "paths").mkdir()
     path = staging / "paths" / "malliavin_path.rpme1"
     record = RecordWriter([path], config.grid, cfg.seed, [0], dt, n + 1)
-    record.frame(0.0, c_init, y_init)
     wiener = gen_wiener(n, dt, cfg.seed, 0)
     run, seeds = propagate_path(config, c0_fn, cfg.y0, wiener, r_indices, steps,
                                 on_frame=lambda k, c, y: record.frame(k * dt, c, y))

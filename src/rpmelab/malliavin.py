@@ -222,14 +222,13 @@ def seed_index(fraction: float, n_steps: int) -> int:
 
 class _Tangent:
     """Tangent recorder of one primal path, the ``on_step`` of its run (see
-    ``propagate_path``).  Its seeds, sorted by seed step, are the rows of one
-    workspace for all of them, of dry alone when the source ignores y; a
-    seed's row becomes active at its step, with the zero z it was made with,
-    so the active seeds are always the leading rows."""
+    ``propagate_path``), whose workspace keeps the clamp gates it reads.  Its
+    seeds, sorted by seed step, are the rows of one workspace for all of
+    them, of dry alone when the source ignores y; a seed's row becomes
+    active at its step, with the zero z it was made with, so the active
+    seeds are always the leading rows."""
 
-    reads_gates = True  # the primal workspace keeps the clamp gates it reads
-
-    def __init__(self, config: SimConfig, wiener: WienerPath, r_indices, t_indices, on_frame):
+    def __init__(self, config: SimConfig, wiener: WienerPath, r_indices, t_indices):
         n = wiener.n_steps
         r_list = [int(r) for r in r_indices]
         if t_indices is None:
@@ -250,7 +249,7 @@ class _Tangent:
                 self.emit.setdefault(k, []).append(j)
         self.joins.sort()
         self.row = {j: i for i, (_, j) in enumerate(self.joins)}
-        self.config, self.dt, self.k, self.on_frame = config, wiener.dt, 0, on_frame
+        self.config, self.dt, self.k = config, wiener.dt, 0
         shape = config.grid.shape
         cf = config.coeffs  # dry alone under the affine terms steps with no scratch
         affine = cf.noise.slope is not None and cf.drift.affine is not None
@@ -273,8 +272,6 @@ class _Tangent:
             z = self.work.z[i].copy() if keeps_z else np.zeros(cf.grid.shape)
             drc = recover_drc(z, res.c[0], cf.coeffs) if keeps_z else np.zeros(cf.grid.shape)
             self.out[j].append(MalliavinSlice(k + 1, float((k + 1) * self.dt), z, drc, self.work.dry[i].copy()))
-        if self.on_frame is not None:
-            self.on_frame(k + 1, res.c[0], res.y[0])
 
 
 def propagate_path(
@@ -291,18 +288,20 @@ def propagate_path(
     ``wiener``, and carry one derivative pair per seed step in ``r_indices``
     along it in the same loop.  Returns the primal run (None, and nothing
     stepped, when no slice is wanted) and, per seed, its slices at its own
-    ``t_indices`` (default: step n only); every new primal state goes to
-    ``on_frame(k, c, y)``.  Seed j joins at its step r_j with z = 0 and
+    ``t_indices`` (default: step n only); every primal state k, the initial
+    one included, goes to ``on_frame(k, c, y)``, c and y one row each (the
+    engine's frame hook).  Seed j joins at its step r_j with z = 0 and
     dry = a(y(r_j)); under a source that ignores y only dry is stepped, and
     every slice has z = drc = +0.0.  Every operation is elementwise per
     seed, so a seed's slices are bitwise those of a sweep carrying it alone.
     """
     if wiener.increments.ndim != 1:
         raise ValueError("propagate_path needs a single-path wiener")
-    tangent = _Tangent(config, wiener, r_indices, t_indices, on_frame)
+    tangent = _Tangent(config, wiener, r_indices, t_indices)
     if not tangent.joins:
         return None, tangent.out
-    return simulate_ensemble(config, c0, y0, wiener=wiener, on_step=tangent), tangent.out
+    return simulate_ensemble(config, c0, y0, wiener=wiener, n_snapshots=wiener.n_steps,
+                             on_frames=lambda part: on_frame, on_step=tangent), tangent.out
 
 
 def perturbation_oracle(

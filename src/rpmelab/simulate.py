@@ -607,13 +607,14 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     finite at ``stop`` or before such a step.
     Every operation and reduction is per path, so batching never changes a
     bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
-    increments and workspace, with the gates of the halves stepped here if it ``reads_gates``."""
+    increments and workspace, which then keeps the gates of the halves stepped here."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
-    gates = getattr(on_step, "reads_gates", False)
-    work = StepBuffers(grid, (len(part.path_ids),), gates, None if slots is None else "y")
+    work = StepBuffers(grid, (len(part.path_ids),), on_step is not None, None if slots is None else "y")
     work.bind(coeffs)
     c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
+    if frame is not None:
+        frame(0, c, y)
     ring = slots or [None]  # c_new of step n for step: a slot, or None to step c here
     if work.affine is not None:
         (sigma, _, rho), alpha = work.affine, work.alpha.reshape(-1)
@@ -630,8 +631,6 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
             yield from zip(dws, dws[(Ellipsis,) + (None,) * grid.dim], rows, lows)
 
     dws = steps()
-    if frame is not None:
-        frame(0, c_init, y_init)
 
     def finite(n: int) -> None:  # y >= 0, so its max is finite exactly when every entry is
         if not math.isfinite(np.maximum.reduce(rows := work.y_rows[y is work.y[1]], axis=None)):
@@ -734,16 +733,17 @@ def simulate_ensemble(
     several, in blocks of steps that fit ``_BLOCK_BYTES`` and its lanes step
     only y.  Results are bitwise independent of the chunking and the worker
     count.  With ``n_snapshots`` each lane hands every one of the
-    ``n_snapshots + 1`` uniformly spaced frames of its chunk, as it takes
-    it, to the function ``frame(k, c, y)`` that ``on_frames(part)`` returns
-    as the wave starts, ``part`` the chunk's paths of the result (c one row
-    for all when the wave shares its c), on the lane's thread; by default
-    into the result's frame stacks.  A c that every path shares is held
-    once: ``c_final`` and the kept ``c`` are read-only views of one row,
-    which only the first chunk's ``part`` holds writable, so its lane, on
-    this thread, writes each frame and the terminal c once.  ``on_step``
-    sees each step of the first path's chunk, on this thread, that path in
-    row 0.
+    ``n_snapshots + 1`` uniformly spaced frames of its chunk, frame 0 too,
+    as it takes it, to the ``frame(k, c, y)`` that ``on_frames(part)``
+    returns as the wave starts (a None gets no frame), ``part`` the chunk's
+    paths of the result, on the lane's thread, y a row a path and c one row
+    for all when the wave shares its c, else a row a path; by default into
+    the result's frame stacks.  A c that every path shares is held once:
+    ``c_final`` and the kept ``c`` are read-only views of one row, which
+    only the first chunk's ``part`` holds writable, so its lane, on this
+    thread, writes each frame and the terminal c once.  ``on_step`` sees
+    each step of the first path's chunk and its clamp gates, on this
+    thread, that path in row 0.
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)

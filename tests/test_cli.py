@@ -1065,8 +1065,8 @@ def test_ladders_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, 
     "command,text,cells,key,floats",
     [
         ("simulate", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 0),
-        # times, masses, the y series and the two of WeakSums
-        ("verify", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 5),
+        # times, the y series and the two of WeakSums
+        ("verify", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 4),
         # the whole-horizon noise of the one path
         ("malliavin", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 1),
         ("sweep-eps", "dim = 2\ncells = 16\nt_final = 0.001\n", 16, "cells", 1),
@@ -1085,7 +1085,7 @@ def test_step_state_beyond_physical_memory_exits_3(
     # count its config resolves; memory for the step state but not for those
     # floats is refused naming the key that set the step
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-    n = cli._preflight(cfg, key=key)[4].n_steps
+    n = cli._preflight(cfg, key=key)[2].n_steps
     state, series = path_bytes(build_grid(2, cells)), 8 * floats * (n + 1)
     made = []  # a step state that does not fit is refused before the initial state is made
     monkeypatch.setattr(cli, "prepare_initial", lambda *args: made.append(args) or prepare_initial(*args))
@@ -1110,7 +1110,7 @@ def test_simulate_records_beyond_the_free_disk_or_a_header_exit_3(tmp_path, monk
     # must fit the free space where out is made, and their frames a header
     text = "dim = 2\ncells = 16\nt_final = 0.001\nn_paths = 3\n"
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-    frames = cli._preflight(cfg, stride=True)[5]
+    frames = cli._preflight(cfg, stride=True)[3]
     size, asked = 45 + frames * (8 + 16 * 18**2), []
     for free, name, code in ((3 * size - 1, "full", 3), (3 * size, "fits", 0)):
         monkeypatch.setattr(cli, "_free_disk", lambda path: asked.append(path) or free)
@@ -1132,8 +1132,8 @@ def test_sweep_eps_counts_its_noise_at_the_step_count_of_its_stiffest_family(tmp
 
     text = "cells = 32\nt_final = 0.1\nn_paths = 2\ninitial.c = constant\ninitial.c.value = 0.001\n"
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-    config, _, c_init, *_ = cli._preflight(cfg)
-    c0 = float(np.max(c_init))
+    config, c0_fn, *_ = cli._preflight(cfg)
+    c0 = float(np.max(prepare_initial(config, c0_fn, cfg.y0)[0]))
     n = sweep_plan(config, cfg.eps_values, c0)[1].n_steps
     assert n > 5 * config.plan(c0).n_steps
     need = path_bytes(config.grid) + 8 * cfg.n_paths * (n + 1)
@@ -1151,7 +1151,7 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
 
     text = "dim = 2\ncells = 16\nt_final = 0.001\n"
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
-    n = cli._preflight(cfg)[4].n_steps
+    n = cli._preflight(cfg)[2].n_steps
     grid = build_grid(2, 16)
     monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid) + 16 * grid.n_nodes * (n + 1) - 1)
     assert run_cli("verify", tmp_path, text, "streamed")[0] == 0
@@ -1170,7 +1170,7 @@ def simulated_steps(tmp_path, text, name):
     code, out = run_cli("simulate", tmp_path, text, name)
     assert code == 0
     cfg = load_config(tmp_path / f"{name}.cfg")
-    n0 = cli._preflight(cfg)[4].n_steps
+    n0 = cli._preflight(cfg)[2].n_steps
     dt = json.loads((out / "manifest.json").read_text())["dt"]
     frames = len(read_record(out / "paths" / "path_0000.rpme1").times)
     return round(cfg.t_final / dt), frames, n0, cfg.snapshot_stride or max(1, n0 // 256)
@@ -1199,13 +1199,13 @@ README_ONE_PATH = "cells = 32\nt_final = 0.1\nn_paths = 1\nseed = 7\nworkers = 1
 
 @pytest.mark.parametrize("dim,command,grids", [
     (1, "simulate", [(1380, 5)]),
-    (1, "verify", [(1380, 0)]),
-    (1, "malliavin", [(1380, 0)]),
+    (1, "verify", [(1380, 1)]),
+    (1, "malliavin", [(1380, 1)]),
     (1, "converge", [(670, 134), (2680, 536), (5360, 1072)]),  # levels 16, 32, 64
     (1, "sweep-eps", [(1376, 0)] * 3),
     (2, "simulate", [(2760, 10)]),
-    (2, "verify", [(2756, 0)]),
-    (2, "malliavin", [(2756, 0)]),
+    (2, "verify", [(2756, 1)]),
+    (2, "malliavin", [(2756, 1)]),
     (2, "converge", [(1340, 268), (5360, 1072), (10720, 2144)]),
     (2, "sweep-eps", [(2749, 0)] * 3),
 ])
@@ -1353,7 +1353,7 @@ def test_streamed_verify_reports_are_the_dense_ones(tmp_path, dim, bc, theta, mu
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     sections, extras = cli._run_verify(cfg, tmp_path)
 
-    config, c0, _, _, plan, _ = cli._preflight(cfg)
+    config, c0, plan, _ = cli._preflight(cfg)
     coeffs, grid, r2 = config.coeffs, config.grid, plan.radius
     run = simulate_path(config, c0, cfg.y0, seed=seed, store_dense=True)
     dense = [

@@ -283,7 +283,7 @@ def test_sweep_steps_the_primal_once_per_step(monkeypatch):
     c_at, y_at = ([i for i, name in enumerate(halves) if name == half] for half in ("_c_half", "_y_half"))
     assert len(c_at) == len(y_at) == len(halves) // 2 == wiener.n_steps
     assert all(i < j for i, j in zip(c_at, y_at))
-    assert seen == list(range(1, wiener.n_steps + 1))
+    assert seen == list(range(wiener.n_steps + 1))
 
 
 def test_seeds_at_fractions_give_their_terminal_slices_alone():
@@ -569,7 +569,6 @@ def streamed_sweep(config, initial, wiener, r_indices, t_indices, path):
     written as ``rpmelab malliavin`` writes its own."""
     dt, n = wiener.dt, wiener.n_steps
     record = RecordWriter([path], config.grid, 0, [0], dt, n + 1)
-    record.frame(0.0, *initial)
     _, seeds = propagate_path(
         config, *initial, wiener, r_indices, t_indices,
         on_frame=lambda k, c, y: record.frame(k * dt, c, y),

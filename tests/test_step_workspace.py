@@ -634,7 +634,7 @@ def test_a_tangent_allocates_scratch_only_for_z_or_the_term_by_term_dry_step(coe
     config = small_config(coeffs)
     plan = config.plan(1.5)
     dt, n = plan.dt, plan.n_steps
-    work = malliavin._Tangent(config, WienerPath(dt, np.zeros(n)), [0, 2], None, None).work
+    work = malliavin._Tangent(config, WienerPath(dt, np.zeros(n)), [0, 2], None).work
     assert [getattr(work, name) is not None for name in ("lap", "t", "u")] == [scratch] * 3
     assert (work.z is not None) == coeffs.source.reads_y
     if not scratch:  # a primal under other terms is refused, not stepped without scratch
@@ -1033,22 +1033,47 @@ def test_a_wave_frees_its_lanes_before_the_next_makes_its_own(monkeypatch, coupl
     assert alive == [0, 0, 0] and len(made) == 3
 
 
-@pytest.mark.parametrize("reads_gates", [False, True])
-def test_on_step_sees_the_first_chunk_with_gates_only_when_it_reads_them(monkeypatch, reads_gates):
+def test_on_step_sees_the_first_chunk_with_its_gates(monkeypatch):
     config = small_config(COEFFS["decaying"], t_final=0.01)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate.path_bytes(config.grid))
     seen = []
 
-    class Recorder:
-        def __call__(self, res, c, y, dw, work):
-            seen.append((len(y), work.v_gate is not None, y[0].copy()))
+    def on_step(res, c, y, dw, work):
+        seen.append((len(y), work.v_gate is not None, y[0].copy()))
 
-    Recorder.reads_gates = reads_gates
-    run = simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=3, n_workers=2, on_step=Recorder())
+    run = simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=3, n_workers=2, on_step=on_step)
     dense = simulate_path(config, cosine, 1.0, seed=3, store_dense=True)
     assert len(seen) == run.n_steps == dense.n_steps
-    assert {(rows, gates) for rows, gates, _ in seen} == {(3, reads_gates)}
+    assert {(rows, gates) for rows, gates, _ in seen} == {(3, True)}
     assert same_bits([y0 for _, _, y0 in seen], dense.y[:-1, 0])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+def test_a_frame_hook_gets_each_frame_in_its_lane_layout_and_none_of_a_chunk_it_declines(
+    monkeypatch, workers, coupling
+):
+    # chunks of paths 0-2, 3-5 and 6: the hook takes path 0's chunk alone and
+    # gets its frames 0 to n once each, frame 0 too in the lane's layout: y a
+    # row a path, c one row when the paths share it (one-way), else a row a path
+    config = small_config(COEFFS["readme" if coupling == "one-way" else "decaying"], t_final=0.01)
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 3 * simulate.path_bytes(config.grid))
+    dense = simulate_path(config, cosine, 1.0, seed=3, store_dense=True)
+    n, asked, taken = dense.n_steps, [], []
+
+    def hook(part):
+        asked.append(int(part.path_ids[0]))
+        return (lambda k, c, y: taken.append((k, c.copy(), y.copy()))) if part.path_ids[0] == 0 else None
+
+    run = simulate_ensemble(config, cosine, 1.0, n_paths=7, seed=3, n_workers=workers, n_snapshots=n,
+                            on_frames=hook)
+    assert sorted(asked) == [0, 3, 6]
+    assert [k for k, _, _ in taken] == list(range(n + 1))
+    rows = 1 if coupling == "one-way" else 3
+    assert {(c.shape, y.shape) for _, c, y in taken} == {((rows,) + config.grid.shape, (3,) + config.grid.shape)}
+    assert same_bits([c[0] for _, c, _ in taken], dense.c[:, 0])
+    assert same_bits([y[0] for _, _, y in taken], dense.y[:, 0])
+    assert run.c is None and same_bits(run.y_final[0], dense.y_final[0])
 
 
 @pytest.mark.parametrize("coupling", ["one-way", "two-way"])
@@ -1689,17 +1714,16 @@ def gates_of_path_0(work):
 
 
 class StepRecorder:
-    """``on_step`` keeping what it sees of the first path at each step.  It
-    sleeps at each step, so the producer of a shared c runs as far ahead of
-    this lane as the blocks allow."""
+    """``on_step`` keeping what it sees of the first path at each step, its
+    gates included.  It sleeps at each step, so the producer of a shared c
+    runs as far ahead of this lane as the blocks allow."""
 
-    def __init__(self, reads_gates):
-        self.reads_gates, self.seen = reads_gates, []
+    def __init__(self):
+        self.seen = []
 
     def __call__(self, res, c, y, dw, work):
         time.sleep(1e-4)
-        gates = gates_of_path_0(work) if self.reads_gates else ()
-        seen = (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates
+        seen = (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates_of_path_0(work)
         self.seen.append(tuple(None if a is None else np.copy(a) for a in seen))
 
 
@@ -1767,7 +1791,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     paths = draw(st.integers(1, 7))
     chunk = draw(st.sampled_from([1, 2, paths]))
     k = draw(st.sampled_from([None, 1, 2]))
-    recorder = StepRecorder(draw(st.booleans()))
+    recorder = StepRecorder()
     kw = dict(n_workers=draw(st.sampled_from([1, 2, 3])), n_snapshots=k, on_step=recorder)
     c_init, y_init = simulate.prepare_initial(config, bump, 1.0)
     plan = config.plan(float(np.max(c_init)), multiple_of=k or 1)
@@ -1812,7 +1836,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     assert len(recorder.seen) == n
     one_way = not coeffs.source.reads_y
     for got_step, ref_step in zip(recorder.seen, seen):
-        if recorder.reads_gates and one_way:  # no v-gate: a one-way tangent has no z to gate
+        if one_way:  # no v-gate: a one-way tangent has no z to gate
             assert got_step[6] is None
             got_step, ref_step = got_step[:6] + got_step[7:], ref_step[:6] + ref_step[7:]
         assert all(same_bits(a, b) for a, b in zip(got_step, ref_step))
