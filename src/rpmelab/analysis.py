@@ -400,10 +400,13 @@ def cauchy_refinement(
 
     def pair_distance(attr: str, fa, fb, ga, gb) -> float:
         va, vb = getattr(fa, attr), getattr(fb, attr)
+        frames_paths = va.shape[:2]
+        if va.strides[1] == vb.strides[1] == 0:  # a c that every path shares: its one row
+            va, vb = va[:, :1], vb[:, :1]
         na = _batched_pc_norm_sq(va, ga)
         nb = _batched_pc_norm_sq(vb, gb)
         cross = _batched_cross(va, ga, vb, gb)
-        d_sq = np.maximum(na + nb - 2.0 * cross, 0.0)  # (frames, paths)
+        d_sq = np.broadcast_to(np.maximum(na + nb - 2.0 * cross, 0.0), frames_paths)
         return float(math.sqrt(np.mean(np.sum(tw[:, None] * d_sq, axis=0))))
 
     c_dists, y_dists = [], []

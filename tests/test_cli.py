@@ -1421,3 +1421,23 @@ def test_malliavin_streams_its_record_in_bounded_memory(tmp_path):
     assert code == 0
     assert (out / "paths" / "malliavin_path.rpme1").stat().st_size > 20 * 2**20
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_one_way_2d_digests_do_not_depend_on_the_blas_threads(tmp_path, command):
+    # a 2D one-way run takes y in blocks by a fixed-order einsum, and converge
+    # its cross-grid distances by tensordot: the digests at one BLAS thread
+    # and at two are the same
+    text = "dim = 2\ncells = 16\nt_final = 0.01\nn_paths = 9\nseed = 3\nconverge.levels = 4,8,16\n"
+    text += README_COEFFICIENTS
+    cfg = write(tmp_path, text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "rpmelab.cli", command, cfg, "--out", str(out)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads((out / "manifest.json").read_text())["digests"])
+    assert digests[0] and digests[0] == digests[1]

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -486,8 +487,9 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
     of ``form``: "own" (a c per path), "y-lane" (y alone, c from the
     producer of a wave's shared c, as in ``simulate_ensemble``) or "lane"
     (the producer and lane of ``simulate_ensemble``, in blocks of 2 and
-    n_steps - 2 steps), steps 3 on inside ``watch()``.  Returns the final c
-    and y."""
+    n_steps - 2 steps) or "blocks" (the same in runs of 10 steps and the
+    block form, a frame every 5), steps 3 (11 for "blocks") on inside
+    ``watch()``.  Returns the final c and y."""
     rng = np.random.default_rng(grid.dim)
     dt = cfl_dt(grid, coeffs, 2.0)
     c0 = apply_bc(rng.uniform(0.5, 1.5, (1,) + grid.shape), grid, bc)
@@ -496,10 +498,12 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
     config = SimConfig(grid, coeffs, bc, t_final=n_steps * dt)
     part = EnsembleResult(grid, dt, n_steps, np.arange(paths), np.empty_like(y0), np.empty_like(y0),
                           np.full(paths, 1.5), np.full(paths, 0.5), np.zeros(paths))
-    if form == "lane":
-        ring, advance = simulate._wave_c(config, part, n_steps - 2)
-        lane = simulate._lane(config, c0, y0, [dws.T], part, 0, None, ring, n_steps - 2, None)
-        for start, stop in ((0, 2), (2, n_steps)):
+    if form in ("lane", "blocks"):
+        runs = ((0, 2), (2, n_steps)) if form == "lane" else ((0, 10), (10, 20), (20, n_steps))
+        block, stride = runs[1][1] - runs[1][0], 0 if form == "lane" else 5
+        ring, advance = simulate._wave_c(config, part, block)
+        lane = simulate._lane(config, c0, y0, [dws.T], part, stride, None, ring, block, None)
+        for start, stop in runs:
             with watch() if start else contextlib.nullcontext():
                 assert advance(start, stop) == (stop, None)
                 lane(start, stop)
@@ -555,6 +559,33 @@ def test_workspace_steps_allocate_less_than_one_state_array(dim, cells, paths, b
     assert peak[0] < y.nbytes
     c_ref, y_ref = form_steps("own", grid, coeffs, bc, paths, 22)
     assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and same_bits(y, y_ref)
+
+
+@pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4), (2, 32, 16), (1, 8, 64)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_block_form_lanes_allocate_less_than_one_state_array(dim, cells, paths, bc):
+    # one-way affine y in blocks of 5 steps, of 4 after the slots of c wrap
+    # at step 11, and of 1 and 2 step by step, after the first run: the same
+    # guard, and the step loop's y to a few ulps
+    grid, coeffs, peak = build_grid(dim, cells), COEFFS["readme"], []
+
+    @contextlib.contextmanager
+    def traced():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            yield
+            peak.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+
+    calls, real = [], simulate._y_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_y_block", lambda *a: calls.append(len(a[1])) or real(*a))
+        c, y = form_steps("blocks", grid, coeffs, bc, paths, 22, watch=traced)
+    assert calls == [5, 5, 4, 5] and max(peak) < y.nbytes
+    c_ref, y_ref = form_steps("own", grid, coeffs, bc, paths, 22)
+    assert same_bits(np.broadcast_to(c, c_ref.shape), c_ref) and np.all(np.abs(y - y_ref) <= 1e-13 * y_ref)
 
 
 def tangent_sweep_peak(dim, cells, seeds, bc, coeffs, dry_only=False):
@@ -1665,24 +1696,129 @@ def test_kept_frames_of_a_shared_c_do_not_grow_with_the_paths():
 def test_one_way_ensembles_step_c_once_per_wave(monkeypatch, coupling, workers):
     # five paths in chunks of 2, 2 and 1: one wave of three lanes at workers
     # 3, three waves of one lane at workers 1; y is stepped once per path and
-    # step, a shared c once per wave and step, a per-path c once per path;
-    # only the first chunk holds the one row of a shared c writable
+    # step, in the block form from frame to frame when one-way, a shared c
+    # once per wave and step, a per-path c once per path; only the first
+    # chunk holds the one row of a shared c writable
     c_rows, y_rows, parts = [], [], []
-    c_half, y_half, lane = simulate._c_half, simulate._y_half, simulate._lane
+    c_half, y_half, y_block, lane = simulate._c_half, simulate._y_half, simulate._y_block, simulate._lane
     monkeypatch.setattr(simulate, "_c_half", lambda src, *a: c_rows.append(len(src[0])) or c_half(src, *a))
-    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
+    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append((len(y), 1)) or y_half(c, y, *a))
+    monkeypatch.setattr(simulate, "_y_block",
+                        lambda y, alphas, *a: y_rows.append((len(y), len(alphas))) or y_block(y, alphas, *a))
     monkeypatch.setattr(simulate, "_lane", lambda *a: parts.append(a[4]) or lane(*a))
     coeffs = ONE_WAY["readme"] if coupling == "one-way" else TWO_WAY["decaying"]
     config = small_config(coeffs)
     monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(config.grid))
-    ens = simulate_ensemble(config, cosine, 1.0, n_paths=5, seed=2, n_snapshots=2, n_workers=workers)
+    ens = simulate_ensemble(config, cosine, 1.0, n_paths=5, seed=2, n_snapshots=1, n_workers=workers)
     n, waves = ens.n_steps, 3 // workers
-    assert sorted(y_rows) == sorted([2, 2, 1] * n)
+    assert sorted(y_rows) == sorted([(2, n), (2, n), (1, n)] if coupling == "one-way" else [(2, 1), (2, 1), (1, 1)] * n)
     assert sorted(c_rows) == sorted([1] * waves * n if coupling == "one-way" else [2, 2, 1] * n)
     assert ens.c.shape[1] == 5 and np.all(np.isfinite(ens.c))
     writers = [list(p.path_ids) for p in parts if p.c_final.flags.writeable and p.c.flags.writeable]
     assert writers == ([[0, 1]] if coupling == "one-way" else [[0, 1], [2, 3], [4]])
     assert_c_rows(ens, coupling == "one-way")
+
+
+def half_cosine(x):
+    """y0 >= 0 with exact zeros where cos(pi x_0) <= 0."""
+    return np.maximum(np.cos(np.pi * x[..., 0]), 0.0)
+
+
+def step_loop(mp, n):
+    """Under ``mp``, every lane steps y step by step: no block reaches ``_MIN_BLOCK``."""
+    mp.setattr(simulate, "_MIN_BLOCK", n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_way_affine_blocks_give_each_path_its_own_bits_and_the_step_loop_to_a_few_ulps(data):
+    # any grid, boundary, chunking, worker count, block of the shared c and
+    # frame stride: a path's y is bitwise its one-path run, within 1e-13 of
+    # the step loop entry by entry, and a y that stays zero is +0.0
+    draw = data.draw
+    coeffs = ONE_WAY[draw(st.sampled_from(["readme", "regularized"]))]
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, CELLS[dim])))
+    bc, t_final = draw(st.sampled_from(list(BoundaryKind))), draw(st.sampled_from([0.004, 0.02]))
+    config = SimConfig(grid, coeffs, bc, t_final=t_final)
+    paths, k = draw(st.integers(1, 7)), draw(st.sampled_from([None, 1, 2, 3, 5]))
+    chunk, block = draw(st.sampled_from([1, 2, 3, paths])), draw(st.integers(1, 12))
+    y0, seed = draw(st.sampled_from([1.0, half_cosine])), draw(st.integers(0, 2**32 - 1))
+    kw = dict(n_paths=paths, seed=seed, n_workers=draw(st.integers(1, 3)), n_snapshots=k)
+    with pytest.MonkeyPatch.context() as mp:
+        # the blocks of c, and so of y, are the same in every run
+        mp.setattr(simulate, "_BLOCK_BYTES", block * (8 * grid.n_nodes + simulate._SLOT_VIEWS))
+        singles = [simulate_path(config, bump, y0, seed=seed, path_id=j, n_snapshots=k) for j in range(paths)]
+        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid))
+        ens = simulate_ensemble(config, bump, y0, **kw)
+        step_loop(mp, ens.n_steps)
+        loop = simulate_ensemble(config, bump, y0, **kw)
+    for j, path in enumerate(singles):
+        assert same_bits(ens.y_final[j], path.y_final[0])
+        assert k is None or same_bits(ens.y[:, j], path.y[:, 0])
+    for got, ref in ((ens.y_final, loop.y_final), (ens.y, loop.y)):
+        assert got is None or np.all(np.abs(got - ref) <= 1e-13 * ref) and not np.any(np.signbit(got))
+    assert same_bits(ens.c_final, loop.c_final) and same_bits(ens.c_sup, loop.c_sup)
+
+
+def explicit_run(config, inc, dt, **kw):
+    return simulate_ensemble(config, bump, 1.0, wiener=WienerPath(dt, inc), n_snapshots=2, **kw)
+
+
+def test_a_path_with_an_alpha_below_zero_steps_that_block_as_the_step_loop(monkeypatch):
+    # path 1 has alpha < 0 at step 3 of the first block: that path steps the
+    # block step by step, its clamp bites, and its first frame is the step
+    # loop's; paths 0 and 2 take the block form in that block, as they do alone
+    config = small_config(COEFFS["readme"], t_final=0.02)
+    c_init, _ = simulate.prepare_initial(config, bump, 1.0)
+    plan = config.plan(float(np.max(c_init)), multiple_of=2)
+    dt, n = plan.dt, plan.n_steps
+    assert n >= 6
+    inc = np.random.default_rng(4).standard_normal((3, n)) * np.sqrt(dt)
+    inc[1, 2] = -10.0 / config.coeffs.noise.slope
+    shapes, real = [], simulate._y_block
+    monkeypatch.setattr(simulate, "_y_block", lambda y, alphas, *a: shapes.append(alphas.shape) or real(y, alphas, *a))
+    ens = explicit_run(config, inc, dt)
+    assert shapes[0] == (n // 2, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        step_loop(mp, n)
+        loop = explicit_run(config, inc, dt)
+    assert same_bits(ens.y[:2, 1], loop.y[:2, 1])
+    assert np.all(np.abs(ens.y - loop.y) <= 1e-13 * loop.y)
+    for j in range(3):
+        path = simulate_path(config, bump, 1.0, wiener=WienerPath(dt, inc[j]), n_snapshots=2)
+        assert same_bits(ens.y[:, j], path.y[:, 0])
+
+
+@pytest.mark.parametrize("alphas", [(1e300, 1e300), (1e300, 1e300, 0.0)], ids=["overflow", "overflow-then-zero"])
+def test_a_block_that_would_overflow_aborts_or_warns_as_the_step_loop(alphas):
+    # y overflows in path 1 at the second huge alpha; an alpha of 0 after it
+    # makes the block form finite (0 * inf never forms), but the step loop
+    # turns inf into NaN: either way the run aborts, or warns, as the loop does
+    coeffs = make_coefficients(pme_beta(2.0), **dict(readme_terms(), b=preset_coefficients(
+        "coupling_b", {"kappa": 0.5, "rho": 0.0})))
+    config = small_config(coeffs, t_final=0.02)
+    sigma = coeffs.noise.slope
+    c_init, _ = simulate.prepare_initial(config, bump, 1.0)
+    plan = config.plan(float(np.max(c_init)), multiple_of=2)
+    dt, n = plan.dt, plan.n_steps
+    inc = np.random.default_rng(5).standard_normal((3, n)) * np.sqrt(dt)
+    inc[1, 1 : 1 + len(alphas)] = [(a - 1.0) / sigma for a in alphas]
+    assert n // 2 > len(alphas) and 1.0 + sigma * inc[1, 3 if len(alphas) == 3 else 1] in (0.0, 1e300)
+    errors = []
+    for loop in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if loop:
+                step_loop(mp, n)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as abort:
+                explicit_run(config, inc, dt)
+            with np.errstate(all="warn"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning) as warned:
+                    explicit_run(config, inc, dt)
+        errors.append((str(abort.value), str(warned.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith("non-finite y at step") and errors[0][0].endswith("(path 1)")
 
 
 @settings(max_examples=40, deadline=None)
@@ -1727,10 +1863,17 @@ class StepRecorder:
         self.seen.append(tuple(None if a is None else np.copy(a) for a in seen))
 
 
-def plain_loop(config, c_init, y_init, inc, dt, stride):
+def plain_loop(config, c_init, y_init, inc, dt, stride, block=0, stepped=0):
     """The ensemble as one loop of ``step`` calls on per-path c and y: the
     terminal state, clamp mass, running sup and min, the frames every
-    ``stride`` steps, and what an ``on_step`` with gates sees of path 0."""
+    ``stride`` steps, and what an ``on_step`` with gates sees of path 0.
+    Given ``block``, the paths from ``stepped`` on (one-way lanes under the
+    affine terms with no on_step) take y by the block recurrence instead, from
+    each multiple of ``stride``, ``block`` or ``block + 1`` (where the slots of
+    c wrap) to the next, and to the last step, when it spans at least
+    ``_MIN_BLOCK`` steps: (prod_k alpha_k) y +
+    (kappa dt) sum_k w_k c_k, w_k = prod_{j>k} alpha_j, the sum by the
+    fixed-order einsum; no alpha < 0 is drawn here."""
     grid, paths = config.grid, len(inc)
     work = StepBuffers(grid, (paths,), gates=True)
     work.c[0][...], work.y[0][...] = c_init, y_init
@@ -1741,13 +1884,26 @@ def plain_loop(config, c_init, y_init, inc, dt, stride):
 
     clamp, sup, low = np.zeros(paths), rows(c).max(axis=1), rows(c).min(axis=1)
     frames, seen = [(c.copy(), y.copy())], []
+    start, y_start, c_rows = 0, rows(y)[stepped:].copy(), []
     for n, dw in enumerate(inc.T, 1):
+        c_rows.append(rows(c)[0].copy())
         res = step(c, y, grid, config.coeffs, config.bc, dt, dw, work=work)
         gates = gates_of_path_0(work)
         seen.append(tuple(np.copy(a) for a in (c[0], y[0], res.c[0], res.y[0], res.clamp_mass[0], dw[0]) + gates))
         c, y = res.c, res.y
         clamp += res.clamp_mass
         sup, low = np.maximum(sup, rows(c).max(axis=1)), np.minimum(low, rows(c).min(axis=1))
+        if block and (n % block == 0 or n % (block + 1) == 0 or stride and n % stride == 0 or n == inc.shape[1]):
+            if n - start >= simulate._MIN_BLOCK:
+                sigma, (kappa, rho) = config.coeffs.noise.slope, config.coeffs.drift.affine
+                alphas = (sigma * inc[stepped:, start:n].T + 1.0) - rho * dt
+                assert np.all(alphas >= 0.0)
+                w = np.ones_like(alphas)
+                for k in range(n - start - 2, -1, -1):
+                    w[k] = w[k + 1] * alphas[k + 1]
+                sums = np.einsum("kp,kn->pn", w, np.array(c_rows), optimize=False)
+                rows(y)[stepped:] = y_start * (w[0] * alphas[0])[:, None] + sums * (kappa * dt)
+            start, y_start, c_rows = n, rows(y)[stepped:].copy(), []
         if stride and n % stride == 0:
             frames.append((c.copy(), y.copy()))
     return c.copy(), y.copy(), clamp, sup, low, frames, seen
@@ -1810,6 +1966,7 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     if k and draw(st.booleans()):
         kw["on_frames"] = frame_hook(grid, chunks)
     r = draw(st.integers(0, n - 1))
+    one_way = not coeffs.source.reads_y
     # lanes read the block of c that the producer wrote: switch often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1822,7 +1979,12 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     finally:
         sys.setswitchinterval(interval)
 
-    c, y, clamp, sup, low, frames, seen = plain_loop(config, c_init, y_init, inc, dt, n // k if k else 0)
+    # lanes of a shared c under the affine terms take y in blocks, but for the
+    # first chunk, which on_step sees
+    first = -(-paths // -(-paths // chunk))
+    blocked = one_way and coeffs.noise.slope is not None and coeffs.drift.affine is not None
+    c, y, clamp, sup, low, frames, seen = plain_loop(
+        config, c_init, y_init, inc, dt, n // k if k else 0, min(n, block) if blocked else 0, first)
     assert same_bits(ens.c_final, c) and same_bits(ens.y_final, y)
     assert same_bits(ens.clamp_mass, clamp)
     assert same_bits(ens.c_sup, sup) and same_bits(ens.c_min, low)
@@ -1834,7 +1996,6 @@ def test_waves_are_bitwise_a_plain_loop_of_steps(coupling, data):
     if k:
         assert same_bits(got[0], [fc for fc, _ in frames]) and same_bits(got[1], [fy for _, fy in frames])
     assert len(recorder.seen) == n
-    one_way = not coeffs.source.reads_y
     for got_step, ref_step in zip(recorder.seen, seen):
         if one_way:  # no v-gate: a one-way tangent has no z to gate
             assert got_step[6] is None
