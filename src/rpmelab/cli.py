@@ -54,7 +54,7 @@ from .model import (
     preset_coefficients,
     regularize_beta,
 )
-from .pathfile import MAX_FRAMES, DerivativePair, RecordWriter
+from .pathfile import MAX_FRAMES, DerivativePair, RecordWriter, record_bytes
 from .simulate import (
     NumericalAbort,
     SchemaError,
@@ -395,8 +395,7 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
         frames = 1 + -(-n // (cfg.snapshot_stride or max(1, n // 256)))
         if frames > MAX_FRAMES:
             raise SchemaError("snapshot_stride", f"{frames:.4g} frames, a record holds {MAX_FRAMES}")
-        # a record: magic and header (41 bytes), (t, c, y) a frame, the u32 pair count
-        need = cfg.n_paths * (45 + frames * (8 + 16 * grid.n_nodes))
+        need = cfg.n_paths * record_bytes(grid, frames)
         if need > _free_disk(Path(cfg.out).absolute().parent):
             raise SchemaError("out", f"{cfg.n_paths} records of {frames} frames ({need:.4g} bytes) "
                                      "exceed the free disk space")
@@ -485,9 +484,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config, c0_fn, plan, _ = _preflight(cfg, 4, radius=True)
     grid, coeffs, r2, dt, n = config.grid, config.coeffs, plan.radius, plan.dt, plan.n_steps
 
-    # the frame hook hands every state of path 0 (row 0 of its chunk) to the
-    # report sums as the lane takes it, so memory holds the step state and
-    # O(steps) floats, never the frames; the times are those a dense run stores
+    # path 0 runs alone, its frame hook handing every state to the report sums as the lane takes it: memory
+    # holds the step state and O(steps) floats, never the frames; the times are those a dense run stores
     times = np.arange(n + 1) * dt
     center = tuple(s // 2 for s in grid.shape)
     kept, series = np.empty((3, 1)), np.empty(n + 1)
@@ -504,11 +502,15 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
         if weak is not None:
             weak.add(k, fr)
 
-    ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
-                            n_snapshots=n, on_frames=lambda part: frame if part.path_ids[0] == 0 else None)
-    sup = float(ens.c_sup[0])
+    # then paths 1 to n_paths - 1, taking no frame (y in blocks where it can); an abort on path 0 comes first
+    runs = [simulate_ensemble(config, c0_fn, cfg.y0, n_paths=1, seed=cfg.seed, n_snapshots=n,
+                              on_frames=lambda part: frame)]
+    if cfg.n_paths > 1:
+        runs.append(simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths - 1, seed=cfg.seed,
+                                      first_path_id=1, n_workers=cfg.workers))
+    sup = float(runs[0].c_sup[0])
     reports = [linf_check(sup, r2), _mass_report(kept[:, 0], cfg)]
-    reports.extend(energy.reports(cfg.theta, sup, float(ens.clamp_mass[0])))
+    reports.extend(energy.reports(cfg.theta, sup, float(runs[0].clamp_mass[0])))
     if weak is not None:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
         zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
@@ -521,8 +523,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
-    y_term = ens.y_final[(slice(None),) + center]
+    reports.append(linf_check(max(float(np.max(ens.c_sup)) for ens in runs), r2, "ensemble_sup_vs_growth_bound"))
+    y_term = np.concatenate([ens.y_final[(slice(None),) + center] for ens in runs])  # path order
     reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
     return {"verify": reports}, {"dt": dt, "r2_bound": r2}
 

@@ -74,6 +74,11 @@ def _fields(grid: GridSpec, *names: str) -> np.dtype:
     return np.dtype([(n, "<f8", () if n in ("r", "t") else grid.shape) for n in names])
 
 
+def record_bytes(grid: GridSpec, n_snapshots: int) -> int:
+    """Size of a record of ``n_snapshots`` frames and no derivative pair: magic, header, frames, pair count."""
+    return len(MAGIC) + _HEAD.size + n_snapshots * _fields(grid, "t", "c", "y").itemsize + 4
+
+
 class RecordWriter:
     """Streams the records of a chunk of paths side by side, record i to
     ``paths[i]`` with path id ``path_ids[i]``: ``n_snapshots`` frames of

@@ -67,8 +67,6 @@ _NOISE_BLOCK = 512
 _MIN_BLOCK = 3
 # ln 1e300: a block whose y bound (see _lane) reaches this steps step by step
 _REACH = 690.0
-# lanes of this many nodes or more take alpha y as an einsum (see _y_half)
-_WIDE = 8192
 # where a c half reads or writes c (see StepBuffers.slot)
 _CSlot = collections.namedtuple("_CSlot", "c band shifts faces rows mass")
 
@@ -276,21 +274,21 @@ def _impose_bc(pairs: list, bc: BoundaryKind, face_buf: np.ndarray) -> None:
 
 class StepBuffers:
     """Workspace for repeated steps of one C-contiguous state shape: c and y
-    in two copies each (a step reads one and writes the other), three
-    scratch arrays (the Laplacian, reused for the noise and drift terms, and
-    two for the update of v) and the coefficient scratch, all shaped like the
-    state, plus one boundary face, the clamp mass and the alpha of an affine
-    y update (see ``_y_half``; a lane copies it in) per leading index; with
-    ``gates``, the clamp gates of the last step (v+ < 0 on the update band,
-    y+ < 0) as boolean masks.  ``half`` "c" or "y" keeps only the arrays,
-    gate included, of that half of a step (see ``step``), and a y half gets
-    a y scratch of its own.  What a step reads is bound once: the ``slot``
-    of each copy of c, the (paths, nodes) ``y_rows`` of each copy of y and
-    ``alpha_op``, the ``own`` views of a step from each copy and, at the
-    first step under a coefficient set, the in-place cores of f, beta,
-    beta_inv, a and b, which get the coefficient scratch, and the affine
-    form of a and b if they declare one, so a warm step is a flat run of
-    ufuncs.  A step returns views of these, valid until its next step."""
+    in two copies each (a step reads one and writes the other), three scratch
+    arrays (the Laplacian, reused for the noise and drift terms, and two for
+    the update of v) and the coefficient scratch, all shaped like the state,
+    plus one boundary face, the clamp mass and the alpha of an affine y update
+    (see ``_y_half``; a lane copies it in) per leading index; with ``gates``,
+    the clamp gates of the last step (v+ < 0 on the update band, y+ < 0) as
+    boolean masks.  ``half`` "c" or "y" keeps only the arrays, gate included,
+    of that half of a step (see ``step``), and a y half gets a y scratch of
+    its own.  What a step reads is bound once: the ``slot`` of each copy of c,
+    the (paths, nodes) ``y_rows`` of each copy of y, ``alpha_op`` (0-d alpha
+    on one path, else None), the ``own`` views of a step from each copy and,
+    at the first step under a coefficient set, the in-place cores of f, beta,
+    beta_inv, a and b, which get the coefficient scratch, and the affine form
+    of a and b if they declare one, so a warm step is a flat run of ufuncs.  A
+    step returns views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
                  half: str | None = None):
@@ -317,9 +315,8 @@ class StepBuffers:
             self.y = (np.empty(shape), np.empty(shape))
             self.y_scratch = self.lap if half is None else np.empty(shape)
             self.alpha = np.empty(shape[: len(lead)] + (1,) * grid.dim)
-            n, wide = self.alpha.size, self.tmp.size >= _WIDE
-            self.alpha_op = self.alpha.reshape(()) if n == 1 else self.alpha.reshape(n) if wide else None
-            self.y_rows = tuple(a.reshape(n, -1) for a in self.y)
+            self.alpha_op = self.alpha.reshape(()) if self.alpha.size == 1 else None
+            self.y_rows = tuple(a.reshape(self.alpha.size, -1) for a in self.y)
             self.y_gate = np.zeros(shape, bool) if gates else None
         self.slots = tuple(self.slot(c, self.mass) for c in self.c)
         # (slot of c, y band, slot of the new c, new y) of a step from each copy
@@ -437,8 +434,8 @@ def _c_half(src: _CSlot, y_b, dst: _CSlot, bc, dt: float, work: StepBuffers) -> 
 def _y_half(c, y, y_new: np.ndarray, dw, dt: float, work: StepBuffers, alpha_min=None) -> None:
     """y+ = max(y + a(y) dW + b(c, y) dt, 0), or its ``work.affine`` form, into ``y_new``, gates into ``work``.
     alpha comes from ``dw``, or from ``work.alpha`` as a caller that passes its minimum ``alpha_min`` wrote it.
-    alpha y reads ``work.alpha_op`` if set (0-d on one path, else an einsum, 0 + alpha y: no buffer and no
-    floating-point warning), else a filled copy.  The clamp is skipped while every alpha >= 0 and y is this
+    alpha y reads the 0-d ``work.alpha_op`` on one path, else a filled copy of alpha (a ufunc broadcasting
+    alpha would buffer).  The clamp is skipped while every alpha >= 0 and y is this
     workspace's last y: as kappa, c >= 0, y+ has no negative or -0.0 entry, and the y gate stays all False."""
     scratch, bites = work.y_scratch, True  # the Laplacian's array, used up, in a workspace of c and y
     if work.affine is None:
@@ -456,13 +453,8 @@ def _y_half(c, y, y_new: np.ndarray, dw, dt: float, work: StepBuffers, alpha_min
             alpha -= rho * dt
         if op is None:
             scratch[...] = alpha  # as for dw above
-            np.multiply(y, scratch, out=y_new)
-        elif op.ndim:
-            j = y_new is work.y[1]
-            rows = work.y_rows[1 - j] if y is work.y[1 - j] else y.reshape(op.size, -1)
-            np.einsum("pn,p->pn", rows, op, out=work.y_rows[j])
-        else:
-            np.multiply(y, op, out=y_new)
+            op = scratch
+        np.multiply(y, op, out=y_new)
         if c.shape == y.shape:
             np.multiply(kappa * dt, c, out=scratch)
         else:  # one c row for every path: kappa dt c once, at the head of tmp
@@ -491,7 +483,8 @@ def _y_block(y, alphas, c, kappa_dt: float, out, scratch, suffix) -> None:
     np.einsum("kp,kn->pn", w, c, out=scratch, optimize=False)
     scratch *= kappa_dt
     w[0] *= alphas[0]
-    np.einsum("pn,p->pn", y, w[0], out=out)  # 0 + A y, as _y_half: no iterator buffer
+    out[...] = w[0, :, None]  # A y by a filled copy of A, as _y_half: a broadcasting ufunc would buffer
+    out *= y
     out += scratch
 
 
@@ -669,10 +662,10 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
         (sigma, kappa, rho), alpha = work.affine, work.alpha.reshape(-1)
         alphas, mins = np.empty((block, paths)), np.empty(block)
     blocked = not 0 < stride < _MIN_BLOCK and slots is not None and work.affine is not None and on_step is None
-    if blocked:  # the ring's array of c rows; the first step's clamp, ahead: it turns a -0.0 of y to +0.0
-        c_rows, scratch = slots[0].c.base.reshape(len(slots), -1), work.tmp.reshape(paths, -1)
+    if blocked:  # the ring's c rows; block sums in the y scratch, which steps write too: tmp past row 0 stays unpaged
+        c_rows, scratch = slots[0].c.base.reshape(len(slots), -1), work.y_scratch.reshape(paths, -1)
         suffix = np.empty_like(alphas)
-        work.y_last = np.maximum(y, 0.0, out=y)
+        work.y_last = np.maximum(y, 0.0, out=y)  # the first step's clamp, ahead: a -0.0 of y turns +0.0
 
     # the block of increments that holds increment m, also viewed over the nodes, its alphas and their
     # minima; and m's index in it

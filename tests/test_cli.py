@@ -645,18 +645,18 @@ def test_require_finite_refuses_nan_and_either_infinity(bad, shape):
             cli._require_finite(ok, arr)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, monkeypatch, capsys, command):
+def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, capsys, command):
     # sigma = 1e300 makes alpha = 1 + sigma dW - rho dt about +-1e297, so y
-    # overflows within a few steps; on a lane of 8 paths of 34^2 nodes alpha y
-    # is an einsum, which raises no floating-point warning, and the engine's
-    # check of y still ends the run
-    einsum, calls = np.einsum, []
-    monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw))
+    # overflows within a few steps. simulate's lane of 8 paths of 34^2 nodes
+    # takes alpha y by a filled copy, as every lane of several paths does, and
+    # warns of the overflow; verify's path 0 aborts first, in its one-path
+    # run. Either way the engine's check of y ends the run
     text = ("dim = 2\ncells = 32\nt_final = 0.002\nn_paths = 8\ninitial.y = 1.0\n"
             "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
     code, out = run_cli(command, tmp_path, text, command)
-    assert code == 4 and calls
+    assert code == 4
     assert re.search(r"non-finite y at step \d+ of \d+ \(path \d+\)", capsys.readouterr().err)
     assert not out.exists()
     assert list(tmp_path.glob(".*staging*")) == []
@@ -1304,24 +1304,57 @@ def test_simulate_memory_does_not_grow_with_its_frames(tmp_path):
 
 @pytest.mark.parametrize("n_paths", [1, 5])
 def test_verify_steps_each_path_once(tmp_path, monkeypatch, n_paths):
-    # path 0 is read from the ensemble's first chunk, not stepped again alone
+    # path 0 runs alone, step by step, and the other paths in a run of their
+    # own that takes no frame: one block of every step; (rows, steps) of each
+    # y half and block, rows of each c half
     from rpmelab import simulate
 
-    c_rows, y_rows, c_half, y_half = [], [], simulate._c_half, simulate._y_half
+    c_rows, y_rows, c_half, y_half, y_block = [], [], simulate._c_half, simulate._y_half, simulate._y_block
     monkeypatch.setattr(simulate, "_c_half", lambda src, *a: c_rows.append(len(src[0])) or c_half(src, *a))
-    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append(len(y)) or y_half(c, y, *a))
+    monkeypatch.setattr(simulate, "_y_half", lambda c, y, *a: y_rows.append((len(y), 1)) or y_half(c, y, *a))
+    monkeypatch.setattr(simulate, "_y_block",
+                        lambda y, alphas, *a: y_rows.append((len(y), len(alphas))) or y_block(y, alphas, *a))
     text = f"dim = 1\ncells = 8\nn_paths = {n_paths}\nworkers = 1\nt_final = 0.01\n" + README_COEFFICIENTS
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     _, extras = cli._run_verify(cfg, tmp_path)
     n = round(0.01 / extras["dt"])
-    # the README source ignores y: one shared c row per step
-    assert y_rows == [n_paths] * n and c_rows == [1] * n
+    assert n >= simulate._MIN_BLOCK
+    assert y_rows == [(1, 1)] * n + [(n_paths - 1, n)] * (n_paths > 1)
+    # the README source ignores y: one shared c row per step and run
+    assert c_rows == [1] * n * (1 + (n_paths > 1))
 
 
 def _report_rows(reports):
     """Reports as the CSV writes them."""
     return [(r.name, repr(float(r.measured)), repr(r.bound), json.dumps(r.detail, sort_keys=True, default=float))
             for r in reports]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mu_y", [0.0, 0.5], ids=["one-way", "two-way"])
+def test_verify_ensemble_reports_are_path_0_alone_and_a_frameless_run_of_the_rest(tmp_path, mu_y, workers):
+    # verify's two ensemble reports, bit for bit, from a dense run of path 0
+    # and a run of paths 1 to 6 that takes no frame, whose one-way lanes step
+    # y in blocks: the c sups of both, the center y of both in path order
+    from rpmelab.analysis import EstimateReport, linf_check
+    from rpmelab.simulate import simulate_ensemble, simulate_path
+
+    text = (f"dim = 2\ncells = 16\nt_final = 0.02\nn_paths = 7\nworkers = {workers}\nseed = 4711\n"
+            f"coeff.f.mu_y = {mu_y!r}\n" + README_COEFFICIENTS)
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    sections, _ = cli._run_verify(cfg, tmp_path)
+
+    config, c0, plan, _ = cli._preflight(cfg)
+    runs = [simulate_path(config, c0, cfg.y0, seed=4711, store_dense=True),
+            simulate_ensemble(config, c0, cfg.y0, n_paths=6, seed=4711, first_path_id=1, n_workers=workers)]
+    assert runs[0].n_steps == runs[1].n_steps == plan.n_steps
+    center = (slice(None),) + tuple(s // 2 for s in config.grid.shape)
+    y_term = np.concatenate([run.y_final[center] for run in runs])
+    composed = [
+        linf_check(max(float(np.max(run.c_sup)) for run in runs), plan.radius, "ensemble_sup_vs_growth_bound"),
+        EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": 7}),
+    ]
+    assert _report_rows(sections["verify"][-2:]) == _report_rows(composed)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1423,11 +1456,11 @@ def test_malliavin_streams_its_record_in_bounded_memory(tmp_path):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("command", ["simulate", "converge"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "converge"])
 def test_one_way_2d_digests_do_not_depend_on_the_blas_threads(tmp_path, command):
-    # a 2D one-way run takes y in blocks by a fixed-order einsum, and converge
-    # its cross-grid distances by tensordot: the digests at one BLAS thread
-    # and at two are the same
+    # a 2D one-way run takes y in blocks by a fixed-order einsum (verify in
+    # the run of its paths but path 0), and converge its cross-grid distances
+    # by tensordot: the digests at one BLAS thread and at two are the same
     text = "dim = 2\ncells = 16\nt_final = 0.01\nn_paths = 9\nseed = 3\nconverge.levels = 4,8,16\n"
     text += README_COEFFICIENTS
     cfg = write(tmp_path, text)

@@ -21,6 +21,7 @@ from rpmelab.pathfile import (
     PathRecord,
     RecordWriter,
     read_record,
+    record_bytes,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -140,6 +141,21 @@ def test_frames_hold_to_the_announced_frame_count_and_the_grid(tmp_path):
     for i, path in enumerate(paths):
         c_i = np.stack([c[0, 0], c[1, 0]])
         assert path.read_bytes() == encoded(PathRecord(grid, 1, 2 + i, 0.5, np.array([0.0, 0.5]), c_i, y[:, i], ()))
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("frames", [0, 1, 7])
+def test_record_bytes_is_the_size_of_a_written_record_without_pairs(tmp_path, dim, cells, frames):
+    # the size the CLI's preflight checks against the free disk
+    grid = build_grid(dim, cells)
+    path = tmp_path / "r.rpme1"
+    out = RecordWriter([path], grid, 3, [0], 0.25, frames)
+    for k in range(frames):
+        out.frame(k * 0.25, np.full(grid.shape, k), np.ones(grid.shape))
+    out.finish()
+    states = np.zeros((frames,) + grid.shape)
+    expected = len(encoded(PathRecord(grid, 3, 0, 0.25, np.zeros(frames), states, states, ())))
+    assert path.stat().st_size == record_bytes(grid, frames) == expected
 
 
 def test_writing_a_record_holds_one_table_not_its_frames(tmp_path, monkeypatch):

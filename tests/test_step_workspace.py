@@ -214,8 +214,8 @@ def test_the_affine_y_step_is_the_term_by_term_formula_to_a_few_ulps(
 def five_pass_y_half(c, y, dw, dt, sigma, kappa, rho, dim):
     """The affine y half and its gate in five full-array passes: alpha
     filled into a scratch array, y times it, kappa dt c filled in, added,
-    and the clamp, as the step took them before alpha y could be an einsum
-    and the clamp could be skipped."""
+    and the clamp, as a step of several paths takes them where the clamp
+    is not skipped."""
     alpha = np.multiply(sigma, np.reshape(dw, np.shape(dw) + (1,) * dim))
     alpha += 1.0
     alpha -= rho * dt
@@ -228,7 +228,7 @@ def five_pass_y_half(c, y, dw, dt, sigma, kappa, rho, dim):
     return np.maximum(y_new, 0.0), gate
 
 
-# (cells, paths) of a lane of at least simulate._WIDE nodes
+# (cells, paths) of a lane of 8,192 nodes or more, whose alpha y is a filled copy as on every lane of several paths
 WIDE_LANES = {1: (254, 33), 2: (16, 26), 3: (8, 9)}
 SPECIAL_DW = [-5.0, 5.0, np.nan, np.inf, -np.inf]
 
@@ -243,7 +243,7 @@ SPECIAL_DW = [-5.0, 5.0, np.nan, np.inf, -np.inf]
 @example(1, "wide", "two-way", True, 1.0, 0.5, 0.5, 0.01, [[], [np.nan, -5.0]], 0)
 def test_the_y_half_is_the_five_pass_formula_bitwise(dim, lane, form, gates, sigma, kappa, rho, dt, specials,
                                                      seed):
-    # alpha y by a 0-d alpha, a filled copy or an einsum, and the clamp
+    # alpha y by a 0-d alpha or a filled copy, and the clamp
     # skipped where it cannot bite: y+ and the y gate of every step are the
     # five passes' bit for bit, from y0 and c with zeros of both signs, under
     # increments that make alpha negative, NaN or infinite on some paths
@@ -267,8 +267,7 @@ def test_the_y_half_is_the_five_pass_formula_bitwise(dim, lane, form, gates, sig
         work.c[0][...] = draw_c()
     else:  # c handed in, as a y-lane reads it from its wave
         work, c_new = StepBuffers(grid, lead, gates, "y"), StepBuffers(grid, (1,), half="c").slots[1]
-    assert (work.alpha_op is None) == (paths > 1 and lane != "wide")
-    assert lane != "wide" or work.alpha_op.ndim == 1
+    assert (work.alpha_op is None) == (paths > 1)
     work.y[0][...] = signed_zeros(rng.uniform(0.0, 2.0, lead + grid.shape))
     c, y = work.c[0] if form == "own" else None, work.y[0]
     with np.errstate(all="ignore"):
@@ -530,7 +529,7 @@ def form_steps(form, grid, coeffs, bc, paths, n_steps, gates=False, watch=contex
     return c.copy(), y.copy()
 
 
-# 2D 32^2 with 16 paths: a lane of 18,496 nodes, whose alpha y is an einsum;
+# 2D 32^2 with 16 paths: a wide lane of 18,496 nodes;
 # 1D at 8 cells: 10 nodes a path, so the alphas of a lane's block of 20
 # steps, allocated per block instead of once a lane, would outweigh y
 @pytest.mark.parametrize("dim,cells,paths", [(1, 32, 64), (2, 16, 16), (3, 8, 4), (2, 32, 16), (1, 8, 64)])
