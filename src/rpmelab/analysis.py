@@ -322,11 +322,15 @@ def _batched_pc_norm_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def _batched_cross(values_a: np.ndarray, grid_a: GridSpec, values_b: np.ndarray,
                    grid_b: GridSpec) -> np.ndarray:
+    """``pc_cross_inner`` of each pair of fields along the leading axes of two
+    stacks: the overlap matrix applied axis by axis, one vector-matrix
+    product per leading index and grid line, so an entry's bits are those of
+    its own pair, however the stacks are sliced and whatever the BLAS threads."""
     o = overlap_matrix(grid_a, grid_b)
     lead = values_a.ndim - grid_a.dim
     t = values_a
-    for axis in range(grid_a.dim):
-        t = np.moveaxis(np.tensordot(t, o, axes=([lead + axis], [0])), -1, lead + axis)
+    for axis in range(lead, values_a.ndim):
+        t = np.moveaxis((np.moveaxis(t, axis, -1)[..., None, :] @ o)[..., 0, :], -1, axis)
     return (t * values_b).reshape(values_b.shape[:lead] + (-1,)).sum(axis=-1)
 
 
@@ -367,10 +371,12 @@ def cauchy_refinement(
     Each level is ``config`` on a grid of the given cells per axis.  Every
     level steps with a power-of-two multiple of the finest step, which the
     finest level resolves, so all levels see the same Brownian path at their
-    own resolution and share the snapshot times.  Every level's frames are
-    held until the distances are taken: y of every path, and c of every path
-    or, when the paths share their c, one row a frame (see
-    ``simulate_ensemble``).
+    own resolution and share the snapshot times.  The levels run coarse to
+    fine, and each finer level takes its squared distances to the level below
+    frame by frame as its lanes take the frames (see ``simulate_ensemble``).
+    A level's frames are held only until the next level has read them, the
+    finest level's never: y of every path, and c of every path or, when the
+    paths share their c, one row a frame.
     """
     grids = [build_grid(config.grid.dim, m) for m in levels]
     configs = [replace(config, grid=g) for g in grids]
@@ -384,37 +390,51 @@ def cauchy_refinement(
     plan = configs[-1].plan(float(np.max(c0_fine)), multiple_of=n_snapshots * max(factors))
 
     wiener = gen_wiener_batch(plan.n_steps, plan.dt, seed, list(range(n_paths)))
-    frames = []
-    level_meta = []
-    for cf, factor in zip(configs, factors):
+    frames, c_rows = n_snapshots + 1, n_paths if config.coeffs.source.reads_y else 1
+    below, level_meta, d_sqs = None, [], []
+    for i, (cf, factor) in enumerate(zip(configs, factors)):
         w = coarsen_wiener(wiener, factor)
-        frames.append(
-            simulate_ensemble(cf, c0_fn, y0, wiener=w, n_snapshots=n_snapshots, n_workers=n_workers)
-        )
-        level_meta.append(RefinementLevel(cf.grid.cells_per_axis, w.dt, w.n_steps, factor))
+        # (c, y): the frames a finer level reads, and the squared distances to the level below
+        keep = None if i == len(levels) - 1 else tuple(
+            np.empty((frames, n) + cf.grid.shape) for n in (c_rows, n_paths))
+        d_sq = None if below is None else (np.empty((frames, c_rows)), np.empty((frames, n_paths)))
 
-    times = frames[0].times
+        def on_frames(part):  # called within this level's run
+            ids = slice(part.path_ids[0], part.path_ids[-1] + 1)
+            at = [(1, ids)]  # (0 for c or 1 for y, its rows); a shared c only by the chunk that holds its row
+            if part.c_final.flags.writeable:
+                at.append((0, ids if c_rows > 1 else slice(0, 1)))
+
+            def frame(k: int, c, y) -> None:
+                for j, rows in at:
+                    v = (c, y)[j]
+                    if keep is not None:
+                        keep[j][k, rows] = v
+                    if below is not None:
+                        u, g = below[j][k, rows], grids[i - 1]
+                        cross = _batched_cross(u, g, v, cf.grid)
+                        d_sq[j][k, rows] = np.maximum(
+                            _batched_pc_norm_sq(u, g) + _batched_pc_norm_sq(v, cf.grid) - 2.0 * cross, 0.0)
+
+            return frame
+
+        times = simulate_ensemble(cf, c0_fn, y0, wiener=w, n_snapshots=n_snapshots, n_workers=n_workers,
+                                  on_frames=on_frames).times
+        level_meta.append(RefinementLevel(cf.grid.cells_per_axis, w.dt, w.n_steps, factor))
+        below = keep
+        d_sqs.append(d_sq)
+
     tw = np.full(len(times), times[1] - times[0])
     tw[0] *= 0.5
     tw[-1] *= 0.5
 
-    def pair_distance(attr: str, fa, fb, ga, gb) -> float:
-        va, vb = getattr(fa, attr), getattr(fb, attr)
-        frames_paths = va.shape[:2]
-        if va.strides[1] == vb.strides[1] == 0:  # a c that every path shares: its one row
-            va, vb = va[:, :1], vb[:, :1]
-        na = _batched_pc_norm_sq(va, ga)
-        nb = _batched_pc_norm_sq(vb, gb)
-        cross = _batched_cross(va, ga, vb, gb)
-        d_sq = np.broadcast_to(np.maximum(na + nb - 2.0 * cross, 0.0), frames_paths)
+    def distance(d_sq: np.ndarray) -> float:
+        d_sq = np.broadcast_to(d_sq, (frames, n_paths))
         return float(math.sqrt(np.mean(np.sum(tw[:, None] * d_sq, axis=0))))
 
-    c_dists, y_dists = [], []
-    for i in range(len(levels) - 1):
-        ga, gb = grids[i], grids[i + 1]
-        c_dists.append(pair_distance("c", frames[i], frames[i + 1], ga, gb))
-        y_dists.append(pair_distance("y", frames[i], frames[i + 1], ga, gb))
-    return RefinementResult(tuple(level_meta), times, tuple(c_dists), tuple(y_dists))
+    c_dists = tuple(distance(d[0]) for d in d_sqs[1:])
+    y_dists = tuple(distance(d[1]) for d in d_sqs[1:])
+    return RefinementResult(tuple(level_meta), times, c_dists, y_dists)
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,8 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
     a path's record) of a run on the grid of ``key`` (``converge.levels``: its finest entry), before anything
     is allocated.  Refused naming ``key`` when one path's step state exceeds physical memory; naming t_final
     for a growth radius the run reads (``radius``) that overflows; naming the plan's key for a record of a
-    frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory; for
+    frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory;
+    naming ``converge.levels`` when those and the frames the ladder keeps of its second-finest level do; for
     ``stride``'s records (a frame every ``snapshot_stride`` or n_steps // 256 steps, streamed to disk, not
     held), naming snapshot_stride for more frames than a header counts, and out beyond the free disk."""
     grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
@@ -389,6 +390,9 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
         raise SchemaError(plan.key, f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
     if floats:
         fit(plan.key, (n + 1) * floats)
+    if key == "converge.levels":  # and the ladder's 5 + 1 frames of y a path, and of c, on its second-finest grid
+        rows = cfg.n_paths + (cfg.n_paths if config.coeffs.source.reads_y else 1)
+        fit(key, (n + 1) * floats + 6 * rows * build_grid(cfg.dim, cfg.levels[-2]).n_nodes)
     frames = 0
     if stride:
         # the steps are rounded up to a multiple of ceil(n / stride) snapshots: from n to n + stride - 1

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpmelab.analysis import (
     EstimateReport,
+    _batched_cross,
     barenblatt_error,
     bump_time_profile,
     cauchy_refinement,
@@ -62,6 +64,31 @@ def test_cross_inner_same_grid_matches_pc_inner():
     u = Field(grid, rng.uniform(size=grid.shape))
     w = Field(grid, rng.uniform(size=grid.shape))
     assert pc_cross_inner(u, w) == pytest.approx(pc_l2_inner(u, w), rel=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_cross_gives_each_pair_the_bits_of_its_own_product(data):
+    # every entry of the product of two stacks of frames and paths, on grids of m and 2m
+    # cells, is pc_cross_inner of its pair bit for bit, and so is every entry of any
+    # slice of the stacks' paths or frames
+    dim = data.draw(st.integers(1, 3), label="dim")
+    m = data.draw(st.integers(2, (16, 8, 4)[dim - 1]), label="m")
+    frames, paths = data.draw(st.integers(1, 4), label="frames"), data.draw(st.integers(1, 7), label="paths")
+    ga, gb = build_grid(dim, m), build_grid(dim, 2 * m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.uniform(-1.0, 1.0, (frames, paths) + ga.shape)
+    b = rng.uniform(-1.0, 1.0, (frames, paths) + gb.shape)
+    whole = _batched_cross(a, ga, b, gb)
+    pairs = [[pc_cross_inner(Field(ga, a[k, j]), Field(gb, b[k, j])) for j in range(paths)]
+             for k in range(frames)]
+    assert whole.tobytes() == np.array(pairs).tobytes()
+    cut = []
+    for n in (frames, paths):  # a slice of at least one frame and one path
+        lo = data.draw(st.integers(0, n - 1))
+        cut.append(slice(lo, data.draw(st.integers(lo + 1, n))))
+    ks, js = cut
+    assert _batched_cross(a[ks, js], ga, b[ks, js], gb).tobytes() == whole[ks, js].tobytes()
 
 
 def test_cross_inner_matches_midpoint_quadrature():

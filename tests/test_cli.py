@@ -1101,7 +1101,9 @@ def test_step_state_beyond_physical_memory_exits_3(
     # store no frame: memory that does not hold the frames of the path runs
     assert command != "simulate" or n < 256
     assert state + series < state + 16 * build_grid(2, cells).n_nodes * (n + 1)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: state + series)
+    # converge keeps 6 frames of c and y of its one path on its coarser level
+    kept = 8 * 6 * 2 * build_grid(2, 4).n_nodes if command == "converge" else 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: state + series + kept)
     assert run_cli(command, tmp_path, text, "fits")[0] == 0
 
 
@@ -1155,6 +1157,30 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
     grid = build_grid(2, 16)
     monkeypatch.setattr(cli, "_physical_memory", lambda: path_bytes(grid) + 16 * grid.n_nodes * (n + 1) - 1)
     assert run_cli("verify", tmp_path, text, "streamed")[0] == 0
+
+
+@pytest.mark.parametrize("mu_y,c_rows", [("0", 1), ("0.5", 3)])
+def test_converge_preflight_counts_the_frames_of_its_second_finest_level(tmp_path, monkeypatch, capsys, mu_y,
+                                                                          c_rows):
+    # the ladder keeps 6 frames of y a path on the 8-cell grid, and of c, one row when the paths share it:
+    # memory for the step state and the noise of the 16-cell grid but not for those frames is refused
+    # naming converge.levels, before anything is written
+    from rpmelab.grid import build_grid
+
+    text = ("dim = 2\nt_final = 0.001\nn_paths = 3\nconverge.levels = 4,8,16\n" + README_COEFFICIENTS
+            + f"coeff.f.mu_y = {mu_y}\n")
+    cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    n = cli._preflight(cfg, key="converge.levels")[2].n_steps
+    noise = path_bytes(build_grid(2, 16)) + 8 * 3 * (n + 1)
+    frames = 8 * 6 * (3 + c_rows) * build_grid(2, 8).n_nodes
+    monkeypatch.setattr(cli, "_physical_memory", lambda: noise + frames - 1)
+    code, out = run_cli("converge", tmp_path, text, "short")
+    assert code == 3
+    assert re.search(r"config key 'converge.levels': step state and .* floats .* exceed physical memory$",
+                     capsys.readouterr().err.strip())
+    assert not out.exists() and os.listdir(tmp_path) == ["short.cfg"]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: noise + frames)
+    assert run_cli("converge", tmp_path, text, "fits")[0] == 0
 
 
 README_COEFFICIENTS = (

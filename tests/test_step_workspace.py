@@ -1671,6 +1671,32 @@ def test_refinement_levels_and_sweep_finals_hold_a_shared_c_once(monkeypatch, co
                 assert same_bits(ens.c[:, j], path.c[:, 0]) and same_bits(ens.y[:, j], path.y[:, 0])
 
 
+@pytest.mark.parametrize("coupling", ["one-way", "two-way"])
+def test_refinement_distances_are_those_of_whole_levels_kept(monkeypatch, coupling):
+    # every level of the ladder rerun with its frames kept: the distances of adjacent levels' whole
+    # stacks, every frame and path at once, are bit for bit those that the ladder takes chunk by chunk
+    # (chunks of 2 paths on the finest grid, more on the coarser) and frame by frame, at 2 workers
+    from rpmelab import analysis
+
+    runs, real = [], analysis.simulate_ensemble
+    monkeypatch.setattr(analysis, "simulate_ensemble",
+                        lambda *args, **kw: runs.append((args, kw)) or real(*args, **kw))
+    monkeypatch.setattr(simulate, "_STATE_BYTES", 2 * simulate.path_bytes(build_grid(2, 16)))
+    config = small_config(COEFFS["readme"] if coupling == "one-way" else COEFFS["decaying"], t_final=0.01)
+    out = cauchy_refinement(config, cosine, 1.0, levels=(4, 8, 16), n_paths=5, seed=5, n_snapshots=2, n_workers=2)
+    kept = [real(*args, **{k: v for k, v in kw.items() if k != "on_frames"}) for args, kw in runs]
+    assert same_bits(out.times, kept[0].times)
+    tw = np.full(3, out.times[1] - out.times[0])
+    tw[[0, -1]] *= 0.5
+    for i, (a, b) in enumerate(zip(kept, kept[1:])):
+        for name, dists in (("c", out.c_distances), ("y", out.y_distances)):
+            u, v = getattr(a, name), getattr(b, name)
+            cross = analysis._batched_cross(u, a.grid, v, b.grid)
+            d_sq = np.maximum(analysis._batched_pc_norm_sq(u, a.grid) + analysis._batched_pc_norm_sq(v, b.grid)
+                              - 2.0 * cross, 0.0)
+            assert same_bits(np.sqrt(np.mean(np.sum(tw[:, None] * d_sq, axis=0))), dists[i]), (name, i)
+
+
 def test_kept_frames_of_a_shared_c_do_not_grow_with_the_paths():
     # 41 kept frames of 8^2 nodes: 8 more paths add their y frames (the last
     # of them y_final) and their step state, but no frame of c
@@ -1688,6 +1714,30 @@ def test_kept_frames_of_a_shared_c_do_not_grow_with_the_paths():
         assert_c_rows(ens, True)
     y_frames = 8 * frames * config.grid.n_nodes * 8
     assert y_frames <= peaks[1] - peaks[0] < y_frames * 3 // 2
+
+
+def test_converge_holds_no_frame_of_its_finest_level():
+    # levels of 4, 8 and 16 cells in 2D, 8 paths that share their c, 512 steps at either frame count: 30
+    # more frames of y a path and of the one c add those of the second-finest level, and the coarsest's,
+    # which it reads as it runs, but none of the finest level's
+    config = dataclasses.replace(small_config(COEFFS["readme"], t_final=0.01), dt=0.01 / 512)
+
+    def refine(n_snapshots):
+        return cauchy_refinement(config, cosine, 1.0, levels=(4, 8, 16), n_paths=8, seed=3, n_snapshots=n_snapshots)
+
+    refine(32)  # first-call caches
+    peaks = []
+    for n_snapshots in (2, 32):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = refine(n_snapshots)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert out.levels[-1].n_steps == 512
+    coarsest, second, finest = (30 * (8 + 1) * build_grid(2, m).n_nodes * 8 for m in (4, 8, 16))
+    assert second <= peaks[1] - peaks[0] < min(second * 3 // 2, finest)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
