@@ -136,7 +136,9 @@ def convex_energy(c_values: np.ndarray, grid: GridSpec, coeffs: CoefficientSet) 
 
 class Frame:
     """One frame of c and y, each shaped like ``grid``, with the interior of
-    c, and beta and f on it, computed once for every sum that adds it."""
+    c, and beta and f on it, computed once for every sum that adds it.  For a
+    source that ignores y, any y of that shape gives f the same bits (``verify``
+    passes c when it steps y at the center alone)."""
 
     def __init__(self, grid: GridSpec, coeffs: CoefficientSet, c: np.ndarray, y: np.ndarray):
         core = (slice(1, -1),) * grid.dim

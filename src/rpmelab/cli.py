@@ -369,9 +369,9 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
     is allocated.  Refused naming ``key`` when one path's step state exceeds physical memory; naming t_final
     for a growth radius the run reads (``radius``) that overflows; naming the plan's key for a record of a
     frame a step (``record``) beyond its header, and for ``floats`` more a step that push it past memory;
-    naming ``converge.levels`` when those and the frames the ladder keeps of its second-finest level do; for
-    ``stride``'s records (a frame every ``snapshot_stride`` or n_steps // 256 steps, streamed to disk, not
-    held), naming snapshot_stride for more frames than a header counts, and out beyond the free disk."""
+    naming ``converge.levels`` when those and the frames the ladder holds of the two levels below its finest
+    do; for ``stride``'s records (a frame every ``snapshot_stride`` or n_steps // 256 steps, streamed to disk,
+    not held), naming snapshot_stride for more frames than a header counts, and out beyond the free disk."""
     grid = build_grid(cfg.dim, cfg.levels[-1] if key == "converge.levels" else cfg.cells)
     config = SimConfig(grid, _coefficients(cfg), BoundaryKind(cfg.bc), cfg.t_final, theta=cfg.theta, dt=cfg.dt)
 
@@ -390,9 +390,12 @@ def _preflight(cfg: RunConfig, floats: int = 0, key: str = "cells", *, radius: b
         raise SchemaError(plan.key, f"{n:.4g} steps, a record holds {MAX_FRAMES - 1}")
     if floats:
         fit(plan.key, (n + 1) * floats)
-    if key == "converge.levels":  # and the ladder's 5 + 1 frames of y a path, and of c, on its second-finest grid
+    if key == "converge.levels":
+        # and the ladder's 5 + 1 frames of y a path, and of c (one row when the paths share it), on the two
+        # grids below its finest: while the second-finest level runs, the level below it is held too
         rows = cfg.n_paths + (cfg.n_paths if config.coeffs.source.reads_y else 1)
-        fit(key, (n + 1) * floats + 6 * rows * build_grid(cfg.dim, cfg.levels[-2]).n_nodes)
+        held = sum(build_grid(cfg.dim, m).n_nodes for m in cfg.levels[-3:-1])
+        fit(key, (n + 1) * floats + 6 * rows * held)
     frames = 0
     if stride:
         # the steps are rounded up to a multiple of ceil(n / stride) snapshots: from n to n + stride - 1
@@ -488,10 +491,14 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     config, c0_fn, plan, _ = _preflight(cfg, 4, radius=True)
     grid, coeffs, r2, dt, n = config.grid, config.coeffs, plan.radius, plan.dt, plan.n_steps
 
-    # path 0 runs alone, its frame hook handing every state to the report sums as the lane takes it: memory
-    # holds the step state and O(steps) floats, never the frames; the times are those a dense run stores
+    # one run of every path; the chunk that holds path 0 hands each of its states to the report sums as its
+    # lane takes it, the other chunks take no frame: memory holds the step state and O(steps) floats, never
+    # the frames; the times are those a dense run stores
     times = np.arange(n + 1) * dt
-    center = tuple(s // 2 for s in grid.shape)
+    center = np.ravel_multi_index(tuple(s // 2 for s in grid.shape), grid.shape)
+    # a source that ignores y: y is stepped at the center alone, and f gets c for a y it does not read
+    nodes = None if coeffs.source.reads_y else [center]
+    at = center if nodes is None else 0  # the center in a path's row of y
     kept, series = np.empty((3, 1)), np.empty(n + 1)
     n_free = free_node_count(grid)
     v = np.random.default_rng(cfg.seed).uniform(0.5, 1.0, size=n_free)
@@ -499,22 +506,19 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     weak = WeakSums(grid, v, n) if n_free else None
 
     def frame(k, c, y):
-        fr = Frame(grid, coeffs, c[0], y[0])
+        fr = Frame(grid, coeffs, c[0], c[0] if nodes else y[0])
         _keep_mass(kept, k, grid.spacing**grid.dim * fr.beta.reshape(-1).sum(axis=-1))  # interior_v_mass
-        series[k] = y[(0,) + center]
+        series[k] = y[0].reshape(-1)[at]
         energy.add(k, fr)
         if weak is not None:
             weak.add(k, fr)
 
-    # then paths 1 to n_paths - 1, taking no frame (y in blocks where it can); an abort on path 0 comes first
-    runs = [simulate_ensemble(config, c0_fn, cfg.y0, n_paths=1, seed=cfg.seed, n_snapshots=n,
-                              on_frames=lambda part: frame)]
-    if cfg.n_paths > 1:
-        runs.append(simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths - 1, seed=cfg.seed,
-                                      first_path_id=1, n_workers=cfg.workers))
-    sup = float(runs[0].c_sup[0])
+    ens = simulate_ensemble(config, c0_fn, cfg.y0, n_paths=cfg.n_paths, seed=cfg.seed, n_workers=cfg.workers,
+                            n_snapshots=n, on_frames=lambda part: frame if part.path_ids[0] == 0 else None,
+                            nodes=nodes)
+    sup = float(ens.c_sup[0])
     reports = [linf_check(sup, r2), _mass_report(kept[:, 0], cfg)]
-    reports.extend(energy.reports(cfg.theta, sup, float(runs[0].clamp_mass[0])))
+    reports.extend(energy.reports(cfg.theta, sup, float(ens.clamp_mass[0])))
     if weak is not None:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
         zeros = lambda t: np.zeros_like(np.asarray(t, dtype=np.float64))
@@ -527,8 +531,8 @@ def _run_verify(cfg: RunConfig, staging: Path) -> tuple[Sections, dict]:
     if len(usable) >= 2:
         reports.append(holder_report(series, dt, usable, "y_holder_exponent"))
 
-    reports.append(linf_check(max(float(np.max(ens.c_sup)) for ens in runs), r2, "ensemble_sup_vs_growth_bound"))
-    y_term = np.concatenate([ens.y_final[(slice(None),) + center] for ens in runs])  # path order
+    reports.append(linf_check(float(np.max(ens.c_sup)), r2, "ensemble_sup_vs_growth_bound"))
+    y_term = ens.y_final.reshape(cfg.n_paths, -1)[:, at]
     reports.append(EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": cfg.n_paths}))
     return {"verify": reports}, {"dt": dt, "r2_bound": r2}
 

@@ -282,17 +282,20 @@ class StepBuffers:
     the clamp gates of the last step (v+ < 0 on the update band, y+ < 0) as
     boolean masks.  ``half`` "c" or "y" keeps only the arrays, gate included,
     of that half of a step (see ``step``), and a y half gets a y scratch of
-    its own.  What a step reads is bound once: the ``slot`` of each copy of c,
-    the (paths, nodes) ``y_rows`` of each copy of y, ``alpha_op`` (0-d alpha
-    on one path, else None), the ``own`` views of a step from each copy and,
-    at the first step under a coefficient set, the in-place cores of f, beta,
-    beta_inv, a and b, which get the coefficient scratch, and the affine form
-    of a and b if they declare one, so a warm step is a flat run of ufuncs.  A
-    step returns views of these, valid until its next step."""
+    its own; given the flat grid indices ``nodes``, a y half holds y on those
+    nodes alone, one axis of them after ``lead``.  What a step reads is bound
+    once: the ``slot`` of each copy of c, the (paths, nodes) ``y_rows`` of
+    each copy of y, ``alpha_op`` (0-d alpha on one path, else None), the
+    ``own`` views of a step from each copy and, at the first step under a
+    coefficient set, the in-place cores of f, beta, beta_inv, a and b, which
+    get the coefficient scratch, and the affine form of a and b if they
+    declare one, so a warm step is a flat run of ufuncs.  A step returns
+    views of these, valid until its next step."""
 
     def __init__(self, grid: GridSpec, lead: tuple[int, ...] = (), gates: bool = False,
-                 half: str | None = None):
-        shape = tuple(lead) + grid.shape
+                 half: str | None = None, nodes=None):
+        axes = grid.shape if nodes is None else (len(nodes),)
+        shape = tuple(lead) + axes
         self.dim, self.h, self.cell = grid.dim, grid.spacing, grid.spacing**grid.dim
         self.c, self.y, self.v_gate, self.y_gate, self.coeffs = (), (), None, None, None
         self.y_clamped, self.y_last = True, None  # see _y_half
@@ -314,7 +317,7 @@ class StepBuffers:
         if half != "c":
             self.y = (np.empty(shape), np.empty(shape))
             self.y_scratch = self.lap if half is None else np.empty(shape)
-            self.alpha = np.empty(shape[: len(lead)] + (1,) * grid.dim)
+            self.alpha = np.empty(shape[: len(lead)] + (1,) * len(axes))
             self.alpha_op = self.alpha.reshape(()) if self.alpha.size == 1 else None
             self.y_rows = tuple(a.reshape(self.alpha.size, -1) for a in self.y)
             self.y_gate = np.zeros(shape, bool) if gates else None
@@ -340,13 +343,14 @@ class StepBuffers:
         return _CSlot(c, *_stencil(c, self.dim), _face_pairs(c, self.dim), c.reshape(len(c), -1), mass)
 
 
-def path_bytes(grid: GridSpec) -> int:
+def path_bytes(grid: GridSpec, nodes=None) -> int:
     """Bytes a chunk is charged per path: the eight state-sized arrays of a
     lane that steps c and y (see ``StepBuffers``; a one-way lane holds four,
     but at four ensemble-2d's chunks would double and its peak RSS grow by
-    about 8%, measured).  Stored frames go to the chunk's frame hook as they
-    are taken, so they are not charged."""
-    return 8 * 8 * grid.n_nodes
+    about 8%, measured), on the grid or on the flat grid ``nodes`` alone.
+    Stored frames go to the chunk's frame hook as they are taken, so they
+    are not charged."""
+    return 8 * 8 * (grid.n_nodes if nodes is None else len(nodes))
 
 
 @dataclass
@@ -501,7 +505,9 @@ class EnsembleResult:
     frames, shaped (frames, paths, *grid.shape); the frames stay None when
     they went to an ``on_frames`` hook instead.  When every path shares its
     c (a source that ignores y), ``c_final`` and ``c`` are read-only views of
-    one row, with stride 0 along the path axis.
+    one row, with stride 0 along the path axis.  A run given ``nodes`` (see
+    ``simulate_ensemble``) holds y on those nodes alone: ``y_final`` is
+    shaped (paths, len(nodes)) and ``y`` (frames, paths, len(nodes)).
     """
 
     grid: GridSpec
@@ -618,7 +624,8 @@ def _wave_c(config: SimConfig, part: EnsembleResult, block: int):
     return slots, advance
 
 
-def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride, on_step, slots, block, frame):
+def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride, on_step, slots, block, frame,
+          nodes=None):
     """``run(start, stop)``: steps start + 1 to stop of the paths of ``part``
     under the (paths, steps) blocks of increments of ``noise``, in one
     workspace of c and y (c ``_track``ed here) or of y, c read from ``slots``;
@@ -633,13 +640,16 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     Every operation and reduction is per path, so batching never changes a
     bit.  ``on_step(res, c, y, dw, work)`` gets each step, its start state,
     increments and workspace, which then keeps the gates of the halves stepped here.
+    Given the flat grid indices ``nodes``, y is held on those nodes alone, a
+    row of them a path, and taken step by step, the y half reading the row of
+    c from ``slots`` at the nodes, copied into a row of its own.
 
     A lane that reads c from ``slots`` under the affine y, with no ``on_step``
-    and frames ``stride`` >= ``_MIN_BLOCK`` steps apart or none (0), takes y
-    from frame to frame in the block form (``_y_block``), in blocks cut at the
-    multiples of ``stride``, at the ends of runs, multiples of ``block``, and
-    where the slots of c wrap around, multiples of ``block + 1``, so they
-    never depend on the chunking.  A path takes a block of
+    or ``nodes`` and frames ``stride`` >= ``_MIN_BLOCK`` steps apart or none
+    (0), takes y from frame to frame in the block form (``_y_block``), in
+    blocks cut at the multiples of ``stride``, at the ends of runs, multiples
+    of ``block``, and where the slots of c wrap around, multiples of
+    ``block + 1``, so they never depend on the chunking.  A path takes a block of
     ``_MIN_BLOCK`` or more steps that way when its alphas in it are >= 0 and a
     bound of every y either form reaches in it, from its y, its largest alpha
     and the shared c's sup, is below 1e300; otherwise y is stepped step by
@@ -649,7 +659,7 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     start at a multiple of ``block`` y is stepped step by step."""
     grid, coeffs, bc, dt = config.grid, config.coeffs, config.bc, part.dt
     paths = len(part.path_ids)
-    work = StepBuffers(grid, (paths,), on_step is not None, None if slots is None else "y")
+    work = StepBuffers(grid, (paths,), on_step is not None, None if slots is None else "y", nodes)
     work.bind(coeffs)
     c, y = work.c[0] if slots is None else slots[0].c, work.y[0]
     c[...], y[...] = c_init, y_init
@@ -661,7 +671,9 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
     if work.affine is not None:
         (sigma, kappa, rho), alpha = work.affine, work.alpha.reshape(-1)
         alphas, mins = np.empty((block, paths)), np.empty(block)
-    blocked = not 0 < stride < _MIN_BLOCK and slots is not None and work.affine is not None and on_step is None
+    at = None if nodes is None else np.empty((1, len(nodes)))  # c at the nodes, for the y half
+    blocked = (not 0 < stride < _MIN_BLOCK and slots is not None and work.affine is not None and on_step is None
+               and at is None)
     if blocked:  # the ring's c rows; block sums in the y scratch, which steps write too: tmp past row 0 stays unpaged
         c_rows, scratch = slots[0].c.base.reshape(len(slots), -1), work.y_scratch.reshape(paths, -1)
         suffix = np.empty_like(alphas)
@@ -681,7 +693,7 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
                 rows += 1.0
                 rows -= rho * dt
                 lows = np.minimum.reduce(rows, axis=1, out=mins[: len(dws)])
-            held = dws, dws[(Ellipsis,) + (None,) * grid.dim], rows, lows
+            held = dws, dws[(Ellipsis,) + (None,) * (y.ndim - 1)], rows, lows
         return held, m - first
 
     def finite(n: int) -> None:  # y >= 0, so its max is finite exactly when every entry is
@@ -696,7 +708,9 @@ def _lane(config: SimConfig, c_init, y_init, noise, part: EnsembleResult, stride
                 np.copyto(alpha, rows[i])
                 if not low >= 0.0:  # the clamp after a negative alpha turns alpha * inf into 0
                     finite(n - 1)
-            res = step(c, y, grid, coeffs, bc, dt, dw_nodes[i], work, ring[n % len(ring)], low)
+            if at is not None:  # indices checked by simulate_ensemble
+                np.take(c.reshape(-1), nodes, out=at[0], mode="clip")
+            res = step(c if at is None else at, y, grid, coeffs, bc, dt, dw_nodes[i], work, ring[n % len(ring)], low)
             if on_step is not None:
                 on_step(res, c, y, dws[i], work)
             if slots is None:
@@ -801,6 +815,7 @@ def simulate_ensemble(
     n_snapshots: int | None = None,
     on_frames: Callable = _kept,
     on_step: Callable | None = None,
+    nodes=None,
 ) -> EnsembleResult:
     """Independent paths from one initial state, path_id = first_path_id + k.
 
@@ -814,30 +829,44 @@ def simulate_ensemble(
     path's c is not finite, and at a path's y that is not, checked where no
     step can clamp it back (see ``_lane``).
 
-    Paths run in chunks of at most ``_CHUNK``, shrunk so their step state
-    fits ``_STATE_BYTES``, then evened out, and the chunks in waves of
+    Paths run in chunks of at most ``_CHUNK``, shrunk so their step state fits
+    ``_STATE_BYTES``, then evened out, and the chunks in waves of
     ``n_workers`` lanes (see ``_run_wave``), one workspace a lane.  When f
     ignores y, this thread steps the one c of every wave, of one lane or
     several, in blocks of steps that fit ``_BLOCK_BYTES`` and its lanes step
-    only y; under the affine y, a lane without ``on_step`` takes y from frame
-    to frame in the block form, in blocks cut at the frames and at the blocks
-    of c, so at the same steps in every chunking (see ``_lane``).  Results are
-    bitwise independent of the chunking, the worker count and the BLAS
-    threads.  With ``n_snapshots`` each lane hands every one of the
-    ``n_snapshots + 1`` uniformly spaced frames of its chunk, frame 0 too,
-    as it takes it, to the ``frame(k, c, y)`` that ``on_frames(part)``
+    only y; under the affine y, a lane without ``on_step`` or ``nodes`` takes
+    y from frame to frame in the block form, in blocks cut at the frames and
+    at the blocks of c, so at the same steps in every chunking (see
+    ``_lane``).  Results are bitwise independent of the chunking, the worker
+    count and the BLAS threads.  With ``n_snapshots`` each lane hands every
+    one of the ``n_snapshots + 1`` uniformly spaced frames of its chunk, frame
+    0 too, as it takes it, to the ``frame(k, c, y)`` that ``on_frames(part)``
     returns as the wave starts (a None gets no frame), ``part`` the chunk's
     paths of the result, on the lane's thread, y a row a path and c one row
-    for all when the wave shares its c, else a row a path; by default into
-    the result's frame stacks.  A c that every path shares is held once:
-    ``c_final`` and the kept ``c`` are read-only views of one row, which
-    only the first chunk's ``part`` holds writable, so its lane, on this
-    thread, writes each frame and the terminal c once.  ``on_step`` sees
-    each step of the first path's chunk and its clamp gates, on this
-    thread, that path in row 0.
+    for all when the wave shares its c, else a row a path; by default into the
+    result's frame stacks.  A c that every path shares is held once:
+    ``c_final`` and the kept ``c`` are read-only views of one row, which only
+    the first chunk's ``part`` holds writable, so its lane, on this thread,
+    writes each frame and the terminal c once.  ``on_step`` sees each step of
+    the first path's chunk and its clamp gates, on this thread, that path in
+    row 0.
+
+    ``nodes``, flat grid indices, is for a source that ignores y (else, or
+    with ``on_step``, ``ValueError``): y is stepped, checked and returned on
+    those nodes alone, ``y_final`` and the y of each frame shaped (paths,
+    len(nodes)), bitwise the y there of the whole field stepped step by step,
+    and a chunk is charged for those nodes (see ``path_bytes``).
     """
     grid = config.grid
     c_init, y_init = prepare_initial(config, c0, y0)
+    if nodes is not None:
+        if config.coeffs.source.reads_y or on_step is not None:
+            raise ValueError("nodes needs a source that ignores y and no on_step")
+        nodes = np.asarray(nodes)
+        if nodes.ndim != 1 or not nodes.size or nodes.dtype.kind not in "iu" or not (
+                0 <= nodes.min() and nodes.max() < grid.n_nodes):
+            raise ValueError(f"nodes must be flat indices of the {grid.n_nodes} grid nodes")
+        y_init = y_init.reshape(-1)[nodes]
     if wiener is None:
         if n_paths is None or n_paths < 1:
             raise ValueError("n_paths must be positive")
@@ -853,14 +882,15 @@ def simulate_ensemble(
         if n_snapshots and n_steps % n_snapshots:
             raise ValueError("snapshot count must divide the step count")
 
-    n_chunks = -(-n_paths // max(1, min(_CHUNK, _STATE_BYTES // path_bytes(grid))))
+    n_chunks = -(-n_paths // max(1, min(_CHUNK, _STATE_BYTES // path_bytes(grid, nodes))))
     chunk = -(-n_paths // n_chunks)  # as many chunks, evened out
     stride = n_steps // n_snapshots if n_snapshots else 0
     shape, shared = (n_paths,) + grid.shape, not config.coeffs.source.reads_y
     # c and y, frames first when kept, the last kept frame the terminal state; a shared c is one row
     frames, last = ((n_snapshots + 1,), -1) if n_snapshots and on_frames is _kept else ((), Ellipsis)
     c_rows = np.empty(frames + (1 if shared else n_paths,) + grid.shape)
-    c_held, y_held = np.broadcast_to(c_rows, frames + shape) if shared else c_rows, np.empty(frames + shape)
+    c_held = np.broadcast_to(c_rows, frames + shape) if shared else c_rows
+    y_held = np.empty(frames + (shape if nodes is None else (n_paths, len(nodes))))
     result = EnsembleResult(
         grid=grid,
         dt=dt,
@@ -884,7 +914,7 @@ def simulate_ensemble(
         noise = [inc[rows]] if wiener is not None else _philox_blocks(
             seed, part.path_ids, dt, n_steps, -(-_NOISE_BLOCK // block) * block)
         first = on_step if rows.start == 0 else None
-        return _lane(config, c_init, y_init, noise, part, stride, first, slots, block, frame)
+        return _lane(config, c_init, y_init, noise, part, stride, first, slots, block, frame, nodes)
 
     chunks = [slice(i, i + chunk) for i in range(0, n_paths, chunk)]
     width, block = max(1, n_workers), max(1, min(n_steps, _BLOCK_BYTES // (8 * grid.n_nodes + _SLOT_VIEWS)))

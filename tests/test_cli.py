@@ -651,8 +651,8 @@ def test_a_blown_up_y_on_a_wide_lane_exits_4(tmp_path, capsys, command):
     # sigma = 1e300 makes alpha = 1 + sigma dW - rho dt about +-1e297, so y
     # overflows within a few steps. simulate's lane of 8 paths of 34^2 nodes
     # takes alpha y by a filled copy, as every lane of several paths does, and
-    # warns of the overflow; verify's path 0 aborts first, in its one-path
-    # run. Either way the engine's check of y ends the run
+    # warns of the overflow; verify's one lane holds y at the center node of
+    # its 8 paths alone. Either way the engine's check of y ends the run
     text = ("dim = 2\ncells = 32\nt_final = 0.002\nn_paths = 8\ninitial.y = 1.0\n"
             "coeff.a = linear\ncoeff.a.sigma = 1e300\ncoeff.b = coupling\n")
     code, out = run_cli(command, tmp_path, text, command)
@@ -1160,11 +1160,11 @@ def test_verify_preflight_counts_no_frames(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mu_y,c_rows", [("0", 1), ("0.5", 3)])
-def test_converge_preflight_counts_the_frames_of_its_second_finest_level(tmp_path, monkeypatch, capsys, mu_y,
-                                                                          c_rows):
-    # the ladder keeps 6 frames of y a path on the 8-cell grid, and of c, one row when the paths share it:
-    # memory for the step state and the noise of the 16-cell grid but not for those frames is refused
-    # naming converge.levels, before anything is written
+def test_converge_preflight_counts_the_frames_of_the_two_levels_below_its_finest(tmp_path, monkeypatch, capsys,
+                                                                                mu_y, c_rows):
+    # while the 8-cell level runs, the ladder holds 6 frames of y a path on it and on the 4-cell grid below,
+    # and of c, one row when the paths share it: memory for the step state and the noise of the 16-cell grid
+    # but not for those frames is refused naming converge.levels, before anything is written
     from rpmelab.grid import build_grid
 
     text = ("dim = 2\nt_final = 0.001\nn_paths = 3\nconverge.levels = 4,8,16\n" + README_COEFFICIENTS
@@ -1172,7 +1172,7 @@ def test_converge_preflight_counts_the_frames_of_its_second_finest_level(tmp_pat
     cfg = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
     n = cli._preflight(cfg, key="converge.levels")[2].n_steps
     noise = path_bytes(build_grid(2, 16)) + 8 * 3 * (n + 1)
-    frames = 8 * 6 * (3 + c_rows) * build_grid(2, 8).n_nodes
+    frames = 8 * 6 * (3 + c_rows) * (build_grid(2, 8).n_nodes + build_grid(2, 4).n_nodes)
     monkeypatch.setattr(cli, "_physical_memory", lambda: noise + frames - 1)
     code, out = run_cli("converge", tmp_path, text, "short")
     assert code == 3
@@ -1330,9 +1330,8 @@ def test_simulate_memory_does_not_grow_with_its_frames(tmp_path):
 
 @pytest.mark.parametrize("n_paths", [1, 5])
 def test_verify_steps_each_path_once(tmp_path, monkeypatch, n_paths):
-    # path 0 runs alone, step by step, and the other paths in a run of their
-    # own that takes no frame: one block of every step; (rows, steps) of each
-    # y half and block, rows of each c half
+    # one run of every path, y step by step at the center alone (the source
+    # ignores y); (rows, steps) of each y half and block, rows of each c half
     from rpmelab import simulate
 
     c_rows, y_rows, c_half, y_half, y_block = [], [], simulate._c_half, simulate._y_half, simulate._y_block
@@ -1345,9 +1344,9 @@ def test_verify_steps_each_path_once(tmp_path, monkeypatch, n_paths):
     _, extras = cli._run_verify(cfg, tmp_path)
     n = round(0.01 / extras["dt"])
     assert n >= simulate._MIN_BLOCK
-    assert y_rows == [(1, 1)] * n + [(n_paths - 1, n)] * (n_paths > 1)
-    # the README source ignores y: one shared c row per step and run
-    assert c_rows == [1] * n * (1 + (n_paths > 1))
+    assert y_rows == [(n_paths, 1)] * n
+    # the README source ignores y: one shared c row per step
+    assert c_rows == [1] * n
 
 
 def _report_rows(reports):
@@ -1358,12 +1357,13 @@ def _report_rows(reports):
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("mu_y", [0.0, 0.5], ids=["one-way", "two-way"])
-def test_verify_ensemble_reports_are_path_0_alone_and_a_frameless_run_of_the_rest(tmp_path, mu_y, workers):
-    # verify's two ensemble reports, bit for bit, from a dense run of path 0
-    # and a run of paths 1 to 6 that takes no frame, whose one-way lanes step
-    # y in blocks: the c sups of both, the center y of both in path order
+def test_verify_ensemble_reports_are_those_of_one_run_of_every_path_stepping_y_step_by_step(tmp_path, mu_y,
+                                                                                             workers):
+    # verify's two ensemble reports, bit for bit, from one run of the 7 paths
+    # that takes a frame every step, so y of the whole field step by step:
+    # the c sups, the center y in path order
     from rpmelab.analysis import EstimateReport, linf_check
-    from rpmelab.simulate import simulate_ensemble, simulate_path
+    from rpmelab.simulate import simulate_ensemble
 
     text = (f"dim = 2\ncells = 16\nt_final = 0.02\nn_paths = 7\nworkers = {workers}\nseed = 4711\n"
             f"coeff.f.mu_y = {mu_y!r}\n" + README_COEFFICIENTS)
@@ -1371,14 +1371,12 @@ def test_verify_ensemble_reports_are_path_0_alone_and_a_frameless_run_of_the_res
     sections, _ = cli._run_verify(cfg, tmp_path)
 
     config, c0, plan, _ = cli._preflight(cfg)
-    runs = [simulate_path(config, c0, cfg.y0, seed=4711, store_dense=True),
-            simulate_ensemble(config, c0, cfg.y0, n_paths=6, seed=4711, first_path_id=1, n_workers=workers)]
-    assert runs[0].n_steps == runs[1].n_steps == plan.n_steps
+    run = simulate_ensemble(config, c0, cfg.y0, n_paths=7, seed=4711, n_workers=workers,
+                            n_snapshots=plan.n_steps, on_frames=lambda part: lambda k, c, y: None)
     center = (slice(None),) + tuple(s // 2 for s in config.grid.shape)
-    y_term = np.concatenate([run.y_final[center] for run in runs])
     composed = [
-        linf_check(max(float(np.max(run.c_sup)) for run in runs), plan.radius, "ensemble_sup_vs_growth_bound"),
-        EstimateReport("terminal_y_second_moment", float(np.mean(y_term**2)), None, {"n": 7}),
+        linf_check(float(np.max(run.c_sup)), plan.radius, "ensemble_sup_vs_growth_bound"),
+        EstimateReport("terminal_y_second_moment", float(np.mean(run.y_final[center] ** 2)), None, {"n": 7}),
     ]
     assert _report_rows(sections["verify"][-2:]) == _report_rows(composed)
 
@@ -1484,9 +1482,10 @@ def test_malliavin_streams_its_record_in_bounded_memory(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "converge"])
 def test_one_way_2d_digests_do_not_depend_on_the_blas_threads(tmp_path, command):
-    # a 2D one-way run takes y in blocks by a fixed-order einsum (verify in
-    # the run of its paths but path 0), and converge its cross-grid distances
-    # by tensordot: the digests at one BLAS thread and at two are the same
+    # a 2D one-way simulate takes y in blocks by a fixed-order einsum, verify
+    # y at its center node step by step, and converge its cross-grid
+    # distances by a product per grid line: the digests at one BLAS thread
+    # and at two are the same
     text = "dim = 2\ncells = 16\nt_final = 0.01\nn_paths = 9\nseed = 3\nconverge.levels = 4,8,16\n"
     text += README_COEFFICIENTS
     cfg = write(tmp_path, text)

@@ -1047,8 +1047,8 @@ def test_a_wave_frees_its_lanes_before_the_next_makes_its_own(monkeypatch, coupl
     made, alive, real = [], [], simulate._lane
 
     class Tracked(simulate.StepBuffers):
-        def __init__(self, grid, lead=(), gates=False, half=None):
-            super().__init__(grid, lead, gates, half)
+        def __init__(self, grid, lead=(), gates=False, half=None, nodes=None):
+            super().__init__(grid, lead, gates, half, nodes)
             if half != "c":  # a lane's, not the shared c's
                 made.append(weakref.ref(self))
 
@@ -1808,6 +1808,59 @@ def test_one_way_affine_blocks_give_each_path_its_own_bits_and_the_step_loop_to_
     for got, ref in ((ens.y_final, loop.y_final), (ens.y, loop.y)):
         assert got is None or np.all(np.abs(got - ref) <= 1e-13 * ref) and not np.any(np.signbit(got))
     assert same_bits(ens.c_final, loop.c_final) and same_bits(ens.c_sup, loop.c_sup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_y_on_nodes_is_bitwise_the_whole_field_stepped_step_by_step(data):
+    # any grid, boundary, affine or term-by-term y, chunking, worker count and
+    # frame count: y held on a few nodes alone is, frame by frame and at the
+    # end, bit for bit the y there of the same run stepped on every node with
+    # a frame every step, and c, its sup and min and the clamp mass are equal
+    draw = data.draw
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(2, CELLS[dim])))
+    config = SimConfig(grid, COEFFS[draw(st.sampled_from(["readme", "saturating"]))],
+                       draw(st.sampled_from(list(BoundaryKind))), t_final=draw(st.sampled_from([0.004, 0.02])))
+    nodes = draw(st.lists(st.integers(0, grid.n_nodes - 1), min_size=1, max_size=5))
+    paths, k = draw(st.integers(1, 7)), draw(st.sampled_from([None, 1, 3]))
+    chunk, y0 = draw(st.sampled_from([1, 2, 3, paths])), draw(st.sampled_from([1.0, half_cosine]))
+    kw = dict(n_paths=paths, seed=draw(st.integers(0, 2**32 - 1)), n_workers=draw(st.integers(1, 3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_STATE_BYTES", chunk * simulate.path_bytes(grid, nodes))
+        held = simulate_ensemble(config, bump, y0, n_snapshots=k, nodes=nodes, **kw)
+    whole = simulate_ensemble(config, bump, y0, n_snapshots=held.n_steps, **kw)
+    at = (Ellipsis, np.asarray(nodes))
+    assert same_bits(held.y_final, whole.y_final.reshape(paths, -1)[at])
+    assert same_bits(held.c_final, whole.c_final)
+    for name in ("c_sup", "c_min", "clamp_mass"):
+        assert same_bits(getattr(held, name), getattr(whole, name)), name
+    if k is not None:
+        kept = slice(None, None, held.n_steps // k)
+        assert same_bits(held.y, whole.y[kept].reshape(k + 1, paths, -1)[at])
+        assert same_bits(held.c, whole.c[kept])
+    with pytest.raises(ValueError, match="ignores y"):
+        simulate_ensemble(dataclasses.replace(config, coeffs=COEFFS["decaying"]), bump, y0, nodes=nodes, **kw)
+    with pytest.raises(ValueError, match="on_step"):
+        simulate_ensemble(config, bump, y0, nodes=nodes, on_step=lambda *a: None, **kw)
+
+
+@pytest.mark.parametrize("nodes", [[], [[0]], [0.0], [-1], [18**2]])
+def test_nodes_that_are_not_flat_grid_indices_are_refused(nodes):
+    with pytest.raises(ValueError, match="flat indices"):
+        simulate_ensemble(small_config(), cosine, 1.0, n_paths=1, nodes=nodes)
+
+
+def test_lanes_on_nodes_are_charged_for_those_nodes(monkeypatch):
+    # 256 paths of a 2D 32^2 grid: four chunks of 64 on every node, two of
+    # 128, one wave at two workers, on one node
+    sizes = []
+    monkeypatch.setattr(simulate, "_lane", lambda config, c, y, noise, part, *a: sizes.append(len(part.path_ids)))
+    monkeypatch.setattr(simulate, "_run_wave", lambda *a: None)
+    config = SimConfig(build_grid(2, 32), COEFFS["readme"], BoundaryKind.NEUMANN, t_final=0.001)
+    for nodes in (None, [17 * 34 + 17]):
+        simulate_ensemble(config, cosine, 1.0, n_paths=256, n_workers=2, nodes=nodes)
+    assert sizes == [64] * 4 + [128] * 2
 
 
 def explicit_run(config, inc, dt, **kw):
